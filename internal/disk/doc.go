@@ -27,6 +27,15 @@
 // (allocating all metadata for real) without storing gigabytes of pixel
 // data.
 //
+// Request.Data is the payload in both directions; nil means timing only. A
+// write stores Data, and a nil Data is a sparse write. A read copies the
+// sectors into Data, zero-filling unwritten ones, and passes that same
+// buffer to Done; a read with nil Data costs its full service time but
+// moves no bytes, and Done gets nil. This is the raw read interface of the
+// paper, where CRAS owns its buffers: its stream reads are timing-only, so
+// the per-request path allocates nothing of its own. Callers that want the
+// bytes supply the buffer (ReadSync allocates the one it returns).
+//
 // The seek curve is deliberately non-linear (a square-root region for short
 // seeks, linear beyond), after Ruemmler & Wilkes, so that the linear
 // approximation used by the paper's admission test (Appendix C) is a genuine

@@ -299,76 +299,6 @@ func (v *Volume) VerifyParity() int64 {
 	return -1
 }
 
-// submitParityRead scatters a logical read over the survivors and gathers
-// the completions, XOR-reconstructing any units held by a dead member. The
-// caller's Done fires once, after the last fragment, exactly as for RAID-0.
-func (v *Volume) submitParityRead(r *Request) {
-	frags, _ := v.ReadFragments(r.LBA, r.Count)
-	r.Submitted = v.disks[0].eng.Now()
-	ss := v.geo.SectorSize
-	assembled := make([]byte, r.Count*ss)
-	memberFrag := make([]Frag, len(v.disks))
-	memberBuf := make([][]byte, len(v.disks))
-	remaining := len(frags)
-	for i := range frags {
-		f := frags[i]
-		memberFrag[f.Disk] = f
-		child := &Request{
-			LBA: f.LBA, Count: f.Count, RealTime: r.RealTime,
-			Done: func(cr *Request, data []byte) {
-				if cr.Err != nil && r.Err == nil {
-					r.Err = cr.Err
-				}
-				if r.Started == 0 || cr.Started < r.Started {
-					r.Started = cr.Started
-				}
-				if cr.Completed > r.Completed {
-					r.Completed = cr.Completed
-				}
-				memberBuf[f.Disk] = data
-				remaining--
-				if remaining > 0 {
-					return
-				}
-				if r.Err == nil {
-					v.gatherParity(r, memberFrag, memberBuf, assembled)
-				}
-				if r.Done != nil {
-					var out []byte
-					if r.Err == nil {
-						out = assembled
-					}
-					r.Done(r, out)
-				}
-			},
-		}
-		v.disks[f.Disk].Submit(child)
-	}
-}
-
-// gatherParity de-interleaves the member reads into the logical buffer,
-// XORing the survivors' row units together wherever the unit's home member
-// is dead.
-func (v *Volume) gatherParity(r *Request, memberFrag []Frag, memberBuf [][]byte, assembled []byte) {
-	ss := int64(v.geo.SectorSize)
-	v.forEachUnit(r.LBA, r.Count, func(d int, dlba int64, sectors int, off int64) {
-		dst := assembled[off*ss : (off+int64(sectors))*ss]
-		if !v.dead[d] {
-			src := memberBuf[d]
-			lo := (dlba - memberFrag[d].LBA) * ss
-			copy(dst, src[lo:lo+int64(sectors)*ss])
-			return
-		}
-		for m := range v.disks {
-			if m == d || v.dead[m] {
-				continue
-			}
-			lo := (dlba - memberFrag[m].LBA) * ss
-			xorInto(dst, memberBuf[m][lo:lo+int64(sectors)*ss])
-		}
-	})
-}
-
 // overlayWrite applies the slice of a logical write covering stripe unit u
 // onto the unit's current content. A nil payload overlays zeros (sparse
 // writes store zeros).
@@ -423,7 +353,6 @@ func (v *Volume) parityRowAfterWrite(row int64, r *Request) []byte {
 // per affected row. Fragments on a dead member are dropped — the parity
 // update alone carries their bytes until rebuild restores the member.
 func (v *Volume) submitParityWrite(r *Request) {
-	r.Submitted = v.disks[0].eng.Now()
 	nd := int64(len(v.disks) - 1)
 	type child struct {
 		disk int
@@ -457,25 +386,7 @@ func (v *Volume) submitParityWrite(r *Request) {
 			RealTime: r.RealTime,
 		}})
 	}
-	remaining := len(children)
-	done := func(cr *Request, _ []byte) {
-		if cr.Err != nil && r.Err == nil {
-			r.Err = cr.Err
-		}
-		if r.Started == 0 || cr.Started < r.Started {
-			r.Started = cr.Started
-		}
-		if cr.Completed > r.Completed {
-			r.Completed = cr.Completed
-		}
-		remaining--
-		if remaining > 0 {
-			return
-		}
-		if r.Done != nil {
-			r.Done(r, nil)
-		}
-	}
+	done := v.fanIn(r, len(children))
 	for _, c := range children {
 		c.req.Done = done
 		v.disks[c.disk].Submit(c.req)

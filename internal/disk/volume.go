@@ -203,9 +203,12 @@ func (v *Volume) Fragments(lba int64, count int) []Frag {
 
 // Submit enqueues a logical request, scattering it across the members and
 // gathering the completions: the caller's Done fires once, after the last
-// fragment completes, with the de-interleaved data (reads) and the
-// worst-case member completion time. Err carries the first fragment
-// failure. A single-member volume passes the request through untouched.
+// fragment completes, with the worst-case member completion time. Member
+// reads are timing-only; as each completes, its units are copied from the
+// member's sector store straight to their logical offsets in r.Data (when
+// the caller gave one), so a read moves its payload once. Err carries the
+// first fragment failure. A single-member volume passes the request through
+// untouched.
 func (v *Volume) Submit(r *Request) {
 	if len(v.disks) == 1 {
 		v.disks[0].Submit(r)
@@ -214,58 +217,75 @@ func (v *Volume) Submit(r *Request) {
 	if r.LBA < 0 || r.Count <= 0 || r.LBA+int64(r.Count) > v.geo.TotalSectors() {
 		panic(fmt.Sprintf("disk: volume %s: request out of range: lba=%d count=%d", v.name, r.LBA, r.Count))
 	}
-	ss := v.geo.SectorSize
-	if r.Write && r.Data != nil && len(r.Data) != r.Count*ss {
-		panic(fmt.Sprintf("disk: volume %s: write payload %d bytes for %d sectors", v.name, len(r.Data), r.Count))
+	if r.Data != nil && len(r.Data) != r.Count*v.geo.SectorSize {
+		panic(fmt.Sprintf("disk: volume %s: payload %d bytes for %d sectors", v.name, len(r.Data), r.Count))
 	}
-	if v.parity {
-		if r.Write {
-			v.submitParityWrite(r)
-		} else {
-			v.submitParityRead(r)
-		}
-		return
-	}
-	frags := v.Fragments(r.LBA, r.Count)
 	r.Submitted = v.disks[0].eng.Now()
-	var assembled []byte
-	if !r.Write {
-		assembled = make([]byte, r.Count*ss)
-	}
-	remaining := len(frags)
-	for i := range frags {
-		f := frags[i]
-		child := &Request{
-			LBA: f.LBA, Count: f.Count, Write: r.Write,
-			Data:     v.scatterPayload(r, f),
-			RealTime: r.RealTime,
-			Done: func(cr *Request, data []byte) {
-				if cr.Err != nil && r.Err == nil {
-					r.Err = cr.Err
-				}
-				if r.Started == 0 || cr.Started < r.Started {
-					r.Started = cr.Started
-				}
-				if cr.Completed > r.Completed {
-					r.Completed = cr.Completed
-				}
-				if data != nil {
-					v.gather(r, f, data, assembled)
-				}
-				remaining--
-				if remaining > 0 {
-					return
-				}
-				if r.Done != nil {
-					var out []byte
-					if r.Err == nil && !r.Write {
-						out = assembled
-					}
-					r.Done(r, out)
-				}
-			},
+	switch {
+	case !r.Write:
+		v.submitRead(r)
+	case v.parity:
+		v.submitParityWrite(r)
+	default:
+		frags := v.Fragments(r.LBA, r.Count)
+		done := v.fanIn(r, len(frags))
+		for _, f := range frags {
+			v.disks[f.Disk].Submit(&Request{
+				LBA: f.LBA, Count: f.Count, Write: true,
+				Data:     v.scatterPayload(r, f),
+				RealTime: r.RealTime,
+				Done:     done,
+			})
 		}
-		v.disks[f.Disk].Submit(child)
+	}
+}
+
+// submitRead scatters a logical read as timing-only member reads: one per
+// member, over the survivors when a parity member is dead (ReadFragments).
+// Each carries its member index on Tag for the gather.
+func (v *Volume) submitRead(r *Request) {
+	frags, _ := v.ReadFragments(r.LBA, r.Count)
+	if r.Data != nil && v.NumDead() > 0 {
+		// Dead units accumulate the survivors' XOR in place.
+		clear(r.Data)
+	}
+	done := v.fanIn(r, len(frags))
+	for _, f := range frags {
+		v.disks[f.Disk].Submit(&Request{
+			LBA: f.LBA, Count: f.Count, RealTime: r.RealTime,
+			Tag: f.Disk, Done: done,
+		})
+	}
+}
+
+// fanIn returns the completion handler shared by the n member requests r
+// was split into. Each member completion folds in the first failure, the
+// earliest start and the latest completion, and a member read moves its
+// share into r.Data. After the last, r's own Done fires — with r.Data for
+// a successful read into a buffer, as on a bare disk.
+func (v *Volume) fanIn(r *Request, n int) func(*Request, []byte) {
+	return func(cr *Request, _ []byte) {
+		if cr.Err != nil && r.Err == nil {
+			r.Err = cr.Err
+		}
+		if r.Started == 0 || cr.Started < r.Started {
+			r.Started = cr.Started
+		}
+		if cr.Completed > r.Completed {
+			r.Completed = cr.Completed
+		}
+		if cr.Err == nil && !r.Write && r.Data != nil {
+			v.gather(r, cr.Tag.(int))
+		}
+		n--
+		if n > 0 || r.Done == nil {
+			return
+		}
+		var out []byte
+		if r.Err == nil && !r.Write {
+			out = r.Data
+		}
+		r.Done(r, out)
 	}
 }
 
@@ -290,34 +310,39 @@ func (v *Volume) scatterPayload(r *Request, f Frag) []byte {
 	return out
 }
 
-// gather de-interleaves one fragment's read data into the logical buffer.
-func (v *Volume) gather(r *Request, f Frag, data, assembled []byte) {
-	ss := v.geo.SectorSize
+// gather moves member m's share of a logical read from its sector store
+// into r.Data: m's own units are copied to their logical offsets, and m's
+// units in the rows of a dead member's units are XORed into those units'
+// offsets (a dead unit is the XOR of the survivors' units of its row).
+func (v *Volume) gather(r *Request, m int) {
+	ss := int64(v.geo.SectorSize)
 	v.forEachUnit(r.LBA, r.Count, func(d int, dlba int64, sectors int, off int64) {
-		if d != f.Disk {
-			return
+		dst := r.Data[off*ss : (off+int64(sectors))*ss]
+		switch {
+		case d == m:
+			v.disks[m].copySectors(dlba, sectors, dst)
+		case v.Dead(d):
+			v.disks[m].xorSectors(dlba, sectors, dst)
 		}
-		copy(assembled[off*int64(ss):], data[(dlba-f.LBA)*int64(ss):(dlba-f.LBA+int64(sectors))*int64(ss)])
 	})
 }
 
 // ReadSync submits a logical read and blocks the calling process until it
-// completes. Mirrors Disk.ReadSync, including the loud failure on injected
-// faults — the synchronous path is file-system traffic that must not
-// corrupt silently.
+// completes, returning the data in a buffer it allocates. Mirrors
+// Disk.ReadSync, including the loud failure on injected faults — the
+// synchronous path is file-system traffic that must not corrupt silently.
 func (v *Volume) ReadSync(p *sim.Proc, lba int64, count int, realTime bool) []byte {
 	if len(v.disks) == 1 {
 		return v.disks[0].ReadSync(p, lba, count, realTime)
 	}
-	var out []byte
+	out := make([]byte, count*v.geo.SectorSize)
 	done := false
 	v.Submit(&Request{
-		LBA: lba, Count: count, RealTime: realTime,
-		Done: func(r *Request, data []byte) {
+		LBA: lba, Count: count, Data: out, RealTime: realTime,
+		Done: func(r *Request, _ []byte) {
 			if r.Err != nil {
 				panic("disk: unhandled injected fault on synchronous volume read")
 			}
-			out = data
 			done = true
 			p.Unblock()
 		},

@@ -102,6 +102,10 @@ func (e *Engine) Now() Time { return e.now }
 // tracing.
 func (e *Engine) SetTracer(fn func(t Time, format string, args ...any)) { e.tracer = fn }
 
+// Tracing reports whether a tracer is installed. Hot paths test it before
+// calling Tracef, so an untraced run never boxes the trace arguments.
+func (e *Engine) Tracing() bool { return e.tracer != nil }
+
 // Tracef emits a trace line if a tracer is installed.
 func (e *Engine) Tracef(format string, args ...any) {
 	if e.tracer != nil {

@@ -13,9 +13,13 @@ type cacheEntry struct {
 	blk     int64
 	data    []byte
 	dirty   bool
-	pending bool // a read is in flight filling this entry
-	waiters *sim.Waiter
-	lruSeq  uint64
+	pending bool        // a read is in flight filling this entry
+	waiters *sim.Waiter // created by the first process to wait on the fill
+	lruSeq  uint64      // touch stamp; the LRU list is in lruSeq order
+
+	// prev and next link the entry into the cache's LRU list. prev is nil
+	// exactly when the entry is not in the list (and so not in the map).
+	prev, next *cacheEntry
 }
 
 // Cache is a write-back LRU buffer cache over file-system blocks. All
@@ -27,6 +31,12 @@ type Cache struct {
 	capacity int
 	entries  map[int64]*cacheEntry
 	seq      uint64
+
+	// lru is the sentinel of a circular list of the resident entries in
+	// touch order: lru.next is the least recently used, lru.prev the most.
+	// Eviction takes the first eligible entry from the old end, which is
+	// the eligible entry with the smallest lruSeq.
+	lru cacheEntry
 
 	// Stats.
 	Hits       int64
@@ -40,12 +50,70 @@ func NewCache(dsk BlockDevice, capacity int) *Cache {
 	if capacity < 4 {
 		capacity = 4
 	}
-	return &Cache{dsk: dsk, capacity: capacity, entries: make(map[int64]*cacheEntry)}
+	c := &Cache{dsk: dsk, capacity: capacity, entries: make(map[int64]*cacheEntry)}
+	c.lru.prev, c.lru.next = &c.lru, &c.lru
+	return c
 }
 
+// touch marks e most recently used. An entry that has left the cache while
+// its caller waited only takes the stamp.
 func (c *Cache) touch(e *cacheEntry) {
 	c.seq++
 	e.lruSeq = c.seq
+	if e.prev != nil {
+		c.unlink(e)
+		c.pushBack(e)
+	}
+}
+
+func (c *Cache) pushBack(e *cacheEntry) {
+	e.prev, e.next = c.lru.prev, &c.lru
+	c.lru.prev.next = e
+	c.lru.prev = e
+}
+
+func (c *Cache) unlink(e *cacheEntry) {
+	e.prev.next = e.next
+	e.next.prev = e.prev
+	e.prev, e.next = nil, nil
+}
+
+// insert makes e the resident entry for its block, most recently used. An
+// entry it displaces (one another process inserted while the caller was
+// blocked) leaves the cache.
+func (c *Cache) insert(e *cacheEntry) {
+	c.remove(e.blk)
+	c.entries[e.blk] = e
+	c.pushBack(e)
+	c.seq++
+	e.lruSeq = c.seq
+}
+
+// remove drops whatever entry is resident for blk.
+func (c *Cache) remove(blk int64) {
+	if e, ok := c.entries[blk]; ok {
+		c.unlink(e)
+		delete(c.entries, blk)
+	}
+}
+
+// waitFill parks p until e's in-flight read completes.
+func (e *cacheEntry) waitFill(p *sim.Proc) {
+	for e.pending {
+		if e.waiters == nil {
+			e.waiters = sim.NewWaiter(fmt.Sprintf("cache:%d", e.blk))
+		}
+		e.waiters.Wait(p)
+	}
+}
+
+// fill publishes e's data and wakes any process waiting for it.
+func (e *cacheEntry) fill(data []byte) {
+	e.data = data
+	e.pending = false
+	if e.waiters != nil {
+		e.waiters.WakeAll()
+	}
 }
 
 // Get returns the contents of a block, reading it from disk on a miss. The
@@ -53,22 +121,16 @@ func (c *Cache) touch(e *cacheEntry) {
 // MarkDirty with the same block number before the next blocking operation.
 func (c *Cache) Get(p *sim.Proc, blk int64) []byte {
 	if e, ok := c.entries[blk]; ok {
-		for e.pending {
-			e.waiters.Wait(p)
-		}
+		e.waitFill(p)
 		c.Hits++
 		c.touch(e)
 		return e.data
 	}
 	c.Misses++
 	c.evictFor(p, 1)
-	e := &cacheEntry{blk: blk, pending: true, waiters: sim.NewWaiter(fmt.Sprintf("cache:%d", blk))}
-	c.entries[blk] = e
-	c.touch(e)
-	data := c.dsk.ReadSync(p, blk*SectorsPerBlock, SectorsPerBlock, false)
-	e.data = data
-	e.pending = false
-	e.waiters.WakeAll()
+	e := &cacheEntry{blk: blk, pending: true}
+	c.insert(e)
+	e.fill(c.dsk.ReadSync(p, blk*SectorsPerBlock, SectorsPerBlock, false))
 	return e.data
 }
 
@@ -76,19 +138,14 @@ func (c *Cache) Get(p *sim.Proc, blk int64) []byte {
 // overwritten, without reading it from disk.
 func (c *Cache) GetZero(p *sim.Proc, blk int64) []byte {
 	if e, ok := c.entries[blk]; ok {
-		for e.pending {
-			e.waiters.Wait(p)
-		}
+		e.waitFill(p)
 		c.touch(e)
-		for i := range e.data {
-			e.data[i] = 0
-		}
+		clear(e.data)
 		return e.data
 	}
 	c.evictFor(p, 1)
-	e := &cacheEntry{blk: blk, data: make([]byte, BlockSize), waiters: sim.NewWaiter(fmt.Sprintf("cache:%d", blk))}
-	c.entries[blk] = e
-	c.touch(e)
+	e := &cacheEntry{blk: blk, data: make([]byte, BlockSize)}
+	c.insert(e)
 	return e.data
 }
 
@@ -147,20 +204,24 @@ func (c *Cache) prefetchRun(blk int64, count int) {
 	}
 	entries := make([]*cacheEntry, count)
 	for i := 0; i < count; i++ {
-		e := &cacheEntry{blk: blk + int64(i), pending: true, waiters: sim.NewWaiter(fmt.Sprintf("cache:%d", blk+int64(i)))}
-		c.entries[e.blk] = e
-		c.touch(e)
+		e := &cacheEntry{blk: blk + int64(i), pending: true}
+		c.insert(e)
 		entries[i] = e
 	}
 	c.Prefetches += int64(count)
+	// The run is read into one buffer; each block's entry keeps its slice.
+	buf := make([]byte, count*BlockSize)
 	c.dsk.Submit(&disk.Request{
 		LBA:   blk * SectorsPerBlock,
 		Count: count * SectorsPerBlock,
-		Done: func(r *disk.Request, data []byte) {
+		Data:  buf,
+		Done: func(r *disk.Request, _ []byte) {
+			if r.Err != nil {
+				panic("ufs: unhandled injected fault on read-ahead")
+			}
 			for i, e := range entries {
-				e.data = append([]byte(nil), data[i*BlockSize:(i+1)*BlockSize]...)
-				e.pending = false
-				e.waiters.WakeAll()
+				lo := i * BlockSize
+				e.fill(buf[lo : lo+BlockSize : lo+BlockSize])
 			}
 		},
 	})
@@ -169,34 +230,29 @@ func (c *Cache) prefetchRun(blk int64, count int) {
 // evictCleanLRU drops the least-recently-used clean, non-pending entry,
 // reporting whether one was found.
 func (c *Cache) evictCleanLRU() bool {
-	var victim *cacheEntry
-	for _, e := range c.entries {
-		if e.pending || e.dirty {
-			continue
-		}
-		if victim == nil || e.lruSeq < victim.lruSeq {
-			victim = e
-		}
-	}
+	victim := c.oldest(true)
 	if victim == nil {
 		return false
 	}
-	delete(c.entries, victim.blk)
+	c.remove(victim.blk)
 	return true
+}
+
+// oldest returns the least-recently-used entry that is not being filled
+// (and, if clean is set, not dirty), or nil if there is none.
+func (c *Cache) oldest(clean bool) *cacheEntry {
+	for e := c.lru.next; e != &c.lru; e = e.next {
+		if !e.pending && !(clean && e.dirty) {
+			return e
+		}
+	}
+	return nil
 }
 
 // evictFor makes room for n new entries, writing back dirty victims.
 func (c *Cache) evictFor(p *sim.Proc, n int) {
 	for len(c.entries)+n > c.capacity {
-		var victim *cacheEntry
-		for _, e := range c.entries {
-			if e.pending {
-				continue
-			}
-			if victim == nil || e.lruSeq < victim.lruSeq {
-				victim = e
-			}
-		}
+		victim := c.oldest(false)
 		if victim == nil {
 			return // everything pending; allow temporary overshoot
 		}
@@ -204,7 +260,7 @@ func (c *Cache) evictFor(p *sim.Proc, n int) {
 			c.Writebacks++
 			c.dsk.WriteSync(p, victim.blk*SectorsPerBlock, SectorsPerBlock, victim.data, false)
 		}
-		delete(c.entries, victim.blk)
+		c.remove(victim.blk)
 	}
 }
 
@@ -219,7 +275,12 @@ func (c *Cache) Sync(p *sim.Proc) {
 	}
 	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
 	for _, blk := range dirty {
-		e := c.entries[blk]
+		e, ok := c.entries[blk]
+		if !ok {
+			// Another process evicted (and so wrote back) or invalidated
+			// the block while an earlier write-back blocked.
+			continue
+		}
 		c.Writebacks++
 		c.dsk.WriteSync(p, blk*SectorsPerBlock, SectorsPerBlock, e.data, false)
 		e.dirty = false
@@ -231,4 +292,4 @@ func (c *Cache) Len() int { return len(c.entries) }
 
 // Invalidate drops a block from the cache, discarding dirty data. Used when
 // freeing blocks.
-func (c *Cache) Invalidate(blk int64) { delete(c.entries, blk) }
+func (c *Cache) Invalidate(blk int64) { c.remove(blk) }
