@@ -11,6 +11,7 @@
 //	crasbench -extra vbr          # vbr | frag | record | delaysweep | faults | cache | overload | stripe | parity | multicast | cluster | vcr
 //	crasbench -fig 6 -quick       # smaller sweeps for a fast look
 //	crasbench -fig 6 -delay 3s    # the Section 3.1 longer-initial-delay run
+//	crasbench -all -jsondir .     # also snapshot the parity, multicast, cluster and VCR sweeps
 package main
 
 import (
@@ -18,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"time"
 
 	"repro/internal/expt"
@@ -28,10 +30,7 @@ func main() {
 		fig      = flag.Int("fig", 0, "figure to regenerate (6, 7, 8, 9, 10, 12)")
 		table    = flag.Int("table", 0, "table to regenerate (4)")
 		extra    = flag.String("extra", "", "extra experiment: vbr | frag | record | delaysweep | interval | faults | cache | overload | stripe | parity | multicast | cluster | vcr")
-		jsonOut  = flag.String("json", "", "also write the parity sweep result as JSON to this file")
-		mjsonOut = flag.String("mcastjson", "", "also write the multicast sweep result as JSON to this file")
-		cjsonOut = flag.String("clusterjson", "", "also write the cluster sweep result as JSON to this file")
-		vjsonOut = flag.String("vcrjson", "", "also write the VCR sweep result as JSON to this file")
+		jsonDir  = flag.String("jsondir", "", "also write the parity, multicast, cluster and VCR sweep results as BENCH_{parity,multicast,cluster,vcr}.json into this directory")
 		all      = flag.Bool("all", false, "run everything")
 		quick    = flag.Bool("quick", false, "smaller sweeps and shorter runs")
 		seed     = flag.Int64("seed", 1, "simulation seed")
@@ -139,17 +138,7 @@ func main() {
 		}
 		res := expt.RunParitySweep(cfg)
 		fmt.Println(res.Table())
-		if *jsonOut != "" {
-			buf, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "crasbench:", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*jsonOut, append(buf, '\n'), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "crasbench:", err)
-				os.Exit(1)
-			}
-		}
+		writeSnapshot(*jsonDir, "parity", res)
 		ran = true
 	}
 	if *all || *extra == "multicast" {
@@ -159,17 +148,7 @@ func main() {
 		}
 		res := expt.RunMulticastSweep(cfg)
 		fmt.Println(res.Table())
-		if *mjsonOut != "" {
-			buf, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "crasbench:", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*mjsonOut, append(buf, '\n'), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "crasbench:", err)
-				os.Exit(1)
-			}
-		}
+		writeSnapshot(*jsonDir, "multicast", res)
 		ran = true
 	}
 	if *all || *extra == "cluster" {
@@ -179,17 +158,7 @@ func main() {
 		}
 		res := expt.RunClusterSweep(cfg)
 		fmt.Println(res.Table())
-		if *cjsonOut != "" {
-			buf, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "crasbench:", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*cjsonOut, append(buf, '\n'), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "crasbench:", err)
-				os.Exit(1)
-			}
-		}
+		writeSnapshot(*jsonDir, "cluster", res)
 		ran = true
 	}
 	if *all || *extra == "vcr" {
@@ -199,22 +168,28 @@ func main() {
 		}
 		res := expt.RunVCRSweep(cfg)
 		fmt.Println(res.Table())
-		if *vjsonOut != "" {
-			buf, err := json.MarshalIndent(res, "", "  ")
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "crasbench:", err)
-				os.Exit(1)
-			}
-			if err := os.WriteFile(*vjsonOut, append(buf, '\n'), 0o644); err != nil {
-				fmt.Fprintln(os.Stderr, "crasbench:", err)
-				os.Exit(1)
-			}
-		}
+		writeSnapshot(*jsonDir, "vcr", res)
 		ran = true
 	}
 	if !ran {
 		flag.Usage()
 		os.Exit(2)
+	}
+}
+
+// writeSnapshot writes one sweep result as indented JSON to
+// dir/BENCH_<name>.json; an empty dir writes nothing.
+func writeSnapshot(dir, name string, res any) {
+	if dir == "" {
+		return
+	}
+	buf, err := json.MarshalIndent(res, "", "  ")
+	if err == nil {
+		err = os.WriteFile(filepath.Join(dir, "BENCH_"+name+".json"), append(buf, '\n'), 0o644)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "crasbench:", err)
+		os.Exit(1)
 	}
 }
 

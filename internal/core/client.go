@@ -208,13 +208,13 @@ func (h *Handle) StreamStats() StreamStats { return h.st.stats }
 // CacheBacked reports whether the session is currently served from the
 // interval cache rather than its own disk reads. Like Get, it reads shared
 // state directly; it turns false for good once the stream falls back.
-func (h *Handle) CacheBacked() bool { return h.st.cached }
+func (h *Handle) CacheBacked() bool { return h.st.rides(sharePinned) }
 
 // MulticastMember reports whether the session is currently served by a
 // multicast group's fan-out rather than its own disk reads. Like Get, it
 // reads shared state directly; it turns false for good once the member
 // falls back to disk or is promoted to the group's feed.
-func (h *Handle) MulticastMember() bool { return h.st.mcastMember }
+func (h *Handle) MulticastMember() bool { return h.st.rides(shareFanout) }
 
 // Paused reports whether the session is paused. Like Get, it reads shared
 // state directly and may be called from any engine context.
@@ -279,8 +279,8 @@ func (h *Handle) SessionState() SessionState {
 		Started:       st.clock.Running(),
 		Logical:       st.clock.At(now),
 		StampPoint:    stamp,
-		CacheBacked:   st.cached,
-		Multicast:     st.mcastMember,
+		CacheBacked:   st.rides(sharePinned),
+		Multicast:     st.rides(shareFanout),
 		Health:        st.health,
 	}
 }

@@ -6,13 +6,14 @@ import (
 	"repro/internal/sim"
 )
 
-// Interval caching (after Jayarekha & Nair): when a stream opens a path an
-// active stream is already playing, the pair's temporal gap is an interval
-// of media the leader has played and the follower has not. Instead of
-// discarding the leader's chunks at the time-driven rule, the server pins
-// them in a per-path cache until the follower has consumed them, so the
-// follower's prefetch cycles are served from RAM and charge the admission
-// test buffer bytes but zero disk operations.
+// Interval caching (after Jayarekha & Nair), the pinned mode of a shared
+// path (shared.go): when a stream opens a path an active stream is already
+// playing, the pair's temporal gap is an interval of media the leader has
+// played and the follower has not. Instead of discarding the leader's
+// chunks at the time-driven rule, the server pins them in the path's group
+// until the follower has consumed them, so the follower's prefetch cycles
+// are served from RAM and charge the admission test buffer bytes but zero
+// disk operations.
 //
 // The one part of a follower's stream the cache can never supply is the
 // prefix the leader consumed before the follower arrived — those chunks
@@ -20,36 +21,18 @@ import (
 // prefix (chunks below cacheFrom) from the real-time disk queue like any
 // stream, riding the admission slack, and is cache-served from cacheFrom
 // on. A follower that opens while the leader's buffer still holds chunk 0
-// (gap smaller than the buffer window) never touches the disk at all.
-//
-// Fallback is one-way and within one interval T: on a cache miss at a
-// chunk the leader should have supplied (leader closed, evicted, suspended,
-// or the pin budget refused the chunk), the follower reverts to plain disk
-// fetching at its stamp point during the same scheduler cycle, so the
-// next interval's batch already contains its reads. Already-stamped chunks
-// stay in its buffer; the time-driven discard rule still guards Get, so an
-// expired chunk is never delivered across the switch.
-
-// pathCache is the per-path pin set: one leader producing chunks, the
-// followers consuming them oldest-first, and the pinned interval between
-// the leader's discard horizon and the slowest follower's.
-type pathCache struct {
-	path      string
-	leader    *stream
-	followers []*stream // open order: descending logical clock
-	pins      []BufferedChunk
-	bytes     int64 // pinned bytes in this path
-	createdAt int   // scheduler cycle, for deterministic eviction ties
-}
+// (gap smaller than the buffer window) never touches the disk at all. A
+// cache miss at a chunk the leader should have supplied takes the shared
+// one-way fallback.
 
 // pinSearch is sort.Search specialized to the pin set: the first index
 // whose pin timestamp is >= ts. Hand-rolled because the closure a generic
 // sort.Search call captures would allocate on the per-cycle path.
-func (pc *pathCache) pinSearch(ts sim.Time) int {
-	lo, hi := 0, len(pc.pins)
+func (g *sharedPath) pinSearch(ts sim.Time) int {
+	lo, hi := 0, len(g.pins)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if pc.pins[mid].Timestamp < ts {
+		if g.pins[mid].Timestamp < ts {
 			lo = mid + 1
 		} else {
 			hi = mid
@@ -59,49 +42,58 @@ func (pc *pathCache) pinSearch(ts sim.Time) int {
 }
 
 // pinAt reports whether a pin with exactly the given timestamp exists.
-func (pc *pathCache) pinAt(ts sim.Time) bool {
-	at := pc.pinSearch(ts)
-	return at < len(pc.pins) && pc.pins[at].Timestamp == ts
+func (g *sharedPath) pinAt(ts sim.Time) bool {
+	at := g.pinSearch(ts)
+	return at < len(g.pins) && g.pins[at].Timestamp == ts
 }
 
 // pinInsert adds a chunk to the pin set, keeping it sorted by timestamp.
 // Duplicates (a promoted leader re-popping a chunk the old leader pinned)
 // are refused.
-func (pc *pathCache) pinInsert(c BufferedChunk) bool {
-	at := pc.pinSearch(c.Timestamp)
-	if at < len(pc.pins) && pc.pins[at].Timestamp == c.Timestamp {
+func (g *sharedPath) pinInsert(c BufferedChunk) bool {
+	at := g.pinSearch(c.Timestamp)
+	if at < len(g.pins) && g.pins[at].Timestamp == c.Timestamp {
 		return false
 	}
-	pc.pins = append(pc.pins, BufferedChunk{}) //crasvet:allow hotalloc -- pin-set insert; capacity retained, bounded by the cache budget
-	copy(pc.pins[at+1:], pc.pins[at:])
-	pc.pins[at] = c
-	pc.bytes += c.Size
+	g.pins = append(g.pins, BufferedChunk{}) //crasvet:allow hotalloc -- pin-set insert; capacity retained, bounded by the cache budget
+	copy(g.pins[at+1:], g.pins[at:])
+	g.pins[at] = c
+	g.bytes += c.Size
 	return true
 }
 
 // discardBefore frees pins every follower has consumed (their playback end
 // is at or before the horizon) and returns the bytes released.
-func (pc *pathCache) discardBefore(horizon sim.Time) int64 {
+func (g *sharedPath) discardBefore(horizon sim.Time) int64 {
 	n := 0
 	var freed int64
-	for n < len(pc.pins) && pc.pins[n].Timestamp+pc.pins[n].Duration <= horizon {
-		freed += pc.pins[n].Size
+	for n < len(g.pins) && g.pins[n].Timestamp+g.pins[n].Duration <= horizon {
+		freed += g.pins[n].Size
 		n++
 	}
 	if n > 0 {
-		pc.pins = append(pc.pins[:0], pc.pins[n:]...) //crasvet:allow hotalloc -- append into pc.pins[:0]; capacity retained by construction
-		pc.bytes -= freed
+		g.pins = append(g.pins[:0], g.pins[n:]...) //crasvet:allow hotalloc -- append into g.pins[:0]; capacity retained by construction
+		g.bytes -= freed
 	}
 	return freed
 }
 
-// intervalCache is the server-wide state: the pinned-byte budget, the live
-// per-path caches, and the reservation total that gates new attachments.
+// pinHorizon is the slowest follower's discard line, capped at h: pins
+// wholly behind it will never be read again.
+func (g *sharedPath) pinHorizon(h sim.Time, now sim.Time) sim.Time {
+	for _, f := range g.deps {
+		if fh := f.clock.At(now) - f.buf.Jitter(); fh < h {
+			h = fh
+		}
+	}
+	return h
+}
+
+// intervalCache is the server-wide pinned-byte budget and the bytes pinned
+// across every pinned-mode shared path.
 type intervalCache struct {
-	budget    int64
-	bytes     int64 // pinned bytes across all paths
-	committed int64 // sum of attached followers' pin reservations
-	paths     []*pathCache
+	budget int64
+	bytes  int64
 }
 
 // ramBudget is the admission test's memory bound: the stream buffer budget
@@ -124,16 +116,16 @@ func (s *Server) cacheCandidate(r openReq) *stream {
 		// consume the leader's full stamp sequence, so they read alone.
 		return nil
 	}
-	for _, pc := range s.icache.paths {
-		if pc.path == r.path {
-			if s.cacheEligible(pc.leader, r) {
-				return pc.leader
+	for _, g := range s.shared {
+		if g.mode == sharePinned && g.path == r.path {
+			if s.cacheEligible(g.producer, r) {
+				return g.producer
 			}
 			return nil
 		}
 	}
 	for _, st := range s.streams {
-		if st.closed || st.record || st.cached || st.mcastMember || st.name != r.path {
+		if st.closed || st.record || st.dep != nil || st.name != r.path {
 			continue
 		}
 		if s.cacheEligible(st, r) {
@@ -155,13 +147,13 @@ func (s *Server) cachePlan(r openReq, now sim.Time, par StreamParams) (*stream, 
 	}
 	// A reopen at a later stamp point trails the leader by that much less;
 	// a non-positive gap means the opener would run ahead of the leader.
-	gap := s.cacheGap(leader, now) - r.at
+	gap := s.shareGap(leader, now) - r.at
 	reservation := s.cachePinReservation(gap, par)
-	if gap <= 0 || s.icache.committed+reservation > s.icache.budget || s.cacheGap(leader, now) >= r.info.TotalDuration() {
+	if gap <= 0 || s.committed[sharePinned]+reservation > s.icache.budget || s.shareGap(leader, now) >= r.info.TotalDuration() {
 		return nil, 0, par
 	}
 	par.Cached = true
-	par.CacheBytes = s.cacheCharge(gap, par)
+	par.CacheBytes = s.shareCharge(gap, par)
 	return leader, reservation, par
 }
 
@@ -197,28 +189,10 @@ func (s *Server) cacheEligible(leader *stream, r openReq) bool {
 // already reaches further back.
 func (s *Server) cacheFloor(leader *stream, now sim.Time) sim.Time {
 	floor := leader.clock.At(now) - leader.buf.Jitter()
-	if pc := leader.pc; pc != nil && len(pc.pins) > 0 && pc.pins[0].Timestamp < floor {
-		floor = pc.pins[0].Timestamp
+	if g := leader.prod[sharePinned]; g != nil && len(g.pins) > 0 && g.pins[0].Timestamp < floor {
+		floor = g.pins[0].Timestamp
 	}
 	return floor
-}
-
-// cacheGap is the steady-state logical gap a follower opened now will
-// trail its leader by: the leader's current clock plus the follower's
-// initial delay (the leader keeps advancing while the follower's clock
-// waits to start). A follower that postpones its Start call widens the
-// real gap beyond this estimate; the pin-budget backstop and the fallback
-// path absorb that case.
-func (s *Server) cacheGap(leader *stream, now sim.Time) sim.Time {
-	return leader.clock.At(now) + s.cfg.InitialDelay
-}
-
-// cacheCharge computes the follower's admission charge (CacheBytes): the
-// gap interval plus a double-buffer window, at the stream's rate. It is
-// always at least B_i, so converting a follower back to a plain stream
-// never increases the memory the admission test sees.
-func (s *Server) cacheCharge(gap sim.Time, par StreamParams) int64 {
-	return int64((gap+2*s.cfg.Interval).Seconds()*par.Rate) + 2*par.Chunk
 }
 
 // cachePinReservation is the pin bytes a follower at the given gap will
@@ -233,17 +207,7 @@ func (s *Server) cachePinReservation(gap sim.Time, par StreamParams) int64 {
 // creating the cache on first use. Called from handleOpen after the stream
 // exists; par already carries the Cached admission charge.
 func (s *Server) cacheAttach(st *stream, leader *stream, reservation int64, now sim.Time) {
-	pc := leader.pc
-	if pc == nil {
-		pc = &pathCache{path: leader.name, leader: leader, createdAt: s.cycle}
-		leader.pc = pc
-		s.icache.paths = append(s.icache.paths, pc)
-	}
-	pc.followers = append(pc.followers, st)
-	st.pc = pc
-	st.cached = true
-	st.cachePinCharge = reservation
-	s.icache.committed += reservation
+	g := s.shareJoin(st, leader, sharePinned, reservation)
 
 	// The first chunk the cache can supply: everything from the leader's
 	// current discard horizon (or the existing pin floor) onward will be
@@ -265,7 +229,7 @@ func (s *Server) cacheAttach(st *stream, leader *stream, reservation int64, now 
 
 	s.stats.CacheAttached++
 	s.k.Engine().Tracef("cras: cache attach stream %d to leader %d on %s (gap %v, prefix %d chunks)",
-		st.id, leader.id, pc.path, leader.clock.At(now), from)
+		st.id, leader.id, g.path, leader.clock.At(now), from)
 }
 
 // cacheFromTs is the media time of the first cache-supplied chunk — the
@@ -280,28 +244,19 @@ func (st *stream) cacheFromTs() sim.Time {
 // cacheLookup reports whether the chunk with the given index is resident
 // in the path's pin set or the leader's buffer.
 func (s *Server) cacheLookup(st *stream, idx int) bool {
-	pc := st.pc
-	if pc == nil {
+	g := st.dep
+	if g == nil {
 		return false
 	}
 	ts := st.info.Chunks[idx].Timestamp
-	if pc.pinAt(ts) {
+	if g.pinAt(ts) {
 		return true
 	}
-	if pc.leader != nil && !pc.leader.closed {
-		if _, ok := pc.leader.buf.At(ts); ok {
-			return true
-		}
+	if g.producer == nil || g.producer.closed {
+		return false
 	}
-	return false
-}
-
-// cacheLeaderGone reports that the follower's supply has dried up for
-// good: no leader, or a leader that stopped producing (closed, suspended
-// or worse — a suspended leader's clock is frozen and it fetches nothing).
-func (s *Server) cacheLeaderGone(st *stream) bool {
-	pc := st.pc
-	return pc == nil || pc.leader == nil || pc.leader.closed || pc.leader.health >= Suspended
+	_, ok := g.producer.buf.At(ts)
+	return ok
 }
 
 // cacheAdvance is the follower's phase-2 step, the cache-side counterpart
@@ -311,7 +266,7 @@ func (s *Server) cacheLeaderGone(st *stream) bool {
 // fetch (nextChunk past it) and not yet stamped past it. An uncovered
 // chunk inside the horizon is a miss, and the follower falls back to disk
 // immediately so its reads join this same cycle's batch.
-func (s *Server) cacheAdvance(st *stream, horizon sim.Time) {
+func (s *Server) cacheAdvance(st *stream, horizon, now sim.Time) {
 	chunks := st.info.Chunks
 	if st.nextChunk < st.cacheFrom {
 		return // warm-up prefix still owned by the disk path
@@ -319,13 +274,13 @@ func (s *Server) cacheAdvance(st *stream, horizon sim.Time) {
 	for st.nextChunk < len(chunks) && chunks[st.nextChunk].Timestamp < horizon {
 		idx := st.nextChunk
 		covered := s.cacheLookup(st, idx)
-		if !covered && !s.cacheLeaderGone(st) {
-			leader := st.pc.leader
+		if !covered && !s.supplyGone(st) {
+			leader := st.dep.producer
 			covered = leader.nextStamp <= idx && leader.nextChunk > idx
 		}
 		if !covered {
 			s.stats.CacheMisses++
-			s.cacheFallback(st, fmt.Sprintf("chunk %d not covered", idx)) //crasvet:allow hotalloc -- formats once per cache fallback, not per cycle
+			s.shareFallback(st, now, fmt.Sprintf("chunk %d not covered", idx)) //crasvet:allow hotalloc -- formats once per cache fallback, not per cycle
 			return
 		}
 		st.nextChunk++
@@ -350,10 +305,10 @@ func (s *Server) cacheStamp(st *stream, now sim.Time) {
 	for st.nextStamp < st.nextChunk && st.nextStamp < len(chunks) {
 		c := chunks[st.nextStamp]
 		if !s.cacheLookup(st, st.nextStamp) {
-			leaderPassed := !s.cacheLeaderGone(st) && st.pc.leader.nextStamp > st.nextStamp
-			if s.cacheLeaderGone(st) || leaderPassed || c.Timestamp <= logical+s.cfg.Interval {
+			gone := s.supplyGone(st)
+			if gone || st.dep.producer.nextStamp > st.nextStamp || c.Timestamp <= logical+s.cfg.Interval {
 				s.stats.CacheMisses++
-				s.cacheFallback(st, fmt.Sprintf("chunk %d missing at stamp time", st.nextStamp)) //crasvet:allow hotalloc -- formats once per cache fallback, not per cycle
+				s.shareFallback(st, now, fmt.Sprintf("chunk %d missing at stamp time", st.nextStamp)) //crasvet:allow hotalloc -- formats once per cache fallback, not per cycle
 			}
 			return // else: the leader has not produced it yet; wait a cycle
 		}
@@ -381,18 +336,27 @@ func (s *Server) cacheStamp(st *stream, now sim.Time) {
 // permitting) instead of dropped, and pins every follower has consumed
 // are freed.
 func (s *Server) cachePinDiscard(leader *stream, horizon sim.Time, now sim.Time) {
-	pc := leader.pc
-	popped := leader.buf.PopBefore(horizon)
-
-	// The pin horizon: the slowest follower's discard line. Pins wholly
-	// behind it will never be read again.
-	pinH := horizon
-	for _, f := range pc.followers {
-		if h := f.clock.At(now) - f.buf.Jitter(); h < pinH {
-			pinH = h
-		}
+	g := leader.prod[sharePinned]
+	pinH := g.pinHorizon(horizon, now)
+	s.cachePin(g, leader.buf.PopBefore(horizon), pinH)
+	s.icache.bytes -= g.discardBefore(pinH)
+	if s.icache.bytes > s.stats.CachePinnedPeak {
+		s.stats.CachePinnedPeak = s.icache.bytes
 	}
+}
 
+// cachePinRest pins whatever a closing leader still held, so the
+// followers keep consuming it while the promoted leader's first disk batch
+// is in flight.
+func (s *Server) cachePinRest(g *sharedPath, leader *stream, now sim.Time) {
+	end := leader.info.TotalDuration() + 1
+	s.cachePin(g, leader.buf.PopBefore(end), g.pinHorizon(end, now))
+}
+
+// cachePin moves chunks a leader popped into the path's pin set, skipping
+// those already behind every follower and refusing those the cache budget
+// cannot hold.
+func (s *Server) cachePin(g *sharedPath, popped []BufferedChunk, pinH sim.Time) {
 	for _, c := range popped {
 		if c.Timestamp+c.Duration <= pinH {
 			continue // already behind every follower
@@ -401,144 +365,9 @@ func (s *Server) cachePinDiscard(leader *stream, horizon sim.Time, now sim.Time)
 			s.stats.CachePinRefused++
 			continue
 		}
-		if pc.pinInsert(c) {
+		if g.pinInsert(c) {
 			s.icache.bytes += c.Size
 		}
-	}
-	s.icache.bytes -= pc.discardBefore(pinH)
-	if s.icache.bytes > s.stats.CachePinnedPeak {
-		s.stats.CachePinnedPeak = s.icache.bytes
-	}
-}
-
-// cacheFallback converts a follower to plain disk fetching: restore the
-// disk-charging admission parameters, roll the promise pointer back to the
-// stamp point and reposition the byte-fetch machinery there, so phase 2 of
-// the current cycle issues its reads. In-flight warm-up reads are
-// invalidated by the generation bump; already-stamped chunks stay in the
-// buffer. One-way: the stream never reattaches.
-func (s *Server) cacheFallback(st *stream, reason string) {
-	s.cacheDetach(st)
-	st.gen++
-	st.pending = st.pending[:0]
-	st.failedRanges = nil
-	st.nextChunk = st.nextStamp
-	st.setFetchPoint(st.nextStamp)
-	s.stats.CacheFallbacks++
-	s.k.Engine().Tracef("cras: cache fallback stream %d on %s at chunk %d: %s", //crasvet:allow hotalloc -- formats once per fallback, not per cycle
-		st.id, st.name, st.nextStamp, reason)
-}
-
-// cacheDetach removes a follower from its path cache without touching the
-// fetch machinery (close and fallback share it), dissolving the cache when
-// no followers remain.
-func (s *Server) cacheDetach(st *stream) {
-	pc := st.pc
-	st.cached = false
-	st.pc = nil
-	st.par = StreamParams{Rate: st.par.Rate, Chunk: st.par.Chunk}
-	s.icache.committed -= st.cachePinCharge
-	st.cachePinCharge = 0
-	if pc == nil {
-		return
-	}
-	for i, f := range pc.followers {
-		if f == st {
-			pc.followers = append(pc.followers[:i], pc.followers[i+1:]...) //crasvet:allow hotalloc -- shrink-only splice; never grows past capacity
-			break
-		}
-	}
-	if len(pc.followers) == 0 {
-		s.cacheDissolve(pc)
-	}
-}
-
-// cacheDissolve frees a path cache's pins and unlinks its leader.
-func (s *Server) cacheDissolve(pc *pathCache) {
-	s.icache.bytes -= pc.bytes
-	pc.bytes = 0
-	pc.pins = nil
-	if pc.leader != nil && pc.leader.pc == pc {
-		pc.leader.pc = nil
-	}
-	pc.leader = nil
-	for i, p := range s.icache.paths {
-		if p == pc {
-			s.icache.paths = append(s.icache.paths[:i], s.icache.paths[i+1:]...) //crasvet:allow hotalloc -- shrink-only splice; never grows past capacity
-			break
-		}
-	}
-}
-
-// cacheOnClose handles a cache participant leaving (crs_close or a
-// recovery eviction). A closing leader's remaining buffer is pinned so the
-// promotion is seamless: the earliest-opened follower — the one furthest
-// ahead, keeping the leader-before-followers stream order — takes over as
-// leader, repositions its fetch machinery at its stamp point and produces
-// from disk for the rest.
-func (s *Server) cacheOnClose(st *stream, now sim.Time) {
-	pc := st.pc
-	if pc == nil {
-		return
-	}
-	if pc.leader != st {
-		s.cacheDetach(st)
-		return
-	}
-
-	// Pin whatever the leader still held; followers keep consuming it
-	// while the promoted leader's first disk batch is in flight.
-	pinH := st.info.TotalDuration() + 1
-	for _, f := range pc.followers {
-		if h := f.clock.At(now) - f.buf.Jitter(); h < pinH {
-			pinH = h
-		}
-	}
-	for _, c := range st.buf.PopBefore(st.info.TotalDuration() + 1) {
-		if c.Timestamp+c.Duration <= pinH {
-			continue
-		}
-		if s.icache.bytes+c.Size > s.icache.budget {
-			s.stats.CachePinRefused++
-			continue
-		}
-		if pc.pinInsert(c) {
-			s.icache.bytes += c.Size
-		}
-	}
-	st.pc = nil
-
-	if len(pc.followers) == 0 {
-		s.cacheDissolve(pc)
-		return
-	}
-	next := pc.followers[0]
-	pc.followers = pc.followers[1:]
-	pc.leader = next
-	next.cached = false
-	next.pc = pc
-	next.par = StreamParams{Rate: next.par.Rate, Chunk: next.par.Chunk}
-	s.icache.committed -= next.cachePinCharge
-	next.cachePinCharge = 0
-	next.gen++
-	next.pending = next.pending[:0]
-	next.failedRanges = nil
-	next.nextChunk = next.nextStamp
-	next.setFetchPoint(next.nextStamp)
-	s.stats.CachePromotions++
-	s.k.Engine().Tracef("cras: cache promote stream %d to leader on %s (leader %d closed, %d followers remain)", //crasvet:allow hotalloc -- formats once per promotion, not per cycle
-		next.id, pc.path, st.id, len(pc.followers))
-	if len(pc.followers) == 0 && pc.bytes == 0 {
-		s.cacheDissolve(pc)
-	}
-}
-
-// cacheDetachAll detaches every follower of a path cache (leader seek,
-// leader rate change, or eviction under admission pressure): each falls
-// back to disk fetching, and the cache dissolves.
-func (s *Server) cacheDetachAll(pc *pathCache, reason string) {
-	for len(pc.followers) > 0 {
-		s.cacheFallback(pc.followers[0], reason)
 	}
 }
 
@@ -549,24 +378,24 @@ func (s *Server) cacheDetachAll(pc *pathCache, reason string) {
 // Ties break to the oldest cache, then the lowest leader id. Returns false
 // when there is nothing to evict.
 func (s *Server) cacheEvictLargest(now sim.Time) bool {
-	var victim *pathCache
+	var victim *sharedPath
 	var victimSpan sim.Time
-	for _, pc := range s.icache.paths {
-		if len(pc.followers) == 0 || pc.leader == nil {
+	for _, g := range s.shared {
+		if g.mode != sharePinned || len(g.deps) == 0 || g.producer == nil {
 			continue
 		}
-		lead := pc.leader.clock.At(now)
+		lead := g.producer.clock.At(now)
 		slowest := lead
-		for _, f := range pc.followers {
+		for _, f := range g.deps {
 			if h := f.clock.At(now); h < slowest {
 				slowest = h
 			}
 		}
 		span := lead - slowest
 		if victim == nil || span > victimSpan ||
-			(span == victimSpan && (pc.createdAt < victim.createdAt ||
-				(pc.createdAt == victim.createdAt && pc.leader.id < victim.leader.id))) {
-			victim = pc
+			(span == victimSpan && (g.createdAt < victim.createdAt ||
+				(g.createdAt == victim.createdAt && g.producer.id < victim.producer.id))) {
+			victim = g
 			victimSpan = span
 		}
 	}
@@ -575,7 +404,7 @@ func (s *Server) cacheEvictLargest(now sim.Time) bool {
 	}
 	s.stats.CacheEvictions++
 	s.k.Engine().Tracef("cras: cache evict path %s (span %v, %d followers) for admission pressure",
-		victim.path, victimSpan, len(victim.followers))
-	s.cacheDetachAll(victim, "cache evicted for admission pressure")
+		victim.path, victimSpan, len(victim.deps))
+	s.shareBreakup(victim, now, "cache evicted for admission pressure")
 	return true
 }

@@ -30,14 +30,10 @@ import (
 // are exempt from its largest-interval-first eviction: once pinned, a
 // prefix chunk is never released.
 //
-// Fallback mirrors the interval cache's one-way rule: a member whose feed
-// stops producing (suspended), whose feed dropped a chunk the member still
-// needs, whose fan-out buffer overflows, or that seeks or changes rate
-// reverts to plain disk fetching at its stamp point
-// within the same scheduler cycle. A closing or evicted feed promotes the
-// earliest member — every member already holds every chunk the feed fanned
-// out, so survivors lose nothing while the promoted feed's first disk
-// batch is in flight.
+// A group is the fan-out mode of a shared path (shared.go), which owns
+// joining, fallback and promotion; beyond the shared triggers, a member
+// also falls back when its feed dropped a chunk it still needs or its
+// fan-out buffer overflows.
 
 // popHalfLife is the popularity tracker's decay half-life: an open counts
 // half as much toward prefix qualification after this long.
@@ -60,23 +56,13 @@ type prefixPin struct {
 	bytes int64
 }
 
-// mcastGroup is one batch: a disk-fed feed and the member sessions its
-// stamped chunks fan out to at the cycle edge.
-type mcastGroup struct {
-	path      string
-	feed      *stream
-	members   []*stream // open order: the earliest member is promoted first
-	createdAt int       // scheduler cycle, for trace context
-}
-
 // multicastState is the server-wide third resource class beside the
-// stream-buffer and interval-cache budgets: fan-out reservations plus
-// pinned prefix bytes may never exceed PrefixBudget.
+// stream-buffer and interval-cache budgets: fan-out reservations
+// (committed[shareFanout]) plus pinned prefix bytes may never exceed
+// PrefixBudget.
 type multicastState struct {
 	budget   int64 // PrefixBudget
-	fanout   int64 // committed member fan-out reservations
 	pinned   int64 // pinned prefix bytes across all titles
-	groups   []*mcastGroup
 	prefixes []*prefixPin
 	pop      []popEntry
 }
@@ -162,7 +148,7 @@ func (s *Server) prefixAdvance(st *stream, now sim.Time) {
 			}
 			return // not stamped yet: retry next cycle
 		}
-		if s.mcast.fanout+s.mcast.pinned+c.Size > s.mcast.budget {
+		if s.committed[shareFanout]+s.mcast.pinned+c.Size > s.mcast.budget {
 			s.stats.PrefixRefused++
 			return
 		}
@@ -173,22 +159,6 @@ func (s *Server) prefixAdvance(st *stream, now sim.Time) {
 			s.stats.PrefixPinnedPeak = s.mcast.pinned
 		}
 	}
-}
-
-// mcastGap is the steady-state logical gap a member opened now will trail
-// the feed by: the feed's current clock plus the member's initial delay —
-// the interval cache's gap formula, reused because the trailing geometry
-// is the same.
-func (s *Server) mcastGap(feed *stream, now sim.Time) sim.Time {
-	return feed.clock.At(now) + s.cfg.InitialDelay
-}
-
-// mcastFanoutCharge is a member's admission charge (FanoutBytes): the join
-// lag it trails the feed by plus a double-buffer window, at its rate. It
-// is always at least B_i, so converting a member back to a plain stream
-// never increases the memory the admission test sees.
-func (s *Server) mcastFanoutCharge(gap sim.Time, par StreamParams) int64 {
-	return int64((gap+2*s.cfg.Interval).Seconds()*par.Rate) + 2*par.Chunk
 }
 
 // mcastHeadCovered reports whether every chunk the feed has already
@@ -215,7 +185,7 @@ func (s *Server) mcastHeadCovered(feed *stream, pp *prefixPin, from int) bool {
 // batching window — or, past it, on a prefix-qualified title — and the
 // head the feed has already stamped must be fully covered.
 func (s *Server) mcastJoinable(feed *stream, r openReq, now sim.Time) bool {
-	if feed == nil || feed.closed || feed.mcastMember || !s.cacheEligible(feed, r) {
+	if feed == nil || feed.closed || feed.dep != nil || !s.cacheEligible(feed, r) {
 		return false
 	}
 	pp := s.prefixFor(feed.name)
@@ -249,10 +219,10 @@ func (s *Server) mcastCandidate(r openReq, now sim.Time) *stream {
 		return nil
 	}
 	var best *stream
-	for _, g := range s.mcast.groups {
-		if g.path == r.path && s.mcastJoinable(g.feed, r, now) {
-			if best == nil || g.feed.openedAt > best.openedAt {
-				best = g.feed
+	for _, g := range s.shared {
+		if g.mode == shareFanout && g.path == r.path && s.mcastJoinable(g.producer, r, now) {
+			if best == nil || g.producer.openedAt > best.openedAt {
+				best = g.producer
 			}
 		}
 	}
@@ -260,7 +230,7 @@ func (s *Server) mcastCandidate(r openReq, now sim.Time) *stream {
 		return best
 	}
 	for _, st := range s.streams {
-		if st.closed || st.record || st.cached || st.mg != nil || st.name != r.path {
+		if st.closed || st.record || st.dep != nil || st.prod[shareFanout] != nil || st.name != r.path {
 			continue
 		}
 		if s.mcastJoinable(st, r, now) && (best == nil || st.openedAt > best.openedAt) {
@@ -276,23 +246,12 @@ func (s *Server) mcastCandidate(r openReq, now sim.Time) *stream {
 // the feed's still-resident chunks for the rest. handleOpen verified the
 // head is covered and charged par.Multicast/par.FanoutBytes.
 func (s *Server) mcastAttach(st, feed *stream, charge int64, now sim.Time) {
-	g := feed.mg
-	if g == nil {
-		g = &mcastGroup{path: feed.name, feed: feed, createdAt: s.cycle}
-		feed.mg = g
-		s.mcast.groups = append(s.mcast.groups, g)
-		s.stats.MulticastGroups++
-	}
-	g.members = append(g.members, st)
-	st.mg = g
-	st.mcastMember = true
-	st.mcastCharge = charge
-	s.mcast.fanout += charge
+	g := s.shareJoin(st, feed, shareFanout, charge)
 
 	// The member's buffer holds the backfilled head on top of the standard
 	// window — it drains only as the member's own clock advances. A member
 	// reopened at a stamp point trails by correspondingly less.
-	gap := s.mcastGap(feed, now) - st.clock.At(now)
+	gap := s.shareGap(feed, now) - st.clock.At(now)
 	st.buf.SetCapacity(st.buf.Capacity() + int64(gap.Seconds()*st.par.Rate) + st.par.Chunk)
 
 	pp := s.prefixFor(st.name)
@@ -327,7 +286,7 @@ func (s *Server) mcastAttach(st, feed *stream, charge int64, now sim.Time) {
 	st.nextStamp = feed.nextStamp
 	s.stats.MulticastAttached++
 	s.k.Engine().Tracef("cras: mcast attach stream %d to feed %d on %s (gap %v, head %d chunks, %d members)",
-		st.id, feed.id, g.path, feed.clock.At(now), feed.nextStamp, len(g.members))
+		st.id, feed.id, g.path, feed.clock.At(now), feed.nextStamp, len(g.deps))
 }
 
 // mcastFeedStep runs in phase 1 right after the feed's own stamping: fan
@@ -338,10 +297,10 @@ func (s *Server) mcastAttach(st, feed *stream, charge int64, now sim.Time) {
 //
 //crasvet:hotpath
 func (s *Server) mcastFeedStep(feed *stream, now sim.Time) int64 {
-	g := feed.mg
+	g := feed.prod[shareFanout]
 	fanned := int64(0)
-	for i := 0; i < len(g.members); {
-		m := g.members[i]
+	for i := 0; i < len(g.deps); {
+		m := g.deps[i]
 		if m.closed || m.health >= Suspended {
 			i++
 			continue
@@ -349,7 +308,7 @@ func (s *Server) mcastFeedStep(feed *stream, now sim.Time) int64 {
 		n, reason := s.mcastFanout(feed, m, now)
 		fanned += n
 		if reason != "" {
-			s.mcastFallback(m, now, reason) // splices g.members[i]
+			s.shareFallback(m, now, reason) // splices g.deps[i]
 			continue
 		}
 		i++
@@ -418,163 +377,14 @@ func (s *Server) mcastFanout(feed, m *stream, now sim.Time) (int64, string) {
 //crasvet:hotpath
 func (s *Server) mcastStampFloor(st *stream, now sim.Time) sim.Time {
 	logical := st.clock.At(now)
-	g := st.mg
-	if g == nil || g.feed != st {
+	g := st.prod[shareFanout]
+	if g == nil {
 		return logical
 	}
-	for _, m := range g.members {
+	for _, m := range g.deps {
 		if ml := m.clock.At(now); ml < logical {
 			logical = ml
 		}
 	}
 	return logical
-}
-
-// mcastFeedGone reports that a member's supply has dried up: no group, no
-// feed, or a feed that stopped producing (closed or suspended — a
-// suspended feed's clock is frozen and it fetches nothing).
-func (s *Server) mcastFeedGone(st *stream) bool {
-	g := st.mg
-	return g == nil || g.feed == nil || g.feed.closed || g.feed.health >= Suspended
-}
-
-// mcastDetach removes a member from its group, releasing its fan-out
-// reservation and restoring disk-charging admission parameters (close and
-// fallback share it). The group dissolves when the feed is gone and no
-// members remain.
-func (s *Server) mcastDetach(st *stream) {
-	g := st.mg
-	st.mg = nil
-	st.mcastMember = false
-	s.mcast.fanout -= st.mcastCharge
-	st.mcastCharge = 0
-	st.par = StreamParams{Rate: st.par.Rate, Chunk: st.par.Chunk}
-	if g == nil {
-		return
-	}
-	for i, m := range g.members {
-		if m == st {
-			g.members = append(g.members[:i], g.members[i+1:]...) //crasvet:allow hotalloc -- shrink-only splice; never grows past capacity
-			break
-		}
-	}
-	if len(g.members) == 0 && (g.feed == nil || g.feed.closed) {
-		s.mcastDissolve(g)
-	}
-}
-
-// mcastDissolve unlinks a group's feed and drops the group. Prefix pins
-// are untouched: they belong to the title, not the group, and are never
-// released.
-func (s *Server) mcastDissolve(g *mcastGroup) {
-	if g.feed != nil && g.feed.mg == g {
-		g.feed.mg = nil
-	}
-	g.feed = nil
-	for i, x := range s.mcast.groups {
-		if x == g {
-			s.mcast.groups = append(s.mcast.groups[:i], s.mcast.groups[i+1:]...) //crasvet:allow hotalloc -- shrink-only splice; never grows past capacity
-			break
-		}
-	}
-}
-
-// mcastRearm restores a disturbed session's prefill window. A group
-// participant whose supply is cut during its initial delay has consumed no
-// frames yet, but part of its delay budget is gone — the disk refetch
-// (wait for the edge, read, stamp at the next edge) can take the full
-// InitialDelay, which only an undisturbed fresh open has left. Sliding the
-// start gives it exactly a fresh open's window again: the client sees a
-// slightly longer startup, never a mid-play glitch. A session already
-// playing keeps its clock — it holds a join-gap-plus-double-buffer window
-// of fanned-out runway, which covers the one-interval switch.
-func (s *Server) mcastRearm(st *stream, now sim.Time) {
-	if st.clock.PendingStart(now) {
-		st.clock.Start(now, s.startAnchor(now))
-	}
-}
-
-// mcastFallback converts a member to plain disk fetching, mirroring the
-// interval cache's one-way fallback: roll the promise pointer back to the
-// stamp point and reposition the byte-fetch machinery there, so phase 2 of
-// the current cycle issues its reads and the switch costs at most one
-// interval. Already-stamped chunks stay in the buffer. The stream never
-// rejoins a group.
-//
-//crasvet:hotpath
-func (s *Server) mcastFallback(st *stream, now sim.Time, reason string) {
-	s.mcastDetach(st)
-	s.mcastRearm(st, now)
-	st.gen++
-	st.pending = st.pending[:0]
-	st.failedRanges = nil
-	st.nextChunk = st.nextStamp
-	st.setFetchPoint(st.nextStamp)
-	s.stats.MulticastFallbacks++
-	s.k.Engine().Tracef("cras: mcast fallback stream %d on %s at chunk %d: %s", //crasvet:allow hotalloc -- formats once per member fallback, not per cycle
-		st.id, st.name, st.nextStamp, reason)
-}
-
-// mcastBreakup falls every member of a group back to disk and dissolves
-// the group (feed seek, feed rate change): the members' clocks no longer
-// trail the feed's stamp flow, so the fan-out contract is broken.
-func (s *Server) mcastBreakup(g *mcastGroup, now sim.Time, reason string) {
-	for len(g.members) > 0 {
-		s.mcastFallback(g.members[0], now, reason)
-	}
-	s.mcastDissolve(g)
-}
-
-// mcastOnClose handles a group participant leaving (crs_close or a
-// recovery eviction). A member detaches; a feed promotes the earliest
-// member — every member already holds every chunk the feed fanned out, so
-// survivors lose nothing while the promoted feed's first disk batch is in
-// flight.
-func (s *Server) mcastOnClose(st *stream, now sim.Time) {
-	g := st.mg
-	if g == nil {
-		return
-	}
-	if g.feed != st {
-		s.mcastDetach(st)
-		return
-	}
-	g.feed = nil
-	st.mg = nil
-	if len(g.members) == 0 {
-		s.mcastDissolve(g)
-		return
-	}
-	s.mcastPromote(g, st, now)
-}
-
-// mcastPromote hands a feedless group to its earliest member: the member
-// releases its fan-out reservation, restores plain disk-charging admission
-// parameters (the departed feed freed its own B_i and disk time — the
-// interval-cache promotion precedent), and repositions its fetch machinery
-// at its stamp point so its first disk batch joins the next cycle.
-func (s *Server) mcastPromote(g *mcastGroup, old *stream, now sim.Time) {
-	next := g.members[0]
-	g.members = g.members[1:]
-	g.feed = next
-	next.mg = g
-	next.mcastMember = false
-	s.mcast.fanout -= next.mcastCharge
-	next.mcastCharge = 0
-	next.par = StreamParams{Rate: next.par.Rate, Chunk: next.par.Chunk}
-	next.gen++
-	next.pending = next.pending[:0]
-	next.failedRanges = nil
-	next.nextChunk = next.nextStamp
-	next.setFetchPoint(next.nextStamp)
-	s.mcastRearm(next, now)
-	for _, m := range g.members {
-		// The group coasts on its fanned-out runway while the new feed's
-		// first batch is in flight; a member still inside its initial delay
-		// has no such runway, so its window is re-armed like the feed's.
-		s.mcastRearm(m, now)
-	}
-	s.stats.MulticastPromotions++
-	s.k.Engine().Tracef("cras: mcast promote stream %d to feed on %s (feed %d left, %d members remain)", //crasvet:allow hotalloc -- formats once per promotion, not per cycle
-		next.id, g.path, old.id, len(g.members))
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"os"
 	"strconv"
@@ -97,9 +98,10 @@ func propPlay(b *bed, th *rtm.Thread, v *propViewer, frames int) {
 	v.done = true
 }
 
-// checkMcastInvariants sweeps the server's multicast state: group
-// structure, reservation and pin accounting, budget bound, and prefix
-// contiguity. Runs between operations, i.e. at arbitrary points of the
+// checkMcastInvariants sweeps the server's multicast state: the
+// shared-path invariants of both modes, the fan-out rules (members issue
+// no reads and never stamp past their feed), and prefix contiguity and
+// accounting. Runs between operations, i.e. at arbitrary points of the
 // cycle grid — the invariants hold at every edge, so they hold here too.
 func checkMcastInvariants(t *testing.T, b *bed, seed int64, seq, op int) {
 	s := b.cras
@@ -107,61 +109,17 @@ func checkMcastInvariants(t *testing.T, b *bed, seed int64, seq, op int) {
 		t.Errorf("seed %d seq %d op %d: "+format, append([]interface{}{seed, seq, op}, args...)...)
 	}
 
-	var fanout int64
-	members := 0
+	checkShareInvariants(t, s, fmt.Sprintf("seed %d seq %d op %d: ", seed, seq, op))
 	for _, st := range s.streams {
-		if st.closed {
-			if st.mcastMember || st.mg != nil {
-				fail("closed stream %d still linked to a group", st.id)
-			}
+		if st.closed || !st.rides(shareFanout) {
 			continue
 		}
-		if st.mcastMember {
-			members++
-			fanout += st.mcastCharge
-			if st.mg == nil {
-				fail("member %d has no group", st.id)
-			}
-			if st.stats.ReadsIssued != 0 {
-				fail("member %d issued %d disk reads (one feed per group)", st.id, st.stats.ReadsIssued)
-			}
-			if !st.par.Multicast || st.par.FanoutBytes != st.mcastCharge {
-				fail("member %d admission params out of step: Multicast=%v FanoutBytes=%d charge=%d",
-					st.id, st.par.Multicast, st.par.FanoutBytes, st.mcastCharge)
-			}
-		} else if st.mcastCharge != 0 {
-			fail("non-member %d holds a fan-out charge of %d", st.id, st.mcastCharge)
+		if st.stats.ReadsIssued != 0 {
+			fail("member %d issued %d disk reads (one feed per group)", st.id, st.stats.ReadsIssued)
 		}
-	}
-	if fanout != s.mcast.fanout {
-		fail("fan-out accounting drifted: committed %d, sum of member charges %d", s.mcast.fanout, fanout)
-	}
-
-	groupMembers := 0
-	for _, g := range s.mcast.groups {
-		if g.feed != nil {
-			if g.feed.mcastMember {
-				fail("group %s feed %d is itself a member", g.path, g.feed.id)
-			}
-			if g.feed.mg != g {
-				fail("group %s feed %d not linked back", g.path, g.feed.id)
-			}
+		if feed := st.dep.producer; feed != nil && st.nextStamp > feed.nextStamp {
+			fail("member %d stamped past its feed: %d > %d", st.id, st.nextStamp, feed.nextStamp)
 		}
-		for _, m := range g.members {
-			groupMembers++
-			if !m.mcastMember || m.mg != g {
-				fail("group %s lists stream %d which is not its member", g.path, m.id)
-			}
-			if g.feed != nil && m.nextStamp > g.feed.nextStamp {
-				fail("member %d stamped past its feed: %d > %d", m.id, m.nextStamp, g.feed.nextStamp)
-			}
-		}
-		if g.feed == nil && len(g.members) == 0 {
-			fail("empty group %s not dissolved", g.path)
-		}
-	}
-	if groupMembers != members {
-		fail("membership drifted: %d streams claim membership, groups list %d", members, groupMembers)
 	}
 
 	var pinned int64
@@ -180,9 +138,6 @@ func checkMcastInvariants(t *testing.T, b *bed, seed int64, seq, op int) {
 	}
 	if pinned != s.mcast.pinned {
 		fail("pin accounting drifted: committed %d, sum over titles %d", s.mcast.pinned, pinned)
-	}
-	if s.mcast.fanout+s.mcast.pinned > s.mcast.budget {
-		fail("budget exceeded: fanout %d + pinned %d > %d", s.mcast.fanout, s.mcast.pinned, s.mcast.budget)
 	}
 }
 
@@ -225,11 +180,11 @@ func runMcastSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 						break // admission refusal is a legitimate outcome
 					}
 					feedID, feedNS := -1, -1
-					if h.st.mg != nil && h.st.mg.feed != nil {
-						feedID, feedNS = h.st.mg.feed.id, h.st.mg.feed.nextStamp
+					if g := h.st.dep; g != nil && g.producer != nil {
+						feedID, feedNS = g.producer.id, g.producer.nextStamp
 					}
 					t.Logf("op %d @%v: open viewer %d (stream %d, member=%v feed=%d feedNS=%d ns=%d fromPrefix=%d fromGroup=%d)",
-						op, b.k.Now(), len(viewers), h.st.id, h.st.mcastMember, feedID, feedNS, h.st.nextStamp,
+						op, b.k.Now(), len(viewers), h.st.id, h.MulticastMember(), feedID, feedNS, h.st.nextStamp,
 						h.st.stats.ChunksFromPrefix, h.st.stats.ChunksFromGroup)
 					h.Start(th)
 					v := &propViewer{h: h}
@@ -241,13 +196,13 @@ func runMcastSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 					v := live[rng.Intn(len(live))]
 					v.stop = true
 					v.excused = true
-					t.Logf("op %d @%v: seek viewer (stream %d, member=%v feed=%v)", op, b.k.Now(), v.h.st.id, v.h.st.mcastMember, v.h.st.mg != nil && v.h.st.mg.feed == v.h.st)
+					t.Logf("op %d @%v: seek viewer (stream %d, member=%v feed=%v)", op, b.k.Now(), v.h.st.id, v.h.MulticastMember(), v.h.st.prod[shareFanout] != nil)
 					v.h.Seek(th, time.Duration(rng.Intn(8))*time.Second)
 				case k < 9 && len(live) > 0: // crash: the recovery eviction path
 					v := live[rng.Intn(len(live))]
 					v.stop = true
 					v.excused = true
-					t.Logf("op %d @%v: crash viewer (stream %d, member=%v feed=%v)", op, b.k.Now(), v.h.st.id, v.h.st.mcastMember, v.h.st.mg != nil && v.h.st.mg.feed == v.h.st)
+					t.Logf("op %d @%v: crash viewer (stream %d, member=%v feed=%v)", op, b.k.Now(), v.h.st.id, v.h.MulticastMember(), v.h.st.prod[shareFanout] != nil)
 					b.cras.evict(v.h.st, "property-suite crash")
 				default: // close a viewer whose player already finished
 					for _, v := range live {
@@ -279,10 +234,10 @@ func runMcastSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 				}
 			}
 			checkMcastInvariants(t, b, seed, seq, 999)
-			if got := b.cras.mcast.fanout; got != 0 {
+			if got := b.cras.committed[shareFanout]; got != 0 {
 				t.Errorf("seed %d seq %d: fan-out reservation leaked after all closes: %d", seed, seq, got)
 			}
-			if n := len(b.cras.mcast.groups); n != 0 {
+			if n := shareGroups(b.cras, shareFanout); n != 0 {
 				t.Errorf("seed %d seq %d: %d groups survive with every session closed", seed, seq, n)
 			}
 

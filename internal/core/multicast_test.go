@@ -79,10 +79,10 @@ func TestMulticastBatchedJoin(t *testing.T) {
 			}
 			mem.Close(th)
 			feed.Close(th)
-			if got := b.cras.mcast.fanout; got != 0 {
+			if got := b.cras.committed[shareFanout]; got != 0 {
 				t.Errorf("fan-out reservation leaked after close: %d", got)
 			}
-			if n := len(b.cras.mcast.groups); n != 0 {
+			if n := shareGroups(b.cras, shareFanout); n != 0 {
 				t.Errorf("%d groups survive after every participant closed", n)
 			}
 		})
@@ -238,16 +238,16 @@ func TestMulticastSeekFallback(t *testing.T) {
 			if m2.MulticastMember() {
 				t.Errorf("member still fanned out after the feed seeked")
 			}
-			if n := len(b.cras.mcast.groups); n != 0 {
+			if n := shareGroups(b.cras, shareFanout); n != 0 {
 				t.Errorf("%d groups survive the feed's seek", n)
 			}
-			if got := b.cras.mcast.fanout; got != 0 {
+			if got := b.cras.committed[shareFanout]; got != 0 {
 				t.Errorf("fan-out reservation leaked after breakup: %d", got)
 			}
 			// One-way for members: a fallen-back stream may later feed a NEW
 			// group (it is a plain disk stream again, like a promoted cache
 			// follower), but it never re-enters one as a member.
-			if cand := b.cras.mcastCandidate(openReq{path: "/hot", info: movie}, b.k.Now()); cand != nil && cand.mcastMember {
+			if cand := b.cras.mcastCandidate(openReq{path: "/hot", info: movie}, b.k.Now()); cand != nil && cand.rides(shareFanout) {
 				t.Errorf("candidate feed %d is still a fan-out member", cand.id)
 			}
 			m1.Close(th)
@@ -428,7 +428,7 @@ func TestFanoutChargeDominatesBuffer(t *testing.T) {
 	s := &Server{cfg: Config{Interval: 500 * time.Millisecond}}
 	for _, gap := range []time.Duration{0, 700 * time.Millisecond, 5 * time.Second} {
 		par := StreamParams{Rate: 1.2e6, Chunk: 64 << 10}
-		charge := s.mcastFanoutCharge(gap, par)
+		charge := s.shareCharge(gap, par)
 		if bi := BufferPerStream(s.cfg.Interval, par); charge < bi {
 			t.Errorf("gap %v: FanoutBytes %d < B_i %d", gap, charge, bi)
 		}

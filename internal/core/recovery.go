@@ -358,8 +358,7 @@ func (s *Server) setHealth(st *stream, to StreamHealth, reason string) {
 func (s *Server) evict(st *stream, reason string) {
 	st.closed = true
 	st.gen++
-	s.cacheOnClose(st, s.k.Now())
-	s.mcastOnClose(st, s.k.Now())
+	s.shareOnClose(st, s.k.Now())
 	s.setHealth(st, Evicted, reason)
 }
 

@@ -303,6 +303,9 @@ type Server struct {
 	cycle    int            //crasvet:confined
 	icache   intervalCache  //crasvet:confined
 	mcast    multicastState //crasvet:confined
+	// Shared paths (shared.go) in creation order, and each mode's reservations.
+	shared    []*sharedPath        //crasvet:confined
+	committed [numShareModes]int64 //crasvet:confined
 
 	// Member-death state machine (member.go); members is non-nil only over
 	// a parity volume. rebuildQ is fed by the I/O-done manager and drained
@@ -752,24 +755,24 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 		} else {
 			st.absorbCompletions(now, s.mcastStampFloor(st, now))
 		}
-		if st.cached {
+		if st.rides(sharePinned) {
 			// The open order guarantees the leader was processed earlier in
 			// this loop, so chunks it discarded this cycle are already pinned.
 			s.cacheStamp(st, now)
 		}
 		stamped += st.stats.ChunksStamped - before
-		if st.mg != nil && st.mg.feed == st {
+		if st.prod[shareFanout] != nil {
 			// Fan the feed's freshly stamped chunks out to its members at this
 			// same edge; the members' own loop iterations (they open later, so
 			// they come later in stream order) have nothing left to stamp.
 			stamped += s.mcastFeedStep(st, now)
 		}
-		if st.ppin != nil && !st.record && !st.mcastMember {
+		if st.ppin != nil && !st.record && !st.rides(shareFanout) {
 			// Pin prefix chunks before the discard below can drop them.
 			s.prefixAdvance(st, now)
 		}
 		horizon := st.clock.At(now) - st.buf.Jitter()
-		if st.pc != nil && st.pc.leader == st {
+		if st.prod[sharePinned] != nil {
 			s.cachePinDiscard(st, horizon, now)
 		} else {
 			st.buf.DiscardBefore(horizon)
@@ -796,12 +799,12 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 		if st.closed || st.paused || st.health >= Suspended {
 			continue
 		}
-		if st.mcastMember && s.mcastFeedGone(st) {
+		if st.rides(shareFanout) && s.supplyGone(st) {
 			// The feed stopped producing: fall back to disk now, so the reads
 			// join this same cycle's batch and the switch costs one interval.
-			s.mcastFallback(st, now, "feed stopped producing")
+			s.shareFallback(st, now, "feed stopped producing")
 		}
-		if st.mcastMember {
+		if st.rides(shareFanout) {
 			continue // the feed's disk ops cover the whole group
 		}
 		horizon := st.clock.At(horizonAt) + st.lead
@@ -810,7 +813,7 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 			horizon = st.clock.At(now)
 		}
 		issued := 0
-		if st.cached {
+		if st.rides(sharePinned) {
 			// The disk fetches only the warm-up prefix the cache cannot
 			// supply; the rest of the horizon advances through the cache.
 			diskH := st.cacheFromTs()
@@ -820,9 +823,9 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 			warm := st.fetchTargets(diskH)
 			issued += len(warm)
 			batch = append(batch, warm...) //crasvet:allow hotalloc -- append into per-cycle scratch; capacity retained across cycles
-			s.cacheAdvance(st, horizon)
+			s.cacheAdvance(st, horizon, now)
 		}
-		if !st.cached {
+		if !st.rides(sharePinned) {
 			// Plain stream — or a follower that fell back mid-advance, whose
 			// reads must join this same cycle's batch so the switch to disk
 			// costs at most one interval.
@@ -1136,8 +1139,7 @@ func (s *Server) handleRequest(t *rtm.Thread, req any) any {
 		}
 		st.closed = true
 		st.gen++
-		s.cacheOnClose(st, now)
-		s.mcastOnClose(st, now)
+		s.shareOnClose(st, now)
 		if st.clientPort != nil {
 			// An orderly close needs no dead-name notification.
 			st.clientPort.NotifyDeadName(nil)
@@ -1228,9 +1230,9 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 			// A reopen at a later stamp point trails the feed by that much
 			// less; a non-positive gap means the opener would run ahead of
 			// the feed, which the fan-out cannot supply.
-			gap := s.mcastGap(feed, now) - r.at
-			fanCharge = s.mcastFanoutCharge(gap, par)
-			if gap <= 0 || s.mcast.fanout+s.mcast.pinned+fanCharge > s.mcast.budget || s.mcastGap(feed, now) >= r.info.TotalDuration() {
+			gap := s.shareGap(feed, now) - r.at
+			fanCharge = s.shareCharge(gap, par)
+			if gap <= 0 || s.committed[shareFanout]+s.mcast.pinned+fanCharge > s.mcast.budget || s.shareGap(feed, now) >= r.info.TotalDuration() {
 				s.stats.MulticastRefused++
 				feed = nil
 			} else {

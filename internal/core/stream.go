@@ -75,27 +75,20 @@ type stream struct {
 	// chunks overlapping them are dropped rather than stamped.
 	failedRanges [][2]int64
 
-	// Interval-cache state (see icache.go). A cache-backed follower fetches
-	// nothing from disk past cacheFrom while the leader's buffer and the
-	// pinned interval cover its horizon; cached turns false forever once the
-	// stream falls back to disk. pc is set while the stream participates in
-	// a path cache, as leader or follower.
-	cached         bool
-	pc             *pathCache
-	cacheFrom      int   // first chunk index the cache can supply
-	cachePinCharge int64 // pin-byte reservation held against the cache budget
+	// Shared-path state (see shared.go). dep is the one group the stream
+	// rides as a dependent — fetching nothing from disk while its producer
+	// supplies it — and depCharge the reservation that holds; dep turns nil
+	// forever once the stream falls back to disk or is promoted. prod holds
+	// the groups the stream produces for, at most one per mode.
+	dep       *sharedPath
+	depCharge int64
+	prod      [numShareModes]*sharedPath
 
-	// Multicast-batching state (see multicast.go). A fan-out member fetches
-	// nothing from disk while its group's feed copies every chunk it stamps
-	// into the member's buffer at the cycle edge; mcastMember turns false
-	// forever once the member falls back to disk or is promoted to feed. mg
-	// is set while the stream participates in a group, as feed or member.
-	// ppin is the producer-side hook growing the title's pinned prefix;
-	// openedAt anchors the batching window.
-	mg          *mcastGroup
-	mcastMember bool
-	mcastCharge int64 // fan-out reservation held against the prefix budget
-	prefixStart bool  // playback head was backfilled from prefix pins
+	// cacheFrom is a cache follower's first chunk the cache can supply
+	// (icache.go); ppin is the producer-side hook growing the title's
+	// pinned prefix and openedAt anchors the batching window (multicast.go).
+	cacheFrom   int
+	prefixStart bool // playback head was backfilled from prefix pins
 	ppin        *prefixPin
 	openedAt    sim.Time
 
@@ -191,15 +184,22 @@ type readFrag struct {
 
 func (f *readFrag) bytes() int64 { return int64(f.sectors) * 512 }
 
-// seekTo repositions the fetch machinery at the chunk covering the logical
-// time and clears buffered data; in-flight reads are invalidated by the
-// generation bump.
-func (s *stream) seekTo(logical sim.Time) {
+// dropWindow discards the scheduled window: in-flight reads are
+// invalidated by the generation bump, and the pending, failed and skipped
+// bookkeeping and the buffered data are cleared. Every jump to a new play
+// point (seek, entering reverse, a reverse reposition) starts here.
+func (s *stream) dropWindow() {
 	s.gen++
 	s.pending = s.pending[:0]
 	s.failedRanges = nil
 	s.skipped = s.skipped[:0]
 	s.buf.Reset()
+}
+
+// seekTo repositions the fetch machinery at the chunk covering the logical
+// time and clears buffered data.
+func (s *stream) seekTo(logical sim.Time) {
+	s.dropWindow()
 	idx := s.info.ChunkAt(logical)
 	if idx < 0 {
 		if logical >= s.info.TotalDuration() {
@@ -215,7 +215,7 @@ func (s *stream) seekTo(logical sim.Time) {
 
 // setFetchPoint positions the byte-fetch machinery at the chunk with the
 // given index, leaving the buffer, clock, generation and stamp pointers
-// alone. Used by seekTo and by the interval cache's disk fallback.
+// alone. Used by seekTo and by refetchFromStamp.
 func (s *stream) setFetchPoint(idx int) {
 	var off int64
 	if idx < len(s.info.Chunks) {

@@ -72,10 +72,10 @@ func (s *Server) vcrRefusal(op, reason string, cause error) *VCRError {
 
 // readmitSet is the admission set for re-admitting st at changed terms:
 // every other open stream at its current charge, except participants this
-// operation would strand — the followers of st-as-leader and the members
-// of st-as-feed — which are priced as the plain disk streams the detach
-// will leave them as (matching cacheDetach/mcastDetach exactly), so the
-// test can never pass on charges the detach is about to change.
+// operation would strand — the dependents of every shared path st
+// produces for — which are priced as the plain disk streams the detach
+// will leave them as (matching shareDetach exactly), so the test can never
+// pass on charges the detach is about to change.
 func (s *Server) readmitSet(st *stream) []StreamParams {
 	var set []StreamParams
 	for _, other := range s.streams {
@@ -83,25 +83,12 @@ func (s *Server) readmitSet(st *stream) []StreamParams {
 			continue
 		}
 		par := other.par
-		if s.strandedBy(st, other) {
+		if other.dep != nil && other.dep.producer == st {
 			par = StreamParams{Rate: par.Rate, Chunk: par.Chunk}
 		}
 		set = append(set, par) //crasvet:allow hotalloc -- re-admission set built once per VCR op or promotion attempt, not per steady cycle
 	}
 	return set
-}
-
-// strandedBy reports whether a VCR operation on st detaches other: other
-// follows st's path cache with st as leader, or rides st's fan-out group
-// with st as feed.
-func (s *Server) strandedBy(st, other *stream) bool {
-	if st.pc != nil && st.pc.leader == st && other.pc == st.pc && other.cached {
-		return true
-	}
-	if st.mg != nil && st.mg.feed == st && other.mg == st.mg && other.mcastMember {
-		return true
-	}
-	return false
 }
 
 // ---- the delivered-rate ladder ----
@@ -208,7 +195,7 @@ func (s *Server) applyRateShape(st *stream, vel float64) {
 // Stepping down needs no admission test — it strictly reduces load.
 func (s *Server) ladderStepDown(st *stream, now sim.Time) bool {
 	if len(s.cfg.RateLadder) == 0 || st.record || st.paused || st.rev != nil ||
-		st.cached || st.mcastMember || st.par.Cached || st.par.Multicast || st.par.Paused {
+		st.dep != nil || st.par.Cached || st.par.Multicast || st.par.Paused {
 		return false
 	}
 	next, ok := s.ladderBelow(st.dr)
@@ -239,7 +226,7 @@ func (s *Server) ladderPromoteStep(now sim.Time) {
 	}
 	for _, st := range s.streams {
 		if st.closed || st.paused || st.record || st.rev != nil ||
-			st.cached || st.mcastMember || st.health != Healthy || st.dr >= 1-1e-9 {
+			st.dep != nil || st.health != Healthy || st.dr >= 1-1e-9 {
 			continue
 		}
 		if s.cycle-st.stepCycle < s.cfg.Recovery.RecoverCycles {
@@ -286,16 +273,7 @@ func (s *Server) handlePause(r pauseReq, now sim.Time) opResp {
 	// A paused clock breaks the temporal overlap cache pairs and fan-out
 	// groups rely on: partners keep advancing while this stream stands
 	// still, so the gap contract is gone the moment the clock freezes.
-	if st.pc != nil && st.pc.leader == st {
-		s.cacheDetachAll(st.pc, "leader paused")
-	} else if st.cached {
-		s.cacheFallback(st, "pause")
-	}
-	if st.mg != nil && st.mg.feed == st {
-		s.mcastBreakup(st.mg, now, "feed paused")
-	} else if st.mcastMember {
-		s.mcastFallback(st, now, "pause")
-	}
+	s.shareLeave(st, now, vcrLeave{dep: "pause", prod: "paused"})
 	st.paused = true
 	st.par.Paused = true
 	st.clock.Pause(now)
@@ -351,17 +329,13 @@ func (s *Server) handleSeek(r seekReq, now sim.Time) opResp {
 		}
 		// Repositioning a rewind: same velocity, same admission charge —
 		// just move the head and drop the scheduled window.
-		st.gen++
-		st.pending = st.pending[:0]
-		st.failedRanges = nil
-		st.skipped = st.skipped[:0]
-		st.buf.Reset()
+		st.dropWindow()
 		s.setReversePoint(st, r.logical)
 		return opResp{}
 	}
 	// Fast path: a follower seeking inside its leader's pinned interval
 	// re-validates the gap contract and keeps its pins.
-	if st.cached && !st.paused {
+	if st.rides(sharePinned) && !st.paused {
 		if resp, handled := s.cacheSeekRevalidate(st, r.logical, now); handled {
 			return resp
 		}
@@ -372,9 +346,7 @@ func (s *Server) handleSeek(r seekReq, now sim.Time) opResp {
 	// stream's charges are position-independent and its seek (today's
 	// only case) always succeeds, force-opened streams included.
 	plain := StreamParams{Rate: st.par.Rate, Chunk: st.par.Chunk, Paused: st.par.Paused}
-	detaches := st.cached || st.mcastMember || st.par.Cached || st.par.Multicast ||
-		(st.pc != nil && st.pc.leader == st && len(st.pc.followers) > 0) ||
-		(st.mg != nil && st.mg.feed == st && len(st.mg.members) > 0)
+	detaches := st.dep != nil || st.par.Cached || st.par.Multicast || st.leadsDeps()
 	if detaches {
 		if err := s.admit(append(s.readmitSet(st), plain)); err != nil {
 			s.stats.AdmissionRejects++
@@ -387,16 +359,7 @@ func (s *Server) handleSeek(r seekReq, now sim.Time) opResp {
 	// fan-out contract breaks the same way: a seeking member falls back
 	// to disk through the one-cycle fallback path, a seeking feed breaks
 	// up its group.
-	if st.pc != nil && st.pc.leader == st {
-		s.cacheDetachAll(st.pc, "leader seeked")
-	} else if st.cached {
-		s.cacheFallback(st, "seek")
-	}
-	if st.mg != nil && st.mg.feed == st {
-		s.mcastBreakup(st.mg, now, "feed seeked")
-	} else if st.mcastMember {
-		s.mcastFallback(st, now, "seek")
-	}
+	s.shareLeave(st, now, vcrLeave{dep: "seek", prod: "seeked"})
 	if detaches {
 		st.par = plain
 	}
@@ -427,29 +390,28 @@ func (s *Server) handleSeek(r seekReq, now sim.Time) opResp {
 // reservation that no longer fits) falls through to the full seek path,
 // which detaches honestly. Returns handled=false to request the full path.
 func (s *Server) cacheSeekRevalidate(st *stream, target sim.Time, now sim.Time) (opResp, bool) {
-	pc := st.pc
-	if pc == nil || pc.leader == st || s.cacheLeaderGone(st) {
+	if s.supplyGone(st) {
 		return opResp{}, false
 	}
-	leader := pc.leader
+	leader := st.dep.producer
 	lead := leader.clock.At(now)
 	if target < s.cacheFloor(leader, now) || target >= lead {
 		return opResp{}, false // outside the pinned interval
 	}
 	gap := lead - target
 	newRes := s.cachePinReservation(gap, st.par)
-	if s.icache.committed-st.cachePinCharge+newRes > s.icache.budget {
+	if s.committed[sharePinned]-st.depCharge+newRes > s.icache.budget {
 		return opResp{}, false // widened interval does not fit the pin budget
 	}
 	par := st.par
-	par.CacheBytes = s.cacheCharge(gap, par)
+	par.CacheBytes = s.shareCharge(gap, par)
 	if s.admit(append(s.readmitSet(st), par)) != nil {
 		// The re-priced pinned interval does not fit the memory budget;
 		// the full path decides between plain-stream service and refusal.
 		return opResp{}, false
 	}
-	s.icache.committed += newRes - st.cachePinCharge
-	st.cachePinCharge = newRes
+	s.committed[sharePinned] += newRes - st.depCharge
+	st.depCharge = newRes
 	st.par = par
 	st.clock.Seek(now, target)
 	st.seekTo(target)
@@ -466,8 +428,8 @@ func (s *Server) cacheSeekRevalidate(st *stream, target sim.Time, now sim.Time) 
 	// pin-backed seek instead advances the promise pointer and stamps the
 	// resident window synchronously — the data is in memory, which is the
 	// point of keeping the pins.
-	s.cacheAdvance(st, st.clock.At(now+2*s.cfg.Interval)+st.lead)
-	if st.cached {
+	s.cacheAdvance(st, st.clock.At(now+2*s.cfg.Interval)+st.lead, now)
+	if st.rides(sharePinned) {
 		s.cacheStamp(st, now)
 	}
 	s.stats.SeekRevalidations++
@@ -516,16 +478,7 @@ func (s *Server) handleSetRate(r setRateReq, now sim.Time) opResp {
 	// A rate change desynchronizes the clocks the cache pairs rely on: a
 	// leader strands its followers, a follower can no longer trail.
 	// Multicast groups desynchronize the same way.
-	if st.pc != nil && st.pc.leader == st {
-		s.cacheDetachAll(st.pc, "leader rate change")
-	} else if st.cached {
-		s.cacheFallback(st, "rate change")
-	}
-	if st.mg != nil && st.mg.feed == st {
-		s.mcastBreakup(st.mg, now, "feed rate change")
-	} else if st.mcastMember {
-		s.mcastFallback(st, now, "rate change")
-	}
+	s.shareLeave(st, now, vcrLeave{dep: "rate change", prod: "rate change"})
 	if r.rate > 0 {
 		fromRev := st.rev != nil
 		if fromRev {
@@ -585,11 +538,7 @@ func (s *Server) enterReverse(st *stream, now sim.Time, vel float64, par StreamP
 	if st.rev != nil {
 		pos = st.rev.mediaPos
 	}
-	st.gen++
-	st.pending = st.pending[:0]
-	st.failedRanges = nil
-	st.skipped = st.skipped[:0]
-	st.buf.Reset()
+	st.dropWindow()
 	st.par = par
 	st.dr = dr
 	st.rev = &revState{vel: vel}

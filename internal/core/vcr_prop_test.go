@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"os"
 	"strconv"
@@ -22,8 +23,8 @@ import (
 //
 //   - no expired chunk is ever delivered (late is allowed inside the
 //     jitter window; past Tdiscard is not),
-//   - the interval cache's committed counter equals the sum of the
-//     per-stream pin charges after every attach, detach and eviction,
+//   - the shared-path accounting and linkage hold in both modes after
+//     every attach, detach and eviction (checkShareInvariants),
 //   - a paused stream issues zero disk reads and its clock is frozen,
 //   - DeliveredRate only ever sits on a ladder rung,
 //   - every VCR refusal is typed (*VCRError wrapping ErrVCRRefused),
@@ -112,8 +113,8 @@ func vcrPropPlay(b *bed, th *rtm.Thread, v *vcrViewer, frames int) {
 }
 
 // checkVCRInvariants sweeps the server's whole session table: ladder
-// discipline, pause promises, and the three shared-budget identities
-// (admission, interval cache, multicast). Runs between operations, at
+// discipline, pause promises, admissibility of the live set, and the
+// shared-path invariants of both modes. Runs between operations, at
 // arbitrary points of the cycle grid — the invariants hold at every
 // edge, so they hold here too.
 func checkVCRInvariants(t *testing.T, b *bed, rungs []float64, paused *[]pausedProbe, seed int64, seq, op int) {
@@ -123,17 +124,10 @@ func checkVCRInvariants(t *testing.T, b *bed, rungs []float64, paused *[]pausedP
 		t.Errorf("seed %d seq %d op %d: "+format, append([]interface{}{seed, seq, op}, args...)...)
 	}
 
-	var pinCharges, fanout int64
+	checkShareInvariants(t, s, fmt.Sprintf("seed %d seq %d op %d: ", seed, seq, op))
 	for _, st := range s.streams {
 		if st.closed {
-			if st.cachePinCharge != 0 {
-				fail("closed stream %d still holds a pin charge of %d", st.id, st.cachePinCharge)
-			}
 			continue
-		}
-		pinCharges += st.cachePinCharge
-		if st.mcastMember {
-			fanout += st.mcastCharge
 		}
 		onRung := false
 		for _, r := range rungs {
@@ -160,29 +154,6 @@ func checkVCRInvariants(t *testing.T, b *bed, rungs []float64, paused *[]pausedP
 		kept = append(kept, probe)
 	}
 	*paused = kept
-	if pinCharges != s.icache.committed {
-		fail("cache pin accounting drifted: committed %d, sum of stream charges %d",
-			s.icache.committed, pinCharges)
-	}
-	if s.icache.committed > s.icache.budget {
-		fail("cache reservations overcommitted: %d > budget %d", s.icache.committed, s.icache.budget)
-	}
-	var pinned int64
-	for _, pc := range s.icache.paths {
-		for _, c := range pc.pins {
-			pinned += c.Size
-		}
-	}
-	if pinned != s.icache.bytes {
-		fail("cache pin bytes drifted: recorded %d, summed %d", s.icache.bytes, pinned)
-	}
-	if fanout != s.mcast.fanout {
-		fail("fan-out accounting drifted: committed %d, sum of member charges %d", s.mcast.fanout, fanout)
-	}
-	if s.mcast.fanout+s.mcast.pinned > s.mcast.budget && s.mcast.budget > 0 {
-		fail("multicast budget exceeded: fanout %d + pinned %d > %d",
-			s.mcast.fanout, s.mcast.pinned, s.mcast.budget)
-	}
 	// Every open stream got in through admission, and every VCR transition
 	// re-admits — so the live set must be admissible at all times.
 	if err := s.admit(s.admissionSet()); err != nil {
@@ -325,10 +296,10 @@ func runVCRSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 				}
 			}
 			checkVCRInvariants(t, b, rungs, &paused, seed, seq, 999)
-			if got := b.cras.icache.committed; got != 0 {
+			if got := b.cras.committed[sharePinned]; got != 0 {
 				t.Errorf("seed %d seq %d: cache reservations leaked after all closes: %d", seed, seq, got)
 			}
-			if got := b.cras.mcast.fanout; got != 0 {
+			if got := b.cras.committed[shareFanout]; got != 0 {
 				t.Errorf("seed %d seq %d: fan-out reservations leaked after all closes: %d", seed, seq, got)
 			}
 

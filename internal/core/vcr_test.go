@@ -515,17 +515,17 @@ func TestVCRCacheSeekRevalidatesGapContract(t *testing.T) {
 			checkAccounting := func(when string) {
 				var sum int64
 				for _, st := range b.cras.streams {
-					if !st.closed {
-						sum += st.cachePinCharge
+					if !st.closed && st.rides(sharePinned) {
+						sum += st.depCharge
 					}
 				}
-				if got := b.cras.icache.committed; got != sum {
+				if got := b.cras.committed[sharePinned]; got != sum {
 					t.Errorf("%s: cache committed %d != sum of pin charges %d (leak of %d bytes)",
 						when, got, sum, got-sum)
 				}
 			}
 			checkAccounting("before seek")
-			oldCharge := b.cras.icache.committed
+			oldCharge := b.cras.committed[sharePinned]
 
 			// Seek forward to just behind the leader: inside the pinned
 			// interval, so the gap contract re-validates and the pins
@@ -552,7 +552,7 @@ func TestVCRCacheSeekRevalidatesGapContract(t *testing.T) {
 			// Seeking toward the leader narrowed the gap: the re-priced
 			// reservation must have shrunk with it, or the budget leaks the
 			// difference on every such seek.
-			if got := b.cras.icache.committed; got >= oldCharge {
+			if got := b.cras.committed[sharePinned]; got >= oldCharge {
 				t.Errorf("narrowed gap did not shrink the pin reservation: committed %d, was %d",
 					got, oldCharge)
 			}

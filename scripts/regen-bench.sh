@@ -5,15 +5,12 @@
 # `go run ./cmd/crasbench -all` by hand for the full-size tables.
 set -e
 cd "$(dirname "$0")/.."
-# -json snapshots the rotating-parity capacity sweep, -mcastjson the
-# multicast batching sweep, -clusterjson the sharded-cluster scaling sweep
-# and -vcrjson the VCR admission sweep (all part of -all) into
-# BENCH_parity.json, BENCH_multicast.json, BENCH_cluster.json and
-# BENCH_vcr.json: pure simulation, deterministic at the fixed seed, so CI
-# diffs them alongside crasbench_output.txt.
-go run ./cmd/crasbench -all -quick -seed 1 \
-	-json BENCH_parity.json -mcastjson BENCH_multicast.json \
-	-clusterjson BENCH_cluster.json -vcrjson BENCH_vcr.json > crasbench_output.txt
+# -jsondir snapshots the rotating-parity capacity sweep, the multicast
+# batching sweep, the sharded-cluster scaling sweep and the VCR admission
+# sweep (all part of -all) into BENCH_parity.json, BENCH_multicast.json,
+# BENCH_cluster.json and BENCH_vcr.json: pure simulation, deterministic at
+# the fixed seed, so CI diffs them alongside crasbench_output.txt.
+go run ./cmd/crasbench -all -quick -seed 1 -jsondir . > crasbench_output.txt
 echo "regenerated crasbench_output.txt, BENCH_parity.json, BENCH_multicast.json, BENCH_cluster.json and BENCH_vcr.json" >&2
 
 # Engine-cycle cost snapshot: ns/cycle and allocs/cycle for the scheduler
