@@ -10,6 +10,7 @@ import (
 // the waiter's slot before waking it, so delivery order is the order in
 // which receivers blocked: a receiver that shows up between the wakeup and
 // the woken thread actually running cannot barge in and steal the message.
+// Each Thread embeds its own, since a thread blocks on at most one port.
 type portWaiter struct {
 	t     *Thread
 	msg   any
@@ -26,13 +27,37 @@ type Port struct {
 	waiters []*portWaiter
 	dead    bool
 	notify  *Port // receives DeadName when this port is destroyed
+
+	// reason is the block reason of a receiver waiting here, and reply the
+	// names the private reply ports of calls through here share. Both are
+	// built on first use, so later receives and calls concatenate nothing.
+	reason string
+	reply  *replyNames
 }
+
+type replyNames struct{ name, reason string }
 
 // NewPort returns an empty port.
 func (k *Kernel) NewPort(name string) *Port { return &Port{name: name} }
 
 // Name returns the port name.
 func (p *Port) Name() string { return p.name }
+
+func (p *Port) blockReason() string {
+	if p.reason == "" {
+		p.reason = "port:" + p.name
+	}
+	return p.reason
+}
+
+// replyPort returns a fresh private reply port for one call through p.
+func (p *Port) replyPort() *Port {
+	if p.reply == nil {
+		name := p.name + ".reply"
+		p.reply = &replyNames{name: name, reason: "port:" + name}
+	}
+	return &Port{name: p.reply.name, reason: p.reply.reason}
+}
 
 // Send enqueues a message, or hands it directly to the longest-waiting
 // receiver if one is blocked. Sends to a destroyed port vanish, like writes
@@ -63,15 +88,18 @@ func (p *Port) receive(t *Thread) (msg any, ok bool) {
 	if p.dead {
 		return nil, false
 	}
-	w := &portWaiter{t: t}
+	w := &t.recv
+	*w = portWaiter{t: t}
 	p.waiters = append(p.waiters, w)
 	for !w.given {
 		if p.dead {
 			return nil, false
 		}
-		t.block("port:" + p.name)
+		t.block(p.blockReason())
 	}
-	return w.msg, true
+	m := w.msg
+	w.msg = nil
+	return m, true
 }
 
 // Receive dequeues the oldest message, blocking the calling thread while the
@@ -157,7 +185,7 @@ func (p *Port) Call(t *Thread, req any) any {
 	if p.dead {
 		return DeadName{Port: p}
 	}
-	reply := &Port{name: p.name + ".reply"}
+	reply := p.replyPort()
 	p.Send(rpcEnvelope{req: req, reply: reply})
 	m, ok := reply.receive(t)
 	if !ok {
@@ -264,7 +292,7 @@ func (b *BoundedPort) Call(t *Thread, req any) (any, error) {
 		b.rejected++
 		return nil, ErrPortFull
 	}
-	reply := &Port{name: b.p.name + ".reply"}
+	reply := b.p.replyPort()
 	b.p.Send(rpcEnvelope{req: req, reply: reply})
 	m, ok := reply.receive(t)
 	if !ok {

@@ -26,6 +26,7 @@ type Kernel struct {
 	burstStart sim.Time
 	burstTimer *sim.Timer
 	burstSlice sim.Time
+	burstEndFn func()    // k.burstEnd, bound once so a CPU burst allocates no method value
 	ready      []*Thread // dispatch order list; selection scans for max prio
 
 	// Stats.
@@ -35,7 +36,11 @@ type Kernel struct {
 }
 
 // NewKernel returns a kernel on the given engine.
-func NewKernel(eng *sim.Engine) *Kernel { return &Kernel{eng: eng} }
+func NewKernel(eng *sim.Engine) *Kernel {
+	k := &Kernel{eng: eng}
+	k.burstEndFn = k.burstEnd
+	return k
+}
 
 // Engine returns the underlying simulation engine.
 func (k *Kernel) Engine() *sim.Engine { return k.eng }
@@ -75,14 +80,16 @@ type Thread struct {
 	k       *Kernel
 	proc    *sim.Proc
 	name    string
-	base    int // assigned priority
-	boost   int // inherited priority (0 = none); effective = max(base, boost)
+	reason  string // block reason while waiting for the CPU, built once
+	base    int    // assigned priority
+	boost   int    // inherited priority (0 = none); effective = max(base, boost)
 	quantum sim.Time
 
 	state     ThreadState
 	remaining sim.Time // CPU still owed for the current Compute
 	inReady   bool
-	blockedOn *Mutex // the inheriting mutex this thread waits on, if any
+	blockedOn *Mutex     // the inheriting mutex this thread waits on, if any
+	recv      portWaiter // the thread's slot on the one port it may block receiving on
 
 	// Stats.
 	cpuUsed      sim.Time
@@ -100,7 +107,7 @@ func (k *Kernel) NewThread(name string, prio int, quantum sim.Time, body func(t 
 	if prio < PrioIdle || prio > PrioInterrupt {
 		panic(fmt.Sprintf("rtm: priority %d out of range", prio))
 	}
-	t := &Thread{k: k, name: name, base: prio, quantum: quantum, state: StateNew}
+	t := &Thread{k: k, name: name, reason: "cpu:" + name, base: prio, quantum: quantum, state: StateNew}
 	t.proc = k.eng.Spawn(name, func(p *sim.Proc) {
 		t.state = StateRunnable
 		body(t)
@@ -170,7 +177,7 @@ func (t *Thread) Compute(d sim.Time) {
 	t.enqueuedAt = t.k.eng.Now()
 	t.k.pushBack(t)
 	t.k.dispatch()
-	t.proc.Block("cpu:" + t.name)
+	t.proc.Block(t.reason)
 }
 
 // Sleep suspends the thread for d; it holds no CPU while sleeping.
@@ -299,7 +306,7 @@ func (k *Kernel) startBurst(t *Thread) {
 		slice = t.quantum
 	}
 	k.burstSlice = slice
-	k.burstTimer = k.eng.After(slice, k.burstEnd)
+	k.burstTimer = k.eng.After(slice, k.burstEndFn)
 }
 
 func (k *Kernel) burstEnd() {

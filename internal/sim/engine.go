@@ -14,31 +14,10 @@ type Time = time.Duration
 // Infinity is a virtual time later than any time an experiment will reach.
 const Infinity Time = math.MaxInt64
 
-// Timer is a handle to a scheduled event. It can be cancelled before it
-// fires.
+// Timer is a scheduled event and the caller's handle to it: the engine's
+// calendar holds the Timer itself, so scheduling allocates one record. It
+// can be cancelled before it fires.
 type Timer struct {
-	ev *event
-}
-
-// Cancel prevents the event from firing. It reports whether the event was
-// still pending (true) or had already fired or been cancelled (false).
-func (t *Timer) Cancel() bool {
-	if t == nil || t.ev == nil || t.ev.cancelled || t.ev.fired {
-		return false
-	}
-	t.ev.cancelled = true
-	return true
-}
-
-// Pending reports whether the event has neither fired nor been cancelled.
-func (t *Timer) Pending() bool {
-	return t != nil && t.ev != nil && !t.ev.cancelled && !t.ev.fired
-}
-
-// When returns the virtual time at which the event is (or was) scheduled.
-func (t *Timer) When() Time { return t.ev.at }
-
-type event struct {
 	at        Time
 	seq       uint64
 	fn        func()
@@ -46,7 +25,25 @@ type event struct {
 	fired     bool
 }
 
-type eventHeap []*event
+// Cancel prevents the event from firing. It reports whether the event was
+// still pending (true) or had already fired or been cancelled (false).
+func (t *Timer) Cancel() bool {
+	if !t.Pending() {
+		return false
+	}
+	t.cancelled = true
+	return true
+}
+
+// Pending reports whether the event has neither fired nor been cancelled.
+func (t *Timer) Pending() bool {
+	return t != nil && !t.cancelled && !t.fired
+}
+
+// When returns the virtual time at which the event is (or was) scheduled.
+func (t *Timer) When() Time { return t.at }
+
+type eventHeap []*Timer
 
 func (h eventHeap) Len() int { return len(h) }
 func (h eventHeap) Less(i, j int) bool {
@@ -56,7 +53,7 @@ func (h eventHeap) Less(i, j int) bool {
 	return h[i].seq < h[j].seq
 }
 func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*event)) }
+func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Timer)) }
 func (h *eventHeap) Pop() any {
 	old := *h
 	n := len(old)
@@ -65,7 +62,7 @@ func (h *eventHeap) Pop() any {
 	*h = old[:n-1]
 	return e
 }
-func (h eventHeap) Peek() *event { return h[0] }
+func (h eventHeap) Peek() *Timer { return h[0] }
 
 // Engine is a discrete-event simulation engine. It is not safe for
 // concurrent use from multiple goroutines except through the process
@@ -122,9 +119,9 @@ func (e *Engine) At(t Time, fn func()) *Timer {
 		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now)) //crasvet:allow hotalloc -- formats only on the way to a causality panic; a clean cycle never evaluates it
 	}
 	e.seq++
-	ev := &event{at: t, seq: e.seq, fn: fn} //crasvet:allow hotalloc -- one event record per scheduled callback is the engine's unit of work; pooling would tie reuse to Timer lifetimes and break Stop-after-fire
+	ev := &Timer{at: t, seq: e.seq, fn: fn} //crasvet:allow hotalloc -- one record per scheduled callback is the engine's unit of work; it is also the caller's handle, so it cannot be pooled without breaking Cancel-after-fire
 	heap.Push(&e.events, ev)
-	return &Timer{ev: ev} //crasvet:allow hotalloc -- the Timer handle escapes to the caller by contract
+	return ev
 }
 
 // After schedules fn to run d after the current virtual time.
@@ -142,7 +139,7 @@ func (e *Engine) Stop() { e.stopped = true }
 // reports whether an event fired.
 func (e *Engine) Step() bool {
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*event)
+		ev := heap.Pop(&e.events).(*Timer)
 		if ev.cancelled {
 			continue
 		}

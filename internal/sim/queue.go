@@ -3,17 +3,17 @@ package sim
 // Waiter is a FIFO list of blocked processes. It is the building block for
 // higher-level synchronization (queues, ports, mutexes).
 type Waiter struct {
-	name  string
-	procs []*Proc
+	reason string // "wait:" + name, built once
+	procs  []*Proc
 }
 
 // NewWaiter returns an empty wait list; name appears in block reasons.
-func NewWaiter(name string) *Waiter { return &Waiter{name: name} }
+func NewWaiter(name string) *Waiter { return &Waiter{reason: "wait:" + name} }
 
 // Wait parks the calling process on the list until a Wake delivers to it.
 func (w *Waiter) Wait(p *Proc) {
 	w.procs = append(w.procs, p)
-	p.Block("wait:" + w.name)
+	p.Block(w.reason)
 }
 
 // WakeOne unblocks the longest-waiting process, if any, and reports whether

@@ -6,14 +6,13 @@ import (
 )
 
 // BlockDevice is the disk surface the file system consumes: geometry for
-// layout, asynchronous submission for cached I/O, synchronous helpers for
-// metadata paths, and the offline peek/poke pair mkfs uses. Both a bare
-// *disk.Disk and a striped *disk.Volume satisfy it, so a CMFS image formats
-// and mounts identically on one spindle or an array.
+// layout, asynchronous submission for cached reads, synchronous write-back,
+// and the offline peek/poke pair mkfs uses. Both a bare *disk.Disk and a
+// striped *disk.Volume satisfy it, so a CMFS image formats and mounts
+// identically on one spindle or an array.
 type BlockDevice interface {
 	Geometry() disk.Geometry
 	Submit(r *disk.Request)
-	ReadSync(p *sim.Proc, lba int64, count int, realTime bool) []byte
 	WriteSync(p *sim.Proc, lba int64, count int, data []byte, realTime bool)
 	PeekSector(lba int64) []byte
 	PokeSector(lba int64, data []byte)

@@ -8,7 +8,9 @@ import (
 	"repro/internal/sim"
 )
 
-// cacheEntry is one cached file-system block.
+// cacheEntry is one cached file-system block. Entries and their BlockSize
+// buffers are recycled: an entry that leaves the cache goes on the cache's
+// free list once nothing outside the cache can still reach its buffer.
 type cacheEntry struct {
 	blk     int64
 	data    []byte
@@ -16,6 +18,12 @@ type cacheEntry struct {
 	pending bool        // a read is in flight filling this entry
 	waiters *sim.Waiter // created by the first process to wait on the fill
 	lruSeq  uint64      // touch stamp; the LRU list is in lruSeq order
+
+	// readers counts the processes parked in waitFill, which return data
+	// once they wake; writing counts the write-backs of data in flight,
+	// which the disk reads only at completion. While either is non-zero the
+	// buffer is referenced from outside the cache and is not recycled.
+	readers, writing int
 
 	// prev and next link the entry into the cache's LRU list. prev is nil
 	// exactly when the entry is not in the list (and so not in the map).
@@ -38,12 +46,28 @@ type Cache struct {
 	// the eligible entry with the smallest lruSeq.
 	lru cacheEntry
 
+	// free holds entries that left the cache, each still owning its
+	// BlockSize buffer, for the next block to enter it. It is bounded so
+	// that resident plus free entries never exceed capacity.
+	free []*cacheEntry
+
+	// runs holds idle read-ahead runs; several can be in flight at once.
+	runs []*cacheRun
+
+	// poison, a test hook, overwrites every recycled buffer, so a caller
+	// that keeps an alias past the point the alias rule allows (see Get)
+	// reads garbage instead of plausible stale data.
+	poison bool
+
 	// Stats.
 	Hits       int64
 	Misses     int64
 	Writebacks int64
 	Prefetches int64
 }
+
+// maxIdleRuns bounds the pool of idle read-ahead runs.
+const maxIdleRuns = 8
 
 // NewCache creates a cache holding up to capacity blocks.
 func NewCache(dsk BlockDevice, capacity int) *Cache {
@@ -78,6 +102,39 @@ func (c *Cache) unlink(e *cacheEntry) {
 	e.prev, e.next = nil, nil
 }
 
+// take returns a blank entry for blk, recycled from the free list when one
+// is there. Its buffer holds stale bytes: the caller fills or clears it.
+func (c *Cache) take(blk int64) *cacheEntry {
+	n := len(c.free)
+	if n == 0 {
+		return &cacheEntry{blk: blk, data: make([]byte, BlockSize)}
+	}
+	e := c.free[n-1]
+	c.free[n-1] = nil
+	c.free = c.free[:n-1]
+	*e = cacheEntry{blk: blk, data: e.data, waiters: e.waiters}
+	return e
+}
+
+// release puts an entry that has left the cache on the free list, unless
+// its buffer may still be read: by a fill in flight, by processes parked
+// on the fill, or by a write-back in flight. Those holders call release
+// again when they let go. Past the free list's bound the entry is dropped.
+func (c *Cache) release(e *cacheEntry) {
+	if e.prev != nil || e.pending || e.readers > 0 || e.writing > 0 {
+		return
+	}
+	if len(c.entries)+len(c.free) >= c.capacity {
+		return
+	}
+	if c.poison {
+		for i := range e.data {
+			e.data[i] = 0xDB
+		}
+	}
+	c.free = append(c.free, e)
+}
+
 // insert makes e the resident entry for its block, most recently used. An
 // entry it displaces (one another process inserted while the caller was
 // blocked) leaves the cache.
@@ -94,31 +151,34 @@ func (c *Cache) remove(blk int64) {
 	if e, ok := c.entries[blk]; ok {
 		c.unlink(e)
 		delete(c.entries, blk)
+		c.release(e)
 	}
 }
 
 // waitFill parks p until e's in-flight read completes.
 func (e *cacheEntry) waitFill(p *sim.Proc) {
+	if !e.pending {
+		return
+	}
+	e.readers++
 	for e.pending {
 		if e.waiters == nil {
-			e.waiters = sim.NewWaiter(fmt.Sprintf("cache:%d", e.blk))
+			e.waiters = sim.NewWaiter("cache")
 		}
 		e.waiters.Wait(p)
 	}
+	e.readers--
 }
 
-// fill publishes e's data and wakes any process waiting for it.
-func (e *cacheEntry) fill(data []byte) {
-	e.data = data
-	e.pending = false
-	if e.waiters != nil {
-		e.waiters.WakeAll()
-	}
-}
-
-// Get returns the contents of a block, reading it from disk on a miss. The
-// returned slice aliases the cache entry: callers that modify it must call
-// MarkDirty with the same block number before the next blocking operation.
+// Get returns the contents of a block, reading it from disk on a miss.
+//
+// The returned slice aliases the cache's buffer, and buffers are recycled
+// between blocks, so the alias is dead once the caller blocks or calls any
+// Cache method other than MarkDirty, Contains or Len: by then the block may
+// have left the cache and its buffer may hold another block. Callers decode
+// what they need first, or re-fetch afterwards (as indirectSlot does).
+// Callers that modify the block must call MarkDirty with the same block
+// number while the alias is live.
 func (c *Cache) Get(p *sim.Proc, blk int64) []byte {
 	if e, ok := c.entries[blk]; ok {
 		e.waitFill(p)
@@ -128,14 +188,13 @@ func (c *Cache) Get(p *sim.Proc, blk int64) []byte {
 	}
 	c.Misses++
 	c.evictFor(p, 1)
-	e := &cacheEntry{blk: blk, pending: true}
-	c.insert(e)
-	e.fill(c.dsk.ReadSync(p, blk*SectorsPerBlock, SectorsPerBlock, false))
+	e := c.fetch(blk, 1)
+	e.waitFill(p)
 	return e.data
 }
 
 // GetZero returns a cache entry for a block that is about to be fully
-// overwritten, without reading it from disk.
+// overwritten, without reading it from disk. The alias rule of Get applies.
 func (c *Cache) GetZero(p *sim.Proc, blk int64) []byte {
 	if e, ok := c.entries[blk]; ok {
 		e.waitFill(p)
@@ -144,7 +203,8 @@ func (c *Cache) GetZero(p *sim.Proc, blk int64) []byte {
 		return e.data
 	}
 	c.evictFor(p, 1)
-	e := &cacheEntry{blk: blk, data: make([]byte, BlockSize)}
+	e := c.take(blk)
+	clear(e.data)
 	c.insert(e)
 	return e.data
 }
@@ -202,29 +262,71 @@ func (c *Cache) prefetchRun(blk int64, count int) {
 			return
 		}
 	}
-	entries := make([]*cacheEntry, count)
-	for i := 0; i < count; i++ {
-		e := &cacheEntry{blk: blk + int64(i), pending: true}
-		c.insert(e)
-		entries[i] = e
-	}
 	c.Prefetches += int64(count)
-	// The run is read into one buffer; each block's entry keeps its slice.
-	buf := make([]byte, count*BlockSize)
-	c.dsk.Submit(&disk.Request{
-		LBA:   blk * SectorsPerBlock,
-		Count: count * SectorsPerBlock,
-		Data:  buf,
-		Done: func(r *disk.Request, _ []byte) {
-			if r.Err != nil {
-				panic("ufs: unhandled injected fault on read-ahead")
-			}
-			for i, e := range entries {
-				lo := i * BlockSize
-				e.fill(buf[lo : lo+BlockSize : lo+BlockSize])
-			}
-		},
-	})
+	c.fetch(blk, count)
+}
+
+// cacheRun is one disk read filling consecutive pending entries: a
+// read-ahead run, or the one block of a miss. The disk reads into the
+// run's own buffer and completion copies each block into its entry's
+// buffer, so entry buffers are never disk targets. Idle runs are pooled
+// with their buffers and requests.
+type cacheRun struct {
+	c       *Cache
+	req     disk.Request
+	buf     []byte
+	entries []*cacheEntry
+	done    func(*disk.Request, []byte) // r.complete, bound once
+}
+
+// fetch inserts pending entries for the count blocks from blk and starts
+// one disk read to fill them. It returns the first entry.
+func (c *Cache) fetch(blk int64, count int) *cacheEntry {
+	var r *cacheRun
+	if n := len(c.runs); n > 0 {
+		r = c.runs[n-1]
+		c.runs[n-1] = nil
+		c.runs = c.runs[:n-1]
+	} else {
+		r = &cacheRun{c: c}
+		r.done = r.complete
+	}
+	size := count * BlockSize
+	if cap(r.buf) < size {
+		r.buf = make([]byte, size)
+	}
+	r.buf = r.buf[:size]
+	for i := 0; i < count; i++ {
+		e := c.take(blk + int64(i))
+		e.pending = true
+		c.insert(e)
+		r.entries = append(r.entries, e)
+	}
+	r.req = disk.Request{LBA: blk * SectorsPerBlock, Count: count * SectorsPerBlock, Data: r.buf, Done: r.done}
+	c.dsk.Submit(&r.req)
+	return r.entries[0]
+}
+
+// complete publishes the run's blocks, wakes the processes waiting on them
+// and returns the run to the pool.
+func (r *cacheRun) complete(req *disk.Request, _ []byte) {
+	if req.Err != nil {
+		panic("ufs: unhandled injected fault on a buffer-cache read")
+	}
+	c := r.c
+	for i, e := range r.entries {
+		copy(e.data, r.buf[i*BlockSize:])
+		e.pending = false
+		if e.waiters != nil {
+			e.waiters.WakeAll()
+		}
+		c.release(e) // recycles a block dropped while its read was in flight
+		r.entries[i] = nil
+	}
+	r.entries = r.entries[:0]
+	if len(c.runs) < maxIdleRuns {
+		c.runs = append(c.runs, r)
+	}
 }
 
 // evictCleanLRU drops the least-recently-used clean, non-pending entry,
@@ -257,11 +359,25 @@ func (c *Cache) evictFor(p *sim.Proc, n int) {
 			return // everything pending; allow temporary overshoot
 		}
 		if victim.dirty {
-			c.Writebacks++
-			c.dsk.WriteSync(p, victim.blk*SectorsPerBlock, SectorsPerBlock, victim.data, false)
+			c.writeBack(p, victim)
 		}
-		c.remove(victim.blk)
+		if c.entries[victim.blk] == victim {
+			c.remove(victim.blk)
+		}
 	}
+}
+
+// writeBack writes e's block to disk and marks it clean. The disk reads the
+// payload only at completion, and C-SCAN may reorder writes, so the buffer
+// stays out of the free list until then even if the entry leaves the cache
+// meanwhile; such an entry is released here.
+func (c *Cache) writeBack(p *sim.Proc, e *cacheEntry) {
+	c.Writebacks++
+	e.writing++
+	c.dsk.WriteSync(p, e.blk*SectorsPerBlock, SectorsPerBlock, e.data, false)
+	e.writing--
+	e.dirty = false
+	c.release(e)
 }
 
 // Sync writes back every dirty block.
@@ -276,14 +392,12 @@ func (c *Cache) Sync(p *sim.Proc) {
 	sort.Slice(dirty, func(i, j int) bool { return dirty[i] < dirty[j] })
 	for _, blk := range dirty {
 		e, ok := c.entries[blk]
-		if !ok {
-			// Another process evicted (and so wrote back) or invalidated
-			// the block while an earlier write-back blocked.
+		if !ok || !e.dirty || e.pending {
+			// Another process evicted (and so wrote back), invalidated or
+			// re-read the block while an earlier write-back blocked.
 			continue
 		}
-		c.Writebacks++
-		c.dsk.WriteSync(p, blk*SectorsPerBlock, SectorsPerBlock, e.data, false)
-		e.dirty = false
+		c.writeBack(p, e)
 	}
 }
 

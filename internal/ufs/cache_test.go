@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"os"
+	"strconv"
 	"testing"
 	"time"
 
@@ -29,8 +31,10 @@ func refVictim(c *Cache, clean bool) *cacheEntry {
 }
 
 // checkCache asserts the list-based victims equal the reference scans, that
-// the LRU list and the map hold the same entries in lruSeq order, and that
-// every clean, filled entry matches the device.
+// the LRU list and the map hold the same entries in lruSeq order, that
+// every clean, filled entry matches the device, and that the free list is
+// bounded (resident + free <= capacity) and shares no buffer with the
+// resident entries or with itself.
 func checkCache(c *Cache, dev BlockDevice) error {
 	for _, clean := range []bool{false, true} {
 		if got, want := c.oldest(clean), refVictim(c, clean); got != want {
@@ -59,89 +63,195 @@ func checkCache(c *Cache, dev BlockDevice) error {
 		if e.pending || e.dirty {
 			continue
 		}
-		for i := 0; i < SectorsPerBlock; i++ {
-			if !bytes.Equal(e.data[i*512:(i+1)*512], dev.PeekSector(blk*SectorsPerBlock+int64(i))) {
-				return fmt.Errorf("clean block %d differs from the device", blk)
-			}
+		if !bytes.Equal(e.data, deviceBlock(dev, blk)) {
+			return fmt.Errorf("clean block %d differs from the device", blk)
 		}
 	}
+	// Resident entries may overshoot capacity while everything is pending;
+	// the free list must then be empty.
+	if len(c.free) > 0 && len(c.entries)+len(c.free) > c.capacity {
+		return fmt.Errorf("resident %d + free %d exceeds capacity %d", len(c.entries), len(c.free), c.capacity)
+	}
+	bufs := make(map[*byte]int64)
+	for blk, e := range c.entries {
+		bufs[&e.data[0]] = blk
+	}
+	for _, e := range c.free {
+		if e.prev != nil || e.pending || e.readers > 0 || e.writing > 0 || len(e.data) != BlockSize {
+			return fmt.Errorf("free entry (was block %d) still in use", e.blk)
+		}
+		if blk, ok := bufs[&e.data[0]]; ok {
+			return fmt.Errorf("free buffer (was block %d) aliases block %d", e.blk, blk)
+		}
+		bufs[&e.data[0]] = -1
+	}
 	return nil
+}
+
+// deviceBlock reads a block's bytes from the device without timing.
+func deviceBlock(dev BlockDevice, blk int64) []byte {
+	out := make([]byte, 0, BlockSize)
+	for i := 0; i < SectorsPerBlock; i++ {
+		out = append(out, dev.PeekSector(blk*SectorsPerBlock+int64(i))...)
+	}
+	return out
 }
 
 // TestCacheLRUMatchesReferenceScan drives a small cache with seeded random
 // Get, GetZero, MarkDirty, Prefetch, Invalidate and Sync traffic, with
 // pauses that let read-ahead land, and checks the cache after every step.
-// A second process issues Gets of its own, so fills, write-backs and
-// misses for the same block interleave.
+// Read-ahead runs reach past the capacity, so they evict heavily, and a
+// second writer dirties blocks and syncs, so write-backs, evictions and
+// invalidations overlap an in-flight Sync. A reader issues Gets of its own,
+// so fills, write-backs and misses for the same block interleave, and it
+// checks every byte a Get returns against the device or the block's last
+// content written through the cache. Recycled buffers are poisoned, so a
+// buffer recycled while a caller may still read it shows up as garbage.
+//
+// The seeds default to 1-20; UFS_CACHE_PROP_SEED moves the first seed (CI
+// rotates it), and a failure names its seed, which replays first with
+//
+//	UFS_CACHE_PROP_SEED=<seed> go test ./internal/ufs -run TestCacheLRUMatchesReferenceScan
 func TestCacheLRUMatchesReferenceScan(t *testing.T) {
+	first := int64(1)
+	if env := os.Getenv("UFS_CACHE_PROP_SEED"); env != "" {
+		v, err := strconv.ParseInt(env, 10, 64)
+		if err != nil {
+			t.Fatalf("UFS_CACHE_PROP_SEED=%q: %v", env, err)
+		}
+		first = v
+	}
+	t.Logf("property seeds %d-%d (override with UFS_CACHE_PROP_SEED)", first, first+19)
+	var recycled, overlapped int
+	for seed := first; seed < first+20; seed++ {
+		r, o, err := runCacheScript(seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recycled += r
+		overlapped += o
+	}
+	// The script must reach the paths it exists for.
+	t.Logf("%d entries recycled, %d steps with a write-back in flight", recycled, overlapped)
+	if recycled == 0 || overlapped == 0 {
+		t.Errorf("recycled %d entries, saw %d steps with a write-back in flight; want both > 0", recycled, overlapped)
+	}
+}
+
+// runCacheScript runs one seeded script (see TestCacheLRUMatchesReferenceScan)
+// and returns how many entries were taken from the free list, how many
+// steps saw a write-back in flight, and the first failure.
+func runCacheScript(seed int64) (recycled, overlapped int, failure error) {
 	const blocks, steps = 32, 600
-	for seed := int64(1); seed <= 20; seed++ {
-		e := sim.NewEngine(seed)
-		g, p := disk.ST32550N()
-		g.Cylinders = 4
-		d := disk.New(e, "sd0", g, p)
-		for lba := int64(0); lba < blocks*SectorsPerBlock; lba++ {
-			d.PokeSector(lba, bytes.Repeat([]byte{byte(lba%251 + 1)}, 512))
-		}
-		c := NewCache(d, 4+int(seed%5))
-		rng := rand.New(rand.NewSource(seed))
-		var resident []int64 // blocks the driver may MarkDirty
-		var failure error
-		check := func(who string, step int, op string, blk int64) {
-			if err := checkCache(c, d); err != nil && failure == nil {
-				failure = fmt.Errorf("seed %d %s step %d (%s %d): %v", seed, who, step, op, blk, err)
-			}
-		}
-		e.Spawn("reader", func(proc *sim.Proc) {
-			for step := 0; step < steps/4 && failure == nil; step++ {
-				blk := rng.Int63n(blocks)
-				c.Get(proc, blk)
-				check("reader", step, "Get", blk)
-				proc.Sleep(time.Duration(rng.Intn(30)) * time.Millisecond)
-			}
-		})
-		e.Spawn("driver", func(proc *sim.Proc) {
-			for step := 0; step < steps && failure == nil; step++ {
-				blk := rng.Int63n(blocks)
-				var op string
-				switch k := rng.Intn(10); {
-				case k < 3:
-					op = "Get"
-					c.Get(proc, blk)
-				case k < 4:
-					op = "GetZero"
-					c.GetZero(proc, blk)
-					c.MarkDirty(blk) // GetZero callers always overwrite and dirty the block
-				case k < 5:
-					op = "MarkDirty"
-					if len(resident) > 0 {
-						b := resident[rng.Intn(len(resident))]
-						if c.Contains(b) {
-							data := c.Get(proc, b)
-							data[rng.Intn(len(data))] ^= 0x5A
-							c.MarkDirty(b)
-						}
-					}
-				case k < 7:
-					op = "Prefetch"
-					c.Prefetch(blk, 1+rng.Intn(6))
-				case k < 8:
-					op = "Invalidate"
-					c.Invalidate(blk)
-				case k < 9:
-					op = "Sync"
-					c.Sync(proc)
-				default:
-					op = "Sleep"
-					proc.Sleep(time.Duration(rng.Intn(20)) * time.Millisecond)
-				}
-				resident = append(resident, blk)
-				check("driver", step, op, blk)
-			}
-		})
-		e.Run()
+	e := sim.NewEngine(seed)
+	g, p := disk.ST32550N()
+	g.Cylinders = 4
+	d := disk.New(e, "sd0", g, p)
+	for lba := int64(0); lba < blocks*SectorsPerBlock; lba++ {
+		d.PokeSector(lba, bytes.Repeat([]byte{byte(lba%251 + 1)}, 512))
+	}
+	c := NewCache(d, 4+int(seed%5))
+	c.poison = true
+	rng := rand.New(rand.NewSource(seed))
+	written := make(map[int64][]byte) // last content written through the cache
+	var resident []int64              // blocks the driver may MarkDirty
+	check := func(who string, step int, op string, blk int64) {
 		if failure != nil {
-			t.Fatal(failure)
+			return
+		}
+		if err := checkCache(c, d); err != nil {
+			failure = fmt.Errorf("seed %d %s step %d (%s %d): %v", seed, who, step, op, blk, err)
+		}
+		for _, e := range c.entries {
+			if e.writing > 0 {
+				overlapped++
+				break
+			}
 		}
 	}
+	// dirty overwrites one byte of a resident block and records the result.
+	dirty := func(proc *sim.Proc, b int64) {
+		data := c.Get(proc, b)
+		if !c.Contains(b) {
+			return // dropped while the Get waited for its fill
+		}
+		data[rng.Intn(len(data))] ^= 0x5A
+		c.MarkDirty(b)
+		written[b] = bytes.Clone(data)
+	}
+	zero := func(proc *sim.Proc, b int64) {
+		n := len(c.free)
+		c.GetZero(proc, b)
+		if len(c.free) < n {
+			recycled++
+		}
+		// GetZero cleared the buffer even if the block was dropped while it
+		// waited for a fill, and a reader woken by that fill may see it.
+		written[b] = make([]byte, BlockSize)
+		if c.Contains(b) {
+			c.MarkDirty(b) // GetZero callers always overwrite and dirty the block
+		}
+	}
+	e.Spawn("reader", func(proc *sim.Proc) {
+		for step := 0; step < steps/4 && failure == nil; step++ {
+			blk := rng.Int63n(blocks)
+			got := c.Get(proc, blk)
+			if !bytes.Equal(got, deviceBlock(d, blk)) && !bytes.Equal(got, written[blk]) {
+				failure = fmt.Errorf("seed %d reader step %d: Get(%d) returned bytes neither on the device nor last written", seed, step, blk)
+			}
+			check("reader", step, "Get", blk)
+			proc.Sleep(time.Duration(rng.Intn(30)) * time.Millisecond)
+		}
+	})
+	e.Spawn("syncer", func(proc *sim.Proc) {
+		for step := 0; step < steps/8 && failure == nil; step++ {
+			blk := rng.Int63n(blocks)
+			zero(proc, blk)
+			check("syncer", step, "GetZero", blk)
+			c.Sync(proc)
+			check("syncer", step, "Sync", blk)
+			proc.Sleep(time.Duration(rng.Intn(40)) * time.Millisecond)
+		}
+	})
+	e.Spawn("driver", func(proc *sim.Proc) {
+		for step := 0; step < steps && failure == nil; step++ {
+			blk := rng.Int63n(blocks)
+			var op string
+			switch k := rng.Intn(11); {
+			case k < 3:
+				op = "Get"
+				c.Get(proc, blk)
+			case k < 4:
+				op = "GetZero"
+				zero(proc, blk)
+			case k < 5:
+				op = "MarkDirty"
+				if len(resident) > 0 {
+					if b := resident[rng.Intn(len(resident))]; c.Contains(b) {
+						dirty(proc, b)
+					}
+				}
+			case k < 8:
+				op = "Prefetch"
+				n := len(c.free)
+				c.Prefetch(blk, 1+rng.Intn(c.capacity+2))
+				if len(c.free) < n {
+					recycled += n - len(c.free)
+				}
+			case k < 9:
+				op = "Invalidate"
+				c.Invalidate(blk)
+			case k < 10:
+				op = "Sync"
+				c.Sync(proc)
+			default:
+				op = "Sleep"
+				proc.Sleep(time.Duration(rng.Intn(20)) * time.Millisecond)
+			}
+			resident = append(resident, blk)
+			check("driver", step, op, blk)
+		}
+	})
+	e.Run()
+	return recycled, overlapped, failure
 }

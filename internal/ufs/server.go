@@ -40,7 +40,7 @@ type (
 	readReq   struct {
 		fd  int
 		off int64
-		n   int
+		buf []byte // the caller's buffer, filled in place (read(2)'s copyout)
 	}
 	writeReq struct {
 		fd   int
@@ -62,11 +62,7 @@ type (
 		fd  int
 		err error
 	}
-	readResp struct {
-		data []byte
-		err  error
-	}
-	writeResp struct {
+	ioResp struct { // replies to reads and writes
 		n   int
 		err error
 	}
@@ -146,20 +142,19 @@ func (s *Server) handle(t *rtm.Thread, req any) any {
 	case readReq:
 		f, err := s.file(r.fd)
 		if err != nil {
-			return readResp{err: err}
+			return ioResp{err: err}
 		}
-		buf := make([]byte, r.n)
-		n, err := f.ReadAt(p, buf, r.off)
+		n, err := f.ReadAt(p, r.buf, r.off)
 		t.Compute(CostPerBlock * sim.Time(1+(n-1)/BlockSize))
-		return readResp{data: buf[:n], err: err}
+		return ioResp{n: n, err: err}
 	case writeReq:
 		f, err := s.file(r.fd)
 		if err != nil {
-			return writeResp{err: err}
+			return ioResp{err: err}
 		}
 		t.Compute(CostPerBlock * sim.Time(1+(len(r.data)-1)/BlockSize))
 		n, err := f.WriteAt(p, r.data, r.off)
-		return writeResp{n: n, err: err}
+		return ioResp{n: n, err: err}
 	case preallocReq:
 		f, err := s.file(r.fd)
 		if err != nil {
@@ -217,15 +212,25 @@ func (c *Client) Mkdir(path string) error {
 	return c.srv.port.Call(c.th, mkdirReq{path: path}).(errResp).err
 }
 
-// Read reads n bytes at off from an open file.
+// ReadAt reads up to len(buf) bytes at off from an open file into buf and
+// returns the count, short at end of file. The server fills buf in place,
+// as read(2) copies out into the caller's buffer, so a caller that reuses
+// one buffer reads without allocating.
+func (c *Client) ReadAt(fd int, buf []byte, off int64) (int, error) {
+	r := c.srv.port.Call(c.th, readReq{fd: fd, off: off, buf: buf}).(ioResp)
+	return r.n, r.err
+}
+
+// Read reads up to n bytes at off from an open file into a new buffer.
 func (c *Client) Read(fd int, off int64, n int) ([]byte, error) {
-	r := c.srv.port.Call(c.th, readReq{fd: fd, off: off, n: n}).(readResp)
-	return r.data, r.err
+	buf := make([]byte, n)
+	got, err := c.ReadAt(fd, buf, off)
+	return buf[:got], err
 }
 
 // Write writes data at off.
 func (c *Client) Write(fd int, off int64, data []byte) (int, error) {
-	r := c.srv.port.Call(c.th, writeReq{fd: fd, off: off, data: data}).(writeResp)
+	r := c.srv.port.Call(c.th, writeReq{fd: fd, off: off, data: data}).(ioResp)
 	return r.n, r.err
 }
 

@@ -3,6 +3,7 @@ package ufs
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"testing"
 	"time"
 
@@ -176,4 +177,114 @@ func TestServerPriorityInversionExists(t *testing.T) {
 	})
 	// No assertion on magnitude here (that is Figure 7's job); the
 	// measured delay just must exist and the run must terminate.
+}
+
+func TestClientReadAt(t *testing.T) {
+	withServer(t, func(k *rtm.Kernel, srv *Server) {
+		data := make([]byte, 3*BlockSize+100)
+		for i := range data {
+			data[i] = byte(i*7 + i/BlockSize)
+		}
+		size := int64(len(data))
+		k.NewThread("app", rtm.PrioTS, 0, func(th *rtm.Thread) {
+			c := NewClient(srv, th)
+			fd, err := c.Create("/f")
+			if err != nil {
+				t.Errorf("Create: %v", err)
+				return
+			}
+			if _, err := c.Write(fd, 0, data); err != nil {
+				t.Errorf("Write: %v", err)
+				return
+			}
+			buf := make([]byte, 2*BlockSize)
+
+			// One buffer serves every read; each fills it in place.
+			for _, off := range []int64{0, BlockSize + 5, 17, BlockSize} {
+				n, err := c.ReadAt(fd, buf, off)
+				if err != nil || n != len(buf) || !bytes.Equal(buf, data[off:off+int64(n)]) {
+					t.Errorf("ReadAt(off %d) = %d, %v; want %d matching bytes", off, n, err, len(buf))
+				}
+			}
+
+			// Short read at end of file.
+			n, err := c.ReadAt(fd, buf, size-100)
+			if err != nil || n != 100 || !bytes.Equal(buf[:n], data[size-100:]) {
+				t.Errorf("ReadAt at EOF-100 = %d, %v; want 100 matching bytes", n, err)
+			}
+
+			// At or past the end of file nothing is read.
+			for _, off := range []int64{size, size + BlockSize} {
+				if n, err := c.ReadAt(fd, buf, off); n != 0 || err != nil {
+					t.Errorf("ReadAt(off %d) past EOF = %d, %v; want 0, nil", off, n, err)
+				}
+			}
+
+			// Read is ReadAt into a fresh buffer.
+			got, err := c.Read(fd, BlockSize-3, 2*BlockSize)
+			if n, err2 := c.ReadAt(fd, buf, BlockSize-3); err != nil || err2 != nil || !bytes.Equal(got, buf[:n]) {
+				t.Errorf("Read and ReadAt disagree: %v, %v", err, err2)
+			}
+
+			// A bad descriptor reads nothing and reports the error.
+			if n, err := c.ReadAt(fd+100, buf, 0); n != 0 || err == nil {
+				t.Errorf("ReadAt on a bad fd = %d, %v; want 0 and an error", n, err)
+			}
+		})
+	})
+}
+
+// TestClientReadAtAllocation guards the allocation-free read path: once the
+// buffer cache's free list and read-ahead pool are warm, a sequential 256 KB
+// ReadAt loop through the Unix server must allocate almost nothing per call.
+// Before the server filled the caller's buffer and cache blocks were
+// recycled, each such read allocated at least 512 KB: a 256 KB reply and
+// 256 KB of read-ahead run buffers.
+func TestClientReadAtAllocation(t *testing.T) {
+	const req = 256 << 10
+	const fileSize = 32 * req // 8 MB, four times the default 2 MB cache
+	const measured = 16
+	var perRead uint64
+	withServer(t, func(k *rtm.Kernel, srv *Server) {
+		k.NewThread("cat", rtm.PrioTS, 0, func(th *rtm.Thread) {
+			c := NewClient(srv, th)
+			fd, err := c.Create("/bulk")
+			if err == nil {
+				err = c.Preallocate(fd, fileSize)
+			}
+			if err != nil {
+				t.Errorf("setup: %v", err)
+				return
+			}
+			buf := make([]byte, req)
+			var off int64
+			read := func() bool {
+				n, err := c.ReadAt(fd, buf, off)
+				if err != nil || n != req {
+					t.Errorf("ReadAt(off %d) = %d, %v", off, n, err)
+					return false
+				}
+				off = (off + req) % fileSize
+				return true
+			}
+			for i := 0; i < fileSize/req; i++ { // warm up: one pass over the file
+				if !read() {
+					return
+				}
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			for i := 0; i < measured; i++ {
+				if !read() {
+					return
+				}
+			}
+			runtime.ReadMemStats(&after)
+			perRead = (after.TotalAlloc - before.TotalAlloc) / measured
+		})
+	})
+	t.Logf("%d bytes allocated per 256 KB ReadAt", perRead)
+	if perRead >= 16<<10 {
+		t.Errorf("%d bytes allocated per 256 KB ReadAt; want under 16 KB", perRead)
+	}
 }

@@ -113,6 +113,11 @@ func UFSPlayer(k *rtm.Kernel, srv *ufs.Server, info *media.StreamInfo, path stri
 			frames = cfg.MaxFrames
 		}
 		stats.Frames = frames
+		var largest int64
+		for _, ch := range info.Chunks[:frames] {
+			largest = max(largest, ch.Size)
+		}
+		buf := make([]byte, largest) // one frame buffer, reused for every read
 		start := k.Now() + initialDelay
 		begin := start
 		for i := 0; i < frames; i++ {
@@ -121,8 +126,8 @@ func UFSPlayer(k *rtm.Kernel, srv *ufs.Server, info *media.StreamInfo, path stri
 			if k.Now() < due {
 				th.SleepUntil(due)
 			}
-			data, err := c.Read(fd, ch.Offset, int(ch.Size))
-			if err != nil || int64(len(data)) != ch.Size {
+			n, err := c.ReadAt(fd, buf[:ch.Size], ch.Offset)
+			if err != nil || int64(n) != ch.Size {
 				stats.Lost++
 				continue
 			}
@@ -166,14 +171,15 @@ func BackgroundReader(k *rtm.Kernel, srv *ufs.Server, path string, prio int, qua
 			return
 		}
 		const req = 256 << 10
+		buf := make([]byte, req) // cat's one read buffer
 		var off int64
 		for {
-			data, err := c.Read(fd, off, req)
+			n, err := c.ReadAt(fd, buf, off)
 			if err != nil {
 				return
 			}
-			off += int64(len(data))
-			if int64(len(data)) < req {
+			off += int64(n)
+			if n < req {
 				off = 0 // wrap: cat it again
 			}
 		}
