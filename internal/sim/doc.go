@@ -17,11 +17,12 @@
 //     absolute or relative virtual time. Callbacks run on the engine
 //     goroutine, one at a time.
 //
-//   - Processes: Engine.Spawn starts a goroutine with sequential blocking
-//     semantics (Sleep, Block/Unblock, Queue.Get). Exactly one process or
-//     event callback executes at any moment; control transfer is an explicit
-//     handshake, so processes interleave deterministically in (time, seq)
-//     order just like events.
+//   - Processes: Engine.Spawn starts a coroutine (iter.Pull) with sequential
+//     blocking semantics (Sleep, Block/Unblock, Queue.Get). Exactly one
+//     process or event callback executes at any moment; each switch is a
+//     direct coroutine handoff between the engine and the process, so
+//     processes interleave deterministically in (time, seq) order just like
+//     events.
 //
 // Randomness is only available through named RNG streams (Engine.RNG) whose
 // seeds derive from the engine seed and the stream name, keeping stochastic

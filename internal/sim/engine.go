@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math"
 	"time"
@@ -43,30 +42,67 @@ func (t *Timer) Pending() bool {
 // When returns the virtual time at which the event is (or was) scheduled.
 func (t *Timer) When() Time { return t.at }
 
+// eventHeap is the calendar: a binary min-heap of timers ordered by
+// (at, seq). The order is total, so the pop sequence is fully determined.
 type eventHeap []*Timer
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+// before reports whether a fires before b.
+func before(a, b *Timer) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x any)   { *h = append(*h, x.(*Timer)) }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+
+func (h *eventHeap) push(t *Timer) {
+	*h = append(*h, t) //crasvet:allow hotalloc -- calendar backing array stabilizes at the high-water mark of pending events
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !before(t, q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		i = parent
+	}
+	q[i] = t
 }
-func (h eventHeap) Peek() *Timer { return h[0] }
+
+// pop removes and returns the earliest timer; the heap must be non-empty.
+func (h *eventHeap) pop() *Timer {
+	q := *h
+	n := len(q) - 1
+	top, last := q[0], q[n]
+	q[n] = nil
+	q = q[:n]
+	*h = q
+	if n == 0 {
+		return top
+	}
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if r := c + 1; r < n && before(q[r], q[c]) {
+			c = r
+		}
+		if !before(q[c], last) {
+			break
+		}
+		q[i] = q[c]
+		i = c
+	}
+	q[i] = last
+	return top
+}
 
 // Engine is a discrete-event simulation engine. It is not safe for
-// concurrent use from multiple goroutines except through the process
-// primitives, which serialize themselves.
+// concurrent use: events run on the goroutine that calls Step, Run or
+// RunUntil, and a process body runs only while that goroutine has switched
+// into it, so exactly one of them executes at a time.
 type Engine struct {
 	now     Time
 	events  eventHeap
@@ -74,22 +110,16 @@ type Engine struct {
 	seed    int64
 	stopped bool
 
-	// park is the handshake channel between the engine goroutine and the
-	// currently running process goroutine: whichever side is about to give
-	// up control sends on it and the other side receives.
-	park chan struct{}
-
-	// procPanic carries a panic out of a process goroutine so the engine
-	// can re-raise it where the test harness will see it.
-	procPanic any
-	live      int // live (spawned, not yet finished) processes
-	tracer    func(t Time, format string, args ...any)
+	// dispatches counts process resumptions; every schedTurnEvery-th one
+	// gives the Go scheduler a turn (see Proc.run).
+	dispatches uint64
+	tracer     func(t Time, format string, args ...any)
 }
 
 // NewEngine returns an engine positioned at virtual time zero. The seed
 // determines every named RNG stream drawn from the engine.
 func NewEngine(seed int64) *Engine {
-	return &Engine{seed: seed, park: make(chan struct{})}
+	return &Engine{seed: seed}
 }
 
 // Now returns the current virtual time.
@@ -120,7 +150,7 @@ func (e *Engine) At(t Time, fn func()) *Timer {
 	}
 	e.seq++
 	ev := &Timer{at: t, seq: e.seq, fn: fn} //crasvet:allow hotalloc -- one record per scheduled callback is the engine's unit of work; it is also the caller's handle, so it cannot be pooled without breaking Cancel-after-fire
-	heap.Push(&e.events, ev)
+	e.events.push(ev)
 	return ev
 }
 
@@ -139,18 +169,13 @@ func (e *Engine) Stop() { e.stopped = true }
 // reports whether an event fired.
 func (e *Engine) Step() bool {
 	for len(e.events) > 0 {
-		ev := heap.Pop(&e.events).(*Timer)
+		ev := e.events.pop()
 		if ev.cancelled {
 			continue
 		}
 		e.now = ev.at
 		ev.fired = true
 		ev.fn()
-		if e.procPanic != nil {
-			p := e.procPanic
-			e.procPanic = nil
-			panic(p)
-		}
 		return true
 	}
 	return false
@@ -171,11 +196,11 @@ func (e *Engine) RunUntil(t Time) {
 			break
 		}
 		// Skip over cancelled heads without advancing time.
-		if e.events.Peek().cancelled {
-			heap.Pop(&e.events)
+		if e.events[0].cancelled {
+			e.events.pop()
 			continue
 		}
-		if e.events.Peek().at > t {
+		if e.events[0].at > t {
 			break
 		}
 		e.Step()

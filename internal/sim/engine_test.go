@@ -193,6 +193,52 @@ func TestRunUntilSkipsCancelledHead(t *testing.T) {
 	}
 }
 
+// Property: with events scheduling and cancelling others as they fire, the
+// calendar still fires every live timer exactly once, in (time, seq) order.
+func TestPropertyCalendarInterleaved(t *testing.T) {
+	f := func(seed int64) bool {
+		e := NewEngine(seed)
+		rng := e.RNG("calendar")
+		var timers, fired []*Timer
+		var schedule func()
+		schedule = func() {
+			tm := e.After(Time(rng.Intn(4)), nil)
+			tm.fn = func() {
+				fired = append(fired, tm)
+				for k := rng.Intn(3); k > 0 && len(timers) < 400; k-- {
+					schedule()
+				}
+				if rng.Intn(4) == 0 {
+					timers[rng.Intn(len(timers))].Cancel()
+				}
+			}
+			timers = append(timers, tm)
+		}
+		for i := 0; i < 8; i++ {
+			schedule()
+		}
+		e.Run()
+		for k := 1; k < len(fired); k++ {
+			if !before(fired[k-1], fired[k]) {
+				return false
+			}
+		}
+		live := 0
+		for _, tm := range timers {
+			if tm.fired == tm.cancelled {
+				return false // fired after a cancel, or neither
+			}
+			if tm.fired {
+				live++
+			}
+		}
+		return live == len(fired) && e.PendingEvents() == 0
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestDeterministicInterleaving(t *testing.T) {
 	run := func(seed int64) []int {
 		e := NewEngine(seed)
@@ -309,4 +355,19 @@ func TestTracef(t *testing.T) {
 	}
 	e.SetTracer(nil)
 	e.Tracef("ignored") // must not panic
+}
+
+func BenchmarkEventSchedule(b *testing.B) {
+	e := NewEngine(1)
+	n := 0
+	var tick func()
+	tick = func() {
+		if n++; n < b.N {
+			e.After(1, tick)
+		}
+	}
+	e.After(1, tick)
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
 }

@@ -1,19 +1,40 @@
+//go:build go1.23
+
+// The build constraint raises this file's language version to Go 1.23, the
+// first with iter.Pull, while go.mod stays at 1.22 for the modules that
+// replace this one.
+
 package sim
 
-import "fmt"
+import (
+	"fmt"
+	"iter"
+	"runtime"
+)
 
-// Proc is a simulated sequential process: a goroutine whose execution is
+// schedTurnEvery is how many process dispatches pass between turns given to
+// the Go scheduler. A coroutine switch never enters the scheduler, so on a
+// single P the GC's mark worker would otherwise run only at the 10 ms
+// preemption tick, stretching each mark phase (and its write barriers).
+const schedTurnEvery = 8
+
+// Proc is a simulated sequential process: a coroutine whose execution is
 // interleaved deterministically with the engine's events. At most one
 // process (or event callback) runs at a time; a process gives up control
 // only at explicit blocking points (Sleep, Block, Queue.Get, ...).
 type Proc struct {
-	eng    *Engine
-	name   string
-	resume chan struct{}
-	dead   bool
+	eng  *Engine
+	name string
+	dead bool
 
-	// blocked is non-nil while the process is parked in Block, and is the
-	// timer used to wake it (nil timer means waiting for Unblock).
+	// next resumes the process coroutine until its next yield; yieldFn
+	// suspends it again. Both come from the iter.Pull wrapping the body.
+	next    func() (struct{}, bool)
+	yieldFn func(struct{}) bool
+
+	// blockedReason is non-empty while the process is parked in Block;
+	// wakePending is the single wakeup token an Unblock leaves when it
+	// arrives before the matching Block.
 	blockedReason string
 	wakePending   bool
 
@@ -34,44 +55,52 @@ func (p *Proc) Dead() bool { return p.dead }
 
 // Spawn starts a new process whose body begins executing at the current
 // virtual time (after already-scheduled events for this instant).
+//
+// A panic in the body surfaces from the Step (or Run) that resumed the
+// process, naming it. A runtime.Goexit in the body — t.FailNow called inside
+// a process, say — ends the goroutine driving the engine, not just the
+// process.
 func (e *Engine) Spawn(name string, body func(p *Proc)) *Proc {
-	p := &Proc{eng: e, name: name, resume: make(chan struct{})}
+	p := &Proc{eng: e, name: name}
 	p.wakeFn = func() {
 		if !p.dead {
 			p.run()
 		}
 	}
-	e.live++
+	// The coroutine is created at the first dispatch, not here: a process
+	// that never starts holds no goroutine, so nothing keeps what its body
+	// references alive once the engine is dropped.
 	e.At(e.now, func() {
-		go func() {
+		p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
 			defer func() {
-				if r := recover(); r != nil {
-					e.procPanic = fmt.Sprintf("sim: process %q panicked: %v", p.name, r)
-				}
 				p.dead = true
-				e.live--
-				e.park <- struct{}{} // hand control back for good
+				if r := recover(); r != nil {
+					panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
+				}
 			}()
-			<-p.resume // wait for first dispatch
+			p.yieldFn = yield
 			body(p)
-		}()
+		})
 		p.run()
 	})
 	return p
 }
 
-// run transfers control from the engine (or whichever context is executing)
-// to the process goroutine and waits for it to yield.
+// run switches from the engine to the process coroutine and returns when the
+// process yields or its body ends. Only events fired by Step call it, so the
+// coroutine is never resumed concurrently.
 func (p *Proc) run() {
-	p.resume <- struct{}{}
-	<-p.eng.park
+	e := p.eng
+	if e.dispatches++; e.dispatches%schedTurnEvery == 0 {
+		runtime.Gosched()
+	}
+	p.next()
 }
 
-// yield transfers control from the process goroutine back to the engine and
-// waits to be resumed.
+// yield switches from the process coroutine back to the engine and returns
+// when the process is next resumed.
 func (p *Proc) yield() {
-	p.eng.park <- struct{}{}
-	<-p.resume
+	p.yieldFn(struct{}{})
 }
 
 // Sleep suspends the process for d of virtual time.

@@ -1,6 +1,9 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -97,14 +100,66 @@ func TestProcDeadAfterReturn(t *testing.T) {
 }
 
 func TestProcPanicPropagates(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		yield int // Sleeps before the panic
+	}{{"bomb", 0}, {"late-bomb", 5}} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(1)
+			e.Spawn("bystander", func(p *Proc) {
+				for {
+					p.Sleep(ms(1))
+				}
+			})
+			p := e.Spawn(tc.name, func(p *Proc) {
+				for i := 0; i < tc.yield; i++ {
+					p.Sleep(ms(1))
+				}
+				panic("boom")
+			})
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatal("process panic did not propagate to Run")
+				}
+				msg := fmt.Sprint(r)
+				if want := fmt.Sprintf("sim: process %q panicked: boom", tc.name); msg != want {
+					t.Fatalf("panic = %q, want %q", msg, want)
+				}
+				if !p.Dead() {
+					t.Error("panicked process is not marked dead")
+				}
+				if e.Now() != ms(tc.yield) {
+					t.Errorf("panic surfaced at %v, want %v", e.Now(), ms(tc.yield))
+				}
+			}()
+			e.Run()
+		})
+	}
+}
+
+// A runtime.Goexit inside a process body ends the goroutine that drives the
+// engine: Run never returns to its caller.
+func TestProcGoexitEndsEngineGoroutine(t *testing.T) {
 	e := NewEngine(1)
-	e.Spawn("bomb", func(p *Proc) { panic("boom") })
-	defer func() {
-		if recover() == nil {
-			t.Error("process panic did not propagate to Run")
-		}
+	p := e.Spawn("quitter", func(p *Proc) {
+		p.Sleep(ms(1))
+		runtime.Goexit()
+	})
+	returned := false
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		e.Run()
+		returned = true
 	}()
-	e.Run()
+	<-done
+	if returned {
+		t.Fatal("Run returned normally after the process called Goexit")
+	}
+	if !p.Dead() {
+		t.Fatal("process that called Goexit is not marked dead")
+	}
 }
 
 func TestSleepUntil(t *testing.T) {
@@ -263,4 +318,84 @@ func TestManyProcsNoGoroutineDeadlock(t *testing.T) {
 	if total != 200 {
 		t.Fatalf("completed %d procs, want 200", total)
 	}
+}
+
+// A process's coroutine is created when it is first dispatched: spawned
+// processes that never run hold no goroutine, so an engine dropped before
+// they start can be collected with everything they reference.
+func TestSpawnStartsNoGoroutineBeforeDispatch(t *testing.T) {
+	e := NewEngine(1)
+	base := runtime.NumGoroutine()
+	for i := 0; i < 50; i++ {
+		e.Spawn("idle", func(p *Proc) {})
+	}
+	if got := runtime.NumGoroutine() - base; got > 0 {
+		t.Fatalf("%d goroutines started by Spawn before any dispatch", got)
+	}
+	e.Run()
+}
+
+func TestProcHandoffAllocs(t *testing.T) {
+	const runs = 1000
+	e := NewEngine(1)
+	e.Spawn("sleeper", func(p *Proc) {
+		for i := 0; i < runs+10; i++ {
+			p.Sleep(1)
+		}
+	})
+	e.Step() // start the process; it parks in its first Sleep
+	// One Step resumes the process, which schedules its next wakeup (the
+	// Timer) and switches back.
+	if got := testing.AllocsPerRun(runs, func() { e.Step() }); got > 1 {
+		t.Fatalf("allocs per Sleep switch = %v, want <= 1", got)
+	}
+	e.Run()
+}
+
+// Coroutine switches never enter the Go scheduler, so Proc.run hands it a
+// turn every few dispatches; without that, on one P another goroutine (the
+// GC's mark worker, say) would run only at the preemption tick.
+func TestProcYieldsToGoScheduler(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const n = 20000
+	var turns atomic.Int64
+	var stop atomic.Bool
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for !stop.Load() {
+			turns.Add(1)
+			runtime.Gosched()
+		}
+	}()
+	for turns.Load() == 0 {
+		runtime.Gosched()
+	}
+	e := NewEngine(1)
+	e.Spawn("spinner", func(p *Proc) {
+		for i := 0; i < n-1; i++ {
+			p.Sleep(1)
+		}
+	})
+	base := turns.Load()
+	e.Run()
+	got := turns.Load() - base
+	stop.Store(true)
+	<-done
+	if got < n/16 {
+		t.Fatalf("side goroutine got %d turns during %d dispatches, want >= %d", got, n, n/16)
+	}
+}
+
+func BenchmarkProcHandoff(b *testing.B) {
+	e := NewEngine(1)
+	e.Spawn("sleeper", func(p *Proc) {
+		for i := 0; i < b.N; i++ {
+			p.Sleep(1)
+		}
+	})
+	e.Step() // start the process; it parks in its first Sleep
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
 }
