@@ -8,7 +8,6 @@
 package cras_test
 
 import (
-	"runtime"
 	"testing"
 	"time"
 
@@ -162,34 +161,6 @@ func BenchmarkDelaySweep3s(b *testing.B) {
 		frac = res.Points[0].Fraction
 	}
 	b.ReportMetric(frac*100, "%disk")
-}
-
-// BenchmarkEngineCycle measures the scheduler's per-cycle cost: wall time
-// and heap allocations per simulated scheduler interval over a standard
-// ten-stream run. This is the burn-down meter for the hotalloc findings in
-// crasvet.baseline.json — fixes there should move allocs/cycle down.
-// scripts/regen-bench.sh records the result in BENCH_engine.json (not
-// diffed by CI: wall times are machine-dependent).
-func BenchmarkEngineCycle(b *testing.B) {
-	var nsPerCycle, allocsPerCycle float64
-	for i := 0; i < b.N; i++ {
-		var before, after runtime.MemStats
-		runtime.GC()
-		runtime.ReadMemStats(&before)
-		start := time.Now()
-		r := expt.RunPlayback(expt.PlaybackConfig{
-			Seed: int64(i + 1), Streams: 10, Profile: media.MPEG1(),
-			Duration: benchSeconds, UseCRAS: true, Load: true, Force: true,
-		})
-		elapsed := time.Since(start)
-		runtime.ReadMemStats(&after)
-		if cycles := r.CRASStats.Cycles; cycles > 0 {
-			nsPerCycle = float64(elapsed.Nanoseconds()) / float64(cycles)
-			allocsPerCycle = float64(after.Mallocs-before.Mallocs) / float64(cycles)
-		}
-	}
-	b.ReportMetric(nsPerCycle, "ns/cycle")
-	b.ReportMetric(allocsPerCycle, "allocs/cycle")
 }
 
 // ---- ablations of DESIGN.md's called-out choices ----

@@ -79,7 +79,7 @@ func runMcastGoldenScenario(t *testing.T, window time.Duration, budget int64) mc
 	movie := media.MPEG1().Generate("/hot", 12*time.Second)
 	var res mcastGoldenResult
 	newBed(t, 23, ufs.Options{},
-		Config{BatchWindow: window, PrefixBudget: budget, PrefixMinOpens: 2},
+		Config{BatchWindow: window, PrefixBudget: budget},
 		map[string]*media.StreamInfo{"/hot": movie},
 		func(b *bed, th *rtm.Thread) {
 			mcastGoldenWorkload(t, b, th, movie, &res)

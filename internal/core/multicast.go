@@ -21,8 +21,8 @@ import (
 //
 // On top of the batch rides the pinned prefix: a popularity tracker
 // (windowed open counts with exponential decay) qualifies the hottest
-// titles, and the first PrefixDuration of a qualified title is pinned
-// permanently in cache as it streams by. The prefix extends the batching
+// titles (prefixMinOpens), and the first two initial delays of a qualified
+// title are pinned permanently in cache as it streams by. The prefix extends the batching
 // window — a latecomer whose missing head is covered by the pins (plus the
 // feed's still-resident chunks) is backfilled from RAM at open time, plays
 // the prefix immediately, and rides the in-flight group's fan-out from
@@ -38,6 +38,11 @@ import (
 // popHalfLife is the popularity tracker's decay half-life: an open counts
 // half as much toward prefix qualification after this long.
 const popHalfLife = 2 * time.Minute
+
+// prefixMinOpens is the decayed open count that qualifies a title for a
+// pinned prefix: the second open of a title inside the popularity window
+// pins it.
+const prefixMinOpens = 2
 
 // popEntry is one path's decayed open count. Decay is applied per entry
 // from its own last-open time, so the bookkeeping involves no map
@@ -120,8 +125,8 @@ func (s *Server) prefixQualify(path string) *prefixPin {
 }
 
 // prefixAdvance pins the title's head chunks as they stream through one
-// producer's buffer: contiguous from chunk 0 up to PrefixDuration of media
-// time, charged against the prefix budget, never evicted once pinned. The
+// producer's buffer: contiguous from chunk 0 up to two initial delays of
+// media time, charged against the prefix budget, never evicted once pinned. The
 // contiguity rule is the re-validation that keeps every pinned byte a byte
 // that was actually delivered: a producer whose stamp pointer passed the
 // pin point without the chunk resident (discarded already, or its read
@@ -136,7 +141,7 @@ func (s *Server) prefixAdvance(st *stream, now sim.Time) {
 	for len(pp.pins) < len(chunks) {
 		idx := len(pp.pins)
 		c := chunks[idx]
-		if c.Timestamp >= s.cfg.PrefixDuration {
+		if c.Timestamp >= 2*s.cfg.InitialDelay {
 			st.ppin = nil // prefix complete; stop probing
 			return
 		}
@@ -152,7 +157,7 @@ func (s *Server) prefixAdvance(st *stream, now sim.Time) {
 			s.stats.PrefixRefused++
 			return
 		}
-		pp.pins = append(pp.pins, bc) //crasvet:allow hotalloc -- grows once per pinned chunk, bounded by PrefixDuration for the title's lifetime
+		pp.pins = append(pp.pins, bc) //crasvet:allow hotalloc -- grows once per pinned chunk, bounded by two initial delays of media for the title's lifetime
 		pp.bytes += c.Size
 		s.mcast.pinned += c.Size
 		if s.mcast.pinned > s.stats.PrefixPinnedPeak {

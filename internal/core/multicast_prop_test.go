@@ -149,9 +149,8 @@ func runMcastSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 	const frames = 75
 	movie := media.MPEG1().Generate("/hot", 12*time.Second)
 	cfg := Config{
-		BatchWindow:    time.Duration(500+rng.Intn(1500)) * time.Millisecond,
-		PrefixBudget:   int64(2+rng.Intn(7)) << 20,
-		PrefixMinOpens: 2,
+		BatchWindow:  time.Duration(500+rng.Intn(1500)) * time.Millisecond,
+		PrefixBudget: int64(2+rng.Intn(7)) << 20,
 	}
 	if os.Getenv("MCAST_PROP_NOBATCH") != "" {
 		cfg.BatchWindow = 0 // control: same ops, multicast off

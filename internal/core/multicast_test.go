@@ -15,9 +15,8 @@ import (
 // enough that accounting refusals only happen when a test asks for them.
 func mcastConfig() Config {
 	return Config{
-		BatchWindow:    2 * time.Second,
-		PrefixBudget:   16 << 20,
-		PrefixMinOpens: 99, // popularity off unless the test lowers it
+		BatchWindow:  2 * time.Second,
+		PrefixBudget: 16 << 20,
 	}
 }
 
@@ -292,7 +291,6 @@ func TestPrefixQualifyAndJoin(t *testing.T) {
 	movie := media.MPEG1().Generate("/hot", 12*time.Second)
 	cfg := mcastConfig()
 	cfg.BatchWindow = 1 * time.Second
-	cfg.PrefixMinOpens = 2
 	newBed(t, 17, ufs.Options{}, cfg,
 		map[string]*media.StreamInfo{"/hot": movie},
 		func(b *bed, th *rtm.Thread) {
@@ -356,7 +354,6 @@ func TestPrefixTruncation(t *testing.T) {
 	movie := media.MPEG1().Generate("/hot", 12*time.Second)
 	cfg := mcastConfig()
 	cfg.BatchWindow = 200 * time.Millisecond
-	cfg.PrefixMinOpens = 2
 	newBed(t, 18, ufs.Options{}, cfg,
 		map[string]*media.StreamInfo{"/hot": movie},
 		func(b *bed, th *rtm.Thread) {

@@ -37,15 +37,13 @@ type Config struct {
 	// resource class: playback opens for the same path arriving within
 	// BatchWindow of an earlier one coalesce into one multicast group fed
 	// by a single set of disk ops, and a popularity tracker pins the first
-	// PrefixDuration of titles reaching PrefixMinOpens decayed opens
-	// permanently in RAM, so latecomers start instantly from the prefix and
+	// two initial delays of titles reaching two decayed opens permanently
+	// in RAM, so latecomers start instantly from the prefix and
 	// ride the in-flight group. Member fan-out buffers and prefix pins are
 	// charged against PrefixBudget. BatchWindow 0 or PrefixBudget 0 (the
 	// defaults) disable multicasting entirely.
-	BatchWindow    sim.Time
-	PrefixBudget   int64
-	PrefixDuration sim.Time // default 2*InitialDelay
-	PrefixMinOpens int      // default 2
+	BatchWindow  sim.Time
+	PrefixBudget int64
 
 	// Thread placement. Quantum 0 = fixed-priority (the paper's normal
 	// configuration); a positive quantum with flattened priorities is the
@@ -133,12 +131,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.LeaseTTL == 0 {
 		c.LeaseTTL = 8 * c.Interval
-	}
-	if c.PrefixDuration == 0 {
-		c.PrefixDuration = 2 * c.InitialDelay
-	}
-	if c.PrefixMinOpens == 0 {
-		c.PrefixMinOpens = 2
 	}
 	if c.MaxRequestsPerCycle == 0 {
 		c.MaxRequestsPerCycle = 32
@@ -1222,7 +1214,7 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 		// The half-open tolerance absorbs the decay an instant of age already
 		// applies: the Nth open inside the popularity window counts N-epsilon
 		// decayed opens, and it is the Nth open that should qualify.
-		if s.popNote(r.path, now)+0.5 >= float64(s.cfg.PrefixMinOpens) {
+		if s.popNote(r.path, now)+0.5 >= prefixMinOpens {
 			s.prefixQualify(r.path)
 		}
 		feed = s.mcastCandidate(r, now)

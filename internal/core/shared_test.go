@@ -149,10 +149,13 @@ func TestSharedDualRoleProducer(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			movie := media.MPEG1().Generate("/hot", 12*time.Second)
 			cfg := Config{
-				CacheBudget:    16 << 20,
-				BatchWindow:    time.Second,
-				PrefixBudget:   16 << 20,
-				PrefixMinOpens: 99, // no pinned prefix: past the window, only the cache shares
+				CacheBudget: 16 << 20,
+				BatchWindow: time.Second,
+				// Exactly the two members' fan-out reservations (387,500 B
+				// each): the title qualifies for a prefix at its second
+				// open but no pin fits, so past the window only the cache
+				// shares.
+				PrefixBudget: 775000,
 			}
 			newBed(t, 23, ufs.Options{}, cfg,
 				map[string]*media.StreamInfo{"/hot": movie},
@@ -193,6 +196,9 @@ func TestSharedDualRoleProducer(t *testing.T) {
 						if !h.MulticastMember() {
 							t.Fatalf("stream %d did not join the fan-out group", h.st.id)
 						}
+					}
+					if b.cras.mcast.pinned != 0 {
+						t.Fatalf("%d prefix bytes pinned inside a budget the members fill", b.cras.mcast.pinned)
 					}
 					for _, h := range []*Handle{f1, f2} {
 						if !h.CacheBacked() {

@@ -412,9 +412,8 @@ func TestVCRPauseDetachesDependents(t *testing.T) {
 	t.Run("multicast-feed", func(t *testing.T) {
 		movie := media.MPEG1().Generate("/hot", 12*time.Second)
 		newBed(t, 7, ufs.Options{}, Config{
-			BatchWindow:    2 * time.Second,
-			PrefixBudget:   16 << 20,
-			PrefixMinOpens: 99, // popularity off: plain batch groups only
+			BatchWindow:  2 * time.Second,
+			PrefixBudget: 16 << 20,
 		},
 			map[string]*media.StreamInfo{"/hot": movie},
 			func(b *bed, th *rtm.Thread) {

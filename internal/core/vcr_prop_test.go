@@ -197,7 +197,6 @@ func runVCRSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 	if rng.Intn(2) == 0 {
 		cfg.BatchWindow = time.Duration(500+rng.Intn(1000)) * time.Millisecond
 		cfg.PrefixBudget = 2 << 20
-		cfg.PrefixMinOpens = 2
 	}
 	newBed(t, seed^int64(seq*2654435761), ufs.Options{}, cfg,
 		map[string]*media.StreamInfo{"/hot": hot, "/cold": cold},

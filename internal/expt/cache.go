@@ -96,76 +96,34 @@ func RunCacheSweep(cfg CacheSweepConfig) *CacheSweepResult {
 
 func runCachePoint(cfg CacheSweepConfig, alpha float64, budget int64) CachePoint {
 	prof := media.MPEG1()
-	movieDur := cfg.Duration + cfg.ArrivalSpread + 2*time.Second
-	var movies []lab.Movie
-	var infos []*media.StreamInfo
-	var paths []string
-	for i := 0; i < cfg.Movies; i++ {
-		path := fmt.Sprintf("/z%02d", i)
-		info := prof.Generate(path, movieDur)
-		movies = append(movies, lab.Movie{Path: path, Info: info})
-		infos = append(infos, info)
-		paths = append(paths, path)
-	}
-
-	frames := int(cfg.Duration / (sim.Time(time.Second) / sim.Time(prof.FrameRate)))
-	var outs []*workload.ViewerOutcome
-	var busy0 sim.Time
-	var start sim.Time
-	m := lab.Build(lab.Setup{
+	cat := newCatalog(prof, "/z%02d", cfg.Movies, cfg.Duration+cfg.ArrivalSpread+2*time.Second)
+	m, outs, util := runAudience(lab.Setup{
 		Seed: cfg.Seed,
 		CRAS: core.Config{
 			BufferBudget: cfg.TotalRAM - budget,
 			CacheBudget:  budget,
 		},
-		Movies: movies,
-	}, func(m *lab.Machine) {
-		start = m.Eng.Now()
-		busy0 = m.Disk.Stats().BusyTime // setup I/O is not the sweep's traffic
-		outs = workload.LaunchZipfViewers(m.Kernel, m.CRAS, infos, paths,
-			m.Eng.RNG("cache-sweep"), workload.ZipfViewerConfig{
-				Clients: cfg.Clients, Alpha: alpha, ArrivalSpread: cfg.ArrivalSpread,
-				Player: workload.PlayerConfig{MaxFrames: frames},
+		Movies: cat.movies,
+	}, 2*cfg.Duration+cfg.ArrivalSpread+30*time.Second, func(m *lab.Machine) []*workload.ViewerOutcome {
+		// A one-wave batched audience: Zipf picks, arrivals uniform over the spread.
+		return workload.LaunchBatchedViewers(m.Kernel, m.CRAS, cat.infos, cat.paths,
+			m.Eng.RNG("cache-sweep"), workload.BatchedViewerConfig{
+				Clients: cfg.Clients, Alpha: alpha, WaveSpread: cfg.ArrivalSpread,
+				Player: workload.PlayerConfig{MaxFrames: framesIn(prof, cfg.Duration)},
 			})
-	})
-	horizon := 2*cfg.Duration + cfg.ArrivalSpread + 30*time.Second
-	for ran := sim.Time(0); ran < horizon; ran += time.Second {
-		m.Run(time.Second)
-		done := true
-		for _, o := range outs {
-			if !o.Stats.Done {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
-	}
-	if err := m.Err(); err != nil {
-		panic(err)
-	}
+	}, viewerDone)
 
-	pt := CachePoint{Alpha: alpha, Budget: budget}
+	var t tally
 	for _, o := range outs {
-		if !o.Admitted {
-			pt.Rejected++
-			continue
-		}
-		pt.Admitted++
-		if o.CacheBacked {
-			pt.CacheBacked++
-		}
-		pt.Lost += o.Stats.Lost
+		t.add(o)
 	}
 	st := m.CRAS.Stats()
-	pt.CacheHits = st.CacheHits
-	pt.Fallbacks = st.CacheFallbacks
-	pt.BytesRead = st.BytesRead
-	if elapsed := m.Eng.Now() - start; elapsed > 0 {
-		pt.DiskUtil = float64(m.Disk.Stats().BusyTime-busy0) / float64(elapsed)
+	return CachePoint{
+		Alpha: alpha, Budget: budget,
+		Admitted: t.admitted, CacheBacked: t.cacheBacked, Rejected: t.rejected, Lost: t.lost,
+		CacheHits: st.CacheHits, Fallbacks: st.CacheFallbacks, BytesRead: st.BytesRead,
+		DiskUtil: util,
 	}
-	return pt
 }
 
 // Table renders the sweep.

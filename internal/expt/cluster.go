@@ -94,15 +94,7 @@ func RunClusterSweep(cfg ClusterSweepConfig) *ClusterSweepResult {
 
 func runClusterPoint(cfg ClusterSweepConfig, nodes int) ClusterPoint {
 	prof := media.MPEG1()
-	movieDur := cfg.Duration + cfg.Spread + 4*time.Second
-	var movies []lab.Movie
-	var paths []string
-	for i := 0; i < cfg.Movies; i++ {
-		path := fmt.Sprintf("/m%02d", i)
-		movies = append(movies, lab.Movie{Path: path, Info: prof.Generate(path, movieDur)})
-		paths = append(paths, path)
-	}
-	frames := int(cfg.Duration / (sim.Time(time.Second) / sim.Time(prof.FrameRate)))
+	cat := newCatalog(prof, "/m%02d", cfg.Movies, cfg.Duration+cfg.Spread+4*time.Second)
 
 	// Each node spends the same RAM the same way: half on stream buffers,
 	// a quarter each on the interval cache and the fan-out/prefix pool, so
@@ -121,50 +113,32 @@ func runClusterPoint(cfg ClusterSweepConfig, nodes int) ClusterPoint {
 				PrefixBudget: ram / 4,
 			},
 		},
-		Movies: movies,
+		Movies: cat.movies,
 	}
 
 	var outs []*workload.ClusterViewerOutcome
-	var c *cluster.Cluster
-	c = cluster.New(ccfg, func(c *cluster.Cluster) {
-		outs = workload.LaunchClusterViewers(c, paths,
+	c := cluster.New(ccfg, func(c *cluster.Cluster) {
+		outs = workload.LaunchClusterViewers(c, cat.paths,
 			c.Engine().RNG("cluster-sweep"), workload.ClusterViewerConfig{
 				Clients: cfg.Clients, Alpha: cfg.Alpha,
-				ArrivalSpread: cfg.Spread, MaxFrames: frames,
+				ArrivalSpread: cfg.Spread, MaxFrames: framesIn(prof, cfg.Duration),
 			})
 	})
-	horizon := cfg.Duration + cfg.Spread + 30*time.Second
-	for ran := sim.Time(0); ran < horizon; ran += time.Second {
-		c.Run(time.Second)
-		done := true
-		for _, o := range outs {
-			if !o.Done {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
-	}
+	runUntilDone(c, cfg.Duration+cfg.Spread+30*time.Second, &outs,
+		func(o *workload.ClusterViewerOutcome) bool { return o.Done })
 
-	pt := ClusterPoint{Nodes: nodes}
+	var t tally
+	shared := 0
 	for _, o := range outs {
-		if !o.Admitted {
-			pt.Rejected++
-			continue
+		if t.count(o.Admitted, o.Lost) && o.Shared {
+			shared++
 		}
-		pt.Admitted++
-		if o.Shared {
-			pt.Shared++
-		}
-		pt.Lost += o.Lost
 	}
 	st := c.Stats()
-	pt.PlacementOpens = st.PlacementOpens
-	pt.RingOpens = st.RingOpens
-	pt.SpillOpens = st.SpillOpens
-	return pt
+	return ClusterPoint{
+		Nodes: nodes, Admitted: t.admitted, Rejected: t.rejected, Shared: shared, Lost: t.lost,
+		PlacementOpens: st.PlacementOpens, RingOpens: st.RingOpens, SpillOpens: st.SpillOpens,
+	}
 }
 
 // Table renders the sweep.

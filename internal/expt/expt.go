@@ -126,16 +126,9 @@ func RunPlayback(cfg PlaybackConfig) *PlaybackResult {
 		cfg.InitialDelay = 2 * cfg.Interval
 	}
 
-	movieDur := cfg.Duration + cfg.InitialDelay + time.Second
-	var movies []lab.Movie
-	infos := make([]*media.StreamInfo, cfg.Streams)
-	for i := 0; i < cfg.Streams; i++ {
-		path := fmt.Sprintf("/m%02d", i)
-		infos[i] = cfg.Profile.Generate(path, movieDur)
-		movies = append(movies, lab.Movie{Path: path, Info: infos[i]})
-	}
+	cat := newCatalog(cfg.Profile, "/m%02d", cfg.Streams, cfg.Duration+cfg.InitialDelay+time.Second)
 	bulk := media.CBRProfile{FrameRate: 30, Rate: 1e6}.Generate("/bulk", 20*time.Second)
-	movies = append(movies, lab.Movie{Path: "/bulk", Info: bulk})
+	movies := append(cat.movies, lab.Movie{Path: "/bulk", Info: bulk})
 
 	crasCfg := core.Config{
 		Interval:     cfg.Interval,
@@ -153,9 +146,9 @@ func RunPlayback(cfg PlaybackConfig) *PlaybackResult {
 		Movies: movies,
 	}
 	playerCfg := workload.PlayerConfig{Priority: rtm.PrioRTLow}
-	catPrio, hogPrio := rtm.PrioTS, rtm.PrioTS
+	var q sim.Time // timesharing quantum; 0 = fixed priority
 	if cfg.Policy == RoundRobin {
-		q := sim.Time(rrQuantum)
+		q = rrQuantum
 		setup.UnixQuantum = q
 		setup.UnixPrio = rtm.PrioTS
 		setup.CRAS.Quantum = q
@@ -172,7 +165,6 @@ func RunPlayback(cfg PlaybackConfig) *PlaybackResult {
 		res.Players[i] = &workload.PlayerStats{}
 	}
 
-	frames := int(cfg.Duration / (sim.Time(time.Second) / sim.Time(cfg.Profile.FrameRate)))
 	var model *disk.FaultModel
 	m := lab.Build(setup, func(m *lab.Machine) {
 		if cfg.FIFODisk {
@@ -183,57 +175,32 @@ func RunPlayback(cfg PlaybackConfig) *PlaybackResult {
 			m.Disk.SetFaultModel(model)
 		}
 		if cfg.Load {
-			q := sim.Time(0)
-			if cfg.Policy == RoundRobin {
-				q = rrQuantum
-			}
-			workload.BackgroundReader(m.Kernel, m.Unix, "/bulk", catPrio, q)
-			workload.BackgroundReader(m.Kernel, m.Unix, "/bulk", catPrio, q)
+			workload.BackgroundReader(m.Kernel, m.Unix, "/bulk", rtm.PrioTS, q)
+			workload.BackgroundReader(m.Kernel, m.Unix, "/bulk", rtm.PrioTS, q)
 		}
 		if cfg.Scanner {
 			workload.RawScanner(m.Kernel, m.Disk, "backup", 64<<10, 8)
 		}
 		for i := 0; i < cfg.Hogs; i++ {
-			q := sim.Time(0)
-			if cfg.Policy == RoundRobin {
-				q = rrQuantum
-			}
-			workload.CPUHog(m.Kernel, fmt.Sprintf("hog%d", i), hogPrio, q, 0)
+			workload.CPUHog(m.Kernel, fmt.Sprintf("hog%d", i), rtm.PrioTS, q, 0)
 		}
 		pc := playerCfg
-		pc.MaxFrames = frames
+		pc.MaxFrames = framesIn(cfg.Profile, cfg.Duration)
 		pc.FrameCPU = cfg.PlayerFrameCPU
-		for i := 0; i < cfg.Streams; i++ {
-			path := fmt.Sprintf("/m%02d", i)
+		for i, path := range cat.paths {
 			if cfg.UseCRAS {
-				workload.CRASPlayer(m.Kernel, m.CRAS, infos[i], path,
+				workload.CRASPlayer(m.Kernel, m.CRAS, cat.infos[i], path,
 					core.OpenOptions{Force: cfg.Force}, pc, res.Players[i])
 			} else {
-				workload.UFSPlayer(m.Kernel, m.Unix, infos[i], path,
+				workload.UFSPlayer(m.Kernel, m.Unix, cat.infos[i], path,
 					cfg.InitialDelay, pc, res.Players[i])
 			}
 		}
 	})
 	// Run until every player finishes or a generous horizon passes (UFS
 	// under heavy load can take far longer than the nominal duration).
-	horizon := 4*cfg.Duration + 30*time.Second
-	step := time.Second
-	for ran := sim.Time(0); ran < horizon; ran += step {
-		m.Run(step)
-		done := true
-		for _, p := range res.Players {
-			if !p.Done {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
-	}
-	if err := m.Err(); err != nil {
-		panic(err)
-	}
+	runUntilDone(m, 4*cfg.Duration+30*time.Second, &res.Players,
+		func(p *workload.PlayerStats) bool { return p.Done })
 	if cfg.UseCRAS {
 		res.CRASStats = m.CRAS.Stats()
 	}

@@ -11,7 +11,6 @@ import (
 	"repro/internal/rtm"
 	"repro/internal/sim"
 	"repro/internal/ufs"
-	"repro/internal/workload"
 )
 
 // DelaySweepPoint is one initial-delay setting's outcome at a fixed,
@@ -92,7 +91,6 @@ func RunVBR(seed int64, duration sim.Time) *VBRResult {
 	info := media.VBRProfile{FrameRate: 30, MeanRate: 187500, Jitter: 0.3}.
 		Generate("/vbr", duration+3*time.Second, eng.RNG("vbr"))
 
-	var stats workload.PlayerStats
 	var capacity, peak int64
 	m := lab.Build(lab.Setup{
 		Seed:   seed,
@@ -115,11 +113,8 @@ func RunVBR(seed int64, duration sim.Time) *VBRResult {
 			}
 			peak = h.BufferStats().PeakBytes
 		})
-		frames := int(duration / (sim.Time(time.Second) / 30))
-		_ = frames
 	})
 	m.Run(duration + 8*time.Second)
-	_ = stats
 	res := &VBRResult{
 		AvgRate:   info.AvgRate(),
 		WorstRate: info.WorstCaseRate(500 * time.Millisecond),

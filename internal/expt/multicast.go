@@ -118,23 +118,8 @@ func RunMulticastSweep(cfg MulticastSweepConfig) *MulticastSweepResult {
 func runMulticastPoint(cfg MulticastSweepConfig, mode string, buffer, cache, prefix int64) MulticastPoint {
 	prof := media.MPEG1()
 	span := sim.Time(cfg.Waves-1)*cfg.WaveGap + cfg.WaveSpread
-	movieDur := cfg.Duration + span + 2*time.Second
-	var movies []lab.Movie
-	var infos []*media.StreamInfo
-	var paths []string
-	for i := 0; i < cfg.Movies; i++ {
-		path := fmt.Sprintf("/m%02d", i)
-		info := prof.Generate(path, movieDur)
-		movies = append(movies, lab.Movie{Path: path, Info: info})
-		infos = append(infos, info)
-		paths = append(paths, path)
-	}
-
-	frames := int(cfg.Duration / (sim.Time(time.Second) / sim.Time(prof.FrameRate)))
-	var outs []*workload.ViewerOutcome
-	var busy0 sim.Time
-	var start sim.Time
-	m := lab.Build(lab.Setup{
+	cat := newCatalog(prof, "/m%02d", cfg.Movies, cfg.Duration+span+2*time.Second)
+	m, outs, util := runAudience(lab.Setup{
 		Seed: cfg.Seed,
 		CRAS: core.Config{
 			BufferBudget: buffer,
@@ -142,62 +127,28 @@ func runMulticastPoint(cfg MulticastSweepConfig, mode string, buffer, cache, pre
 			PrefixBudget: prefix,
 			BatchWindow:  2 * time.Second,
 		},
-		Movies: movies,
-	}, func(m *lab.Machine) {
-		start = m.Eng.Now()
-		busy0 = m.Disk.Stats().BusyTime // setup I/O is not the sweep's traffic
-		outs = workload.LaunchBatchedViewers(m.Kernel, m.CRAS, infos, paths,
+		Movies: cat.movies,
+	}, 2*cfg.Duration+span+30*time.Second, func(m *lab.Machine) []*workload.ViewerOutcome {
+		return workload.LaunchBatchedViewers(m.Kernel, m.CRAS, cat.infos, cat.paths,
 			m.Eng.RNG("multicast-sweep"), workload.BatchedViewerConfig{
 				Clients: cfg.Clients, Alpha: cfg.Alpha,
 				Waves: cfg.Waves, WaveGap: cfg.WaveGap, WaveSpread: cfg.WaveSpread,
-				Player: workload.PlayerConfig{MaxFrames: frames},
+				Player: workload.PlayerConfig{MaxFrames: framesIn(prof, cfg.Duration)},
 			})
-	})
-	horizon := 2*cfg.Duration + span + 30*time.Second
-	for ran := sim.Time(0); ran < horizon; ran += time.Second {
-		m.Run(time.Second)
-		done := true
-		for _, o := range outs {
-			if !o.Stats.Done {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
-	}
-	if err := m.Err(); err != nil {
-		panic(err)
-	}
+	}, viewerDone)
 
-	pt := MulticastPoint{Mode: mode, BufferMB: buffer >> 20, CacheMB: cache >> 20, PrefixMB: prefix >> 20}
+	var t tally
 	for _, o := range outs {
-		if !o.Admitted {
-			pt.Rejected++
-			continue
-		}
-		pt.Admitted++
-		if o.CacheBacked {
-			pt.CacheBacked++
-		}
-		if o.Multicast {
-			pt.Members++
-		}
-		if o.PrefixStart {
-			pt.PrefixStarts++
-		}
-		pt.Lost += o.Stats.Lost
+		t.add(o)
 	}
 	st := m.CRAS.Stats()
-	pt.Groups = st.MulticastGroups
-	pt.FanoutChunks = st.MulticastFanout
-	pt.Fallbacks = st.MulticastFallbacks
-	pt.BytesReadMB = st.BytesRead >> 20
-	if elapsed := m.Eng.Now() - start; elapsed > 0 {
-		pt.DiskUtil = float64(m.Disk.Stats().BusyTime-busy0) / float64(elapsed)
+	return MulticastPoint{
+		Mode: mode, BufferMB: buffer >> 20, CacheMB: cache >> 20, PrefixMB: prefix >> 20,
+		Admitted: t.admitted, Rejected: t.rejected, CacheBacked: t.cacheBacked,
+		Members: t.members, PrefixStarts: t.prefixStarts,
+		Groups: st.MulticastGroups, FanoutChunks: st.MulticastFanout, Fallbacks: st.MulticastFallbacks,
+		BytesReadMB: st.BytesRead >> 20, DiskUtil: util, Lost: t.lost,
 	}
-	return pt
 }
 
 // Table renders the sweep.

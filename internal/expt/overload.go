@@ -80,14 +80,7 @@ func RunOverloadSweep(cfg OverloadSweepConfig) *OverloadSweepResult {
 }
 
 func runOverloadPoint(cfg OverloadSweepConfig, rate float64) OverloadPoint {
-	movieDur := cfg.Duration + 2*time.Second
-	var movies []lab.Movie
-	infos := make([]*media.StreamInfo, cfg.Viewers)
-	for i := range infos {
-		path := fmt.Sprintf("/m%02d", i)
-		infos[i] = media.MPEG1().Generate(path, movieDur)
-		movies = append(movies, lab.Movie{Path: path, Info: infos[i]})
-	}
+	cat := newCatalog(media.MPEG1(), "/m%02d", cfg.Viewers, cfg.Duration+2*time.Second)
 
 	count := int(rate * floodWindow.Seconds())
 	burst := sim.Time(float64(time.Second) / rate)
@@ -99,7 +92,7 @@ func runOverloadPoint(cfg OverloadSweepConfig, rate float64) OverloadPoint {
 	var server *core.Server
 	m := lab.Build(lab.Setup{
 		Seed:   cfg.Seed,
-		Movies: movies,
+		Movies: cat.movies,
 		CRAS: core.Config{
 			BufferBudget:        64 << 20,
 			MaxRequestsPerCycle: 8,
@@ -108,12 +101,12 @@ func runOverloadPoint(cfg OverloadSweepConfig, rate float64) OverloadPoint {
 	}, func(m *lab.Machine) {
 		server = m.CRAS
 		for i := 0; i < cfg.Viewers; i++ {
-			workload.CRASPlayer(m.Kernel, m.CRAS, infos[i], fmt.Sprintf("/m%02d", i),
+			workload.CRASPlayer(m.Kernel, m.CRAS, cat.infos[i], cat.paths[i],
 				core.OpenOptions{}, workload.PlayerConfig{Priority: rtm.PrioRTLow}, players[i])
 		}
 		m.App("flood-ctl", rtm.PrioTS, 0, func(th *rtm.Thread) {
 			th.Sleep(time.Second) // let the viewers' opens through first
-			workload.OpenFlooder(m.Kernel, m.CRAS, infos[0], "/m00", count, burst, &flood)
+			workload.OpenFlooder(m.Kernel, m.CRAS, cat.infos[0], cat.paths[0], count, burst, &flood)
 		})
 	})
 	m.Run(cfg.Duration + 8*time.Second)

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/lab"
 	"repro/internal/media"
 	"repro/internal/metrics"
-	"repro/internal/rtm"
 	"repro/internal/sim"
 )
 
@@ -73,68 +71,16 @@ func RunParitySweep(cfg ParitySweepConfig) *ParitySweepResult {
 		{"degraded", cfg.Disks, true, true},
 	}
 	for _, mo := range modes {
-		pt := ParityPoint{Mode: mo.mode, Disks: mo.disks}
-		m := lab.Build(lab.Setup{
-			Seed:          cfg.Seed,
-			Disks:         mo.disks,
-			StripeSectors: cfg.StripeSectors,
-			Parity:        mo.parity,
-			Movies:        []lab.Movie{{Path: "/movie", Info: info}},
-			CRAS: core.Config{
-				BufferBudget:        512 << 20,
-				MaxRequestsPerCycle: -1,
-			},
-		}, func(m *lab.Machine) {
-			m.App("sweep", rtm.PrioRTLow, 0, func(th *rtm.Thread) {
-				if mo.kill {
-					// Kill before any stream opens: the sweep measures the
-					// capacity admission grants a volume already degraded.
-					m.CRAS.FailMember(1)
-					th.Sleep(2 * time.Second)
-				}
-				var handles []*core.Handle
-				for len(handles) < 200 {
-					h, err := m.CRAS.Open(th, info, "/movie", core.OpenOptions{})
-					if err != nil {
-						break
-					}
-					handles = append(handles, h)
-				}
-				pt.Admitted = len(handles)
-				for _, h := range handles {
-					h.Start(th)
-				}
-				busy0 := make([]sim.Time, m.Vol.NumDisks())
-				for d := range busy0 {
-					busy0[d] = m.Vol.Disk(d).Stats().BusyTime
-				}
-				start := m.Kernel.Now()
-				for m.Kernel.Now() < start+cfg.Duration {
-					th.Sleep(time.Second)
-					for _, h := range handles {
-						h.Renew(th)
-					}
-				}
-				window := m.Kernel.Now() - start
-				pt.Util = make([]float64, m.Vol.NumDisks())
-				for d := range pt.Util {
-					busy := m.Vol.Disk(d).Stats().BusyTime - busy0[d]
-					pt.Util[d] = busy.Seconds() / window.Seconds()
-				}
-				st := m.CRAS.Stats()
-				pt.IOMisses = st.IODeadlineMiss
-				pt.DegradedReads = st.DegradedReads
-				pt.Reconstructions = st.ParityReconstructions
-				for _, h := range handles {
-					h.Close(th)
-				}
-			})
+		pr := capacityProbe(lab.Setup{
+			Seed: cfg.Seed, Disks: mo.disks, StripeSectors: cfg.StripeSectors, Parity: mo.parity,
+		}, info, cfg.Duration, mo.kill)
+		res.StripeSectors = pr.stripe
+		res.Points = append(res.Points, ParityPoint{
+			Mode: mo.mode, Disks: mo.disks, Admitted: pr.admitted, Util: pr.util,
+			IOMisses:        pr.stats.IODeadlineMiss,
+			DegradedReads:   pr.stats.DegradedReads,
+			Reconstructions: pr.stats.ParityReconstructions,
 		})
-		m.Run(cfg.Duration + 22*time.Second)
-		if res.StripeSectors == 0 {
-			res.StripeSectors = m.Vol.StripeSectors()
-		}
-		res.Points = append(res.Points, pt)
 	}
 	return res
 }
@@ -149,18 +95,7 @@ func (r *ParitySweepResult) Table() *metrics.Table {
 		"mode", "disks", "admitted", "member util min", "member util max",
 		"I/O misses", "degraded reads", "XOR rows")
 	for _, p := range r.Points {
-		lo, hi := 1.0, 0.0
-		for _, u := range p.Util {
-			if u < lo {
-				lo = u
-			}
-			if u > hi {
-				hi = u
-			}
-		}
-		if len(p.Util) == 0 {
-			lo = 0
-		}
+		lo, hi := utilRange(p.Util)
 		t.AddRow(p.Mode, p.Disks, p.Admitted,
 			fmt.Sprintf("%.0f%%", 100*lo), fmt.Sprintf("%.0f%%", 100*hi),
 			p.IOMisses, p.DegradedReads, p.Reconstructions)

@@ -4,11 +4,9 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/lab"
 	"repro/internal/media"
 	"repro/internal/metrics"
-	"repro/internal/rtm"
 	"repro/internal/sim"
 )
 
@@ -54,60 +52,13 @@ func RunStripeSweep(cfg StripeSweepConfig) *StripeSweepResult {
 	profile := media.MPEG2()
 	info := profile.Generate("/movie", cfg.Duration+8*time.Second)
 	res := &StripeSweepResult{Rate: profile.Rate}
-
 	for _, n := range cfg.DiskCounts {
-		pt := StripePoint{Disks: n}
-		m := lab.Build(lab.Setup{
-			Seed:          cfg.Seed,
-			Disks:         n,
-			StripeSectors: cfg.StripeSectors,
-			Movies:        []lab.Movie{{Path: "/movie", Info: info}},
-			CRAS: core.Config{
-				BufferBudget:        512 << 20,
-				MaxRequestsPerCycle: -1,
-			},
-		}, func(m *lab.Machine) {
-			m.App("sweep", rtm.PrioRTLow, 0, func(th *rtm.Thread) {
-				var handles []*core.Handle
-				for len(handles) < 200 {
-					h, err := m.CRAS.Open(th, info, "/movie", core.OpenOptions{})
-					if err != nil {
-						break
-					}
-					handles = append(handles, h)
-				}
-				pt.Admitted = len(handles)
-				for _, h := range handles {
-					h.Start(th)
-				}
-				busy0 := make([]sim.Time, m.Vol.NumDisks())
-				for d := range busy0 {
-					busy0[d] = m.Vol.Disk(d).Stats().BusyTime
-				}
-				start := m.Kernel.Now()
-				for m.Kernel.Now() < start+cfg.Duration {
-					th.Sleep(time.Second)
-					for _, h := range handles {
-						h.Renew(th)
-					}
-				}
-				window := m.Kernel.Now() - start
-				pt.Util = make([]float64, m.Vol.NumDisks())
-				for d := range pt.Util {
-					busy := m.Vol.Disk(d).Stats().BusyTime - busy0[d]
-					pt.Util[d] = busy.Seconds() / window.Seconds()
-				}
-				pt.IOMisses = m.CRAS.Stats().IODeadlineMiss
-				for _, h := range handles {
-					h.Close(th)
-				}
-			})
+		pr := capacityProbe(lab.Setup{Seed: cfg.Seed, Disks: n, StripeSectors: cfg.StripeSectors},
+			info, cfg.Duration, false)
+		res.StripeSectors = pr.stripe
+		res.Points = append(res.Points, StripePoint{
+			Disks: n, Admitted: pr.admitted, Util: pr.util, IOMisses: pr.stats.IODeadlineMiss,
 		})
-		m.Run(cfg.Duration + 20*time.Second)
-		if res.StripeSectors == 0 {
-			res.StripeSectors = m.Vol.StripeSectors()
-		}
-		res.Points = append(res.Points, pt)
 	}
 	return res
 }
@@ -120,18 +71,7 @@ func (r *StripeSweepResult) Table() *metrics.Table {
 			r.StripeSectors, metrics.MBps(r.Rate)),
 		"disks", "admitted", "member util min", "member util max", "I/O misses")
 	for _, p := range r.Points {
-		lo, hi := 1.0, 0.0
-		for _, u := range p.Util {
-			if u < lo {
-				lo = u
-			}
-			if u > hi {
-				hi = u
-			}
-		}
-		if len(p.Util) == 0 {
-			lo = 0
-		}
+		lo, hi := utilRange(p.Util)
 		t.AddRow(p.Disks, p.Admitted,
 			fmt.Sprintf("%.0f%%", 100*lo), fmt.Sprintf("%.0f%%", 100*hi), p.IOMisses)
 	}

@@ -112,73 +112,38 @@ func runVCRPoint(cfg VCRSweepConfig, mode string, ladder []float64) VCRPoint {
 	// transfer time, which is exactly the term delivered-rate thinning
 	// scales — the rung walk buys real capacity, not just overhead shuffling.
 	prof := media.MPEG2()
-	movieDur := cfg.Duration + cfg.ArrivalSpread + 2*time.Second
-	var movies []lab.Movie
-	var infos []*media.StreamInfo
-	var paths []string
-	for i := 0; i < cfg.Movies; i++ {
-		path := fmt.Sprintf("/m%02d", i)
-		info := prof.Generate(path, movieDur)
-		movies = append(movies, lab.Movie{Path: path, Info: info})
-		infos = append(infos, info)
-		paths = append(paths, path)
-	}
-
-	frames := int(cfg.Duration / (sim.Time(time.Second) / sim.Time(prof.FrameRate)))
-	var outs []*workload.VCROutcome
-	var busy0 sim.Time
-	var start sim.Time
-	m := lab.Build(lab.Setup{
+	cat := newCatalog(prof, "/m%02d", cfg.Movies, cfg.Duration+cfg.ArrivalSpread+2*time.Second)
+	m, outs, util := runAudience(lab.Setup{
 		Seed: cfg.Seed,
 		CRAS: core.Config{
 			BufferBudget: cfg.TotalRAM,
 			RateLadder:   ladder,
 		},
-		Movies: movies,
-	}, func(m *lab.Machine) {
-		start = m.Eng.Now()
-		busy0 = m.Disk.Stats().BusyTime // setup I/O is not the sweep's traffic
-		outs = workload.LaunchVCRViewers(m.Kernel, m.CRAS, infos, paths,
+		Movies: cat.movies,
+	}, 2*cfg.Duration+cfg.ArrivalSpread+30*time.Second, func(m *lab.Machine) []*workload.VCROutcome {
+		return workload.LaunchVCRViewers(m.Kernel, m.CRAS, cat.infos, cat.paths,
 			m.Eng.RNG("vcr-sweep"), workload.VCRViewerConfig{
 				Clients: cfg.Clients, Alpha: cfg.Alpha,
 				ArrivalSpread: cfg.ArrivalSpread,
-				Player:        workload.PlayerConfig{MaxFrames: frames},
+				Player:        workload.PlayerConfig{MaxFrames: framesIn(prof, cfg.Duration)},
 			})
-	})
-	horizon := 2*cfg.Duration + cfg.ArrivalSpread + 30*time.Second
-	for ran := sim.Time(0); ran < horizon; ran += time.Second {
-		m.Run(time.Second)
-		done := true
-		for _, o := range outs {
-			if !o.Stats.Done {
-				done = false
-				break
-			}
-		}
-		if done {
-			break
-		}
-	}
-	if err := m.Err(); err != nil {
-		panic(err)
-	}
+	}, func(o *workload.VCROutcome) bool { return o.Stats.Done })
 
-	pt := VCRPoint{Mode: mode}
+	var t tally
+	pt := VCRPoint{Mode: mode, DiskUtil: util}
 	var rateSum float64
 	for _, o := range outs {
-		if !o.Admitted {
-			pt.Rejected++
+		if !t.add(&o.ViewerOutcome) {
 			continue
 		}
-		pt.Admitted++
 		if o.ReducedOpen {
 			pt.ReducedOpens++
 		}
 		pt.Ops += o.Ops
 		pt.Refusals += o.Refusals
-		pt.Lost += o.Stats.Lost
 		rateSum += o.FinalRate
 	}
+	pt.Admitted, pt.Rejected, pt.Lost = t.admitted, t.rejected, t.lost
 	if pt.Admitted > 0 {
 		pt.AvgFinalRate = rateSum / float64(pt.Admitted)
 	}
@@ -189,9 +154,6 @@ func runVCRPoint(cfg VCRSweepConfig, mode string, ladder []float64) VCRPoint {
 	pt.Pauses = st.Pauses
 	pt.Seeks = st.Seeks
 	pt.RateChanges = st.RateChanges
-	if elapsed := m.Eng.Now() - start; elapsed > 0 {
-		pt.DiskUtil = float64(m.Disk.Stats().BusyTime-busy0) / float64(elapsed)
-	}
 	return pt
 }
 

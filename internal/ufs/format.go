@@ -237,7 +237,10 @@ func Format(d BlockDevice, opts Options) (*Super, error) {
 	sb.encode(buf)
 	pokeBlock(d, 0, buf)
 
-	// Cylinder groups.
+	// Cylinder groups. The device copies what it is poked with, so one
+	// header block and one zero block serve every group.
+	hdr := make([]byte, BlockSize)
+	zero := make([]byte, BlockSize)
 	for gi := uint32(0); gi < ngroups; gi++ {
 		g := newEmptyGroup(sb, int(gi))
 		// Metadata blocks (header + inode blocks) are in use.
@@ -250,11 +253,10 @@ func Format(d BlockDevice, opts Options) (*Super, error) {
 			bmpSet(g.inodeBmp, 0)
 			g.freeInodes--
 		}
-		hdr := make([]byte, BlockSize)
+		clear(hdr)
 		g.encode(hdr, sb)
 		pokeBlock(d, int64(g.start), hdr)
 		// Zero the inode blocks.
-		zero := make([]byte, BlockSize)
 		for b := uint32(0); b < sb.InodeBlocksPerG; b++ {
 			pokeBlock(d, int64(g.start+1+b), zero)
 		}

@@ -299,6 +299,82 @@ func TestSyncPersistsAcrossRemount(t *testing.T) {
 	e.Run()
 }
 
+// Formatting over a used volume must leave exactly what a fresh format
+// leaves: the old files' group headers, bitmaps and inodes are rewritten,
+// so the root is empty, every block is free again and fsck is clean.
+func TestReformatOverDirtyVolume(t *testing.T) {
+	e := sim.NewEngine(1)
+	d := smallDisk(e)
+	if _, err := Format(d, Options{}); err != nil {
+		t.Fatalf("Format: %v", err)
+	}
+	e.Spawn("reformat", func(p *sim.Proc) {
+		fs, _ := Mount(p, d, Options{})
+		freshRoot, _ := fs.ReadDir(p, "/")
+		freshFree := fs.FreeBlocks(p)
+		if err := fs.MkdirAll(p, "/a/b"); err != nil {
+			t.Errorf("MkdirAll: %v", err)
+			return
+		}
+		for i, path := range []string{"/a/f", "/a/b/g", "/h", "/big"} {
+			f, err := fs.Create(p, path)
+			if err == nil {
+				_, err = f.WriteAt(p, bytes.Repeat([]byte{byte(i + 1)}, 3*BlockSize), 0)
+			}
+			if err != nil {
+				t.Errorf("write %s: %v", path, err)
+				return
+			}
+			if path == "/big" {
+				err = f.Preallocate(p, int64(fs.Super().BlocksPerGroup)*BlockSize) // spans groups
+			}
+			if err != nil {
+				t.Errorf("preallocate %s: %v", path, err)
+				return
+			}
+		}
+		fs.Sync(p)
+		var oldInos []uint32
+		for _, path := range []string{"/a", "/a/b", "/a/f", "/a/b/g", "/h", "/big"} {
+			st, _ := fs.Stat(p, path)
+			oldInos = append(oldInos, st.Ino)
+		}
+		if fs.FreeBlocks(p) >= freshFree-int64(fs.Super().BlocksPerGroup) {
+			t.Errorf("volume not dirty before re-Format: %d of %d blocks free", fs.FreeBlocks(p), freshFree)
+		}
+
+		if _, err := Format(d, Options{}); err != nil {
+			t.Errorf("re-Format: %v", err)
+			return
+		}
+		fs2, err := Mount(p, d, Options{})
+		if err != nil {
+			t.Errorf("Mount after re-Format: %v", err)
+			return
+		}
+		root, err := fs2.ReadDir(p, "/")
+		if err != nil || len(root) != len(freshRoot) {
+			t.Errorf("root after re-Format = %v, %v; fresh root = %v", root, err, freshRoot)
+		}
+		if got := fs2.FreeBlocks(p); got != freshFree {
+			t.Errorf("free blocks after re-Format = %d, fresh = %d", got, freshFree)
+		}
+		for _, ino := range oldInos {
+			if in := fs2.getInode(p, ino); in.Mode != 0 {
+				t.Errorf("inode %d survived re-Format with mode %d", ino, in.Mode)
+			}
+		}
+		if _, err := fs2.Open(p, "/h"); !errors.Is(err, ErrNotFound) {
+			t.Errorf("old file still opens after re-Format: %v", err)
+		}
+		r := fs2.Check(p)
+		if !r.OK() || r.Files != 0 || r.Dirs != 1 {
+			t.Errorf("fsck after re-Format: %d files %d dirs, problems %v", r.Files, r.Dirs, r.Problems)
+		}
+	})
+	e.Run()
+}
+
 func TestDirectoryOperations(t *testing.T) {
 	withFS(t, Options{}, func(p *sim.Proc, fs *FileSystem) {
 		if err := fs.Mkdir(p, "/a"); err != nil {

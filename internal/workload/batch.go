@@ -26,12 +26,15 @@ type BatchedViewerConfig struct {
 	Player     PlayerConfig
 }
 
-// LaunchBatchedViewers spawns a wave-structured Zipf population. Like
-// LaunchZipfViewers, every random draw happens up front so the workload is
+// LaunchBatchedViewers spawns a wave-structured Zipf population. Every
+// random draw happens up front, before any thread runs — per viewer, one
+// Zipf pick, then one arrival offset inside its wave — so the workload is
 // a fixed script: identical (rng, config) inputs replay the identical
-// arrival sequence. Viewers are dealt to waves round-robin, so every wave
-// carries the same Zipf mix and wave-to-wave differences are the server's
-// doing, not sampling noise.
+// arrival sequence no matter how the server interleaves them. Viewers are
+// dealt to waves round-robin, so every wave carries the same Zipf mix and
+// wave-to-wave differences are the server's doing, not sampling noise. One
+// wave is a plain Zipf audience with arrivals uniform over WaveSpread.
+// Outcomes are filled in as viewers finish; callers poll Stats.Done.
 func LaunchBatchedViewers(k *rtm.Kernel, srv *core.Server, infos []*media.StreamInfo,
 	paths []string, rng *sim.RNG, cfg BatchedViewerConfig) []*ViewerOutcome {
 	if cfg.Waves <= 0 {

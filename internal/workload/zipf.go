@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"fmt"
 	"math"
 	"time"
 
@@ -59,52 +58,6 @@ type ViewerOutcome struct {
 	Multicast   bool // opened as a multicast fan-out member
 	PrefixStart bool // first frames backfilled from the pinned prefix
 	Stats       PlayerStats
-}
-
-// ZipfViewerConfig shapes a multi-client arrival pattern.
-type ZipfViewerConfig struct {
-	Clients       int
-	Alpha         float64
-	ArrivalSpread sim.Time // viewer arrivals uniform in [0, spread)
-	Player        PlayerConfig
-}
-
-// LaunchZipfViewers spawns a population of viewers whose movie choices
-// follow Zipf(alpha) and whose arrivals are uniform over the spread. Every
-// random draw happens up front, before any thread runs, so the workload is
-// a fixed script: identical (rng, config) inputs replay the identical
-// arrival sequence no matter how the server interleaves them. Outcomes are
-// filled in as viewers finish; callers poll Stats.Done.
-func LaunchZipfViewers(k *rtm.Kernel, srv *core.Server, infos []*media.StreamInfo,
-	paths []string, rng *sim.RNG, cfg ZipfViewerConfig) []*ViewerOutcome {
-	picker := NewZipfPicker(len(paths), cfg.Alpha)
-	outs := make([]*ViewerOutcome, cfg.Clients)
-	for i := range outs {
-		outs[i] = &ViewerOutcome{Movie: picker.Pick(rng.Float64())}
-		if cfg.ArrivalSpread > 0 {
-			outs[i].At = rng.DurationRange(0, cfg.ArrivalSpread)
-		}
-	}
-	for i := range outs {
-		out := outs[i]
-		info := infos[out.Movie]
-		path := paths[out.Movie]
-		k.NewThread(fmt.Sprintf("zipf%02d:%s", i, path), rtm.PrioRTLow, 0, func(th *rtm.Thread) {
-			defer func() { out.Stats.Done = true }()
-			if k.Now() < out.At {
-				th.SleepUntil(out.At)
-			}
-			h, err := srv.Open(th, info, path, core.OpenOptions{})
-			if err != nil {
-				return // rejected by admission: Admitted stays false
-			}
-			out.Admitted = true
-			out.CacheBacked = h.CacheBacked()
-			defer h.Close(th)
-			playViewer(k, th, h, info, cfg.Player, &out.Stats)
-		})
-	}
-	return outs
 }
 
 // playViewer is the CRASPlayer consumption loop for an already-open handle.

@@ -37,11 +37,12 @@ func TestZipfPickerLaw(t *testing.T) {
 	}
 }
 
-// A Zipf viewer population on a small machine: the script is deterministic,
-// every admitted viewer plays, and at a skewed alpha repeat viewers of the
-// hot title ride the interval cache.
+// A one-wave batched audience is a plain Zipf population: its script is
+// one Pick draw then one arrival draw per viewer, every admitted viewer
+// plays, and at a skewed alpha repeat viewers of the hot title ride the
+// interval cache.
 func TestZipfViewersRideCache(t *testing.T) {
-	const nMovies, nClients = 3, 6
+	const nMovies, nClients, spread = 3, 6, 3 * time.Second
 	var infos []*media.StreamInfo
 	var paths []string
 	var movies []lab.Movie
@@ -57,12 +58,13 @@ func TestZipfViewersRideCache(t *testing.T) {
 		CRAS:   core.Config{CacheBudget: 16 << 20},
 		Movies: movies,
 	}, func(m *lab.Machine) {
-		outs = LaunchZipfViewers(m.Kernel, m.CRAS, infos, paths,
-			m.Eng.RNG("zipf"), ZipfViewerConfig{
-				Clients: nClients, Alpha: 1.1, ArrivalSpread: 3 * time.Second,
+		outs = LaunchBatchedViewers(m.Kernel, m.CRAS, infos, paths,
+			m.Eng.RNG("zipf"), BatchedViewerConfig{
+				Clients: nClients, Alpha: 1.1, WaveSpread: spread,
 				Player: PlayerConfig{MaxFrames: 60},
 			})
 	})
+
 	for ran := sim.Time(0); ran < 60*time.Second; ran += time.Second {
 		m.Run(time.Second)
 		done := true
@@ -77,6 +79,18 @@ func TestZipfViewersRideCache(t *testing.T) {
 	}
 	if err := m.Err(); err != nil {
 		t.Fatal(err)
+	}
+
+	// The script must replay a direct draw from a same-named RNG: per
+	// viewer, the Zipf pick first, then the arrival offset.
+	rng := sim.NewEngine(3).RNG("zipf")
+	picker := NewZipfPicker(nMovies, 1.1)
+	for i, o := range outs {
+		movie := picker.Pick(rng.Float64())
+		at := rng.DurationRange(0, spread)
+		if o.Movie != movie || o.At != at {
+			t.Fatalf("viewer %d scripted (%d, %v), direct draw gives (%d, %v)", i, o.Movie, o.At, movie, at)
+		}
 	}
 
 	admitted, cacheBacked := 0, 0

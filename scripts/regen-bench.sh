@@ -12,18 +12,3 @@ cd "$(dirname "$0")/.."
 # the fixed seed, so CI diffs them alongside crasbench_output.txt.
 go run ./cmd/crasbench -all -quick -seed 1 -jsondir . > crasbench_output.txt
 echo "regenerated crasbench_output.txt, BENCH_parity.json, BENCH_multicast.json, BENCH_cluster.json and BENCH_vcr.json" >&2
-
-# Engine-cycle cost snapshot: ns/cycle and allocs/cycle for the scheduler
-# hot path, the burn-down meter for crasvet.baseline.json. Wall times are
-# machine-dependent, so CI uploads this file but never diffs it.
-go test -run '^$' -bench '^BenchmarkEngineCycle$' -benchtime 1x -benchmem . |
-	awk '/^BenchmarkEngineCycle/ {
-		printf "{\n  \"benchmark\": \"BenchmarkEngineCycle\",\n  \"metrics\": {"
-		sep = ""
-		for (i = 3; i < NF; i += 2) {
-			printf "%s\n    \"%s\": %s", sep, $(i+1), $i
-			sep = ","
-		}
-		print "\n  }\n}"
-	}' > BENCH_engine.json
-echo "regenerated BENCH_engine.json" >&2
