@@ -1,6 +1,7 @@
 // Command crasvet runs the CRAS determinism and event-loop analyzers
 // (internal/analysis) alongside the standard go vet passes, and exits
-// non-zero on any unbaselined finding so CI can gate on it.
+// non-zero on any unbaselined finding or stale baseline entry so CI can
+// gate on it.
 //
 // Usage:
 //
@@ -31,7 +32,8 @@
 // crasvet.baseline.json is used when it exists; -baseline overrides the
 // path and -baseline none disables baselining (use that when regenerating
 // the file). Stale entries — baselined findings that no longer occur — are
-// reported on stderr so the baseline shrinks instead of rotting.
+// reported on stderr and fail the run, so a change that fixes a finding
+// shrinks the baseline with it instead of letting it rot.
 package main
 
 import (
@@ -186,7 +188,7 @@ func main() {
 	if newCount > 0 {
 		fmt.Fprintf(os.Stderr, "crasvet: %d finding(s)\n", newCount)
 	}
-	if vetFailed || newCount > 0 {
+	if vetFailed || newCount > 0 || staleCount > 0 {
 		os.Exit(1)
 	}
 }

@@ -34,10 +34,10 @@ type AdmissionParams struct {
 // proportional to how far it trails, and no disk time at all.
 // On a striped volume the per-interval fetch A_i = T*R_i + C_i splits
 // across member disks, and the admission test runs per member (see
-// AdmitVolume): the stream charges each member disk in Disks one operation
-// and DiskBytes of transfer per interval. Both fields zero means the
-// single-disk reading — the stream puts its whole A_i on every disk it
-// touches (which on one disk is the paper's formula (1) exactly).
+// AdmitVolume): the stream charges every member one operation and
+// DiskBytes of transfer per interval. DiskBytes zero means the single-disk
+// reading — the stream puts its whole A_i on every member (which on one
+// disk is the paper's formula (1) exactly).
 type StreamParams struct {
 	Rate  float64 // bytes/second
 	Chunk int64   // bytes
@@ -61,7 +61,6 @@ type StreamParams struct {
 	// schedule. Resume is a fresh admission at the unpaused charge.
 	Paused bool
 
-	Disks     []int // member disks the stream loads (nil = all members)
 	DiskBytes int64 // per-member bytes per interval when striped (0 = full A_i)
 }
 
@@ -254,7 +253,6 @@ func StripedParams(t sim.Time, par StreamParams, ndisks int, stripeBytes int64) 
 		return par
 	}
 	a := int64(t.Seconds()*par.Rate) + par.Chunk
-	par.Disks = nil // all members
 	par.DiskBytes = perDiskLoad(a, stripeBytes, ndisks)
 	return par
 }
@@ -321,27 +319,11 @@ func VolumeParams(t sim.Time, par StreamParams, shape VolumeShape) StreamParams 
 		return StripedParams(t, par, shape.Disks, shape.StripeBytes)
 	}
 	a := int64(t.Seconds()*par.Rate) + par.Chunk
-	par.Disks = nil // the rotation touches every member
 	par.DiskBytes = parityDiskLoad(a, shape.StripeBytes, shape.Disks, false)
 	return par
 }
 
-// touchesDisk reports whether the stream loads member d of an n-member
-// volume.
-func (s StreamParams) touchesDisk(d int) bool {
-	if s.Disks == nil {
-		return true
-	}
-	for _, sd := range s.Disks {
-		if sd == d {
-			return true
-		}
-	}
-	return false
-}
-
-// diskLoad is the per-interval byte load the stream puts on one member it
-// touches.
+// diskLoad is the per-interval byte load the stream puts on one member.
 func (s StreamParams) diskLoad(t sim.Time) int64 {
 	if s.DiskBytes > 0 {
 		return s.DiskBytes
@@ -377,38 +359,30 @@ func (a AdmissionParams) AdmitShape(t sim.Time, budget int64, shape VolumeShape,
 	if ndisks == 1 {
 		return a.Admit(t, budget, streams)
 	}
-	live := ndisks - shape.Dead
-	for d := 0; d < ndisks; d++ {
-		if shape.Parity && shape.Dead > 0 && d >= live {
-			// One member is dead; which one does not matter to the bound —
-			// every survivor carries the same full-row degraded load, so the
-			// test runs over live "slots" rather than member identities.
-			break
+	// Every stream loads every live member (dead members receive no
+	// traffic) with the same per-member share, so every member faces the
+	// same test and formula (1) is solved once, for member 0: one operation
+	// per disk-fed stream moving its per-member byte share — a fixed-bytes
+	// load, expressed as Chunk with zero rate.
+	var sub []StreamParams
+	for _, s := range streams {
+		if s.Cached || s.Multicast || s.Paused {
+			continue
 		}
-		// Each member sees, per interval, one operation per stream that
-		// touches it, moving that stream's per-member byte share: a
-		// fixed-bytes load, expressed as Chunk with zero rate so
-		// RequiredInterval solves formula (1) for this member.
-		var sub []StreamParams
-		for _, s := range streams {
-			if s.Cached || s.Multicast || s.Paused || !s.touchesDisk(d) {
-				continue
-			}
-			//crasvet:allow hotalloc -- admission test scratch, bounded by open streams; hot-reachable only via the once-per-member-death re-admission
-			sub = append(sub, StreamParams{Chunk: s.shapeLoad(t, shape)})
-		}
-		need, err := a.RequiredInterval(sub)
-		if err != nil {
-			//crasvet:allow hotalloc -- rejection path; hot-reachable only via the once-per-member-death re-admission
-			return &AdmissionError{Interval: t, NeedBuffer: TotalBuffer(t, streams), Budget: budget,
-				Reason: fmt.Sprintf("disk %d: %v", d, err)} //crasvet:allow hotalloc -- same rejection path
-		}
-		if need > t {
-			//crasvet:allow hotalloc -- rejection path; hot-reachable only via the once-per-member-death re-admission
-			return &AdmissionError{NeedInterval: need, Interval: t,
-				NeedBuffer: TotalBuffer(t, streams), Budget: budget,
-				Reason: fmt.Sprintf("interval time too short for stream set (disk %d)", d)} //crasvet:allow hotalloc -- same rejection path
-		}
+		//crasvet:allow hotalloc -- admission test scratch, bounded by open streams; hot-reachable only via the once-per-member-death re-admission
+		sub = append(sub, StreamParams{Chunk: s.shapeLoad(t, shape)})
+	}
+	need, err := a.RequiredInterval(sub)
+	if err != nil {
+		//crasvet:allow hotalloc -- rejection path; hot-reachable only via the once-per-member-death re-admission
+		return &AdmissionError{Interval: t, NeedBuffer: TotalBuffer(t, streams), Budget: budget,
+			Reason: fmt.Sprintf("disk 0: %v", err)} //crasvet:allow hotalloc -- same rejection path
+	}
+	if need > t {
+		//crasvet:allow hotalloc -- rejection path; hot-reachable only via the once-per-member-death re-admission
+		return &AdmissionError{NeedInterval: need, Interval: t,
+			NeedBuffer: TotalBuffer(t, streams), Budget: budget,
+			Reason: "interval time too short for stream set (disk 0)"}
 	}
 	if buf := TotalBuffer(t, streams); buf > budget {
 		//crasvet:allow hotalloc -- rejection path; hot-reachable only via the once-per-member-death re-admission

@@ -60,49 +60,42 @@ func TestAdmitVolumeCapacityScaling(t *testing.T) {
 	}
 }
 
-// The per-disk bound is tight: saturating one member with pinned streams
-// rejects any candidate touching that member — naming the member in the
-// error — while the same candidate pinned elsewhere is admitted.
+// The per-member bound is tight: filling every member with fixed-byte
+// loads rejects one more candidate — naming the member in the error — and
+// a cache-backed candidate, which loads no member, is still admitted.
 func TestAdmitVolumePerDiskTightness(t *testing.T) {
 	a := table4()
 	const interval = 500 * time.Millisecond
 	const budget = 1 << 40
 	const ndisks = 4
 
-	// Fill member 2 to just below its interval capacity with fixed-byte
-	// loads pinned to it alone.
-	pinned := StreamParams{Chunk: 512 << 10, Disks: []int{2}, DiskBytes: 512 << 10}
+	// Fill the members to just below their interval capacity with
+	// fixed-byte loads; every stream loads every member.
+	load := StreamParams{Chunk: 512 << 10, DiskBytes: 512 << 10}
 	var set []StreamParams
-	for a.AdmitVolume(interval, budget, ndisks, append(set, pinned)) == nil {
-		set = append(set, pinned)
+	for a.AdmitVolume(interval, budget, ndisks, append(set, load)) == nil {
+		set = append(set, load)
 		if len(set) > 1000 {
-			t.Fatal("member 2 never saturated")
+			t.Fatal("members never saturated")
 		}
 	}
 	if len(set) == 0 {
-		t.Fatal("not even one pinned stream admitted")
+		t.Fatal("not even one stream admitted")
 	}
 
-	// One more identical candidate on the saturated member is refused (by
-	// construction of the fill loop), and the error names the disk.
-	err := a.AdmitVolume(interval, budget, ndisks, append(set, pinned))
+	// One more identical candidate is refused (by construction of the fill
+	// loop), and the error names the member that fails first.
+	err := a.AdmitVolume(interval, budget, ndisks, append(set, load))
 	if err == nil {
-		t.Fatal("candidate on the saturated member was admitted")
+		t.Fatal("candidate on the saturated members was admitted")
 	}
-	if !strings.Contains(err.Error(), "disk 2") {
+	if !strings.Contains(err.Error(), "disk 0") {
 		t.Errorf("rejection does not name the saturated member: %v", err)
 	}
 
-	// The identical candidate on an idle member sails through.
-	onCold := pinned
-	onCold.Disks = []int{0}
-	if err := a.AdmitVolume(interval, budget, ndisks, append(set, onCold)); err != nil {
-		t.Errorf("candidate on an idle member rejected: %v", err)
-	}
-
-	// Cached streams put no load on any member: marking the hot candidate
-	// cache-backed admits it even on the saturated disk.
-	cached := pinned
+	// Cached streams put no load on any member: marking the candidate
+	// cache-backed admits it on the saturated volume.
+	cached := load
 	cached.Cached = true
 	if err := a.AdmitVolume(interval, budget, ndisks, append(set, cached)); err != nil {
 		t.Errorf("cache-backed stream charged disk time: %v", err)
@@ -162,11 +155,7 @@ func TestStripedParamsShape(t *testing.T) {
 	const stripe = int64(32 << 10)
 	prev := int64(1 << 62)
 	for _, n := range []int{2, 3, 4, 8, 16} {
-		sp := StripedParams(interval, par, n, stripe)
-		if sp.Disks != nil {
-			t.Fatalf("striped stream pinned to %v, want all members", sp.Disks)
-		}
-		load := sp.DiskBytes
+		load := StripedParams(interval, par, n, stripe).DiskBytes
 		if load%stripe != 0 {
 			t.Errorf("n=%d: per-disk load %d not in whole stripe units", n, load)
 		}

@@ -102,7 +102,8 @@ func (s *Server) OpenRecord(th *rtm.Thread, info *media.StreamInfo, path string,
 // client is blocked in a queued call — a client waiting on the server is
 // alive however long the backlog — and the lease is renewed when the call
 // returns. The engine is single-threaded, so the counter is race-free.
-func (h *Handle) op(th *rtm.Thread, req any) error {
+func (h *Handle) op(th *rtm.Thread, req sessionReq) error {
+	req.id = h.st.id
 	h.st.rpcInFlight++
 	err := h.srv.op(th, req)
 	h.st.rpcInFlight--
@@ -112,24 +113,24 @@ func (h *Handle) op(th *rtm.Thread, req any) error {
 
 // Close ends the session and releases its buffer memory (crs_close).
 func (h *Handle) Close(th *rtm.Thread) error {
-	return h.op(th, closeReq{id: h.st.id})
+	return h.op(th, sessionReq{op: opClose})
 }
 
 // Start starts the stream's logical clock after the configured initial
 // delay and enables pre-fetching (crs_start).
 func (h *Handle) Start(th *rtm.Thread) error {
-	return h.op(th, startReq{id: h.st.id})
+	return h.op(th, sessionReq{op: opStart})
 }
 
 // Stop freezes the logical clock and suspends pre-fetching (crs_stop).
 func (h *Handle) Stop(th *rtm.Thread) error {
-	return h.op(th, stopReq{id: h.st.id})
+	return h.op(th, sessionReq{op: opStop})
 }
 
 // Seek sets the logical clock to the given media time and repositions
 // pre-fetching (crs_seek). Buffered data is dropped.
 func (h *Handle) Seek(th *rtm.Thread, logical sim.Time) error {
-	return h.op(th, seekReq{id: h.st.id, logical: logical})
+	return h.op(th, sessionReq{op: opSeek, logical: logical})
 }
 
 // SetRate changes the retrieval rate, re-running admission (the extension
@@ -138,7 +139,7 @@ func (h *Handle) Seek(th *rtm.Thread, logical sim.Time) error {
 // reverse chunk order and delivered on a forward timeline, the classic
 // rewind scan. Rate 0 is refused: that is Pause's job.
 func (h *Handle) SetRate(th *rtm.Thread, rate float64) error {
-	return h.op(th, setRateReq{id: h.st.id, rate: rate})
+	return h.op(th, sessionReq{op: opSetRate, rate: rate})
 }
 
 // Pause freezes the session where it stands (crs_pause): the logical clock
@@ -151,7 +152,7 @@ func (h *Handle) SetRate(th *rtm.Thread, rate float64) error {
 // detaches it first; pausing a leader or feed hands its dependents off.
 // Idempotent; refused for recording sessions.
 func (h *Handle) Pause(th *rtm.Thread) error {
-	return h.op(th, pauseReq{id: h.st.id})
+	return h.op(th, sessionReq{op: opPause})
 }
 
 // Resume restarts a paused session on the exact timeline Pause froze,
@@ -161,7 +162,7 @@ func (h *Handle) Pause(th *rtm.Thread) error {
 // RetryAfter, and with a RateLadder configured the session may come back
 // at a reduced delivered rate instead. Idempotent on a playing session.
 func (h *Handle) Resume(th *rtm.Thread) error {
-	return h.op(th, resumeReq{id: h.st.id})
+	return h.op(th, sessionReq{op: opResume})
 }
 
 // Get returns the chunk covering the given logical time if it is resident

@@ -120,9 +120,11 @@ func (s *Server) shedGate(req any) (resp any, action ctlAction) {
 		s.ctlOps, s.ctlShed = 0, 0
 	}
 	switch r := req.(type) {
-	case closeReq, renewReq:
-		s.ctlOps++
-		return nil, ctlAdmit
+	case sessionReq:
+		if r.op == opClose || r.op == opRenew {
+			s.ctlOps++
+			return nil, ctlAdmit
+		}
 	case openReq:
 		if r.force {
 			return nil, ctlAdmit
@@ -140,13 +142,12 @@ func (s *Server) shedGate(req any) (resp any, action ctlAction) {
 			RetryAfter: wait,
 			Reason:     fmt.Sprintf("%d control requests this interval", s.ctlOps),
 		}}, ctlShed
-	default:
-		if s.ctlOps < s.ctlBudget() {
-			s.ctlOps++
-			return nil, ctlAdmit
-		}
-		return nil, ctlDefer
 	}
+	if s.ctlOps < s.ctlBudget() {
+		s.ctlOps++
+		return nil, ctlAdmit
+	}
+	return nil, ctlDefer
 }
 
 // Drain moves the server into graceful drain (usable from any engine

@@ -289,8 +289,8 @@ func (s *Server) cacheAdvance(st *stream, horizon, now sim.Time) {
 
 // cacheStamp is the follower's phase-1 step, the cache-side counterpart of
 // absorbCompletions: stamp every promised chunk that is now resident in
-// the cache into the follower's own time-driven buffer. It mirrors the
-// disk path's late-chunk handling so delivery timing is identical. A
+// the cache into the follower's own time-driven buffer. It applies the
+// disk path's stamp rule (stream.stamp) so delivery timing is identical. A
 // promised chunk that never arrived means the leader failed or the pin
 // budget refused it; if it is due within the next interval or the leader
 // cannot supply it anymore, the follower falls back to disk now (phase 2
@@ -312,21 +312,11 @@ func (s *Server) cacheStamp(st *stream, now sim.Time) {
 			}
 			return // else: the leader has not produced it yet; wait a cycle
 		}
-		if c.Timestamp < logical && !st.record {
-			st.stats.ChunksLate++
-			if c.Timestamp+c.Duration <= tdiscard {
-				st.nextStamp++
-				continue
-			}
+		if st.stamp(st.buffered(st.nextStamp, now), logical, tdiscard) {
+			st.stats.ChunksFromCache++
+			s.stats.CacheHits++
+			s.stats.CacheBytesServed += c.Size
 		}
-		st.buf.Insert(BufferedChunk{
-			Index: st.nextStamp, Timestamp: c.Timestamp, Duration: c.Duration,
-			Size: c.Size, StampedAt: now,
-		})
-		st.stats.ChunksStamped++
-		st.stats.ChunksFromCache++
-		s.stats.CacheHits++
-		s.stats.CacheBytesServed += c.Size
 		st.nextStamp++
 	}
 }

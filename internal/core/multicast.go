@@ -262,11 +262,10 @@ func (s *Server) mcastAttach(st, feed *stream, charge int64, now sim.Time) {
 	pp := s.prefixFor(st.name)
 	backfilled := int64(0)
 	for idx := st.nextStamp; idx < feed.nextStamp; idx++ {
-		c := st.info.Chunks[idx]
-		bc := BufferedChunk{Index: idx, Timestamp: c.Timestamp, Duration: c.Duration, Size: c.Size, StampedAt: now}
+		bc := st.buffered(idx, now)
 		fromPrefix := pp != nil && idx < len(pp.pins)
 		if !fromPrefix {
-			if _, ok := feed.buf.At(c.Timestamp); !ok {
+			if _, ok := feed.buf.At(bc.Timestamp); !ok {
 				continue // unreachable: mcastJoinable verified coverage
 			}
 		}
@@ -322,40 +321,34 @@ func (s *Server) mcastFeedStep(feed *stream, now sim.Time) int64 {
 }
 
 // mcastFanout copies the feed's newly stamped chunks into one member's
-// buffer, mirroring the disk path's late-chunk handling so delivery timing
-// is identical to an unbatched stream. A chunk the feed dropped (read
-// failure or its own late skip) is NOT dropped for the member: the member
-// trails the feed by the join gap, so a plain disk stream in its place
-// would still fetch the chunk in time — the member falls back and does
-// exactly that. Only a chunk already behind the member's own discard line
-// is skipped, as the disk path would skip it. Reports a non-empty reason
+// buffer under the late half of the disk path's stamp rule (stream.late) —
+// the feed-residency check and the Insert-refusal fallback sit between the
+// two halves — so delivery timing is identical to an unbatched stream. A
+// chunk the feed dropped (read failure or its own late skip) is NOT
+// dropped for the member: the member trails the feed by the join gap, so a
+// plain disk stream in its place would still fetch the chunk in time — the
+// member falls back and does exactly that. Only a chunk already behind the
+// member's own discard line is skipped, as the disk path would skip it.
+// Reports a non-empty reason
 // when the member must leave the group — a hole under its stamp point, or
 // its buffer refusing a chunk — and the caller falls it back to disk.
 //
 //crasvet:hotpath
 func (s *Server) mcastFanout(feed, m *stream, now sim.Time) (int64, string) {
-	chunks := m.info.Chunks
 	logical := m.clock.At(now)
 	tdiscard := logical - m.buf.Jitter()
 	n := int64(0)
 	for m.nextStamp < feed.nextStamp {
-		idx := m.nextStamp
-		c := chunks[idx]
-		if c.Timestamp < logical {
-			m.stats.ChunksLate++
-			if c.Timestamp+c.Duration <= tdiscard {
-				m.nextStamp++
-				continue
-			}
+		bc := m.buffered(m.nextStamp, now)
+		if m.late(bc, logical, tdiscard) {
+			m.nextStamp++
+			continue
 		}
-		if _, ok := feed.buf.At(c.Timestamp); !ok {
+		if _, ok := feed.buf.At(bc.Timestamp); !ok {
 			m.nextChunk = m.nextStamp
 			return n, "feed dropped a chunk still due for the member"
 		}
-		if !m.buf.Insert(BufferedChunk{
-			Index: idx, Timestamp: c.Timestamp, Duration: c.Duration,
-			Size: c.Size, StampedAt: now,
-		}) {
+		if !m.buf.Insert(bc) {
 			m.nextChunk = m.nextStamp
 			return n, "fan-out buffer overflow"
 		}

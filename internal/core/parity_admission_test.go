@@ -57,13 +57,10 @@ func TestVolumeParams(t *testing.T) {
 	raid0 := VolumeParams(T, par, VolumeShape{Disks: 4, StripeBytes: 32 << 10})
 	want := StripedParams(T, par, 4, 32<<10)
 	if raid0.DiskBytes != want.DiskBytes || raid0.Rate != want.Rate ||
-		raid0.Chunk != want.Chunk || len(raid0.Disks) != len(want.Disks) {
+		raid0.Chunk != want.Chunk {
 		t.Errorf("non-parity VolumeParams = %+v, want StripedParams %+v", raid0, want)
 	}
 	p := VolumeParams(T, par, VolumeShape{Disks: 4, Parity: true, StripeBytes: 32 << 10})
-	if p.Disks != nil {
-		t.Errorf("parity VolumeParams pinned Disks %v, want nil (rotation touches all)", p.Disks)
-	}
 	a := int64(T.Seconds()*par.Rate) + par.Chunk
 	if want := parityDiskLoad(a, 32<<10, 4, false); p.DiskBytes != want {
 		t.Errorf("parity VolumeParams DiskBytes = %d, want %d", p.DiskBytes, want)

@@ -45,15 +45,13 @@ type Config struct {
 	BatchWindow  sim.Time
 	PrefixBudget int64
 
-	// Thread placement. Quantum 0 = fixed-priority (the paper's normal
-	// configuration); a positive quantum with flattened priorities is the
-	// round-robin configuration of Figure 10.
-	SchedulerPrio int
-	ManagerPrio   int
-	IODonePrio    int
-	DeadlinePrio  int
-	SignalPrio    int
-	Quantum       sim.Time
+	// Quantum places the CRAS threads. 0 (the paper's normal
+	// configuration) runs them at their fixed real-time levels: I/O-done
+	// and deadline manager above the request scheduler, request manager and
+	// signal handler below it. A positive quantum is the round-robin
+	// configuration of Figure 10: every CRAS thread runs at rtm.PrioTS and
+	// timeslices with that quantum.
+	Quantum sim.Time
 
 	// NoRTQueue is an ablation switch: CRAS submits its reads on the
 	// normal queue instead of the real-time queue, undoing the paper's
@@ -114,21 +112,6 @@ func (c *Config) fillDefaults() {
 	if c.InitialDelay == 0 {
 		c.InitialDelay = 2 * c.Interval
 	}
-	if c.SchedulerPrio == 0 {
-		c.SchedulerPrio = rtm.PrioRT
-	}
-	if c.ManagerPrio == 0 {
-		c.ManagerPrio = rtm.PrioRTLow
-	}
-	if c.IODonePrio == 0 {
-		c.IODonePrio = rtm.PrioRT + 1
-	}
-	if c.DeadlinePrio == 0 {
-		c.DeadlinePrio = rtm.PrioRT + 2
-	}
-	if c.SignalPrio == 0 {
-		c.SignalPrio = rtm.PrioRTLow
-	}
 	if c.LeaseTTL == 0 {
 		c.LeaseTTL = 8 * c.Interval
 	}
@@ -139,6 +122,15 @@ func (c *Config) fillDefaults() {
 		c.RequestQueueCap = 64
 	}
 	c.Recovery.fillDefaults(c.Interval)
+}
+
+// prio is the priority of a CRAS thread whose fixed real-time level is rt:
+// rt itself, or rtm.PrioTS for every thread under a positive Quantum.
+func (c *Config) prio(rt int) int {
+	if c.Quantum > 0 {
+		return rtm.PrioTS
+	}
+	return rt
 }
 
 // diskCycle is one member disk's share of an interval batch. Each member
@@ -258,8 +250,6 @@ type Stats struct {
 	// one entry matching ReadsIssued/BytesRead.
 	DiskReads []int64
 	DiskBytes []int64
-
-	Accuracy []AccuracyRecord
 }
 
 // IOOverrun is sent to the deadline manager when an interval's disk batch
@@ -357,6 +347,11 @@ type Server struct {
 	// recovery action matches the paper: note a warning and carry on.
 	OnDeadlineMiss func(kind string, cycle int, lateBy sim.Time)
 
+	// OnAccuracy, if set, observes every completed interval batch: the
+	// actual disk I/O time against the admission test's calculated time
+	// (Figures 8 and 9).
+	OnAccuracy func(AccuracyRecord)
+
 	// OnStreamHealth, if set, observes every transition on the per-stream
 	// degradation ladder — the client-facing notification the deadline
 	// manager emits alongside its miss warnings.
@@ -432,7 +427,7 @@ func NewVolumeServerWith(k *rtm.Kernel, vol *disk.Volume, resolver Resolver, cfg
 	// gate in dispatchRequest bounds how much of an interval this thread
 	// spends on real request work; the signal handler destroys the port, so
 	// ok turning false is the shutdown signal.
-	s.mgr = k.NewThread("cras.reqmgr", cfg.ManagerPrio, cfg.Quantum, func(t *rtm.Thread) {
+	s.mgr = k.NewThread("cras.reqmgr", cfg.prio(rtm.PrioRTLow), cfg.Quantum, func(t *rtm.Thread) {
 		for !s.stopping {
 			req, reply, ok := s.reqPort.ReceiveCall(t)
 			if !ok {
@@ -444,13 +439,13 @@ func NewVolumeServerWith(k *rtm.Kernel, vol *disk.Volume, resolver Resolver, cfg
 
 	// Request scheduler thread: the periodic heart of CRAS.
 	s.schedThread = k.NewPeriodicThread(rtm.PeriodicConfig{
-		Name: "cras.scheduler", Priority: cfg.SchedulerPrio, Quantum: cfg.Quantum,
+		Name: "cras.scheduler", Priority: cfg.prio(rtm.PrioRT), Quantum: cfg.Quantum,
 		Period: cfg.Interval, Deadline: cfg.Interval, DeadlinePort: s.deadlinePort,
 	}, s.scheduleCycle)
 
 	// I/O-done manager thread: fields completion interrupts — stream
 	// fragments and rebuild-scavenger rows alike.
-	k.NewThread("cras.iodone", cfg.IODonePrio, cfg.Quantum, func(t *rtm.Thread) {
+	k.NewThread("cras.iodone", cfg.prio(rtm.PrioRT+1), cfg.Quantum, func(t *rtm.Thread) {
 		for !s.stopping {
 			switch m := s.iodonePort.Receive(t).(type) {
 			case *readFrag:
@@ -469,7 +464,7 @@ func NewVolumeServerWith(k *rtm.Kernel, vol *disk.Volume, resolver Resolver, cfg
 	// a warning; on top of that it runs the recovery engine's server-wide
 	// policy — stream-health notification and shedding under sustained
 	// aggregate overrun.
-	k.NewThread("cras.deadline", cfg.DeadlinePrio, cfg.Quantum, func(t *rtm.Thread) {
+	k.NewThread("cras.deadline", cfg.prio(rtm.PrioRT+2), cfg.Quantum, func(t *rtm.Thread) {
 		for !s.stopping {
 			switch m := s.deadlinePort.Receive(t).(type) {
 			case rtm.DeadlineMiss:
@@ -505,7 +500,7 @@ func NewVolumeServerWith(k *rtm.Kernel, vol *disk.Volume, resolver Resolver, cfg
 	})
 
 	// Signal handler thread: shutdown and cleanup.
-	k.NewThread("cras.signal", cfg.SignalPrio, cfg.Quantum, func(t *rtm.Thread) {
+	k.NewThread("cras.signal", cfg.prio(rtm.PrioRTLow), cfg.Quantum, func(t *rtm.Thread) {
 		s.signalPort.Receive(t)
 		s.stopping = true
 		for _, st := range s.streams {
@@ -563,7 +558,6 @@ func (s *Server) Stats() Stats {
 	out.SendsRejected = s.reqPort.Rejected()
 	out.DiskReads = append([]int64(nil), s.stats.DiskReads...)
 	out.DiskBytes = append([]int64(nil), s.stats.DiskBytes...)
-	out.Accuracy = append([]AccuracyRecord(nil), s.stats.Accuracy...)
 	return out
 }
 
@@ -921,9 +915,11 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 			s.submitFrag(fg)
 		}
 	}
-	//crasvet:allow hotalloc -- one trace summary per cycle, not per stream; keeping it is worth one boxed arg slice
-	s.k.Engine().Tracef("cras: cycle %d: %d streams, %d ops (%d fragments), %d bytes, %d chunks stamped",
-		cycle, active, len(batch), cs.remaining, cs.bytes, stamped)
+	if s.k.Engine().Tracing() {
+		//crasvet:allow hotalloc -- one trace summary per cycle, on traced runs only
+		s.k.Engine().Tracef("cras: cycle %d: %d streams, %d ops (%d fragments), %d bytes, %d chunks stamped",
+			cycle, active, len(batch), cs.remaining, cs.bytes, stamped)
+	}
 	return !s.stopping
 }
 
@@ -1019,23 +1015,25 @@ func (s *Server) removeInflight(fg *readFrag) {
 //
 //crasvet:hotpath
 func (s *Server) finishCycleStat(cs *cycleStat) {
-	var actual, calculated sim.Time
-	for i := range cs.disks {
-		dc := &cs.disks[i]
-		if dc.ops == 0 {
-			continue
+	if s.OnAccuracy != nil {
+		var actual, calculated sim.Time
+		for i := range cs.disks {
+			dc := &cs.disks[i]
+			if dc.ops == 0 {
+				continue
+			}
+			if a := dc.otherDelay + dc.serviceSum; a > actual {
+				actual = a
+			}
+			if dc.calculated > calculated {
+				calculated = dc.calculated
+			}
 		}
-		if a := dc.otherDelay + dc.serviceSum; a > actual {
-			actual = a
-		}
-		if dc.calculated > calculated {
-			calculated = dc.calculated
-		}
+		s.OnAccuracy(AccuracyRecord{
+			Cycle: cs.cycle, Streams: cs.streams, Bytes: cs.bytes,
+			Actual: actual, Calculated: calculated,
+		})
 	}
-	s.stats.Accuracy = append(s.stats.Accuracy, AccuracyRecord{ //crasvet:allow hotalloc -- the accuracy history is the experiment's product (Figures 8 and 9)
-		Cycle: cs.cycle, Streams: cs.streams, Bytes: cs.bytes,
-		Actual: actual, Calculated: calculated,
-	})
 	deadline := cs.submitted + s.cfg.Interval
 	if cs.lastDone > deadline {
 		s.deadlinePort.Send(IOOverrun{Cycle: cs.cycle, LateBy: cs.lastDone - deadline})
@@ -1048,6 +1046,19 @@ func (s *Server) finishCycleStat(cs *cycleStat) {
 
 // ---- request manager operations ----
 
+type sessionOp int
+
+const (
+	opClose sessionOp = iota
+	opRenew
+	opStart
+	opStop
+	opSeek
+	opSetRate
+	opPause
+	opResume
+)
+
 type (
 	openReq struct {
 		info   *media.StreamInfo
@@ -1058,20 +1069,14 @@ type (
 		force  bool
 		record bool
 	}
-	closeReq struct{ id int }
-	startReq struct{ id int }
-	stopReq  struct{ id int }
-	seekReq  struct {
+	// sessionReq is every RPC on an open session: op says which, and
+	// logical (seek) or rate (setrate) carry its argument.
+	sessionReq struct {
+		op      sessionOp
 		id      int
 		logical sim.Time
+		rate    float64
 	}
-	setRateReq struct {
-		id   int
-		rate float64
-	}
-	pauseReq  struct{ id int }
-	resumeReq struct{ id int }
-	renewReq  struct{ id int }
 
 	openResp struct {
 		st  *stream
@@ -1120,51 +1125,39 @@ func (s *Server) admissionSet(extra ...StreamParams) []StreamParams {
 }
 
 func (s *Server) handleRequest(t *rtm.Thread, req any) any {
-	now := s.k.Now()
 	switch r := req.(type) {
 	case openReq:
 		return s.handleOpen(t, r)
-	case closeReq:
+	case sessionReq:
+		now := s.k.Now()
 		st := s.session(r.id, now)
 		if st == nil {
 			return opResp{err: fmt.Errorf("cras: no such stream %d", r.id)}
 		}
-		st.closed = true
-		st.gen++
-		s.shareOnClose(st, now)
-		if st.clientPort != nil {
-			// An orderly close needs no dead-name notification.
-			st.clientPort.NotifyDeadName(nil)
-			st.clientPort.Destroy()
+		switch r.op {
+		case opClose:
+			st.closed = true
+			st.gen++
+			s.shareOnClose(st, now)
+			if st.clientPort != nil {
+				// An orderly close needs no dead-name notification.
+				st.clientPort.NotifyDeadName(nil)
+				st.clientPort.Destroy()
+			}
+		case opStart:
+			st.clock.Start(now, s.startAnchor(now))
+		case opStop:
+			st.clock.Stop(now)
+		case opSeek:
+			return s.handleSeek(st, r.logical, now)
+		case opSetRate:
+			return s.handleSetRate(st, r.rate, now)
+		case opPause:
+			return s.handlePause(st, now)
+		case opResume:
+			return s.handleResume(st, now)
 		}
 		return opResp{}
-	case renewReq:
-		if s.session(r.id, now) == nil {
-			return opResp{err: fmt.Errorf("cras: no such stream %d", r.id)}
-		}
-		return opResp{}
-	case startReq:
-		st := s.session(r.id, now)
-		if st == nil {
-			return opResp{err: fmt.Errorf("cras: no such stream %d", r.id)}
-		}
-		st.clock.Start(now, s.startAnchor(now))
-		return opResp{}
-	case stopReq:
-		st := s.session(r.id, now)
-		if st == nil {
-			return opResp{err: fmt.Errorf("cras: no such stream %d", r.id)}
-		}
-		st.clock.Stop(now)
-		return opResp{}
-	case seekReq:
-		return s.handleSeek(r, now)
-	case setRateReq:
-		return s.handleSetRate(r, now)
-	case pauseReq:
-		return s.handlePause(r, now)
-	case resumeReq:
-		return s.handleResume(r, now)
 	}
 	return opResp{err: fmt.Errorf("cras: unknown request %T", req)}
 }
@@ -1327,21 +1320,7 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 	if dr < wantDr {
 		s.stats.OpensReduced++
 	}
-	if !r.record {
-		// One interval of safety lead keeps the worst-case stamping margin
-		// at half an interval instead of zero (the paper's Figure 4 shows
-		// Tread_ahead running ahead of Tnow); any initial delay beyond the
-		// minimum 2T adds further prefill on top.
-		leadReal := s.cfg.Interval
-		if extra := s.cfg.InitialDelay - 2*s.cfg.Interval; extra > 0 {
-			leadReal += extra
-		}
-		st.lead = sim.Time(float64(leadReal) * r.rate)
-		st.wholeExtents = dr >= 1 && int64(leadReal.Seconds()*par.Rate) >= int64(s.cfg.MaxRead)
-	}
-	// Spread any prefill over the startup window: at most twice the
-	// steady-state amount per interval.
-	st.cycleCap = 2 * (int64(s.cfg.Interval.Seconds()*par.Rate) + par.Chunk)
+	s.applyRateShape(st, r.rate)
 	st.clock.SetRate(s.k.Now(), r.rate)
 	st.seekTo(r.at)
 	if r.at > 0 {
@@ -1377,13 +1356,18 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 func (s *Server) bufferCapacity(par StreamParams) int64 {
 	cap := BufferPerStream(s.cfg.Interval, par) +
 		int64(s.cfg.Jitter.Seconds()*par.Rate) + par.Chunk
-	// The fetch horizon leads consumption by one safety interval plus any
-	// initial delay beyond 2T (see stream.lead); the buffer must hold it.
-	lead := s.cfg.Interval
-	if extra := s.cfg.InitialDelay - 2*s.cfg.Interval; extra > 0 {
-		lead += extra
-	}
-	return cap + int64(lead.Seconds()*par.Rate)
+	// The fetch horizon leads consumption by leadReal (see stream.lead);
+	// the buffer must hold it.
+	return cap + int64(s.leadReal().Seconds()*par.Rate)
+}
+
+// leadReal is how far, in real time, the fetch horizon runs past the
+// standard two intervals. One interval of safety lead keeps the worst-case
+// stamping margin at half an interval instead of zero (the paper's Figure 4
+// shows Tread_ahead running ahead of Tnow); any initial delay beyond the
+// minimum 2T adds further prefill on top.
+func (s *Server) leadReal() sim.Time {
+	return s.cfg.Interval + max(0, s.cfg.InitialDelay-2*s.cfg.Interval)
 }
 
 func maxChunkSize(info *media.StreamInfo) int64 {

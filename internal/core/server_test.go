@@ -471,10 +471,11 @@ func TestAccuracyRecordsCollected(t *testing.T) {
 	newBed(t, 1, ufs.Options{}, Config{},
 		map[string]*media.StreamInfo{"/m1": movie},
 		func(b *bed, th *rtm.Thread) {
+			var recs []AccuracyRecord
+			b.cras.OnAccuracy = func(r AccuracyRecord) { recs = append(recs, r) }
 			h, _ := b.cras.Open(th, movie, "/m1", OpenOptions{})
 			h.Start(th)
 			th.Sleep(8 * time.Second)
-			recs := b.cras.Stats().Accuracy
 			if len(recs) < 5 {
 				t.Errorf("accuracy records = %d, want several", len(recs))
 				return

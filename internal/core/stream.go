@@ -226,10 +226,7 @@ func (s *stream) setFetchPoint(idx int) {
 	// Snap the fetch point to the block containing the chunk and find the
 	// extent that covers it.
 	off = off / ufs.BlockSize * ufs.BlockSize
-	s.extIdx = 0
-	for s.extIdx < len(s.ext.Extents)-1 && s.ext.Extents[s.extIdx+1].FileOff <= off {
-		s.extIdx++
-	}
+	s.extIdx = s.extentAt(off)
 	s.fetchedUpTo = off
 	s.targetByte = off
 }
@@ -279,22 +276,48 @@ func (s *stream) fetchTargets(horizon sim.Time) []*readTag {
 				}
 			}
 		}
-		tags = append(tags, &readTag{
-			s: s, gen: s.gen,
-			lo: lo, hi: hi,
-			lba:     e.LBA + (lo-e.FileOff)/512,
-			sectors: int((hi - lo) / 512),
-		})
+		tags, s.extIdx = s.readSpan(tags, lo, hi, s.extIdx, nil)
 		s.fetchedUpTo = hi
-		if hi == e.FileOff+e.Bytes() {
-			s.extIdx++
-		}
 		cycleBytes += hi - lo
-		s.stats.BytesScheduled += hi - lo
-		s.stats.ReadsIssued++
 	}
 	s.pending = append(s.pending, tags...)
 	return tags
+}
+
+// readSpan appends the reads covering file bytes [lo, hi) to tags — one per
+// extent the span crosses, starting at extent ei — and counts them as
+// scheduled. rev links the reads to the reverse-delivered chunk they serve
+// (nil forward). It returns the grown list and the extent holding hi: ei
+// moves past every extent the span runs to the end of.
+func (s *stream) readSpan(tags []*readTag, lo, hi int64, ei int, rev *revRead) ([]*readTag, int) {
+	for lo < hi && ei < len(s.ext.Extents) {
+		e := s.ext.Extents[ei]
+		end := e.FileOff + e.Bytes()
+		thi := min(hi, end)
+		tags = append(tags, &readTag{ //crasvet:allow hotalloc -- one tag per issued read, alive across the disk round-trip; list handed to the batch scratch
+			s: s, gen: s.gen,
+			lo: lo, hi: thi,
+			lba:     e.LBA + (lo-e.FileOff)/512,
+			sectors: int((thi - lo) / 512),
+			rev:     rev,
+		})
+		s.stats.BytesScheduled += thi - lo
+		s.stats.ReadsIssued++
+		lo = thi
+		if thi == end {
+			ei++
+		}
+	}
+	return tags, ei
+}
+
+// extentAt returns the index of the extent covering file offset off.
+func (s *stream) extentAt(off int64) int {
+	i := 0
+	for i < len(s.ext.Extents)-1 && s.ext.Extents[i+1].FileOff <= off {
+		i++
+	}
+	return i
 }
 
 func alignUp(v, to int64) int64 { return (v + to - 1) / to * to }
@@ -392,26 +415,10 @@ func (s *stream) fetchTargetsSkip(horizon sim.Time) []*readTag {
 			hi = fileEnd
 		}
 		s.jumpTo(lo)
-		for s.fetchedUpTo < hi && s.extIdx < len(s.ext.Extents) {
-			e := s.ext.Extents[s.extIdx]
-			tlo := s.fetchedUpTo
-			thi := e.FileOff + e.Bytes()
-			if thi > hi {
-				thi = hi
-			}
-			tags = append(tags, &readTag{ //crasvet:allow hotalloc -- one tag per issued read, alive across the disk round-trip; list handed to the batch scratch
-				s: s, gen: s.gen,
-				lo: tlo, hi: thi,
-				lba:     e.LBA + (tlo-e.FileOff)/512,
-				sectors: int((thi - tlo) / 512),
-			})
-			s.fetchedUpTo = thi
-			if thi == e.FileOff+e.Bytes() {
-				s.extIdx++
-			}
-			cycleBytes += thi - tlo
-			s.stats.BytesScheduled += thi - tlo
-			s.stats.ReadsIssued++
+		if hi > lo {
+			tags, s.extIdx = s.readSpan(tags, lo, hi, s.extIdx, nil)
+			s.fetchedUpTo = hi
+			cycleBytes += hi - lo
 		}
 		if hi > s.targetByte {
 			s.targetByte = hi
@@ -461,12 +468,9 @@ func (s *stream) absorbCompletions(now, floor sim.Time) {
 		// rate — the viewer sees a repeated frame, not a dropout.
 		if len(s.skipped) > 0 && s.skipped[0] == s.nextStamp {
 			s.skipped = s.skipped[1:]
-			c := chunks[s.nextStamp]
-			if c.Timestamp+c.Duration > tdiscard {
-				s.buf.Insert(BufferedChunk{
-					Index: s.nextStamp, Timestamp: c.Timestamp, Duration: c.Duration,
-					Size: 0, StampedAt: now,
-				})
+			if bc := s.buffered(s.nextStamp, now); bc.Timestamp+bc.Duration > tdiscard {
+				bc.Size = 0
+				s.buf.Insert(bc)
 			}
 			s.stats.ChunksSkipped++
 			s.nextStamp++
@@ -481,22 +485,7 @@ func (s *stream) absorbCompletions(now, floor sim.Time) {
 			s.nextStamp++
 			continue
 		}
-		if c.Timestamp < logical && !s.record {
-			s.stats.ChunksLate++
-			// A chunk already behind the discard line would be removed the
-			// moment it was inserted; inserting it anyway can transiently
-			// overflow the buffer and push out chunks that are still
-			// needed. Skip it outright.
-			if c.Timestamp+c.Duration <= tdiscard {
-				s.nextStamp++
-				continue
-			}
-		}
-		s.buf.Insert(BufferedChunk{
-			Index: s.nextStamp, Timestamp: c.Timestamp, Duration: c.Duration,
-			Size: c.Size, StampedAt: now,
-		})
-		s.stats.ChunksStamped++
+		s.stamp(s.buffered(s.nextStamp, now), logical, tdiscard)
 		s.nextStamp++
 	}
 	// Prune failed ranges the stamp pointer has moved past.
@@ -511,6 +500,39 @@ func (s *stream) absorbCompletions(now, floor sim.Time) {
 	} else {
 		s.failedRanges = nil
 	}
+}
+
+// buffered is chunk idx of the stream's table as stamped at now.
+func (s *stream) buffered(idx int, now sim.Time) BufferedChunk {
+	c := s.info.Chunks[idx]
+	return BufferedChunk{Index: idx, Timestamp: c.Timestamp, Duration: c.Duration, Size: c.Size, StampedAt: now}
+}
+
+// stamp is the one late rule every delivery path applies to an arrived
+// chunk: a chunk the clock has passed counts late, one already behind the
+// discard line is dropped, and any other chunk is inserted into the
+// time-driven buffer and counted as stamped. Reports whether it was.
+func (s *stream) stamp(bc BufferedChunk, logical, tdiscard sim.Time) bool {
+	if s.late(bc, logical, tdiscard) {
+		return false
+	}
+	s.buf.Insert(bc)
+	s.stats.ChunksStamped++
+	return true
+}
+
+// late is the first half of stamp: it counts a chunk the clock has passed
+// (a recorder captures on its own timeline and is never late) and reports
+// whether the chunk is already behind the discard line. Such a chunk would
+// be removed the moment it was inserted, and inserting it anyway can
+// transiently overflow the buffer and push out chunks still needed, so the
+// caller drops it.
+func (s *stream) late(bc BufferedChunk, logical, tdiscard sim.Time) bool {
+	if bc.Timestamp >= logical || s.record {
+		return false
+	}
+	s.stats.ChunksLate++
+	return bc.Timestamp+bc.Duration <= tdiscard
 }
 
 func (s *stream) overlapsFailed(lo, hi int64) bool {

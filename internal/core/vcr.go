@@ -167,23 +167,25 @@ func (s *Server) admitLadder(st *stream, vel, want float64) (StreamParams, float
 	return StreamParams{}, 0, err
 }
 
-// applyRateShape rescales the fetch machinery that depends on the stream's
-// admission rate: buffer capacity (grow-only — shrinking under resident
-// data from the faster rate would overflow until the window drains),
-// per-cycle byte cap, horizon lead, and the whole-extent read policy
-// (disabled below full delivered rate, where the skip holes are the point).
+// applyRateShape sizes the fetch machinery that depends on the stream's
+// admission rate, at open and after every rate change: buffer capacity
+// (grow-only — shrinking under resident data from the faster rate would
+// overflow until the window drains), per-cycle byte cap (any prefill
+// spreads over the startup window at no more than twice the steady-state
+// amount per interval), horizon lead, and the whole-extent read policy
+// (disabled below full delivered rate, where the skip holes are the point,
+// and in reverse).
 func (s *Server) applyRateShape(st *stream, vel float64) {
 	if cp := s.bufferCapacity(st.par); cp > st.buf.Capacity() {
 		st.buf.SetCapacity(cp)
 	}
 	st.cycleCap = 2 * (int64(s.cfg.Interval.Seconds()*st.par.Rate) + st.par.Chunk)
-	leadReal := s.cfg.Interval
-	if extra := s.cfg.InitialDelay - 2*s.cfg.Interval; extra > 0 {
-		leadReal += extra
-	}
-	st.lead = sim.Time(float64(leadReal) * vel)
-	st.wholeExtents = st.dr >= 1 && st.rev == nil &&
-		int64(leadReal.Seconds()*st.par.Rate) >= int64(s.cfg.MaxRead)
+	lead := s.leadReal()
+	st.lead = sim.Time(float64(lead) * vel)
+	// A recorder's horizon is the data captured so far: whole-extent writes
+	// would run ahead of capture.
+	st.wholeExtents = st.dr >= 1 && st.rev == nil && !st.record &&
+		int64(lead.Seconds()*st.par.Rate) >= int64(s.cfg.MaxRead)
 }
 
 // ladderStepDown is the recovery engine's alternative to suspension: a
@@ -254,11 +256,7 @@ func (s *Server) ladderPromoteStep(now sim.Time) {
 
 // ---- pause / resume ----
 
-func (s *Server) handlePause(r pauseReq, now sim.Time) opResp {
-	st := s.session(r.id, now)
-	if st == nil {
-		return opResp{err: fmt.Errorf("cras: no such stream %d", r.id)}
-	}
+func (s *Server) handlePause(st *stream, now sim.Time) opResp {
 	if st.record {
 		return opResp{err: s.vcrRefusal("pause", "recording sessions cannot pause", nil)}
 	}
@@ -281,11 +279,7 @@ func (s *Server) handlePause(r pauseReq, now sim.Time) opResp {
 	return opResp{}
 }
 
-func (s *Server) handleResume(r resumeReq, now sim.Time) opResp {
-	st := s.session(r.id, now)
-	if st == nil {
-		return opResp{err: fmt.Errorf("cras: no such stream %d", r.id)}
-	}
+func (s *Server) handleResume(st *stream, now sim.Time) opResp {
 	if !st.paused {
 		return opResp{} // idempotent
 	}
@@ -312,31 +306,27 @@ func (s *Server) handleResume(r resumeReq, now sim.Time) opResp {
 
 // ---- seek ----
 
-func (s *Server) handleSeek(r seekReq, now sim.Time) opResp {
-	st := s.session(r.id, now)
-	if st == nil {
-		return opResp{err: fmt.Errorf("cras: no such stream %d", r.id)}
-	}
+func (s *Server) handleSeek(st *stream, logical, now sim.Time) opResp {
 	s.stats.Seeks++
 	// Seek-to-current is an exact no-op: no detach, no re-admission, no
 	// buffer reset — the golden equivalence the test layer proves.
-	if st.rev == nil && r.logical == st.clock.At(now) {
+	if st.rev == nil && logical == st.clock.At(now) {
 		return opResp{}
 	}
 	if st.rev != nil {
-		if r.logical == st.rev.mediaPos {
+		if logical == st.rev.mediaPos {
 			return opResp{}
 		}
 		// Repositioning a rewind: same velocity, same admission charge —
 		// just move the head and drop the scheduled window.
 		st.dropWindow()
-		s.setReversePoint(st, r.logical)
+		s.setReversePoint(st, logical)
 		return opResp{}
 	}
 	// Fast path: a follower seeking inside its leader's pinned interval
 	// re-validates the gap contract and keeps its pins.
 	if st.rides(sharePinned) && !st.paused {
-		if resp, handled := s.cacheSeekRevalidate(st, r.logical, now); handled {
+		if resp, handled := s.cacheSeekRevalidate(st, logical, now); handled {
 			return resp
 		}
 	}
@@ -363,8 +353,8 @@ func (s *Server) handleSeek(r seekReq, now sim.Time) opResp {
 	if detaches {
 		st.par = plain
 	}
-	st.clock.Seek(now, r.logical)
-	st.seekTo(r.logical)
+	st.clock.Seek(now, logical)
+	st.seekTo(logical)
 	// A disk-path seek is a new play point and pays the open's re-buffer
 	// window again: the clock holds the target until the fetch pipeline has
 	// had an initial delay to warm, exactly like crs_play. (The pin-backed
@@ -440,18 +430,14 @@ func (s *Server) cacheSeekRevalidate(st *stream, target sim.Time, now sim.Time) 
 
 // ---- rate changes (fast-forward, slow motion, rewind) ----
 
-func (s *Server) handleSetRate(r setRateReq, now sim.Time) opResp {
-	st := s.session(r.id, now)
-	if st == nil {
-		return opResp{err: fmt.Errorf("cras: no such stream %d", r.id)}
-	}
-	if r.rate == 0 {
+func (s *Server) handleSetRate(st *stream, rate float64, now sim.Time) opResp {
+	if rate == 0 {
 		return opResp{err: s.vcrRefusal("setrate", "rate 0 is Pause, not a playback rate", nil)}
 	}
 	if st.paused {
 		return opResp{err: s.vcrRefusal("setrate", "stream is paused; resume first", nil)}
 	}
-	if st.record && r.rate < 0 {
+	if st.record && rate < 0 {
 		return opResp{err: s.vcrRefusal("setrate", "recording sessions cannot run in reverse", nil)}
 	}
 	cur := st.clock.Rate()
@@ -460,11 +446,11 @@ func (s *Server) handleSetRate(r setRateReq, now sim.Time) opResp {
 	}
 	// An exact no-op never detaches, never re-admits, never resets the
 	// buffer — the golden equivalence the test layer proves.
-	if r.rate == cur && st.dr >= 1 {
+	if rate == cur && st.dr >= 1 {
 		return opResp{}
 	}
 	s.stats.RateChanges++
-	vel := r.rate
+	vel := rate
 	if vel < 0 {
 		vel = -vel
 	}
@@ -473,29 +459,29 @@ func (s *Server) handleSetRate(r setRateReq, now sim.Time) opResp {
 		s.stats.AdmissionRejects++
 		s.stats.RateRefused++
 		return opResp{err: s.vcrRefusal("setrate",
-			fmt.Sprintf("re-admission at rate %g failed", r.rate), err)} //crasvet:allow hotalloc -- formats once per refused rate change
+			fmt.Sprintf("re-admission at rate %g failed", rate), err)} //crasvet:allow hotalloc -- formats once per refused rate change
 	}
 	// A rate change desynchronizes the clocks the cache pairs rely on: a
 	// leader strands its followers, a follower can no longer trail.
 	// Multicast groups desynchronize the same way.
 	s.shareLeave(st, now, vcrLeave{dep: "rate change", prod: "rate change"})
-	if r.rate > 0 {
+	if rate > 0 {
 		fromRev := st.rev != nil
 		if fromRev {
 			s.exitReverse(st, now)
 		}
 		st.par = par
 		st.dr = dr
-		st.clock.SetRate(now, r.rate)
+		st.clock.SetRate(now, rate)
 		if fromRev {
 			// Coming out of REW lands on a fresh play point with an empty
 			// buffer; re-arm the initial delay so forward delivery resumes
 			// from the head instead of permanently missing its first second.
 			st.clock.Start(now, now+s.cfg.InitialDelay)
 		}
-		s.applyRateShape(st, r.rate)
+		s.applyRateShape(st, rate)
 	} else {
-		s.enterReverse(st, now, -r.rate, par, dr)
+		s.enterReverse(st, now, -rate, par, dr)
 	}
 	return opResp{}
 }
@@ -638,31 +624,11 @@ func (s *Server) fetchReverse(st *stream, horizonAt sim.Time) []*readTag {
 				if rev.lowRead < 0 || lo < rev.lowRead {
 					rev.lowRead = lo
 				}
-				ei := st.extentAt(lo)
-				for lo < hi && ei < len(st.ext.Extents) {
-					e := st.ext.Extents[ei]
-					thi := e.FileOff + e.Bytes()
-					if thi > hi {
-						thi = hi
-					}
-					tag := &readTag{ //crasvet:allow hotalloc -- one tag per issued read, alive across the disk round-trip
-						s: st, gen: st.gen,
-						lo: lo, hi: thi,
-						lba:     e.LBA + (lo-e.FileOff)/512,
-						sectors: int((thi - lo) / 512),
-						rev:     rr,
-					}
-					tags = append(tags, tag)             //crasvet:allow hotalloc -- per-cycle schedule list, handed to the batch scratch
-					st.pending = append(st.pending, tag) //crasvet:allow hotalloc -- pending completion list; capacity retained across cycles
-					rr.left++
-					cycleBytes += thi - lo
-					st.stats.BytesScheduled += thi - lo
-					st.stats.ReadsIssued++
-					lo = thi
-					if lo == e.FileOff+e.Bytes() {
-						ei++
-					}
-				}
+				n := len(tags)
+				tags, _ = st.readSpan(tags, lo, hi, st.extentAt(lo), rr)
+				st.pending = append(st.pending, tags[n:]...) //crasvet:allow hotalloc -- pending completion list; capacity retained across cycles
+				rr.left += len(tags) - n
+				cycleBytes += hi - lo
 			}
 		} else {
 			st.stats.ChunksSkipped++
@@ -706,25 +672,9 @@ func (s *Server) absorbReverse(st *stream, now sim.Time) {
 			st.stats.ChunksFailed++
 			continue
 		}
-		if rr.deliver < logical {
-			st.stats.ChunksLate++
-			if rr.deliver+rr.dur <= tdiscard {
-				continue
-			}
-		}
-		st.buf.Insert(BufferedChunk{
+		st.stamp(BufferedChunk{
 			Index: rr.idx, Timestamp: rr.deliver, Duration: rr.dur,
 			Size: rr.size, StampedAt: now,
-		})
-		st.stats.ChunksStamped++
+		}, logical, tdiscard)
 	}
-}
-
-// extentAt returns the index of the extent covering file offset off.
-func (st *stream) extentAt(off int64) int {
-	i := 0
-	for i < len(st.ext.Extents)-1 && st.ext.Extents[i+1].FileOff <= off {
-		i++
-	}
-	return i
 }

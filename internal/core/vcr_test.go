@@ -407,6 +407,45 @@ func TestVCRRecordingRefusesFrameDropping(t *testing.T) {
 		})
 }
 
+// A recorder's fetch horizon is the data captured so far, so its writes
+// never run past the captured chunks — not even after a rate change has
+// re-shaped the fetch machinery for a lead wide enough to enable
+// whole-extent reads on a playback stream.
+func TestVCRRecorderSetRateWritesOnlyCapturedData(t *testing.T) {
+	plan := media.MPEG1().Generate("/rec", 20*time.Second)
+	newBed(t, 1, ufs.Options{}, Config{},
+		map[string]*media.StreamInfo{},
+		func(b *bed, th *rtm.Thread) {
+			h, err := b.cras.OpenRecord(th, plan, "/rec", OpenOptions{})
+			if err != nil {
+				t.Errorf("OpenRecord: %v", err)
+				return
+			}
+			h.Start(th)
+			sleepRenewing(th, 2*time.Second, h)
+			if err := h.SetRate(th, 3); err != nil {
+				t.Errorf("SetRate(3): %v", err)
+				return
+			}
+			st := h.st
+			for i := 0; i < 8; i++ {
+				sleepRenewing(th, b.cras.Config().Interval, h)
+				pos := st.clock.At(b.k.Now())
+				var captured int64
+				for _, c := range plan.Chunks {
+					if c.Timestamp < pos {
+						captured = c.Offset + c.Size
+					}
+				}
+				if limit := alignUp(captured, ufs.BlockSize); st.fetchedUpTo > limit {
+					t.Errorf("at %v: writes reach byte %d, %d past the captured data", pos, st.fetchedUpTo, st.fetchedUpTo-limit)
+					return
+				}
+			}
+			h.Close(th)
+		})
+}
+
 // With a rate ladder configured, a stream that burns its Degraded failure
 // budget over a bad disk region steps down a delivered-rate rung instead
 // of suspending, keeps playing (thinned), and is promoted back to full

@@ -86,6 +86,10 @@ type PlaybackResult struct {
 	FaultStats disk.FaultStats // zero unless PlaybackConfig.Faults was set
 	MediaRate  float64         // the disk's sustained rate, for normalizing
 
+	// Accuracy is the server's per-interval admission accuracy history
+	// (Figures 8 and 9); empty without CRAS.
+	Accuracy []core.AccuracyRecord
+
 	admissionRejected int
 }
 
@@ -151,12 +155,7 @@ func RunPlayback(cfg PlaybackConfig) *PlaybackResult {
 		q = rrQuantum
 		setup.UnixQuantum = q
 		setup.UnixPrio = rtm.PrioTS
-		setup.CRAS.Quantum = q
-		setup.CRAS.SchedulerPrio = rtm.PrioTS
-		setup.CRAS.ManagerPrio = rtm.PrioTS
-		setup.CRAS.IODonePrio = rtm.PrioTS
-		setup.CRAS.DeadlinePrio = rtm.PrioTS
-		setup.CRAS.SignalPrio = rtm.PrioTS
+		setup.CRAS.Quantum = q // every CRAS thread at rtm.PrioTS
 		playerCfg = workload.PlayerConfig{Priority: rtm.PrioTS, Quantum: q}
 	}
 
@@ -183,6 +182,9 @@ func RunPlayback(cfg PlaybackConfig) *PlaybackResult {
 		}
 		for i := 0; i < cfg.Hogs; i++ {
 			workload.CPUHog(m.Kernel, fmt.Sprintf("hog%d", i), rtm.PrioTS, q, 0)
+		}
+		if cfg.UseCRAS {
+			m.CRAS.OnAccuracy = func(r core.AccuracyRecord) { res.Accuracy = append(res.Accuracy, r) }
 		}
 		pc := playerCfg
 		pc.MaxFrames = framesIn(cfg.Profile, cfg.Duration)

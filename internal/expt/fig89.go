@@ -72,7 +72,7 @@ func RunAccuracy(cfg AccuracyConfig) *AccuracyResult {
 				pt.LoadAvg, pt.LoadMax = avg, max
 			} else {
 				pt.NoLoadAvg, pt.NoLoadMax = avg, max
-				pt.Intervals = len(r.CRASStats.Accuracy)
+				pt.Intervals = len(r.Accuracy)
 			}
 		}
 		res.Points = append(res.Points, pt)
@@ -84,7 +84,7 @@ func RunAccuracy(cfg AccuracyConfig) *AccuracyResult {
 // intervals (streams still opening, pipeline prefilling) so the numbers
 // describe steady state, as the paper's do.
 func summarizeAccuracy(r *PlaybackResult) (avg, max float64) {
-	recs := r.CRASStats.Accuracy
+	recs := r.Accuracy
 	full := 0
 	for _, rec := range recs {
 		if rec.Streams > full {
