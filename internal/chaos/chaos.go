@@ -447,7 +447,7 @@ func Run(sc Scenario) *Result {
 				// files project to disjoint member runs, so the poison is
 				// exclusive to the victim by construction.
 				lo, hi := int64(-1), int64(-1)
-				for _, f := range m.Vol.Fragments(region.LBA, int(region.Sectors)) {
+				for _, f := range m.Vol.Fragments(nil, region.LBA, int(region.Sectors)) {
 					if f.Disk != sc.FaultDisk {
 						continue
 					}

@@ -78,7 +78,7 @@ func (m *ExtentMap) AverageRunBytes() int64 {
 func (m *ExtentMap) DiskFootprint(v *disk.Volume) []int64 {
 	out := make([]int64, v.NumDisks())
 	for _, e := range m.Extents {
-		for _, f := range v.Fragments(e.LBA, e.Sectors) {
+		for _, f := range v.Fragments(nil, e.LBA, e.Sectors) {
 			out[f.Disk] += int64(f.Count)
 		}
 	}

@@ -309,13 +309,14 @@ type Server struct {
 	spareBytes []int64    //crasvet:confined
 	spareTimes []sim.Time //crasvet:confined
 
-	// Per-cycle allocation scratch: the logical batch list and the
-	// per-member fragment lists are rebuilt every cycle into retained
-	// capacity, and completed cycleStats are recycled through a free list
-	// (safe at remaining==0: every fragment, retries included, has been
-	// finally absorbed). fragDone is the one completion closure every
-	// fragment shares — the fragment rides Request.Tag.
+	// Per-cycle allocation scratch: the logical batch list, one tag's
+	// stripe mapping and the per-member fragment lists are rebuilt every
+	// cycle into retained capacity, and completed cycleStats are recycled
+	// through a free list (safe at remaining==0: every fragment, retries
+	// included, has been finally absorbed). fragDone is the one completion
+	// closure every fragment shares — the fragment rides Request.Tag.
 	batchScratch []*readTag    //crasvet:confined
+	fragScratch  []disk.Frag   //crasvet:confined
 	perDiskFrags [][]*readFrag //crasvet:confined
 	csFree       []*cycleStat  //crasvet:confined
 	fragDone     func(*disk.Request, []byte)
@@ -410,6 +411,7 @@ func NewVolumeServerWith(k *rtm.Kernel, vol *disk.Volume, resolver Resolver, cfg
 	s.spareOps = make([]int, vol.NumDisks())
 	s.spareBytes = make([]int64, vol.NumDisks())
 	s.spareTimes = make([]sim.Time, vol.NumDisks())
+	s.fragScratch = make([]disk.Frag, 0, vol.NumDisks())
 	s.perDiskFrags = make([][]*readFrag, vol.NumDisks())
 	s.fragDone = func(r *disk.Request, _ []byte) {
 		fg := r.Tag.(*readFrag)
@@ -863,18 +865,17 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 		// Reads on a parity volume use the read-optimized fragment plan,
 		// which widens to survivor full-row reads when a member is dead
 		// (degraded mode — XOR reconstruction inside this batch's barrier).
-		var frags []disk.Frag
 		if !tag.s.record {
 			var recon int
-			frags, recon = s.vol.ReadFragments(tag.lba, tag.sectors)
+			s.fragScratch, recon = s.vol.ReadFragments(s.fragScratch[:0], tag.lba, tag.sectors)
 			if recon > 0 {
 				s.stats.DegradedReads++
 				s.stats.ParityReconstructions += int64(recon)
 			}
 		} else {
-			frags = s.vol.Fragments(tag.lba, tag.sectors)
+			s.fragScratch = s.vol.Fragments(s.fragScratch[:0], tag.lba, tag.sectors)
 		}
-		for _, f := range frags {
+		for _, f := range s.fragScratch {
 			if s.vol.Dead(f.Disk) {
 				// A recorder's units on the dead member are carried by the
 				// row parity the surviving writes maintain.

@@ -13,7 +13,10 @@ import (
 // no payload). A read copies the sector contents into Data, zero-filling
 // unwritten sectors; a read with nil Data only costs time — it moves no
 // bytes, which is how CRAS stream reads, whose buffers live outside the
-// model, stay allocation-free.
+// model, stay allocation-free. A caller that wants the bytes in buffers of
+// its own layout submits a timing-only read and copies them with
+// PeekSectors in Done, at the completion instant, as the UFS buffer cache
+// does for each block of a run.
 type Request struct {
 	LBA      int64
 	Count    int // sectors
@@ -65,7 +68,7 @@ type Disk struct {
 	par  Params
 	name string
 
-	sectors map[int64][]byte
+	sectors map[int64]*slab // keyed by lba/slabSectors
 
 	// faultInjector, when set, is consulted at completion time; a non-nil
 	// return fails the request with that error. A testing and
@@ -110,7 +113,7 @@ func New(eng *sim.Engine, name string, g Geometry, p Params) *Disk {
 	if err := g.Validate(); err != nil {
 		panic(err)
 	}
-	d := &Disk{eng: eng, geo: g, par: p, name: name, sectors: make(map[int64][]byte)}
+	d := &Disk{eng: eng, geo: g, par: p, name: name, sectors: make(map[int64]*slab)}
 	d.completeFn = d.complete
 	return d
 }
@@ -375,26 +378,76 @@ func (d *Disk) complete() {
 	}
 }
 
-func (d *Disk) store(r *Request) {
-	if r.Data == nil {
-		// Sparse write: drop any previous payload so sectors read as zeros.
-		for i := 0; i < r.Count; i++ {
-			delete(d.sectors, r.LBA+int64(i))
+// slabSectors is the sector store's unit: the store keeps one map entry per
+// slabSectors aligned sectors, so reading a file-system block costs one
+// lookup rather than one per sector.
+const slabSectors = 16
+
+// slab holds the payloads of slabSectors consecutive sectors, one buffer
+// per written sector. A nil slot reads as zeros, and a slab with no payload
+// leaves the store. Sectors keep separate buffers so that a slab holding a
+// single metadata sector stays a single sector's worth of memory.
+type slab [slabSectors][]byte
+
+func (s *slab) empty() bool {
+	for _, sec := range s {
+		if sec != nil {
+			return false
 		}
-		return
 	}
+	return true
+}
+
+// slabSpan locates sector lba in the store: its slab key, its slot in that
+// slab, and how many of the count sectors from lba the slab holds.
+func slabSpan(lba int64, count int) (key int64, off, n int) {
+	key, off = lba/slabSectors, int(lba%slabSectors)
+	return key, off, min(slabSectors-off, count)
+}
+
+func (d *Disk) store(r *Request) {
 	ss := d.geo.SectorSize
-	for i := 0; i < r.Count; i++ {
-		src := r.Data[i*ss : (i+1)*ss]
-		if allZero(src) {
+	for i := 0; i < r.Count; {
+		key, off, n := slabSpan(r.LBA+int64(i), r.Count-i)
+		var src []byte
+		if r.Data != nil {
+			src = r.Data[i*ss : (i+n)*ss]
+		}
+		d.writeSlab(key, off, n, src)
+		i += n
+	}
+}
+
+// writeSlab stores n sectors of src into slab key from slot off. A nil src
+// is a sparse write: it drops any previous payload so the sectors read as
+// zeros.
+func (d *Disk) writeSlab(key int64, off, n int, src []byte) {
+	ss := d.geo.SectorSize
+	s := d.sectors[key]
+	for j := 0; j < n; j++ {
+		var sec []byte
+		if src != nil {
+			sec = src[j*ss : (j+1)*ss]
+		}
+		if sec == nil || allZero(sec) {
 			// Unwritten sectors read as zeros; storing zero payloads would
 			// only bloat memory and images.
-			delete(d.sectors, r.LBA+int64(i))
+			if s != nil {
+				s[off+j] = nil
+			}
 			continue
 		}
-		buf := make([]byte, ss)
-		copy(buf, src)
-		d.sectors[r.LBA+int64(i)] = buf
+		if s == nil {
+			s = new(slab) //crasvet:allow hotalloc -- first payload in a 16-sector run: a write of new file data; the store owns it from now on
+			d.sectors[key] = s
+		}
+		if s[off+j] == nil {
+			s[off+j] = make([]byte, ss) //crasvet:allow hotalloc -- first payload of a sector; a rewrite reuses the buffer
+		}
+		copy(s[off+j], sec)
+	}
+	if s != nil && s.empty() {
+		delete(d.sectors, key)
 	}
 }
 
@@ -416,13 +469,21 @@ func allZero(b []byte) bool {
 // unwritten sectors, without disk timing.
 func (d *Disk) copySectors(lba int64, count int, dst []byte) {
 	ss := d.geo.SectorSize
-	for i := 0; i < count; i++ {
-		out := dst[i*ss : (i+1)*ss]
-		if sec, ok := d.sectors[lba+int64(i)]; ok {
-			copy(out, sec)
-		} else {
+	for i := 0; i < count; {
+		key, off, n := slabSpan(lba+int64(i), count-i)
+		out := dst[i*ss : (i+n)*ss]
+		if s := d.sectors[key]; s == nil {
 			clear(out)
+		} else {
+			for j, sec := range s[off : off+n] {
+				if sec != nil {
+					copy(out[j*ss:], sec)
+				} else {
+					clear(out[j*ss : (j+1)*ss])
+				}
+			}
 		}
+		i += n
 	}
 }
 
@@ -430,22 +491,40 @@ func (d *Disk) copySectors(lba int64, count int, dst []byte) {
 // timing. Unwritten sectors are zeros and leave dst unchanged.
 func (d *Disk) xorSectors(lba int64, count int, dst []byte) {
 	ss := d.geo.SectorSize
-	for i := 0; i < count; i++ {
-		if sec, ok := d.sectors[lba+int64(i)]; ok {
-			xorInto(dst[i*ss:(i+1)*ss], sec)
+	for i := 0; i < count; {
+		key, off, n := slabSpan(lba+int64(i), count-i)
+		if s := d.sectors[key]; s != nil {
+			for j, sec := range s[off : off+n] {
+				if sec != nil {
+					xorInto(dst[(i+j)*ss:], sec)
+				}
+			}
 		}
+		i += n
 	}
 }
 
-// PeekSector returns a copy of a sector's contents without disk timing —
-// the equivalent of inspecting the image offline. Intended for tools and
-// tests.
-func (d *Disk) PeekSector(lba int64) []byte {
-	//crasvet:allow hotalloc -- offline helper, hot-reachable only through the parity write model; mirrors the baselined load allocation
-	out := make([]byte, d.geo.SectorSize)
-	if sec, ok := d.sectors[lba]; ok {
-		copy(out, sec)
+// PeekSectors copies the sectors from lba into dst, whose length must be a
+// whole number of sectors, without disk timing — the equivalent of
+// inspecting the image offline. Unwritten sectors read as zeros.
+func (d *Disk) PeekSectors(lba int64, dst []byte) {
+	d.copySectors(lba, d.sectorCount(dst), dst)
+}
+
+// sectorCount returns how many sectors buf holds, panicking unless it is a
+// whole number of them.
+func (d *Disk) sectorCount(buf []byte) int {
+	if len(buf)%d.geo.SectorSize != 0 {
+		panic("disk: buffer is not a whole number of sectors")
 	}
+	return len(buf) / d.geo.SectorSize
+}
+
+// PeekSector returns a copy of a sector's contents without disk timing.
+// Intended for tools and tests.
+func (d *Disk) PeekSector(lba int64) []byte {
+	out := make([]byte, d.geo.SectorSize)
+	d.PeekSectors(lba, out)
 	return out
 }
 
@@ -454,18 +533,22 @@ func (d *Disk) PokeSector(lba int64, data []byte) {
 	if len(data) != d.geo.SectorSize {
 		panic("disk: PokeSector payload size mismatch")
 	}
-	if allZero(data) {
-		delete(d.sectors, lba)
-		return
-	}
-	//crasvet:allow hotalloc -- offline helper, hot-reachable only through the parity rebuild; the store owns the copy
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	d.sectors[lba] = buf
+	key, off, _ := slabSpan(lba, 1)
+	d.writeSlab(key, off, 1, data)
 }
 
 // StoredSectors returns how many sectors hold explicit payloads.
-func (d *Disk) StoredSectors() int { return len(d.sectors) }
+func (d *Disk) StoredSectors() int {
+	n := 0
+	for _, s := range d.sectors {
+		for _, sec := range s {
+			if sec != nil {
+				n++
+			}
+		}
+	}
+	return n
+}
 
 func abs(x int) int {
 	if x < 0 {

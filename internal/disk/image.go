@@ -5,7 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 
 	"repro/internal/sim"
 )
@@ -38,24 +38,29 @@ func (d *Disk) SaveImage(w io.Writer) error {
 	hdr = le.AppendUint64(hdr, uint64(d.par.SeekSqrtCoeff))
 	hdr = le.AppendUint32(hdr, uint32(d.par.SeekKnee))
 	hdr = le.AppendUint64(hdr, uint64(d.par.SeekSlope))
-	hdr = le.AppendUint64(hdr, uint64(len(d.sectors)))
+	hdr = le.AppendUint64(hdr, uint64(d.StoredSectors()))
 	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}
-	// Deterministic order.
-	lbas := make([]int64, 0, len(d.sectors))
-	for lba := range d.sectors {
-		lbas = append(lbas, lba)
+	// Deterministic order: ascending LBA.
+	keys := make([]int64, 0, len(d.sectors))
+	for key := range d.sectors {
+		keys = append(keys, key)
 	}
-	sort.Slice(lbas, func(i, j int) bool { return lbas[i] < lbas[j] })
+	slices.Sort(keys)
 	var rec [8]byte
-	for _, lba := range lbas {
-		le.PutUint64(rec[:], uint64(lba))
-		if _, err := bw.Write(rec[:]); err != nil {
-			return err
-		}
-		if _, err := bw.Write(d.sectors[lba]); err != nil {
-			return err
+	for _, key := range keys {
+		for j, sec := range d.sectors[key] {
+			if sec == nil {
+				continue
+			}
+			le.PutUint64(rec[:], uint64(key*slabSectors+int64(j)))
+			if _, err := bw.Write(rec[:]); err != nil {
+				return err
+			}
+			if _, err := bw.Write(sec); err != nil {
+				return err
+			}
 		}
 	}
 	return bw.Flush()
@@ -97,9 +102,11 @@ func LoadImage(eng *sim.Engine, name string, r io.Reader) (*Disk, error) {
 			return nil, fmt.Errorf("disk: truncated image at sector %d: %w", i, err)
 		}
 		lba := int64(le.Uint64(buf))
-		sec := make([]byte, g.SectorSize)
-		copy(sec, buf[8:])
-		d.sectors[lba] = sec
+		if lba < 0 || lba >= g.TotalSectors() {
+			return nil, fmt.Errorf("disk: image sector %d: lba %d outside the disk", i, lba)
+		}
+		key, off, _ := slabSpan(lba, 1)
+		d.writeSlab(key, off, 1, buf[8:])
 	}
 	return d, nil
 }

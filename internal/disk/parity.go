@@ -1,9 +1,6 @@
 package disk
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Rotating-parity (RAID-5 style) volume mode.
 //
@@ -116,40 +113,9 @@ func (v *Volume) MemberStats() []Stats {
 	return out
 }
 
-// parityFragments computes exact data fragments for a parity volume: the
-// stripe-unit slices of the range merged per member where member-contiguous.
-// Unlike the RAID-0 mapping, the rotation interleaves parity units into each
-// member's LBA space, so a member can carry several fragments. Safe for
-// writes — parity units in the holes are never touched.
-func (v *Volume) parityFragments(lba int64, count int) []Frag {
-	//crasvet:allow hotalloc -- mapping scratch bounded by member count; mirrors the baselined RAID-0 Fragments allocation
-	last := make([]int, len(v.disks))
-	for i := range last {
-		last[i] = -1
-	}
-	//crasvet:allow hotalloc -- same bounded mapping scratch
-	frags := make([]Frag, 0, len(v.disks))
-	//crasvet:allow hotalloc -- closure is the unit walk itself; one per mapping call, not per admitted stream cycle
-	v.forEachUnit(lba, count, func(d int, dlba int64, sectors int, _ int64) {
-		if j := last[d]; j >= 0 && frags[j].LBA+int64(frags[j].Count) == dlba {
-			frags[j].Count += sectors
-			return
-		}
-		last[d] = len(frags)
-		frags = append(frags, Frag{Disk: d, LBA: dlba, Count: sectors}) //crasvet:allow hotalloc -- capacity len(disks) preallocated; a parity member carries few fragments
-	})
-	//crasvet:allow hotalloc -- sort.Slice closure, one per mapping call
-	sort.Slice(frags, func(i, j int) bool {
-		if frags[i].Disk != frags[j].Disk {
-			return frags[i].Disk < frags[j].Disk
-		}
-		return frags[i].LBA < frags[j].LBA
-	})
-	return frags
-}
-
-// ReadFragments computes the member READS serving a logical range under the
-// volume's current dead set, and the number of stripe units that must be
+// ReadFragments appends to dst the member READS serving a logical range
+// under the volume's current dead set, ordered by member, and returns the
+// extended slice with the number of stripe units that must be
 // XOR-reconstructed because they live on a dead member. For a healthy
 // parity volume each member gets at most ONE contiguous fragment spanning
 // its interleaved parity units (cheaper to read past a 1-unit hole than to
@@ -157,54 +123,43 @@ func (v *Volume) parityFragments(lba int64, count int) []Frag {
 // to cover the affected rows in full, since rebuilding a dead unit needs
 // every survivor's whole unit for those rows. Non-parity volumes delegate
 // to Fragments. Results are read-only: writing these fragments would
-// clobber parity units.
-func (v *Volume) ReadFragments(lba int64, count int) ([]Frag, int) {
+// clobber parity units. With a dst of enough capacity (one fragment per
+// member) it allocates nothing.
+func (v *Volume) ReadFragments(dst []Frag, lba int64, count int) ([]Frag, int) {
 	if !v.parity {
-		return v.Fragments(lba, count), 0
+		return v.Fragments(dst, lba, count), 0
 	}
-	type span struct {
-		lo, hi int64
-		set    bool
-	}
-	//crasvet:allow hotalloc -- mapping scratch bounded by member count; mirrors the baselined RAID-0 Fragments allocation
-	spans := make([]span, len(v.disks))
-	//crasvet:allow hotalloc -- one closure per mapping call, not per admitted stream cycle
-	extend := func(d int, lo, hi int64) {
-		if !spans[d].set {
-			spans[d] = span{lo: lo, hi: hi, set: true}
-			return
-		}
-		if lo < spans[d].lo {
-			spans[d].lo = lo
-		}
-		if hi > spans[d].hi {
-			spans[d].hi = hi
-		}
-	}
+	base := len(dst)
 	recon := 0
-	//crasvet:allow hotalloc -- one closure per mapping call, not per admitted stream cycle
-	v.forEachUnit(lba, count, func(d int, dlba int64, sectors int, _ int64) {
-		if !v.dead[d] {
-			extend(d, dlba, dlba+int64(sectors))
-			return
+	for u := v.units(lba, count); u.next(); {
+		if !v.dead[u.disk] {
+			dst = widenFrag(dst, base, u.disk, u.dlba, u.dlba+int64(u.count))
+			continue
 		}
 		recon++
-		row := dlba / v.stripe
+		row := u.dlba / v.stripe
 		for m := range v.disks {
-			if m == d || v.dead[m] {
-				continue
+			if m != u.disk && !v.dead[m] {
+				dst = widenFrag(dst, base, m, row*v.stripe, (row+1)*v.stripe)
 			}
-			extend(m, row*v.stripe, (row+1)*v.stripe)
-		}
-	})
-	//crasvet:allow hotalloc -- result bounded by member count; mirrors the baselined RAID-0 Fragments allocation
-	frags := make([]Frag, 0, len(v.disks))
-	for d, sp := range spans {
-		if sp.set {
-			frags = append(frags, Frag{Disk: d, LBA: sp.lo, Count: int(sp.hi - sp.lo)}) //crasvet:allow hotalloc -- capacity len(disks) preallocated; one span per member
 		}
 	}
-	return frags, recon
+	sortFrags(dst[base:])
+	return dst, recon
+}
+
+// widenFrag widens member d's fragment in dst[base:] to cover the member
+// sectors [lo, hi), appending the fragment if d has none yet.
+func widenFrag(dst []Frag, base, d int, lo, hi int64) []Frag {
+	for j := base; j < len(dst); j++ {
+		if f := &dst[j]; f.Disk == d {
+			end := max(f.LBA+int64(f.Count), hi)
+			f.LBA = min(f.LBA, lo)
+			f.Count = int(end - f.LBA)
+			return dst
+		}
+	}
+	return append(dst, Frag{Disk: d, LBA: lo, Count: int(hi - lo)}) //crasvet:allow hotalloc -- appends into the caller's scratch, whose capacity the caller retains across calls
 }
 
 // ReconstructFrags returns the survivor reads that reconstruct member m's
@@ -230,12 +185,9 @@ func (v *Volume) ReconstructFrags(m int, r0, r1 int64) []Frag {
 // peekRun returns member d's stored bytes for [lba, lba+count) sectors,
 // without disk timing.
 func (v *Volume) peekRun(d int, lba int64, count int) []byte {
-	ss := v.geo.SectorSize
 	//crasvet:allow hotalloc -- offline/parity-write arithmetic buffer; mirrors the baselined Disk.load allocation
-	out := make([]byte, count*ss)
-	for i := 0; i < count; i++ {
-		copy(out[i*ss:], v.disks[d].PeekSector(lba+int64(i)))
-	}
+	out := make([]byte, count*v.geo.SectorSize)
+	v.disks[d].PeekSectors(lba, out)
 	return out
 }
 
@@ -359,7 +311,8 @@ func (v *Volume) submitParityWrite(r *Request) {
 		req  *Request
 	}
 	var children []child
-	for _, f := range v.Fragments(r.LBA, r.Count) {
+	v.frags = v.Fragments(v.frags[:0], r.LBA, r.Count)
+	for _, f := range v.frags {
 		if v.dead[f.Disk] {
 			continue
 		}

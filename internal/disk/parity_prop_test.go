@@ -138,7 +138,7 @@ func TestParityProperties(t *testing.T) {
 		for trial := 0; trial < 40; trial++ {
 			count := 1 + int(rng.Int63n(total))
 			lba := rng.Int63n(total - int64(count) + 1)
-			frags := v.Fragments(lba, count)
+			frags := v.Fragments(nil, lba, count)
 			sum := 0
 			for _, f := range frags {
 				sum += f.Count
@@ -153,7 +153,7 @@ func TestParityProperties(t *testing.T) {
 				t.Fatalf("cfg %d: range [%d,%d) fragments cover %d sectors, want %d",
 					cfg, lba, lba+int64(count), sum, count)
 			}
-			rfrags, recon := v.ReadFragments(lba, count)
+			rfrags, recon := v.ReadFragments(nil, lba, count)
 			if recon != 0 {
 				t.Fatalf("cfg %d: healthy ReadFragments reports %d reconstructions", cfg, recon)
 			}

@@ -98,7 +98,7 @@ func TestStripeProperties(t *testing.T) {
 		for trial := 0; trial < 50; trial++ {
 			count := 1 + int(rng.Int63n(total))
 			lba := rng.Int63n(total - int64(count) + 1)
-			frags := v.Fragments(lba, count)
+			frags := v.Fragments(nil, lba, count)
 			perDisk := make(map[int]Frag)
 			sum := 0
 			for _, f := range frags {

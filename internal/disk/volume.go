@@ -33,6 +33,11 @@ type Volume struct {
 	geo    Geometry // logical geometry (the member geometry for one disk)
 	parity bool     // rotating-parity mode (parity.go); false = pure RAID-0
 	dead   []bool   // per-member dead flags; only parity volumes may set one
+
+	// frags is the mapping scratch of the volume's own submit paths. A
+	// member's Submit never completes synchronously, so no completion can
+	// re-enter Submit while a fan-out still ranges over it.
+	frags []Frag
 }
 
 // Frag is one member disk's share of a logical sector range: the unit the
@@ -148,57 +153,86 @@ func (v *Volume) Locate(lba int64) (diskIdx int, diskLBA int64) {
 	return d, row*v.stripe + lba%v.stripe
 }
 
-// forEachUnit walks the stripe-unit slices of a logical range in logical
-// order, reporting each slice's member placement and its sector offset
-// from the start of the range.
-func (v *Volume) forEachUnit(lba int64, count int, fn func(diskIdx int, diskLBA int64, sectors int, off int64)) {
-	end := lba + int64(count)
-	for cur := lba; cur < end; {
-		unit := cur / v.stripe
-		uend := (unit + 1) * v.stripe
-		if uend > end {
-			uend = end
-		}
-		d, row := v.locateUnit(unit)
-		fn(d, row*v.stripe+cur%v.stripe, int(uend-cur), cur-lba)
-		cur = uend
-	}
+// unitIter walks the stripe-unit slices of a logical range in logical
+// order. After each next that returns true, the fields describe the slice:
+// its member, member LBA, length, and sector offset from the range start.
+type unitIter struct {
+	v        *Volume
+	lba, end int64 // the range
+	cur      int64 // first sector not yet visited
+
+	disk  int
+	dlba  int64
+	count int
+	off   int64
 }
 
-// Fragments splits a logical sector range into per-member fragments,
-// ordered by member index. A contiguous logical range yields at most one
-// fragment per member: within the range only its first unit can miss a
-// prefix and only its last can miss a suffix, and consecutive same-member
-// units are member-LBA-contiguous.
-func (v *Volume) Fragments(lba int64, count int) []Frag {
+func (v *Volume) units(lba int64, count int) unitIter {
+	return unitIter{v: v, lba: lba, end: lba + int64(count), cur: lba}
+}
+
+func (u *unitIter) next() bool {
+	if u.cur >= u.end {
+		return false
+	}
+	stripe := u.v.stripe
+	unit := u.cur / stripe
+	uend := min((unit+1)*stripe, u.end)
+	d, row := u.v.locateUnit(unit)
+	u.disk, u.dlba, u.count, u.off = d, row*stripe+u.cur%stripe, int(uend-u.cur), u.cur-u.lba
+	u.cur = uend
+	return true
+}
+
+// Fragments appends to dst the per-member fragments of a logical sector
+// range, ordered by member index and then member LBA, and returns the
+// extended slice; with a dst of enough capacity it allocates nothing. The
+// fragments are exact: on a RAID-0 volume a contiguous logical range
+// yields at most one per member (within the range only its first unit can
+// miss a prefix and only its last can miss a suffix, and consecutive
+// same-member units are member-LBA-contiguous); on a parity volume the
+// rotation interleaves parity units into each member's LBA space, so a
+// member can carry several. Safe for writes — parity units in the holes
+// are never touched.
+func (v *Volume) Fragments(dst []Frag, lba int64, count int) []Frag {
 	if len(v.disks) == 1 {
-		return []Frag{{Disk: 0, LBA: lba, Count: count}}
+		return append(dst, Frag{Disk: 0, LBA: lba, Count: count}) //crasvet:allow hotalloc -- appends into the caller's scratch, whose capacity the caller retains across calls
 	}
-	if v.parity {
-		return v.parityFragments(lba, count)
+	base := len(dst)
+	for u := v.units(lba, count); u.next(); {
+		dst = mergeFrag(dst, base, u.disk, u.dlba, u.count)
 	}
-	type span struct {
-		lo, hi int64
-		set    bool
-	}
-	spans := make([]span, len(v.disks))
-	v.forEachUnit(lba, count, func(d int, dlba int64, sectors int, _ int64) {
-		if !spans[d].set {
-			spans[d] = span{lo: dlba, hi: dlba + int64(sectors), set: true}
-			return
-		}
-		if spans[d].hi != dlba {
-			panic(fmt.Sprintf("disk: volume %s: non-contiguous fragment on member %d", v.name, d))
-		}
-		spans[d].hi += int64(sectors)
-	})
-	frags := make([]Frag, 0, len(v.disks))
-	for d, sp := range spans {
-		if sp.set {
-			frags = append(frags, Frag{Disk: d, LBA: sp.lo, Count: int(sp.hi - sp.lo)})
+	sortFrags(dst[base:])
+	return dst
+}
+
+// mergeFrag extends member d's latest fragment in dst[base:] when the
+// sectors [lba, lba+n) continue it, and appends a new fragment otherwise.
+func mergeFrag(dst []Frag, base, d int, lba int64, n int) []Frag {
+	for j := len(dst) - 1; j >= base; j-- {
+		if f := &dst[j]; f.Disk == d {
+			if f.LBA+int64(f.Count) == lba {
+				f.Count += n
+				return dst
+			}
+			break
 		}
 	}
-	return frags
+	return append(dst, Frag{Disk: d, LBA: lba, Count: n}) //crasvet:allow hotalloc -- appends into the caller's scratch, whose capacity the caller retains across calls
+}
+
+// sortFrags orders fragments by member, then member LBA. Insertion sort: a
+// mapping yields a handful of fragments, and a sort.Slice comparator would
+// allocate per call.
+func sortFrags(frags []Frag) {
+	for i := 1; i < len(frags); i++ {
+		f := frags[i]
+		j := i - 1
+		for ; j >= 0 && (frags[j].Disk > f.Disk || frags[j].Disk == f.Disk && frags[j].LBA > f.LBA); j-- {
+			frags[j+1] = frags[j]
+		}
+		frags[j+1] = f
+	}
 }
 
 // Submit enqueues a logical request, scattering it across the members and
@@ -227,9 +261,9 @@ func (v *Volume) Submit(r *Request) {
 	case v.parity:
 		v.submitParityWrite(r)
 	default:
-		frags := v.Fragments(r.LBA, r.Count)
-		done := v.fanIn(r, len(frags))
-		for _, f := range frags {
+		v.frags = v.Fragments(v.frags[:0], r.LBA, r.Count)
+		done := v.fanIn(r, len(v.frags))
+		for _, f := range v.frags {
 			v.disks[f.Disk].Submit(&Request{
 				LBA: f.LBA, Count: f.Count, Write: true,
 				Data:     v.scatterPayload(r, f),
@@ -244,13 +278,13 @@ func (v *Volume) Submit(r *Request) {
 // member, over the survivors when a parity member is dead (ReadFragments).
 // Each carries its member index on Tag for the gather.
 func (v *Volume) submitRead(r *Request) {
-	frags, _ := v.ReadFragments(r.LBA, r.Count)
+	v.frags, _ = v.ReadFragments(v.frags[:0], r.LBA, r.Count)
 	if r.Data != nil && v.NumDead() > 0 {
 		// Dead units accumulate the survivors' XOR in place.
 		clear(r.Data)
 	}
-	done := v.fanIn(r, len(frags))
-	for _, f := range frags {
+	done := v.fanIn(r, len(v.frags))
+	for _, f := range v.frags {
 		v.disks[f.Disk].Submit(&Request{
 			LBA: f.LBA, Count: f.Count, RealTime: r.RealTime,
 			Tag: f.Disk, Done: done,
@@ -297,16 +331,16 @@ func (v *Volume) scatterPayload(r *Request, f Frag) []byte {
 	if !r.Write || r.Data == nil {
 		return nil
 	}
-	ss := v.geo.SectorSize
-	out := make([]byte, f.Count*ss)
-	v.forEachUnit(r.LBA, r.Count, func(d int, dlba int64, sectors int, off int64) {
+	ss := int64(v.geo.SectorSize)
+	out := make([]byte, int64(f.Count)*ss)
+	for u := v.units(r.LBA, r.Count); u.next(); {
 		// A parity-mode member can carry several fragments of one range;
 		// only the units inside THIS fragment belong to its payload.
-		if d != f.Disk || dlba < f.LBA || dlba >= f.LBA+int64(f.Count) {
-			return
+		if u.disk != f.Disk || u.dlba < f.LBA || u.dlba >= f.LBA+int64(f.Count) {
+			continue
 		}
-		copy(out[(dlba-f.LBA)*int64(ss):], r.Data[off*int64(ss):(off+int64(sectors))*int64(ss)])
-	})
+		copy(out[(u.dlba-f.LBA)*ss:], r.Data[u.off*ss:(u.off+int64(u.count))*ss])
+	}
 	return out
 }
 
@@ -316,15 +350,15 @@ func (v *Volume) scatterPayload(r *Request, f Frag) []byte {
 // offsets (a dead unit is the XOR of the survivors' units of its row).
 func (v *Volume) gather(r *Request, m int) {
 	ss := int64(v.geo.SectorSize)
-	v.forEachUnit(r.LBA, r.Count, func(d int, dlba int64, sectors int, off int64) {
-		dst := r.Data[off*ss : (off+int64(sectors))*ss]
+	for u := v.units(r.LBA, r.Count); u.next(); {
+		dst := r.Data[u.off*ss : (u.off+int64(u.count))*ss]
 		switch {
-		case d == m:
-			v.disks[m].copySectors(dlba, sectors, dst)
-		case v.Dead(d):
-			v.disks[m].xorSectors(dlba, sectors, dst)
+		case u.disk == m:
+			v.disks[m].copySectors(u.dlba, u.count, dst)
+		case v.Dead(u.disk):
+			v.disks[m].xorSectors(u.dlba, u.count, dst)
 		}
-	})
+	}
 }
 
 // ReadSync submits a logical read and blocks the calling process until it
@@ -373,23 +407,61 @@ func (v *Volume) WriteSync(p *sim.Proc, lba int64, count int, data []byte, realT
 	}
 }
 
+// PeekSectors copies the logical sectors from lba into dst, whose length
+// must be a whole number of sectors, without disk timing. It walks the
+// stripe units once: a live member's units are copied from its store, and
+// a dead member's units are rebuilt as the XOR of the survivors' units of
+// their rows, so the bytes are the ones a timed read returns.
+func (v *Volume) PeekSectors(lba int64, dst []byte) {
+	ss := int64(v.geo.SectorSize)
+	count := v.disks[0].sectorCount(dst)
+	if lba < 0 || lba+int64(count) > v.geo.TotalSectors() {
+		panic(fmt.Sprintf("disk: volume %s: peek out of range: lba=%d count=%d", v.name, lba, count))
+	}
+	for u := v.units(lba, count); u.next(); {
+		v.peekMember(u.disk, u.dlba, u.count, dst[u.off*ss:])
+	}
+}
+
+// peekMember fills the front of dst with member m's n sectors from dlba,
+// without disk timing, rebuilding them from the other members when m is
+// dead.
+func (v *Volume) peekMember(m int, dlba int64, n int, dst []byte) {
+	if !v.Dead(m) {
+		v.disks[m].copySectors(dlba, n, dst)
+		return
+	}
+	clear(dst[:n*v.geo.SectorSize])
+	for d, dk := range v.disks {
+		if d != m {
+			dk.xorSectors(dlba, n, dst)
+		}
+	}
+}
+
 // PeekSector returns a copy of a logical sector without disk timing.
 func (v *Volume) PeekSector(lba int64) []byte {
-	d, dlba := v.Locate(lba)
-	return v.disks[d].PeekSector(dlba)
+	out := make([]byte, v.geo.SectorSize)
+	v.PeekSectors(lba, out)
+	return out
 }
 
 // PokeSector writes a logical sector without disk timing (offline image
 // edit — mkfs and the movie layout run through this). On a parity volume
 // the row's parity sector is updated in the same step: parity_new =
 // parity_old XOR data_old XOR data_new, so offline edits keep every row
-// XORing to zero.
+// XORing to zero. The old data and parity are read as a timed read would
+// see them, rebuilt when their member is dead, so an edit on a degraded
+// volume still reconstructs to the new bytes.
 func (v *Volume) PokeSector(lba int64, data []byte) {
 	d, dlba := v.Locate(lba)
 	if v.parity {
 		p := v.ParityDisk(dlba / v.stripe)
-		old := v.disks[d].PeekSector(dlba)
-		psec := v.disks[p].PeekSector(dlba)
+		ss := v.geo.SectorSize
+		buf := make([]byte, 2*ss)
+		old, psec := buf[:ss], buf[ss:]
+		v.peekMember(d, dlba, 1, old)
+		v.peekMember(p, dlba, 1, psec)
 		for i := range psec {
 			psec[i] ^= old[i] ^ data[i]
 		}

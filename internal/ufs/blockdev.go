@@ -7,14 +7,16 @@ import (
 
 // BlockDevice is the disk surface the file system consumes: geometry for
 // layout, asynchronous submission for cached reads, synchronous write-back,
-// and the offline peek/poke pair mkfs uses. Both a bare *disk.Disk and a
-// striped *disk.Volume satisfy it, so a CMFS image formats and mounts
-// identically on one spindle or an array.
+// and the offline peek/poke pair. mkfs uses both; the buffer cache submits
+// timing-only reads and, at their completion, fills its blocks in place
+// with PeekSectors. Both a bare *disk.Disk and a striped *disk.Volume
+// satisfy it, so a CMFS image formats and mounts identically on one
+// spindle or an array.
 type BlockDevice interface {
 	Geometry() disk.Geometry
 	Submit(r *disk.Request)
 	WriteSync(p *sim.Proc, lba int64, count int, data []byte, realTime bool)
-	PeekSector(lba int64) []byte
+	PeekSectors(lba int64, dst []byte)
 	PokeSector(lba int64, data []byte)
 }
 

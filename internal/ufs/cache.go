@@ -40,6 +40,11 @@ type Cache struct {
 	entries  map[int64]*cacheEntry
 	seq      uint64
 
+	// look is a direct-mapped lookaside in front of entries, indexed by
+	// block number modulo its size. A slot is only a hint: it counts when
+	// its entry is still resident and still holds the block asked for.
+	look [lookSize]*cacheEntry
+
 	// lru is the sentinel of a circular list of the resident entries in
 	// touch order: lru.next is the least recently used, lru.prev the most.
 	// Eviction takes the first eligible entry from the old end, which is
@@ -68,6 +73,11 @@ type Cache struct {
 
 // maxIdleRuns bounds the pool of idle read-ahead runs.
 const maxIdleRuns = 8
+
+// lookSize is the lookaside's slot count, a power of two. File reads walk
+// a few metadata blocks (inode, indirect) and consecutive data blocks, so a
+// small table catches most lookups.
+const lookSize = 64
 
 // NewCache creates a cache holding up to capacity blocks.
 func NewCache(dsk BlockDevice, capacity int) *Cache {
@@ -135,12 +145,29 @@ func (c *Cache) release(e *cacheEntry) {
 	c.free = append(c.free, e)
 }
 
+// lookup returns the resident entry for blk, or nil. An entry is resident
+// exactly when it is on the LRU list (prev non-nil), and a recycled entry
+// takes its new block number before it is inserted, so a lookaside slot
+// whose entry passes both checks is the map's entry for blk.
+func (c *Cache) lookup(blk int64) *cacheEntry {
+	slot := &c.look[uint64(blk)%lookSize]
+	if e := *slot; e != nil && e.blk == blk && e.prev != nil {
+		return e
+	}
+	e := c.entries[blk]
+	if e != nil {
+		*slot = e
+	}
+	return e
+}
+
 // insert makes e the resident entry for its block, most recently used. An
 // entry it displaces (one another process inserted while the caller was
 // blocked) leaves the cache.
 func (c *Cache) insert(e *cacheEntry) {
 	c.remove(e.blk)
 	c.entries[e.blk] = e
+	c.look[uint64(e.blk)%lookSize] = e
 	c.pushBack(e)
 	c.seq++
 	e.lruSeq = c.seq
@@ -180,7 +207,7 @@ func (e *cacheEntry) waitFill(p *sim.Proc) {
 // Callers that modify the block must call MarkDirty with the same block
 // number while the alias is live.
 func (c *Cache) Get(p *sim.Proc, blk int64) []byte {
-	if e, ok := c.entries[blk]; ok {
+	if e := c.lookup(blk); e != nil {
 		e.waitFill(p)
 		c.Hits++
 		c.touch(e)
@@ -196,7 +223,7 @@ func (c *Cache) Get(p *sim.Proc, blk int64) []byte {
 // GetZero returns a cache entry for a block that is about to be fully
 // overwritten, without reading it from disk. The alias rule of Get applies.
 func (c *Cache) GetZero(p *sim.Proc, blk int64) []byte {
-	if e, ok := c.entries[blk]; ok {
+	if e := c.lookup(blk); e != nil {
 		e.waitFill(p)
 		c.touch(e)
 		clear(e.data)
@@ -212,7 +239,7 @@ func (c *Cache) GetZero(p *sim.Proc, blk int64) []byte {
 // MarkDirty flags a cached block as modified so eviction and Sync write it
 // back.
 func (c *Cache) MarkDirty(blk int64) {
-	if e, ok := c.entries[blk]; ok {
+	if e := c.lookup(blk); e != nil {
 		e.dirty = true
 	} else {
 		panic(fmt.Sprintf("ufs: MarkDirty of uncached block %d", blk))
@@ -221,8 +248,7 @@ func (c *Cache) MarkDirty(blk int64) {
 
 // Contains reports whether a block is resident (even if still being filled).
 func (c *Cache) Contains(blk int64) bool {
-	_, ok := c.entries[blk]
-	return ok
+	return c.lookup(blk) != nil
 }
 
 // Prefetch starts an asynchronous read of count consecutive blocks starting
@@ -267,14 +293,14 @@ func (c *Cache) prefetchRun(blk int64, count int) {
 }
 
 // cacheRun is one disk read filling consecutive pending entries: a
-// read-ahead run, or the one block of a miss. The disk reads into the
-// run's own buffer and completion copies each block into its entry's
-// buffer, so entry buffers are never disk targets. Idle runs are pooled
-// with their buffers and requests.
+// read-ahead run, or the one block of a miss. The disk read is timing-only;
+// at its completion each entry's buffer is filled in place from the
+// device's store with PeekSectors, so a block's bytes move once and entry
+// buffers are never disk targets. Idle runs are pooled with their
+// requests.
 type cacheRun struct {
 	c       *Cache
 	req     disk.Request
-	buf     []byte
 	entries []*cacheEntry
 	done    func(*disk.Request, []byte) // r.complete, bound once
 }
@@ -291,31 +317,27 @@ func (c *Cache) fetch(blk int64, count int) *cacheEntry {
 		r = &cacheRun{c: c}
 		r.done = r.complete
 	}
-	size := count * BlockSize
-	if cap(r.buf) < size {
-		r.buf = make([]byte, size)
-	}
-	r.buf = r.buf[:size]
 	for i := 0; i < count; i++ {
 		e := c.take(blk + int64(i))
 		e.pending = true
 		c.insert(e)
 		r.entries = append(r.entries, e)
 	}
-	r.req = disk.Request{LBA: blk * SectorsPerBlock, Count: count * SectorsPerBlock, Data: r.buf, Done: r.done}
+	r.req = disk.Request{LBA: blk * SectorsPerBlock, Count: count * SectorsPerBlock, Done: r.done}
 	c.dsk.Submit(&r.req)
 	return r.entries[0]
 }
 
-// complete publishes the run's blocks, wakes the processes waiting on them
-// and returns the run to the pool.
+// complete fills the run's blocks from the device, at the read's
+// completion instant, wakes the processes waiting on them and returns the
+// run to the pool.
 func (r *cacheRun) complete(req *disk.Request, _ []byte) {
 	if req.Err != nil {
 		panic("ufs: unhandled injected fault on a buffer-cache read")
 	}
 	c := r.c
 	for i, e := range r.entries {
-		copy(e.data, r.buf[i*BlockSize:])
+		c.dsk.PeekSectors(req.LBA+int64(i*SectorsPerBlock), e.data)
 		e.pending = false
 		if e.waiters != nil {
 			e.waiters.WakeAll()

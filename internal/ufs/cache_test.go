@@ -59,6 +59,12 @@ func checkCache(c *Cache, dev BlockDevice) error {
 	if n != len(c.entries) {
 		return fmt.Errorf("LRU list holds %d entries, map %d", n, len(c.entries))
 	}
+	// A lookaside slot that passes lookup's checks must be the map's entry.
+	for i, e := range c.look {
+		if e != nil && e.prev != nil && c.entries[e.blk] != e {
+			return fmt.Errorf("lookaside slot %d: resident-looking entry for block %d is not the map's", i, e.blk)
+		}
+	}
 	for blk, e := range c.entries {
 		if e.pending || e.dirty {
 			continue
@@ -90,11 +96,51 @@ func checkCache(c *Cache, dev BlockDevice) error {
 
 // deviceBlock reads a block's bytes from the device without timing.
 func deviceBlock(dev BlockDevice, blk int64) []byte {
-	out := make([]byte, 0, BlockSize)
-	for i := 0; i < SectorsPerBlock; i++ {
-		out = append(out, dev.PeekSector(blk*SectorsPerBlock+int64(i))...)
-	}
+	out := make([]byte, BlockSize)
+	dev.PeekSectors(blk*SectorsPerBlock, out)
 	return out
+}
+
+// TestCacheLookasideCollisions drives blocks that share lookaside slots
+// through a small cache: every Contains and Get must agree with the map, and
+// every Get must return the device's bytes, while entries are evicted,
+// invalidated and recycled for the colliding blocks.
+func TestCacheLookasideCollisions(t *testing.T) {
+	e := sim.NewEngine(1)
+	g, p := disk.ST32550N()
+	g.Cylinders = 8
+	d := disk.New(e, "sd0", g, p)
+	var blks []int64
+	for _, base := range []int64{3, 3 + lookSize, 3 + 2*lookSize, 5, 5 + lookSize} {
+		blks = append(blks, base)
+		for s := int64(0); s < SectorsPerBlock; s++ {
+			d.PokeSector(base*SectorsPerBlock+s, bytes.Repeat([]byte{byte(base)}, 512))
+		}
+	}
+	c := NewCache(d, 4)
+	rng := rand.New(rand.NewSource(1))
+	e.Spawn("ops", func(proc *sim.Proc) {
+		for step := 0; step < 400; step++ {
+			blk := blks[rng.Intn(len(blks))]
+			if rng.Intn(4) == 0 {
+				c.Invalidate(blk)
+			} else if got := c.Get(proc, blk); !bytes.Equal(got, deviceBlock(d, blk)) {
+				t.Errorf("step %d: Get(%d) returned other bytes than the device's", step, blk)
+				return
+			}
+			for _, b := range blks {
+				if c.Contains(b) != (c.entries[b] != nil) {
+					t.Errorf("step %d: Contains(%d) = %v disagrees with the map", step, b, c.Contains(b))
+					return
+				}
+			}
+			if err := checkCache(c, d); err != nil {
+				t.Errorf("step %d: %v", step, err)
+				return
+			}
+		}
+	})
+	e.Run()
 }
 
 // TestCacheLRUMatchesReferenceScan drives a small cache with seeded random

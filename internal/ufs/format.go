@@ -326,8 +326,6 @@ func pokeBlock(d BlockDevice, blk int64, data []byte) {
 
 func peekBlock(d BlockDevice, blk int64) []byte {
 	out := make([]byte, BlockSize)
-	for s := 0; s < SectorsPerBlock; s++ {
-		copy(out[s*512:], d.PeekSector(blk*SectorsPerBlock+int64(s)))
-	}
+	d.PeekSectors(blk*SectorsPerBlock, out)
 	return out
 }

@@ -34,6 +34,12 @@ type FileSystem struct {
 	inodes      map[uint32]*Inode
 	dirtyInodes map[uint32]bool
 
+	// lastIn is the inode getInode returned last (lastIno's), so repeated
+	// lookups of one file skip the map. Nil whenever inodes may no longer
+	// map lastIno to it.
+	lastIno uint32
+	lastIn  *Inode
+
 	lastAllocGroup int
 }
 
@@ -101,13 +107,17 @@ func (fs *FileSystem) inodeLoc(ino uint32) (blk int64, off int) {
 }
 
 func (fs *FileSystem) getInode(p *sim.Proc, ino uint32) *Inode {
-	if in, ok := fs.inodes[ino]; ok {
-		return in
+	if fs.lastIn != nil && fs.lastIno == ino {
+		return fs.lastIn
 	}
-	blk, off := fs.inodeLoc(ino)
-	in := &Inode{}
-	in.decode(fs.cache.Get(p, blk)[off : off+InodeSize])
-	fs.inodes[ino] = in
+	in, ok := fs.inodes[ino]
+	if !ok {
+		blk, off := fs.inodeLoc(ino)
+		in = &Inode{}
+		in.decode(fs.cache.Get(p, blk)[off : off+InodeSize])
+		fs.inodes[ino] = in
+	}
+	fs.lastIno, fs.lastIn = ino, in
 	return in
 }
 
@@ -224,6 +234,7 @@ func (fs *FileSystem) allocInode(p *sim.Proc, nearGroup int, mode uint16) (uint3
 				g.dirty = true
 				ino := uint32(g.index)*fs.sb.InodesPerGroup + uint32(i)
 				fs.inodes[ino] = &Inode{Mode: mode, NLink: 1, MTime: int64(fs.eng.Now())}
+				fs.lastIn = nil
 				fs.markInodeDirty(ino)
 				return ino, nil
 			}
@@ -240,9 +251,11 @@ func (fs *FileSystem) freeInode(p *sim.Proc, ino uint32) {
 	g.freeInodes++
 	g.dirty = true
 	fs.inodes[ino] = &Inode{} // ModeFree
+	fs.lastIn = nil
 	fs.markInodeDirty(ino)
 	fs.flushInode(p, ino)
 	delete(fs.inodes, ino)
+	fs.lastIn = nil // flushInode may block, and another process load ino
 }
 
 // FreeBlocks returns the number of free data blocks across all groups.

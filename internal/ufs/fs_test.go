@@ -267,6 +267,32 @@ func TestUnlinkFreesBlocks(t *testing.T) {
 	})
 }
 
+// TestInodeLookasideFollowsMap frees an inode right after looking it up and
+// then allocates it again: each getInode must return the inode the map
+// holds (or loads) at that moment, never the one remembered from before.
+func TestInodeLookasideFollowsMap(t *testing.T) {
+	withFS(t, Options{}, func(p *sim.Proc, fs *FileSystem) {
+		f, err := fs.Create(p, "/old")
+		if err != nil {
+			t.Fatalf("Create: %v", err)
+		}
+		ino := f.Ino()
+		old := fs.getInode(p, ino)
+		old.Size = 5000
+		fs.freeInode(p, ino)
+		if in := fs.getInode(p, ino); in == old || in.Mode != ModeFree {
+			t.Fatalf("getInode after freeInode = %+v, want the freed on-disk inode", in)
+		}
+		got, err := fs.allocInode(p, int(ino/fs.sb.InodesPerGroup), ModeFile)
+		if err != nil || got != ino {
+			t.Fatalf("allocInode = %d, %v; want the freed %d", got, err, ino)
+		}
+		if in := fs.getInode(p, ino); in != fs.inodes[ino] || in.Size != 0 {
+			t.Fatalf("getInode after allocInode = %+v, want the map's fresh inode", in)
+		}
+	})
+}
+
 func TestSyncPersistsAcrossRemount(t *testing.T) {
 	e := sim.NewEngine(1)
 	d := smallDisk(e)
