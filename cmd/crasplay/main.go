@@ -69,7 +69,7 @@ func main() {
 		k := rtm.NewKernel(eng)
 		unix := ufs.NewServer(k, fs, rtm.PrioTS, 0)
 		if !*useUFS {
-			cras = core.NewServer(k, d, unix, core.Config{
+			cras = core.NewServer(k, disk.SingleVolume(d), core.UnixResolver(unix), core.Config{
 				InitialDelay: *delay,
 				BufferBudget: 64 << 20,
 				Params:       core.MeasureAdmissionParams(d, 64<<10),

@@ -139,6 +139,8 @@ var (
 	// control-file format, for applications that write their own media.
 	EncodeControl = media.EncodeControl
 	DecodeControl = media.DecodeControl
+	// ControlPath names the control file holding a movie's chunk table.
+	ControlPath = media.ControlPath
 	// StoreContainer and LoadContainer handle QuickTime-style multi-track
 	// movie files.
 	StoreContainer = media.StoreContainer
@@ -163,6 +165,9 @@ type (
 	ExtentMap       = core.ExtentMap
 	ServerStats     = core.Stats
 	AccuracyRecord  = core.AccuracyRecord
+	// Resolver provides the non-real-time file services CRAS needs at
+	// open time: block maps for playback and preallocation for recording.
+	Resolver = core.Resolver
 	// VolumeShape describes a volume to the admission test (member count,
 	// parity, dead members); MemberHealth and MemberHealthEvent expose the
 	// per-member ladder of a parity volume.
@@ -180,17 +185,20 @@ const (
 )
 
 var (
-	// NewServer starts CRAS on a kernel; NewVolumeServer starts it on a
-	// striped multi-disk volume.
-	NewServer       = core.NewServer
-	NewVolumeServer = core.NewVolumeServer
+	// NewServer starts CRAS on a kernel over a volume (SingleVolume for
+	// one disk), resolving media files through a Resolver.
+	NewServer = core.NewServer
+	// UnixResolver resolves through the Unix server (the paper's standard
+	// configuration); DirectResolver reads a linked-in file system with no
+	// Unix server at all (Figure 5's embedded configuration).
+	UnixResolver   = core.UnixResolver
+	DirectResolver = core.DirectResolver
 	// MeasureAdmissionParams calibrates the admission test from a disk.
 	MeasureAdmissionParams = core.MeasureAdmissionParams
-	// StripedParams converts a stream's admission parameters to their
-	// per-member form for a striped volume (AdmissionParams.AdmitVolume);
-	// VolumeParams is its shape-aware generalization covering parity.
-	StripedParams = core.StripedParams
-	VolumeParams  = core.VolumeParams
+	// VolumeParams converts a stream's admission parameters to their
+	// per-member form for a striped or parity volume
+	// (AdmissionParams.AdmitShape).
+	VolumeParams = core.VolumeParams
 	// NewTDBuffer creates a standalone time-driven shared memory buffer.
 	NewTDBuffer = core.NewTDBuffer
 	// NewLogicalClock returns a stopped logical clock at zero.

@@ -11,9 +11,6 @@ import (
 	"time"
 
 	cras "repro"
-	"repro/internal/core"
-	"repro/internal/media"
-	"repro/internal/ufs"
 )
 
 func main() {
@@ -38,7 +35,7 @@ func main() {
 
 		k := cras.NewKernel(eng)
 		// No Unix server: CRAS resolves against the linked-in file system.
-		server := core.NewServerWith(k, dsk, core.DirectResolver(fs), cras.Config{})
+		server := cras.NewServer(k, cras.SingleVolume(dsk), cras.DirectResolver(fs), cras.Config{})
 
 		k.NewThread("appliance", cras.PrioRTLow, 0, func(th *cras.Thread) {
 			// The appliance reads its own control file, again without any
@@ -76,9 +73,9 @@ func main() {
 // loadControlDirect reads a control file straight off the file system from
 // the calling thread — the embedded replacement for media.Load's
 // Unix-server path.
-func loadControlDirect(th *cras.Thread, fs *ufs.FileSystem, path string) (*media.StreamInfo, error) {
+func loadControlDirect(th *cras.Thread, fs *cras.FileSystem, path string) (*cras.StreamInfo, error) {
 	p := th.Proc()
-	f, err := fs.Open(p, media.ControlPath(path))
+	f, err := fs.Open(p, cras.ControlPath(path))
 	if err != nil {
 		return nil, err
 	}
@@ -86,5 +83,5 @@ func loadControlDirect(th *cras.Thread, fs *ufs.FileSystem, path string) (*media
 	if _, err := f.ReadAt(p, buf, 0); err != nil {
 		return nil, err
 	}
-	return media.DecodeControl(path, buf)
+	return cras.DecodeControl(path, buf)
 }

@@ -19,6 +19,18 @@ import (
 	"repro/internal/sim"
 )
 
+// Fixed front-door parameters.
+const (
+	// failoverJitterMin/Max bound the per-viewer backoff drawn before a
+	// displaced viewer re-opens elsewhere, decorrelating the reopen wave a
+	// node death would otherwise aim at one survivor in a single cycle.
+	failoverJitterMin = 20 * time.Millisecond
+	failoverJitterMax = 200 * time.Millisecond
+
+	// virtualNodes is the consistent-hash replication factor.
+	virtualNodes = 16
+)
+
 // Config sizes and seeds a cluster build.
 type Config struct {
 	// Nodes is the replica count; every node is built from the Node
@@ -38,21 +50,10 @@ type Config struct {
 	// Movies are replicated to every node during setup.
 	Movies []lab.Movie
 
-	// HeartbeatEvery is the health monitor's sampling period; 0 uses the
-	// CRAS cycle interval — one observation per scheduler cycle.
-	HeartbeatEvery sim.Time
-
 	// SuspectAfter / DeadAfter are the missed-heartbeat counts that move a
 	// node Healthy→Suspect and →Dead. Defaults 2 and 4.
 	SuspectAfter int
 	DeadAfter    int
-
-	// FailoverJitterMin/Max bound the per-viewer backoff drawn before a
-	// displaced viewer re-opens elsewhere, decorrelating the reopen wave a
-	// node death would otherwise aim at one survivor in a single cycle.
-	// Defaults 20ms and 200ms.
-	FailoverJitterMin sim.Time
-	FailoverJitterMax sim.Time
 
 	// JitterSeed folds into the jitter RNG stream name so chaos runs can
 	// rotate the failover schedule independently of the engine seed.
@@ -72,9 +73,6 @@ type Config struct {
 	// RetryAfter is the wait quoted to a stranded viewer when no refusing
 	// node supplied a better hint; 0 uses the CRAS initial delay.
 	RetryAfter sim.Time
-
-	// VirtualNodes is the consistent-hash replication factor. Default 16.
-	VirtualNodes int
 }
 
 // NodeHealth is the cluster's per-node ladder. Dead is terminal: a node
@@ -191,20 +189,11 @@ func New(cfg Config, ready func(c *Cluster)) *Cluster {
 	if cfg.DeadAfter <= cfg.SuspectAfter {
 		cfg.DeadAfter = cfg.SuspectAfter + 2
 	}
-	if cfg.FailoverJitterMin <= 0 {
-		cfg.FailoverJitterMin = 20 * time.Millisecond
-	}
-	if cfg.FailoverJitterMax <= cfg.FailoverJitterMin {
-		cfg.FailoverJitterMax = cfg.FailoverJitterMin + 180*time.Millisecond
-	}
 	if cfg.DegradedRate == 0 {
 		cfg.DegradedRate = 0.75
 	}
 	if cfg.FailoverRetries <= 0 {
 		cfg.FailoverRetries = 3
-	}
-	if cfg.VirtualNodes <= 0 {
-		cfg.VirtualNodes = 16
 	}
 	c := &Cluster{
 		cfg:    cfg,
@@ -236,12 +225,10 @@ func New(cfg Config, ready func(c *Cluster)) *Cluster {
 
 // finishBoot runs from engine context after the last node's setup: resolve
 // the config defaults that depend on the node CRAS config, build the hash
-// ring, and arm the monitors.
+// ring, and arm the monitors. The heartbeat samples once per CRAS interval
+// — one observation per scheduler cycle.
 func (c *Cluster) finishBoot(ready func(*Cluster)) {
 	ncfg := c.nodes[0].m.CRAS.Config()
-	if c.cfg.HeartbeatEvery <= 0 {
-		c.cfg.HeartbeatEvery = ncfg.Interval
-	}
 	if c.cfg.RetryAfter <= 0 {
 		c.cfg.RetryAfter = ncfg.InitialDelay
 	}
@@ -261,7 +248,7 @@ func (c *Cluster) finishBoot(ready func(*Cluster)) {
 	}
 	c.k.NewThread("cluster.heartbeat", rtm.PrioRT, 0, func(th *rtm.Thread) {
 		for {
-			th.Sleep(c.cfg.HeartbeatEvery)
+			th.Sleep(ncfg.Interval)
 			c.heartbeatStep()
 			c.applyTransitions()
 		}
@@ -361,7 +348,7 @@ func (c *Cluster) nodeDead(n *node, reason string) {
 		s.stranded = nil
 		// Jitters are drawn here, in victim order, so the failover schedule
 		// is a pure function of engine seed + JitterSeed.
-		jitter := c.rng.DurationRange(c.cfg.FailoverJitterMin, c.cfg.FailoverJitterMax)
+		jitter := c.rng.DurationRange(failoverJitterMin, failoverJitterMax)
 		s := s
 		c.k.NewThread(fmt.Sprintf("cluster.failover.%s.g%d", s.path, s.gen), rtm.PrioTS, 0,
 			func(th *rtm.Thread) {
@@ -389,32 +376,11 @@ func (c *Cluster) failoverSession(th *rtm.Thread, s *Session, from *node) {
 			s.orphaned = false
 			return
 		}
-		h, n, err := c.openOn(th, s.path, s.info,
-			core.OpenOptions{Rate: s.rate, At: at, DeliveredRate: s.dr}, from)
+		h, n, hint, err := c.reopen(th, s, at, from)
 		if err == nil {
 			c.adopt(th, s, h, n, s.rate)
 			c.stats.Failovers++
 			return
-		}
-		hint, capacity := capacityError(err)
-		if capacity && c.cfg.DegradedRate > 0 && c.cfg.DegradedRate < 1 {
-			// Re-admit with a thinned delivered rate: the replacement keeps
-			// the clock at full pace and skips frames, instead of stretching
-			// the viewer's timeline in slow motion.
-			reduced := s.deliveredRate() * c.cfg.DegradedRate
-			h, n, err2 := c.openOn(th, s.path, s.info,
-				core.OpenOptions{Rate: s.rate, At: at, DeliveredRate: reduced}, from)
-			if err2 == nil {
-				s.dr = reduced
-				s.reduced++
-				c.adopt(th, s, h, n, s.rate)
-				c.stats.Failovers++
-				c.stats.FailoversReduced++
-				return
-			}
-			if h2, ok := err2.(*FailoverError); ok {
-				hint = h2.RetryAfter
-			}
 		}
 		fe, ok := err.(*FailoverError)
 		if !ok {
@@ -432,6 +398,38 @@ func (c *Cluster) failoverSession(th *rtm.Thread, s *Session, from *node) {
 		}
 		th.Sleep(fe.RetryAfter)
 	}
+}
+
+// reopen opens a replacement for s on a node other than avoid, at media
+// time at: at the session's delivered rate first and, on a capacity
+// refusal with DegradedRate enabled, once more at that rate thinned by
+// DegradedRate — the replacement keeps the clock at full pace and skips
+// frames, instead of stretching the viewer's timeline in slow motion. A
+// thinned success becomes the session's delivered rate. On failure err is
+// the first refusal and hint the RetryAfter the refusals suggest: the
+// thinned attempt's when it quoted one, else the capacity refusal's.
+func (c *Cluster) reopen(th *rtm.Thread, s *Session, at sim.Time, avoid *node) (*core.Handle, *node, sim.Time, error) {
+	h, n, err := c.openOn(th, s.path, s.info,
+		core.OpenOptions{Rate: s.rate, At: at, DeliveredRate: s.dr}, avoid)
+	if err == nil {
+		return h, n, 0, nil
+	}
+	hint, capacity := capacityError(err)
+	if capacity && c.cfg.DegradedRate > 0 && c.cfg.DegradedRate < 1 {
+		reduced := s.deliveredRate() * c.cfg.DegradedRate
+		h, n, err2 := c.openOn(th, s.path, s.info,
+			core.OpenOptions{Rate: s.rate, At: at, DeliveredRate: reduced}, avoid)
+		if err2 == nil {
+			s.dr = reduced
+			s.reduced++
+			c.stats.FailoversReduced++
+			return h, n, 0, nil
+		}
+		if fe, ok := err2.(*FailoverError); ok {
+			hint = fe.RetryAfter
+		}
+	}
+	return nil, nil, hint, err
 }
 
 // adopt swaps the session onto its replacement handle. The old handle is
@@ -498,20 +496,7 @@ func (c *Cluster) DrainNode(th *rtm.Thread, id int, grace sim.Time) error {
 		if at >= s.info.TotalDuration() {
 			continue // runs out on the draining node before a peer could take over
 		}
-		h, peer, err := c.openOn(th, s.path, s.info,
-			core.OpenOptions{Rate: s.rate, At: at, DeliveredRate: s.dr}, n)
-		if err != nil {
-			if _, capacity := capacityError(err); capacity && c.cfg.DegradedRate > 0 && c.cfg.DegradedRate < 1 {
-				reduced := s.deliveredRate() * c.cfg.DegradedRate
-				if h2, peer2, err2 := c.openOn(th, s.path, s.info,
-					core.OpenOptions{Rate: s.rate, At: at, DeliveredRate: reduced}, n); err2 == nil {
-					s.dr = reduced
-					s.reduced++
-					c.stats.FailoversReduced++
-					h, peer, err = h2, peer2, nil
-				}
-			}
-		}
+		h, peer, _, err := c.reopen(th, s, at, n)
 		if err != nil {
 			c.stats.MigrationsFailed++
 			if fe, ok := err.(*FailoverError); ok {
@@ -552,8 +537,8 @@ func (c *Cluster) DrainNode(th *rtm.Thread, id int, grace sim.Time) error {
 			// The destination died between the replacement open and this
 			// swap (a second failure racing the drain): abandon the dead
 			// replacement and re-place the stream on whoever survives, at
-			// the viewer's current consumption point.
-			h2, peer2, err := c.openOn(th, s.path, s.info, core.OpenOptions{Rate: s.rate, At: s.pos()}, n)
+			// the viewer's current consumption point and delivered rate.
+			h2, peer2, _, err := c.reopen(th, s, s.pos(), n)
 			if err != nil {
 				c.stats.MigrationsFailed++
 				if fe, ok := err.(*FailoverError); ok {

@@ -305,6 +305,101 @@ func TestDrainRaceDestinationDies(t *testing.T) {
 	}
 }
 
+// TestDrainRaceKeepsDeliveredRate: a viewer failed over at a reduced
+// delivered rate keeps that rate when a later drain's destination dies
+// mid-drain and the swap re-places it on the last survivor — the session
+// and the handle serving it agree on the delivered rate.
+func TestDrainRaceKeepsDeliveredRate(t *testing.T) {
+	movies := testMovies(4, 12*time.Second)
+	cfg := testConfig(4, 108, movies)
+	// One full-rate stream fits per node, full + 0.75-delivered fits, two
+	// full-rate streams do not (see TestDegradedRateReadmission).
+	cfg.Node.CRAS.BufferBudget = 360 << 10
+	cfg.Node.CRAS.CacheBudget = 0
+	cfg.Node.CRAS.BatchWindow = 0
+	cfg.Node.CRAS.PrefixBudget = 0
+	cfg.Node.CRAS.LeaseTTL = -1 // the blockers make no client calls
+	cfg.DegradedRate = 0.75
+	var c *Cluster
+	var v *viewer
+	var drainErr error
+	drainDone := false
+	dest := -1
+	c = New(cfg, func(c *Cluster) {
+		c.k.NewThread("ctl", rtm.PrioRTLow, 0, func(th *rtm.Thread) {
+			s, err := c.Open(th, movies[0].Path, core.OpenOptions{})
+			if err != nil {
+				t.Errorf("open: %v", err)
+				return
+			}
+			v = &viewer{sess: s, info: movies[0].Info}
+			c.k.NewThread("viewer", rtm.PrioRTLow, 0, func(vt *rtm.Thread) { v.play(c, vt) })
+			// One full-rate blocker on every other node.
+			var blockers []*Session
+			for _, mv := range movies[1:] {
+				b, err := c.Open(th, mv.Path, core.OpenOptions{})
+				if err != nil {
+					t.Errorf("open blocker %s: %v", mv.Path, err)
+					return
+				}
+				if err := b.Start(th); err != nil {
+					t.Errorf("start blocker %s: %v", mv.Path, err)
+					return
+				}
+				blockers = append(blockers, b)
+			}
+			for id := 0; id < c.Nodes(); id++ {
+				if c.NodeSessions(id) != 1 {
+					t.Errorf("node %d serves %d sessions, want 1", id, c.NodeSessions(id))
+					return
+				}
+			}
+			th.SleepUntil(c.k.Now() + 2500*time.Millisecond)
+			c.NodeCRAS(s.NodeID()).Shutdown()
+			th.SleepUntil(c.k.Now() + 1500*time.Millisecond)
+			if got := c.Stats().FailoversReduced; got != 1 || s.DeliveredRate() != 0.75 {
+				t.Errorf("FailoversReduced = %d, DeliveredRate = %v; want 1, 0.75", got, s.DeliveredRate())
+				return
+			}
+			for _, b := range blockers {
+				b.Close(th)
+			}
+			victim := s.NodeID()
+			c.k.NewThread("killer", rtm.PrioRTLow, 0, func(kt *rtm.Thread) {
+				kt.Sleep(time.Second)
+				d := c.ringOwner(movies[0].Path, c.nodes[victim])
+				if d == nil {
+					t.Error("no migration destination to kill")
+					return
+				}
+				dest = d.id
+				c.NodeCRAS(dest).Shutdown()
+			})
+			drainErr = c.DrainNode(th, victim, 10*time.Second)
+			drainDone = true
+		})
+	})
+	drive(c, func() bool { return drainDone && v != nil && v.done }, 40*time.Second)
+	if !drainDone {
+		t.Fatal("DrainNode never returned")
+	}
+	if drainErr != nil {
+		t.Fatalf("DrainNode: %v", drainErr)
+	}
+	if dest < 0 {
+		t.Fatal("mid-drain kill never fired")
+	}
+	if st := c.Stats(); st.Migrations != 1 || st.MigrationsFailed != 0 {
+		t.Fatalf("Migrations = %d, MigrationsFailed = %d; want 1, 0", st.Migrations, st.MigrationsFailed)
+	}
+	if got := v.sess.NodeID(); got == dest {
+		t.Errorf("viewer ended on the dead destination %d", got)
+	}
+	if got, want := v.sess.Handle().DeliveredRate(), v.sess.DeliveredRate(); got != want || want != 0.75 {
+		t.Errorf("re-placed handle delivers %v, session reports %v; want both 0.75", got, want)
+	}
+}
+
 // TestWhiteboxEdges pins the defensive corners the black-box suite cannot
 // reach: the single-node default, idempotent death pronouncements, the
 // no-op health transition, the heartbeat catching a stopped server that the

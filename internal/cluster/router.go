@@ -43,7 +43,7 @@ type ringEntry struct {
 func (c *Cluster) buildRing() {
 	c.ring = c.ring[:0]
 	for _, n := range c.nodes {
-		for v := 0; v < c.cfg.VirtualNodes; v++ {
+		for v := 0; v < virtualNodes; v++ {
 			c.ring = append(c.ring, ringEntry{hash: fnv64a(fmt.Sprintf("%s#%d", n.name, v)), n: n})
 		}
 	}

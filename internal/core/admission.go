@@ -24,17 +24,19 @@ type AdmissionParams struct {
 // average) and the chunk size C_i (the largest single chunk, the slack term
 // in A_i = T*R_i + C_i).
 //
-// A cache-backed stream (a follower served from the interval cache, see
-// icache.go) is charged differently: it performs no disk operations — it
-// contributes nothing to R_total, C_total or the per-operation overheads of
-// RequiredInterval — and its buffer charge is CacheBytes, the pinned
-// interval between it and its leader (gap × rate), instead of the
-// double-buffer B_i. This asymmetry is the capacity win of interval
-// caching: a trailing viewer of an already-playing movie costs RAM
-// proportional to how far it trails, and no disk time at all.
+// A stream riding a shared path (shared.go) — an interval-cache follower
+// or a multicast fan-out member — is charged differently: it performs no
+// disk operations — it contributes nothing to R_total, C_total or the
+// per-operation overheads of RequiredInterval — and its buffer charge is
+// Shared, the interval it trails its producer by plus a double-buffer
+// window at its rate (shareCharge), instead of the double-buffer B_i.
+// Shared is never smaller than B_i, so a dependent falling back to a plain
+// stream never increases the admission memory. This asymmetry is the
+// capacity win of sharing: a trailing viewer of an already-playing movie
+// costs RAM proportional to how far it trails, and no disk time at all.
 // On a striped volume the per-interval fetch A_i = T*R_i + C_i splits
 // across member disks, and the admission test runs per member (see
-// AdmitVolume): the stream charges every member one operation and
+// AdmitShape): the stream charges every member one operation and
 // DiskBytes of transfer per interval. DiskBytes zero means the single-disk
 // reading — the stream puts its whole A_i on every member (which on one
 // disk is the paper's formula (1) exactly).
@@ -42,18 +44,11 @@ type StreamParams struct {
 	Rate  float64 // bytes/second
 	Chunk int64   // bytes
 
-	Cached     bool  // served from the interval cache, not the disk
-	CacheBytes int64 // pinned-interval charge while Cached
+	// Shared is the RAM charge that replaces B_i while the stream rides a
+	// shared path; it is non-zero exactly then.
+	Shared int64
 
-	// A multicast fan-out member (multicast.go) is charged like a cache
-	// follower but from the group's feed: zero disk operations, and
-	// FanoutBytes — the join lag plus a double-buffer window at its rate —
-	// instead of B_i. FanoutBytes is never smaller than B_i, so a member
-	// falling back to a plain stream never increases the admission memory.
-	Multicast   bool  // served by group fan-out, not the disk
-	FanoutBytes int64 // fan-out buffer charge while Multicast
-
-	// A paused stream (vcr.go) is the fourth resource class: its buffers
+	// A paused stream (vcr.go) is the third resource class: its buffers
 	// stay pinned — it keeps its full memory charge so Resume never has to
 	// fight for the RAM its buffered runway already occupies — but its
 	// clock is frozen and it fetches nothing, so it contributes no rate, no
@@ -62,6 +57,12 @@ type StreamParams struct {
 	Paused bool
 
 	DiskBytes int64 // per-member bytes per interval when striped (0 = full A_i)
+}
+
+// diskFree reports whether the stream puts no load on the disk: it rides a
+// shared path or is paused.
+func (s StreamParams) diskFree() bool {
+	return s.Shared != 0 || s.Paused
 }
 
 // MeasureAdmissionParams derives Table 4 from the disk, the way the authors
@@ -141,14 +142,14 @@ func (a AdmissionParams) TotalOverhead(n int) sim.Time {
 // T >= (O_total*D + C_total) / (D - R_total). It returns an error when the
 // aggregate rate meets or exceeds the disk rate (no interval suffices).
 func (a AdmissionParams) RequiredInterval(streams []StreamParams) (sim.Time, error) {
-	// Cache-backed, fan-out-member and paused streams read nothing from the
-	// disk: they contribute no rate, no chunk slack and no per-operation
-	// overhead to the batch.
+	// Shared-path and paused streams read nothing from the disk: they
+	// contribute no rate, no chunk slack and no per-operation overhead to
+	// the batch.
 	n := 0
 	var rTotal float64
 	var cTotal int64
 	for _, s := range streams {
-		if s.Cached || s.Multicast || s.Paused {
+		if s.diskFree() {
 			continue
 		}
 		n++
@@ -173,19 +174,14 @@ func BufferPerStream(t sim.Time, s StreamParams) int64 {
 	return 2 * (int64(t.Seconds()*s.Rate) + s.Chunk)
 }
 
-// TotalBuffer is B_total, formula (8), extended for the interval cache and
-// multicast fan-out: a cache-backed stream charges its pinned interval
-// (CacheBytes) and a fan-out member its group reservation (FanoutBytes)
-// instead of the double-buffer B_i.
+// TotalBuffer is B_total, formula (8), extended for shared paths: a
+// stream riding one charges its Shared bytes instead of the double-buffer
+// B_i.
 func TotalBuffer(t sim.Time, streams []StreamParams) int64 {
 	var total int64
 	for _, s := range streams {
-		if s.Cached {
-			total += s.CacheBytes
-			continue
-		}
-		if s.Multicast {
-			total += s.FanoutBytes
+		if s.Shared != 0 {
+			total += s.Shared
 			continue
 		}
 		total += BufferPerStream(t, s)
@@ -243,23 +239,9 @@ func perDiskLoad(a, stripeBytes int64, n int) int64 {
 	return perDisk * stripeBytes
 }
 
-// StripedParams converts a stream's admission parameters to their striped
-// form for a volume of ndisks members with the given stripe unit: the
-// stream touches every member (its fetch window rotates over all of them
-// across its lifetime) and charges each the worst per-member share of its
-// interval fetch. On a single disk it is the identity.
-func StripedParams(t sim.Time, par StreamParams, ndisks int, stripeBytes int64) StreamParams {
-	if ndisks <= 1 {
-		return par
-	}
-	a := int64(t.Seconds()*par.Rate) + par.Chunk
-	par.DiskBytes = perDiskLoad(a, stripeBytes, ndisks)
-	return par
-}
-
 // VolumeShape describes the volume the admission test runs against: member
 // count, redundancy mode, and how many members are currently dead. The
-// plain RAID-0 shape is {Disks: n} — AdmitVolume's historical signature.
+// plain RAID-0 shape is {Disks: n}.
 type VolumeShape struct {
 	Disks       int
 	Parity      bool
@@ -311,15 +293,20 @@ func (s StreamParams) shapeLoad(t sim.Time, shape VolumeShape) int64 {
 }
 
 // VolumeParams converts a stream's admission parameters for the given
-// volume shape: plain striping via StripedParams, rotating parity via the
-// coalesced parity load (charged healthy at open time — a member death
-// re-evaluates the open set at the degraded charge). Identity on one disk.
+// volume shape: the stream touches every member (its fetch window rotates
+// over all of them across its lifetime) and charges each the worst
+// per-member share of its interval fetch — the round-robin share on plain
+// striping, the coalesced parity load on rotating parity (charged healthy
+// at open time — a member death re-evaluates the open set at the degraded
+// charge). Identity on one disk.
 func VolumeParams(t sim.Time, par StreamParams, shape VolumeShape) StreamParams {
-	if !shape.Parity {
-		return StripedParams(t, par, shape.Disks, shape.StripeBytes)
-	}
 	a := int64(t.Seconds()*par.Rate) + par.Chunk
-	par.DiskBytes = parityDiskLoad(a, shape.StripeBytes, shape.Disks, false)
+	switch {
+	case shape.Parity:
+		par.DiskBytes = parityDiskLoad(a, shape.StripeBytes, shape.Disks, false)
+	case shape.Disks > 1:
+		par.DiskBytes = perDiskLoad(a, shape.StripeBytes, shape.Disks)
+	}
 	return par
 }
 
@@ -331,24 +318,18 @@ func (s StreamParams) diskLoad(t sim.Time) int64 {
 	return int64(t.Seconds()*s.Rate) + s.Chunk
 }
 
-// AdmitVolume runs the admission test over an ndisks-member striped
-// volume: formulas (1)-(2) are evaluated per member disk against the
-// operations and bytes assigned to that member, and the set is admitted
-// iff every member has capacity (the interval batch barriers on the
-// slowest member) and the aggregate buffer fits. With one member it is
-// exactly Admit — the single-disk test, byte for byte.
-func (a AdmissionParams) AdmitVolume(t sim.Time, budget int64, ndisks int, streams []StreamParams) error {
-	return a.AdmitShape(t, budget, VolumeShape{Disks: ndisks}, streams)
-}
-
-// AdmitShape is AdmitVolume generalized to a shaped volume. For a parity
-// shape each stream's per-member load is recomputed from its rate at the
-// shape's current health — honest degraded charging: one dead member turns
-// every logical fetch into full-row reads on all survivors, and the same
-// open set that passed the healthy test can fail the degraded one (the
-// caller then walks over-committed streams down the health ladder). Dead
-// members receive no traffic and are skipped. A non-parity shape is
-// AdmitVolume byte for byte.
+// AdmitShape runs the admission test over a shaped volume: formulas
+// (1)-(2) are evaluated per member disk against the operations and bytes
+// assigned to that member, and the set is admitted iff every member has
+// capacity (the interval batch barriers on the slowest member) and the
+// aggregate buffer fits. With one member it is exactly Admit — the
+// single-disk test, byte for byte. For a parity shape each stream's
+// per-member load is recomputed from its rate at the shape's current
+// health — honest degraded charging: one dead member turns every logical
+// fetch into full-row reads on all survivors, and the same open set that
+// passed the healthy test can fail the degraded one (the caller then walks
+// over-committed streams down the health ladder). Dead members receive no
+// traffic and are skipped.
 func (a AdmissionParams) AdmitShape(t sim.Time, budget int64, shape VolumeShape, streams []StreamParams) error {
 	ndisks := shape.Disks
 	if ndisks <= 0 {
@@ -366,7 +347,7 @@ func (a AdmissionParams) AdmitShape(t sim.Time, budget int64, shape VolumeShape,
 	// load, expressed as Chunk with zero rate.
 	var sub []StreamParams
 	for _, s := range streams {
-		if s.Cached || s.Multicast || s.Paused {
+		if s.diskFree() {
 			continue
 		}
 		//crasvet:allow hotalloc -- admission test scratch, bounded by open streams; hot-reachable only via the once-per-member-death re-admission

@@ -9,15 +9,15 @@ import (
 	"repro/internal/sim"
 )
 
-// maxStripedStreams counts how many identical streams AdmitVolume accepts on
-// an ndisks-member volume with the given stripe unit, mirroring MaxStreams
-// but through the striped conversion.
+// maxStripedStreams counts how many identical streams AdmitShape accepts on
+// an ndisks-member RAID-0 volume with the given stripe unit, mirroring
+// MaxStreams but through the striped conversion.
 func maxStripedStreams(t sim.Time, a AdmissionParams, budget int64,
 	par StreamParams, ndisks int, stripeBytes int64) int {
 	var set []StreamParams
 	for {
-		set = append(set, StripedParams(t, par, ndisks, stripeBytes))
-		if a.AdmitVolume(t, budget, ndisks, set) != nil {
+		set = append(set, VolumeParams(t, par, VolumeShape{Disks: ndisks, StripeBytes: stripeBytes}))
+		if a.AdmitShape(t, budget, VolumeShape{Disks: ndisks}, set) != nil {
 			return len(set) - 1
 		}
 		if len(set) > 10000 {
@@ -29,7 +29,7 @@ func maxStripedStreams(t sim.Time, a AdmissionParams, budget int64,
 // Striping multiplies capacity: with a generous buffer budget, the admitted
 // count of identical MPEG2 streams must grow strictly from one disk to four
 // and not shrink beyond, and the one-disk count must equal the single-disk
-// test exactly (AdmitVolume(1) is Admit).
+// test exactly (AdmitShape on one disk is Admit).
 func TestAdmitVolumeCapacityScaling(t *testing.T) {
 	a := table4()
 	const interval = 500 * time.Millisecond
@@ -43,7 +43,7 @@ func TestAdmitVolumeCapacityScaling(t *testing.T) {
 		t.Logf("%d disks: %d streams", n, counts[n])
 	}
 	if counts[1] != a.MaxStreams(interval, budget, par) {
-		t.Errorf("1-disk AdmitVolume admits %d, single-disk Admit admits %d",
+		t.Errorf("1-disk AdmitShape admits %d, single-disk Admit admits %d",
 			counts[1], a.MaxStreams(interval, budget, par))
 	}
 	if !(counts[1] < counts[2] && counts[2] < counts[4]) {
@@ -73,7 +73,7 @@ func TestAdmitVolumePerDiskTightness(t *testing.T) {
 	// fixed-byte loads; every stream loads every member.
 	load := StreamParams{Chunk: 512 << 10, DiskBytes: 512 << 10}
 	var set []StreamParams
-	for a.AdmitVolume(interval, budget, ndisks, append(set, load)) == nil {
+	for a.AdmitShape(interval, budget, VolumeShape{Disks: ndisks}, append(set, load)) == nil {
 		set = append(set, load)
 		if len(set) > 1000 {
 			t.Fatal("members never saturated")
@@ -85,7 +85,7 @@ func TestAdmitVolumePerDiskTightness(t *testing.T) {
 
 	// One more identical candidate is refused (by construction of the fill
 	// loop), and the error names the member that fails first.
-	err := a.AdmitVolume(interval, budget, ndisks, append(set, load))
+	err := a.AdmitShape(interval, budget, VolumeShape{Disks: ndisks}, append(set, load))
 	if err == nil {
 		t.Fatal("candidate on the saturated members was admitted")
 	}
@@ -93,11 +93,11 @@ func TestAdmitVolumePerDiskTightness(t *testing.T) {
 		t.Errorf("rejection does not name the saturated member: %v", err)
 	}
 
-	// Cached streams put no load on any member: marking the candidate
-	// cache-backed admits it on the saturated volume.
+	// Shared-path streams put no load on any member: giving the candidate
+	// a shared charge admits it on the saturated volume.
 	cached := load
-	cached.Cached = true
-	if err := a.AdmitVolume(interval, budget, ndisks, append(set, cached)); err != nil {
+	cached.Shared = 2 * load.Chunk
+	if err := a.AdmitShape(interval, budget, VolumeShape{Disks: ndisks}, append(set, cached)); err != nil {
 		t.Errorf("cache-backed stream charged disk time: %v", err)
 	}
 }
@@ -108,9 +108,9 @@ func TestAdmitVolumeDegenerate(t *testing.T) {
 	const interval = 500 * time.Millisecond
 
 	for _, n := range []int{0, -3} {
-		err := a.AdmitVolume(interval, 1<<30, n, []StreamParams{mpeg1Params()})
+		err := a.AdmitShape(interval, 1<<30, VolumeShape{Disks: n}, []StreamParams{mpeg1Params()})
 		if err == nil {
-			t.Fatalf("AdmitVolume with %d disks accepted a stream", n)
+			t.Fatalf("AdmitShape with %d disks accepted a stream", n)
 		}
 		if !strings.Contains(err.Error(), "disks") {
 			t.Errorf("unhelpful degenerate-volume error: %v", err)
@@ -123,16 +123,16 @@ func TestAdmitVolumeDegenerate(t *testing.T) {
 	if a.Admit(interval, 1<<40, []StreamParams{hot}) == nil {
 		t.Fatal("stream faster than the disk admitted on one disk")
 	}
-	striped := StripedParams(interval, hot, 8, 256<<10)
-	if err := a.AdmitVolume(interval, 1<<40, 8, []StreamParams{striped}); err != nil {
+	striped := VolumeParams(interval, hot, VolumeShape{Disks: 8, StripeBytes: 256 << 10})
+	if err := a.AdmitShape(interval, 1<<40, VolumeShape{Disks: 8}, []StreamParams{striped}); err != nil {
 		t.Errorf("1.5x-disk-rate stream rejected on 8 members: %v", err)
 	}
 
 	// The buffer budget stays global: a set that fits every member's disk
 	// time is still refused when the aggregate double-buffer overflows RAM.
-	par := StripedParams(interval, mpeg1Params(), 4, 32<<10)
+	par := VolumeParams(interval, mpeg1Params(), VolumeShape{Disks: 4, StripeBytes: 32 << 10})
 	tiny := BufferPerStream(interval, par) - 1
-	err := a.AdmitVolume(interval, tiny, 4, []StreamParams{par})
+	err := a.AdmitShape(interval, tiny, VolumeShape{Disks: 4}, []StreamParams{par})
 	if err == nil {
 		t.Fatal("buffer overflow admitted on a striped volume")
 	}
@@ -141,21 +141,21 @@ func TestAdmitVolumeDegenerate(t *testing.T) {
 	}
 }
 
-// StripedParams and perDiskLoad: identity on one disk, whole-stripe-unit
-// granularity beyond, monotone non-increasing in member count, and never
-// below an even split of the fetch window.
+// VolumeParams on plain striping (perDiskLoad): identity on one disk,
+// whole-stripe-unit granularity beyond, monotone non-increasing in member
+// count, and never below an even split of the fetch window.
 func TestStripedParamsShape(t *testing.T) {
 	const interval = 500 * time.Millisecond
 	par := mpeg2Params()
-	if got := StripedParams(interval, par, 1, 32<<10); !reflect.DeepEqual(got, par) {
-		t.Fatalf("StripedParams on 1 disk is not the identity: %+v", got)
+	if got := VolumeParams(interval, par, VolumeShape{Disks: 1, StripeBytes: 32 << 10}); !reflect.DeepEqual(got, par) {
+		t.Fatalf("VolumeParams on 1 disk is not the identity: %+v", got)
 	}
 
 	a := int64(interval.Seconds()*par.Rate) + par.Chunk
 	const stripe = int64(32 << 10)
 	prev := int64(1 << 62)
 	for _, n := range []int{2, 3, 4, 8, 16} {
-		load := StripedParams(interval, par, n, stripe).DiskBytes
+		load := VolumeParams(interval, par, VolumeShape{Disks: n, StripeBytes: stripe}).DiskBytes
 		if load%stripe != 0 {
 			t.Errorf("n=%d: per-disk load %d not in whole stripe units", n, load)
 		}

@@ -66,9 +66,9 @@ func runGoldenVolumeScenario(t *testing.T, ndisks int) goldenResult {
 		b.unix = ufs.NewServer(b.k, fs, rtm.PrioTS, 0)
 		cfg := Config{Params: MeasureAdmissionParams(d, 64<<10)}
 		if ndisks == 0 {
-			b.cras = NewServer(b.k, d, b.unix, cfg)
+			b.cras = NewServer(b.k, disk.SingleVolume(d), UnixResolver(b.unix), cfg)
 		} else {
-			b.cras = NewVolumeServer(b.k, vol, b.unix, cfg)
+			b.cras = NewServer(b.k, vol, UnixResolver(b.unix), cfg)
 		}
 		b.k.NewThread("app", rtm.PrioRTLow, 0, func(th *rtm.Thread) {
 			goldenWorkload(t, b, th, shared, solo, &res)

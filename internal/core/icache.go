@@ -89,17 +89,16 @@ func (g *sharedPath) pinHorizon(h sim.Time, now sim.Time) sim.Time {
 	return h
 }
 
-// intervalCache is the server-wide pinned-byte budget and the bytes pinned
-// across every pinned-mode shared path.
+// intervalCache is the bytes pinned across every pinned-mode shared path,
+// held against Config.CacheBudget.
 type intervalCache struct {
-	budget int64
-	bytes  int64
+	bytes int64
 }
 
 // ramBudget is the admission test's memory bound: the stream buffer budget
 // plus the interval cache's plus the multicast prefix budget, since
-// TotalBuffer charges cache-backed streams their pinned interval and
-// fan-out members their FanoutBytes against the same pool.
+// TotalBuffer charges every shared-path dependent its Shared bytes against
+// the same pool.
 func (s *Server) ramBudget() int64 {
 	return s.cfg.BufferBudget + s.cfg.CacheBudget + s.cfg.PrefixBudget
 }
@@ -136,7 +135,7 @@ func (s *Server) cacheCandidate(r openReq) *stream {
 }
 
 // cachePlan evaluates the interval-cache option for an open: the leader to
-// follow, the pin reservation to hold, and par with the Cached charge
+// follow, the pin reservation to hold, and par with the shared charge
 // applied — or (nil, 0, par) unchanged when no eligible leader fits the
 // budget. handleOpen calls it directly and again when the multicast rung
 // of the admission ladder fails.
@@ -147,13 +146,10 @@ func (s *Server) cachePlan(r openReq, now sim.Time, par StreamParams) (*stream, 
 	}
 	// A reopen at a later stamp point trails the leader by that much less;
 	// a non-positive gap means the opener would run ahead of the leader.
-	gap := s.shareGap(leader, now) - r.at
-	reservation := s.cachePinReservation(gap, par)
-	if gap <= 0 || s.committed[sharePinned]+reservation > s.icache.budget || s.shareGap(leader, now) >= r.info.TotalDuration() {
+	par, reservation, ok := s.openPlan(sharePinned, leader, r, now, par)
+	if !ok {
 		return nil, 0, par
 	}
-	par.Cached = true
-	par.CacheBytes = s.shareCharge(gap, par)
 	return leader, reservation, par
 }
 
@@ -200,12 +196,12 @@ func (s *Server) cacheFloor(leader *stream, now sim.Time) sim.Time {
 // reservations would exceed the cache budget, keeping pin refusals (and
 // the fallbacks they force) an edge case rather than the steady state.
 func (s *Server) cachePinReservation(gap sim.Time, par StreamParams) int64 {
-	return int64((gap+s.cfg.Jitter).Seconds()*par.Rate) + par.Chunk
+	return int64((gap+jitter).Seconds()*par.Rate) + par.Chunk
 }
 
 // cacheAttach joins a newly opened stream to its leader's path cache,
 // creating the cache on first use. Called from handleOpen after the stream
-// exists; par already carries the Cached admission charge.
+// exists; par already carries the shared admission charge.
 func (s *Server) cacheAttach(st *stream, leader *stream, reservation int64, now sim.Time) {
 	g := s.shareJoin(st, leader, sharePinned, reservation)
 
@@ -351,7 +347,7 @@ func (s *Server) cachePin(g *sharedPath, popped []BufferedChunk, pinH sim.Time) 
 		if c.Timestamp+c.Duration <= pinH {
 			continue // already behind every follower
 		}
-		if s.icache.bytes+c.Size > s.icache.budget {
+		if s.icache.bytes+c.Size > s.cfg.CacheBudget {
 			s.stats.CachePinRefused++
 			continue
 		}

@@ -34,8 +34,8 @@ func TestIntervalCacheServesFollower(t *testing.T) {
 			if !fol.CacheBacked() {
 				t.Error("follower not cache-backed")
 			}
-			if !fol.Params().Cached {
-				t.Error("follower admission params not Cached")
+			if fol.Params().Shared == 0 {
+				t.Error("follower admission params carry no shared charge")
 			}
 			fol.Start(th)
 
@@ -224,7 +224,7 @@ func TestCacheLeaderClosePromotesFollower(t *testing.T) {
 			if fol.CacheBacked() {
 				t.Error("promoted follower still marked cache-backed")
 			}
-			if fol.Params().Cached {
+			if fol.Params().Shared != 0 {
 				t.Error("promoted follower still admission-charged as cached")
 			}
 		})
@@ -494,7 +494,7 @@ func TestCacheSeekAndRateChangeDetach(t *testing.T) {
 			if err := f1.SetRate(th, 2.0); err != nil {
 				t.Errorf("f1 SetRate: %v", err)
 			}
-			if f1.CacheBacked() || f1.Params().Cached {
+			if f1.CacheBacked() || f1.Params().Shared != 0 {
 				t.Error("f1 still cache-backed after rate change")
 			}
 
@@ -570,7 +570,7 @@ func TestCacheFollowerRetriesAsPlainStream(t *testing.T) {
 				t.Errorf("open follower: %v", err)
 				return
 			}
-			if fol.CacheBacked() || fol.Params().Cached {
+			if fol.CacheBacked() || fol.Params().Shared != 0 {
 				t.Error("follower cache-backed despite an unaffordable pin charge")
 			}
 			if st := b.cras.Stats(); st.CacheAttached != 0 {

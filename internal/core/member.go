@@ -159,9 +159,12 @@ func (s *Server) volShape() VolumeShape {
 	}
 }
 
-// volParams converts a stream's raw admission parameters for this volume.
-func (s *Server) volParams(par StreamParams) StreamParams {
-	return VolumeParams(s.cfg.Interval, par, s.volShape())
+// diskCharge is the admission charge of a disk-fed stream whose media
+// plays at base bytes/second, at velocity vel and delivered rate dr,
+// converted for this volume. The rate is the product (base·vel)·dr in
+// that order, so every rate change prices the same float.
+func (s *Server) diskCharge(base, vel, dr float64, chunk int64) StreamParams {
+	return VolumeParams(s.cfg.Interval, StreamParams{Rate: base * vel * dr, Chunk: chunk}, s.volShape())
 }
 
 // noteMemberErr counts a hard fragment failure against its member disk.
@@ -239,7 +242,7 @@ func (s *Server) reevaluateAdmission(now sim.Time) {
 		var victim *stream
 		for j := len(s.streams) - 1; j >= 0; j-- {
 			st := s.streams[j]
-			if st.closed || st.health >= Suspended || st.par.Cached {
+			if st.closed || st.health >= Suspended || st.rides(sharePinned) {
 				continue
 			}
 			victim = st
@@ -378,7 +381,7 @@ func (s *Server) updateMemberHealth(now sim.Time) {
 				continue
 			}
 			m.cleanCycles++
-			if m.cleanCycles >= pol.MemberRecoverCycles {
+			if m.cleanCycles >= memberRecoverCycles {
 				m.windowErrs = 0
 				s.setMemberHealth(i, MemberHealthy,
 					//crasvet:allow hotalloc -- formats once per health transition, not per cycle

@@ -48,7 +48,7 @@ func TestDegradedOverCommitSuspends(t *testing.T) {
 		fs.Sync(pr)
 		k := rtm.NewKernel(e)
 		unix := ufs.NewServer(k, fs, rtm.PrioTS, 0)
-		cras := NewVolumeServer(k, vol, unix, Config{
+		cras := NewServer(k, vol, UnixResolver(unix), Config{
 			Params:       MeasureAdmissionParams(members[0], 64<<10),
 			InitialDelay: 2 * time.Second,
 			BufferBudget: 1 << 30,

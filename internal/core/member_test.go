@@ -149,7 +149,7 @@ func runParityScenario(t *testing.T, mode int) parityResult {
 			// capacity-for-resilience trade the chaos campaign makes.
 			InitialDelay: 2 * time.Second,
 		}
-		b.cras = NewVolumeServer(b.k, vol, b.unix, cfg)
+		b.cras = NewServer(b.k, vol, UnixResolver(b.unix), cfg)
 		b.cras.OnMemberHealth = func(ev MemberHealthEvent) {
 			res.events = append(res.events, ev)
 		}

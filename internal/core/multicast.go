@@ -15,9 +15,9 @@ import (
 // cycle edge, every chunk the feed stamps into its own time-driven buffer
 // is fanned out into each member's buffer too, so K viewers of a hot title
 // cost one stream's disk time. Each member keeps its own Handle, lease and
-// health ladder; its admission charge is FanoutBytes — the join lag plus a
-// double-buffer window at its rate — held against PrefixBudget, with zero
-// disk operations.
+// health ladder; its admission charge is the shared charge — the join lag
+// plus a double-buffer window at its rate — held against PrefixBudget,
+// with zero disk operations.
 //
 // On top of the batch rides the pinned prefix: a popularity tracker
 // (windowed open counts with exponential decay) qualifies the hottest
@@ -66,7 +66,6 @@ type prefixPin struct {
 // (committed[shareFanout]) plus pinned prefix bytes may never exceed
 // PrefixBudget.
 type multicastState struct {
-	budget   int64 // PrefixBudget
 	pinned   int64 // pinned prefix bytes across all titles
 	prefixes []*prefixPin
 	pop      []popEntry
@@ -153,7 +152,7 @@ func (s *Server) prefixAdvance(st *stream, now sim.Time) {
 			}
 			return // not stamped yet: retry next cycle
 		}
-		if s.committed[shareFanout]+s.mcast.pinned+c.Size > s.mcast.budget {
+		if s.committed[shareFanout]+s.mcast.pinned+c.Size > s.cfg.PrefixBudget {
 			s.stats.PrefixRefused++
 			return
 		}
@@ -249,7 +248,7 @@ func (s *Server) mcastCandidate(r openReq, now sim.Time) *stream {
 // member, creating the group on first use, and backfills the member's
 // buffer with the head the feed has already stamped: prefix pins first,
 // the feed's still-resident chunks for the rest. handleOpen verified the
-// head is covered and charged par.Multicast/par.FanoutBytes.
+// head is covered and charged par.Shared.
 func (s *Server) mcastAttach(st, feed *stream, charge int64, now sim.Time) {
 	g := s.shareJoin(st, feed, shareFanout, charge)
 

@@ -121,7 +121,7 @@ func TestMulticastWindowExpiry(t *testing.T) {
 func TestMulticastBudgetRefusal(t *testing.T) {
 	movie := media.MPEG1().Generate("/hot", 8*time.Second)
 	cfg := mcastConfig()
-	cfg.PrefixBudget = 4 << 10 // far below one member's FanoutBytes
+	cfg.PrefixBudget = 4 << 10 // far below one member's shared charge
 	newBed(t, 13, ufs.Options{}, cfg,
 		map[string]*media.StreamInfo{"/hot": movie},
 		func(b *bed, th *rtm.Thread) {
@@ -418,7 +418,7 @@ func TestPopularityDecay(t *testing.T) {
 	}
 }
 
-// TestFanoutChargeDominatesBuffer: FanoutBytes is never below B_i, so a
+// TestFanoutChargeDominatesBuffer: the shared charge is never below B_i, so a
 // member falling back to a plain stream never increases the admission
 // memory — the invariant the one-way fallback depends on.
 func TestFanoutChargeDominatesBuffer(t *testing.T) {
@@ -427,7 +427,7 @@ func TestFanoutChargeDominatesBuffer(t *testing.T) {
 		par := StreamParams{Rate: 1.2e6, Chunk: 64 << 10}
 		charge := s.shareCharge(gap, par)
 		if bi := BufferPerStream(s.cfg.Interval, par); charge < bi {
-			t.Errorf("gap %v: FanoutBytes %d < B_i %d", gap, charge, bi)
+			t.Errorf("gap %v: shared charge %d < B_i %d", gap, charge, bi)
 		}
 	}
 }

@@ -49,19 +49,18 @@ func TestParityDiskLoad(t *testing.T) {
 }
 
 // TestVolumeParams pins the conversion's two branches: a non-parity shape
-// is StripedParams byte for byte, a parity shape charges the healthy
+// charges the round-robin share perDiskLoad, a parity shape the healthy
 // coalesced parity load across all members.
 func TestVolumeParams(t *testing.T) {
 	const T = 500 * time.Millisecond
 	par := StreamParams{Rate: 187 << 10, Chunk: 64 << 10}
+	a := int64(T.Seconds()*par.Rate) + par.Chunk
 	raid0 := VolumeParams(T, par, VolumeShape{Disks: 4, StripeBytes: 32 << 10})
-	want := StripedParams(T, par, 4, 32<<10)
-	if raid0.DiskBytes != want.DiskBytes || raid0.Rate != want.Rate ||
-		raid0.Chunk != want.Chunk {
-		t.Errorf("non-parity VolumeParams = %+v, want StripedParams %+v", raid0, want)
+	want := StreamParams{Rate: par.Rate, Chunk: par.Chunk, DiskBytes: perDiskLoad(a, 32<<10, 4)}
+	if raid0 != want {
+		t.Errorf("non-parity VolumeParams = %+v, want %+v", raid0, want)
 	}
 	p := VolumeParams(T, par, VolumeShape{Disks: 4, Parity: true, StripeBytes: 32 << 10})
-	a := int64(T.Seconds()*par.Rate) + par.Chunk
 	if want := parityDiskLoad(a, 32<<10, 4, false); p.DiskBytes != want {
 		t.Errorf("parity VolumeParams DiskBytes = %d, want %d", p.DiskBytes, want)
 	}
@@ -104,7 +103,7 @@ func TestAdmitShapeParity(t *testing.T) {
 	degradedShape.Dead = 1
 	degraded := maxShapeStreams(a, T, budget, degradedShape, VolumeParams(T, mpeg1, shape))
 	raid0 := maxShapeStreams(a, T, budget, VolumeShape{Disks: 4, StripeBytes: 32 << 10},
-		StripedParams(T, mpeg1, 4, 32<<10))
+		VolumeParams(T, mpeg1, VolumeShape{Disks: 4, StripeBytes: 32 << 10}))
 
 	if healthy < 1 || degraded < 1 {
 		t.Fatalf("shapes admit nothing: healthy=%d degraded=%d", healthy, degraded)
@@ -119,7 +118,7 @@ func TestAdmitShapeParity(t *testing.T) {
 
 // TestAdmitShapeEdges pins the shape test's degenerate forms: no disks is
 // a typed rejection, one disk is the single-disk test, and the RAID-0
-// shape is AdmitVolume byte for byte.
+// shape admits a striped pair and still enforces the buffer budget.
 func TestAdmitShapeEdges(t *testing.T) {
 	a := testAdmission()
 	const T = 500 * time.Millisecond
@@ -134,11 +133,10 @@ func TestAdmitShapeEdges(t *testing.T) {
 	if (one == nil) != (plain == nil) {
 		t.Errorf("one-disk shape %v, single-disk test %v", one, plain)
 	}
-	striped := []StreamParams{StripedParams(T, mpeg1, 4, 32<<10), StripedParams(T, mpeg1, 4, 32<<10)}
-	av := a.AdmitVolume(T, 1<<30, 4, striped)
-	as := a.AdmitShape(T, 1<<30, VolumeShape{Disks: 4}, striped)
-	if (av == nil) != (as == nil) {
-		t.Errorf("AdmitVolume %v, AdmitShape RAID-0 %v", av, as)
+	raid0 := VolumeShape{Disks: 4, StripeBytes: 32 << 10}
+	striped := []StreamParams{VolumeParams(T, mpeg1, raid0), VolumeParams(T, mpeg1, raid0)}
+	if err := a.AdmitShape(T, 1<<30, VolumeShape{Disks: 4}, striped); err != nil {
+		t.Errorf("AdmitShape RAID-0 refused a striped pair: %v", err)
 	}
 	// Buffer exhaustion is still enforced under a shape.
 	if err := a.AdmitShape(T, 1, VolumeShape{Disks: 4}, striped); err == nil {

@@ -23,7 +23,7 @@ const (
 
 	// Suspended streams stop fetching and their logical clock freezes; the
 	// buffer keeps whatever had arrived. A stream that stays suspended is
-	// evicted after RecoveryPolicy.EvictAfter.
+	// evicted after evictAfterCycles intervals.
 	Suspended
 
 	// Evicted streams are closed: their admission capacity and buffer
@@ -45,6 +45,30 @@ func (h StreamHealth) String() string {
 	return fmt.Sprintf("StreamHealth(%d)", int(h))
 }
 
+// Fixed steps of the recovery engine's ladders.
+const (
+	// degradeAfter is how many unrecovered (post-retry) read failures move
+	// a Healthy stream to Degraded: a healthy stream has none.
+	degradeAfter = 1
+
+	// evictAfterCycles is how many intervals a stream may stay Suspended
+	// before it is evicted and its resources released.
+	evictAfterCycles = 4
+
+	// shedAfter is how many consecutive interval batches must overrun
+	// their I/O deadline before the server sheds load by evicting the
+	// worst-health stream. Only streams already off the top of the ladder
+	// are candidates: all-healthy overruns mean the operator force-opened
+	// past admission (or background load spiked) and shedding would not
+	// help the streams it is meant to protect.
+	shedAfter = 3
+
+	// memberRecoverCycles is how many consecutive clean cycles demote a
+	// Suspect parity-volume member back to Healthy (the fault was
+	// transient).
+	memberRecoverCycles = 8
+)
+
 // RecoveryPolicy tunes the deadline manager's recovery engine. Zero values
 // select defaults; durations that depend on the interval T are resolved in
 // Config.fillDefaults.
@@ -58,10 +82,6 @@ type RecoveryPolicy struct {
 	// old has lost its completion interrupt.
 	WatchdogTimeout sim.Time
 
-	// DegradeAfter is how many unrecovered (post-retry) read failures move
-	// a Healthy stream to Degraded. Default 1: a healthy stream has none.
-	DegradeAfter int
-
 	// SuspendAfter is how many further failures while Degraded move the
 	// stream to Suspended. Default 4.
 	SuspendAfter int
@@ -69,18 +89,6 @@ type RecoveryPolicy struct {
 	// RecoverCycles is how many consecutive clean cycles promote a
 	// Degraded stream back to Healthy. Default 8.
 	RecoverCycles int
-
-	// EvictAfter is how long a stream may stay Suspended before it is
-	// evicted and its resources released. Default 4*Interval.
-	EvictAfter sim.Time
-
-	// ShedAfter is how many consecutive interval batches must overrun
-	// their I/O deadline before the server sheds load by evicting the
-	// worst-health stream. Only streams already off the top of the ladder
-	// are candidates: all-healthy overruns mean the operator force-opened
-	// past admission (or background load spiked) and shedding would not
-	// help the streams it is meant to protect. Default 3.
-	ShedAfter int
 
 	// MemberSuspectAfter is how many hard fragment failures (post-retry or
 	// watchdog-canceled) within the error window promote a parity-volume
@@ -93,10 +101,6 @@ type RecoveryPolicy struct {
 	// way to Dead: the volume drops it from placement entirely and a
 	// rebuild must bring a replacement back. Default 6. Parity only.
 	MemberDeadAfter int
-
-	// MemberRecoverCycles is how many consecutive clean cycles demote a
-	// Suspect member back to Healthy (the fault was transient). Default 8.
-	MemberRecoverCycles int
 }
 
 func (p *RecoveryPolicy) fillDefaults(interval sim.Time) {
@@ -106,29 +110,17 @@ func (p *RecoveryPolicy) fillDefaults(interval sim.Time) {
 	if p.WatchdogTimeout == 0 {
 		p.WatchdogTimeout = 2 * interval
 	}
-	if p.DegradeAfter == 0 {
-		p.DegradeAfter = 1
-	}
 	if p.SuspendAfter == 0 {
 		p.SuspendAfter = 4
 	}
 	if p.RecoverCycles == 0 {
 		p.RecoverCycles = 8
 	}
-	if p.EvictAfter == 0 {
-		p.EvictAfter = 4 * interval
-	}
-	if p.ShedAfter == 0 {
-		p.ShedAfter = 3
-	}
 	if p.MemberSuspectAfter == 0 {
 		p.MemberSuspectAfter = 3
 	}
 	if p.MemberDeadAfter == 0 {
 		p.MemberDeadAfter = 6
-	}
-	if p.MemberRecoverCycles == 0 {
-		p.MemberRecoverCycles = 8
 	}
 }
 
@@ -170,8 +162,8 @@ func (s *Server) retrySpares() []sim.Time {
 		ops[d], bytes[d] = 0, 0
 	}
 	for _, st := range s.streams {
-		if st.closed || st.par.Cached || st.par.Multicast || st.par.Paused {
-			continue // cache followers, fan-out members, and paused streams issue no steady-state reads
+		if st.closed || st.par.diskFree() {
+			continue // shared-path dependents and paused streams issue no steady-state reads
 		}
 		a := int64(s.cfg.Interval.Seconds()*st.par.Rate) + st.par.Chunk
 		if n > 1 {
@@ -307,7 +299,7 @@ func (s *Server) updateStreamHealth(now sim.Time) {
 				continue
 			}
 			st.windowErrs += errs
-			if st.windowErrs >= pol.DegradeAfter {
+			if st.windowErrs >= degradeAfter {
 				st.degradedErrs = 0
 				st.cleanCycles = 0
 				s.setHealth(st, Degraded, fmt.Sprintf("%d unrecovered read failures", st.windowErrs)) //crasvet:allow hotalloc -- formats once per health transition, not per cycle
@@ -337,7 +329,7 @@ func (s *Server) updateStreamHealth(now sim.Time) {
 				s.setHealth(st, Healthy, fmt.Sprintf("%d clean cycles", st.cleanCycles)) //crasvet:allow hotalloc -- formats once per health transition, not per cycle
 			}
 		case Suspended:
-			if now-st.suspendedAt >= pol.EvictAfter {
+			if now-st.suspendedAt >= evictAfterCycles*s.cfg.Interval {
 				s.evict(st, "suspension timed out")
 			}
 		}
@@ -383,6 +375,6 @@ func (s *Server) shedWorstStream(cycle int) bool {
 		return false
 	}
 	s.stats.ShedEvictions++
-	s.evict(worst, fmt.Sprintf("load shed after %d consecutive I/O overruns", s.cfg.Recovery.ShedAfter))
+	s.evict(worst, fmt.Sprintf("load shed after %d consecutive I/O overruns", shedAfter))
 	return true
 }

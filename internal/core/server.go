@@ -8,7 +8,6 @@ import (
 	"repro/internal/media"
 	"repro/internal/rtm"
 	"repro/internal/sim"
-	"repro/internal/ufs"
 )
 
 // CPU cost model for the server threads (100 MHz Pentium scale).
@@ -20,11 +19,14 @@ const (
 	costManagerOp  = 500 * time.Microsecond // open/close/start/stop/seek bookkeeping
 )
 
+// jitter is J, the time-driven buffer's jitter allowance: data younger
+// than Tdiscard = Tnow - J is retained (Figure 4).
+const jitter = 100 * time.Millisecond
+
 // Config parameterizes a CRAS instance.
 type Config struct {
 	Interval     sim.Time // T; default 500 ms (the evaluation's setting)
 	BufferBudget int64    // total shared-buffer memory; default 8 MB
-	Jitter       sim.Time // J of the time-driven buffer; default 100 ms
 	MaxRead      int      // largest single disk read; default 256 KB
 	InitialDelay sim.Time // default 2*Interval (the paper's 1 s at T=0.5 s)
 
@@ -102,9 +104,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.BufferBudget == 0 {
 		c.BufferBudget = 8 << 20
-	}
-	if c.Jitter == 0 {
-		c.Jitter = 100 * time.Millisecond
 	}
 	if c.MaxRead == 0 {
 		c.MaxRead = 256 << 10
@@ -363,33 +362,16 @@ type Server struct {
 	OnMemberHealth func(MemberHealthEvent)
 }
 
-// NewServer starts CRAS on the kernel in the paper's standard
-// configuration, resolving media files through the Unix server. Config
-// zero-values select the paper's defaults.
-func NewServer(k *rtm.Kernel, d *disk.Disk, unixServer *ufs.Server, cfg Config) *Server {
-	return NewServerWith(k, d, UnixResolver(unixServer), cfg)
-}
-
-// NewServerWith starts CRAS with an explicit Resolver — the hook for the
-// paper's Figure 5 alternative configurations (RTS, or CRAS linked into
-// the application with no Unix server at all).
-func NewServerWith(k *rtm.Kernel, d *disk.Disk, resolver Resolver, cfg Config) *Server {
-	return NewVolumeServerWith(k, disk.SingleVolume(d), resolver, cfg)
-}
-
-// NewVolumeServer starts CRAS over a striped volume, resolving media files
-// through the Unix server mounted on the same volume. With one member the
-// server is bit-for-bit the single-disk configuration.
-func NewVolumeServer(k *rtm.Kernel, vol *disk.Volume, unixServer *ufs.Server, cfg Config) *Server {
-	return NewVolumeServerWith(k, vol, UnixResolver(unixServer), cfg)
-}
-
-// NewVolumeServerWith starts CRAS over a striped volume with an explicit
-// Resolver. Construction runs before the kernel schedules any thread, so
-// it may touch confined state freely.
+// NewServer starts CRAS on the kernel over a volume — disk.SingleVolume
+// for the paper's one disk, a striped or parity volume otherwise —
+// resolving media files through resolver: UnixResolver for the paper's
+// standard configuration, DirectResolver for Figure 5's embedded one.
+// Config zero-values select the paper's defaults. Construction runs
+// before the kernel schedules any thread, so it may touch confined state
+// freely.
 //
 //crasvet:init
-func NewVolumeServerWith(k *rtm.Kernel, vol *disk.Volume, resolver Resolver, cfg Config) *Server {
+func NewServer(k *rtm.Kernel, vol *disk.Volume, resolver Resolver, cfg Config) *Server {
 	cfg.fillDefaults()
 	if cfg.Params.D == 0 {
 		// Calibrate the admission test from a member disk (NewVolume
@@ -399,8 +381,6 @@ func NewVolumeServerWith(k *rtm.Kernel, vol *disk.Volume, resolver Resolver, cfg
 	}
 	s := &Server{
 		k: k, vol: vol, cfg: cfg, resolver: resolver,
-		icache:       intervalCache{budget: cfg.CacheBudget},
-		mcast:        multicastState{budget: cfg.PrefixBudget},
 		reqPort:      k.NewBoundedPort("cras.request", cfg.RequestQueueCap),
 		iodonePort:   k.NewPort("cras.iodone"),
 		deadlinePort: k.NewPort("cras.deadline"),
@@ -484,7 +464,7 @@ func NewVolumeServerWith(k *rtm.Kernel, vol *disk.Volume, resolver Resolver, cfg
 					s.overrunRun = 1
 				}
 				s.lastOverrunCycle = m.Cycle
-				if s.overrunRun >= s.cfg.Recovery.ShedAfter && s.shedWorstStream(m.Cycle) {
+				if s.overrunRun >= shedAfter && s.shedWorstStream(m.Cycle) {
 					s.overrunRun = 0
 				}
 			case IOStall:
@@ -1114,15 +1094,25 @@ func (s *Server) admit(set []StreamParams) error {
 	return s.cfg.Params.AdmitShape(s.cfg.Interval, s.ramBudget(), s.volShape(), set)
 }
 
-// admissionSet returns the StreamParams of all open streams plus extras.
-func (s *Server) admissionSet(extra ...StreamParams) []StreamParams {
+// admissionSet is the live admission set, in stream order (RequiredInterval
+// sums in that order): every open stream at its current charge. Re-admitting
+// st at changed terms excludes st itself and prices the dependents of every
+// shared path st produces for at the plain charge the detach will leave them
+// at (plainCharge, matching shareDetach exactly), so the test can never pass
+// on charges the detach is about to change. A nil st excludes nobody.
+func (s *Server) admissionSet(st *stream) []StreamParams {
 	var set []StreamParams
-	for _, st := range s.streams {
-		if !st.closed {
-			set = append(set, st.par)
+	for _, other := range s.streams {
+		if other.closed || other == st {
+			continue
 		}
+		par := other.par
+		if st != nil && other.dep != nil && other.dep.producer == st {
+			par = plainCharge(par)
+		}
+		set = append(set, par) //crasvet:allow hotalloc -- admission set built once per open, VCR op or promotion attempt, not per steady cycle
 	}
-	return append(set, extra...)
+	return set
 }
 
 func (s *Server) handleRequest(t *rtm.Thread, req any) any {
@@ -1191,12 +1181,9 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 		wantDr = s.ladderSnap(r.dr)
 	}
 	dr := wantDr
-	base := r.info.WorstCaseRate(s.cfg.Interval) * r.rate
-	par := StreamParams{
-		Rate:  base * dr,
-		Chunk: maxChunkSize(r.info),
-	}
-	par = s.volParams(par)
+	baseRate, chunk := r.info.WorstCaseRate(s.cfg.Interval), maxChunkSize(r.info)
+	diskPar := s.diskCharge(baseRate, r.rate, dr, chunk)
+	par := diskPar
 	// Multicast batching: a playback open on a path a batchable stream is
 	// already playing rides that stream's fan-out group, charging fan-out
 	// RAM against the prefix budget and zero disk time — provided the
@@ -1216,14 +1203,10 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 			// A reopen at a later stamp point trails the feed by that much
 			// less; a non-positive gap means the opener would run ahead of
 			// the feed, which the fan-out cannot supply.
-			gap := s.shareGap(feed, now) - r.at
-			fanCharge = s.shareCharge(gap, par)
-			if gap <= 0 || s.committed[shareFanout]+s.mcast.pinned+fanCharge > s.mcast.budget || s.shareGap(feed, now) >= r.info.TotalDuration() {
+			var ok bool
+			if par, fanCharge, ok = s.openPlan(shareFanout, feed, r, now, diskPar); !ok {
 				s.stats.MulticastRefused++
 				feed = nil
-			} else {
-				par.Multicast = true
-				par.FanoutBytes = fanCharge
 			}
 		}
 	}
@@ -1233,32 +1216,29 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 	var leader *stream
 	var reservation int64
 	if feed == nil {
-		leader, reservation, par = s.cachePlan(r, now, par)
+		leader, reservation, par = s.cachePlan(r, now, diskPar)
 	}
 	if !r.force {
 		for {
-			err := s.admit(s.admissionSet(par))
+			err := s.admit(append(s.admissionSet(nil), par))
 			if err == nil {
 				break
 			}
-			if par.Multicast {
+			if feed != nil {
 				// A member whose fan-out charge does not fit may still be
 				// admissible as a cache follower or a plain disk stream —
 				// the same one-way ladder the running server walks.
-				par.Multicast = false
-				par.FanoutBytes = 0
 				feed = nil
 				s.stats.MulticastRefused++
-				leader, reservation, par = s.cachePlan(r, now, par)
+				leader, reservation, par = s.cachePlan(r, now, diskPar)
 				continue
 			}
-			if par.Cached {
+			if leader != nil {
 				// A follower whose pinned-interval charge does not fit may
 				// still be admissible as a plain disk stream (B_i is never
 				// larger than the cache charge, but adds disk time).
-				par.Cached = false
-				par.CacheBytes = 0
 				leader = nil
+				par = diskPar
 				continue
 			}
 			// A non-cacheable stream refused for buffer memory reclaims
@@ -1273,7 +1253,8 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 			if len(s.cfg.RateLadder) > 0 && !r.record {
 				if next, ok := s.ladderBelow(dr); ok {
 					dr = next
-					par = s.volParams(StreamParams{Rate: base * dr, Chunk: par.Chunk})
+					diskPar = s.diskCharge(baseRate, r.rate, dr, chunk)
+					par = diskPar
 					continue
 				}
 			}
@@ -1313,16 +1294,16 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 		ext:      ext,
 		record:   r.record,
 		dr:       dr,
-		baseRate: r.info.WorstCaseRate(s.cfg.Interval),
+		baseRate: baseRate,
 		clock:    NewLogicalClock(),
-		buf:      NewTDBuffer(s.bufferCapacity(par), s.cfg.Jitter),
+		buf:      NewTDBuffer(s.bufferCapacity(par), jitter),
 	}
 	st.stepCycle = s.cycle
 	if dr < wantDr {
 		s.stats.OpensReduced++
 	}
-	s.applyRateShape(st, r.rate)
 	st.clock.SetRate(s.k.Now(), r.rate)
+	s.applyRateShape(st)
 	st.seekTo(r.at)
 	if r.at > 0 {
 		// Attach-at-stamp reopen: the clock holds the resume point until
@@ -1356,7 +1337,7 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 // stamping-granularity slack.
 func (s *Server) bufferCapacity(par StreamParams) int64 {
 	cap := BufferPerStream(s.cfg.Interval, par) +
-		int64(s.cfg.Jitter.Seconds()*par.Rate) + par.Chunk
+		int64(jitter.Seconds()*par.Rate) + par.Chunk
 	// The fetch horizon leads consumption by leadReal (see stream.lead);
 	// the buffer must hold it.
 	return cap + int64(s.leadReal().Seconds()*par.Rate)

@@ -54,7 +54,7 @@ func newBed(t *testing.T, seed int64, fsOpts ufs.Options, cfg Config,
 		if cfg.Params.D == 0 {
 			cfg.Params = MeasureAdmissionParams(d, 64<<10)
 		}
-		b.cras = NewServer(b.k, d, b.unix, cfg)
+		b.cras = NewServer(b.k, disk.SingleVolume(d), UnixResolver(b.unix), cfg)
 		b.k.NewThread("app", rtm.PrioRTLow, cfg.Quantum, func(th *rtm.Thread) {
 			ready(b, th)
 		})
@@ -545,7 +545,7 @@ func TestMultipleCRASInstances(t *testing.T) {
 			}
 			fs.Sync(p)
 			unix := ufs.NewServer(k, fs, rtm.PrioTS, 0)
-			inst.cras = NewServer(k, d, unix, Config{})
+			inst.cras = NewServer(k, disk.SingleVolume(d), UnixResolver(unix), Config{})
 			k.NewThread(fmt.Sprintf("app%d", i), rtm.PrioRTLow, 0, func(th *rtm.Thread) {
 				h, err := inst.cras.Open(th, movie, "/m", OpenOptions{})
 				if err != nil {
@@ -639,7 +639,7 @@ func TestContainerTracksPlayFromOneFile(t *testing.T) {
 		fs.Sync(p)
 		k := rtm.NewKernel(e)
 		unix := ufs.NewServer(k, fs, rtm.PrioTS, 0)
-		cras := NewServer(k, d, unix, Config{})
+		cras := NewServer(k, disk.SingleVolume(d), UnixResolver(unix), Config{})
 		for i, info := range tracks {
 			info := info
 			kind := cont.Tracks[i].Kind

@@ -68,12 +68,54 @@ func (s *Server) shareGap(producer *stream, now sim.Time) sim.Time {
 	return producer.clock.At(now) + s.cfg.InitialDelay
 }
 
-// shareCharge is a dependent's admission charge (CacheBytes or
-// FanoutBytes): the gap interval plus a double-buffer window, at the
-// stream's rate. It is always at least B_i, so converting a dependent back
-// to a plain stream never increases the memory the admission test sees.
+// shareCharge is a dependent's admission charge (StreamParams.Shared):
+// the gap interval plus a double-buffer window, at the stream's rate. It is
+// always at least B_i, so converting a dependent back to a plain stream
+// never increases the memory the admission test sees.
 func (s *Server) shareCharge(gap sim.Time, par StreamParams) int64 {
 	return int64((gap+2*s.cfg.Interval).Seconds()*par.Rate) + 2*par.Chunk
+}
+
+// sharePlan prices a dependent trailing its mode-m producer by gap: par
+// carrying the shared charge, and the reservation the dependent holds
+// against the mode's budget — a pinned follower its steady-state pin bytes
+// against CacheBudget, a fan-out member its whole charge against
+// PrefixBudget beside the pinned prefixes. held is the reservation the
+// dependent already holds, which a re-priced one gives back. ok is false,
+// and par comes back unchanged, when the dependent would not trail the
+// producer or the reservation does not fit.
+func (s *Server) sharePlan(m shareMode, gap sim.Time, held int64, par StreamParams) (StreamParams, int64, bool) {
+	charge := s.shareCharge(gap, par)
+	res, used, budget := s.cachePinReservation(gap, par), s.committed[m]-held, s.cfg.CacheBudget
+	if m == shareFanout {
+		res, used, budget = charge, used+s.mcast.pinned, s.cfg.PrefixBudget
+	}
+	if gap <= 0 || used+res > budget {
+		return par, 0, false
+	}
+	par.Shared = charge
+	return par, res, true
+}
+
+// openPlan prices an open of r joining producer's mode-m group (sharePlan):
+// the opener trails the producer by its shareGap less the open's start
+// point, and a producer already past the end of the media has nothing
+// left to share. ok false leaves par unchanged.
+func (s *Server) openPlan(m shareMode, producer *stream, r openReq, now sim.Time, par StreamParams) (StreamParams, int64, bool) {
+	lead := s.shareGap(producer, now)
+	if lead >= r.info.TotalDuration() {
+		return par, 0, false
+	}
+	return s.sharePlan(m, lead-r.at, 0, par)
+}
+
+// plainCharge is the charge a stream leaving a shared path (or stranded
+// by its producer) is priced at: its rate and chunk as a disk stream,
+// paused or not. It skips the volume conversion diskCharge applies, so on
+// a striped volume the stream is charged its whole A_i on every member:
+// a known over-charge (ROADMAP "Incremental admission").
+func plainCharge(par StreamParams) StreamParams {
+	return StreamParams{Rate: par.Rate, Chunk: par.Chunk, Paused: par.Paused}
 }
 
 // supplyGone reports that a dependent's supply has dried up for good: no
@@ -121,7 +163,7 @@ func (s *Server) shareRelease(st *stream) {
 	s.committed[st.dep.mode] -= st.depCharge
 	st.depCharge = 0
 	st.dep = nil
-	st.par = StreamParams{Rate: st.par.Rate, Chunk: st.par.Chunk}
+	st.par = plainCharge(st.par)
 }
 
 // shareDetach removes a dependent from its group without touching the

@@ -11,7 +11,8 @@ import (
 
 // checkShareInvariants sweeps the shared-path state of both modes: per-mode
 // reservation accounting, the dependent/group/producer linkage, closed
-// streams holding no link, the pinned mode's byte accounting against
+// streams holding no link, the shared charge (non-zero exactly on
+// dependents), the pinned mode's byte accounting against
 // CacheBudget, and the fan-out reservations plus prefix pins against
 // PrefixBudget. prefix leads every failure message (the property suites
 // pass their seed and op there).
@@ -34,9 +35,8 @@ func checkShareInvariants(t *testing.T, s *Server, prefix string) {
 			if st.depCharge != 0 {
 				fail("stream %d holds a %d-byte reservation without a group", st.id, st.depCharge)
 			}
-			if st.par.Cached || st.par.Multicast {
-				fail("plain stream %d still charged as a dependent: Cached=%v Multicast=%v",
-					st.id, st.par.Cached, st.par.Multicast)
+			if st.par.Shared != 0 {
+				fail("plain stream %d still charged as a dependent: Shared=%d", st.id, st.par.Shared)
 			}
 			continue
 		}
@@ -53,15 +53,18 @@ func checkShareInvariants(t *testing.T, s *Server, prefix string) {
 		if !listed {
 			fail("%s dependent %d is not listed by its group on %s", shareTag[g.mode], st.id, g.path)
 		}
+		// A fan-out member's reservation is its charge; a pinned follower
+		// reserves its pin bytes and is charged the gap plus a double
+		// buffer, never below B_i.
 		switch g.mode {
 		case sharePinned:
-			if !st.par.Cached {
-				fail("cache follower %d not charged Cached", st.id)
+			if bi := BufferPerStream(s.cfg.Interval, st.par); st.par.Shared < bi {
+				fail("cache follower %d charged Shared=%d, below B_i %d", st.id, st.par.Shared, bi)
 			}
 		case shareFanout:
-			if !st.par.Multicast || st.par.FanoutBytes != st.depCharge {
-				fail("member %d admission params out of step: Multicast=%v FanoutBytes=%d charge=%d",
-					st.id, st.par.Multicast, st.par.FanoutBytes, st.depCharge)
+			if st.par.Shared != st.depCharge {
+				fail("member %d admission params out of step: Shared=%d charge=%d",
+					st.id, st.par.Shared, st.depCharge)
 			}
 		}
 	}
@@ -104,13 +107,13 @@ func checkShareInvariants(t *testing.T, s *Server, prefix string) {
 	if pinned != s.icache.bytes {
 		fail("cache pin bytes drifted: recorded %d, summed %d", s.icache.bytes, pinned)
 	}
-	if s.icache.bytes > s.icache.budget || s.committed[sharePinned] > s.icache.budget {
+	if s.icache.bytes > s.cfg.CacheBudget || s.committed[sharePinned] > s.cfg.CacheBudget {
 		fail("cache budget exceeded: pinned %d, reserved %d, budget %d",
-			s.icache.bytes, s.committed[sharePinned], s.icache.budget)
+			s.icache.bytes, s.committed[sharePinned], s.cfg.CacheBudget)
 	}
-	if s.committed[shareFanout]+s.mcast.pinned > s.mcast.budget {
+	if s.committed[shareFanout]+s.mcast.pinned > s.cfg.PrefixBudget {
 		fail("prefix budget exceeded: fanout %d + pinned %d > %d",
-			s.committed[shareFanout], s.mcast.pinned, s.mcast.budget)
+			s.committed[shareFanout], s.mcast.pinned, s.cfg.PrefixBudget)
 	}
 }
 

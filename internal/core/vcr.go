@@ -68,29 +68,6 @@ func (s *Server) vcrRefusal(op, reason string, cause error) *VCRError {
 	return &VCRError{Op: op, RetryAfter: s.cfg.Interval, Reason: reason, Cause: cause}
 }
 
-// ---- re-admission plumbing ----
-
-// readmitSet is the admission set for re-admitting st at changed terms:
-// every other open stream at its current charge, except participants this
-// operation would strand — the dependents of every shared path st
-// produces for — which are priced as the plain disk streams the detach
-// will leave them as (matching shareDetach exactly), so the test can never
-// pass on charges the detach is about to change.
-func (s *Server) readmitSet(st *stream) []StreamParams {
-	var set []StreamParams
-	for _, other := range s.streams {
-		if other.closed || other == st {
-			continue
-		}
-		par := other.par
-		if other.dep != nil && other.dep.producer == st {
-			par = StreamParams{Rate: par.Rate, Chunk: par.Chunk}
-		}
-		set = append(set, par) //crasvet:allow hotalloc -- re-admission set built once per VCR op or promotion attempt, not per steady cycle
-	}
-	return set
-}
-
 // ---- the delivered-rate ladder ----
 
 // ladderBelow returns the highest configured rung strictly below dr.
@@ -139,32 +116,24 @@ func (s *Server) ladderSnap(want float64) float64 {
 // admitLadder finds the highest delivered rate at or below want at which
 // st fits the server at velocity vel (the clock-rate magnitude): want
 // first, then every ladder rung below it. Recording sessions never skip
-// frames, so they only ever try want. Returns the admitted plain params
-// and the delivered rate, or the last admission error.
+// frames, so they only ever try want. Returns the admitted disk charge and
+// the delivered rate, or the first admission error.
 func (s *Server) admitLadder(st *stream, vel, want float64) (StreamParams, float64, error) {
-	set := s.readmitSet(st)
+	set := s.admissionSet(st)
 	try := func(dr float64) (StreamParams, error) {
-		par := s.volParams(StreamParams{Rate: st.baseRate * vel * dr, Chunk: st.par.Chunk})
+		par := s.diskCharge(st.baseRate, vel, dr, st.par.Chunk)
 		return par, s.admit(append(set, par))
 	}
 	par, err := try(want)
-	if err == nil {
-		return par, want, nil
+	if err == nil || st.record {
+		return par, want, err
 	}
-	if !st.record {
-		dr := want
-		for {
-			next, ok := s.ladderBelow(dr)
-			if !ok {
-				break
-			}
-			dr = next
-			if par, e := try(dr); e == nil {
-				return par, dr, nil
-			}
+	for dr, ok := s.ladderBelow(want); ok; dr, ok = s.ladderBelow(dr) {
+		if p, e := try(dr); e == nil {
+			return p, dr, nil
 		}
 	}
-	return StreamParams{}, 0, err
+	return par, 0, err
 }
 
 // applyRateShape sizes the fetch machinery that depends on the stream's
@@ -174,18 +143,28 @@ func (s *Server) admitLadder(st *stream, vel, want float64) (StreamParams, float
 // spreads over the startup window at no more than twice the steady-state
 // amount per interval), horizon lead, and the whole-extent read policy
 // (disabled below full delivered rate, where the skip holes are the point,
-// and in reverse).
-func (s *Server) applyRateShape(st *stream, vel float64) {
+// and in reverse). The horizon lead scales with the clock rate, so the
+// clock must already run at its new rate.
+func (s *Server) applyRateShape(st *stream) {
 	if cp := s.bufferCapacity(st.par); cp > st.buf.Capacity() {
 		st.buf.SetCapacity(cp)
 	}
 	st.cycleCap = 2 * (int64(s.cfg.Interval.Seconds()*st.par.Rate) + st.par.Chunk)
 	lead := s.leadReal()
-	st.lead = sim.Time(float64(lead) * vel)
+	st.lead = sim.Time(float64(lead) * st.clock.Rate())
 	// A recorder's horizon is the data captured so far: whole-extent writes
 	// would run ahead of capture.
 	st.wholeExtents = st.dr >= 1 && st.rev == nil && !st.record &&
 		int64(lead.Seconds()*st.par.Rate) >= int64(s.cfg.MaxRead)
+}
+
+// setDelivered moves st to the disk charge par at delivered rate dr and
+// resizes its fetch machinery to match: the one step every rate change
+// (ladder moves, resume, SetRate, entering reverse) ends in.
+func (s *Server) setDelivered(st *stream, par StreamParams, dr float64) {
+	st.par = par
+	st.dr = dr
+	s.applyRateShape(st)
 }
 
 // ladderStepDown is the recovery engine's alternative to suspension: a
@@ -197,20 +176,17 @@ func (s *Server) applyRateShape(st *stream, vel float64) {
 // Stepping down needs no admission test — it strictly reduces load.
 func (s *Server) ladderStepDown(st *stream, now sim.Time) bool {
 	if len(s.cfg.RateLadder) == 0 || st.record || st.paused || st.rev != nil ||
-		st.dep != nil || st.par.Cached || st.par.Multicast || st.par.Paused {
+		st.dep != nil || st.par.Paused {
 		return false
 	}
 	next, ok := s.ladderBelow(st.dr)
 	if !ok {
 		return false
 	}
-	vel := st.clock.Rate()
-	st.par = s.volParams(StreamParams{Rate: st.baseRate * vel * next, Chunk: st.par.Chunk})
-	st.dr = next
+	s.setDelivered(st, s.diskCharge(st.baseRate, st.clock.Rate(), next, st.par.Chunk), next)
 	st.stepCycle = s.cycle
 	st.degradedErrs = 0
 	st.cleanCycles = 0
-	s.applyRateShape(st, vel)
 	s.stats.RateStepDowns++
 	s.k.Engine().Tracef("cras: stream %d (%s) delivered rate stepped down to %.2f instead of suspending", //crasvet:allow hotalloc -- formats once per ladder move, not per cycle
 		st.id, st.name, next)
@@ -238,15 +214,12 @@ func (s *Server) ladderPromoteStep(now sim.Time) {
 		if !ok {
 			continue
 		}
-		vel := st.clock.Rate()
-		par := s.volParams(StreamParams{Rate: st.baseRate * vel * next, Chunk: st.par.Chunk})
-		if s.admit(append(s.readmitSet(st), par)) != nil { //crasvet:allow hotalloc -- one admission probe per cycle, only while a reduced stream awaits promotion
+		par := s.diskCharge(st.baseRate, st.clock.Rate(), next, st.par.Chunk)
+		if s.admit(append(s.admissionSet(st), par)) != nil { //crasvet:allow hotalloc -- one admission probe per cycle, only while a reduced stream awaits promotion
 			return // no spare interval time this cycle; keep the rung
 		}
-		st.par = par
-		st.dr = next
+		s.setDelivered(st, par, next)
 		st.stepCycle = s.cycle
-		s.applyRateShape(st, vel)
 		s.stats.RateStepUps++
 		s.k.Engine().Tracef("cras: stream %d (%s) delivered rate recovered to %.2f", //crasvet:allow hotalloc -- formats once per ladder move, not per cycle
 			st.id, st.name, next)
@@ -288,18 +261,15 @@ func (s *Server) handleResume(st *stream, now sim.Time) opResp {
 	// schedule, and the server may have admitted others into it. The
 	// ladder softens the refusal — a stream that no longer fits at its
 	// old delivered rate may still fit a rung down.
-	vel := st.clock.Rate()
-	par, dr, err := s.admitLadder(st, vel, st.dr)
+	par, dr, err := s.admitLadder(st, st.clock.Rate(), st.dr)
 	if err != nil {
 		s.stats.AdmissionRejects++
 		s.stats.ResumesRefused++
 		return opResp{err: s.vcrRefusal("resume", "re-admission failed; stream stays paused", err)}
 	}
-	st.par = par
-	st.dr = dr
 	st.paused = false
 	st.clock.Resume(now)
-	s.applyRateShape(st, vel)
+	s.setDelivered(st, par, dr)
 	s.stats.Resumes++
 	return opResp{}
 }
@@ -335,10 +305,10 @@ func (s *Server) handleSeek(st *stream, logical, now sim.Time) opResp {
 	// dependents — so that is when re-admission must pass first; a plain
 	// stream's charges are position-independent and its seek (today's
 	// only case) always succeeds, force-opened streams included.
-	plain := StreamParams{Rate: st.par.Rate, Chunk: st.par.Chunk, Paused: st.par.Paused}
-	detaches := st.dep != nil || st.par.Cached || st.par.Multicast || st.leadsDeps()
+	plain := plainCharge(st.par)
+	detaches := st.dep != nil || st.leadsDeps()
 	if detaches {
-		if err := s.admit(append(s.readmitSet(st), plain)); err != nil {
+		if err := s.admit(append(s.admissionSet(st), plain)); err != nil {
 			s.stats.AdmissionRejects++
 			s.stats.SeeksRefused++
 			return opResp{err: s.vcrRefusal("seek", "re-admission at the new position failed", err)}
@@ -375,7 +345,7 @@ func (s *Server) handleSeek(st *stream, logical, now sim.Time) opResp {
 // difference — pinned bytes no reservation accounts for, crowding out
 // other paths' pins until their followers miss and fall back. So the seek
 // re-prices the reservation at the new gap, re-runs admission at the new
-// CacheBytes charge, and only then moves the clock — keeping the pins and
+// shared charge, and only then moves the clock — keeping the pins and
 // the zero-disk service. A target outside the pinned interval (or a
 // reservation that no longer fits) falls through to the full seek path,
 // which detaches honestly. Returns handled=false to request the full path.
@@ -389,13 +359,11 @@ func (s *Server) cacheSeekRevalidate(st *stream, target sim.Time, now sim.Time) 
 		return opResp{}, false // outside the pinned interval
 	}
 	gap := lead - target
-	newRes := s.cachePinReservation(gap, st.par)
-	if s.committed[sharePinned]-st.depCharge+newRes > s.icache.budget {
+	par, newRes, ok := s.sharePlan(sharePinned, gap, st.depCharge, st.par)
+	if !ok {
 		return opResp{}, false // widened interval does not fit the pin budget
 	}
-	par := st.par
-	par.CacheBytes = s.shareCharge(gap, par)
-	if s.admit(append(s.readmitSet(st), par)) != nil {
+	if s.admit(append(s.admissionSet(st), par)) != nil {
 		// The re-priced pinned interval does not fit the memory budget;
 		// the full path decides between plain-stream service and refusal.
 		return opResp{}, false
@@ -470,8 +438,6 @@ func (s *Server) handleSetRate(st *stream, rate float64, now sim.Time) opResp {
 		if fromRev {
 			s.exitReverse(st, now)
 		}
-		st.par = par
-		st.dr = dr
 		st.clock.SetRate(now, rate)
 		if fromRev {
 			// Coming out of REW lands on a fresh play point with an empty
@@ -479,7 +445,7 @@ func (s *Server) handleSetRate(st *stream, rate float64, now sim.Time) opResp {
 			// from the head instead of permanently missing its first second.
 			st.clock.Start(now, now+s.cfg.InitialDelay)
 		}
-		s.applyRateShape(st, rate)
+		s.setDelivered(st, par, dr)
 	} else {
 		s.enterReverse(st, now, -rate, par, dr)
 	}
@@ -525,8 +491,6 @@ func (s *Server) enterReverse(st *stream, now sim.Time, vel float64, par StreamP
 		pos = st.rev.mediaPos
 	}
 	st.dropWindow()
-	st.par = par
-	st.dr = dr
 	st.rev = &revState{vel: vel}
 	st.clock.SetRate(now, 1)
 	// The rewind pays the same re-buffer window as any new play point: the
@@ -535,7 +499,7 @@ func (s *Server) enterReverse(st *stream, now sim.Time, vel float64, par StreamP
 	// late.
 	st.rev.deliverAt = st.clock.At(now) + s.cfg.InitialDelay
 	s.setReversePoint(st, pos)
-	s.applyRateShape(st, 1)
+	s.setDelivered(st, par, dr)
 }
 
 // setReversePoint positions the rewind head at the chunk covering the

@@ -80,7 +80,6 @@ type pausedProbe struct {
 
 func vcrPropPlay(b *bed, th *rtm.Thread, v *vcrViewer, frames int) {
 	info := v.h.Info()
-	jitter := b.cras.cfg.Jitter
 	const poll = 2 * time.Millisecond
 	for i := 0; i < frames && !v.stop; i++ {
 		want := info.Chunks[i]
@@ -156,7 +155,7 @@ func checkVCRInvariants(t *testing.T, b *bed, rungs []float64, paused *[]pausedP
 	*paused = kept
 	// Every open stream got in through admission, and every VCR transition
 	// re-admits — so the live set must be admissible at all times.
-	if err := s.admit(s.admissionSet()); err != nil {
+	if err := s.admit(s.admissionSet(nil)); err != nil {
 		fail("open session set no longer admissible: %v", err)
 	}
 }

@@ -184,7 +184,7 @@ func Build(s Setup, ready func(m *Machine)) *Machine {
 			if cfg.Params.D == 0 {
 				cfg.Params = core.MeasureAdmissionParams(vol.Disk(0), 64<<10)
 			}
-			m.CRAS = core.NewVolumeServer(m.Kernel, vol, m.Unix, cfg)
+			m.CRAS = core.NewServer(m.Kernel, vol, core.UnixResolver(m.Unix), cfg)
 		}
 		ready(m)
 	})

@@ -33,7 +33,6 @@ type ClusterViewerConfig struct {
 	Alpha         float64
 	ArrivalSpread sim.Time // viewer arrivals uniform in [0, spread)
 	MaxFrames     int      // 0 = whole movie
-	GiveUp        sim.Time // per-frame wait budget; default 5 frame durations
 }
 
 // LaunchClusterViewers spawns a population of viewers whose title choices
@@ -89,10 +88,7 @@ func playClusterViewer(c *cluster.Cluster, th *rtm.Thread, s *cluster.Session,
 		frames = cfg.MaxFrames
 	}
 	out.Frames = frames
-	giveUp := cfg.GiveUp
-	if giveUp == 0 && frames > 0 {
-		giveUp = 5 * info.Chunks[0].Duration
-	}
+	giveUp := giveUpFrames * frameDuration(info)
 	for i := 0; i < frames; i++ {
 		ch := info.Chunks[i]
 		for {

@@ -59,8 +59,8 @@ func OpenFlooder(k *rtm.Kernel, srv *core.Server, info *media.StreamInfo, path s
 // the crash; Done is still set so harnesses do not wait for a ghost.
 func CrashingViewer(k *rtm.Kernel, srv *core.Server, info *media.StreamInfo, path string,
 	crashAt sim.Time, cfg PlayerConfig, stats *PlayerStats) *rtm.Thread {
-	frameDur := info.Chunks[0].Duration
-	cfg.fill(frameDur)
+	frameDur := frameDuration(info)
+	cfg.fill()
 	return k.NewThread("crashplay:"+path, cfg.Priority, cfg.Quantum, func(th *rtm.Thread) {
 		defer func() { stats.Done = true }()
 		h, err := srv.Open(th, info, path, core.OpenOptions{})
@@ -83,17 +83,17 @@ func CrashingViewer(k *rtm.Kernel, srv *core.Server, info *media.StreamInfo, pat
 			if k.Now() < due {
 				th.SleepUntil(due)
 			}
-			limit := due + cfg.GiveUp
+			limit := due + giveUpFrames*frameDur
 			for {
 				if _, ok := h.Get(c.Timestamp); ok {
-					stats.record(k.Now(), k.Now()-due, c.Size, cfg.Tolerance)
+					stats.record(k.Now(), k.Now()-due, c.Size, frameDur)
 					break
 				}
 				if k.Now() >= limit {
 					stats.Lost++
 					break
 				}
-				th.Sleep(cfg.Poll)
+				th.Sleep(pollEvery)
 			}
 			stats.Frames = i + 1
 		}

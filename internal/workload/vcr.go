@@ -14,38 +14,24 @@ import (
 // VCRViewerConfig shapes an interactive population: alongside the plain
 // lean-back viewers, a fraction of the audience zaps (channel-surf seeks
 // and speed flips) and a fraction scrubs (pause, dwell, resume, instant
-// replay). Every interactive viewer runs a pre-drawn script of Ops VCR
-// operations spaced OpFrames of playback apart, so identical (rng,
+// replay). Every interactive viewer runs a pre-drawn script of vcrOps VCR
+// operations spaced opFrames of playback apart, so identical (rng,
 // config) inputs replay the identical operation sequence.
 type VCRViewerConfig struct {
 	Clients       int
 	Alpha         float64  // Zipf skew of the movie choice
 	ArrivalSpread sim.Time // arrivals uniform in [0, spread)
-	ZapFraction   float64  // of clients that channel-surf; default 0.25
-	ScrubFraction float64  // of clients that pause/scrub; default 0.25
-	Ops           int      // VCR operations per interactive viewer; default 3
-	OpFrames      int      // frames played between operations; default 45
-	PauseDwell    sim.Time // scrubber freeze length; default 1.5 s
 	Player        PlayerConfig
 }
 
-func (c *VCRViewerConfig) fill() {
-	if c.ZapFraction == 0 {
-		c.ZapFraction = 0.25
-	}
-	if c.ScrubFraction == 0 {
-		c.ScrubFraction = 0.25
-	}
-	if c.Ops == 0 {
-		c.Ops = 3
-	}
-	if c.OpFrames == 0 {
-		c.OpFrames = 45
-	}
-	if c.PauseDwell == 0 {
-		c.PauseDwell = 1500 * time.Millisecond
-	}
-}
+// The interactive audience's shape.
+const (
+	zapFraction   = 0.25                    // of clients that channel-surf
+	scrubFraction = 0.25                    // of clients that pause/scrub
+	vcrOps        = 3                       // VCR operations per interactive viewer
+	opFrames      = 45                      // frames played between operations
+	pauseDwell    = 1500 * time.Millisecond // scrubber freeze length
+)
 
 // VCROutcome extends the plain viewer outcome with the interactive record:
 // what kind of viewer this was, how many VCR operations it issued, how
@@ -73,7 +59,6 @@ type vcrOp struct {
 // workload is a fixed script regardless of server interleaving.
 func LaunchVCRViewers(k *rtm.Kernel, srv *core.Server, infos []*media.StreamInfo,
 	paths []string, rng *sim.RNG, cfg VCRViewerConfig) []*VCROutcome {
-	cfg.fill()
 	picker := NewZipfPicker(len(paths), cfg.Alpha)
 	outs := make([]*VCROutcome, cfg.Clients)
 	scripts := make([][]vcrOp, cfg.Clients)
@@ -83,15 +68,15 @@ func LaunchVCRViewers(k *rtm.Kernel, srv *core.Server, infos []*media.StreamInfo
 			outs[i].At = rng.DurationRange(0, cfg.ArrivalSpread)
 		}
 		switch u := rng.Float64(); {
-		case u < cfg.ZapFraction:
+		case u < zapFraction:
 			outs[i].Kind = "zapper"
-		case u < cfg.ZapFraction+cfg.ScrubFraction:
+		case u < zapFraction+scrubFraction:
 			outs[i].Kind = "scrubber"
 		}
 		if outs[i].Kind == "plain" {
 			continue
 		}
-		script := make([]vcrOp, cfg.Ops)
+		script := make([]vcrOp, vcrOps)
 		for j := range script {
 			switch outs[i].Kind {
 			case "zapper":
@@ -137,26 +122,22 @@ func LaunchVCRViewers(k *rtm.Kernel, srv *core.Server, infos []*media.StreamInfo
 				out.FinalRate = h.DeliveredRate()
 				h.Close(th)
 			}()
-			playVCRViewer(k, th, h, info, cfg, script, out)
+			playVCRViewer(k, th, h, info, cfg.Player, script, out)
 		})
 	}
 	return outs
 }
 
 // playVCRViewer is playViewer with the viewer's VCR script spliced in:
-// after every OpFrames obtained-or-lost frames the next operation runs on
+// after every opFrames obtained-or-lost frames the next operation runs on
 // the viewer's own thread, so its position in the delivery sequence is
 // deterministic. Typed refusals are counted and playback continues; any
 // other error ends the session (the server evicted us).
 func playVCRViewer(k *rtm.Kernel, th *rtm.Thread, h *core.Handle,
-	info *media.StreamInfo, vcfg VCRViewerConfig, script []vcrOp, out *VCROutcome) {
+	info *media.StreamInfo, cfg PlayerConfig, script []vcrOp, out *VCROutcome) {
 	stats := &out.Stats
-	cfg := vcfg.Player
-	frameDur := sim.Time(time.Second)
-	if len(info.Chunks) > 0 {
-		frameDur = info.Chunks[0].Duration
-	}
-	cfg.fill(frameDur)
+	frameDur := frameDuration(info)
+	cfg.fill()
 	if err := h.Start(th); err != nil {
 		return
 	}
@@ -167,7 +148,7 @@ func playVCRViewer(k *rtm.Kernel, th *rtm.Thread, h *core.Handle,
 	begin := sim.Time(-1)
 	sinceOp := 0
 	for i := 0; i < frames; i++ {
-		if len(script) > 0 && sinceOp >= vcfg.OpFrames {
+		if len(script) > 0 && sinceOp >= opFrames {
 			sinceOp = 0
 			op := script[0]
 			script = script[1:]
@@ -193,7 +174,7 @@ func playVCRViewer(k *rtm.Kernel, th *rtm.Thread, h *core.Handle,
 					out.Refusals++
 					break
 				}
-				th.Sleep(vcfg.PauseDwell)
+				th.Sleep(pauseDwell)
 				if err := h.Resume(th); err != nil {
 					if !errors.Is(err, core.ErrVCRRefused) {
 						return
@@ -229,10 +210,10 @@ func playVCRViewer(k *rtm.Kernel, th *rtm.Thread, h *core.Handle,
 		if k.Now() < due {
 			th.SleepUntil(due)
 		}
-		limit := due + cfg.GiveUp
+		limit := due + giveUpFrames*frameDur
 		for {
 			if _, ok := h.Get(c.Timestamp); ok {
-				stats.record(k.Now(), k.Now()-due, c.Size, cfg.Tolerance)
+				stats.record(k.Now(), k.Now()-due, c.Size, frameDur)
 				th.Compute(cfg.FrameCPU)
 				break
 			}
@@ -240,7 +221,7 @@ func playVCRViewer(k *rtm.Kernel, th *rtm.Thread, h *core.Handle,
 				stats.Lost++
 				break
 			}
-			th.Sleep(cfg.Poll)
+			th.Sleep(pollEvery)
 		}
 		stats.Frames++
 		sinceOp++

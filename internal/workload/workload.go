@@ -47,29 +47,35 @@ func (ps *PlayerStats) OnTimeThroughput() float64 {
 	return float64(ps.OnTimeBytes) / ps.Span.Seconds()
 }
 
+// Player pacing: a player waiting for a frame polls the buffer every
+// pollEvery; a frame obtained within one frame duration of its due time is
+// on time, and one still missing giveUpFrames frame durations after it is
+// lost.
+const (
+	pollEvery    = 2 * time.Millisecond
+	giveUpFrames = 5
+)
+
+// frameDuration is the stream's first frame duration (one second for an
+// empty stream): the unit of a player's on-time threshold and wait budget.
+func frameDuration(info *media.StreamInfo) sim.Time {
+	if len(info.Chunks) == 0 {
+		return time.Second
+	}
+	return info.Chunks[0].Duration
+}
+
 // PlayerConfig tunes a player.
 type PlayerConfig struct {
 	Priority  int      // thread priority
 	Quantum   sim.Time // 0 = fixed priority
-	Poll      sim.Time // buffer poll interval; default 2ms
-	Tolerance sim.Time // on-time threshold; default one frame duration
-	GiveUp    sim.Time // per-frame wait budget; default 5 frame durations
 	MaxFrames int      // 0 = whole movie
 	FrameCPU  sim.Time // decode cost charged per obtained frame
 }
 
-func (c *PlayerConfig) fill(frameDur sim.Time) {
+func (c *PlayerConfig) fill() {
 	if c.Priority == 0 {
 		c.Priority = rtm.PrioRTLow
-	}
-	if c.Poll == 0 {
-		c.Poll = 2 * time.Millisecond
-	}
-	if c.Tolerance == 0 {
-		c.Tolerance = frameDur
-	}
-	if c.GiveUp == 0 {
-		c.GiveUp = 5 * frameDur
 	}
 }
 
@@ -95,11 +101,8 @@ func CRASPlayer(k *rtm.Kernel, srv *core.Server, info *media.StreamInfo, path st
 // priority inversion through the shared server thread.
 func UFSPlayer(k *rtm.Kernel, srv *ufs.Server, info *media.StreamInfo, path string,
 	initialDelay sim.Time, cfg PlayerConfig, stats *PlayerStats) *rtm.Thread {
-	frameDur := sim.Time(time.Second)
-	if len(info.Chunks) > 0 {
-		frameDur = info.Chunks[0].Duration
-	}
-	cfg.fill(frameDur)
+	frameDur := frameDuration(info)
+	cfg.fill()
 	return k.NewThread("ufsplay:"+path, cfg.Priority, cfg.Quantum, func(th *rtm.Thread) {
 		defer func() { stats.Done = true }()
 		c := ufs.NewClient(srv, th)
@@ -131,7 +134,7 @@ func UFSPlayer(k *rtm.Kernel, srv *ufs.Server, info *media.StreamInfo, path stri
 				stats.Lost++
 				continue
 			}
-			stats.record(k.Now(), k.Now()-due, ch.Size, cfg.Tolerance)
+			stats.record(k.Now(), k.Now()-due, ch.Size, frameDur)
 			th.Compute(cfg.FrameCPU)
 			stats.Span = k.Now() - begin
 		}

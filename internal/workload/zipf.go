@@ -2,7 +2,6 @@ package workload
 
 import (
 	"math"
-	"time"
 
 	"repro/internal/core"
 	"repro/internal/media"
@@ -63,11 +62,8 @@ type ViewerOutcome struct {
 // playViewer is the CRASPlayer consumption loop for an already-open handle.
 func playViewer(k *rtm.Kernel, th *rtm.Thread, h *core.Handle,
 	info *media.StreamInfo, cfg PlayerConfig, stats *PlayerStats) {
-	frameDur := sim.Time(time.Second)
-	if len(info.Chunks) > 0 {
-		frameDur = info.Chunks[0].Duration
-	}
-	cfg.fill(frameDur)
+	frameDur := frameDuration(info)
+	cfg.fill()
 	if err := h.Start(th); err != nil {
 		return
 	}
@@ -89,10 +85,10 @@ func playViewer(k *rtm.Kernel, th *rtm.Thread, h *core.Handle,
 		// The wait budget anchors to the due time, so a run of lost frames
 		// cannot push the player ever further behind the stream's clock (it
 		// skips, as a real player would).
-		limit := due + cfg.GiveUp
+		limit := due + giveUpFrames*frameDur
 		for {
 			if _, ok := h.Get(c.Timestamp); ok {
-				stats.record(k.Now(), k.Now()-due, c.Size, cfg.Tolerance)
+				stats.record(k.Now(), k.Now()-due, c.Size, frameDur)
 				th.Compute(cfg.FrameCPU)
 				break
 			}
@@ -101,7 +97,7 @@ func playViewer(k *rtm.Kernel, th *rtm.Thread, h *core.Handle,
 				stats.LostAt = append(stats.LostAt, i)
 				break
 			}
-			th.Sleep(cfg.Poll)
+			th.Sleep(pollEvery)
 		}
 		stats.Span = k.Now() - begin
 	}
