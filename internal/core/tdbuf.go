@@ -15,6 +15,13 @@ type BufferedChunk struct {
 	StampedAt sim.Time // real time the request scheduler delivered it
 }
 
+// resident is a chunk held in a TDBuffer, with whether a Get has read it
+// since it was inserted (a chunk discarded unread counts as a late discard).
+type resident struct {
+	BufferedChunk
+	read bool
+}
+
 // TDBuffer is the time-driven shared memory buffer of Figure 4. The server
 // inserts chunks with their timestamps; obsolete chunks (timestamp older
 // than Tdiscard = Tnow - J on the stream's logical clock) are discarded
@@ -24,7 +31,7 @@ type TDBuffer struct {
 	capacity int64 // B: total buffer bytes for this stream
 	jitter   sim.Time
 
-	chunks []BufferedChunk // ordered by timestamp
+	chunks []resident // ordered by timestamp
 	bytes  int64
 
 	// Stats.
@@ -36,7 +43,6 @@ type TDBuffer struct {
 	GetHits     int64
 	GetMisses   int64
 	LateDiscard int64 // chunks that were never read before discard
-	read        map[int]bool
 
 	// popScratch backs PopBefore's return value: valid until the next
 	// PopBefore call, which every caller respects (the popped chunks are
@@ -47,7 +53,7 @@ type TDBuffer struct {
 // NewTDBuffer creates a buffer with the given byte capacity and jitter
 // allowance J.
 func NewTDBuffer(capacity int64, jitter sim.Time) *TDBuffer {
-	return &TDBuffer{capacity: capacity, jitter: jitter, read: make(map[int]bool)}
+	return &TDBuffer{capacity: capacity, jitter: jitter}
 }
 
 // Capacity returns B, the configured byte capacity.
@@ -106,9 +112,9 @@ func (b *TDBuffer) Insert(c BufferedChunk) bool {
 		b.Overlapped++
 		return false
 	}
-	b.chunks = append(b.chunks, BufferedChunk{}) //crasvet:allow hotalloc -- resident-set insert; capacity retained, bounded by the buffer's byte capacity
+	b.chunks = append(b.chunks, resident{}) //crasvet:allow hotalloc -- resident-set insert; capacity retained, bounded by the buffer's byte capacity
 	copy(b.chunks[at+1:], b.chunks[at:])
-	b.chunks[at] = c
+	b.chunks[at] = resident{BufferedChunk: c}
 	b.bytes += c.Size
 	b.Inserted++
 	if b.bytes > b.PeakBytes {
@@ -129,21 +135,22 @@ func (b *TDBuffer) DiscardBefore(tdiscard sim.Time) int {
 // trailing stream instead of dropping them. Returns nil when nothing fell
 // behind the horizon.
 func (b *TDBuffer) PopBefore(tdiscard sim.Time) []BufferedChunk {
+	b.popScratch = b.popScratch[:0]
 	n := 0
 	for n < len(b.chunks) && b.chunks[n].Timestamp < tdiscard {
-		b.bytes -= b.chunks[n].Size
+		r := &b.chunks[n]
+		b.bytes -= r.Size
 		b.Discarded++
-		if !b.read[b.chunks[n].Index] {
+		if !r.read {
 			b.LateDiscard++
 		}
-		delete(b.read, b.chunks[n].Index)
+		b.popScratch = append(b.popScratch, r.BufferedChunk) //crasvet:allow hotalloc -- append into popScratch[:0]; capacity retained at the high-water mark of one pop
 		n++
 	}
 	if n == 0 {
 		return nil
 	}
-	b.popScratch = append(b.popScratch[:0], b.chunks[:n]...) //crasvet:allow hotalloc -- append into popScratch[:0]; capacity retained by construction
-	b.chunks = append(b.chunks[:0], b.chunks[n:]...)         //crasvet:allow hotalloc -- append into b.chunks[:0]; capacity retained by construction
+	b.chunks = append(b.chunks[:0], b.chunks[n:]...) //crasvet:allow hotalloc -- append into b.chunks[:0]; capacity retained by construction
 	return b.popScratch
 }
 
@@ -153,7 +160,7 @@ func (b *TDBuffer) PopBefore(tdiscard sim.Time) []BufferedChunk {
 func (b *TDBuffer) At(timestamp sim.Time) (BufferedChunk, bool) {
 	at := b.search(timestamp)
 	if at < len(b.chunks) && b.chunks[at].Timestamp == timestamp {
-		return b.chunks[at], true
+		return b.chunks[at].BufferedChunk, true
 	}
 	return BufferedChunk{}, false
 }
@@ -165,8 +172,8 @@ func (b *TDBuffer) Get(logical sim.Time) (BufferedChunk, bool) {
 		c := &b.chunks[i]
 		if c.Timestamp <= logical && logical < c.Timestamp+c.Duration {
 			b.GetHits++
-			b.read[c.Index] = true
-			return *c, true
+			c.read = true
+			return c.BufferedChunk, true
 		}
 		if c.Timestamp > logical {
 			break
@@ -195,7 +202,6 @@ func (b *TDBuffer) Peek(logical sim.Time) bool {
 func (b *TDBuffer) Reset() {
 	b.chunks = b.chunks[:0]
 	b.bytes = 0
-	b.read = make(map[int]bool)
 }
 
 // Jitter returns the configured jitter allowance J.

@@ -52,9 +52,15 @@ func runTDBufferSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 	}
 
 	horizon := sim.Time(0) // high-water mark of every tdiscard passed in
+	// The read-mark reference: the indices a Get has returned, forgotten
+	// when their chunk is discarded and all at once by Reset. It matches
+	// marks kept per resident chunk because no two resident chunks share
+	// an Index on the chunk grid.
+	read := map[int]bool{}
+	var lateDiscard int64
 	for op := 0; op < 400 && !t.Failed(); op++ {
 		var desc string
-		switch k := rng.Intn(10); {
+		switch k := rng.Intn(11); {
 		case k < 5: // Insert dominates: the server stamps far more than it seeks
 			idx := rng.Intn(120)
 			c := BufferedChunk{
@@ -82,6 +88,14 @@ func runTDBufferSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 			}
 		case k < 7: // DiscardBefore with a monotone or regressing horizon
 			td := sim.Time(rng.Intn(140)) * dur
+			for _, c := range b.chunks {
+				if c.Timestamp < td {
+					if !read[c.Index] {
+						lateDiscard++
+					}
+					delete(read, c.Index)
+				}
+			}
 			n := b.DiscardBefore(td)
 			desc = fmt.Sprintf("DiscardBefore(%v) = %d", td, n)
 			if td > horizon {
@@ -103,6 +117,9 @@ func runTDBufferSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 			at := sim.Time(rng.Intn(120))*dur + sim.Time(rng.Intn(int(dur)))
 			c, ok := b.Get(at)
 			desc = fmt.Sprintf("Get(%v) = %v", at, ok)
+			if ok {
+				read[c.Index] = true
+			}
 			if ok && (c.Timestamp > at || at >= c.Timestamp+c.Duration) {
 				fail(desc, "returned chunk [%v,%v) does not cover query", c.Timestamp, c.Timestamp+c.Duration)
 			}
@@ -113,7 +130,7 @@ func runTDBufferSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 				fail(desc, "returned chunk [%v,%v), wholly before discard horizon %v",
 					c.Timestamp, c.Timestamp+c.Duration, horizon)
 			}
-		default:
+		case k < 10:
 			at := sim.Time(rng.Intn(140)) * dur
 			got := b.Peek(at)
 			_, want := b.At(at)
@@ -121,6 +138,14 @@ func runTDBufferSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 			if got != want {
 				fail(desc, "Peek disagrees with At = %v", want)
 			}
+		default: // a seek: the horizon restarts, so popped indices come back
+			b.Reset()
+			desc = "Reset"
+			read = map[int]bool{}
+			horizon = 0
+		}
+		if b.LateDiscard != lateDiscard {
+			fail(desc, "LateDiscard = %d, the index-map reference counts %d", b.LateDiscard, lateDiscard)
 		}
 		checkTDBufferInvariants(t, b, horizon, fail, desc)
 	}

@@ -190,3 +190,27 @@ func TestPropertyTDBufferAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// A steady stream's buffer traffic (insert the next frame, read it, discard
+// the one behind the horizon) allocates nothing once the resident set and
+// the pop scratch have reached their high-water marks.
+func TestTDBufferSteadyStateAllocs(t *testing.T) {
+	b := NewTDBuffer(1<<20, 0)
+	fd := sim.Time(time.Second) / 30
+	next := 0
+	step := func() {
+		b.Insert(frameChunk(next, 1000))
+		b.Get(sim.Time(next) * fd)
+		b.PopBefore(sim.Time(next-4) * fd)
+		next++
+	}
+	for i := 0; i < 16; i++ {
+		step()
+	}
+	if got := testing.AllocsPerRun(1000, step); got != 0 {
+		t.Fatalf("allocs per insert/get/pop = %v, want 0", got)
+	}
+	if b.LateDiscard != 0 {
+		t.Fatalf("LateDiscard = %d, want 0: every frame was read", b.LateDiscard)
+	}
+}

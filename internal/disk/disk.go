@@ -94,9 +94,11 @@ type Disk struct {
 	activeStalled bool     // active request's completion was withheld (fault)
 	arm           int      // current cylinder
 
-	// completeFn is the completion event for the active request, built once
-	// so that starting service allocates no closure (only one request is
-	// ever in service).
+	// done is the active request's completion event and completeFn its
+	// callback, both built once: only one request is ever in service (a
+	// stalled one schedules nothing), so starting service allocates
+	// neither a timer nor a closure.
+	done       sim.Timer
 	completeFn func()
 
 	stats Stats
@@ -283,7 +285,7 @@ func (d *Disk) startNext() {
 		}
 		return
 	}
-	d.eng.After(service, d.completeFn)
+	d.eng.Schedule(&d.done, d.eng.Now()+service, d.completeFn)
 }
 
 // rotationalWait returns the deterministic delay from the platter's angular

@@ -117,20 +117,23 @@ func DecodeContainerIndex(name string, data []byte) ([]Track, error) {
 		}
 		base := int64(le.Uint64(data[pos:]))
 		pos += 16 // base + region size
-		kindLen := int(le.Uint64(data[pos:]))
+		// The lengths are checked as unsigned values against the bytes
+		// that remain: a hostile length near 2^64 would turn negative as
+		// an int and slip past a signed bound.
+		kindLen := le.Uint64(data[pos:])
 		pos += 8
-		if pos+kindLen+8 > len(data) {
+		if kindLen > uint64(len(data)-pos-8) {
 			return nil, fmt.Errorf("media: truncated track header")
 		}
-		kind := string(data[pos : pos+kindLen])
-		pos += kindLen
-		chunks := int(le.Uint64(data[pos:]))
+		kind := string(data[pos : pos+int(kindLen)])
+		pos += int(kindLen)
+		chunks := le.Uint64(data[pos:])
 		pos += 8
-		if pos+32*chunks > len(data) {
+		if chunks > uint64(len(data)-pos)/32 {
 			return nil, fmt.Errorf("media: truncated chunk table for track %d", i)
 		}
-		info := &StreamInfo{Name: fmt.Sprintf("%s#%s", name, kind), Chunks: make([]Chunk, chunks)}
-		for j := 0; j < chunks; j++ {
+		info := &StreamInfo{Name: fmt.Sprintf("%s#%s", name, kind), Chunks: make([]Chunk, int(chunks))}
+		for j := range info.Chunks {
 			info.Chunks[j] = Chunk{
 				Timestamp: sim.Time(le.Uint64(data[pos:])),
 				Duration:  sim.Time(le.Uint64(data[pos+8:])),

@@ -1,6 +1,8 @@
 package media
 
 import (
+	"encoding/binary"
+	"strings"
 	"testing"
 	"time"
 
@@ -94,6 +96,38 @@ func TestDecodeContainerIndexErrors(t *testing.T) {
 	enc[0] ^= 0xFF
 	if _, err := DecodeContainerIndex("x", enc[:40]); err == nil {
 		t.Fatal("truncated index accepted")
+	}
+}
+
+// A hostile index whose track-kind length or chunk count is near 2^64 is
+// reported as truncated: as a signed int such a length is negative and once
+// slipped past the bounds check into a slice expression or make.
+func TestDecodeContainerIndexHugeLengths(t *testing.T) {
+	const kindLenAt = 12 + 16 // header, then the first track's base and size
+	chunksAt := kindLenAt + 8 + len("video")
+	for _, tc := range []struct {
+		name string
+		at   int
+		v    uint64
+	}{
+		{"kind length 2^64-1", kindLenAt, 1<<64 - 1},
+		{"kind length 2^63", kindLenAt, 1 << 63},
+		{"chunk count 2^64-1", chunksAt, 1<<64 - 1},
+		{"chunk count 2^63", chunksAt, 1 << 63},
+		{"chunk count 2^59", chunksAt, 1 << 59}, // 32 × 2^59 wraps to 0
+	} {
+		enc := testContainer(time.Second).encodeIndex()
+		binary.LittleEndian.PutUint64(enc[tc.at:], tc.v)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", tc.name, r)
+				}
+			}()
+			if _, err := DecodeContainerIndex("x", enc); err == nil || !strings.Contains(err.Error(), "truncated") {
+				t.Errorf("%s: err = %v, want a truncated error", tc.name, err)
+			}
+		}()
 	}
 }
 

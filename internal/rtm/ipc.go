@@ -68,7 +68,9 @@ func (p *Port) Send(msg any) {
 	}
 	if len(p.waiters) > 0 {
 		w := p.waiters[0]
-		p.waiters = p.waiters[1:]
+		n := copy(p.waiters, p.waiters[1:])
+		p.waiters[n] = nil
+		p.waiters = p.waiters[:n]
 		w.msg, w.given = msg, true
 		w.t.wake()
 		return
@@ -76,14 +78,21 @@ func (p *Port) Send(msg any) {
 	p.msgs = append(p.msgs, msg) //crasvet:allow hotalloc -- port queue backing array stabilizes at the high-water mark of queued messages
 }
 
+// pop removes and returns the oldest queued message, shifting the rest down
+// so the queue keeps its backing array; the queue must be non-empty.
+func (p *Port) pop() any {
+	m := p.msgs[0]
+	n := copy(p.msgs, p.msgs[1:])
+	p.msgs[n] = nil
+	p.msgs = p.msgs[:n]
+	return m
+}
+
 // receive dequeues the oldest message, blocking while the port is empty.
 // ok is false when the port is (or becomes) destroyed.
 func (p *Port) receive(t *Thread) (msg any, ok bool) {
 	if len(p.msgs) > 0 {
-		m := p.msgs[0]
-		p.msgs[0] = nil
-		p.msgs = p.msgs[1:]
-		return m, true
+		return p.pop(), true
 	}
 	if p.dead {
 		return nil, false
@@ -120,10 +129,7 @@ func (p *Port) TryReceive() (msg any, ok bool) {
 	if len(p.msgs) == 0 {
 		return nil, false
 	}
-	m := p.msgs[0]
-	p.msgs[0] = nil
-	p.msgs = p.msgs[1:]
-	return m, true
+	return p.pop(), true
 }
 
 // Len returns the number of queued messages.

@@ -260,3 +260,34 @@ func TestDeadNameNotification(t *testing.T) {
 		t.Fatal("Dead() = false after Destroy")
 	}
 }
+
+// A steady RPC-shaped exchange between two threads — two requests queued
+// per round, each served with a CPU burst and answered on a reply port —
+// allocates nothing: the ports keep their queue arrays, and each thread's
+// wake-up and the CPU's burst end re-arm their own timers.
+func TestPortPingPongAllocs(t *testing.T) {
+	const rounds = 1000
+	e := sim.NewEngine(1)
+	k := NewKernel(e)
+	req, rep := k.NewPort("req"), k.NewPort("rep")
+	var msg any = struct{}{}
+	k.NewThread("server", PrioRT, 0, func(th *Thread) {
+		for {
+			m := req.Receive(th)
+			th.Compute(ms(1))
+			rep.Send(m)
+		}
+	})
+	k.NewThread("client", PrioTS, 0, func(th *Thread) {
+		for i := 0; i < rounds+10; i++ {
+			req.Send(msg)
+			req.Send(msg)
+			rep.Receive(th)
+			rep.Receive(th)
+		}
+	})
+	e.RunFor(ms(10)) // past the first rounds: every queue at its high-water mark
+	if got := testing.AllocsPerRun(rounds, func() { e.RunFor(ms(2)) }); got != 0 {
+		t.Fatalf("allocs per round = %v, want 0", got)
+	}
+}

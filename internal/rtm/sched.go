@@ -24,7 +24,7 @@ type Kernel struct {
 
 	current    *Thread
 	burstStart sim.Time
-	burstTimer *sim.Timer
+	burstTimer sim.Timer // the running burst's end; one burst runs at a time
 	burstSlice sim.Time
 	burstEndFn func()    // k.burstEnd, bound once so a CPU burst allocates no method value
 	ready      []*Thread // dispatch order list; selection scans for max prio
@@ -278,7 +278,6 @@ func (k *Kernel) preempt() {
 	t := k.current
 	consumed := k.eng.Now() - k.burstStart
 	k.burstTimer.Cancel()
-	k.burstTimer = nil
 	k.current = nil
 	t.remaining -= consumed
 	t.cpuUsed += consumed
@@ -306,14 +305,13 @@ func (k *Kernel) startBurst(t *Thread) {
 		slice = t.quantum
 	}
 	k.burstSlice = slice
-	k.burstTimer = k.eng.After(slice, k.burstEndFn)
+	k.eng.Schedule(&k.burstTimer, k.eng.Now()+slice, k.burstEndFn)
 }
 
 func (k *Kernel) burstEnd() {
 	t := k.current
 	consumed := k.eng.Now() - k.burstStart
 	k.current = nil
-	k.burstTimer = nil
 	t.remaining -= consumed
 	t.cpuUsed += consumed
 	if t.remaining <= 0 {

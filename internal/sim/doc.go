@@ -15,7 +15,9 @@
 //
 //   - Plain events: Engine.At / Engine.After schedule a callback at an
 //     absolute or relative virtual time. Callbacks run on the engine
-//     goroutine, one at a time.
+//     goroutine, one at a time. An owner with at most one pending event
+//     re-arms its own Timer with Engine.Schedule instead of allocating
+//     one per event.
 //
 //   - Processes: Engine.Spawn starts a coroutine (iter.Pull) with sequential
 //     blocking semantics (Sleep, Block/Unblock, Queue.Get). Exactly one

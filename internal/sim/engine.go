@@ -13,15 +13,15 @@ type Time = time.Duration
 // Infinity is a virtual time later than any time an experiment will reach.
 const Infinity Time = math.MaxInt64
 
-// Timer is a scheduled event and the caller's handle to it: the engine's
-// calendar holds the Timer itself, so scheduling allocates one record. It
-// can be cancelled before it fires.
+// Timer is a scheduled event and the caller's handle to it. It can be
+// cancelled before it fires. A Timer that is no longer pending can be
+// scheduled again with Engine.Schedule, so an owner with at most one
+// pending event (a process's wake-up, a disk's completion) reuses one
+// Timer instead of allocating a record per event.
 type Timer struct {
-	at        Time
-	seq       uint64
-	fn        func()
-	cancelled bool
-	fired     bool
+	at  Time
+	seq uint64 // the calendar entry that fires it; 0 when not pending
+	fn  func()
 }
 
 // Cancel prevents the event from firing. It reports whether the event was
@@ -30,51 +30,63 @@ func (t *Timer) Cancel() bool {
 	if !t.Pending() {
 		return false
 	}
-	t.cancelled = true
+	t.seq = 0
 	return true
 }
 
 // Pending reports whether the event has neither fired nor been cancelled.
 func (t *Timer) Pending() bool {
-	return t != nil && !t.cancelled && !t.fired
+	return t != nil && t.seq != 0
 }
 
 // When returns the virtual time at which the event is (or was) scheduled.
 func (t *Timer) When() Time { return t.at }
 
-// eventHeap is the calendar: a binary min-heap of timers ordered by
+// entry is one calendar slot. It carries its ordering key inline, so the
+// heap compares without touching the timers, and it is live while its seq
+// is still its timer's: cancelling, firing or re-arming the timer changes
+// the timer's seq, which leaves the old entry stale for the engine to skip.
+type entry struct {
+	at  Time
+	seq uint64
+	t   *Timer
+}
+
+func (en *entry) live() bool { return en.seq == en.t.seq }
+
+// eventHeap is the calendar: a binary min-heap of entries ordered by
 // (at, seq). The order is total, so the pop sequence is fully determined.
-type eventHeap []*Timer
+type eventHeap []entry
 
 // before reports whether a fires before b.
-func before(a, b *Timer) bool {
+func before(a, b *entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
 	return a.seq < b.seq
 }
 
-func (h *eventHeap) push(t *Timer) {
-	*h = append(*h, t) //crasvet:allow hotalloc -- calendar backing array stabilizes at the high-water mark of pending events
+func (h *eventHeap) push(en entry) {
+	*h = append(*h, en) //crasvet:allow hotalloc -- calendar backing array stabilizes at the high-water mark of pending events
 	q := *h
 	i := len(q) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
-		if !before(t, q[parent]) {
+		if !before(&en, &q[parent]) {
 			break
 		}
 		q[i] = q[parent]
 		i = parent
 	}
-	q[i] = t
+	q[i] = en
 }
 
-// pop removes and returns the earliest timer; the heap must be non-empty.
-func (h *eventHeap) pop() *Timer {
+// pop removes and returns the earliest entry; the heap must be non-empty.
+func (h *eventHeap) pop() entry {
 	q := *h
 	n := len(q) - 1
 	top, last := q[0], q[n]
-	q[n] = nil
+	q[n] = entry{}
 	q = q[:n]
 	*h = q
 	if n == 0 {
@@ -86,10 +98,10 @@ func (h *eventHeap) pop() *Timer {
 		if c >= n {
 			break
 		}
-		if r := c + 1; r < n && before(q[r], q[c]) {
+		if r := c + 1; r < n && before(&q[r], &q[c]) {
 			c = r
 		}
-		if !before(q[c], last) {
+		if !before(&q[c], &last) {
 			break
 		}
 		q[i] = q[c]
@@ -143,23 +155,40 @@ func (e *Engine) Tracef(format string, args ...any) {
 // At schedules fn to run at absolute virtual time t. Scheduling in the past
 // panics: the simulation's causality would be violated. Scheduling at the
 // current time is allowed; the event runs after all events already scheduled
-// for that time.
+// for that time. Each call allocates the returned Timer; an owner that has
+// at most one pending event reuses its own through Schedule instead.
 func (e *Engine) At(t Time, fn func()) *Timer {
-	if t < e.now {
-		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", t, e.now)) //crasvet:allow hotalloc -- formats only on the way to a causality panic; a clean cycle never evaluates it
-	}
-	e.seq++
-	ev := &Timer{at: t, seq: e.seq, fn: fn} //crasvet:allow hotalloc -- one record per scheduled callback is the engine's unit of work; it is also the caller's handle, so it cannot be pooled without breaking Cancel-after-fire
-	e.events.push(ev)
-	return ev
+	tm := &Timer{}
+	e.Schedule(tm, t, fn)
+	return tm
 }
 
 // After schedules fn to run d after the current virtual time.
 func (e *Engine) After(d Time, fn func()) *Timer {
+	return e.At(e.deadline(d), fn)
+}
+
+// Schedule arms a caller-owned timer: fn runs at absolute virtual time at,
+// exactly as with At. The timer must not be pending (it may have fired or
+// been cancelled), and scheduling in the past panics as At does.
+func (e *Engine) Schedule(t *Timer, at Time, fn func()) {
+	if t.Pending() {
+		panic("sim: scheduling a timer that is still pending")
+	}
+	if at < e.now {
+		panic(fmt.Sprintf("sim: scheduling event at %v before now %v", at, e.now)) //crasvet:allow hotalloc -- formats only on the way to a causality panic; a clean cycle never evaluates it
+	}
+	e.seq++
+	t.at, t.seq, t.fn = at, e.seq, fn
+	e.events.push(entry{at: at, seq: e.seq, t: t})
+}
+
+// deadline is the virtual time d from now; a negative d panics.
+func (e *Engine) deadline(d Time) Time {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d)) //crasvet:allow hotalloc -- formats only on the way to a misuse panic; a clean cycle never evaluates it
 	}
-	return e.At(e.now+d, fn)
+	return e.now + d
 }
 
 // Stop makes the current Run call return after the current event completes.
@@ -169,13 +198,13 @@ func (e *Engine) Stop() { e.stopped = true }
 // reports whether an event fired.
 func (e *Engine) Step() bool {
 	for len(e.events) > 0 {
-		ev := e.events.pop()
-		if ev.cancelled {
+		en := e.events.pop()
+		if !en.live() {
 			continue
 		}
-		e.now = ev.at
-		ev.fired = true
-		ev.fn()
+		e.now = en.at
+		en.t.seq = 0
+		en.t.fn()
 		return true
 	}
 	return false
@@ -195,8 +224,8 @@ func (e *Engine) RunUntil(t Time) {
 		if len(e.events) == 0 {
 			break
 		}
-		// Skip over cancelled heads without advancing time.
-		if e.events[0].cancelled {
+		// Skip over stale heads without advancing time.
+		if !e.events[0].live() {
 			e.events.pop()
 			continue
 		}
@@ -213,11 +242,12 @@ func (e *Engine) RunUntil(t Time) {
 // RunFor advances the simulation by d.
 func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
 
-// PendingEvents returns the number of scheduled, non-cancelled events.
+// PendingEvents returns the number of scheduled events that will still
+// fire: stale calendar entries left by a cancel or a re-arm do not count.
 func (e *Engine) PendingEvents() int {
 	n := 0
-	for _, ev := range e.events {
-		if !ev.cancelled {
+	for i := range e.events {
+		if e.events[i].live() {
 			n++
 		}
 	}

@@ -193,46 +193,175 @@ func TestRunUntilSkipsCancelledHead(t *testing.T) {
 	}
 }
 
-// Property: with events scheduling and cancelling others as they fire, the
-// calendar still fires every live timer exactly once, in (time, seq) order.
+func TestScheduleAfterCancelFiresOnceAtNewTime(t *testing.T) {
+	e := NewEngine(1)
+	var tm Timer
+	var fires []Time
+	fn := func() { fires = append(fires, e.Now()) }
+	e.Schedule(&tm, ms(10), fn)
+	if !tm.Cancel() {
+		t.Fatal("Cancel of a scheduled owner timer should report true")
+	}
+	e.Schedule(&tm, ms(20), fn)
+	if tm.When() != ms(20) {
+		t.Fatalf("When = %v, want 20ms", tm.When())
+	}
+	e.Run()
+	if len(fires) != 1 || fires[0] != ms(20) {
+		t.Fatalf("fires = %v, want one at 20ms", fires)
+	}
+	if tm.Pending() || tm.Cancel() {
+		t.Fatal("a fired owner timer should be neither pending nor cancellable")
+	}
+	// A fired timer can be armed again.
+	e.Schedule(&tm, ms(30), fn)
+	e.Run()
+	if len(fires) != 2 || fires[1] != ms(30) {
+		t.Fatalf("fires = %v, want a second at 30ms", fires)
+	}
+}
+
+func TestSchedulePendingTimerPanics(t *testing.T) {
+	e := NewEngine(1)
+	var tm Timer
+	e.Schedule(&tm, ms(10), func() {})
+	defer func() {
+		if recover() == nil {
+			t.Error("Schedule of a pending timer did not panic")
+		}
+	}()
+	e.Schedule(&tm, ms(20), func() {})
+}
+
+func TestScheduleInPastPanicsLikeAt(t *testing.T) {
+	e := NewEngine(1)
+	e.RunUntil(ms(10))
+	panicMsg := func(f func()) (msg any) {
+		defer func() { msg = recover() }()
+		f()
+		return nil
+	}
+	var tm Timer
+	got := panicMsg(func() { e.Schedule(&tm, ms(5), func() {}) })
+	want := panicMsg(func() { e.At(ms(5), func() {}) })
+	if got == nil || got != want {
+		t.Fatalf("Schedule in the past panicked with %v, At with %v", got, want)
+	}
+}
+
+func TestPendingEventsSkipsStaleEntries(t *testing.T) {
+	e := NewEngine(1)
+	var tm Timer
+	e.Schedule(&tm, ms(10), func() {})
+	tm.Cancel()
+	e.Schedule(&tm, ms(20), func() {}) // the 10ms entry stays behind, stale
+	e.At(ms(30), func() {})
+	if got := e.PendingEvents(); got != 2 {
+		t.Fatalf("PendingEvents = %d, want 2", got)
+	}
+	e.RunUntil(ms(15))
+	if e.Now() != ms(15) {
+		t.Fatalf("Now = %v, want 15ms", e.Now())
+	}
+	if got := e.PendingEvents(); got != 2 {
+		t.Fatalf("PendingEvents after the stale time = %d, want 2", got)
+	}
+}
+
+// Property: with events scheduling, cancelling and re-arming others as they
+// fire, the calendar fires every live arming exactly once, in (time, arming
+// order) order, and never fires an arming after its cancel. The mix holds
+// handles from At and owner timers re-armed through Schedule.
 func TestPropertyCalendarInterleaved(t *testing.T) {
+	type arming struct {
+		at        Time
+		n         int // arming order: the engine's tie-break within a time
+		fired     int
+		cancelled bool
+	}
 	f := func(seed int64) bool {
 		e := NewEngine(seed)
 		rng := e.RNG("calendar")
-		var timers, fired []*Timer
-		var schedule func()
-		schedule = func() {
-			tm := e.After(Time(rng.Intn(4)), nil)
-			tm.fn = func() {
-				fired = append(fired, tm)
-				for k := rng.Intn(3); k > 0 && len(timers) < 400; k-- {
-					schedule()
-				}
-				if rng.Intn(4) == 0 {
-					timers[rng.Intn(len(timers))].Cancel()
-				}
+		ok := true
+		var armings []*arming
+		var fires []arming // (When(), arming order) recorded at fire time
+		var handles []*Timer
+		var handleArm []*arming
+		var owners [3]Timer
+		var ownerArm [3]*arming
+		var react func()
+		arm := func(at Time) *arming {
+			a := &arming{at: at, n: len(armings)}
+			armings = append(armings, a)
+			return a
+		}
+		fire := func(tm *Timer, a *arming) {
+			if a.cancelled || tm.Pending() || tm.When() != e.Now() {
+				ok = false
 			}
-			timers = append(timers, tm)
+			a.fired++
+			fires = append(fires, arming{at: tm.When(), n: a.n})
+			react()
+		}
+		cancel := func(tm *Timer, a *arming) {
+			want := a.fired == 0 && !a.cancelled
+			if tm.Pending() != want || tm.Cancel() != want {
+				ok = false
+			}
+			if want {
+				a.cancelled = true
+			}
+		}
+		schedule := func() {
+			at := e.Now() + Time(rng.Intn(4))
+			if i := rng.Intn(2 * len(owners)); i < len(owners) {
+				o := &owners[i]
+				if o.Pending() {
+					cancel(o, ownerArm[i])
+				}
+				a := arm(at)
+				ownerArm[i] = a
+				e.Schedule(o, at, func() { fire(o, a) })
+				return
+			}
+			a := arm(at)
+			var tm *Timer
+			tm = e.At(at, func() { fire(tm, a) })
+			handles = append(handles, tm)
+			handleArm = append(handleArm, a)
+		}
+		react = func() {
+			for k := rng.Intn(3); k > 0 && len(armings) < 400; k-- {
+				schedule()
+			}
+			if rng.Intn(4) == 0 && len(handles) > 0 {
+				i := rng.Intn(len(handles))
+				cancel(handles[i], handleArm[i])
+			}
+			if i := rng.Intn(4 * len(owners)); i < len(owners) && ownerArm[i] != nil {
+				cancel(&owners[i], ownerArm[i])
+			}
 		}
 		for i := 0; i < 8; i++ {
 			schedule()
 		}
 		e.Run()
-		for k := 1; k < len(fired); k++ {
-			if !before(fired[k-1], fired[k]) {
+		for k := 1; k < len(fires); k++ {
+			a, b := fires[k-1], fires[k]
+			if a.at > b.at || a.at == b.at && a.n >= b.n {
 				return false
 			}
 		}
 		live := 0
-		for _, tm := range timers {
-			if tm.fired == tm.cancelled {
-				return false // fired after a cancel, or neither
+		for _, a := range armings {
+			if a.cancelled && a.fired != 0 || !a.cancelled && a.fired != 1 {
+				return false // fired after a cancel, twice, or never
 			}
-			if tm.fired {
+			if !a.cancelled {
 				live++
 			}
 		}
-		return live == len(fired) && e.PendingEvents() == 0
+		return ok && live == len(fires) && e.PendingEvents() == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -38,9 +38,12 @@ type Proc struct {
 	blockedReason string
 	wakePending   bool
 
-	// wakeFn is the hoisted wakeup continuation shared by every Sleep,
-	// SleepUntil and Unblock: allocated once per process so resuming a
-	// process never captures a fresh closure on the scheduler's hot path.
+	// wake is the process's wake-up event and wakeFn its continuation, both
+	// shared by every Sleep, SleepUntil and Unblock. A process has at most
+	// one pending wake-up (it sleeps only while running, and Unblock
+	// schedules only a process parked in Block), so resuming a process
+	// allocates neither a timer nor a closure.
+	wake   Timer
 	wakeFn func()
 }
 
@@ -105,7 +108,7 @@ func (p *Proc) yield() {
 
 // Sleep suspends the process for d of virtual time.
 func (p *Proc) Sleep(d Time) {
-	p.eng.After(d, p.wakeFn)
+	p.eng.Schedule(&p.wake, p.eng.deadline(d), p.wakeFn)
 	p.yield()
 }
 
@@ -113,7 +116,7 @@ func (p *Proc) Sleep(d Time) {
 // the past it panics, except that t == now is a simple yield to other work
 // scheduled for this instant.
 func (p *Proc) SleepUntil(t Time) {
-	p.eng.At(t, p.wakeFn)
+	p.eng.Schedule(&p.wake, t, p.wakeFn)
 	p.yield()
 }
 
@@ -146,7 +149,7 @@ func (p *Proc) Unblock() {
 		return
 	}
 	p.blockedReason = ""
-	p.eng.At(p.eng.now, p.wakeFn)
+	p.eng.Schedule(&p.wake, p.eng.now, p.wakeFn)
 }
 
 // BlockedReason returns the reason string passed to Block if the process is

@@ -344,10 +344,10 @@ func TestProcHandoffAllocs(t *testing.T) {
 		}
 	})
 	e.Step() // start the process; it parks in its first Sleep
-	// One Step resumes the process, which schedules its next wakeup (the
-	// Timer) and switches back.
-	if got := testing.AllocsPerRun(runs, func() { e.Step() }); got > 1 {
-		t.Fatalf("allocs per Sleep switch = %v, want <= 1", got)
+	// One Step resumes the process, which re-arms its own wake-up timer
+	// and switches back.
+	if got := testing.AllocsPerRun(runs, func() { e.Step() }); got != 0 {
+		t.Fatalf("allocs per Sleep switch = %v, want 0", got)
 	}
 	e.Run()
 }
