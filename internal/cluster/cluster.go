@@ -154,7 +154,7 @@ type Stats struct {
 	Migrations         int // drain-time stream moves, zero-loss handovers
 	MigrationsFailed   int // drain moves no peer could admit
 	DrainsStarted      int
-	HeartbeatsObserved int //crasvet:allow hotalloc -- counter only
+	HeartbeatsObserved int
 }
 
 // Cluster is the front door.

@@ -178,7 +178,7 @@ func (s *Server) NotifyDown(n *rtm.Port) { s.reqPort.NotifyDeadName(n) }
 // scheduler should exit.
 func (s *Server) drainStep(now sim.Time) bool {
 	if now >= s.drainAt {
-		for _, st := range s.streams {
+		for _, st := range s.openStreams() {
 			if st.closed {
 				continue
 			}

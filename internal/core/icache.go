@@ -123,7 +123,7 @@ func (s *Server) cacheCandidate(r openReq) *stream {
 			return nil
 		}
 	}
-	for _, st := range s.streams {
+	for _, st := range s.openStreams() {
 		if st.closed || st.record || st.dep != nil || st.name != r.path {
 			continue
 		}

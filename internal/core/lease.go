@@ -37,7 +37,7 @@ func (s *Server) scanLeases(now sim.Time) {
 	if ttl <= 0 {
 		return
 	}
-	for _, st := range s.streams {
+	for _, st := range s.openStreams() {
 		if st.closed || st.rpcInFlight > 0 || now-st.leaseAt < ttl {
 			continue
 		}
@@ -63,7 +63,7 @@ func (s *Server) reapLease(ev LeaseExpired) {
 // destroyed, so the client is gone for certain and the session is reaped
 // without waiting out the lease.
 func (s *Server) reapDeadName(dn rtm.DeadName) {
-	for _, st := range s.streams {
+	for _, st := range s.openStreams() {
 		if st.closed || st.clientPort != dn.Port {
 			continue
 		}

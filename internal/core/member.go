@@ -224,7 +224,7 @@ func (s *Server) reevaluateAdmission(now sim.Time) {
 	shape := s.volShape()
 	for {
 		var set []StreamParams
-		for _, st := range s.streams {
+		for _, st := range s.openStreams() {
 			if st.closed || st.health >= Suspended {
 				continue
 			}
@@ -240,7 +240,7 @@ func (s *Server) reevaluateAdmission(now sim.Time) {
 		// Newest non-cached stream pays first: oldest-first is the
 		// admission order the healthy test granted.
 		var victim *stream
-		for j := len(s.streams) - 1; j >= 0; j-- {
+		for j := len(s.streams) - 1; j >= s.openFrom; j-- {
 			st := s.streams[j]
 			if st.closed || st.health >= Suspended || st.rides(sharePinned) {
 				continue
@@ -400,7 +400,7 @@ func (s *Server) startRebuild(member int) {
 	s.rebuild = &rebuildState{
 		member: member, rows: s.vol.Rows(),
 		inflight: make(map[int64]*rebuildRow), //crasvet:allow hotalloc -- same once-per-rebuild setup
-		attempts: make(map[int64]int),         //crasvet:allow hotalloc -- same once-per-rebuild setup
+		attempts: make(map[int64]int),
 	}
 	s.setMemberHealth(member, MemberRebuilding, "replacement attached")
 }

@@ -114,7 +114,7 @@ func (s *Server) prefixQualify(path string) *prefixPin {
 	}
 	pp := &prefixPin{path: path}
 	s.mcast.prefixes = append(s.mcast.prefixes, pp)
-	for _, st := range s.streams {
+	for _, st := range s.openStreams() {
 		if !st.closed && !st.record && st.name == path {
 			st.ppin = pp
 		}
@@ -233,7 +233,7 @@ func (s *Server) mcastCandidate(r openReq, now sim.Time) *stream {
 	if best != nil {
 		return best
 	}
-	for _, st := range s.streams {
+	for _, st := range s.openStreams() {
 		if st.closed || st.record || st.dep != nil || st.prod[shareFanout] != nil || st.name != r.path {
 			continue
 		}

@@ -161,7 +161,7 @@ func (s *Server) retrySpares() []sim.Time {
 	for d := 0; d < n; d++ {
 		ops[d], bytes[d] = 0, 0
 	}
-	for _, st := range s.streams {
+	for _, st := range s.openStreams() {
 		if st.closed || st.par.diskFree() {
 			continue // shared-path dependents and paused streams issue no steady-state reads
 		}
@@ -284,7 +284,7 @@ func (s *Server) watchdogScan(now sim.Time, cycle int) {
 // failures the cycle just absorbed. Runs once per scheduler cycle.
 func (s *Server) updateStreamHealth(now sim.Time) {
 	pol := s.cfg.Recovery
-	for _, st := range s.streams {
+	for _, st := range s.openStreams() {
 		if st.closed {
 			continue
 		}
@@ -348,7 +348,7 @@ func (s *Server) setHealth(st *stream, to StreamHealth, reason string) {
 // evict closes a stream from the server side: in-flight reads are
 // invalidated, admission capacity and buffer memory are released.
 func (s *Server) evict(st *stream, reason string) {
-	st.closed = true
+	s.closeStream(st)
 	st.gen++
 	s.shareOnClose(st, s.k.Now())
 	s.setHealth(st, Evicted, reason)
@@ -361,7 +361,7 @@ func (s *Server) evict(st *stream, reason string) {
 // stream is off the top of the ladder (nothing useful to shed).
 func (s *Server) shedWorstStream(cycle int) bool {
 	var worst *stream
-	for _, st := range s.streams {
+	for _, st := range s.openStreams() {
 		if st.closed || st.health == Healthy {
 			continue
 		}

@@ -276,9 +276,13 @@ type Server struct {
 
 	schedThread *rtm.Thread
 
-	streams []*stream   //crasvet:confined
-	nextID  int         //crasvet:confined
-	doneQ   []*readFrag //crasvet:confined
+	// streams is the append-only session table in open order: entry i has
+	// id i. openFrom indexes its oldest open stream, so every scan walks
+	// openStreams() — the open window — instead of the whole history.
+	streams  []*stream   //crasvet:confined
+	openFrom int         //crasvet:confined
+	nextID   int         //crasvet:confined
+	doneQ    []*readFrag //crasvet:confined
 	// submitted fragments awaiting completion (watchdog scan set)
 	inflight []*readFrag    //crasvet:confined
 	cycle    int            //crasvet:confined
@@ -485,8 +489,8 @@ func NewServer(k *rtm.Kernel, vol *disk.Volume, resolver Resolver, cfg Config) *
 	k.NewThread("cras.signal", cfg.prio(rtm.PrioRTLow), cfg.Quantum, func(t *rtm.Thread) {
 		s.signalPort.Receive(t)
 		s.stopping = true
-		for _, st := range s.streams {
-			st.closed = true
+		for _, st := range s.openStreams() {
+			s.closeStream(st)
 		}
 		// Destroying the request port wakes the request manager (and any
 		// client blocked in an RPC, queued or future) with a port-dead
@@ -559,7 +563,7 @@ const FixedFootprint = 250 << 10
 //crasvet:snapshot
 func (s *Server) MemoryFootprint() int64 {
 	total := int64(FixedFootprint) + s.icache.bytes + s.mcast.pinned
-	for _, st := range s.streams {
+	for _, st := range s.openStreams() {
 		if !st.closed {
 			total += st.buf.Capacity()
 		}
@@ -572,7 +576,7 @@ func (s *Server) MemoryFootprint() int64 {
 //crasvet:snapshot
 func (s *Server) ActiveStreams() int {
 	n := 0
-	for _, st := range s.streams {
+	for _, st := range s.openStreams() {
 		if !st.closed {
 			n++
 		}
@@ -659,8 +663,8 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 	// and every raw failure feeds the member health ladder immediately.
 	stamped := int64(0)
 	budgets := s.retrySpares()
+	s.dropCompleted()
 	for _, fg := range s.doneQ {
-		s.removeInflight(fg)
 		tag := fg.tag
 		live := tag.gen == tag.s.gen && !tag.s.closed
 		if fg.replaced {
@@ -713,7 +717,7 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 		}
 	}
 	s.doneQ = s.doneQ[:0]
-	for _, st := range s.streams {
+	for _, st := range s.openStreams() {
 		if st.closed {
 			continue
 		}
@@ -763,7 +767,7 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 	horizonAt := now + 2*s.cfg.Interval
 	batch := s.batchScratch[:0]
 	active := 0
-	for _, st := range s.streams {
+	for _, st := range s.openStreams() {
 		if st.closed || st.paused || st.health >= Suspended {
 			continue
 		}
@@ -967,20 +971,32 @@ func (s *Server) submitFrag(fg *readFrag) {
 	s.vol.Disk(fg.disk).Submit(fg.req)
 }
 
-// removeInflight drops a completed fragment from the watchdog's scan set.
-// The splice preserves issue order: the watchdog cancels (and thereby
-// restarts) stalled members oldest-first, and that order must be stable for
-// the deterministic replay the chaos scenarios depend on — a swap-remove
-// would reshuffle which wedged spindle gets unblocked first.
+// dropCompleted removes the cycle's completions (doneQ) from the watchdog's
+// scan set in one pass — mark, then compact — before phase 1 re-submits
+// anything, so retries and reconstructions append after every survivor.
+// The compaction keeps issue order: the watchdog cancels (and thereby
+// restarts) stalled members oldest-first, and that order must be stable
+// for the deterministic replay the chaos scenarios depend on — a
+// swap-remove would reshuffle which wedged spindle gets unblocked first.
 //
 //crasvet:hotpath
-func (s *Server) removeInflight(fg *readFrag) {
-	for i, f := range s.inflight {
-		if f == fg {
-			s.inflight = append(s.inflight[:i], s.inflight[i+1:]...) //crasvet:allow hotalloc -- slide-down remove within the existing backing array; this append never grows
-			return
-		}
+func (s *Server) dropCompleted() {
+	if len(s.doneQ) == 0 {
+		return
 	}
+	for _, fg := range s.doneQ {
+		fg.landed = true
+	}
+	n := 0
+	for _, fg := range s.inflight {
+		if fg.landed {
+			fg.landed = false
+			continue
+		}
+		s.inflight[n] = fg
+		n++
+	}
+	s.inflight = s.inflight[:n]
 }
 
 // finishCycleStat records a completed batch's accuracy and checks the
@@ -1066,13 +1082,28 @@ type (
 	opResp struct{ err error }
 )
 
+// findStream returns the open stream with the given id, or nil: the table
+// is indexed by id, and every id below openFrom is closed.
 func (s *Server) findStream(id int) *stream {
-	for _, st := range s.streams {
-		if st.id == id && !st.closed {
-			return st
-		}
+	if id < s.openFrom || id >= len(s.streams) || s.streams[id].closed {
+		return nil
 	}
-	return nil
+	return s.streams[id]
+}
+
+// openStreams is the open window of the session table, in open order: every
+// open stream, plus the closed ones opened after the oldest open one.
+// Callers skip closed entries, exactly as over the whole table.
+func (s *Server) openStreams() []*stream { return s.streams[s.openFrom:] }
+
+// closeStream marks st closed and advances the open window past the closed
+// streams at its front. Every close goes through here: an orderly Close,
+// eviction (lease and dead-name reaps, shedding, drain) and shutdown.
+func (s *Server) closeStream(st *stream) {
+	st.closed = true
+	for s.openFrom < len(s.streams) && s.streams[s.openFrom].closed {
+		s.openFrom++
+	}
 }
 
 // session finds an open stream for a control RPC and renews its lease: any
@@ -1102,7 +1133,7 @@ func (s *Server) admit(set []StreamParams) error {
 // on charges the detach is about to change. A nil st excludes nobody.
 func (s *Server) admissionSet(st *stream) []StreamParams {
 	var set []StreamParams
-	for _, other := range s.streams {
+	for _, other := range s.openStreams() {
 		if other.closed || other == st {
 			continue
 		}
@@ -1127,7 +1158,7 @@ func (s *Server) handleRequest(t *rtm.Thread, req any) any {
 		}
 		switch r.op {
 		case opClose:
-			st.closed = true
+			s.closeStream(st)
 			st.gen++
 			s.shareOnClose(st, now)
 			if st.clientPort != nil {

@@ -174,6 +174,7 @@ type readFrag struct {
 	retries   int  // times this fragment has been re-issued
 	recon     bool // XOR-reconstruction read replacing a failed member's fragment
 	replaced  bool // reconstruction dispatched at watchdog-cancel time; the abort absorbs as a no-op
+	landed    bool // completed this cycle: dropCompleted removes it from the watchdog set
 	err       error
 	req       *disk.Request // outstanding raw operation (for the watchdog)
 	reqS      disk.Request  // the request's storage: one embedded struct per fragment, reused across retries

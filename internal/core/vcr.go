@@ -202,7 +202,7 @@ func (s *Server) ladderPromoteStep(now sim.Time) {
 	if len(s.cfg.RateLadder) == 0 {
 		return
 	}
-	for _, st := range s.streams {
+	for _, st := range s.openStreams() {
 		if st.closed || st.paused || st.record || st.rev != nil ||
 			st.dep != nil || st.health != Healthy || st.dr >= 1-1e-9 {
 			continue
@@ -391,7 +391,7 @@ func (s *Server) cacheSeekRevalidate(st *stream, target sim.Time, now sim.Time) 
 		s.cacheStamp(st, now)
 	}
 	s.stats.SeekRevalidations++
-	s.k.Engine().Tracef("cras: stream %d seek to %v re-validated gap contract (gap %v, reservation %d)", //crasvet:allow hotalloc -- formats once per revalidated seek, not per cycle
+	s.k.Engine().Tracef("cras: stream %d seek to %v re-validated gap contract (gap %v, reservation %d)",
 		st.id, target, gap, newRes)
 	return opResp{}, true
 }
@@ -427,7 +427,7 @@ func (s *Server) handleSetRate(st *stream, rate float64, now sim.Time) opResp {
 		s.stats.AdmissionRejects++
 		s.stats.RateRefused++
 		return opResp{err: s.vcrRefusal("setrate",
-			fmt.Sprintf("re-admission at rate %g failed", rate), err)} //crasvet:allow hotalloc -- formats once per refused rate change
+			fmt.Sprintf("re-admission at rate %g failed", rate), err)}
 	}
 	// A rate change desynchronizes the clocks the cache pairs rely on: a
 	// leader strands its followers, a follower can no longer trail.
