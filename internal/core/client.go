@@ -229,7 +229,7 @@ func (h *Handle) DeliveredRate() float64 { return h.st.dr }
 
 // Reversed reports whether the session is playing backwards (a negative
 // SetRate).
-func (h *Handle) Reversed() bool { return h.st.rev != nil }
+func (h *Handle) Reversed() bool { return h.st.rev > 0 }
 
 // PrefixStarted reports whether the session's playback head was served
 // from the pinned prefix cache at open time.
@@ -268,8 +268,13 @@ type SessionState struct {
 func (h *Handle) SessionState() SessionState {
 	st := h.st
 	now := h.srv.k.Now()
+	// Past the last chunk the stamp point is the end; past the first, in
+	// reverse, it is the start.
 	stamp := st.info.TotalDuration()
-	if st.nextStamp < len(st.info.Chunks) {
+	switch {
+	case st.nextStamp < 0:
+		stamp = 0
+	case st.nextStamp < len(st.info.Chunks):
 		stamp = st.info.Chunks[st.nextStamp].Timestamp
 	}
 	return SessionState{

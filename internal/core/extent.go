@@ -28,9 +28,14 @@ type ExtentMap struct {
 }
 
 // BuildExtentMap converts a UFS block map into extents. maxReadBytes caps
-// run length (the paper's 256 KB single-read optimum); holes (block 0) are
-// rejected — a continuous media file must be fully allocated.
+// run length (the paper's 256 KB single-read optimum); holes (block 0) and
+// a map too short for the file size are rejected — a continuous media file
+// must be fully allocated, and the fetch walk reads any block up to the
+// end of the file.
 func BuildExtentMap(blocks []uint32, size int64, maxReadBytes int) (*ExtentMap, error) {
+	if int64(len(blocks))*ufs.BlockSize < size {
+		return nil, fmt.Errorf("core: media file of %d bytes has only %d blocks", size, len(blocks))
+	}
 	if maxReadBytes < ufs.BlockSize {
 		maxReadBytes = ufs.BlockSize
 	}

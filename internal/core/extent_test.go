@@ -101,3 +101,14 @@ func TestExtentMapEmpty(t *testing.T) {
 		t.Fatal("empty map should have no extents")
 	}
 }
+
+// A block map that ends before the file does is rejected at open: the
+// fetch walk may read any block up to the end of the file.
+func TestExtentMapRejectsShortMap(t *testing.T) {
+	if _, err := BuildExtentMap([]uint32{5, 6}, 2*ufs.BlockSize+1, 256<<10); err == nil {
+		t.Fatal("a 2-block map for a file of 2 blocks and a byte was accepted")
+	}
+	if _, err := BuildExtentMap([]uint32{5, 6}, 2*ufs.BlockSize, 256<<10); err != nil {
+		t.Fatalf("an exact 2-block map was rejected: %v", err)
+	}
+}

@@ -161,7 +161,7 @@ func (s *Server) cacheEligible(leader *stream, r openReq) bool {
 	if leader == nil || leader.closed || leader.health >= Suspended {
 		return false
 	}
-	if leader.dr < 1 || leader.paused || leader.rev != nil {
+	if leader.dr < 1 || leader.paused || leader.rev > 0 {
 		// A thinned, frozen, or rewinding leader does not produce the full
 		// forward stamp sequence followers ride on.
 		return false
@@ -256,7 +256,7 @@ func (s *Server) cacheLookup(st *stream, idx int) bool {
 }
 
 // cacheAdvance is the follower's phase-2 step, the cache-side counterpart
-// of fetchTargets: advance the promise pointer over every chunk the cache
+// of stream.fetch: advance the promise pointer over every chunk the cache
 // covers up to the horizon. A chunk is covered when it is resident (pinned
 // or in the leader's buffer) or promised — the leader has scheduled its
 // fetch (nextChunk past it) and not yet stamped past it. An uncovered
@@ -284,7 +284,7 @@ func (s *Server) cacheAdvance(st *stream, horizon, now sim.Time) {
 }
 
 // cacheStamp is the follower's phase-1 step, the cache-side counterpart of
-// absorbCompletions: stamp every promised chunk that is now resident in
+// stream.absorb: stamp every promised chunk that is now resident in
 // the cache into the follower's own time-driven buffer. It applies the
 // disk path's stamp rule (stream.stamp) so delivery timing is identical. A
 // promised chunk that never arrived means the leader failed or the pin
@@ -293,7 +293,7 @@ func (s *Server) cacheAdvance(st *stream, horizon, now sim.Time) {
 // of this same cycle issues the reads).
 func (s *Server) cacheStamp(st *stream, now sim.Time) {
 	if st.nextStamp < st.cacheFrom {
-		return // warm-up prefix chunks arrive through absorbCompletions
+		return // warm-up prefix chunks arrive through absorb
 	}
 	chunks := st.info.Chunks
 	logical := st.clock.At(now)

@@ -722,11 +722,7 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 			continue
 		}
 		before := st.stats.ChunksStamped
-		if st.rev != nil {
-			s.absorbReverse(st, now)
-		} else {
-			st.absorbCompletions(now, s.mcastStampFloor(st, now))
-		}
+		st.absorb(now, s.mcastStampFloor(st, now))
 		if st.rides(sharePinned) {
 			// The open order guarantees the leader was processed earlier in
 			// this loop, so chunks it discarded this cycle are already pinned.
@@ -792,7 +788,7 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 			if diskH > horizon {
 				diskH = horizon
 			}
-			warm := st.fetchTargets(diskH)
+			warm := st.fetch(diskH)
 			issued += len(warm)
 			batch = append(batch, warm...) //crasvet:allow hotalloc -- append into per-cycle scratch; capacity retained across cycles
 			s.cacheAdvance(st, horizon, now)
@@ -801,17 +797,7 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 			// Plain stream — or a follower that fell back mid-advance, whose
 			// reads must join this same cycle's batch so the switch to disk
 			// costs at most one interval.
-			var tags []*readTag
-			switch {
-			case st.rev != nil:
-				tags = s.fetchReverse(st, horizonAt)
-			case st.dr < 1 && !st.record:
-				// Reduced delivered rate: walk the chunk table and skip the
-				// frames the ladder dropped instead of reading whole ranges.
-				tags = st.fetchTargetsSkip(horizon)
-			default:
-				tags = st.fetchTargets(horizon)
-			}
+			tags := st.fetch(horizon)
 			issued += len(tags)
 			batch = append(batch, tags...) //crasvet:allow hotalloc -- append into per-cycle scratch; capacity retained across cycles
 		}

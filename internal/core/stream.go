@@ -63,12 +63,14 @@ type stream struct {
 	// buffer lead to absorb the overshoot.
 	wholeExtents bool
 
-	// Fetch bookkeeping, all in file bytes / chunk indices.
-	nextChunk   int   // next chunk whose timestamp has not crossed the horizon
+	// Fetch bookkeeping, all in file bytes / chunk indices. nextChunk and
+	// nextStamp are the two cursors of the chunk walk: up the table forward,
+	// down it in reverse.
+	nextChunk   int   // next chunk the fetch walk has not yet passed
 	nextStamp   int   // next chunk to stamp when data arrives
-	targetByte  int64 // exclusive high byte the horizon requires
-	fetchedUpTo int64 // exclusive high byte covered by scheduled reads
-	extIdx      int   // extent whose FileOff == fetchedUpTo
+	targetByte  int64 // forward: exclusive high byte the horizon requires
+	fetchedUpTo int64 // edge of the scheduled reads: high byte forward, low byte in reverse
+	extIdx      int   // extent cursor of readSpan
 	pending     []*readTag
 
 	// failedRanges are file byte ranges whose reads failed after retry;
@@ -99,16 +101,26 @@ type stream struct {
 	// down instead of suspending); baseRate is the unscaled worst-case media
 	// rate at open time, the honest basis for every re-admission charge;
 	// stepCycle is the scheduler cycle of the last ladder move (promotion
-	// pacing); skipped is the FIFO of chunk indices the skip-mode fetch
-	// decided not to read, consumed in order by the stamping side so a
-	// ladder move between fetch and stamp can never desynchronize them;
-	// rev is non-nil while the stream delivers in reverse (rewind).
+	// pacing); skipped is the FIFO of chunk indices the fetch walk decided
+	// not to read, consumed in order by the stamping side so a ladder move
+	// between fetch and stamp can never desynchronize them.
 	paused    bool
 	dr        float64
 	baseRate  float64
 	stepCycle int
 	skipped   []int
-	rev       *revState
+
+	// Reverse delivery (rewind). rev is the rewind velocity — media seconds
+	// per delivery second — and 0 while the stream plays forward. The
+	// logical clock cannot run backwards (a rewinding clock would suspend
+	// the time-driven discard while deliveries continue), so in reverse the
+	// clock runs forward at unit rate as a pure delivery timeline: the walk
+	// descends the chunk table while fetchAt and stampAt, the delivery
+	// times of nextChunk and nextStamp, ascend. revPos is the media time of
+	// the rewind head, the anchor for leaving reverse and for seeks.
+	rev              float64
+	revPos           sim.Time
+	fetchAt, stampAt sim.Time
 
 	// Degradation-ladder state, advanced once per cycle by the recovery
 	// engine (see recovery.go for the ladder semantics).
@@ -159,8 +171,7 @@ type readTag struct {
 	failed    bool  // read failed even after the retry budget
 	err       error // first fragment failure
 	frags     []*readFrag
-	fragsLeft int      // fragments not yet finally absorbed
-	rev       *revRead // reverse-delivery chunk this read belongs to (nil forward)
+	fragsLeft int // fragments not yet finally absorbed
 }
 
 // readFrag is one member disk's share of a logical read: the unit the
@@ -185,38 +196,43 @@ type readFrag struct {
 
 func (f *readFrag) bytes() int64 { return int64(f.sectors) * 512 }
 
-// dropWindow discards the scheduled window: in-flight reads are
-// invalidated by the generation bump, and the pending, failed and skipped
-// bookkeeping and the buffered data are cleared. Every jump to a new play
-// point (seek, entering reverse, a reverse reposition) starts here.
-func (s *stream) dropWindow() {
+// seekTo drops the scheduled window and points both walk cursors at the
+// chunk covering the media time: every jump to a new play point (seek,
+// entering or leaving reverse, a reverse reposition) ends here. In-flight
+// reads are invalidated by the generation bump, and the pending, failed
+// and skipped bookkeeping and the buffered data are cleared. In reverse
+// the stamp side's delivery time restarts at the fetch side's, and no byte
+// below the end of the file is covered yet.
+func (s *stream) seekTo(pos sim.Time) {
 	s.gen++
 	s.pending = s.pending[:0]
 	s.failedRanges = nil
 	s.skipped = s.skipped[:0]
 	s.buf.Reset()
-}
-
-// seekTo repositions the fetch machinery at the chunk covering the logical
-// time and clears buffered data.
-func (s *stream) seekTo(logical sim.Time) {
-	s.dropWindow()
-	idx := s.info.ChunkAt(logical)
+	n := len(s.info.Chunks)
+	idx := s.info.ChunkAt(pos)
 	if idx < 0 {
-		if logical >= s.info.TotalDuration() {
-			idx = len(s.info.Chunks)
+		if pos >= s.info.TotalDuration() {
+			idx = n
 		} else {
 			idx = 0
 		}
 	}
+	if s.rev > 0 {
+		idx = min(idx, n-1)
+		s.revPos = pos
+		s.stampAt = s.fetchAt
+		s.fetchedUpTo = alignUp(s.ext.Size, ufs.BlockSize)
+	} else {
+		s.setFetchPoint(idx)
+	}
 	s.nextChunk = idx
 	s.nextStamp = idx
-	s.setFetchPoint(idx)
 }
 
-// setFetchPoint positions the byte-fetch machinery at the chunk with the
-// given index, leaving the buffer, clock, generation and stamp pointers
-// alone. Used by seekTo and by refetchFromStamp.
+// setFetchPoint positions the forward byte-fetch machinery at the chunk
+// with the given index, leaving the buffer, clock, generation and stamp
+// pointers alone. Used by seekTo and by refetchFromStamp.
 func (s *stream) setFetchPoint(idx int) {
 	var off int64
 	if idx < len(s.info.Chunks) {
@@ -224,101 +240,134 @@ func (s *stream) setFetchPoint(idx int) {
 	} else {
 		off = s.info.TotalSize()
 	}
-	// Snap the fetch point to the block containing the chunk and find the
-	// extent that covers it.
+	// Snap the fetch point to the block containing the chunk.
 	off = off / ufs.BlockSize * ufs.BlockSize
-	s.extIdx = s.extentAt(off)
 	s.fetchedUpTo = off
 	s.targetByte = off
 }
 
-// fetchTargets returns the reads needed to cover every chunk that becomes
-// current before the horizon, as whole extents from the current fetch
-// point, bounded by the per-cycle byte cap. It advances the bookkeeping;
-// the caller submits the reads.
-func (s *stream) fetchTargets(horizon sim.Time) []*readTag {
+// dir is the direction of the chunk walk: +1 forward, -1 in reverse.
+func (s *stream) dir() int {
+	if s.rev > 0 {
+		return -1
+	}
+	return 1
+}
+
+// revStep is chunk idx's share of the reverse delivery timeline: its media
+// duration at the rewind velocity.
+func (s *stream) revStep(idx int) sim.Time {
+	return sim.Time(float64(s.info.Chunks[idx].Duration) / s.rev)
+}
+
+// fetch is the one fetch planner. It walks the chunk table from nextChunk
+// in the delivery direction over every chunk due before the horizon — the
+// media timestamp forward, the delivery time in reverse — and returns the
+// reads covering the chunks retainChunk keeps at the delivered rate; the
+// rest go on the skipped FIFO. A retained chunk's read is its
+// block-aligned span clamped against the bytes already covered, so a block
+// two chunks share is read once. At full rate forward the spans merge
+// into one run from the fetch point to the target, which is cut at extent
+// ends and at block granularity by the per-cycle cap, and widened to whole
+// extents in whole-extent mode; otherwise each retained chunk is read on
+// its own and the cap is checked before each chunk. The caller submits
+// the reads.
+func (s *stream) fetch(horizon sim.Time) []*readTag {
 	chunks := s.info.Chunks
-	for s.nextChunk < len(chunks) && chunks[s.nextChunk].Timestamp < horizon {
-		end := chunks[s.nextChunk].Offset + chunks[s.nextChunk].Size
-		if end > s.targetByte {
-			s.targetByte = end
-		}
-		s.nextChunk++
-	}
-	// Reads cover exactly the blocks the horizon requires (the interval's
-	// worth of data), sliced out of the extent map at block granularity.
-	// An extent bounds a single read at 256 KB of contiguous disk; it does
-	// not force fetching ahead of the horizon.
-	target := alignUp(s.targetByte, ufs.BlockSize)
-	if target > s.ext.Size {
-		target = alignUp(s.ext.Size, ufs.BlockSize)
-	}
+	f, g, d := s.dr, s.skipGroup(), s.dir()
+	merge := d > 0 && f >= 1
 	var tags []*readTag
 	var cycleBytes int64
-	for s.fetchedUpTo < target && s.extIdx < len(s.ext.Extents) {
+	for ; 0 <= s.nextChunk && s.nextChunk < len(chunks); s.nextChunk += d {
+		c := &chunks[s.nextChunk]
+		due := c.Timestamp
+		if d < 0 {
+			due = s.fetchAt
+		}
+		if due >= horizon || !merge && s.cycleCap > 0 && cycleBytes >= s.cycleCap {
+			break
+		}
+		lo, hi := c.Offset/ufs.BlockSize*ufs.BlockSize, alignUp(c.Offset+c.Size, ufs.BlockSize)
+		switch {
+		case merge:
+			s.targetByte = max(s.targetByte, hi)
+		case !retainChunk(s.nextChunk, f, g):
+			s.skipped = append(s.skipped, s.nextChunk) //crasvet:allow hotalloc -- append into s.skipped[:0]; capacity retained across cycles
+			if d < 0 {
+				s.stats.ChunksSkipped++
+			}
+		case d < 0:
+			if hi = min(hi, s.fetchedUpTo); lo < hi {
+				tags = s.readSpan(tags, lo, hi)
+				cycleBytes += hi - lo
+				s.fetchedUpTo = lo
+			}
+		default:
+			s.targetByte = max(s.targetByte, hi)
+			if lo = max(lo, s.fetchedUpTo); lo < hi {
+				tags = s.readSpan(tags, lo, hi)
+				cycleBytes += hi - lo
+				s.fetchedUpTo = hi
+			}
+		}
+		if d < 0 {
+			s.revPos = c.Timestamp
+			s.fetchAt += s.revStep(s.nextChunk)
+		}
+	}
+	for merge && s.fetchedUpTo < s.targetByte {
 		if s.cycleCap > 0 && cycleBytes >= s.cycleCap {
 			break
 		}
-		e := s.ext.Extents[s.extIdx]
 		lo := s.fetchedUpTo
+		s.seekExtent(lo)
+		e := s.ext.Extents[s.extIdx]
 		hi := e.FileOff + e.Bytes()
-		if hi > target && !s.wholeExtents {
-			hi = target
-		}
-		// Respect the per-cycle cap at block granularity (whole-extent mode
-		// deliberately trades this precision for 256 KB transfers).
-		if s.cycleCap > 0 && !s.wholeExtents {
-			if room := s.cycleCap - cycleBytes; hi-lo > room {
-				capped := lo + room/ufs.BlockSize*ufs.BlockSize
-				if capped > lo {
-					hi = capped
-				} else {
-					hi = lo + ufs.BlockSize // always make progress
-				}
+		if !s.wholeExtents {
+			hi = min(hi, s.targetByte)
+			if s.cycleCap > 0 {
+				hi = min(hi, lo+max((s.cycleCap-cycleBytes)/ufs.BlockSize*ufs.BlockSize, ufs.BlockSize))
 			}
 		}
-		tags, s.extIdx = s.readSpan(tags, lo, hi, s.extIdx, nil)
-		s.fetchedUpTo = hi
+		tags = s.readSpan(tags, lo, hi)
 		cycleBytes += hi - lo
+		s.fetchedUpTo = hi
 	}
-	s.pending = append(s.pending, tags...)
+	s.pending = append(s.pending, tags...) //crasvet:allow hotalloc -- pending completion list; capacity retained across cycles
 	return tags
 }
 
 // readSpan appends the reads covering file bytes [lo, hi) to tags — one per
-// extent the span crosses, starting at extent ei — and counts them as
-// scheduled. rev links the reads to the reverse-delivered chunk they serve
-// (nil forward). It returns the grown list and the extent holding hi: ei
-// moves past every extent the span runs to the end of.
-func (s *stream) readSpan(tags []*readTag, lo, hi int64, ei int, rev *revRead) ([]*readTag, int) {
-	for lo < hi && ei < len(s.ext.Extents) {
-		e := s.ext.Extents[ei]
-		end := e.FileOff + e.Bytes()
-		thi := min(hi, end)
+// extent the span crosses — and counts them as scheduled.
+func (s *stream) readSpan(tags []*readTag, lo, hi int64) []*readTag {
+	s.seekExtent(lo)
+	for lo < hi {
+		e := s.ext.Extents[s.extIdx]
+		thi := min(hi, e.FileOff+e.Bytes())
 		tags = append(tags, &readTag{ //crasvet:allow hotalloc -- one tag per issued read, alive across the disk round-trip; list handed to the batch scratch
 			s: s, gen: s.gen,
 			lo: lo, hi: thi,
 			lba:     e.LBA + (lo-e.FileOff)/512,
 			sectors: int((thi - lo) / 512),
-			rev:     rev,
 		})
 		s.stats.BytesScheduled += thi - lo
 		s.stats.ReadsIssued++
 		lo = thi
-		if thi == end {
-			ei++
-		}
+		s.seekExtent(lo)
 	}
-	return tags, ei
+	return tags
 }
 
-// extentAt returns the index of the extent covering file offset off.
-func (s *stream) extentAt(off int64) int {
-	i := 0
-	for i < len(s.ext.Extents)-1 && s.ext.Extents[i+1].FileOff <= off {
-		i++
+// seekExtent moves the extent cursor to the extent covering file offset
+// off.
+func (s *stream) seekExtent(off int64) {
+	ex := s.ext.Extents
+	for s.extIdx > 0 && ex[s.extIdx].FileOff > off {
+		s.extIdx--
 	}
-	return i
+	for s.extIdx < len(ex)-1 && ex[s.extIdx+1].FileOff <= off {
+		s.extIdx++
+	}
 }
 
 func alignUp(v, to int64) int64 { return (v + to - 1) / to * to }
@@ -367,82 +416,22 @@ func (s *stream) skipGroup() int {
 	return g
 }
 
-// jumpTo advances the byte-fetch machinery past a skip hole to the given
-// file offset without scheduling any reads, leaving fetchedUpTo on the
-// block boundary the next read starts at.
-func (s *stream) jumpTo(off int64) {
-	if off <= s.fetchedUpTo {
-		return
-	}
-	s.fetchedUpTo = off
-	if off > s.targetByte {
-		s.targetByte = off
-	}
-	for s.extIdx < len(s.ext.Extents)-1 && s.ext.Extents[s.extIdx+1].FileOff <= off {
-		s.extIdx++
-	}
-}
-
-// fetchTargetsSkip is the skip-mode counterpart of fetchTargets, used while
-// the delivered rate is below 1: it walks chunks individually, reads only
-// the retained ones (block-aligned, sliced per extent), jumps the fetch
-// point over the holes, and records every skipped index in the FIFO the
-// stamping side consumes. Whole-extent reads are pointless here — the holes
-// are what saves the disk time — so reads cover exactly the retained blocks.
-func (s *stream) fetchTargetsSkip(horizon sim.Time) []*readTag {
-	f := s.dr
-	g := s.skipGroup()
-	chunks := s.info.Chunks
-	fileEnd := alignUp(s.ext.Size, ufs.BlockSize)
-	var tags []*readTag
-	var cycleBytes int64
-	for s.nextChunk < len(chunks) && chunks[s.nextChunk].Timestamp < horizon {
-		if s.cycleCap > 0 && cycleBytes >= s.cycleCap {
-			break
-		}
-		idx := s.nextChunk
-		c := chunks[idx]
-		if !retainChunk(idx, f, g) {
-			s.skipped = append(s.skipped, idx) //crasvet:allow hotalloc -- append into s.skipped[:0]; capacity retained across cycles
-			s.nextChunk++
-			continue
-		}
-		lo := c.Offset / ufs.BlockSize * ufs.BlockSize
-		if lo < s.fetchedUpTo {
-			lo = s.fetchedUpTo // shared block already covered by the previous read
-		}
-		hi := alignUp(c.Offset+c.Size, ufs.BlockSize)
-		if hi > fileEnd {
-			hi = fileEnd
-		}
-		s.jumpTo(lo)
-		if hi > lo {
-			tags, s.extIdx = s.readSpan(tags, lo, hi, s.extIdx, nil)
-			s.fetchedUpTo = hi
-			cycleBytes += hi - lo
-		}
-		if hi > s.targetByte {
-			s.targetByte = hi
-		}
-		s.nextChunk++
-	}
-	s.pending = append(s.pending, tags...) //crasvet:allow hotalloc -- pending completion list; capacity retained across cycles
-	return tags
-}
-
-// absorbCompletions advances the contiguous completion watermark and stamps
-// every fully arrived chunk into the time-driven buffer. now is the real
-// time of the stamping cycle. floor is the logical clock the late-skip
-// decision measures against — the stream's own clock for a plain stream,
-// the group's minimum clock for a multicast feed (its stamped chunks
-// supply every member, and members trail it by their join gap, so a chunk
-// late for the feed can still be due for a member).
-func (s *stream) absorbCompletions(now, floor sim.Time) {
-	watermark := s.fetchedUpTo
-	// The watermark is the high byte of the completed prefix of pending
-	// reads (reads were issued in file order). Failed reads still advance
-	// it — their byte range is recorded so the affected chunks are dropped
-	// instead of blocking the stream forever.
+// absorb is the one completion absorber. It pops the completed prefix of
+// the pending reads (issue order), recording failed ones, and stamps every
+// chunk from nextStamp on, in delivery order, whose bytes all lie behind
+// the completion frontier: the start of the oldest read still in flight —
+// its low byte forward, its high byte in reverse — or the covered edge when
+// none is. A chunk overlapping a failed read is dropped and counted
+// failed. A skipped chunk forward is held by a zero-size alias of the frame
+// before it; in reverse the retained chunk's delivery window already spans
+// the hole. now is the real time of the stamping cycle. floor is the
+// logical clock the late-skip decision measures against — the stream's own
+// clock for a plain stream, the group's minimum clock for a multicast feed
+// (its stamped chunks supply every member, and members trail it by their
+// join gap, so a chunk late for the feed can still be due for a member).
+func (s *stream) absorb(now, floor sim.Time) {
+	// Failed reads still pop — their byte range is recorded so the affected
+	// chunks are dropped instead of blocking the stream forever.
 	for len(s.pending) > 0 && s.pending[0].done {
 		head := s.pending[0]
 		if head.failed {
@@ -452,55 +441,71 @@ func (s *stream) absorbCompletions(now, floor sim.Time) {
 		}
 		s.pending = s.pending[1:]
 	}
+	d := s.dir()
+	frontier := s.fetchedUpTo
 	if len(s.pending) > 0 {
-		watermark = s.pending[0].lo
+		frontier = s.pending[0].lo
+		if d < 0 {
+			frontier = s.pending[0].hi
+		}
 	}
 	chunks := s.info.Chunks
 	logical := s.clock.At(now)
-	if floor > logical {
-		floor = logical
-	}
-	tdiscard := floor - s.buf.Jitter()
-	for s.nextStamp < s.nextChunk && s.nextStamp < len(chunks) {
-		// Skip-mode holes come first: a chunk the fetch side decided not to
-		// read is popped before the watermark check, because no read will
-		// ever cover its bytes. A zero-byte alias holds the previous frame
-		// across the hole, so Get stays continuous at reduced delivered
-		// rate — the viewer sees a repeated frame, not a dropout.
-		if len(s.skipped) > 0 && s.skipped[0] == s.nextStamp {
+	tdiscard := min(floor, logical) - s.buf.Jitter()
+walk:
+	for ; (s.nextChunk-s.nextStamp)*d > 0; s.nextStamp += d {
+		idx := s.nextStamp
+		c := &chunks[idx]
+		switch {
+		case len(s.skipped) > 0 && s.skipped[0] == idx:
+			// A skip-hole chunk comes first: no read will ever cover it.
 			s.skipped = s.skipped[1:]
-			if bc := s.buffered(s.nextStamp, now); bc.Timestamp+bc.Duration > tdiscard {
-				bc.Size = 0
-				s.buf.Insert(bc)
+			if d > 0 {
+				if bc := s.buffered(idx, now); bc.Timestamp+bc.Duration > tdiscard {
+					bc.Size = 0
+					s.buf.Insert(bc)
+				}
+				s.stats.ChunksSkipped++
 			}
-			s.stats.ChunksSkipped++
-			s.nextStamp++
-			continue
-		}
-		c := chunks[s.nextStamp]
-		if c.Offset+c.Size > watermark {
-			break
-		}
-		if s.overlapsFailed(c.Offset, c.Offset+c.Size) {
+		case d > 0 && c.Offset+c.Size > frontier, d < 0 && c.Offset < frontier:
+			break walk
+		case s.overlapsFailed(c.Offset, c.Offset+c.Size):
 			s.stats.ChunksFailed++
-			s.nextStamp++
-			continue
+		case d > 0:
+			s.stamp(s.buffered(idx, now), logical, tdiscard)
+		default:
+			s.stamp(BufferedChunk{Index: idx, Timestamp: s.stampAt, Duration: s.hold(idx), Size: c.Size, StampedAt: now},
+				logical, tdiscard)
 		}
-		s.stamp(s.buffered(s.nextStamp, now), logical, tdiscard)
-		s.nextStamp++
+		if d < 0 {
+			s.stampAt += s.revStep(idx)
+		}
 	}
-	// Prune failed ranges the stamp pointer has moved past.
-	if s.nextStamp < len(chunks) {
-		kept := s.failedRanges[:0]
-		for _, fr := range s.failedRanges {
-			if fr[1] > chunks[s.nextStamp].Offset {
-				kept = append(kept, fr) //crasvet:allow hotalloc -- append into s.failedRanges[:0]; capacity retained by construction
-			}
-		}
-		s.failedRanges = kept
-	} else {
+	// Prune the failed ranges the stamp cursor has moved past.
+	if s.nextStamp < 0 || s.nextStamp >= len(chunks) {
 		s.failedRanges = nil
+		return
 	}
+	c := chunks[s.nextStamp]
+	kept := s.failedRanges[:0]
+	for _, fr := range s.failedRanges {
+		if d > 0 && fr[1] > c.Offset || d < 0 && fr[0] < c.Offset+c.Size {
+			kept = append(kept, fr) //crasvet:allow hotalloc -- append into s.failedRanges[:0]; capacity retained by construction
+		}
+	}
+	s.failedRanges = kept
+}
+
+// hold is how long a reverse-delivered chunk stays on screen: its own step
+// of the delivery timeline plus the steps of the skip hole below it, so
+// Get never goes dark across the hole.
+func (s *stream) hold(idx int) sim.Time {
+	g := s.skipGroup()
+	d := s.revStep(idx)
+	for k := idx - 1; k >= 0 && !retainChunk(k, s.dr, g); k-- {
+		d += s.revStep(k)
+	}
+	return d
 }
 
 // buffered is chunk idx of the stream's table as stamped at now.

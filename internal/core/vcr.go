@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/sim"
-	"repro/internal/ufs"
 )
 
 // First-class VCR operations and the adaptive frame-rate ladder.
@@ -154,7 +153,7 @@ func (s *Server) applyRateShape(st *stream) {
 	st.lead = sim.Time(float64(lead) * st.clock.Rate())
 	// A recorder's horizon is the data captured so far: whole-extent writes
 	// would run ahead of capture.
-	st.wholeExtents = st.dr >= 1 && st.rev == nil && !st.record &&
+	st.wholeExtents = st.dr >= 1 && st.rev == 0 && !st.record &&
 		int64(lead.Seconds()*st.par.Rate) >= int64(s.cfg.MaxRead)
 }
 
@@ -175,7 +174,7 @@ func (s *Server) setDelivered(st *stream, par StreamParams, dr float64) {
 // frame, and paused/reversed streams are already off the steady path.
 // Stepping down needs no admission test — it strictly reduces load.
 func (s *Server) ladderStepDown(st *stream, now sim.Time) bool {
-	if len(s.cfg.RateLadder) == 0 || st.record || st.paused || st.rev != nil ||
+	if len(s.cfg.RateLadder) == 0 || st.record || st.paused || st.rev > 0 ||
 		st.dep != nil || st.par.Paused {
 		return false
 	}
@@ -203,7 +202,7 @@ func (s *Server) ladderPromoteStep(now sim.Time) {
 		return
 	}
 	for _, st := range s.openStreams() {
-		if st.closed || st.paused || st.record || st.rev != nil ||
+		if st.closed || st.paused || st.record || st.rev > 0 ||
 			st.dep != nil || st.health != Healthy || st.dr >= 1-1e-9 {
 			continue
 		}
@@ -236,7 +235,7 @@ func (s *Server) handlePause(st *stream, now sim.Time) opResp {
 	if st.paused {
 		return opResp{} // idempotent
 	}
-	if st.rev != nil {
+	if st.rev > 0 {
 		// Pausing a rewind freezes the picture; Resume plays forward from
 		// the rewind head, like a deck coming out of REW.
 		s.exitReverse(st, now)
@@ -280,17 +279,16 @@ func (s *Server) handleSeek(st *stream, logical, now sim.Time) opResp {
 	s.stats.Seeks++
 	// Seek-to-current is an exact no-op: no detach, no re-admission, no
 	// buffer reset — the golden equivalence the test layer proves.
-	if st.rev == nil && logical == st.clock.At(now) {
+	if st.rev == 0 && logical == st.clock.At(now) {
 		return opResp{}
 	}
-	if st.rev != nil {
-		if logical == st.rev.mediaPos {
+	if st.rev > 0 {
+		if logical == st.revPos {
 			return opResp{}
 		}
 		// Repositioning a rewind: same velocity, same admission charge —
 		// just move the head and drop the scheduled window.
-		st.dropWindow()
-		s.setReversePoint(st, logical)
+		st.seekTo(logical)
 		return opResp{}
 	}
 	// Fast path: a follower seeking inside its leader's pinned interval
@@ -409,8 +407,8 @@ func (s *Server) handleSetRate(st *stream, rate float64, now sim.Time) opResp {
 		return opResp{err: s.vcrRefusal("setrate", "recording sessions cannot run in reverse", nil)}
 	}
 	cur := st.clock.Rate()
-	if st.rev != nil {
-		cur = -st.rev.vel
+	if st.rev > 0 {
+		cur = -st.rev
 	}
 	// An exact no-op never detaches, never re-admits, never resets the
 	// buffer — the golden equivalence the test layer proves.
@@ -434,7 +432,7 @@ func (s *Server) handleSetRate(st *stream, rate float64, now sim.Time) opResp {
 	// Multicast groups desynchronize the same way.
 	s.shareLeave(st, now, vcrLeave{dep: "rate change", prod: "rate change"})
 	if rate > 0 {
-		fromRev := st.rev != nil
+		fromRev := st.rev > 0
 		if fromRev {
 			s.exitReverse(st, now)
 		}
@@ -454,191 +452,33 @@ func (s *Server) handleSetRate(st *stream, rate float64, now sim.Time) opResp {
 
 // ---- reverse delivery (rewind) ----
 
-// revState is the scheduling head of a stream delivering in reverse. The
-// logical clock cannot run backwards (a rewinding clock would suspend the
-// time-driven discard while deliveries continue), so in reverse mode the
-// clock runs FORWARD at unit rate as a pure delivery timeline: frames are
-// stamped with ascending delivery timestamps while the media position
-// walks the chunk table down. Get keys on delivery time as always; the
-// chunk Index the viewer receives descends.
-type revState struct {
-	vel       float64  // media seconds rewound per delivery second (> 0)
-	next      int      // next media chunk index to schedule (descending)
-	mediaPos  sim.Time // media time of the rewind head (exit/seek anchor)
-	deliverAt sim.Time // delivery-timeline due time of the next chunk
-	done      bool     // the head reached the start of the media
-	lowRead   int64    // lowest byte already scheduled in this descending run (-1: none)
-}
-
-// revRead links the disk reads covering one reverse-delivered chunk; the
-// chunk stamps when its last read completes.
-type revRead struct {
-	idx     int      // media chunk index
-	deliver sim.Time // delivery-timeline timestamp to stamp with
-	dur     sim.Time // delivery-timeline hold (spans the skip holes behind it)
-	size    int64
-	left    int // covering reads not yet complete
-	failed  bool
-}
-
-// enterReverse switches a forward stream to reverse delivery at velocity
-// vel, starting from its current media position. par/dr were admitted by
-// the caller. The fetch machinery is reset — reverse scheduling owns
-// st.pending — and the clock becomes the delivery timeline.
+// enterReverse switches a stream to reverse delivery at velocity vel,
+// starting from its current media position (or, already reversed, from
+// the rewind head). par/dr were admitted by the caller. The clock becomes
+// the delivery timeline (see stream.rev) and the walk restarts at the
+// head.
 func (s *Server) enterReverse(st *stream, now sim.Time, vel float64, par StreamParams, dr float64) {
 	pos := st.clock.At(now)
-	if st.rev != nil {
-		pos = st.rev.mediaPos
+	if st.rev > 0 {
+		pos = st.revPos
 	}
-	st.dropWindow()
-	st.rev = &revState{vel: vel}
+	st.rev = vel
 	st.clock.SetRate(now, 1)
 	// The rewind pays the same re-buffer window as any new play point: the
 	// first reverse frame is due one initial delay out, so the pipeline is
 	// warm before delivery starts instead of stamping the opening chunks
 	// late.
-	st.rev.deliverAt = st.clock.At(now) + s.cfg.InitialDelay
-	s.setReversePoint(st, pos)
+	st.fetchAt = st.clock.At(now) + s.cfg.InitialDelay
+	st.seekTo(pos)
 	s.setDelivered(st, par, dr)
-}
-
-// setReversePoint positions the rewind head at the chunk covering the
-// media time (seek-while-reversed shares it with enterReverse).
-func (s *Server) setReversePoint(st *stream, pos sim.Time) {
-	rev := st.rev
-	idx := st.info.ChunkAt(pos)
-	if idx < 0 {
-		if pos >= st.info.TotalDuration() {
-			idx = len(st.info.Chunks) - 1
-		} else {
-			idx = 0
-		}
-	}
-	rev.next = idx
-	rev.mediaPos = pos
-	rev.done = idx < 0
-	rev.lowRead = -1
 }
 
 // exitReverse returns the stream to forward mode at the rewind head — the
 // deck keeps moving until Play lands — leaving the caller to set the new
 // forward rate (Pause and positive SetRate both exit through here).
 func (s *Server) exitReverse(st *stream, now sim.Time) {
-	pos := st.rev.mediaPos
-	st.rev = nil
+	pos := st.revPos
+	st.rev = 0
 	st.clock.Seek(now, pos)
 	st.seekTo(pos)
-}
-
-// fetchReverse is the phase-2 step of a reversed stream: schedule
-// block-aligned reads for every retained chunk whose delivery time falls
-// before the horizon, walking the chunk table down. Skipped chunks
-// (delivered rate below 1) consume delivery time — the rewind speed is
-// vel regardless of how many frames survive — and the retained chunk
-// behind each hole holds on screen across it.
-func (s *Server) fetchReverse(st *stream, horizonAt sim.Time) []*readTag {
-	rev := st.rev
-	if rev.done {
-		return nil
-	}
-	limit := st.clock.At(horizonAt) + st.lead
-	chunks := st.info.Chunks
-	fileEnd := alignUp(st.ext.Size, ufs.BlockSize)
-	g := st.skipGroup()
-	var tags []*readTag
-	var cycleBytes int64
-	for rev.deliverAt < limit && rev.next >= 0 {
-		if st.cycleCap > 0 && cycleBytes >= st.cycleCap {
-			break
-		}
-		idx := rev.next
-		c := chunks[idx]
-		step := sim.Time(float64(c.Duration) / rev.vel)
-		if retainChunk(idx, st.dr, g) {
-			// The frame holds until the next retained one: its delivery
-			// window spans the skip holes below it, so Get never goes dark.
-			dur := step
-			for k := idx - 1; k >= 0 && !retainChunk(k, st.dr, g); k-- {
-				dur += sim.Time(float64(chunks[k].Duration) / rev.vel)
-			}
-			rr := &revRead{idx: idx, deliver: rev.deliverAt, dur: dur, size: c.Size} //crasvet:allow hotalloc -- one record per reverse-delivered chunk, alive across the disk round-trip
-			lo := c.Offset / ufs.BlockSize * ufs.BlockSize
-			hi := alignUp(c.Offset+c.Size, ufs.BlockSize)
-			if hi > fileEnd {
-				hi = fileEnd
-			}
-			// The walk descends through contiguous media, so the block-aligned
-			// read for the chunk above this one already covers the shared
-			// boundary block. Clamp to the uncovered bytes — re-reading the
-			// overlap would roughly double the per-cycle disk bytes when
-			// chunks are smaller than a block, starving the cycle cap and
-			// progressively dropping the rewind.
-			if rev.lowRead >= 0 && hi > rev.lowRead {
-				hi = rev.lowRead
-			}
-			if lo >= hi {
-				// Every byte is already covered by reads in flight. A
-				// pre-completed marker keeps the chunk's place in the
-				// delivery-ordered pending queue without any disk work: it
-				// stamps right after the covering read completes.
-				st.pending = append(st.pending, &readTag{ //crasvet:allow hotalloc -- one marker per fully-covered reverse chunk, alive across the covering read's round-trip
-					s: st, gen: st.gen, lo: lo, hi: lo, done: true, rev: rr,
-				})
-			} else {
-				if rev.lowRead < 0 || lo < rev.lowRead {
-					rev.lowRead = lo
-				}
-				n := len(tags)
-				tags, _ = st.readSpan(tags, lo, hi, st.extentAt(lo), rr)
-				st.pending = append(st.pending, tags[n:]...) //crasvet:allow hotalloc -- pending completion list; capacity retained across cycles
-				rr.left += len(tags) - n
-				cycleBytes += hi - lo
-			}
-		} else {
-			st.stats.ChunksSkipped++
-		}
-		rev.deliverAt += step
-		rev.next--
-		rev.mediaPos = c.Timestamp
-	}
-	if rev.next < 0 {
-		rev.done = true
-		rev.mediaPos = 0
-	}
-	return tags
-}
-
-// absorbReverse is the phase-1 step of a reversed stream: pop the
-// completed prefix of the pending reads (issue order — the stamping
-// cadence is the delivery order) and stamp each fully arrived chunk at
-// its delivery timestamp. Late and failed chunks mirror the forward path.
-func (s *Server) absorbReverse(st *stream, now sim.Time) {
-	logical := st.clock.At(now)
-	tdiscard := logical - st.buf.Jitter()
-	for len(st.pending) > 0 && st.pending[0].done {
-		head := st.pending[0]
-		st.pending = st.pending[1:]
-		if !head.failed {
-			st.stats.BytesCompleted += head.hi - head.lo
-		}
-		rr := head.rev
-		if rr == nil {
-			continue
-		}
-		if head.failed {
-			rr.failed = true
-		}
-		rr.left--
-		if rr.left > 0 {
-			continue
-		}
-		if rr.failed {
-			st.stats.ChunksFailed++
-			continue
-		}
-		st.stamp(BufferedChunk{
-			Index: rr.idx, Timestamp: rr.deliver, Duration: rr.dur,
-			Size: rr.size, StampedAt: now,
-		}, logical, tdiscard)
-	}
 }

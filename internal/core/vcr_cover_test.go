@@ -172,19 +172,19 @@ func TestVCRSeekWhileReversed(t *testing.T) {
 			}
 			th.Sleep(500 * time.Millisecond)
 
-			head := h.st.rev.mediaPos
+			head := h.st.revPos
 			if err := h.Seek(th, head); err != nil {
 				t.Errorf("seek-to-head while reversed = %v, want no-op nil", err)
 			}
-			if !h.Reversed() || h.st.rev.mediaPos != head {
-				t.Errorf("no-op seek moved the rewind head: %v -> %v", head, h.st.rev.mediaPos)
+			if !h.Reversed() || h.st.revPos != head {
+				t.Errorf("no-op seek moved the rewind head: %v -> %v", head, h.st.revPos)
 			}
 
 			past := movie.TotalDuration() + sim.Time(time.Second)
 			if err := h.Seek(th, past); err != nil {
 				t.Errorf("seek past the end while reversed: %v", err)
 			}
-			if got, want := h.st.rev.next, len(movie.Chunks)-1; got != want {
+			if got, want := h.st.nextChunk, len(movie.Chunks)-1; got != want {
 				t.Errorf("past-end rewind seek parked on chunk %d, want last chunk %d", got, want)
 			}
 
@@ -195,10 +195,10 @@ func TestVCRSeekWhileReversed(t *testing.T) {
 			if !h.Reversed() {
 				t.Error("reposition exited reverse mode")
 			}
-			if got := h.st.rev.mediaPos; got != target {
+			if got := h.st.revPos; got != target {
 				t.Errorf("rewind head at %v after reposition, want %v", got, target)
 			}
-			if got, want := h.st.rev.next, movie.ChunkAt(target); got != want {
+			if got, want := h.st.nextChunk, movie.ChunkAt(target); got != want {
 				t.Errorf("rewind next chunk %d after reposition, want %d", got, want)
 			}
 

@@ -109,6 +109,9 @@ func TestVCRRewindToStart(t *testing.T) {
 			}
 			// ~2s of media at 2x: the head reaches the start well within 4s.
 			th.Sleep(4 * time.Second)
+			if got := h.SessionState().StampPoint; got != 0 {
+				t.Errorf("stamp point after rewinding every chunk = %v, want 0", got)
+			}
 			if err := h.SetRate(th, 1.0); err != nil {
 				t.Errorf("SetRate(1): %v", err)
 				return
