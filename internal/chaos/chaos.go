@@ -8,8 +8,10 @@
 package chaos
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -20,6 +22,7 @@ import (
 	"repro/internal/media"
 	"repro/internal/rtm"
 	"repro/internal/sim"
+	"repro/internal/workload"
 )
 
 // Campaign shape. The interval is the paper's 500 ms; the initial delay is
@@ -30,7 +33,6 @@ const (
 	interval     = 500 * time.Millisecond
 	initialDelay = 2 * time.Second
 	movieDur     = 6 * time.Second
-	playerGiveUp = 5 // frame durations of per-frame wait budget
 )
 
 // Scenario is one seeded chaos run: a fault configuration against a number
@@ -221,13 +223,13 @@ func (sc Scenario) ReplayEnv() string {
 	return strings.Join(parts, " ") + " "
 }
 
-// PlayerOutcome is one stream's delivery record.
+// PlayerOutcome is one stream's delivery record: the viewer's frame
+// ledger, and how the stream ended.
 type PlayerOutcome struct {
-	Path     string
-	Frames   int
-	Obtained int
-	Lost     int
-	Health   core.StreamHealth
+	Path   string
+	Health core.StreamHealth // single-node streams
+	Shared bool              // cluster viewers: rode a fan-out group or the interval cache at open
+	workload.PlayerStats
 }
 
 // Result is everything one scenario run produced, including the invariant
@@ -266,23 +268,6 @@ func (r *Result) violate(format string, args ...any) {
 	r.Violations = append(r.Violations, fmt.Sprintf(format, args...))
 }
 
-// playerState is the live view a player thread fills in.
-type playerState struct {
-	h        *core.Handle
-	path     string
-	obtained int
-	lost     int
-	done     bool
-	closeAt  sim.Time // nonzero: hang up at this time instead of finishing
-	closed   bool
-	crashAt  sim.Time // nonzero: die without closing (client crash)
-	silentAt sim.Time // nonzero: stop consuming but leave the session open
-	pause1st bool     // pause the session right before going silent
-	stormAt  sim.Time // nonzero: fire stormN seeks at this time
-	stormN   int
-	scatter  bool // storm seeks scrub across the title instead of no-oping
-}
-
 // Run executes one scenario to completion and checks its invariants.
 func Run(sc Scenario) *Result {
 	res := &Result{Scenario: sc}
@@ -317,18 +302,11 @@ func Run(sc Scenario) *Result {
 		movies = append(movies, lab.Movie{Path: paths[i], Info: infos[i]})
 	}
 
-	players := make([]*playerState, sc.Streams)
-	for i := range players {
-		players[i] = &playerState{path: paths[i]}
+	outs := make([]*workload.ViewerOutcome, sc.Streams)
+	for i := range outs {
+		outs[i] = &workload.ViewerOutcome{Stats: new(workload.PlayerStats)}
 	}
-	if sc.LeaderCloseAt > 0 {
-		players[0].closeAt = sc.LeaderCloseAt
-	}
-	players[0].crashAt = sc.CrashAt
-	players[0].silentAt = sc.GoSilentAt
-	players[0].pause1st = sc.PauseFirst
-	players[0].stormAt, players[0].stormN = sc.StormAt, sc.SeekStorm
-	players[0].scatter = sc.StormScatter
+	handles := make([]*core.Handle, sc.Streams)
 
 	var model *disk.FaultModel
 	var serverStart sim.Time
@@ -395,11 +373,12 @@ func Run(sc Scenario) *Result {
 		}
 		m.App("chaos.ctl", rtm.PrioRTLow, 0, func(th *rtm.Thread) {
 			spawn := func(i int) {
-				ps := players[i]
-				info := infos[i]
-				m.Kernel.NewThread(fmt.Sprintf("chaos.play%d:%s", i, ps.path), rtm.PrioRTLow, 0, func(pt *rtm.Thread) {
-					playStream(m, pt, ps, info, res)
-				})
+				v := workload.Viewer{Info: infos[i], Config: workload.PlayerConfig{Priority: rtm.PrioRTLow}}
+				if i == 0 {
+					v.Script = sc.script()
+				}
+				v.Spawn(m.Kernel, fmt.Sprintf("chaos.play%d:%s", i, paths[i]), outs[i],
+					func(*rtm.Thread) (workload.Session, error) { return handles[i], nil })
 			}
 			open := func(i int) bool {
 				h, err := m.CRAS.Open(th, infos[i], paths[i], core.OpenOptions{})
@@ -407,7 +386,7 @@ func Run(sc Scenario) *Result {
 					res.violate("open %s: %v", paths[i], err)
 					return false
 				}
-				players[i].h = h
+				handles[i] = h
 				return true
 			}
 			// Open stream 0 first: the victim region is carved from its
@@ -421,7 +400,7 @@ func Run(sc Scenario) *Result {
 			fcfg := sc.Faults
 			fcfg.RTOnly = true
 			if sc.Victim {
-				ext := players[0].h.ExtentMap().Extents
+				ext := handles[0].ExtentMap().Extents
 				from, last := ext[1], ext[len(ext)-1]
 				if len(sc.RateLadder) > 0 && len(ext) > 4 {
 					// The ladder must outlast the region, not the other way
@@ -466,7 +445,7 @@ func Run(sc Scenario) *Result {
 			model = disk.NewFaultModel(m.Eng.RNG("chaos:faults"), fcfg)
 			m.Vol.Disk(sc.FaultDisk).SetFaultModel(model)
 			spawn(0)
-			for i := 1; i < len(players); i++ {
+			for i := 1; i < len(outs); i++ {
 				if (sc.Share || sc.Multicast) && sc.StaggerOpen > 0 {
 					th.Sleep(sc.StaggerOpen)
 				}
@@ -518,16 +497,7 @@ func Run(sc Scenario) *Result {
 		})
 	})
 
-	// Drive until every player finishes, then a short cool-down so the
-	// watchdog clears any stall injected near the end.
-	horizon := sim.Time(dur + initialDelay + 20*time.Second)
-	for ran := sim.Time(0); ran < horizon; ran += interval {
-		m.Run(interval)
-		if allDone(players) {
-			break
-		}
-	}
-	m.Run(3 * time.Second)
+	drive(m.Run, dur+initialDelay+20*time.Second, func() bool { return allDone(outs) })
 	if err := m.Err(); err != nil {
 		res.violate("machine setup failed: %v", err)
 		return res
@@ -551,15 +521,15 @@ func Run(sc Scenario) *Result {
 	if model != nil {
 		res.Faults = model.Stats()
 	}
-	for _, ps := range players {
-		out := PlayerOutcome{Path: ps.path, Frames: len(infos[0].Chunks), Obtained: ps.obtained, Lost: ps.lost}
-		if ps.h != nil {
-			out.Health = ps.h.Health()
+	for i, o := range outs {
+		out := PlayerOutcome{Path: paths[i], PlayerStats: *o.Stats}
+		if handles[i] != nil {
+			out.Health = handles[i].Health()
 		}
 		res.Players = append(res.Players, out)
 	}
 
-	res.checkInvariants(m, players)
+	res.checkInvariants(m, handles, len(infos[0].Chunks))
 	return res
 }
 
@@ -572,118 +542,88 @@ func membersAllHealthy(hs []core.MemberHealth) bool {
 	return true
 }
 
-func allDone(players []*playerState) bool {
-	for _, ps := range players {
-		if !ps.done {
-			return false
+// drive runs a scenario an interval at a time until done or horizon, then
+// a short cool-down so the watchdog clears any stall injected near the end
+// and late failovers and drains settle.
+func drive(run func(sim.Time), horizon sim.Time, done func() bool) {
+	for ran := sim.Time(0); ran < horizon; ran += interval {
+		if run(interval); done() {
+			break
 		}
 	}
-	return true
+	run(3 * time.Second)
 }
 
-// playStream consumes one stream frame by frame, recording deliveries and
-// checking the freshness invariant on every obtained chunk.
-func playStream(m *lab.Machine, pt *rtm.Thread, ps *playerState, info *media.StreamInfo, res *Result) {
-	defer func() { ps.done = true }()
-	h := ps.h
-	if err := h.Start(pt); err != nil {
-		res.violate("%s: start: %v", ps.path, err)
-		return
+func allDone(outs []*workload.ViewerOutcome) bool {
+	return !slices.ContainsFunc(outs, func(o *workload.ViewerOutcome) bool { return !o.Stats.Done })
+}
+
+// script is stream 0's scripted misbehaviour as viewer ops, in time order.
+func (sc Scenario) script() []workload.Op {
+	var ops []workload.Op
+	if sc.CrashAt > 0 {
+		ops = append(ops, workload.Op{Kind: workload.OpCrash, At: sc.CrashAt})
 	}
-	for i := range info.Chunks {
-		if ps.crashAt > 0 && m.Kernel.Now() >= ps.crashAt {
-			// The client dies without closing: the kernel reclaims its
-			// ports and the server must find out via dead-name.
-			h.Crash()
-			return
+	if sc.GoSilentAt > 0 {
+		ops = append(ops, workload.Op{Kind: workload.OpGoSilent, At: sc.GoSilentAt, PauseFirst: sc.PauseFirst})
+	}
+	if sc.SeekStorm > 0 {
+		ops = append(ops, workload.Op{Kind: workload.OpSeekStorm, At: sc.StormAt,
+			Seeks: sc.SeekStorm, Scatter: sc.StormScatter})
+	}
+	if sc.LeaderCloseAt > 0 {
+		ops = append(ops, workload.Op{Kind: workload.OpClose, At: sc.LeaderCloseAt})
+	}
+	slices.SortStableFunc(ops, func(a, b workload.Op) int { return cmp.Compare(a.At, b.At) })
+	return ops
+}
+
+// checkPlayers asserts every player's frame ledger and delivery. Each
+// frame owed was obtained, lost or abandoned, no expired chunk was
+// delivered, and no session call failed or was refused. A player that
+// never finished is the wedge signal: a wedged scheduler starves the
+// buffers, yet the players' bounded waits would still finish. A finished
+// player owed the whole title (frames long). Every player but a victim or
+// a misbehaver got frames, and in a zero-loss scenario all of them.
+func (r *Result) checkPlayers(frames int) {
+	sc := r.Scenario
+	for i, p := range r.Players {
+		if !p.Done {
+			r.violate("%s: player never finished (scheduler wedged?)", p.Path)
+		} else if p.Frames != frames {
+			r.violate("%s: owed %d frames of a %d-frame title", p.Path, p.Frames, frames)
 		}
-		if ps.silentAt > 0 && m.Kernel.Now() >= ps.silentAt {
-			// The client stops consuming and renewing but leaves the
-			// session open; reclaiming it is the lease reaper's job. With
-			// pause1st it freezes the frame on its way out — the paused
-			// session holds pinned buffers and a paused admission slot, and
-			// must be reaped through the very same path.
-			if ps.pause1st {
-				if err := h.Pause(pt); err != nil {
-					res.violate("%s: pause before going silent: %v", ps.path, err)
-				}
-			}
-			return
+		if err := p.Check(); err != nil {
+			r.violate("%s: %v", p.Path, err)
 		}
-		if ps.stormN > 0 && m.Kernel.Now() >= ps.stormAt {
-			n := ps.stormN
-			ps.stormN = 0
-			for k := 0; k < n; k++ {
-				target := h.LogicalNow()
-				if ps.scatter {
-					// A scrubbing viewer: hop across the title, every landing
-					// a real re-admission. The frames it scrubs past are its
-					// own to lose; peers must not notice.
-					target = info.TotalDuration() * sim.Time(k%8) / 8
-				}
-				if err := h.Seek(pt, target); err != nil {
-					res.violate("%s: seek %d of storm refused: %v", ps.path, k, err)
-					return
-				}
-			}
+		if p.Err != nil {
+			r.violate("%s: %v", p.Path, p.Err)
 		}
-		if ps.closeAt > 0 && m.Kernel.Now() >= ps.closeAt {
-			// Scenario says hang up mid-movie (a leader quitting under its
-			// followers); the frames never played are not losses.
-			if err := h.Close(pt); err != nil {
-				res.violate("%s: close: %v", ps.path, err)
-			}
-			ps.closed = true
-			return
+		if p.Refusals != 0 {
+			r.violate("%s: %d VCR calls refused; session ops must be deferred, not refused", p.Path, p.Refusals)
 		}
-		c := info.Chunks[i]
-		due := h.ClockStartsAt(c.Timestamp)
-		if due < 0 {
-			// Clock frozen: the stream was suspended or stopped. The frame
-			// will never come due; count it lost and move on at the frame
-			// cadence rather than spinning.
-			ps.lost++
-			pt.Sleep(c.Duration)
-			continue
+		if i == 0 && (sc.misbehaves() || sc.Victim && !sc.Parity) {
+			continue // the victim loses its poisoned range, the misbehaver pays its own price
 		}
-		if m.Kernel.Now() < due {
-			pt.SleepUntil(due)
+		if p.Obtained == 0 {
+			r.violate("%s: no frames delivered at all", p.Path)
 		}
-		limit := due + playerGiveUp*c.Duration
-		for {
-			if got, ok := h.Get(c.Timestamp); ok {
-				// Invariant: the buffer never hands out an expired chunk —
-				// whatever Get returns must cover the requested time.
-				if got.Timestamp > c.Timestamp || c.Timestamp >= got.Timestamp+got.Duration {
-					res.violate("%s: frame %d: expired chunk delivered: asked t=%v, got [%v,%v)",
-						ps.path, i, c.Timestamp, got.Timestamp, got.Timestamp+got.Duration)
-				}
-				ps.obtained++
-				break
-			}
-			if m.Kernel.Now() >= limit {
-				ps.lost++
-				break
-			}
-			pt.Sleep(2 * time.Millisecond)
+		if sc.ZeroLoss && p.Forfeited() != 0 {
+			r.violate("%s: lost %d frames in a zero-loss scenario", p.Path, p.Forfeited())
+		}
+		if sc.Cluster > 0 || sc.DrainAfter > 0 {
+			continue // frames past a drain deadline are forfeit by design
+		}
+		sharedVictim := (sc.Share || sc.Multicast) && sc.Victim
+		if p.Forfeited() > p.Frames/2 && !sharedVictim {
+			r.violate("%s: lost %d/%d frames — server effectively down", p.Path, p.Forfeited(), p.Frames)
 		}
 	}
-	// A well-behaved client hangs up when the movie ends. The close may
-	// lose the race against a ladder eviction or the drain deadline — that
-	// duplicate-close error is not the player's problem.
-	h.Close(pt)
 }
 
 // checkInvariants fills Result.Violations from the campaign's assertions.
-func (r *Result) checkInvariants(m *lab.Machine, players []*playerState) {
-	// Every player ran to completion: a wedged scheduler starves the
-	// buffers and the players' bounded waits would still finish, so the
-	// direct wedge signal is a player that never exited its loop.
-	for _, ps := range players {
-		if !ps.done {
-			r.violate("%s: player never finished (scheduler wedged?)", ps.path)
-		}
-	}
+func (r *Result) checkInvariants(m *lab.Machine, handles []*core.Handle, frames int) {
+	r.checkPlayers(frames)
 
 	// The periodic scheduler kept its cadence for the whole run — or, when
 	// a drain was scripted, until the drain shut it down.
@@ -734,8 +674,8 @@ func (r *Result) checkInvariants(m *lab.Machine, players []*playerState) {
 			// Under Share or Multicast the peers view the victim's own
 			// poisoned file, so losing its bad region is their expected
 			// fate too.
-			if p.Lost != 0 && !r.Scenario.Share && !r.Scenario.Multicast {
-				r.violate("%s: healthy peer lost %d frames while the victim degraded", p.Path, p.Lost)
+			if p.Forfeited() != 0 && !r.Scenario.Share && !r.Scenario.Multicast {
+				r.violate("%s: healthy peer lost %d frames while the victim degraded", p.Path, p.Forfeited())
 			}
 		}
 		if r.Server.StreamsDegraded == 0 {
@@ -753,7 +693,7 @@ func (r *Result) checkInvariants(m *lab.Machine, players []*playerState) {
 			r.violate("leader failed over a bad region but no follower fell back to disk")
 		}
 		if r.Scenario.LeaderCloseAt > 0 {
-			if !players[0].closed {
+			if r.Players[0].Cause != workload.CauseClosed {
 				r.violate("leader never closed at %v as scripted", r.Scenario.LeaderCloseAt)
 			}
 			if r.Server.CachePromotions == 0 && r.Server.CacheFallbacks == 0 {
@@ -762,29 +702,7 @@ func (r *Result) checkInvariants(m *lab.Machine, players []*playerState) {
 		}
 	}
 
-	r.checkVCR(m, players)
-
-	for i, p := range r.Players {
-		if r.Scenario.Victim && i == 0 && !r.Scenario.Parity {
-			continue // the victim is expected to lose its poisoned range
-		}
-		if r.Scenario.misbehaves() && i == 0 {
-			continue // the misbehaver pays its own price; peers are checked
-		}
-		if p.Obtained == 0 {
-			r.violate("%s: no frames delivered at all", p.Path)
-		}
-		if r.Scenario.ZeroLoss && p.Lost != 0 {
-			r.violate("%s: lost %d frames in a zero-loss scenario", p.Path, p.Lost)
-		}
-		if r.Scenario.DrainAfter > 0 {
-			continue // frames past the drain deadline are forfeit by design
-		}
-		sharedVictim := (r.Scenario.Share || r.Scenario.Multicast) && r.Scenario.Victim
-		if p.Lost > p.Frames/2 && !sharedVictim {
-			r.violate("%s: lost %d/%d frames — server effectively down", p.Path, p.Lost, p.Frames)
-		}
-	}
+	r.checkVCR(m, handles[0])
 
 	r.checkMulticast()
 	r.checkMisbehavior(m)
@@ -794,7 +712,7 @@ func (r *Result) checkInvariants(m *lab.Machine, players []*playerState) {
 // costs only its issuer, a paused-then-silent session is reaped with its
 // pins, and over a bad region the delivered-rate ladder steps down instead
 // of suspending and recovers once past it.
-func (r *Result) checkVCR(m *lab.Machine, players []*playerState) {
+func (r *Result) checkVCR(m *lab.Machine, h *core.Handle) {
 	sc := r.Scenario
 	if sc.StormScatter && sc.SeekStorm > 0 {
 		if r.Server.Seeks < sc.SeekStorm {
@@ -804,7 +722,7 @@ func (r *Result) checkVCR(m *lab.Machine, players []*playerState) {
 		// The scrubber pays for its own scrubbing; the peers' zero frames
 		// lost is the ZeroLoss assertion below. The issuer must still end
 		// the run a live, healthy session — scrubbing is use, not abuse.
-		if h := players[0].h; h != nil && h.Health() != core.Healthy {
+		if h != nil && h.Health() != core.Healthy {
 			r.violate("scrubbing viewer ended %v; repositioning must not walk the ladder", h.Health())
 		}
 	}
@@ -835,7 +753,7 @@ func (r *Result) checkVCR(m *lab.Machine, players []*playerState) {
 		if r.Server.RateStepUps == 0 {
 			r.violate("stream never recovered a rung after the region ended")
 		}
-		if h := players[0].h; h != nil {
+		if h != nil {
 			if h.Health() != core.Healthy {
 				r.violate("victim ended %v under the ladder; want recovery to Healthy", h.Health())
 			}
@@ -899,9 +817,9 @@ func (r *Result) checkParity(m *lab.Machine) {
 	// frames, the old victim included — its poisoned member reads must have
 	// been served from the survivors.
 	for _, p := range r.Players {
-		if p.Lost != 0 {
+		if p.Forfeited() != 0 {
 			r.violate("%s: lost %d frames on a parity volume (reconstruction must absorb member faults)",
-				p.Path, p.Lost)
+				p.Path, p.Forfeited())
 		}
 		if p.Health != core.Healthy {
 			r.violate("%s: ended %v on a parity volume; member faults must not walk streams down the ladder",

@@ -116,7 +116,7 @@ func runClusterPoint(cfg ClusterSweepConfig, nodes int) ClusterPoint {
 		Movies: cat.movies,
 	}
 
-	var outs []*workload.ClusterViewerOutcome
+	var outs []*workload.ViewerOutcome
 	c := cluster.New(ccfg, func(c *cluster.Cluster) {
 		outs = workload.LaunchClusterViewers(c, cat.paths,
 			c.Engine().RNG("cluster-sweep"), workload.ClusterViewerConfig{
@@ -124,13 +124,12 @@ func runClusterPoint(cfg ClusterSweepConfig, nodes int) ClusterPoint {
 				ArrivalSpread: cfg.Spread, MaxFrames: framesIn(prof, cfg.Duration),
 			})
 	})
-	runUntilDone(c, cfg.Duration+cfg.Spread+30*time.Second, &outs,
-		func(o *workload.ClusterViewerOutcome) bool { return o.Done })
+	runUntilDone(c, cfg.Duration+cfg.Spread+30*time.Second, &outs, viewerDone)
 
 	var t tally
 	shared := 0
 	for _, o := range outs {
-		if t.count(o.Admitted, o.Lost) && o.Shared {
+		if t.add(o) && (o.CacheBacked || o.Multicast) {
 			shared++
 		}
 	}

@@ -114,7 +114,7 @@ func runAudience[T any](setup lab.Setup, horizon sim.Time,
 	return m, outs, w.util()[0]
 }
 
-// viewerDone reports whether a single-node viewer has finished.
+// viewerDone reports whether a viewer has finished.
 func viewerDone(o *workload.ViewerOutcome) bool { return o.Stats.Done }
 
 // tally counts a viewer population's fates.
@@ -123,23 +123,19 @@ type tally struct {
 	cacheBacked, members, prefixStarts int
 }
 
-// count records one viewer and reports whether admission let it in.
-func (t *tally) count(admitted bool, lost int) bool {
-	if !admitted {
+// add records one viewer, including how its open was served, and reports
+// whether admission let it in. A viewer whose frame ledger does not
+// balance, or that was handed an expired chunk, fails the sweep.
+func (t *tally) add(o *workload.ViewerOutcome) bool {
+	if err := o.Stats.Check(); err != nil {
+		panic(fmt.Sprintf("viewer of movie %d arriving at %v: %v", o.Movie, o.At, err))
+	}
+	if !o.Admitted {
 		t.rejected++
 		return false
 	}
 	t.admitted++
-	t.lost += lost
-	return true
-}
-
-// add records one single-node viewer, including how its open was served,
-// and reports whether admission let it in.
-func (t *tally) add(o *workload.ViewerOutcome) bool {
-	if !t.count(o.Admitted, o.Stats.Lost) {
-		return false
-	}
+	t.lost += o.Stats.Lost
 	if o.CacheBacked {
 		t.cacheBacked++
 	}

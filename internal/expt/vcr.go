@@ -120,27 +120,27 @@ func runVCRPoint(cfg VCRSweepConfig, mode string, ladder []float64) VCRPoint {
 			RateLadder:   ladder,
 		},
 		Movies: cat.movies,
-	}, 2*cfg.Duration+cfg.ArrivalSpread+30*time.Second, func(m *lab.Machine) []*workload.VCROutcome {
+	}, 2*cfg.Duration+cfg.ArrivalSpread+30*time.Second, func(m *lab.Machine) []*workload.ViewerOutcome {
 		return workload.LaunchVCRViewers(m.Kernel, m.CRAS, cat.infos, cat.paths,
 			m.Eng.RNG("vcr-sweep"), workload.VCRViewerConfig{
 				Clients: cfg.Clients, Alpha: cfg.Alpha,
 				ArrivalSpread: cfg.ArrivalSpread,
 				Player:        workload.PlayerConfig{MaxFrames: framesIn(prof, cfg.Duration)},
 			})
-	}, func(o *workload.VCROutcome) bool { return o.Stats.Done })
+	}, viewerDone)
 
 	var t tally
 	pt := VCRPoint{Mode: mode, DiskUtil: util}
 	var rateSum float64
 	for _, o := range outs {
-		if !t.add(&o.ViewerOutcome) {
+		if !t.add(o) {
 			continue
 		}
 		if o.ReducedOpen {
 			pt.ReducedOpens++
 		}
-		pt.Ops += o.Ops
-		pt.Refusals += o.Refusals
+		pt.Ops += o.Stats.Ops
+		pt.Refusals += o.Stats.Refusals
 		rateSum += o.FinalRate
 	}
 	pt.Admitted, pt.Rejected, pt.Lost = t.admitted, t.rejected, t.lost

@@ -41,34 +41,26 @@ func LaunchBatchedViewers(k *rtm.Kernel, srv *core.Server, infos []*media.Stream
 		cfg.Waves = 1
 	}
 	picker := NewZipfPicker(len(paths), cfg.Alpha)
+	pc := cfg.Player
+	pc.Priority, pc.Quantum = rtm.PrioRTLow, 0 // a population plays in the real-time band
 	outs := make([]*ViewerOutcome, cfg.Clients)
 	for i := range outs {
-		outs[i] = &ViewerOutcome{Movie: picker.Pick(rng.Float64())}
-		outs[i].At = sim.Time(i%cfg.Waves) * cfg.WaveGap
-		if cfg.WaveSpread > 0 {
-			outs[i].At += rng.DurationRange(0, cfg.WaveSpread)
-		}
-	}
-	for i := range outs {
-		out := outs[i]
-		info := infos[out.Movie]
-		path := paths[out.Movie]
-		k.NewThread(fmt.Sprintf("batch%02d:%s", i, path), rtm.PrioRTLow, 0, func(th *rtm.Thread) {
-			defer func() { out.Stats.Done = true }()
-			if k.Now() < out.At {
-				th.SleepUntil(out.At)
-			}
-			h, err := srv.Open(th, info, path, core.OpenOptions{})
-			if err != nil {
-				return // rejected by admission: Admitted stays false
-			}
-			out.Admitted = true
-			out.CacheBacked = h.CacheBacked()
-			out.Multicast = h.MulticastMember()
-			out.PrefixStart = h.PrefixStarted()
-			defer h.Close(th)
-			playViewer(k, th, h, info, cfg.Player, &out.Stats)
-		})
+		out := arrival(picker, rng, cfg.WaveSpread)
+		out.At += sim.Time(i%cfg.Waves) * cfg.WaveGap
+		info, path := infos[out.Movie], paths[out.Movie]
+		Viewer{Info: info, Config: pc}.Spawn(k, fmt.Sprintf("batch%02d:%s", i, path), out,
+			func(th *rtm.Thread) (Session, error) { return srv.Open(th, info, path, core.OpenOptions{}) })
+		outs[i] = out
 	}
 	return outs
+}
+
+// arrival draws the head of one viewer's script: a Zipf movie pick, then
+// an arrival offset uniform in [0, spread).
+func arrival(picker *ZipfPicker, rng *sim.RNG, spread sim.Time) *ViewerOutcome {
+	out := &ViewerOutcome{Movie: picker.Pick(rng.Float64()), Stats: new(PlayerStats)}
+	if spread > 0 {
+		out.At = rng.DurationRange(0, spread)
+	}
+	return out
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -33,198 +32,58 @@ const (
 	pauseDwell    = 1500 * time.Millisecond // scrubber freeze length
 )
 
-// VCROutcome extends the plain viewer outcome with the interactive record:
-// what kind of viewer this was, how many VCR operations it issued, how
-// many came back as typed refusals, and the delivered rate it ended on
-// (reduced-rate warm-up, ladder step-downs and rate changes all move it).
-type VCROutcome struct {
-	ViewerOutcome
-	Kind        string // "plain" | "zapper" | "scrubber"
-	Ops         int    // VCR operations issued
-	Refusals    int    // answered with a typed ErrVCRRefused
-	ReducedOpen bool   // warm-up admitted below full delivered rate
-	FinalRate   float64
-}
-
-// vcrOp is one pre-drawn script entry.
-type vcrOp struct {
-	kind string  // "seek" | "pause" | "rate"
-	frac float64 // seek target as a fraction of the title
-	rate float64 // rate to flip to (a later op flips back)
-}
-
 // LaunchVCRViewers spawns the interactive Zipf population. Like the other
 // Launch helpers, every random draw — movie, arrival, viewer kind, and
 // the whole per-viewer operation script — happens up front, so the
-// workload is a fixed script regardless of server interleaving.
+// workload is a fixed script regardless of server interleaving. An
+// interactive viewer's ops fire every opFrames frame turns; typed
+// refusals are counted and play goes on.
 func LaunchVCRViewers(k *rtm.Kernel, srv *core.Server, infos []*media.StreamInfo,
-	paths []string, rng *sim.RNG, cfg VCRViewerConfig) []*VCROutcome {
+	paths []string, rng *sim.RNG, cfg VCRViewerConfig) []*ViewerOutcome {
 	picker := NewZipfPicker(len(paths), cfg.Alpha)
-	outs := make([]*VCROutcome, cfg.Clients)
-	scripts := make([][]vcrOp, cfg.Clients)
+	pc := cfg.Player
+	pc.Priority, pc.Quantum = rtm.PrioRTLow, 0 // a population plays in the real-time band
+	outs := make([]*ViewerOutcome, cfg.Clients)
 	for i := range outs {
-		outs[i] = &VCROutcome{ViewerOutcome: ViewerOutcome{Movie: picker.Pick(rng.Float64())}, Kind: "plain"}
-		if cfg.ArrivalSpread > 0 {
-			outs[i].At = rng.DurationRange(0, cfg.ArrivalSpread)
-		}
+		out := arrival(picker, rng, cfg.ArrivalSpread)
+		info, path := infos[out.Movie], paths[out.Movie]
+		out.Kind = "plain"
 		switch u := rng.Float64(); {
 		case u < zapFraction:
-			outs[i].Kind = "zapper"
+			out.Kind = "zapper"
 		case u < zapFraction+scrubFraction:
-			outs[i].Kind = "scrubber"
+			out.Kind = "scrubber"
 		}
-		if outs[i].Kind == "plain" {
-			continue
-		}
-		script := make([]vcrOp, vcrOps)
-		for j := range script {
-			switch outs[i].Kind {
-			case "zapper":
-				// Zappers hop around the title and flip speeds: 2x skims on
-				// even ops, a jump-cut seek on odd ones.
-				if j%2 == 0 {
-					script[j] = vcrOp{kind: "rate", rate: []float64{2, 1}[j%4/2]}
-				} else {
-					script[j] = vcrOp{kind: "seek", frac: rng.Float64() * 0.8}
+		var script []Op
+		if out.Kind != "plain" {
+			// Seeks land inside the frames this viewer will actually
+			// play, so a jump never lands past the measured window.
+			window := float64(sim.Time(pc.frames(info)) * frameDuration(info))
+			// Odd ops seek. Zappers hop around the title and flip speeds:
+			// 2x skims on even ops, jump cuts anywhere in the first 80%.
+			// Scrubbers freeze the frame and replay: pauses on even ops,
+			// short seeks back into the first half.
+			reach := 0.5
+			if out.Kind == "zapper" {
+				reach = 0.8
+			}
+			script = make([]Op, vcrOps)
+			for j := range script {
+				op := Op{Kind: OpSeek, AfterFrames: (j + 1) * opFrames}
+				switch {
+				case j%2 == 1:
+					op.Target = sim.Time(rng.Float64() * reach * window)
+				case out.Kind == "zapper":
+					op.Kind, op.Rate = OpSetRate, []float64{2, 1}[j%4/2]
+				default:
+					op.Kind, op.Dwell = OpPause, pauseDwell
 				}
-			case "scrubber":
-				// Scrubbers freeze the frame and replay: pauses alternate
-				// with short seeks back.
-				if j%2 == 0 {
-					script[j] = vcrOp{kind: "pause"}
-				} else {
-					script[j] = vcrOp{kind: "seek", frac: rng.Float64() * 0.5}
-				}
+				script[j] = op
 			}
 		}
-		scripts[i] = script
-	}
-	for i := range outs {
-		out := outs[i]
-		script := scripts[i]
-		info := infos[out.Movie]
-		path := paths[out.Movie]
-		k.NewThread(fmt.Sprintf("vcr%02d:%s", i, path), rtm.PrioRTLow, 0, func(th *rtm.Thread) {
-			defer func() { out.Stats.Done = true }()
-			if k.Now() < out.At {
-				th.SleepUntil(out.At)
-			}
-			h, err := srv.Open(th, info, path, core.OpenOptions{})
-			if err != nil {
-				return // rejected by admission: Admitted stays false
-			}
-			out.Admitted = true
-			out.CacheBacked = h.CacheBacked()
-			out.Multicast = h.MulticastMember()
-			out.PrefixStart = h.PrefixStarted()
-			out.ReducedOpen = h.DeliveredRate() < 1
-			defer func() {
-				out.FinalRate = h.DeliveredRate()
-				h.Close(th)
-			}()
-			playVCRViewer(k, th, h, info, cfg.Player, script, out)
-		})
+		Viewer{Info: info, Config: pc, Script: script}.Spawn(k, fmt.Sprintf("vcr%02d:%s", i, path), out,
+			func(th *rtm.Thread) (Session, error) { return srv.Open(th, info, path, core.OpenOptions{}) })
+		outs[i] = out
 	}
 	return outs
-}
-
-// playVCRViewer is playViewer with the viewer's VCR script spliced in:
-// after every opFrames obtained-or-lost frames the next operation runs on
-// the viewer's own thread, so its position in the delivery sequence is
-// deterministic. Typed refusals are counted and playback continues; any
-// other error ends the session (the server evicted us).
-func playVCRViewer(k *rtm.Kernel, th *rtm.Thread, h *core.Handle,
-	info *media.StreamInfo, cfg PlayerConfig, script []vcrOp, out *VCROutcome) {
-	stats := &out.Stats
-	frameDur := frameDuration(info)
-	cfg.fill()
-	if err := h.Start(th); err != nil {
-		return
-	}
-	frames := len(info.Chunks)
-	if cfg.MaxFrames > 0 && cfg.MaxFrames < frames {
-		frames = cfg.MaxFrames
-	}
-	begin := sim.Time(-1)
-	sinceOp := 0
-	for i := 0; i < frames; i++ {
-		if len(script) > 0 && sinceOp >= opFrames {
-			sinceOp = 0
-			op := script[0]
-			script = script[1:]
-			out.Ops++
-			switch op.kind {
-			case "seek":
-				// Clamp inside the frames this viewer will actually play, so a
-				// jump never lands past the measured window.
-				target := sim.Time(op.frac * float64(sim.Time(frames)*frameDur))
-				if err := h.Seek(th, target); err != nil {
-					if !errors.Is(err, core.ErrVCRRefused) {
-						return
-					}
-					out.Refusals++
-				} else if next := int(target / frameDur); next < frames {
-					i = next // resume consumption at the new play point
-				}
-			case "pause":
-				if err := h.Pause(th); err != nil {
-					if !errors.Is(err, core.ErrVCRRefused) {
-						return
-					}
-					out.Refusals++
-					break
-				}
-				th.Sleep(pauseDwell)
-				if err := h.Resume(th); err != nil {
-					if !errors.Is(err, core.ErrVCRRefused) {
-						return
-					}
-					out.Refusals++
-					// The paused slot could not be re-admitted; wait out the
-					// quoted hint once and give up for good on a second no.
-					var vcr *core.VCRError
-					if errors.As(err, &vcr) && vcr.RetryAfter > 0 {
-						th.Sleep(vcr.RetryAfter)
-					}
-					if err := h.Resume(th); err != nil {
-						return
-					}
-				}
-			case "rate":
-				if err := h.SetRate(th, op.rate); err != nil {
-					if !errors.Is(err, core.ErrVCRRefused) {
-						return
-					}
-					out.Refusals++
-				}
-			}
-		}
-		c := info.Chunks[i]
-		due := h.ClockStartsAt(c.Timestamp)
-		if due < 0 {
-			return // clock stopped under us: suspended or evicted
-		}
-		if begin < 0 {
-			begin = due
-		}
-		if k.Now() < due {
-			th.SleepUntil(due)
-		}
-		limit := due + giveUpFrames*frameDur
-		for {
-			if _, ok := h.Get(c.Timestamp); ok {
-				stats.record(k.Now(), k.Now()-due, c.Size, frameDur)
-				th.Compute(cfg.FrameCPU)
-				break
-			}
-			if k.Now() >= limit {
-				stats.Lost++
-				break
-			}
-			th.Sleep(pollEvery)
-		}
-		stats.Frames++
-		sinceOp++
-		stats.Span = k.Now() - begin
-	}
 }

@@ -5,6 +5,8 @@
 package workload
 
 import (
+	"errors"
+	"fmt"
 	"time"
 
 	"repro/internal/core"
@@ -17,18 +19,49 @@ import (
 )
 
 // PlayerStats is what a player measured: per-frame delay samples (obtained
-// time minus due time), counts, and delivered bytes.
+// time minus due time), the frame-outcome ledger, and delivered bytes.
+// Frames counts the frames owed: every frame turn played plus the frames
+// abandoned when the session ended early, so Frames == Obtained + Lost +
+// Abandoned whenever the player is between frames (UFSPlayer, which has no
+// session, sets Frames up front instead).
 type PlayerStats struct {
 	Delays      metrics.Series // one sample per obtained frame, seconds
 	DelaySeries metrics.Series // (real time, delay seconds) for Figure 7/10 traces
 	Frames      int
 	Obtained    int
 	Lost        int
-	LostAt      []int // frame indices of lost frames (diagnostics)
+	Abandoned   int   // frames never played because the session ended early
+	Cause       Cause // why they were abandoned
+	Stale       int   // obtained chunks that did not cover the asked time
+	Ops         int   // script ops fired
+	Refusals    int   // VCR calls answered with a typed ErrVCRRefused; play went on
+	Err         error // first error a session call returned (the final hang-up's aside)
 	Bytes       int64 // bytes of all obtained frames
 	OnTimeBytes int64 // bytes of frames obtained within the tolerance
 	Span        sim.Time
 	Done        bool
+}
+
+// Check reports a broken ledger: frames owed that were neither obtained,
+// lost nor abandoned, or a stale chunk handed out by the buffer.
+func (ps *PlayerStats) Check() error {
+	if ps.Frames != ps.Obtained+ps.Lost+ps.Abandoned {
+		return fmt.Errorf("ledger: owed %d != obtained %d + lost %d + abandoned %d",
+			ps.Frames, ps.Obtained, ps.Lost, ps.Abandoned)
+	}
+	if ps.Stale != 0 {
+		return fmt.Errorf("ledger: %d expired chunks delivered", ps.Stale)
+	}
+	return nil
+}
+
+// Forfeited returns the frames the viewer wanted and did not get: those
+// lost plus those abandoned because the server refused it.
+func (ps *PlayerStats) Forfeited() int {
+	if ps.Cause == CauseRefused {
+		return ps.Lost + ps.Abandoned
+	}
+	return ps.Lost
 }
 
 // Throughput returns delivered bytes per second over the measured span.
@@ -47,15 +80,6 @@ func (ps *PlayerStats) OnTimeThroughput() float64 {
 	return float64(ps.OnTimeBytes) / ps.Span.Seconds()
 }
 
-// Player pacing: a player waiting for a frame polls the buffer every
-// pollEvery; a frame obtained within one frame duration of its due time is
-// on time, and one still missing giveUpFrames frame durations after it is
-// lost.
-const (
-	pollEvery    = 2 * time.Millisecond
-	giveUpFrames = 5
-)
-
 // frameDuration is the stream's first frame duration (one second for an
 // empty stream): the unit of a player's on-time threshold and wait budget.
 func frameDuration(info *media.StreamInfo) sim.Time {
@@ -73,10 +97,12 @@ type PlayerConfig struct {
 	FrameCPU  sim.Time // decode cost charged per obtained frame
 }
 
-func (c *PlayerConfig) fill() {
-	if c.Priority == 0 {
-		c.Priority = rtm.PrioRTLow
+// frames is how many of info's frames a player plays.
+func (c PlayerConfig) frames(info *media.StreamInfo) int {
+	if c.MaxFrames > 0 && c.MaxFrames < len(info.Chunks) {
+		return c.MaxFrames
 	}
+	return len(info.Chunks)
 }
 
 // CRASPlayer opens a stream on the CRAS server and consumes it frame by
@@ -84,15 +110,8 @@ func (c *PlayerConfig) fill() {
 // own thread and fills stats as it goes; Done is set when playback ends.
 func CRASPlayer(k *rtm.Kernel, srv *core.Server, info *media.StreamInfo, path string,
 	opts core.OpenOptions, cfg PlayerConfig, stats *PlayerStats) *rtm.Thread {
-	return k.NewThread("crasplay:"+path, cfg.Priority, cfg.Quantum, func(th *rtm.Thread) {
-		defer func() { stats.Done = true }()
-		h, err := srv.Open(th, info, path, opts)
-		if err != nil {
-			return
-		}
-		defer h.Close(th)
-		playViewer(k, th, h, info, cfg, stats)
-	})
+	return Viewer{Info: info, Config: cfg}.Spawn(k, "crasplay:"+path, &ViewerOutcome{Stats: stats},
+		func(th *rtm.Thread) (Session, error) { return srv.Open(th, info, path, opts) })
 }
 
 // UFSPlayer consumes a movie through the Unix file system: at each frame's
@@ -102,7 +121,9 @@ func CRASPlayer(k *rtm.Kernel, srv *core.Server, info *media.StreamInfo, path st
 func UFSPlayer(k *rtm.Kernel, srv *ufs.Server, info *media.StreamInfo, path string,
 	initialDelay sim.Time, cfg PlayerConfig, stats *PlayerStats) *rtm.Thread {
 	frameDur := frameDuration(info)
-	cfg.fill()
+	if cfg.Priority == 0 {
+		cfg.Priority = rtm.PrioRTLow
+	}
 	return k.NewThread("ufsplay:"+path, cfg.Priority, cfg.Quantum, func(th *rtm.Thread) {
 		defer func() { stats.Done = true }()
 		c := ufs.NewClient(srv, th)
@@ -111,10 +132,7 @@ func UFSPlayer(k *rtm.Kernel, srv *ufs.Server, info *media.StreamInfo, path stri
 			return
 		}
 		defer c.Close(fd) //crasvet:allow ioerrcheck -- read-only fd; close cannot lose data
-		frames := len(info.Chunks)
-		if cfg.MaxFrames > 0 && cfg.MaxFrames < frames {
-			frames = cfg.MaxFrames
-		}
+		frames := cfg.frames(info)
 		stats.Frames = frames
 		var largest int64
 		for _, ch := range info.Chunks[:frames] {
@@ -238,4 +256,46 @@ func CPUHog(k *rtm.Kernel, name string, prio int, quantum, burst sim.Time) *rtm.
 			th.Compute(burst)
 		}
 	})
+}
+
+// FloodStats is what an open flood observed, split by outcome. The flood
+// is the control plane's misbehaving client beside the scripted viewers
+// that crash, go silent or storm the server with seeks (OpCrash,
+// OpGoSilent, OpSeekStorm); the shed gate and the bounded request port
+// must turn it away without costing anyone else.
+type FloodStats struct {
+	Launched  int
+	Admitted  int        // opens that succeeded (the flooder closes them again)
+	Refused   int        // non-overload refusals (admission, draining, down)
+	Shed      int        // typed overload errors (shed gate or full queue)
+	RetryHint sim.Time   // last RetryAfter the shed gate suggested
+	DoneAt    []sim.Time // completion time of every flood call, in launch order
+}
+
+// OpenFlooder launches count one-shot clients at the server, burst apart
+// (0 = all at the same instant). Each opens the given movie without force,
+// closes immediately on success, and records how it was turned away
+// otherwise. The returned stats are complete once the engine drains.
+func OpenFlooder(k *rtm.Kernel, srv *core.Server, info *media.StreamInfo, path string,
+	count int, burst sim.Time, stats *FloodStats) {
+	stats.Launched = count
+	stats.DoneAt = make([]sim.Time, count)
+	for i := 0; i < count; i++ {
+		k.NewThread(fmt.Sprintf("flood%d:%s", i, path), rtm.PrioTS, 0, func(th *rtm.Thread) {
+			th.Sleep(sim.Time(i) * burst)
+			h, err := srv.Open(th, info, path, core.OpenOptions{})
+			stats.DoneAt[i] = k.Now()
+			var oe *core.OverloadError
+			switch {
+			case err == nil:
+				stats.Admitted++
+				h.Close(th)
+			case errors.As(err, &oe):
+				stats.Shed++
+				stats.RetryHint = oe.RetryAfter
+			default:
+				stats.Refused++
+			}
+		})
+	}
 }
