@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"go/ast"
 	"go/types"
 )
 
@@ -24,94 +23,11 @@ func NewIOErrCheck(pkgSuffixes ...string) *Analyzer {
 			"a swallowed I/O error corrupts the batch accounting admission control depends on",
 		Scope: nil, // callers live in many packages; the callee check scopes it
 	}
-	a.Run = func(pass *Pass) error { return runIOErrCheck(pass, match) }
+	a.Run = func(pass *Pass) error {
+		return runDiscardCheck(pass, match, errorResultIndex,
+			"error", "I/O errors must be handled or the batch accounting drifts")
+	}
 	return a
-}
-
-func runIOErrCheck(pass *Pass, guarded func(string) bool) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.ExprStmt:
-				checkDiscardedCall(pass, guarded, n.X, "discarded")
-			case *ast.DeferStmt:
-				checkDiscardedCall(pass, guarded, n.Call, "discarded by defer")
-			case *ast.GoStmt:
-				checkDiscardedCall(pass, guarded, n.Call, "discarded by go")
-			case *ast.AssignStmt:
-				checkBlankAssign(pass, guarded, n)
-			}
-			return true
-		})
-	}
-	return nil
-}
-
-// checkDiscardedCall reports a guarded call used as a bare statement when it
-// returns an error.
-func checkDiscardedCall(pass *Pass, guarded func(string) bool, e ast.Expr, how string) {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return
-	}
-	fn := calleeFunc(pass.TypesInfo, call)
-	if fn == nil || fn.Pkg() == nil || !guarded(fn.Pkg().Path()) {
-		return
-	}
-	if pos := errorResultIndex(fn); pos >= 0 {
-		pass.Reportf(call.Pos(),
-			"error result of %s.%s %s; I/O errors must be handled or the batch accounting drifts",
-			fn.Pkg().Name(), qualifiedName(fn), how)
-	}
-}
-
-// checkBlankAssign reports guarded calls whose error result is assigned to
-// the blank identifier, covering both `_ = f.Close()` and `n, _ := r.Read()`.
-func checkBlankAssign(pass *Pass, guarded func(string) bool, as *ast.AssignStmt) {
-	// Single call on the RHS: LHS positions correspond to result positions.
-	if len(as.Rhs) == 1 {
-		if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok {
-			fn := calleeFunc(pass.TypesInfo, call)
-			if fn == nil || fn.Pkg() == nil || !guarded(fn.Pkg().Path()) {
-				return
-			}
-			idx := errorResultIndex(fn)
-			if idx < 0 {
-				return
-			}
-			// A single-result call assigned to one LHS; or a multi-result
-			// call destructured across the LHS.
-			if len(as.Lhs) > idx && isBlank(as.Lhs[idx]) {
-				pass.Reportf(as.Lhs[idx].Pos(),
-					"error result of %s.%s assigned to _; I/O errors must be handled or the batch accounting drifts",
-					fn.Pkg().Name(), qualifiedName(fn))
-			}
-			return
-		}
-	}
-	// Parallel assignment: match each RHS call to its LHS.
-	if len(as.Lhs) == len(as.Rhs) {
-		for i, rhs := range as.Rhs {
-			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-			if !ok || !isBlank(as.Lhs[i]) {
-				continue
-			}
-			fn := calleeFunc(pass.TypesInfo, call)
-			if fn == nil || fn.Pkg() == nil || !guarded(fn.Pkg().Path()) {
-				continue
-			}
-			if errorResultIndex(fn) == 0 {
-				pass.Reportf(as.Lhs[i].Pos(),
-					"error result of %s.%s assigned to _; I/O errors must be handled or the batch accounting drifts",
-					fn.Pkg().Name(), qualifiedName(fn))
-			}
-		}
-	}
-}
-
-func isBlank(e ast.Expr) bool {
-	id, ok := e.(*ast.Ident)
-	return ok && id.Name == "_"
 }
 
 // errorResultIndex returns the index of the function's error result, or -1.

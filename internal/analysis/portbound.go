@@ -1,7 +1,6 @@
 package analysis
 
 import (
-	"go/ast"
 	"go/types"
 )
 
@@ -24,39 +23,19 @@ func NewPortBound(pkgSuffixes ...string) *Analyzer {
 			"a dropped rejection turns overload into silent message loss",
 		Scope: nil, // callers live in many packages; the callee check scopes it
 	}
-	a.Run = func(pass *Pass) error { return runPortBound(pass, match) }
+	a.Run = func(pass *Pass) error {
+		return runDiscardCheck(pass, match, boundedPortResult,
+			"rejection", "a bounded port's refusal must be handled, not dropped")
+	}
 	return a
 }
 
-func runPortBound(pass *Pass, guarded func(string) bool) error {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.ExprStmt:
-				checkDroppedRejection(pass, guarded, n.X, "discarded")
-			case *ast.DeferStmt:
-				checkDroppedRejection(pass, guarded, n.Call, "discarded by defer")
-			case *ast.GoStmt:
-				checkDroppedRejection(pass, guarded, n.Call, "discarded by go")
-			case *ast.AssignStmt:
-				checkBlankRejection(pass, guarded, n)
-			}
-			return true
-		})
-	}
-	return nil
-}
-
-// boundedPortMethod resolves a call to a method of a guarded BoundedPort and
-// returns the index of its rejection result, or nil / -1.
-func boundedPortMethod(info *types.Info, guarded func(string) bool, call *ast.CallExpr) (*types.Func, int) {
-	fn := calleeFunc(info, call)
-	if fn == nil || fn.Pkg() == nil || !guarded(fn.Pkg().Path()) {
-		return nil, -1
-	}
+// boundedPortResult is the index of the rejection result of a method of a
+// type named BoundedPort, or -1 for any other function.
+func boundedPortResult(fn *types.Func) int {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
-		return nil, -1
+		return -1
 	}
 	recv := sig.Recv().Type()
 	if p, ok := recv.(*types.Pointer); ok {
@@ -64,9 +43,9 @@ func boundedPortMethod(info *types.Info, guarded func(string) bool, call *ast.Ca
 	}
 	named, ok := recv.(*types.Named)
 	if !ok || named.Obj().Name() != "BoundedPort" {
-		return nil, -1
+		return -1
 	}
-	return fn, rejectionResultIndex(sig)
+	return rejectionResultIndex(sig)
 }
 
 // rejectionResultIndex is the error result if the method has one, otherwise
@@ -83,54 +62,4 @@ func rejectionResultIndex(sig *types.Signature) int {
 		}
 	}
 	return idx
-}
-
-// checkDroppedRejection reports a guarded call used as a bare statement.
-func checkDroppedRejection(pass *Pass, guarded func(string) bool, e ast.Expr, how string) {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return
-	}
-	fn, idx := boundedPortMethod(pass.TypesInfo, guarded, call)
-	if fn == nil || idx < 0 {
-		return
-	}
-	pass.Reportf(call.Pos(),
-		"rejection result of %s.%s %s; a bounded port's refusal must be handled, not dropped",
-		fn.Pkg().Name(), qualifiedName(fn), how)
-}
-
-// checkBlankRejection reports guarded calls whose rejection result lands in
-// the blank identifier, covering `_ = p.Send(m)` and `r, _ := p.Call(t, m)`.
-func checkBlankRejection(pass *Pass, guarded func(string) bool, as *ast.AssignStmt) {
-	if len(as.Rhs) == 1 {
-		if call, ok := ast.Unparen(as.Rhs[0]).(*ast.CallExpr); ok {
-			fn, idx := boundedPortMethod(pass.TypesInfo, guarded, call)
-			if fn == nil || idx < 0 {
-				return
-			}
-			if len(as.Lhs) > idx && isBlank(as.Lhs[idx]) {
-				pass.Reportf(as.Lhs[idx].Pos(),
-					"rejection result of %s.%s assigned to _; a bounded port's refusal must be handled, not dropped",
-					fn.Pkg().Name(), qualifiedName(fn))
-			}
-			return
-		}
-	}
-	// Parallel assignment: match each RHS call to its LHS.
-	if len(as.Lhs) == len(as.Rhs) {
-		for i, rhs := range as.Rhs {
-			call, ok := ast.Unparen(rhs).(*ast.CallExpr)
-			if !ok || !isBlank(as.Lhs[i]) {
-				continue
-			}
-			fn, idx := boundedPortMethod(pass.TypesInfo, guarded, call)
-			if fn == nil || idx != 0 {
-				continue
-			}
-			pass.Reportf(as.Lhs[i].Pos(),
-				"rejection result of %s.%s assigned to _; a bounded port's refusal must be handled, not dropped",
-				fn.Pkg().Name(), qualifiedName(fn))
-		}
-	}
 }

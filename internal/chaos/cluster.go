@@ -158,6 +158,9 @@ func runCluster(sc Scenario, res *Result) {
 	}
 	res.checkPlayers(len(c.Movie(hotPath).Chunks))
 	res.checkCluster(sc, c, sessions, nHot, faultVictim, kill2Victim, kill2HadSessions, stoppedAtDead)
+	if err := c.Err(); err != nil { // the invariant sweep lab.Run ran on every node
+		res.violate("%v", err)
+	}
 }
 
 // checkCluster is the cluster campaign's invariant block.

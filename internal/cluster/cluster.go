@@ -595,17 +595,21 @@ func (c *Cluster) deregister(s *Session) {
 	}
 }
 
-// Run advances the shared timeline by d, surfacing any node setup error.
+// Run advances the shared timeline by d, sweeping every node's server
+// invariants after each interval (lab.Run); it panics on a node setup
+// error.
 func (c *Cluster) Run(d sim.Time) {
-	c.eng.RunFor(d)
-	if err := c.Err(); err != nil {
-		panic(err)
+	ms := make([]*lab.Machine, len(c.nodes))
+	for i, n := range c.nodes {
+		ms[i] = n.m
 	}
+	lab.Run(d, ms...)
 }
 
-// Err returns the first node setup error, if any. A node whose boot
-// failed never reports ready, so the cluster's monitors never arm; the
-// caller sees the underlying error here (and Run panics on it).
+// Err returns the first node's setup error or invariant violation, if
+// any. A node whose boot failed never reports ready, so the cluster's
+// monitors never arm; the caller sees the underlying error here (and Run
+// panics on it).
 func (c *Cluster) Err() error {
 	for _, n := range c.nodes {
 		if err := n.m.Err(); err != nil {

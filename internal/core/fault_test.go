@@ -9,6 +9,7 @@ import (
 	"repro/internal/disk"
 	"repro/internal/media"
 	"repro/internal/rtm"
+	"repro/internal/sim"
 	"repro/internal/ufs"
 )
 
@@ -136,7 +137,8 @@ func TestFaultScenarios(t *testing.T) {
 					}
 					b.d.SetFaultModel(disk.NewFaultModel(b.e.RNG("faults:sd0"), sc.faults(h)))
 					h.Start(th)
-					delays, lost := playAndMeasure(b, th, h, sc.frames)
+					var delays []sim.Time
+					lost := play(b, th, h, sc.frames, measure(&delays))
 					sc.check(t, b, h, len(delays), lost)
 				})
 		})
@@ -165,7 +167,8 @@ func TestWatchdogStallDoesNotWedgeScheduler(t *testing.T) {
 				}
 			}
 			h.Start(th)
-			delays, lost := playAndMeasure(b, th, h, 230)
+			var delays []sim.Time
+			lost := play(b, th, h, 230, measure(&delays))
 			sv := b.cras.Stats()
 			if sv.WatchdogCancels == 0 {
 				t.Fatal("watchdog never fired for the stalled request")
@@ -248,12 +251,13 @@ func TestFaultIsolationVictimEvictedPeersClean(t *testing.T) {
 				i := i
 				b.k.NewThread(fmt.Sprintf("peer%d", i), rtm.PrioRTLow, 0, func(pt *rtm.Thread) {
 					handles[i].Start(pt)
-					delays, lost := playAndMeasure(b, pt, handles[i], 230)
+					var delays []sim.Time
+					lost := play(b, pt, handles[i], 230, measure(&delays))
 					results[i] = result{got: len(delays), lost: lost, done: true}
 				})
 			}
 			hv.Start(th)
-			playAndMeasure(b, th, hv, 230)
+			play(b, th, hv, 230, nil)
 			for w := 0; w < 600 && !(results[0].done && results[1].done); w++ {
 				th.Sleep(100 * time.Millisecond)
 			}

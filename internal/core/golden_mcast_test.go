@@ -48,7 +48,7 @@ func mcastGoldenWorkload(t *testing.T, b *bed, th *rtm.Thread,
 	for i := 0; i < 3; i++ {
 		i := i
 		b.k.NewThread("player", rtm.PrioRTLow, 0, func(th2 *rtm.Thread) {
-			res.digests[i], res.lost[i] = goldenPlay(b, th2, hs[i], 200)
+			res.digests[i], res.lost[i] = digestPlay(b, th2, hs[i], 200, true)
 			done[i] = true
 		})
 	}
@@ -62,7 +62,7 @@ func mcastGoldenWorkload(t *testing.T, b *bed, th *rtm.Thread,
 		res.member[i] = h.MulticastMember()
 		res.prefix[i] = h.PrefixStarted()
 	}
-	res.digests[3], res.lost[3] = goldenPlay(b, th, hs[3], 150)
+	res.digests[3], res.lost[3] = digestPlay(b, th, hs[3], 150, true)
 	for !done[0] || !done[1] || !done[2] {
 		th.Sleep(100 * time.Millisecond)
 	}
@@ -153,7 +153,7 @@ func TestGoldenPrefixStartSoloEquivalence(t *testing.T) {
 				return
 			}
 			h.Start(th)
-			solo, soloLost = goldenPlay(b, th, h, 150)
+			solo, soloLost = digestPlay(b, th, h, 150, true)
 			h.Close(th)
 		})
 	if t.Failed() {

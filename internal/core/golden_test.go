@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"hash"
 	"hash/fnv"
 	"testing"
 	"time"
@@ -22,51 +23,27 @@ type goldenResult struct {
 	folFrom int64 // follower ChunksFromCache
 }
 
-// goldenPlay is playAndMeasure with the delivered sequence folded into a
-// digest: any difference in which chunks arrive, in what order, or when
-// relative to their due times changes the sum.
-func goldenPlay(b *bed, th *rtm.Thread, h *Handle, frames int) (uint64, int) {
+// digestPlay plays h (play) and folds the delivered sequence into a
+// digest: any difference in which chunks arrive, in what order, or — timed
+// — when relative to their due times changes the sum.
+func digestPlay(b *bed, th *rtm.Thread, h *Handle, frames int, timed bool) (uint64, int) {
 	sum := fnv.New64a()
-	word := func(v int64) {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		sum.Write(buf[:])
-	}
-	info := h.Info()
-	if frames > len(info.Chunks) {
-		frames = len(info.Chunks)
-	}
-	const poll = 2 * time.Millisecond
-	lost := 0
-	for i := 0; i < frames; i++ {
-		want := info.Chunks[i]
-		due := h.ClockStartsAt(want.Timestamp)
-		if due < 0 {
-			lost++
-			continue
-		}
-		if b.k.Now() < due {
-			th.SleepUntil(due)
-		}
-		deadline := due + 3*want.Duration
-		for {
-			if c, ok := h.Get(want.Timestamp); ok {
-				word(int64(c.Index))
-				word(int64(c.Timestamp))
-				word(c.Size)
-				word(int64(b.k.Now() - due))
-				break
-			}
-			if b.k.Now() >= deadline {
-				lost++
-				word(-1)
-				word(int64(i))
-				break
-			}
-			th.Sleep(poll)
-		}
-	}
+	lost := play(b, th, h, frames, func(f frame) { digest(sum, f, timed) })
 	return sum.Sum64(), lost
+}
+
+// digest folds one frame outcome into sum: an arrived chunk's index,
+// timestamp and size, plus its delay past due when timed; a missed frame
+// as -1 and its number.
+func digest(sum hash.Hash64, f frame, timed bool) {
+	words := []int64{-1, int64(f.i)}
+	if f.got {
+		words = []int64{int64(f.c.Index), int64(f.c.Timestamp), f.c.Size}
+		if timed {
+			words = append(words, int64(f.delay))
+		}
+	}
+	binary.Write(sum, binary.LittleEndian, words) // writing to a hash never fails
 }
 
 // goldenWorkload opens the fixed three-stream workload — two viewers of one
@@ -96,14 +73,14 @@ func goldenWorkload(t *testing.T, b *bed, th *rtm.Thread,
 
 	done := [2]bool{}
 	b.k.NewThread("fol-player", rtm.PrioRTLow, 0, func(th2 *rtm.Thread) {
-		res.digests[1], res.lost[1] = goldenPlay(b, th2, fol, 200)
+		res.digests[1], res.lost[1] = digestPlay(b, th2, fol, 200, true)
 		done[0] = true
 	})
 	b.k.NewThread("solo-player", rtm.PrioRTLow, 0, func(th2 *rtm.Thread) {
-		res.digests[2], res.lost[2] = goldenPlay(b, th2, one, 200)
+		res.digests[2], res.lost[2] = digestPlay(b, th2, one, 200, true)
 		done[1] = true
 	})
-	res.digests[0], res.lost[0] = goldenPlay(b, th, lead, 200)
+	res.digests[0], res.lost[0] = digestPlay(b, th, lead, 200, true)
 	for !done[0] || !done[1] {
 		th.Sleep(100 * time.Millisecond)
 	}

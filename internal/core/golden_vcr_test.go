@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"hash/fnv"
 	"testing"
 	"time"
@@ -23,56 +22,6 @@ type goldenVCRResult struct {
 	soloDR    float64
 	soloRev   bool
 	soloPause bool
-}
-
-// goldenVCRPlay is goldenPlay with a mid-play hook: disturb runs on the
-// player's own thread just before frame disturbAt, so its position in the
-// delivered sequence is deterministic.
-func goldenVCRPlay(b *bed, th *rtm.Thread, h *Handle, frames, disturbAt int,
-	disturb func(*rtm.Thread)) (uint64, int) {
-	sum := fnv.New64a()
-	word := func(v int64) {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		sum.Write(buf[:])
-	}
-	info := h.Info()
-	if frames > len(info.Chunks) {
-		frames = len(info.Chunks)
-	}
-	const poll = 2 * time.Millisecond
-	lost := 0
-	for i := 0; i < frames; i++ {
-		if disturb != nil && i == disturbAt {
-			disturb(th)
-		}
-		want := info.Chunks[i]
-		due := h.ClockStartsAt(want.Timestamp)
-		if due < 0 {
-			lost++
-			continue
-		}
-		if b.k.Now() < due {
-			th.SleepUntil(due)
-		}
-		deadline := due + 3*want.Duration
-		for {
-			if c, ok := h.Get(want.Timestamp); ok {
-				word(int64(c.Index))
-				word(int64(c.Timestamp))
-				word(c.Size)
-				break
-			}
-			if b.k.Now() >= deadline {
-				lost++
-				word(-1)
-				word(int64(i))
-				break
-			}
-			th.Sleep(poll)
-		}
-	}
-	return sum.Sum64(), lost
 }
 
 // runGoldenVCRScenario plays the three-stream golden workload — cache
@@ -118,16 +67,28 @@ func runGoldenVCRScenario(t *testing.T, leadOps func(*bed, *Handle) func(*rtm.Th
 			if soloOps != nil {
 				soloDisturb = soloOps(b, one)
 			}
+			// disturb runs on the player's own thread just before frame 100,
+			// so its position in the delivered sequence is deterministic.
+			vcrPlay := func(th *rtm.Thread, h *Handle, disturb func(*rtm.Thread)) (uint64, int) {
+				sum := fnv.New64a()
+				lost := play(b, th, h, 200, func(f frame) {
+					digest(sum, f, false)
+					if f.i == 99 && disturb != nil {
+						disturb(th)
+					}
+				})
+				return sum.Sum64(), lost
+			}
 			done := [2]bool{}
 			b.k.NewThread("fol-player", rtm.PrioRTLow, 0, func(th2 *rtm.Thread) {
-				res.digests[1], res.lost[1] = goldenVCRPlay(b, th2, fol, 200, -1, nil)
+				res.digests[1], res.lost[1] = vcrPlay(th2, fol, nil)
 				done[0] = true
 			})
 			b.k.NewThread("solo-player", rtm.PrioRTLow, 0, func(th2 *rtm.Thread) {
-				res.digests[2], res.lost[2] = goldenVCRPlay(b, th2, one, 200, 100, soloDisturb)
+				res.digests[2], res.lost[2] = vcrPlay(th2, one, soloDisturb)
 				done[1] = true
 			})
-			res.digests[0], res.lost[0] = goldenVCRPlay(b, th, lead, 200, 100, leadDisturb)
+			res.digests[0], res.lost[0] = vcrPlay(th, lead, leadDisturb)
 			for !done[0] || !done[1] {
 				th.Sleep(100 * time.Millisecond)
 			}

@@ -182,11 +182,11 @@ func TestReapedFeedPromotesEarliestMember(t *testing.T) {
 			var lost [2]int
 			done := [2]bool{}
 			b.k.NewThread("m1-player", rtm.PrioRTLow, 0, func(th2 *rtm.Thread) {
-				_, lost[0] = goldenPlay(b, th2, m1, 200)
+				lost[0] = play(b, th2, m1, 200, nil)
 				done[0] = true
 			})
 			b.k.NewThread("m2-player", rtm.PrioRTLow, 0, func(th2 *rtm.Thread) {
-				_, lost[1] = goldenPlay(b, th2, m2, 200)
+				lost[1] = play(b, th2, m2, 200, nil)
 				done[1] = true
 			})
 			for !done[0] || !done[1] {

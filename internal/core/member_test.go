@@ -1,9 +1,7 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
-	"hash/fnv"
 	"strings"
 	"testing"
 	"time"
@@ -44,52 +42,6 @@ type parityResult struct {
 	healths   []MemberHealth
 	parityBad int64 // Volume.VerifyParity at the end (-1 = consistent)
 	rows      int64
-}
-
-// parityPlay is goldenPlay minus the delivery-delay word: the parity
-// equivalence claim is about which frames arrive, byte for byte, not about
-// microsecond-identical timing.
-func parityPlay(b *bed, th *rtm.Thread, h *Handle, frames int) (uint64, int) {
-	sum := fnv.New64a()
-	word := func(v int64) {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], uint64(v))
-		sum.Write(buf[:])
-	}
-	info := h.Info()
-	if frames > len(info.Chunks) {
-		frames = len(info.Chunks)
-	}
-	const poll = 2 * time.Millisecond
-	lost := 0
-	for i := 0; i < frames; i++ {
-		want := info.Chunks[i]
-		due := h.ClockStartsAt(want.Timestamp)
-		if due < 0 {
-			lost++
-			continue
-		}
-		if b.k.Now() < due {
-			th.SleepUntil(due)
-		}
-		deadline := due + 3*want.Duration
-		for {
-			if c, ok := h.Get(want.Timestamp); ok {
-				word(int64(c.Index))
-				word(int64(c.Timestamp))
-				word(c.Size)
-				break
-			}
-			if b.k.Now() >= deadline {
-				lost++
-				word(-1)
-				word(int64(i))
-				break
-			}
-			th.Sleep(poll)
-		}
-	}
-	return sum.Sum64(), lost
 }
 
 func membersAllHealthy(hs []MemberHealth) bool {
@@ -202,14 +154,14 @@ func parityWorkload(t *testing.T, b *bed, th *rtm.Thread,
 
 	done := [2]bool{}
 	b.k.NewThread("fol-player", rtm.PrioRTLow, 0, func(th2 *rtm.Thread) {
-		res.digests[1], res.lost[1] = parityPlay(b, th2, fol, 200)
+		res.digests[1], res.lost[1] = digestPlay(b, th2, fol, 200, false)
 		done[0] = true
 	})
 	b.k.NewThread("solo-player", rtm.PrioRTLow, 0, func(th2 *rtm.Thread) {
-		res.digests[2], res.lost[2] = parityPlay(b, th2, one, 200)
+		res.digests[2], res.lost[2] = digestPlay(b, th2, one, 200, false)
 		done[1] = true
 	})
-	res.digests[0], res.lost[0] = parityPlay(b, th, lead, 200)
+	res.digests[0], res.lost[0] = digestPlay(b, th, lead, 200, false)
 	for !done[0] || !done[1] {
 		th.Sleep(100 * time.Millisecond)
 	}

@@ -4,6 +4,7 @@ import (
 	"math"
 	"time"
 
+	"repro/internal/media"
 	"repro/internal/sim"
 )
 
@@ -54,9 +55,10 @@ type popEntry struct {
 }
 
 // prefixPin is one title's pinned prefix: its first chunks, contiguous
-// from index 0 (pins[i] is chunk i), held permanently once pinned.
+// from index 0 (pins[i] is chunk i of info), held permanently once pinned.
 type prefixPin struct {
 	path  string
+	info  *media.StreamInfo
 	pins  []BufferedChunk
 	bytes int64
 }
@@ -108,11 +110,11 @@ func (s *Server) prefixFor(path string) *prefixPin {
 // prefixQualify marks a title hot enough to deserve a pinned prefix,
 // creating its (empty) entry and pointing every open stream of the path at
 // it so their per-cycle stamping can grow the pins.
-func (s *Server) prefixQualify(path string) *prefixPin {
+func (s *Server) prefixQualify(path string, info *media.StreamInfo) *prefixPin {
 	if pp := s.prefixFor(path); pp != nil {
 		return pp
 	}
-	pp := &prefixPin{path: path}
+	pp := &prefixPin{path: path, info: info}
 	s.mcast.prefixes = append(s.mcast.prefixes, pp)
 	for _, st := range s.openStreams() {
 		if !st.closed && !st.record && st.name == path {
@@ -130,8 +132,11 @@ func (s *Server) prefixQualify(path string) *prefixPin {
 // that was actually delivered: a producer whose stamp pointer passed the
 // pin point without the chunk resident (discarded already, or its read
 // failed) left a hole and stops contributing — the next fresh open on the
-// hot path, which plays from chunk 0, picks the growth back up. Runs once
-// per cycle per producing (non-member) stream on a qualified path.
+// hot path, which plays from chunk 0, picks the growth back up. A resident
+// chunk that is not chunk idx at full size is a hole too: a reduced-rate
+// producer's zero-size skip hold, or a rewinding producer's chunk on the
+// delivery timeline. Runs once per cycle per producing (non-member) stream
+// on a qualified path.
 //
 //crasvet:hotpath
 func (s *Server) prefixAdvance(st *stream, now sim.Time) {
@@ -145,8 +150,8 @@ func (s *Server) prefixAdvance(st *stream, now sim.Time) {
 			return
 		}
 		bc, ok := st.buf.At(c.Timestamp)
-		if !ok {
-			if st.nextStamp > idx {
+		if !ok || bc.Index != idx || bc.Size != c.Size {
+			if ok || st.nextStamp > idx {
 				st.ppin = nil // this producer left a hole under the head
 				s.stats.PrefixTruncated++
 			}

@@ -16,11 +16,11 @@ import (
 // Property-based exercise of the multicast batching + pinned prefix layer:
 // seeded random viewer populations (open, close, seek, server-side crash)
 // against one hot title, with the fan-out/prefix accounting and group
-// structure verified after every operation and the delivered frame
-// sequence of every undisturbed viewer verified at the end. The seed
-// defaults to a fixed value so the suite is deterministic; CI (and anyone
-// chasing a failure) overrides it with MCAST_PROP_SEED, and every failure
-// message carries the seed so the exact sequence replays with
+// structure swept (CheckInvariants) after every operation and the
+// delivered frame sequence of every undisturbed viewer verified at the
+// end. The seed defaults to a fixed value so the suite is deterministic;
+// CI (and anyone chasing a failure) overrides it with MCAST_PROP_SEED, and
+// every failure message carries the seed so the exact sequence replays with
 //
 //	MCAST_PROP_SEED=<seed> go test ./internal/core -run TestMulticastProperties
 func TestMulticastProperties(t *testing.T) {
@@ -56,7 +56,7 @@ type propViewer struct {
 	played  int
 }
 
-// propPlay consumes frames in order from frame 0, goldenPlay-style but
+// propPlay consumes frames in order from frame 0, like play but
 // interruptible: the op driver raises v.stop before disturbing the session.
 func propPlay(b *bed, th *rtm.Thread, v *propViewer, frames int) {
 	info := v.h.Info()
@@ -96,49 +96,6 @@ func propPlay(b *bed, th *rtm.Thread, v *propViewer, frames int) {
 		}
 	}
 	v.done = true
-}
-
-// checkMcastInvariants sweeps the server's multicast state: the
-// shared-path invariants of both modes, the fan-out rules (members issue
-// no reads and never stamp past their feed), and prefix contiguity and
-// accounting. Runs between operations, i.e. at arbitrary points of the
-// cycle grid — the invariants hold at every edge, so they hold here too.
-func checkMcastInvariants(t *testing.T, b *bed, seed int64, seq, op int) {
-	s := b.cras
-	fail := func(format string, args ...interface{}) {
-		t.Errorf("seed %d seq %d op %d: "+format, append([]interface{}{seed, seq, op}, args...)...)
-	}
-
-	checkShareInvariants(t, s, fmt.Sprintf("seed %d seq %d op %d: ", seed, seq, op))
-	for _, st := range s.streams {
-		if st.closed || !st.rides(shareFanout) {
-			continue
-		}
-		if st.stats.ReadsIssued != 0 {
-			fail("member %d issued %d disk reads (one feed per group)", st.id, st.stats.ReadsIssued)
-		}
-		if feed := st.dep.producer; feed != nil && st.nextStamp > feed.nextStamp {
-			fail("member %d stamped past its feed: %d > %d", st.id, st.nextStamp, feed.nextStamp)
-		}
-	}
-
-	var pinned int64
-	for _, pp := range s.mcast.prefixes {
-		var bytes int64
-		for i, c := range pp.pins {
-			if c.Index != i {
-				fail("prefix %s pins not contiguous from 0: pins[%d].Index=%d", pp.path, i, c.Index)
-			}
-			bytes += c.Size
-		}
-		if bytes != pp.bytes {
-			fail("prefix %s byte count drifted: %d recorded, %d summed", pp.path, pp.bytes, bytes)
-		}
-		pinned += bytes
-	}
-	if pinned != s.mcast.pinned {
-		fail("pin accounting drifted: committed %d, sum over titles %d", s.mcast.pinned, pinned)
-	}
 }
 
 // runMcastSequence drives one random viewer population against one hot
@@ -212,7 +169,7 @@ func runMcastSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 					}
 				}
 				th.Sleep(time.Duration(150+rng.Intn(300)) * time.Millisecond)
-				checkMcastInvariants(t, b, seed, seq, op)
+				sweep(t, b.cras, fmt.Sprintf("seed %d seq %d op %d", seed, seq, op))
 				if p := b.cras.mcast.pinned; p < prefixPinned {
 					t.Errorf("seed %d seq %d op %d: prefix pins shrank %d -> %d (never evicted)",
 						seed, seq, op, prefixPinned, p)
@@ -232,13 +189,7 @@ func runMcastSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 					v.h.Close(th)
 				}
 			}
-			checkMcastInvariants(t, b, seed, seq, 999)
-			if got := b.cras.committed[shareFanout]; got != 0 {
-				t.Errorf("seed %d seq %d: fan-out reservation leaked after all closes: %d", seed, seq, got)
-			}
-			if n := shareGroups(b.cras, shareFanout); n != 0 {
-				t.Errorf("seed %d seq %d: %d groups survive with every session closed", seed, seq, n)
-			}
+			sweep(t, b.cras, fmt.Sprintf("seed %d seq %d all closed", seed, seq)) // no group, no reservation
 
 			// Survivors: frames 0..n delivered in order, nothing lost, nothing
 			// duplicated or substituted.

@@ -348,9 +348,7 @@ func (s *Server) setHealth(st *stream, to StreamHealth, reason string) {
 // evict closes a stream from the server side: in-flight reads are
 // invalidated, admission capacity and buffer memory are released.
 func (s *Server) evict(st *stream, reason string) {
-	s.closeStream(st)
-	st.gen++
-	s.shareOnClose(st, s.k.Now())
+	s.closeStream(st, s.k.Now())
 	s.setHealth(st, Evicted, reason)
 }
 

@@ -23,9 +23,13 @@ const (
 // than Tdiscard = Tnow - J is retained (Figure 4).
 const jitter = 100 * time.Millisecond
 
+// DefaultInterval is T when Config.Interval is zero: the evaluation's
+// 500 ms.
+const DefaultInterval = 500 * time.Millisecond
+
 // Config parameterizes a CRAS instance.
 type Config struct {
-	Interval     sim.Time // T; default 500 ms (the evaluation's setting)
+	Interval     sim.Time // T; default DefaultInterval
 	BufferBudget int64    // total shared-buffer memory; default 8 MB
 	MaxRead      int      // largest single disk read; default 256 KB
 	InitialDelay sim.Time // default 2*Interval (the paper's 1 s at T=0.5 s)
@@ -100,7 +104,7 @@ type Config struct {
 
 func (c *Config) fillDefaults() {
 	if c.Interval == 0 {
-		c.Interval = 500 * time.Millisecond
+		c.Interval = DefaultInterval
 	}
 	if c.BufferBudget == 0 {
 		c.BufferBudget = 8 << 20
@@ -489,8 +493,13 @@ func NewServer(k *rtm.Kernel, vol *disk.Volume, resolver Resolver, cfg Config) *
 	k.NewThread("cras.signal", cfg.prio(rtm.PrioRTLow), cfg.Quantum, func(t *rtm.Thread) {
 		s.signalPort.Receive(t)
 		s.stopping = true
-		for _, st := range s.openStreams() {
-			s.closeStream(st)
+		// Newest first: a dependent opened after its producer, so it leaves
+		// before the producer does and no group is promoted on the way out.
+		now, w := s.k.Now(), s.openStreams()
+		for i := len(w) - 1; i >= 0; i-- {
+			if !w[i].closed {
+				s.closeStream(w[i], now)
+			}
 		}
 		// Destroying the request port wakes the request manager (and any
 		// client blocked in an RPC, queued or future) with a port-dead
@@ -1082,14 +1091,17 @@ func (s *Server) findStream(id int) *stream {
 // Callers skip closed entries, exactly as over the whole table.
 func (s *Server) openStreams() []*stream { return s.streams[s.openFrom:] }
 
-// closeStream marks st closed and advances the open window past the closed
-// streams at its front. Every close goes through here: an orderly Close,
-// eviction (lease and dead-name reaps, shedding, drain) and shutdown.
-func (s *Server) closeStream(st *stream) {
+// closeStream is the one close step: an orderly Close, eviction (lease and
+// dead-name reaps, shedding, drain) and shutdown all end here. It marks st
+// closed, advances the open window past the closed streams at its front,
+// invalidates st's in-flight reads and releases its shared-path links.
+func (s *Server) closeStream(st *stream, now sim.Time) {
 	st.closed = true
 	for s.openFrom < len(s.streams) && s.streams[s.openFrom].closed {
 		s.openFrom++
 	}
+	st.gen++
+	s.shareOnClose(st, now)
 }
 
 // session finds an open stream for a control RPC and renews its lease: any
@@ -1144,9 +1156,7 @@ func (s *Server) handleRequest(t *rtm.Thread, req any) any {
 		}
 		switch r.op {
 		case opClose:
-			s.closeStream(st)
-			st.gen++
-			s.shareOnClose(st, now)
+			s.closeStream(st, now)
 			if st.clientPort != nil {
 				// An orderly close needs no dead-name notification.
 				st.clientPort.NotifyDeadName(nil)
@@ -1213,7 +1223,7 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 		// applies: the Nth open inside the popularity window counts N-epsilon
 		// decayed opens, and it is the Nth open that should qualify.
 		if s.popNote(r.path, now)+0.5 >= prefixMinOpens {
-			s.prefixQualify(r.path)
+			s.prefixQualify(r.path, r.info)
 		}
 		feed = s.mcastCandidate(r, now)
 		if feed != nil {

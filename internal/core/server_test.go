@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"testing"
 	"time"
@@ -23,7 +24,9 @@ type bed struct {
 }
 
 // newBed builds the testbed, stores the movies, then runs ready as an
-// application thread. Engine runs until idle or 10 simulated minutes.
+// application thread. The engine runs 10 simulated minutes, one interval at
+// a time, sweeping the server's invariants after each interval until the
+// test fails.
 func newBed(t *testing.T, seed int64, fsOpts ufs.Options, cfg Config,
 	movies map[string]*media.StreamInfo, ready func(b *bed, th *rtm.Thread)) *bed {
 	t.Helper()
@@ -59,8 +62,23 @@ func newBed(t *testing.T, seed int64, fsOpts ufs.Options, cfg Config,
 			ready(b, th)
 		})
 	})
-	e.RunUntil(10 * time.Minute)
+	for interval := cmp.Or(cfg.Interval, DefaultInterval); e.Now() < 10*time.Minute; {
+		e.RunFor(min(interval, 10*time.Minute-e.Now()))
+		if b.cras != nil && !t.Failed() {
+			sweep(t, b.cras, fmt.Sprintf("invariant sweep at %v", e.Now()))
+		}
+	}
 	return b
+}
+
+// sweep fails the test with the first CheckInvariants violation, if any.
+// Suites call it between their operations, at arbitrary points of the
+// cycle grid, on top of newBed's sweep after every interval.
+func sweep(t *testing.T, s *Server, where string) {
+	t.Helper()
+	if err := s.CheckInvariants(); err != nil {
+		t.Errorf("%s: %v", where, err)
+	}
 }
 
 type namedMovie struct {
@@ -105,18 +123,30 @@ func sleepRenewing(th *rtm.Thread, d time.Duration, hs ...*Handle) {
 	}
 }
 
-// playAndMeasure consumes the stream frame by frame at its natural rate,
-// polling the shared buffer, and returns per-frame delays (obtained time
-// minus due time) and the count of frames that never arrived.
-func playAndMeasure(b *bed, th *rtm.Thread, h *Handle, frames int) (delays []sim.Time, lost int) {
+// frame is the test player's outcome for one frame that had a due time:
+// got when chunk c arrived, delay after its due time, or else a miss past
+// due + 3 frame durations.
+type frame struct {
+	i     int
+	c     BufferedChunk
+	delay sim.Time
+	got   bool
+}
+
+// play is the test player: it consumes h frame by frame at its natural
+// rate, sleeping to each frame's due time and polling the shared buffer
+// every 2 ms until the frame shows up or its budget runs out (anchored to
+// the due time, so losses don't push the player off the clock). A frame
+// whose clock is stopped has no due time and is lost at once; every other
+// frame's outcome goes to on (nil records nothing). play returns the
+// frames lost.
+func play(b *bed, th *rtm.Thread, h *Handle, frames int, on func(frame)) (lost int) {
 	info := h.Info()
-	if frames > len(info.Chunks) {
-		frames = len(info.Chunks)
-	}
+	frames = min(frames, len(info.Chunks))
 	const poll = 2 * time.Millisecond
 	for i := 0; i < frames; i++ {
-		c := info.Chunks[i]
-		due := h.ClockStartsAt(c.Timestamp)
+		want := info.Chunks[i]
+		due := h.ClockStartsAt(want.Timestamp)
 		if due < 0 {
 			lost++
 			continue
@@ -124,22 +154,32 @@ func playAndMeasure(b *bed, th *rtm.Thread, h *Handle, frames int) (delays []sim
 		if b.k.Now() < due {
 			th.SleepUntil(due)
 		}
-		// Poll until the frame shows up or its budget (anchored to the due
-		// time, so losses don't push the player off the clock) runs out.
-		deadline := due + 3*c.Duration
+		f := frame{i: i}
 		for {
-			if _, ok := h.Get(c.Timestamp); ok {
-				delays = append(delays, b.k.Now()-due)
+			if f.c, f.got = h.Get(want.Timestamp); f.got {
+				f.delay = b.k.Now() - due
 				break
 			}
-			if b.k.Now() >= deadline {
+			if b.k.Now() >= due+3*want.Duration {
 				lost++
 				break
 			}
 			th.Sleep(poll)
 		}
+		if on != nil {
+			on(f)
+		}
 	}
-	return delays, lost
+	return lost
+}
+
+// measure is a play callback collecting each arrived frame's delay.
+func measure(delays *[]sim.Time) func(frame) {
+	return func(f frame) {
+		if f.got {
+			*delays = append(*delays, f.delay)
+		}
+	}
 }
 
 func TestSingleStreamPlaybackOnTime(t *testing.T) {
@@ -160,7 +200,7 @@ func TestSingleStreamPlaybackOnTime(t *testing.T) {
 				t.Errorf("Start: %v", err)
 				return
 			}
-			delays, lost = playAndMeasure(b, th, h, 240)
+			lost = play(b, th, h, 240, measure(&delays))
 		})
 	if lost != 0 {
 		t.Fatalf("lost %d frames", lost)
@@ -421,11 +461,9 @@ func TestFragmentedFileDegradesExtents(t *testing.T) {
 			}
 			// It still plays — just with more, smaller reads.
 			h.Start(th)
-			delays, lost := playAndMeasure(b, th, h, 60)
-			if lost > 1 {
+			if lost := play(b, th, h, 60, nil); lost > 1 {
 				t.Errorf("lost %d frames on fragmented layout", lost)
 			}
-			_ = delays
 			// ~2.5s of media is ~470KB; a tuned layout would cover that in
 			// two 256KB reads, the fragmented one needs an extent per
 			// small run.

@@ -268,13 +268,15 @@ func (s *Server) shareLeave(st *stream, now sim.Time, op vcrLeave) {
 	}
 }
 
-// shareOnClose handles a participant leaving (crs_close or a recovery
-// eviction). A dependent detaches. A producer hands each group it leads to
-// the earliest-opened dependent — the one furthest ahead, keeping the
-// producer-before-dependents stream order. A pinned group first pins
-// whatever the closing leader still held; fan-out members already hold
-// every chunk the feed fanned out; so survivors lose nothing while the new
-// producer's first disk batch is in flight.
+// shareOnClose handles a participant leaving (closeStream). A dependent
+// detaches. A producer hands each group it leads to the earliest-opened
+// dependent — the one furthest ahead, keeping the
+// producer-before-dependents stream order. A pinned group with survivors
+// first pins whatever the closing leader still held; fan-out members
+// already hold every chunk the feed fanned out; so survivors lose nothing
+// while the new producer's first disk batch is in flight. A group left
+// without dependents dissolves, and the closing stream keeps its buffer:
+// after a shutdown its client may still read the runway.
 func (s *Server) shareOnClose(st *stream, now sim.Time) {
 	if st.dep != nil {
 		s.shareDetach(st)
@@ -284,7 +286,7 @@ func (s *Server) shareOnClose(st *stream, now sim.Time) {
 		if g == nil {
 			continue
 		}
-		if g.mode == sharePinned {
+		if g.mode == sharePinned && len(g.deps) > 0 {
 			s.cachePinRest(g, st, now)
 		}
 		st.prod[g.mode] = nil

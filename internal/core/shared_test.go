@@ -9,125 +9,6 @@ import (
 	"repro/internal/ufs"
 )
 
-// checkShareInvariants sweeps the shared-path state of both modes: per-mode
-// reservation accounting, the dependent/group/producer linkage, closed
-// streams holding no link, the shared charge (non-zero exactly on
-// dependents), the pinned mode's byte accounting against
-// CacheBudget, and the fan-out reservations plus prefix pins against
-// PrefixBudget. prefix leads every failure message (the property suites
-// pass their seed and op there).
-func checkShareInvariants(t *testing.T, s *Server, prefix string) {
-	t.Helper()
-	fail := func(format string, args ...interface{}) {
-		t.Errorf(prefix+format, args...)
-	}
-
-	var charges [numShareModes]int64
-	deps := 0
-	for _, st := range s.streams {
-		if st.closed {
-			if st.dep != nil || st.depCharge != 0 || st.prod != [numShareModes]*sharedPath{} {
-				fail("closed stream %d still linked to a shared path", st.id)
-			}
-			continue
-		}
-		if st.dep == nil {
-			if st.depCharge != 0 {
-				fail("stream %d holds a %d-byte reservation without a group", st.id, st.depCharge)
-			}
-			if st.par.Shared != 0 {
-				fail("plain stream %d still charged as a dependent: Shared=%d", st.id, st.par.Shared)
-			}
-			continue
-		}
-		g := st.dep
-		deps++
-		charges[g.mode] += st.depCharge
-		if st.prod != [numShareModes]*sharedPath{} {
-			fail("dependent %d also produces", st.id)
-		}
-		listed := false
-		for _, d := range g.deps {
-			listed = listed || d == st
-		}
-		if !listed {
-			fail("%s dependent %d is not listed by its group on %s", shareTag[g.mode], st.id, g.path)
-		}
-		// A fan-out member's reservation is its charge; a pinned follower
-		// reserves its pin bytes and is charged the gap plus a double
-		// buffer, never below B_i.
-		switch g.mode {
-		case sharePinned:
-			if bi := BufferPerStream(s.cfg.Interval, st.par); st.par.Shared < bi {
-				fail("cache follower %d charged Shared=%d, below B_i %d", st.id, st.par.Shared, bi)
-			}
-		case shareFanout:
-			if st.par.Shared != st.depCharge {
-				fail("member %d admission params out of step: Shared=%d charge=%d",
-					st.id, st.par.Shared, st.depCharge)
-			}
-		}
-	}
-	for m := shareMode(0); m < numShareModes; m++ {
-		if charges[m] != s.committed[m] {
-			fail("%s reservations drifted: committed %d, sum of dependent charges %d",
-				shareTag[m], s.committed[m], charges[m])
-		}
-	}
-
-	listed := 0
-	var pinned int64
-	for _, g := range s.shared {
-		if g.producer == nil {
-			fail("%s group on %s has no producer", shareTag[g.mode], g.path)
-		} else if g.producer.closed || g.producer.prod[g.mode] != g {
-			fail("%s group on %s: producer %d does not point back", shareTag[g.mode], g.path, g.producer.id)
-		}
-		for _, d := range g.deps {
-			listed++
-			if d.dep != g {
-				fail("%s group on %s lists stream %d which does not ride it", shareTag[g.mode], g.path, d.id)
-			}
-		}
-		var bytes int64
-		for _, c := range g.pins {
-			bytes += c.Size
-		}
-		if bytes != g.bytes {
-			fail("%s group on %s: pin bytes recorded %d, summed %d", shareTag[g.mode], g.path, g.bytes, bytes)
-		}
-		if g.mode == shareFanout && bytes != 0 {
-			fail("fan-out group on %s holds %d pinned bytes", g.path, bytes)
-		}
-		pinned += bytes
-	}
-	if listed != deps {
-		fail("membership drifted: %d streams ride a group, groups list %d", deps, listed)
-	}
-	if pinned != s.icache.bytes {
-		fail("cache pin bytes drifted: recorded %d, summed %d", s.icache.bytes, pinned)
-	}
-	if s.icache.bytes > s.cfg.CacheBudget || s.committed[sharePinned] > s.cfg.CacheBudget {
-		fail("cache budget exceeded: pinned %d, reserved %d, budget %d",
-			s.icache.bytes, s.committed[sharePinned], s.cfg.CacheBudget)
-	}
-	if s.committed[shareFanout]+s.mcast.pinned > s.cfg.PrefixBudget {
-		fail("prefix budget exceeded: fanout %d + pinned %d > %d",
-			s.committed[shareFanout], s.mcast.pinned, s.cfg.PrefixBudget)
-	}
-}
-
-// shareGroups counts the live groups of one mode.
-func shareGroups(s *Server, m shareMode) int {
-	n := 0
-	for _, g := range s.shared {
-		if g.mode == m {
-			n++
-		}
-	}
-	return n
-}
-
 // TestSharedDualRoleProducer: one producer leads a fan-out group (two
 // members batched inside the window) and an interval cache (two followers
 // opened after the window closed) at once. When the producer closes or is
@@ -180,7 +61,7 @@ func TestSharedDualRoleProducer(t *testing.T) {
 							deps = append(deps, h)
 							lost = append(lost, 0)
 							b.k.NewThread(name, rtm.PrioRTLow, 0, func(th2 *rtm.Thread) {
-								_, lost[i] = goldenPlay(b, th2, h, 200)
+								lost[i] = play(b, th2, h, 200, nil)
 								done++
 							})
 						}
@@ -212,11 +93,11 @@ func TestSharedDualRoleProducer(t *testing.T) {
 					if pinned == nil || fanout == nil {
 						t.Fatalf("producer does not lead both modes: pinned=%v fanout=%v", pinned, fanout)
 					}
-					checkShareInvariants(t, b.cras, "before: ")
+					sweep(t, b.cras, "before")
 
 					sleepRenewing(th, time.Second, p)
 					tc.leave(b, th, p)
-					checkShareInvariants(t, b.cras, "after "+tc.name+": ")
+					sweep(t, b.cras, "after "+tc.name)
 
 					if tc.promote {
 						if pinned.producer != f1.st || f1.CacheBacked() {
@@ -253,10 +134,7 @@ func TestSharedDualRoleProducer(t *testing.T) {
 					if !p.st.closed {
 						p.Close(th)
 					}
-					checkShareInvariants(t, b.cras, "closed: ")
-					if b.cras.committed != [numShareModes]int64{} {
-						t.Errorf("reservations leaked after every close: %v", b.cras.committed)
-					}
+					sweep(t, b.cras, "closed") // all closed: nothing reserved
 				})
 		})
 	}

@@ -14,40 +14,21 @@ import (
 	"repro/internal/ufs"
 )
 
-// checkStreamWindow compares every reader of the open window against a
-// reference that filters the whole session table: the window's open
-// streams in order, findStream for every id in [-1, nextID], and the two
-// snapshot readers. It also checks the window is tight — it starts at the
-// oldest open stream, or is empty when nothing is open.
+// checkStreamWindow sweeps the server (CheckInvariants: table ids, no open
+// stream below the window, the window starting at an open stream) and
+// compares every reader of the open window against a reference that
+// filters the whole session table: findStream for every id in
+// [-1, nextID], and the two snapshot readers.
 func checkStreamWindow(t *testing.T, s *Server, where string) {
 	t.Helper()
-	var want []*stream
+	sweep(t, s, where)
+	open := 0
 	footprint := int64(FixedFootprint) + s.icache.bytes + s.mcast.pinned
-	for i, st := range s.streams {
-		if st.id != i {
-			t.Fatalf("%s: table entry %d has id %d", where, i, st.id)
-		}
+	for _, st := range s.streams {
 		if !st.closed {
-			want = append(want, st)
+			open++
 			footprint += st.buf.Capacity()
 		}
-	}
-	var got []*stream
-	for _, st := range s.openStreams() {
-		if !st.closed {
-			got = append(got, st)
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("%s: window holds %d open streams, table %d", where, len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: window position %d is stream %d, table order has %d", where, i, got[i].id, want[i].id)
-		}
-	}
-	if w := s.openStreams(); len(w) > 0 && w[0].closed {
-		t.Fatalf("%s: window starts at closed stream %d", where, w[0].id)
 	}
 	for id := -1; id <= s.nextID; id++ {
 		var ref *stream
@@ -61,8 +42,8 @@ func checkStreamWindow(t *testing.T, s *Server, where string) {
 			t.Fatalf("%s: findStream(%d) = %p, linear search %p", where, id, got, ref)
 		}
 	}
-	if got := s.ActiveStreams(); got != len(want) {
-		t.Fatalf("%s: ActiveStreams = %d, full scan %d", where, got, len(want))
+	if got := s.ActiveStreams(); got != open {
+		t.Fatalf("%s: ActiveStreams = %d, full scan %d", where, got, open)
 	}
 	if got := s.MemoryFootprint(); got != footprint {
 		t.Fatalf("%s: MemoryFootprint = %d, full scan %d", where, got, footprint)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/sim"
 )
 
@@ -88,6 +90,30 @@ func (b *TDBuffer) search(ts sim.Time) int {
 		}
 	}
 	return lo
+}
+
+// check reports the first broken structural invariant of the resident
+// set: chunks ordered and non-overlapping in logical time, and bytes equal
+// to the sum of their sizes and within capacity.
+func (b *TDBuffer) check() error {
+	var sum int64
+	for i, c := range b.chunks {
+		sum += c.Size
+		if i == 0 {
+			continue
+		}
+		if prev := b.chunks[i-1]; prev.Timestamp >= c.Timestamp || prev.Timestamp+prev.Duration > c.Timestamp {
+			return fmt.Errorf("chunks %d,%d out of order or overlapping: [%v,%v) then %v",
+				i-1, i, prev.Timestamp, prev.Timestamp+prev.Duration, c.Timestamp)
+		}
+	}
+	if sum != b.bytes {
+		return fmt.Errorf("holds %d bytes but resident chunks sum to %d", b.bytes, sum)
+	}
+	if b.bytes > b.capacity {
+		return fmt.Errorf("holds %d bytes, over capacity %d", b.bytes, b.capacity)
+	}
+	return nil
 }
 
 // Len returns the number of resident chunks.

@@ -110,9 +110,6 @@ func runTDBufferSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 			c := int64(2000 + rng.Intn(20000))
 			b.SetCapacity(c)
 			desc = fmt.Sprintf("SetCapacity(%d)", c)
-			if b.Capacity() < b.Bytes() {
-				fail(desc, "capacity %d shrank below resident %d", b.Capacity(), b.Bytes())
-			}
 		case k < 9:
 			at := sim.Time(rng.Intn(120))*dur + sim.Time(rng.Intn(int(dur)))
 			c, ok := b.Get(at)
@@ -151,35 +148,19 @@ func runTDBufferSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 	}
 }
 
-// checkTDBufferInvariants asserts the structural properties that every
-// TDBuffer operation must preserve: chunks sorted and non-overlapping in
-// logical time, byte accounting exact and within capacity, and nothing
-// fully expired (wholly behind the discard horizon) resident.
+// checkTDBufferInvariants asserts the properties every TDBuffer operation
+// must preserve: the structural ones TDBuffer.check sweeps (order, no
+// overlap, exact byte accounting within capacity), and nothing fully
+// expired (wholly behind the discard horizon) resident.
 func checkTDBufferInvariants(t *testing.T, b *TDBuffer, horizon sim.Time,
 	fail func(op, format string, args ...interface{}), desc string) {
-	var sum int64
 	for i, c := range b.chunks {
-		sum += c.Size
 		if c.Timestamp+c.Duration <= horizon {
 			fail(desc, "chunk %d [%v,%v) survives wholly behind discard horizon %v",
 				i, c.Timestamp, c.Timestamp+c.Duration, horizon)
 		}
-		if i == 0 {
-			continue
-		}
-		prev := b.chunks[i-1]
-		if prev.Timestamp >= c.Timestamp {
-			fail(desc, "chunks %d,%d out of order: %v then %v", i-1, i, prev.Timestamp, c.Timestamp)
-		}
-		if prev.Timestamp+prev.Duration > c.Timestamp {
-			fail(desc, "chunks %d,%d overlap: [%v,%v) then %v",
-				i-1, i, prev.Timestamp, prev.Timestamp+prev.Duration, c.Timestamp)
-		}
 	}
-	if sum != b.Bytes() {
-		fail(desc, "Bytes() = %d but resident chunks sum to %d", b.Bytes(), sum)
-	}
-	if b.Bytes() > b.Capacity() {
-		fail(desc, "Bytes() = %d exceeds capacity %d", b.Bytes(), b.Capacity())
+	if err := b.check(); err != nil {
+		fail(desc, "%v", err)
 	}
 }

@@ -554,19 +554,7 @@ func TestVCRCacheSeekRevalidatesGapContract(t *testing.T) {
 			fol.Start(th)
 			sleepRenewing(th, 1*time.Second, lead, fol)
 
-			checkAccounting := func(when string) {
-				var sum int64
-				for _, st := range b.cras.streams {
-					if !st.closed && st.rides(sharePinned) {
-						sum += st.depCharge
-					}
-				}
-				if got := b.cras.committed[sharePinned]; got != sum {
-					t.Errorf("%s: cache committed %d != sum of pin charges %d (leak of %d bytes)",
-						when, got, sum, got-sum)
-				}
-			}
-			checkAccounting("before seek")
+			sweep(t, b.cras, "before seek")
 			oldCharge := b.cras.committed[sharePinned]
 
 			// Seek forward to just behind the leader: inside the pinned
@@ -590,7 +578,7 @@ func TestVCRCacheSeekRevalidatesGapContract(t *testing.T) {
 			if sv.CacheFallbacks != 0 {
 				t.Errorf("CacheFallbacks = %d after an in-interval seek, want 0", sv.CacheFallbacks)
 			}
-			checkAccounting("after in-interval seek")
+			sweep(t, b.cras, "after in-interval seek")
 			// Seeking toward the leader narrowed the gap: the re-priced
 			// reservation must have shrunk with it, or the budget leaks the
 			// difference on every such seek.
@@ -622,7 +610,7 @@ func TestVCRCacheSeekRevalidatesGapContract(t *testing.T) {
 			if got := b.cras.Stats().CacheFallbacks; got != 1 {
 				t.Errorf("CacheFallbacks = %d after an out-of-interval seek, want 1", got)
 			}
-			checkAccounting("after detach")
+			sweep(t, b.cras, "after detach")
 
 			fol.Close(th)
 			lead.Close(th)

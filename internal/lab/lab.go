@@ -7,6 +7,7 @@
 package lab
 
 import (
+	"cmp"
 	"fmt"
 
 	"repro/internal/core"
@@ -89,7 +90,10 @@ type Machine struct {
 	// container name (path).
 	Tracks map[string][]*media.StreamInfo
 
-	setupErr error
+	name      string   // Setup.Name, prefixing violations
+	interval  sim.Time // the CRAS interval: Run sweeps once per interval
+	setupErr  error
+	violation error // the first CheckInvariants violation a sweep found
 }
 
 // Build constructs the machine. Setup (mkfs, movie layout, server start)
@@ -101,6 +105,7 @@ func Build(s Setup, ready func(m *Machine)) *Machine {
 	if e == nil {
 		e = sim.NewEngine(s.Seed)
 	}
+	m := &Machine{Eng: e, name: s.Name, interval: cmp.Or(s.CRAS.Interval, core.DefaultInterval)}
 	g, p := disk.ST32550N()
 	if s.DiskCylinders > 0 {
 		g.Cylinders = s.DiskCylinders
@@ -126,13 +131,14 @@ func Build(s Setup, ready func(m *Machine)) *Machine {
 			v, err = disk.NewVolume(s.Name+"vol0", members, stripe)
 		}
 		if err != nil {
-			return &Machine{Eng: e, setupErr: err}
+			m.setupErr = err
+			return m
 		}
 		vol = v
 	} else {
 		vol = disk.SingleVolume(disk.New(e, s.Name+"sd0", g, p))
 	}
-	m := &Machine{Eng: e, Disk: vol.Disk(0), Vol: vol}
+	m.Disk, m.Vol = vol.Disk(0), vol
 	if _, err := ufs.Format(vol, s.FSOpts); err != nil {
 		m.setupErr = err
 		return m
@@ -191,15 +197,42 @@ func Build(s Setup, ready func(m *Machine)) *Machine {
 	return m
 }
 
-// Err returns the setup error, if any. Check after the engine has run far
-// enough for setup to complete.
-func (m *Machine) Err() error { return m.setupErr }
-
-// Run advances the simulation by d.
-func (m *Machine) Run(d sim.Time) {
-	m.Eng.RunFor(d)
+// Err returns the setup error, or else the first invariant violation a
+// sweep during Run found. Check after the engine has run far enough for
+// setup to complete.
+func (m *Machine) Err() error {
 	if m.setupErr != nil {
-		panic(m.setupErr)
+		return m.setupErr
+	}
+	return m.violation
+}
+
+// Run advances the simulation by d, sweeping the server's invariants after
+// every interval (lab.Run); it panics on a setup error.
+func (m *Machine) Run(d sim.Time) { Run(d, m) }
+
+// Run advances the engine the machines share by d, one CRAS interval at a
+// time, and after each interval sweeps every machine's server
+// (core.Server.CheckInvariants). A machine keeps the first violation for
+// Err; a setup error panics.
+func Run(d sim.Time, ms ...*Machine) {
+	e, end := ms[0].Eng, ms[0].Eng.Now()+d
+	for {
+		e.RunFor(min(ms[0].interval, end-e.Now()))
+		for _, m := range ms {
+			if m.setupErr != nil {
+				panic(m.setupErr)
+			}
+			if m.CRAS == nil || m.violation != nil {
+				continue
+			}
+			if err := m.CRAS.CheckInvariants(); err != nil {
+				m.violation = fmt.Errorf("lab: %sCRAS at %v: %w", m.name, e.Now(), err)
+			}
+		}
+		if e.Now() >= end {
+			break
+		}
 	}
 }
 
