@@ -1,6 +1,7 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -126,5 +127,37 @@ func TestParityCheckArgErrors(t *testing.T) {
 	}
 	if _, err := checkParity(&out, []string{"/nonexistent-a", "/nonexistent-b", "/nonexistent-c"}, 64); err == nil {
 		t.Errorf("missing image files did not error")
+	}
+}
+
+// TestSingleCheckReportsHostileGeometry saves a single-disk image whose
+// superblock claims zero inodes per group and requires cmfsck to fail with
+// the mount's geometry error, which main prints, instead of dividing by
+// zero in the walk.
+func TestSingleCheckReportsHostileGeometry(t *testing.T) {
+	e := sim.NewEngine(1)
+	g, p := disk.ST32550N()
+	g.Cylinders, g.Heads = 100, 4
+	d := disk.New(e, "sd0", g, p)
+	if _, err := ufs.Format(d, ufs.Options{}); err != nil {
+		t.Fatalf("Format: %v", err)
+	}
+	sec := d.PeekSector(0)
+	copy(sec[24:28], []byte{0, 0, 0, 0}) // Super.InodesPerGroup
+	d.PokeSector(0, sec)
+	path := filepath.Join(t.TempDir(), "cm.img")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.SaveImage(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+
+	var out strings.Builder
+	_, err = checkSingle(&out, path)
+	if !errors.Is(err, ufs.ErrBadGeometry) || !strings.Contains(err.Error(), "InodesPerGroup = 0") {
+		t.Fatalf("checkSingle = %v, want the InodesPerGroup geometry error", err)
 	}
 }

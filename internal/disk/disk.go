@@ -363,7 +363,7 @@ func (d *Disk) complete() {
 	case r.Err != nil:
 		// Failed request: no data moves.
 	case r.Write:
-		d.store(r)
+		d.storeSectors(r.LBA, r.Count, r.Data)
 	case r.Data != nil:
 		d.copySectors(r.LBA, r.Count, r.Data)
 		data = r.Data
@@ -407,13 +407,15 @@ func slabSpan(lba int64, count int) (key int64, off, n int) {
 	return key, off, min(slabSectors-off, count)
 }
 
-func (d *Disk) store(r *Request) {
+// storeSectors stores count sectors of data from lba, one slab step per
+// run of sectors sharing a slab. A nil data is a sparse write.
+func (d *Disk) storeSectors(lba int64, count int, data []byte) {
 	ss := d.geo.SectorSize
-	for i := 0; i < r.Count; {
-		key, off, n := slabSpan(r.LBA+int64(i), r.Count-i)
+	for i := 0; i < count; {
+		key, off, n := slabSpan(lba+int64(i), count-i)
 		var src []byte
-		if r.Data != nil {
-			src = r.Data[i*ss : (i+n)*ss]
+		if data != nil {
+			src = data[i*ss : (i+n)*ss]
 		}
 		d.writeSlab(key, off, n, src)
 		i += n
@@ -535,8 +537,13 @@ func (d *Disk) PokeSector(lba int64, data []byte) {
 	if len(data) != d.geo.SectorSize {
 		panic("disk: PokeSector payload size mismatch")
 	}
-	key, off, _ := slabSpan(lba, 1)
-	d.writeSlab(key, off, 1, data)
+	d.PokeSectors(lba, data)
+}
+
+// PokeSectors writes the sectors from lba, whose length must be a whole
+// number of sectors, without disk timing (offline image edit).
+func (d *Disk) PokeSectors(lba int64, data []byte) {
+	d.storeSectors(lba, d.sectorCount(data), data)
 }
 
 // StoredSectors returns how many sectors hold explicit payloads.

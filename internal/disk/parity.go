@@ -223,12 +223,8 @@ func (v *Volume) RebuildMember(m int) {
 		//crasvet:allow hotalloc -- panic path
 		panic(fmt.Sprintf("disk: volume %s: RebuildMember on a non-parity volume", v.name))
 	}
-	ss := v.geo.SectorSize
 	for row := int64(0); row < v.Rows(); row++ {
-		unit := v.reconstructUnitOffline(row, m)
-		for i := int64(0); i < v.stripe; i++ {
-			v.disks[m].PokeSector(row*v.stripe+i, unit[int(i)*ss:int(i+1)*ss])
-		}
+		v.disks[m].PokeSectors(row*v.stripe, v.reconstructUnitOffline(row, m))
 	}
 }
 

@@ -97,12 +97,12 @@ func TestSectorStoreProperty(t *testing.T) {
 			for i := 0; i < count; i++ {
 				data = append(data, sector()...)
 			}
-			d.store(&Request{LBA: lba, Count: count, Write: true, Data: data})
+			d.storeSectors(lba, count, data)
 			for i := 0; i < count; i++ {
 				put(lba+int64(i), data[i*ss:(i+1)*ss])
 			}
 		case 2: // sparse write
-			d.store(&Request{LBA: lba, Count: count, Write: true})
+			d.storeSectors(lba, count, nil)
 			for i := 0; i < count; i++ {
 				put(lba+int64(i), nil)
 			}
@@ -297,5 +297,84 @@ func TestMappingAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { v.PeekSectors(37, buf) }); n != 0 {
 			t.Errorf("%s: PeekSectors allocates %v times per call", v.Name(), n)
 		}
+	}
+}
+
+// TestPokeSectorsMatchesPerSector pokes random multi-sector ranges, some
+// sectors all zero, through PokeSectors on one device and sector by sector
+// through PokeSector on a twin: a disk, a RAID-0 volume, and a parity
+// volume healthy and with a dead member. Every member's store must end
+// byte-identical, with the same stored-sector count, and parity must hold.
+func TestPokeSectorsMatchesPerSector(t *testing.T) {
+	type device interface {
+		PokeSector(lba int64, data []byte)
+		PokeSectors(lba int64, data []byte)
+	}
+	for _, tc := range []struct {
+		name   string
+		disks  int // 0: a bare disk
+		parity bool
+		dead   int
+	}{
+		{"disk", 0, false, -1},
+		{"raid0", 4, false, -1},
+		{"parity", 4, true, -1},
+		{"parity-degraded", 4, true, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			build := func() (device, []*Disk, *Volume) {
+				e := sim.NewEngine(1)
+				if tc.disks == 0 {
+					d := New(e, "sd0", Geometry{Cylinders: 20, Heads: 2, SectorsPerTrack: 16, SectorSize: 512}, Params{})
+					return d, []*Disk{d}, nil
+				}
+				v := payloadVolume(t, e, tc.disks, tc.parity)
+				if tc.dead >= 0 {
+					v.SetDead(tc.dead, true)
+				}
+				members := make([]*Disk, v.NumDisks())
+				for i := range members {
+					members[i] = v.Disk(i)
+				}
+				return v, members, v
+			}
+			bulk, bulkMembers, bulkVol := build()
+			each, eachMembers, _ := build()
+			rng := rand.New(rand.NewSource(7))
+			total := bulkMembers[0].Geometry().TotalSectors()
+			if bulkVol != nil {
+				total = bulkVol.Geometry().TotalSectors()
+			}
+			for trial := 0; trial < 300; trial++ {
+				n := 1 + rng.Intn(20)
+				lba := rng.Int63n(total - int64(n))
+				data := make([]byte, n*512)
+				for s := 0; s < n; s++ {
+					if rng.Intn(4) != 0 {
+						rng.Read(data[s*512 : (s+1)*512])
+					}
+				}
+				bulk.PokeSectors(lba, data)
+				for s := 0; s < n; s++ {
+					each.PokeSector(lba+int64(s), data[s*512:(s+1)*512])
+				}
+			}
+			for i := range bulkMembers {
+				a, b := bulkMembers[i], eachMembers[i]
+				all := func(d *Disk) []byte {
+					out := make([]byte, d.Geometry().TotalSectors()*512)
+					d.PeekSectors(0, out)
+					return out
+				}
+				if !bytes.Equal(all(a), all(b)) || a.StoredSectors() != b.StoredSectors() {
+					t.Fatalf("member %d: PokeSectors left other bytes than per-sector PokeSector", i)
+				}
+			}
+			if bulkVol != nil {
+				if row := bulkVol.VerifyParity(); row != -1 {
+					t.Fatalf("parity broken at row %d", row)
+				}
+			}
+		})
 	}
 }

@@ -447,27 +447,48 @@ func (v *Volume) PeekSector(lba int64) []byte {
 }
 
 // PokeSector writes a logical sector without disk timing (offline image
-// edit — mkfs and the movie layout run through this). On a parity volume
-// the row's parity sector is updated in the same step: parity_new =
-// parity_old XOR data_old XOR data_new, so offline edits keep every row
-// XORing to zero. The old data and parity are read as a timed read would
-// see them, rebuilt when their member is dead, so an edit on a degraded
-// volume still reconstructs to the new bytes.
+// edit).
 func (v *Volume) PokeSector(lba int64, data []byte) {
-	d, dlba := v.Locate(lba)
-	if v.parity {
-		p := v.ParityDisk(dlba / v.stripe)
-		ss := v.geo.SectorSize
-		buf := make([]byte, 2*ss)
-		old, psec := buf[:ss], buf[ss:]
-		v.peekMember(d, dlba, 1, old)
-		v.peekMember(p, dlba, 1, psec)
-		for i := range psec {
-			psec[i] ^= old[i] ^ data[i]
-		}
-		v.disks[p].PokeSector(dlba, psec)
+	if len(data) != v.geo.SectorSize {
+		panic("disk: PokeSector payload size mismatch")
 	}
-	v.disks[d].PokeSector(dlba, data)
+	v.PokeSectors(lba, data)
+}
+
+// PokeSectors writes the logical sectors from lba, whose length must be a
+// whole number of sectors, without disk timing (offline image edit — mkfs
+// and the movie layout run through this), one stripe unit at a time. On a
+// parity volume each sector's row parity is updated in the same step:
+// parity_new = parity_old XOR data_old XOR data_new, so offline edits keep
+// every row XORing to zero. The old data and parity are read as a timed
+// read would see them, rebuilt when their member is dead, so an edit on a
+// degraded volume still reconstructs to the new bytes.
+func (v *Volume) PokeSectors(lba int64, data []byte) {
+	ss := v.geo.SectorSize
+	count := v.disks[0].sectorCount(data)
+	var buf []byte
+	if v.parity {
+		buf = make([]byte, 2*ss)
+	}
+	for u := v.units(lba, count); u.next(); {
+		src := data[int(u.off)*ss : (int(u.off)+u.count)*ss]
+		if !v.parity {
+			v.disks[u.disk].PokeSectors(u.dlba, src)
+			continue
+		}
+		p := v.ParityDisk(u.dlba / v.stripe)
+		old, psec := buf[:ss], buf[ss:]
+		for i := 0; i < u.count; i++ {
+			dlba, sec := u.dlba+int64(i), src[i*ss:(i+1)*ss]
+			v.peekMember(u.disk, dlba, 1, old)
+			v.peekMember(p, dlba, 1, psec)
+			for j := range psec {
+				psec[j] ^= old[j] ^ sec[j]
+			}
+			v.disks[p].PokeSectors(dlba, psec)
+			v.disks[u.disk].PokeSectors(dlba, sec)
+		}
+	}
 }
 
 // Stats returns the members' controller statistics summed; MaxQueueDepth is

@@ -7,9 +7,9 @@ import (
 
 // BlockDevice is the disk surface the file system consumes: geometry for
 // layout, asynchronous submission for cached reads, synchronous write-back,
-// and the offline peek/poke pair. mkfs uses both; the buffer cache submits
-// timing-only reads and, at their completion, fills its blocks in place
-// with PeekSectors. Both a bare *disk.Disk and a striped *disk.Volume
+// and the offline peek/poke pair. mkfs uses both, a whole block per call;
+// the buffer cache submits timing-only reads and, at their completion,
+// fills its blocks in place with PeekSectors. Both a bare *disk.Disk and a striped *disk.Volume
 // satisfy it, so a CMFS image formats and mounts identically on one
 // spindle or an array.
 type BlockDevice interface {
@@ -17,7 +17,7 @@ type BlockDevice interface {
 	Submit(r *disk.Request)
 	WriteSync(p *sim.Proc, lba int64, count int, data []byte, realTime bool)
 	PeekSectors(lba int64, dst []byte)
-	PokeSector(lba int64, data []byte)
+	PokeSectors(lba int64, data []byte)
 }
 
 var (

@@ -90,14 +90,33 @@ func NewCache(dsk BlockDevice, capacity int) *Cache {
 }
 
 // touch marks e most recently used. An entry that has left the cache while
-// its caller waited only takes the stamp.
+// its caller waited, or that is already the most recently used, only takes
+// the stamp.
 func (c *Cache) touch(e *cacheEntry) {
 	c.seq++
 	e.lruSeq = c.seq
-	if e.prev != nil {
+	if e.prev != nil && e != c.lru.prev {
 		c.unlink(e)
 		c.pushBack(e)
 	}
+}
+
+// hot returns blk's buffer when a Get of it would change nothing but the
+// hit count: blk is filled and the most recently used block and, if under
+// is non-zero, under is filled and the block used just before it (so Get
+// of under then blk leaves the order as it is too). Otherwise it returns
+// nil. The alias rule of Get applies to the buffer.
+func (c *Cache) hot(under, blk int64) []byte {
+	e := c.lru.prev
+	if e == &c.lru || e.blk != blk || e.pending {
+		return nil
+	}
+	if under != 0 {
+		if u := e.prev; u == &c.lru || u.blk != under || u.pending {
+			return nil
+		}
+	}
+	return e.data
 }
 
 func (c *Cache) pushBack(e *cacheEntry) {

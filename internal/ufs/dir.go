@@ -14,30 +14,18 @@ const (
 	maxNameLen = dirEntSize - 6
 )
 
-type dirEnt struct {
-	ino   uint32
-	ftype uint8
-	name  string
+// putDirEnt writes an entry record into rec, which is dirEntSize bytes.
+func putDirEnt(rec []byte, ino uint32, ftype uint8, name string) {
+	putLeUint32(rec[0:], ino)
+	rec[4] = ftype
+	rec[5] = uint8(len(name))
+	clear(rec[6+copy(rec[6:], name):])
 }
 
-func (e *dirEnt) encode(buf []byte) {
-	putLeUint32(buf[0:], e.ino)
-	buf[4] = e.ftype
-	buf[5] = uint8(len(e.name))
-	copy(buf[6:], e.name)
-	for i := 6 + len(e.name); i < dirEntSize; i++ {
-		buf[i] = 0
-	}
-}
-
-func (e *dirEnt) decode(buf []byte) {
-	e.ino = leUint32(buf[0:])
-	e.ftype = buf[4]
-	n := int(buf[5])
-	if n > maxNameLen {
-		n = maxNameLen
-	}
-	e.name = string(buf[6 : 6+n])
+// entIno and entName decode an entry record.
+func entIno(rec []byte) uint32 { return leUint32(rec) }
+func entName(rec []byte) []byte {
+	return rec[6 : 6+min(int(rec[5]), maxNameLen)]
 }
 
 // DirEntry is a name/inode pair returned by ReadDir.
@@ -47,33 +35,34 @@ type DirEntry struct {
 	IsDir bool
 }
 
-// readDirEnts scans every entry of a directory inode.
-func (fs *FileSystem) readDirEnts(p *sim.Proc, dirIno uint32) ([]dirEnt, error) {
-	f := fs.openByIno(dirIno)
+// readDir reads every entry record of a directory inode — one ReadAt over
+// the whole directory through a fresh handle — into the file system's
+// reused buffer, trimmed to whole records. The result is valid until the
+// next readDir.
+func (fs *FileSystem) readDir(p *sim.Proc, dirIno uint32) ([]byte, error) {
+	f := *fs.openByIno(dirIno)
 	size := f.Size(p)
-	raw := make([]byte, size)
+	if int64(cap(fs.dirBuf)) < size {
+		fs.dirBuf = make([]byte, size)
+	}
+	raw := fs.dirBuf[:size]
 	if _, err := f.ReadAt(p, raw, 0); err != nil {
 		return nil, err
 	}
-	var out []dirEnt
-	for off := int64(0); off+dirEntSize <= size; off += dirEntSize {
-		var e dirEnt
-		e.decode(raw[off : off+dirEntSize])
-		out = append(out, e)
-	}
-	return out, nil
+	return raw[:size-size%dirEntSize], nil
 }
 
 // dirLookup finds name in the directory, returning its entry index and
 // inode.
 func (fs *FileSystem) dirLookup(p *sim.Proc, dirIno uint32, name string) (idx int, ino uint32, err error) {
-	ents, err := fs.readDirEnts(p, dirIno)
+	raw, err := fs.readDir(p, dirIno)
 	if err != nil {
 		return 0, 0, err
 	}
-	for i, e := range ents {
-		if e.ino != 0 && e.name == name {
-			return i, e.ino, nil
+	for off := 0; off < len(raw); off += dirEntSize {
+		rec := raw[off : off+dirEntSize]
+		if ino := entIno(rec); ino != 0 && string(entName(rec)) == name {
+			return off / dirEntSize, ino, nil
 		}
 	}
 	return 0, 0, ErrNotFound
@@ -84,21 +73,21 @@ func (fs *FileSystem) dirAdd(p *sim.Proc, dirIno uint32, name string, ino uint32
 	if len(name) == 0 || len(name) > maxNameLen || strings.Contains(name, "/") {
 		return ErrNameTooLong
 	}
-	ents, err := fs.readDirEnts(p, dirIno)
+	raw, err := fs.readDir(p, dirIno)
 	if err != nil {
 		return err
 	}
-	slot := int64(len(ents))
-	for i, e := range ents {
-		if e.ino == 0 {
-			slot = int64(i)
+	slot := len(raw)
+	for off := 0; off < len(raw); off += dirEntSize {
+		if entIno(raw[off:]) == 0 {
+			slot = off
 			break
 		}
 	}
-	buf := make([]byte, dirEntSize)
-	(&dirEnt{ino: ino, ftype: ftype, name: name}).encode(buf)
-	f := fs.openByIno(dirIno)
-	_, err = f.WriteAt(p, buf, slot*dirEntSize)
+	var rec [dirEntSize]byte
+	putDirEnt(rec[:], ino, ftype, name)
+	f := *fs.openByIno(dirIno)
+	_, err = f.WriteAt(p, rec[:], int64(slot))
 	return err
 }
 
@@ -108,9 +97,9 @@ func (fs *FileSystem) dirRemove(p *sim.Proc, dirIno uint32, name string) error {
 	if err != nil {
 		return err
 	}
-	buf := make([]byte, dirEntSize) // ino 0 = free slot
-	f := fs.openByIno(dirIno)
-	_, err = f.WriteAt(p, buf, int64(idx)*dirEntSize)
+	var rec [dirEntSize]byte // ino 0 = free slot
+	f := *fs.openByIno(dirIno)
+	_, err = f.WriteAt(p, rec[:], int64(idx)*dirEntSize)
 	return err
 }
 
@@ -250,12 +239,12 @@ func (fs *FileSystem) Unlink(p *sim.Proc, path string) error {
 	}
 	in := fs.getInode(p, ino)
 	if in.Mode == ModeDir {
-		ents, err := fs.readDirEnts(p, ino)
+		raw, err := fs.readDir(p, ino)
 		if err != nil {
 			return err
 		}
-		for _, e := range ents {
-			if e.ino != 0 {
+		for off := 0; off < len(raw); off += dirEntSize {
+			if entIno(raw[off:]) != 0 {
 				return ErrExists // directory not empty
 			}
 		}
@@ -282,14 +271,15 @@ func (fs *FileSystem) ReadDir(p *sim.Proc, path string) ([]DirEntry, error) {
 	if fs.getInode(p, ino).Mode != ModeDir {
 		return nil, ErrNotDir
 	}
-	ents, err := fs.readDirEnts(p, ino)
+	raw, err := fs.readDir(p, ino)
 	if err != nil {
 		return nil, err
 	}
 	var out []DirEntry
-	for _, e := range ents {
-		if e.ino != 0 {
-			out = append(out, DirEntry{Name: e.name, Ino: e.ino, IsDir: e.ftype == ModeDir})
+	for off := 0; off < len(raw); off += dirEntSize {
+		rec := raw[off : off+dirEntSize]
+		if ino := entIno(rec); ino != 0 {
+			out = append(out, DirEntry{Name: string(entName(rec)), Ino: ino, IsDir: rec[4] == ModeDir})
 		}
 	}
 	return out, nil

@@ -20,6 +20,17 @@
 // block map (a non-real-time operation, done at open time), coalesces it
 // into extents, and reads raw sectors on the disk's real-time queue.
 //
+// Movies are laid out an extent at a time. File.Preallocate walks the file
+// once: the block just placed is the next block's allocator goal, and an
+// indirect block stays resolved across its run of slots, looked up again
+// only when the buffer cache shows a lookup would do more than count a hit
+// (after a cylinder-group load). It places every block where WriteAt's
+// per-block walk would and leaves the cache, the disk and the simulated
+// clock exactly as that walk does. mkfs (Format) writes each header and
+// inode block with one BlockDevice.PokeSectors call, which a disk stores
+// a slab at a time and a volume a stripe unit at a time. Mount refuses a
+// superblock whose geometry it cannot serve with a *GeometryError.
+//
 // Differences from real FFS, chosen to keep the package small without
 // changing the behaviour the paper depends on: no fragments (a file's tail
 // occupies a whole 8 KB block), no triple-indirect blocks, fixed 64-byte

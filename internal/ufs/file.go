@@ -35,16 +35,22 @@ func (f *File) allocGoalFor(p *sim.Proc, fbn int64) uint32 {
 	if fbn > 0 {
 		prev, err := fs.bmap(p, f.ino, fbn-1, 0)
 		if err == nil && prev != 0 {
-			goal := prev + 1
-			if fs.sb.RotDelay > 0 && fbn%int64(fs.sb.MaxContig) == 0 {
-				goal += fs.sb.RotDelay
-			}
-			return goal
+			return fs.goalAfter(prev, fbn)
 		}
 	}
 	gi := int(f.ino / fs.sb.InodesPerGroup)
 	g := fs.getGroup(p, gi)
 	return g.dataStart(&fs.sb)
+}
+
+// goalAfter is the allocator goal for file block fbn when block fbn-1
+// lies at prev.
+func (fs *FileSystem) goalAfter(prev uint32, fbn int64) uint32 {
+	goal := prev + 1
+	if fs.sb.RotDelay > 0 && fbn%int64(fs.sb.MaxContig) == 0 {
+		goal += fs.sb.RotDelay
+	}
+	return goal
 }
 
 // WriteAt writes data at the byte offset, allocating blocks as needed and
@@ -96,6 +102,14 @@ func (f *File) Append(p *sim.Proc, data []byte) (int, error) {
 // conclusion calls for so that continuous media can later be *written* at a
 // constant rate into already-placed blocks; it is also how experiments lay
 // out multi-hundred-megabyte movie files without storing their bytes.
+//
+// It walks the file once, an extent at a time, and places exactly the
+// blocks WriteAt's per-block walk (allocGoalFor, then bmap) would, with the
+// same cache traffic. The block just placed is the next block's goal, and
+// within a run of slots of one indirect block that block stays resolved:
+// the per-block walk's lookups of it (and of the double-indirect block
+// above it) are skipped while the cache shows they would only count hits,
+// and replayed as soon as an allocation has moved them (a group load).
 func (f *File) Preallocate(p *sim.Proc, newSize int64) error {
 	fs := f.fs
 	in := fs.getInode(p, f.ino)
@@ -104,10 +118,31 @@ func (f *File) Preallocate(p *sim.Proc, newSize int64) error {
 	}
 	first := in.Blocks()
 	last := (newSize + BlockSize - 1) / BlockSize
+	var goal, parent, leaf uint32 // block fbn's goal; where block fbn-1's pointer lives
 	for fbn := first; fbn < last; fbn++ {
-		if _, err := fs.bmap(p, f.ino, fbn, f.allocGoalFor(p, fbn)); err != nil {
+		var buf []byte
+		if leaf != 0 {
+			buf = fs.cache.hot(int64(parent), int64(leaf))
+		}
+		prevLeaf, _ := leafOf(fbn - 1)
+		switch l, slot := leafOf(fbn); {
+		case fbn == first || leaf != 0 && buf == nil:
+			// The per-block walk's lookup of block fbn-1 for the goal would
+			// do more than count hits here, so it is done.
+			goal = f.allocGoalFor(p, fbn)
+		case buf != nil && l == prevLeaf:
+			prev, err := fs.fillSlot(p, buf, leaf, slot, goal, false)
+			if err != nil {
+				return err
+			}
+			goal = fs.goalAfter(prev, fbn+1)
+			continue
+		}
+		prev, pa, lf, err := fs.bmapLeaf(p, f.ino, fbn, goal)
+		if err != nil {
 			return err
 		}
+		goal, parent, leaf = fs.goalAfter(prev, fbn+1), pa, lf
 	}
 	in.Size = newSize
 	in.MTime = int64(fs.eng.Now())

@@ -118,6 +118,56 @@ func (s *Super) decode(buf []byte) error {
 	return nil
 }
 
+// ErrBadGeometry is what every *GeometryError matches under errors.Is.
+var ErrBadGeometry = errors.New("ufs: superblock geometry the file system cannot serve")
+
+// GeometryError is Mount's refusal of a superblock whose geometry the file
+// system cannot serve: Field holds Value, which breaks the rule Why states.
+type GeometryError struct {
+	Field string
+	Value uint64
+	Why   string
+}
+
+func (e *GeometryError) Error() string {
+	return fmt.Sprintf("ufs: superblock %s = %d: %s", e.Field, e.Value, e.Why)
+}
+
+// Unwrap returns ErrBadGeometry.
+func (e *GeometryError) Unwrap() error { return ErrBadGeometry }
+
+// validate checks the geometry the file system divides by and lays out
+// from, against a device of totalSectors sectors: the divisors are
+// non-zero, a group holds its header, inode blocks and some data, the
+// group header holds both bitmaps, the groups fit NBlocks (as Format lays
+// them out, the last one possibly short) and NBlocks fits the device.
+func (s *Super) validate(totalSectors int64) error {
+	bad := func(field string, v uint32, why string) error {
+		return &GeometryError{Field: field, Value: uint64(v), Why: why}
+	}
+	switch {
+	case s.BlocksPerGroup == 0:
+		return bad("BlocksPerGroup", s.BlocksPerGroup, "must be non-zero")
+	case s.InodesPerGroup == 0:
+		return bad("InodesPerGroup", s.InodesPerGroup, "must be non-zero")
+	case s.RotDelay > 0 && s.MaxContig == 0:
+		return bad("MaxContig", s.MaxContig, "must be non-zero when RotDelay is set")
+	case uint64(s.InodesPerGroup) > uint64(s.InodeBlocksPerG)*InodesPerBlock:
+		return bad("InodesPerGroup", s.InodesPerGroup, fmt.Sprintf("exceeds the %d inode blocks per group", s.InodeBlocksPerG))
+	case uint64(s.InodeBlocksPerG)+2 > uint64(s.BlocksPerGroup):
+		return bad("InodeBlocksPerG", s.InodeBlocksPerG, fmt.Sprintf("leaves no data block in a group of %d", s.BlocksPerGroup))
+	case 8+(uint64(s.InodesPerGroup)+7)/8+(uint64(s.BlocksPerGroup)+7)/8 > BlockSize:
+		return bad("BlocksPerGroup", s.BlocksPerGroup, "bitmaps overflow the group header block")
+	case s.NGroups == 0:
+		return bad("NGroups", s.NGroups, "must be non-zero")
+	case 1+uint64(s.NGroups-1)*uint64(s.BlocksPerGroup)+uint64(s.InodeBlocksPerG)+2 > uint64(s.NBlocks):
+		return bad("NGroups", s.NGroups, fmt.Sprintf("groups of %d blocks do not fit %d blocks", s.BlocksPerGroup, s.NBlocks))
+	case uint64(s.NBlocks)*SectorsPerBlock > uint64(totalSectors):
+		return bad("NBlocks", s.NBlocks, fmt.Sprintf("exceeds the device's %d blocks", totalSectors/SectorsPerBlock))
+	}
+	return nil
+}
+
 // Inode is the in-memory form of an on-disk inode.
 type Inode struct {
 	Mode      uint16
@@ -231,6 +281,9 @@ func Format(d BlockDevice, opts Options) (*Super, error) {
 		MaxContig:       uint32(opts.MaxContig),
 		RotDelay:        uint32(opts.RotDelay),
 	}
+	if err := sb.validate(d.Geometry().TotalSectors()); err != nil {
+		return nil, err // options Mount would refuse
+	}
 
 	// Superblock.
 	buf := make([]byte, BlockSize)
@@ -319,9 +372,7 @@ func loadGroupOffline(d BlockDevice, sb *Super, gi int) *group {
 }
 
 func pokeBlock(d BlockDevice, blk int64, data []byte) {
-	for s := 0; s < SectorsPerBlock; s++ {
-		d.PokeSector(blk*SectorsPerBlock+int64(s), data[s*512:(s+1)*512])
-	}
+	d.PokeSectors(blk*SectorsPerBlock, data)
 }
 
 func peekBlock(d BlockDevice, blk int64) []byte {

@@ -30,7 +30,7 @@ type FileSystem struct {
 
 	readAhead int
 
-	groups      map[int]*group
+	groups      []*group // by group number; nil until loaded, grown on demand
 	inodes      map[uint32]*Inode
 	dirtyInodes map[uint32]bool
 
@@ -41,6 +41,9 @@ type FileSystem struct {
 	lastIn  *Inode
 
 	lastAllocGroup int
+
+	// dirBuf is readDir's reused buffer.
+	dirBuf []byte
 }
 
 // Mount reads the superblock (with disk timing, from the calling process)
@@ -53,12 +56,14 @@ func Mount(p *sim.Proc, dsk BlockDevice, opts Options) (*FileSystem, error) {
 		dsk:         dsk,
 		cache:       NewCache(dsk, opts.CacheBlocks),
 		readAhead:   opts.ReadAheadBlocks,
-		groups:      make(map[int]*group),
 		inodes:      make(map[uint32]*Inode),
 		dirtyInodes: make(map[uint32]bool),
 	}
 	buf := fs.cache.Get(p, 0)
 	if err := fs.sb.decode(buf); err != nil {
+		return nil, err
+	}
+	if err := fs.sb.validate(dsk.Geometry().TotalSectors()); err != nil {
 		return nil, err
 	}
 	return fs, nil
@@ -78,12 +83,15 @@ func (fs *FileSystem) Disk() BlockDevice { return fs.dsk }
 func (fs *FileSystem) groupStart(gi int) uint32 { return 1 + uint32(gi)*fs.sb.BlocksPerGroup }
 
 func (fs *FileSystem) getGroup(p *sim.Proc, gi int) *group {
-	if g, ok := fs.groups[gi]; ok {
-		return g
+	if gi < len(fs.groups) && fs.groups[gi] != nil {
+		return fs.groups[gi]
 	}
 	g := newEmptyGroup(&fs.sb, gi)
 	g.decode(fs.cache.Get(p, int64(g.start)), &fs.sb)
 	g.index = gi
+	if gi >= len(fs.groups) {
+		fs.groups = append(fs.groups, make([]*group, gi+1-len(fs.groups))...)
+	}
 	fs.groups[gi] = g
 	return g
 }
@@ -135,8 +143,9 @@ func (fs *FileSystem) flushInode(p *sim.Proc, ino uint32) {
 
 func (fs *FileSystem) markInodeDirty(ino uint32) { fs.dirtyInodes[ino] = true }
 
-// Sync flushes dirty inodes, groups and cached blocks to disk. Flush order
-// is sorted so runs stay deterministic despite map-backed state.
+// Sync flushes dirty inodes, groups and cached blocks to disk. Inodes are
+// flushed in sorted order so runs stay deterministic despite the map, and
+// groups in group order.
 func (fs *FileSystem) Sync(p *sim.Proc) {
 	inos := make([]uint32, 0, len(fs.dirtyInodes))
 	for ino := range fs.dirtyInodes {
@@ -146,13 +155,10 @@ func (fs *FileSystem) Sync(p *sim.Proc) {
 	for _, ino := range inos {
 		fs.flushInode(p, ino)
 	}
-	gis := make([]int, 0, len(fs.groups))
-	for gi := range fs.groups {
-		gis = append(gis, gi)
-	}
-	sort.Ints(gis)
-	for _, gi := range gis {
-		fs.flushGroup(p, fs.groups[gi])
+	for _, g := range fs.groups {
+		if g != nil {
+			fs.flushGroup(p, g)
+		}
 	}
 	fs.cache.Sync(p)
 }
@@ -275,96 +281,135 @@ func (fs *FileSystem) FreeBlocks(p *sim.Proc) int64 {
 // the goal and installed. Returns 0 for unallocated holes when not
 // allocating.
 func (fs *FileSystem) bmap(p *sim.Proc, ino uint32, fbn int64, allocGoal uint32) (uint32, error) {
+	phys, _, _, err := fs.bmapLeaf(p, ino, fbn, allocGoal)
+	return phys, err
+}
+
+// bmapLeaf is bmap that also reports where fbn's pointer lives: leaf is
+// the indirect block holding it (0 for the inode's direct slots) and parent
+// the double-indirect block above leaf (0 if there is none).
+func (fs *FileSystem) bmapLeaf(p *sim.Proc, ino uint32, fbn int64, allocGoal uint32) (phys, parent, leaf uint32, err error) {
 	in := fs.getInode(p, ino)
 	if fbn < 0 || fbn >= MaxFileBlocks {
-		return 0, ErrFileTooBig
+		return 0, 0, 0, ErrFileTooBig
 	}
 	alloc := allocGoal != 0
-
-	// Direct.
-	if fbn < NDirect {
-		if in.Direct[fbn] == 0 && alloc {
+	switch l, slot := leafOf(fbn); {
+	case l < 0: // direct
+		if in.Direct[slot] == 0 && alloc {
 			blk, err := fs.allocBlockNear(p, allocGoal)
 			if err != nil {
-				return 0, err
+				return 0, 0, 0, err
 			}
-			in.Direct[fbn] = blk
+			in.Direct[slot] = blk
 			fs.markInodeDirty(ino)
 		}
-		return in.Direct[fbn], nil
-	}
-	fbn -= NDirect
+		return in.Direct[slot], 0, 0, nil
 
-	// Single indirect.
-	if fbn < PtrsPerBlock {
+	case l == 0: // single indirect
 		if in.Indirect == 0 {
 			if !alloc {
-				return 0, nil
+				return 0, 0, 0, nil
 			}
-			blk, err := fs.allocBlockNear(p, allocGoal)
+			blk, err := fs.allocIndirect(p, allocGoal)
 			if err != nil {
-				return 0, err
+				return 0, 0, 0, err
 			}
-			fs.cache.GetZero(p, int64(blk))
-			fs.cache.MarkDirty(int64(blk))
 			in.Indirect = blk
 			fs.markInodeDirty(ino)
 		}
-		return fs.indirectSlot(p, in.Indirect, fbn, allocGoal, false)
-	}
-	fbn -= PtrsPerBlock
+		phys, err = fs.indirectSlot(p, in.Indirect, slot, allocGoal, false)
+		return phys, 0, in.Indirect, err
 
-	// Double indirect.
-	if in.DIndirect == 0 {
-		if !alloc {
-			return 0, nil
+	default: // double indirect
+		if in.DIndirect == 0 {
+			if !alloc {
+				return 0, 0, 0, nil
+			}
+			blk, err := fs.allocIndirect(p, allocGoal)
+			if err != nil {
+				return 0, 0, 0, err
+			}
+			in.DIndirect = blk
+			fs.markInodeDirty(ino)
 		}
-		blk, err := fs.allocBlockNear(p, allocGoal)
-		if err != nil {
-			return 0, err
+		l1, err := fs.indirectSlot(p, in.DIndirect, l-1, allocGoal, true)
+		if err != nil || l1 == 0 {
+			return l1, 0, 0, err
 		}
-		fs.cache.GetZero(p, int64(blk))
-		fs.cache.MarkDirty(int64(blk))
-		in.DIndirect = blk
-		fs.markInodeDirty(ino)
+		phys, err = fs.indirectSlot(p, l1, slot, allocGoal, false)
+		return phys, in.DIndirect, l1, err
 	}
-	outer, inner := fbn/PtrsPerBlock, fbn%PtrsPerBlock
-	l1, err := fs.indirectSlot(p, in.DIndirect, outer, allocGoal, true)
-	if err != nil || l1 == 0 {
-		return l1, err
+}
+
+// leafOf names the block-tree leaf that holds file block fbn's pointer and
+// the pointer's slot there: leaf -1 is the inode's direct slots, 0 the
+// single indirect block and 1+k the k-th block under the double indirect
+// one. Two blocks share a leaf exactly when leafOf gives both the same leaf.
+func leafOf(fbn int64) (leaf, slot int64) {
+	switch {
+	case fbn < NDirect:
+		return -1, fbn
+	case fbn < NDirect+PtrsPerBlock:
+		return 0, fbn - NDirect
+	default:
+		fbn -= NDirect + PtrsPerBlock
+		return 1 + fbn/PtrsPerBlock, fbn % PtrsPerBlock
 	}
-	return fs.indirectSlot(p, l1, inner, allocGoal, false)
+}
+
+// allocIndirect allocates a block near goal to serve as an indirect block.
+// It must read as zeros even if its sectors carried stale payload from a
+// freed file.
+func (fs *FileSystem) allocIndirect(p *sim.Proc, goal uint32) (uint32, error) {
+	blk, err := fs.allocBlockNear(p, goal)
+	if err != nil {
+		return 0, err
+	}
+	fs.cache.GetZero(p, int64(blk))
+	fs.cache.MarkDirty(int64(blk))
+	return blk, nil
 }
 
 // indirectSlot reads slot idx of the indirect block at blk, allocating and
 // installing a new block near allocGoal if the slot is empty and allocGoal
 // is non-zero. zeroNew must be true when the new block will itself serve as
-// an indirect block (it must read as zeros even if its sectors carried
-// stale payload from a freed file); plain data blocks skip the zeroing and
-// the write-back it would cost — their stale contents are never visible
-// through reads, which are clipped to the file size and overwritten before
-// extension.
+// an indirect block; plain data blocks skip the zeroing and the write-back
+// it would cost — their stale contents are never visible through reads,
+// which are clipped to the file size and overwritten before extension.
 func (fs *FileSystem) indirectSlot(p *sim.Proc, blk uint32, idx int64, allocGoal uint32, zeroNew bool) (uint32, error) {
 	buf := fs.cache.Get(p, int64(blk))
-	ptr := leUint32(buf[idx*4:])
-	if ptr == 0 && allocGoal != 0 {
-		nb, err := fs.allocBlockNear(p, allocGoal)
-		if err != nil {
-			return 0, err
-		}
-		if zeroNew {
-			fs.cache.GetZero(p, int64(nb))
-			fs.cache.MarkDirty(int64(nb))
-		}
-		// Re-fetch the parent block: the allocation (group load) or GetZero
-		// above may have evicted it, in which case the old alias would write
-		// into a dropped buffer.
-		buf = fs.cache.Get(p, int64(blk))
-		putLeUint32(buf[idx*4:], nb)
-		fs.cache.MarkDirty(int64(blk))
-		return nb, nil
+	if ptr := leUint32(buf[idx*4:]); ptr != 0 || allocGoal == 0 {
+		return ptr, nil // a lookup: BlockMap and reads take this path per block
 	}
-	return ptr, nil
+	return fs.fillSlot(p, buf, blk, idx, allocGoal, zeroNew)
+}
+
+// fillSlot is indirectSlot given buf, a live alias of blk's cached buffer.
+func (fs *FileSystem) fillSlot(p *sim.Proc, buf []byte, blk uint32, idx int64, allocGoal uint32, zeroNew bool) (uint32, error) {
+	ptr := leUint32(buf[idx*4:])
+	if ptr != 0 || allocGoal == 0 {
+		return ptr, nil
+	}
+	var nb uint32
+	var err error
+	if zeroNew {
+		nb, err = fs.allocIndirect(p, allocGoal)
+	} else {
+		nb, err = fs.allocBlockNear(p, allocGoal)
+	}
+	if err != nil {
+		return 0, err
+	}
+	// Re-fetch the parent block unless it is still the most recently used:
+	// a group load or GetZero above may have evicted it, in which case the
+	// old alias would write into a dropped buffer.
+	if buf = fs.cache.hot(0, int64(blk)); buf == nil {
+		buf = fs.cache.Get(p, int64(blk))
+	}
+	putLeUint32(buf[idx*4:], nb)
+	fs.cache.MarkDirty(int64(blk))
+	return nb, nil
 }
 
 func leUint32(b []byte) uint32 {

@@ -3,6 +3,7 @@ package ufs
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 	"testing/quick"
 	"time"
@@ -587,6 +588,47 @@ func TestCacheStatsCounting(t *testing.T) {
 		}
 		if fs.Cache().Misses == 0 {
 			t.Fatal("expected misses from metadata loads")
+		}
+	})
+}
+
+// TestDirectoryScanAllocs checks that looking a name up, and adding and
+// removing an entry, allocate nothing once the directory is cached: the
+// scan reads into the file system's reused buffer and compares names in
+// place.
+func TestDirectoryScanAllocs(t *testing.T) {
+	withFS(t, Options{}, func(p *sim.Proc, fs *FileSystem) {
+		for i := 0; i < 40; i++ {
+			if _, err := fs.Create(p, fmt.Sprintf("/movie%02d", i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ino := uint32(0)
+		lookup := func() {
+			_, got, err := fs.dirLookup(p, RootIno, "movie31")
+			if err != nil || got == 0 {
+				t.Fatalf("dirLookup = %d, %v", got, err)
+			}
+			ino = got
+			if _, _, err := fs.dirLookup(p, RootIno, "absent"); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("dirLookup of a missing name = %v", err)
+			}
+		}
+		addRemove := func() {
+			if err := fs.dirAdd(p, RootIno, "alias", ino, ModeFile); err != nil {
+				t.Fatal(err)
+			}
+			if err := fs.dirRemove(p, RootIno, "alias"); err != nil {
+				t.Fatal(err)
+			}
+		}
+		lookup()
+		addRemove()
+		if n := testing.AllocsPerRun(50, lookup); n != 0 {
+			t.Errorf("dirLookup allocates %v times per hit and miss", n)
+		}
+		if n := testing.AllocsPerRun(50, addRemove); n != 0 {
+			t.Errorf("dirAdd + dirRemove allocate %v times", n)
 		}
 	})
 }

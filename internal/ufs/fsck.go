@@ -101,15 +101,18 @@ func (fs *FileSystem) Check(p *sim.Proc) *CheckReport {
 		}
 		if in.Mode == ModeDir {
 			r.Dirs++
-			ents, err := fs.readDirEnts(p, ino)
+			raw, err := fs.readDir(p, ino)
 			if err != nil {
 				return err
 			}
-			for _, e := range ents {
-				if e.ino == 0 {
-					continue
+			var kids []uint32 // collected first: the walk below reuses raw's buffer
+			for off := 0; off < len(raw); off += dirEntSize {
+				if kid := entIno(raw[off:]); kid != 0 {
+					kids = append(kids, kid)
 				}
-				if err := walk(e.ino); err != nil {
+			}
+			for _, kid := range kids {
+				if err := walk(kid); err != nil {
 					return err
 				}
 			}
