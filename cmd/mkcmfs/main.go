@@ -113,7 +113,7 @@ func main() {
 				setupErr = err
 				return
 			}
-			bm, err := f.BlockMap(pr)
+			bm, err := f.BlockMap(pr, nil)
 			if err != nil {
 				setupErr = err
 				return

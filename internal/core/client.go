@@ -240,7 +240,9 @@ func (h *Handle) PrefixStarted() bool { return h.st.prefixStart }
 // context; a ladder transition also arrives via Server.OnStreamHealth.
 func (h *Handle) Health() StreamHealth { return h.st.health }
 
-// ExtentMap returns the session's disk layout view.
+// ExtentMap returns the session's disk layout view. The map is shared and
+// read-only: every playback session that opened the same layout of the
+// same path holds this one map, so a caller must not modify it.
 func (h *Handle) ExtentMap() *ExtentMap { return h.st.ext }
 
 // SessionState is a session's exportable migration state: everything a

@@ -125,7 +125,7 @@ func TestDirectResolver(t *testing.T) {
 		k := rtm.NewKernel(e)
 		k.NewThread("app", rtm.PrioTS, 0, func(th *rtm.Thread) {
 			r := DirectResolver(fs)
-			blocks, size, err := r.ResolvePlayback(th, "/m")
+			blocks, size, err := r.ResolvePlayback(th, "/m", nil)
 			if err != nil {
 				t.Errorf("ResolvePlayback: %v", err)
 				return
@@ -134,10 +134,10 @@ func TestDirectResolver(t *testing.T) {
 				t.Errorf("ResolvePlayback: %d blocks, size %d (movie is %d)",
 					len(blocks), size, movie.TotalSize())
 			}
-			if _, _, err := r.ResolvePlayback(th, "/absent"); err == nil {
+			if _, _, err := r.ResolvePlayback(th, "/absent", nil); err == nil {
 				t.Errorf("ResolvePlayback of a missing file succeeded")
 			}
-			rblocks, _, err := r.ResolveRecord(th, "/rec", 256<<10)
+			rblocks, _, err := r.ResolveRecord(th, "/rec", 256<<10, nil)
 			if err != nil {
 				t.Errorf("ResolveRecord: %v", err)
 				return

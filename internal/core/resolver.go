@@ -16,11 +16,13 @@ import (
 // the machine at all.
 type Resolver interface {
 	// ResolvePlayback returns the block map and byte size of an existing
-	// media file.
-	ResolvePlayback(th *rtm.Thread, path string) (blocks []uint32, size int64, err error)
+	// media file. Both methods fill buf's backing array with the map when
+	// it is large enough, so a caller that reuses one buffer resolves
+	// without allocating; the caller owns the result.
+	ResolvePlayback(th *rtm.Thread, path string, buf []uint32) (blocks []uint32, size int64, err error)
 	// ResolveRecord creates the media file, preallocates size bytes of
 	// placed blocks, and returns the resulting block map.
-	ResolveRecord(th *rtm.Thread, path string, size int64) (blocks []uint32, gotSize int64, err error)
+	ResolveRecord(th *rtm.Thread, path string, size int64, buf []uint32) (blocks []uint32, gotSize int64, err error)
 }
 
 // unixResolver resolves through the Unix server's RPC interface — the
@@ -32,17 +34,17 @@ type unixResolver struct {
 // UnixResolver returns a Resolver backed by the Unix server.
 func UnixResolver(srv *ufs.Server) Resolver { return unixResolver{srv: srv} }
 
-func (r unixResolver) ResolvePlayback(th *rtm.Thread, path string) ([]uint32, int64, error) {
+func (r unixResolver) ResolvePlayback(th *rtm.Thread, path string, buf []uint32) ([]uint32, int64, error) {
 	c := ufs.NewClient(r.srv, th)
 	fd, err := c.Open(path)
 	if err != nil {
 		return nil, 0, err
 	}
 	defer c.Close(fd) //crasvet:allow ioerrcheck -- read-only fd; close cannot lose data
-	return c.BlockMap(fd)
+	return c.BlockMapInto(fd, buf)
 }
 
-func (r unixResolver) ResolveRecord(th *rtm.Thread, path string, size int64) (blocks []uint32, frag int64, err error) {
+func (r unixResolver) ResolveRecord(th *rtm.Thread, path string, size int64, buf []uint32) (blocks []uint32, frag int64, err error) {
 	c := ufs.NewClient(r.srv, th)
 	fd, err := c.Create(path)
 	if err != nil {
@@ -58,7 +60,7 @@ func (r unixResolver) ResolveRecord(th *rtm.Thread, path string, size int64) (bl
 	if err := c.Preallocate(fd, size); err != nil {
 		return nil, 0, err
 	}
-	return c.BlockMap(fd)
+	return c.BlockMapInto(fd, buf)
 }
 
 // directResolver resolves against a file system in the same task — the
@@ -72,21 +74,21 @@ type directResolver struct {
 // DirectResolver returns a Resolver that reads the file system directly.
 func DirectResolver(fs *ufs.FileSystem) Resolver { return directResolver{fs: fs} }
 
-func (r directResolver) ResolvePlayback(th *rtm.Thread, path string) ([]uint32, int64, error) {
+func (r directResolver) ResolvePlayback(th *rtm.Thread, path string, buf []uint32) ([]uint32, int64, error) {
 	p := th.Proc()
 	f, err := r.fs.Open(p, path)
 	if err != nil {
 		return nil, 0, err
 	}
 	th.Compute(ufs.CostSyscall)
-	blocks, err := f.BlockMap(p)
+	blocks, err := f.BlockMap(p, buf)
 	if err != nil {
 		return nil, 0, err
 	}
 	return blocks, f.Size(p), nil
 }
 
-func (r directResolver) ResolveRecord(th *rtm.Thread, path string, size int64) ([]uint32, int64, error) {
+func (r directResolver) ResolveRecord(th *rtm.Thread, path string, size int64, buf []uint32) ([]uint32, int64, error) {
 	p := th.Proc()
 	f, err := r.fs.Create(p, path)
 	if err != nil {
@@ -96,7 +98,7 @@ func (r directResolver) ResolveRecord(th *rtm.Thread, path string, size int64) (
 	if err := f.Preallocate(p, size); err != nil {
 		return nil, 0, err
 	}
-	blocks, err := f.BlockMap(p)
+	blocks, err := f.BlockMap(p, buf)
 	if err != nil {
 		return nil, 0, err
 	}

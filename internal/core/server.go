@@ -296,6 +296,12 @@ type Server struct {
 	shared    []*sharedPath        //crasvet:confined
 	committed [numShareModes]int64 //crasvet:confined
 
+	// extents interns each played path's layout: the map its last
+	// playback open resolved, shared read-only by the sessions that got
+	// it. mapBuf is the block-map buffer every open resolves into.
+	extents map[string]*ExtentMap //crasvet:confined
+	mapBuf  []uint32              //crasvet:confined
+
 	// Member-death state machine (member.go); members is non-nil only over
 	// a parity volume. rebuildQ is fed by the I/O-done manager and drained
 	// by the scheduler, like doneQ.
@@ -393,6 +399,7 @@ func NewServer(k *rtm.Kernel, vol *disk.Volume, resolver Resolver, cfg Config) *
 		iodonePort:   k.NewPort("cras.iodone"),
 		deadlinePort: k.NewPort("cras.deadline"),
 		signalPort:   k.NewPort("cras.signal"),
+		extents:      make(map[string]*ExtentMap),
 	}
 	s.stats.DiskReads = make([]int64, vol.NumDisks())
 	s.stats.DiskBytes = make([]int64, vol.NumDisks())
@@ -1298,19 +1305,28 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 	var size int64
 	var err error
 	if r.record {
-		blocks, size, err = s.resolver.ResolveRecord(t, r.path, r.info.TotalSize())
+		blocks, size, err = s.resolver.ResolveRecord(t, r.path, r.info.TotalSize(), s.mapBuf)
 	} else {
-		blocks, size, err = s.resolver.ResolvePlayback(t, r.path)
+		blocks, size, err = s.resolver.ResolvePlayback(t, r.path, s.mapBuf)
 	}
 	if err != nil {
 		return openResp{err: fmt.Errorf("cras: open %s: %w", r.path, err)}
 	}
+	s.mapBuf = blocks
 	if size < r.info.TotalSize() {
 		return openResp{err: fmt.Errorf("cras: media file %s is %d bytes, chunk table needs %d", r.path, size, r.info.TotalSize())}
 	}
-	ext, err := BuildExtentMap(blocks, size, s.cfg.MaxRead)
-	if err != nil {
-		return openResp{err: err}
+	// A playback session shares the path's interned map while the fresh
+	// block map still yields it; a rewritten title gets a new map, which
+	// later opens share, and sessions already open keep the one they have.
+	ext := s.extents[r.path]
+	if r.record || ext == nil || !ext.matches(blocks, size, s.cfg.MaxRead) {
+		if ext, err = BuildExtentMap(blocks, size, s.cfg.MaxRead); err != nil {
+			return openResp{err: err}
+		}
+		if !r.record {
+			s.extents[r.path] = ext
+		}
 	}
 
 	st := &stream{

@@ -1,6 +1,8 @@
 package ufs
 
 import (
+	"slices"
+
 	"repro/internal/sim"
 )
 
@@ -246,19 +248,46 @@ func (f *File) readAheadFrom(p *sim.Proc, from int64) {
 	flush()
 }
 
-// BlockMap returns the physical block of every file block (0 for holes).
-// CRAS calls this through the Unix server at open time and schedules its
-// raw real-time reads from the result.
-func (f *File) BlockMap(p *sim.Proc) ([]uint32, error) {
+// BlockMap returns the physical block of every file block (0 for holes),
+// filled into buf's backing array when it is large enough, so a caller
+// that reuses one buffer maps files without allocating (pass nil for a new
+// one). CRAS calls this through the Unix server at open time and
+// schedules its raw real-time reads from the result.
+//
+// It reads each indirect block once per run of its slots, and leaves the
+// cache exactly as a descent of the block tree per file block would: the
+// first block under a leaf takes that descent, and the rest of the leaf's
+// slots are read from its buffer in place, counting the hits the descents
+// would have counted, for as long as the cache shows that is all they
+// would do (the leaf is the most recently used block and, under the
+// double indirect block, that block the one used just before it).
+func (f *File) BlockMap(p *sim.Proc, buf []uint32) ([]uint32, error) {
 	fs := f.fs
-	in := fs.getInode(p, f.ino)
-	out := make([]uint32, in.Blocks())
-	for i := range out {
-		phys, err := fs.bmap(p, f.ino, int64(i), 0)
+	n := fs.getInode(p, f.ino).Blocks()
+	out := slices.Grow(buf[:0], int(n))[:n]
+	var parent, leaf uint32 // where block fbn-1's pointer lives
+	for fbn := int64(0); fbn < n; {
+		// Past the first slot of a leaf, block fbn-1 took the descent.
+		if _, slot := leafOf(fbn); leaf != 0 && slot > 0 {
+			if data := fs.cache.hot(int64(parent), int64(leaf)); data != nil {
+				end := min(n, fbn+PtrsPerBlock-slot)
+				gets := int64(1) // per block: the leaf, and its parent if any
+				if parent != 0 {
+					gets = 2
+				}
+				fs.cache.Hits += gets * (end - fbn)
+				for ; fbn < end; fbn, slot = fbn+1, slot+1 {
+					out[fbn] = leUint32(data[slot*4:])
+				}
+				continue
+			}
+		}
+		phys, pa, lf, err := fs.bmapLeaf(p, f.ino, fbn, 0)
 		if err != nil {
 			return nil, err
 		}
-		out[i] = phys
+		out[fbn], parent, leaf = phys, pa, lf
+		fbn++
 	}
 	return out, nil
 }

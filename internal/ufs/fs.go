@@ -380,7 +380,7 @@ func (fs *FileSystem) allocIndirect(p *sim.Proc, goal uint32) (uint32, error) {
 func (fs *FileSystem) indirectSlot(p *sim.Proc, blk uint32, idx int64, allocGoal uint32, zeroNew bool) (uint32, error) {
 	buf := fs.cache.Get(p, int64(blk))
 	if ptr := leUint32(buf[idx*4:]); ptr != 0 || allocGoal == 0 {
-		return ptr, nil // a lookup: BlockMap and reads take this path per block
+		return ptr, nil // a lookup: reads take this path per block
 	}
 	return fs.fillSlot(p, buf, blk, idx, allocGoal, zeroNew)
 }

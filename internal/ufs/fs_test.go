@@ -145,7 +145,7 @@ func TestHolesReadAsZeros(t *testing.T) {
 				t.Fatal("hole returned non-zero data")
 			}
 		}
-		bm, _ := f.BlockMap(p)
+		bm, _ := f.BlockMap(p, nil)
 		for i := 0; i < 5; i++ {
 			if bm[i] != 0 {
 				t.Fatalf("hole block %d mapped to %d", i, bm[i])
@@ -185,7 +185,7 @@ func TestDoubleIndirectViaPreallocate(t *testing.T) {
 		if f.Size(p) != size {
 			t.Fatalf("Size = %d, want %d", f.Size(p), size)
 		}
-		bm, err := f.BlockMap(p)
+		bm, err := f.BlockMap(p, nil)
 		if err != nil {
 			t.Fatalf("BlockMap: %v", err)
 		}
@@ -214,7 +214,7 @@ func TestContiguousAllocationWhenTuned(t *testing.T) {
 		if err := f.Preallocate(p, 100*BlockSize); err != nil {
 			t.Fatalf("Preallocate: %v", err)
 		}
-		bm, _ := f.BlockMap(p)
+		bm, _ := f.BlockMap(p, nil)
 		breaks := 0
 		for i := 1; i < len(bm); i++ {
 			if bm[i] != bm[i-1]+1 {
@@ -231,7 +231,7 @@ func TestRotDelayFragmentsLayout(t *testing.T) {
 	withFS(t, Options{MaxContig: 4, RotDelay: 2}, func(p *sim.Proc, fs *FileSystem) {
 		f, _ := fs.Create(p, "/frag")
 		f.Preallocate(p, 64*BlockSize)
-		bm, _ := f.BlockMap(p)
+		bm, _ := f.BlockMap(p, nil)
 		breaks := 0
 		for i := 1; i < len(bm); i++ {
 			if bm[i] != bm[i-1]+1 {
@@ -521,7 +521,7 @@ func TestPropertyAllocatorNoOverlap(t *testing.T) {
 					ok = false
 					return
 				}
-				bm, _ := fh.BlockMap(p)
+				bm, _ := fh.BlockMap(p, nil)
 				for _, b := range bm {
 					if b == 0 {
 						continue

@@ -51,12 +51,15 @@ type (
 		fd   int
 		size int64
 	}
-	blockMapReq struct{ fd int }
-	statReq     struct{ path string }
-	unlinkReq   struct{ path string }
-	readDirReq  struct{ path string }
-	closeReq    struct{ fd int }
-	syncReq     struct{}
+	blockMapReq struct {
+		fd  int
+		buf []uint32 // the caller's buffer, filled in place when large enough
+	}
+	statReq    struct{ path string }
+	unlinkReq  struct{ path string }
+	readDirReq struct{ path string }
+	closeReq   struct{ fd int }
+	syncReq    struct{}
 
 	fdResp struct {
 		fd  int
@@ -166,7 +169,7 @@ func (s *Server) handle(t *rtm.Thread, req any) any {
 		if err != nil {
 			return blockMapResp{err: err}
 		}
-		blocks, err := f.BlockMap(p)
+		blocks, err := f.BlockMap(p, r.buf)
 		return blockMapResp{blocks: blocks, size: f.Size(p), err: err}
 	case statReq:
 		st, err := s.fs.Stat(p, r.path)
@@ -239,11 +242,17 @@ func (c *Client) Preallocate(fd int, size int64) error {
 	return c.srv.port.Call(c.th, preallocReq{fd: fd, size: size}).(errResp).err
 }
 
-// BlockMap returns the file's physical block map and size.
-func (c *Client) BlockMap(fd int) ([]uint32, int64, error) {
-	r := c.srv.port.Call(c.th, blockMapReq{fd: fd}).(blockMapResp)
+// BlockMapInto returns the file's physical block map and size. The server
+// fills buf's backing array in place when it is large enough, as ReadAt
+// fills its buffer, so a caller that reuses one buffer maps files without
+// allocating.
+func (c *Client) BlockMapInto(fd int, buf []uint32) ([]uint32, int64, error) {
+	r := c.srv.port.Call(c.th, blockMapReq{fd: fd, buf: buf}).(blockMapResp)
 	return r.blocks, r.size, r.err
 }
+
+// BlockMap returns the file's physical block map, in a new slice, and size.
+func (c *Client) BlockMap(fd int) ([]uint32, int64, error) { return c.BlockMapInto(fd, nil) }
 
 // Stat returns file metadata.
 func (c *Client) Stat(path string) (Stat, error) {
