@@ -72,6 +72,7 @@ func main() {
 			setupErr = err
 			return
 		}
+		var storer media.Storer // one encode buffer for every title
 		for i := 0; i < *nMovies; i++ {
 			path := fmt.Sprintf("/m%02d", i)
 			if *container {
@@ -82,7 +83,7 @@ func main() {
 						{Kind: "audio", Info: media.CBRProfile{FrameRate: 30, Rate: 176400}.Generate("a", dur)},
 					},
 				}
-				tracks, err := media.StoreContainer(pr, fs, path, c)
+				tracks, err := storer.StoreContainer(pr, fs, path, c)
 				if err != nil {
 					setupErr = err
 					return
@@ -104,7 +105,7 @@ func main() {
 				setupErr = fmt.Errorf("unknown rate %q", *rate)
 				return
 			}
-			if err := media.Store(pr, fs, path, info); err != nil {
+			if err := storer.Store(pr, fs, path, info); err != nil {
 				setupErr = err
 				return
 			}

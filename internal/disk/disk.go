@@ -24,6 +24,12 @@ type Request struct {
 	Data     []byte // payload: write source or read destination; nil = none
 	RealTime bool   // true: real-time queue; false: normal queue
 
+	// fanInStores marks a striped volume's member write as timing-only:
+	// the disk stores nothing, and the volume stores the member's units
+	// straight from the logical payload when the write completes (fanIn).
+	// It sits in RealTime's padding, so a Request stays 160 bytes.
+	fanInStores bool
+
 	// Done is invoked in interrupt context (a sim event) when the request
 	// completes. For a read with non-nil Data, data is r.Data, now filled;
 	// otherwise data is nil. If a fault was injected, Err is set and data
@@ -363,7 +369,9 @@ func (d *Disk) complete() {
 	case r.Err != nil:
 		// Failed request: no data moves.
 	case r.Write:
-		d.storeSectors(r.LBA, r.Count, r.Data)
+		if !r.fanInStores {
+			d.storeSectors(r.LBA, r.Count, r.Data)
+		}
 	case r.Data != nil:
 		d.copySectors(r.LBA, r.Count, r.Data)
 		data = r.Data

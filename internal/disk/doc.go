@@ -36,6 +36,14 @@
 // the per-request path allocates nothing of its own. Callers that want the
 // bytes supply the buffer (ReadSync allocates the one it returns).
 //
+// A striped Volume moves a payload once in both directions. Its member
+// reads and member data writes are timing-only; as each member request
+// completes, the volume copies that member's stripe units between the
+// member's sector store and their offsets in the caller's Data. The only
+// payload a volume builds itself is a parity unit. A write's bytes are
+// taken when it completes, on a bare disk and on a volume alike, so the
+// caller leaves the buffer alone until Done.
+//
 // The seek curve is deliberately non-linear (a square-root region for short
 // seeks, linear beyond), after Ruemmler & Wilkes, so that the linear
 // approximation used by the paper's admission test (Appendix C) is a genuine

@@ -3,9 +3,12 @@ package disk
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 	"slices"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -66,7 +69,77 @@ func (d *Disk) SaveImage(w io.Writer) error {
 	return bw.Flush()
 }
 
-// LoadImage reconstructs a disk from an image on a fresh engine.
+// ErrBadImage is what every *ImageError matches under errors.Is.
+var ErrBadImage = errors.New("disk: image header describes no disk the model can run")
+
+// ImageError is LoadImage's refusal of an image header: Field holds Value,
+// which breaks the rule Why states.
+type ImageError struct {
+	Field string
+	Value uint64
+	Why   string
+}
+
+func (e *ImageError) Error() string {
+	return fmt.Sprintf("disk: image %s = %d: %s", e.Field, e.Value, e.Why)
+}
+
+// Unwrap returns ErrBadImage.
+func (e *ImageError) Unwrap() error { return ErrBadImage }
+
+// Bounds on what an image header may describe: enough for any real disk,
+// small enough that the model's arithmetic (sector counts, nanosecond
+// service times) cannot overflow and a header alone cannot make LoadImage
+// allocate gigabytes.
+const (
+	maxImageSectorSize = 64 << 10
+	maxImageSectors    = 1 << 40
+	maxImageTime       = sim.Time(time.Minute)
+)
+
+// validateImage checks the geometry and timing model an image header
+// describes before New builds a disk from them: every dimension positive
+// and bounded, every duration non-negative, a rotation that takes time,
+// and a full-stroke seek under a minute.
+func validateImage(g Geometry, p Params) error {
+	bad := func(field string, v uint64, why string) error {
+		return &ImageError{Field: field, Value: v, Why: why}
+	}
+	for _, d := range []struct {
+		name string
+		v    int
+	}{{"Cylinders", g.Cylinders}, {"Heads", g.Heads}, {"SectorsPerTrack", g.SectorsPerTrack}, {"SectorSize", g.SectorSize}} {
+		if d.v <= 0 {
+			return bad(d.name, uint64(d.v), "must be positive")
+		}
+	}
+	if g.SectorSize > maxImageSectorSize {
+		return bad("SectorSize", uint64(g.SectorSize), fmt.Sprintf("exceeds %d bytes", maxImageSectorSize))
+	}
+	if float64(g.Cylinders)*float64(g.Heads)*float64(g.SectorsPerTrack) > maxImageSectors {
+		return bad("Cylinders", uint64(g.Cylinders), fmt.Sprintf("with %d heads of %d sectors exceeds %d sectors", g.Heads, g.SectorsPerTrack, int64(maxImageSectors)))
+	}
+	for _, d := range []struct {
+		name string
+		v    sim.Time
+	}{{"RotTime", p.RotTime}, {"CmdOverhead", p.CmdOverhead}, {"SeekBase", p.SeekBase}, {"SeekSqrtCoeff", p.SeekSqrtCoeff}, {"SeekSlope", p.SeekSlope}} {
+		if d.v < 0 || d.v > maxImageTime {
+			return bad(d.name, uint64(d.v), fmt.Sprintf("must be between 0 and %v", maxImageTime))
+		}
+	}
+	if p.RotTime == 0 {
+		return bad("RotTime", 0, "must be positive")
+	}
+	knee := min(p.SeekKnee, g.Cylinders)
+	stroke := float64(p.SeekBase) + float64(p.SeekSqrtCoeff)*math.Sqrt(float64(knee)) + float64(g.Cylinders-knee)*float64(p.SeekSlope)
+	if stroke > float64(maxImageTime) {
+		return bad("SeekSlope", uint64(p.SeekSlope), fmt.Sprintf("makes a full-stroke seek longer than %v", maxImageTime))
+	}
+	return nil
+}
+
+// LoadImage reconstructs a disk from an image on a fresh engine. A header
+// describing a disk the model cannot run is refused with an *ImageError.
 func LoadImage(eng *sim.Engine, name string, r io.Reader) (*Disk, error) {
 	br := bufio.NewReader(r)
 	le := binary.LittleEndian
@@ -93,6 +166,9 @@ func LoadImage(eng *sim.Engine, name string, r io.Reader) (*Disk, error) {
 		SeekSqrtCoeff: sim.Time(le.Uint64(hdr[48:])),
 		SeekKnee:      int(le.Uint32(hdr[56:])),
 		SeekSlope:     sim.Time(le.Uint64(hdr[60:])),
+	}
+	if err := validateImage(g, p); err != nil {
+		return nil, err
 	}
 	count := le.Uint64(hdr[68:])
 	d := New(eng, name, g, p)

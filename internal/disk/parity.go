@@ -298,7 +298,9 @@ func (v *Volume) parityRowAfterWrite(row int64, r *Request) []byte {
 
 // submitParityWrite scatters a logical write into exact per-member data
 // fragments (never touching parity holes) plus one full parity-unit write
-// per affected row. Fragments on a dead member are dropped — the parity
+// per affected row. Data fragments are timing-only member writes whose
+// units fanIn stores from r.Data; each parity unit carries the payload
+// computed here. Fragments on a dead member are dropped — the parity
 // update alone carries their bytes until rebuild restores the member.
 func (v *Volume) submitParityWrite(r *Request) {
 	nd := int64(len(v.disks) - 1)
@@ -312,11 +314,7 @@ func (v *Volume) submitParityWrite(r *Request) {
 		if v.dead[f.Disk] {
 			continue
 		}
-		children = append(children, child{f.Disk, &Request{
-			LBA: f.LBA, Count: f.Count, Write: true,
-			Data:     v.scatterPayload(r, f),
-			RealTime: r.RealTime,
-		}})
+		children = append(children, child{f.Disk, v.dataWrite(r, f, nil)})
 	}
 	firstRow := (r.LBA / v.stripe) / nd
 	lastRow := ((r.LBA + int64(r.Count) - 1) / v.stripe) / nd

@@ -238,11 +238,14 @@ func sortFrags(frags []Frag) {
 // Submit enqueues a logical request, scattering it across the members and
 // gathering the completions: the caller's Done fires once, after the last
 // fragment completes, with the worst-case member completion time. Member
-// reads are timing-only; as each completes, its units are copied from the
-// member's sector store straight to their logical offsets in r.Data (when
-// the caller gave one), so a read moves its payload once. Err carries the
-// first fragment failure. A single-member volume passes the request through
-// untouched.
+// reads and member data writes are timing-only. As each completes, its
+// units move between the member's sector store and their logical offsets
+// in r.Data: a read copies them out (when the caller gave a buffer), a
+// write stores them (a nil r.Data stores zeros, a sparse write). So a
+// request moves its payload once, and, as on a bare disk, a write's
+// payload is read when it completes, not when it is submitted. Err
+// carries the first fragment failure; a failed member write stores
+// nothing. A single-member volume passes the request through untouched.
 func (v *Volume) Submit(r *Request) {
 	if len(v.disks) == 1 {
 		v.disks[0].Submit(r)
@@ -264,13 +267,18 @@ func (v *Volume) Submit(r *Request) {
 		v.frags = v.Fragments(v.frags[:0], r.LBA, r.Count)
 		done := v.fanIn(r, len(v.frags))
 		for _, f := range v.frags {
-			v.disks[f.Disk].Submit(&Request{
-				LBA: f.LBA, Count: f.Count, Write: true,
-				Data:     v.scatterPayload(r, f),
-				RealTime: r.RealTime,
-				Done:     done,
-			})
+			v.disks[f.Disk].Submit(v.dataWrite(r, f, done))
 		}
+	}
+}
+
+// dataWrite returns the timing-only member write of one data fragment of
+// the logical write r. It carries its member index on Tag, and fanIn
+// stores its units from r.Data when it completes.
+func (v *Volume) dataWrite(r *Request, f Frag, done func(*Request, []byte)) *Request {
+	return &Request{
+		LBA: f.LBA, Count: f.Count, Write: true, RealTime: r.RealTime,
+		Tag: f.Disk, Done: done, fanInStores: true,
 	}
 }
 
@@ -294,8 +302,9 @@ func (v *Volume) submitRead(r *Request) {
 
 // fanIn returns the completion handler shared by the n member requests r
 // was split into. Each member completion folds in the first failure, the
-// earliest start and the latest completion, and a member read moves its
-// share into r.Data. After the last, r's own Done fires — with r.Data for
+// earliest start and the latest completion, and moves its share of the
+// payload: a member read into r.Data, a member data write from r.Data into
+// the member's store. After the last, r's own Done fires — with r.Data for
 // a successful read into a buffer, as on a bare disk.
 func (v *Volume) fanIn(r *Request, n int) func(*Request, []byte) {
 	return func(cr *Request, _ []byte) {
@@ -308,7 +317,11 @@ func (v *Volume) fanIn(r *Request, n int) func(*Request, []byte) {
 		if cr.Completed > r.Completed {
 			r.Completed = cr.Completed
 		}
-		if cr.Err == nil && !r.Write && r.Data != nil {
+		switch {
+		case cr.Err != nil:
+		case cr.fanInStores:
+			v.scatter(r, cr)
+		case !r.Write && r.Data != nil:
 			v.gather(r, cr.Tag.(int))
 		}
 		n--
@@ -323,25 +336,23 @@ func (v *Volume) fanIn(r *Request, n int) func(*Request, []byte) {
 	}
 }
 
-// scatterPayload builds one fragment's write payload from the logical
-// payload, unit by unit (a fragment's member run interleaves with other
-// members' units in logical order). A nil logical payload stays nil — a
-// sparse write scatters as sparse writes.
-func (v *Volume) scatterPayload(r *Request, f Frag) []byte {
-	if !r.Write || r.Data == nil {
-		return nil
-	}
-	ss := int64(v.geo.SectorSize)
-	out := make([]byte, int64(f.Count)*ss)
+// scatter stores the units of the logical write r that the completed
+// member write f covers straight from r.Data into f's member store: the
+// write-side mirror of gather. A member can carry several fragments of one
+// range on a parity volume, so only the units inside f belong to it. A nil
+// r.Data stores zeros, a sparse write.
+func (v *Volume) scatter(r, f *Request) {
+	m, ss := f.Tag.(int), int64(v.geo.SectorSize)
 	for u := v.units(r.LBA, r.Count); u.next(); {
-		// A parity-mode member can carry several fragments of one range;
-		// only the units inside THIS fragment belong to its payload.
-		if u.disk != f.Disk || u.dlba < f.LBA || u.dlba >= f.LBA+int64(f.Count) {
+		if u.disk != m || u.dlba < f.LBA || u.dlba >= f.LBA+int64(f.Count) {
 			continue
 		}
-		copy(out[(u.dlba-f.LBA)*ss:], r.Data[u.off*ss:(u.off+int64(u.count))*ss])
+		var src []byte
+		if r.Data != nil {
+			src = r.Data[u.off*ss : (u.off+int64(u.count))*ss]
+		}
+		v.disks[m].storeSectors(u.dlba, u.count, src)
 	}
-	return out
 }
 
 // gather moves member m's share of a logical read from its sector store

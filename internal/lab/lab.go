@@ -150,6 +150,7 @@ func Build(s Setup, ready func(m *Machine)) *Machine {
 			return
 		}
 		m.FS = fs
+		var storer media.Storer // one encode buffer for every title
 		for _, mv := range s.Movies {
 			if dir := parentDir(mv.Path); dir != "" {
 				if err := fs.MkdirAll(pr, dir); err != nil {
@@ -157,7 +158,7 @@ func Build(s Setup, ready func(m *Machine)) *Machine {
 					return
 				}
 			}
-			if err := media.Store(pr, fs, mv.Path, mv.Info); err != nil {
+			if err := storer.Store(pr, fs, mv.Path, mv.Info); err != nil {
 				m.setupErr = fmt.Errorf("lab: store %s: %w", mv.Path, err)
 				return
 			}
@@ -170,7 +171,7 @@ func Build(s Setup, ready func(m *Machine)) *Machine {
 					return
 				}
 			}
-			tracks, err := media.StoreContainer(pr, fs, c.Name, c)
+			tracks, err := storer.StoreContainer(pr, fs, c.Name, c)
 			if err != nil {
 				m.setupErr = fmt.Errorf("lab: store container %s: %w", c.Name, err)
 				return

@@ -3,6 +3,7 @@ package media
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/sim"
 	"repro/internal/ufs"
@@ -69,33 +70,39 @@ func (c *Container) Layout() (tracks []*StreamInfo, total int64, err error) {
 }
 
 // encodeIndex serializes the index atom (padded to the aligned size).
-func (c *Container) encodeIndex() []byte {
-	out := make([]byte, c.indexSize())
+func (c *Container) encodeIndex() []byte { return c.appendIndex(nil) }
+
+// appendIndex appends the index atom, padded with zeros to its aligned
+// size, to dst and returns the extended slice; with a dst of enough
+// capacity it allocates nothing. Each track's region base is the one
+// Layout computes: the index size, then every region block-aligned.
+func (c *Container) appendIndex(dst []byte) []byte {
 	le := binary.LittleEndian
-	le.PutUint32(out[0:], containerMagic)
-	le.PutUint32(out[4:], 1)
-	le.PutUint32(out[8:], uint32(len(c.Tracks)))
-	pos := 12
-	tracks, _, _ := c.Layout()
-	for i, tr := range c.Tracks {
-		le.PutUint64(out[pos:], uint64(tracks[i].Chunks[0].Offset)) // region base
-		le.PutUint64(out[pos+8:], uint64(tr.Info.TotalSize()))
-		pos += 16
-		le.PutUint64(out[pos:], uint64(len(tr.Kind)))
-		pos += 8
-		copy(out[pos:], tr.Kind)
-		pos += len(tr.Kind)
-		le.PutUint64(out[pos:], uint64(len(tr.Info.Chunks)))
-		pos += 8
+	size := c.indexSize()
+	end := len(dst) + int(size)
+	dst = slices.Grow(dst, int(size))
+	dst = le.AppendUint32(dst, containerMagic)
+	dst = le.AppendUint32(dst, 1)
+	dst = le.AppendUint32(dst, uint32(len(c.Tracks)))
+	base := size
+	for _, tr := range c.Tracks {
+		dst = le.AppendUint64(dst, uint64(tr.Info.Chunks[0].Offset+base)) // region base
+		dst = le.AppendUint64(dst, uint64(tr.Info.TotalSize()))
+		dst = le.AppendUint64(dst, uint64(len(tr.Kind)))
+		dst = append(dst, tr.Kind...)
+		dst = le.AppendUint64(dst, uint64(len(tr.Info.Chunks)))
 		for _, ch := range tr.Info.Chunks {
-			le.PutUint64(out[pos:], uint64(ch.Timestamp))
-			le.PutUint64(out[pos+8:], uint64(ch.Duration))
-			le.PutUint64(out[pos+16:], uint64(ch.Size))
-			le.PutUint64(out[pos+24:], uint64(ch.Offset)) // track-relative
-			pos += 32
+			dst = le.AppendUint64(dst, uint64(ch.Timestamp))
+			dst = le.AppendUint64(dst, uint64(ch.Duration))
+			dst = le.AppendUint64(dst, uint64(ch.Size))
+			dst = le.AppendUint64(dst, uint64(ch.Offset)) // track-relative
 		}
+		base = (base + tr.Info.TotalSize() + ufs.BlockSize - 1) / ufs.BlockSize * ufs.BlockSize
 	}
-	return out
+	pad := len(dst)
+	dst = dst[:end] // within the capacity grown above
+	clear(dst[pad:])
+	return dst
 }
 
 // DecodeContainerIndex parses an index atom back into rebased per-track
@@ -151,6 +158,12 @@ func DecodeContainerIndex(name string, data []byte) ([]Track, error) {
 // media file whose first blocks hold the index atom. It returns the
 // rebased per-track chunk tables.
 func StoreContainer(p *sim.Proc, fs *ufs.FileSystem, path string, c *Container) ([]*StreamInfo, error) {
+	return new(Storer).StoreContainer(p, fs, path, c)
+}
+
+// StoreContainer is the package StoreContainer, encoding the index atom
+// into the Storer's buffer.
+func (st *Storer) StoreContainer(p *sim.Proc, fs *ufs.FileSystem, path string, c *Container) ([]*StreamInfo, error) {
 	tracks, total, err := c.Layout()
 	if err != nil {
 		return nil, err
@@ -159,7 +172,8 @@ func StoreContainer(p *sim.Proc, fs *ufs.FileSystem, path string, c *Container) 
 	if err != nil {
 		return nil, err
 	}
-	if _, err := f.WriteAt(p, c.encodeIndex(), 0); err != nil {
+	st.buf = c.appendIndex(st.buf[:0])
+	if _, err := f.WriteAt(p, st.buf, 0); err != nil {
 		return nil, err
 	}
 	if err := f.Preallocate(p, total); err != nil {

@@ -14,6 +14,7 @@ package media
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/sim"
@@ -222,19 +223,22 @@ func (p VBRProfile) Generate(name string, duration sim.Time, rng *sim.RNG) *Stre
 const ctlMagic = 0x43544c31 // "CTL1"
 
 // EncodeControl serializes a chunk table into the control-file format.
-func EncodeControl(s *StreamInfo) []byte {
-	out := make([]byte, 8+32*len(s.Chunks))
+func EncodeControl(s *StreamInfo) []byte { return appendControl(nil, s) }
+
+// appendControl appends s's control-file encoding to dst and returns the
+// extended slice; with a dst of enough capacity it allocates nothing.
+func appendControl(dst []byte, s *StreamInfo) []byte {
 	le := binary.LittleEndian
-	le.PutUint32(out[0:], ctlMagic)
-	le.PutUint32(out[4:], uint32(len(s.Chunks)))
-	for i, c := range s.Chunks {
-		base := 8 + 32*i
-		le.PutUint64(out[base:], uint64(c.Timestamp))
-		le.PutUint64(out[base+8:], uint64(c.Duration))
-		le.PutUint64(out[base+16:], uint64(c.Size))
-		le.PutUint64(out[base+24:], uint64(c.Offset))
+	dst = slices.Grow(dst, 8+32*len(s.Chunks))
+	dst = le.AppendUint32(dst, ctlMagic)
+	dst = le.AppendUint32(dst, uint32(len(s.Chunks)))
+	for _, c := range s.Chunks {
+		dst = le.AppendUint64(dst, uint64(c.Timestamp))
+		dst = le.AppendUint64(dst, uint64(c.Duration))
+		dst = le.AppendUint64(dst, uint64(c.Size))
+		dst = le.AppendUint64(dst, uint64(c.Offset))
 	}
-	return out
+	return dst
 }
 
 // DecodeControl parses a control file.

@@ -13,8 +13,23 @@ func ControlPath(moviePath string) string { return moviePath + ".ctl" }
 // Store lays a movie out on the file system: the media file is
 // preallocated (its blocks placed, payloads sparse — the experiments do not
 // need pixel bytes) and the chunk table is written to the control file.
-// Must run in a simulation process; carries real disk-time cost.
+// Must run in a simulation process; carries real disk-time cost. A caller
+// storing many titles uses one Storer instead.
 func Store(p *sim.Proc, fs *ufs.FileSystem, path string, s *StreamInfo) error {
+	return new(Storer).Store(p, fs, path, s)
+}
+
+// Storer lays movies out through one encode buffer reused from title to
+// title: each control file or index atom is encoded into it and copied
+// into the buffer cache by WriteAt, so a set-up storing many titles
+// allocates no per-title encoding. A Storer belongs to the process doing
+// the set-up; the zero value is ready.
+type Storer struct {
+	buf []byte
+}
+
+// Store is the package Store, encoding into the Storer's buffer.
+func (st *Storer) Store(p *sim.Proc, fs *ufs.FileSystem, path string, s *StreamInfo) error {
 	if err := s.Validate(); err != nil {
 		return err
 	}
@@ -29,7 +44,8 @@ func Store(p *sim.Proc, fs *ufs.FileSystem, path string, s *StreamInfo) error {
 	if err != nil {
 		return fmt.Errorf("media: create control: %w", err)
 	}
-	if _, err := cf.WriteAt(p, EncodeControl(s), 0); err != nil {
+	st.buf = appendControl(st.buf[:0], s)
+	if _, err := cf.WriteAt(p, st.buf, 0); err != nil {
 		return fmt.Errorf("media: write control: %w", err)
 	}
 	return nil

@@ -1,0 +1,258 @@
+package ufs
+
+import (
+	"fmt"
+	"math/rand"
+	"os"
+	"slices"
+	"strconv"
+	"testing"
+
+	"repro/internal/sim"
+)
+
+// allocBlockNearBitScan is allocBlockNear as it was before it skipped full
+// bitmap words and bytes: it tested one bit at a time. It stays here,
+// copied, as the reference allocBlockNear must agree with.
+func allocBlockNearBitScan(p *sim.Proc, fs *FileSystem, goal uint32) (uint32, error) {
+	ngroups := int(fs.sb.NGroups)
+	startGroup := fs.lastAllocGroup
+	startOff := -1
+	if goal != 0 && goal < fs.sb.NBlocks {
+		startGroup = int((goal - 1) / fs.sb.BlocksPerGroup)
+		startOff = int((goal - 1) % fs.sb.BlocksPerGroup)
+	}
+	for gi := 0; gi < ngroups; gi++ {
+		g := fs.getGroup(p, (startGroup+gi)%ngroups)
+		if g.freeBlocks == 0 {
+			continue
+		}
+		from := 0
+		if gi == 0 && startOff >= 0 {
+			from = startOff
+		}
+		for b := from; b < int(g.nblocks); b++ {
+			if !bmpGet(g.blockBmp, b) {
+				bmpSet(g.blockBmp, b)
+				g.freeBlocks--
+				g.dirty = true
+				fs.lastAllocGroup = g.index
+				return g.start + uint32(b), nil
+			}
+		}
+		if gi == 0 && startOff > 0 {
+			for b := 0; b < startOff; b++ {
+				if !bmpGet(g.blockBmp, b) {
+					bmpSet(g.blockBmp, b)
+					g.freeBlocks--
+					g.dirty = true
+					fs.lastAllocGroup = g.index
+					return g.start + uint32(b), nil
+				}
+			}
+		}
+	}
+	return 0, ErrNoSpace
+}
+
+// allocState is the allocator's part of a mounted file system: every
+// group's block bitmap, free count and dirty flag, and the last group.
+type allocState struct {
+	bmps  [][]byte
+	free  []uint32
+	dirty []bool
+	last  int
+}
+
+func saveAllocState(fs *FileSystem) allocState {
+	var st allocState
+	for _, g := range fs.groups {
+		st.bmps = append(st.bmps, slices.Clone(g.blockBmp))
+		st.free = append(st.free, g.freeBlocks)
+		st.dirty = append(st.dirty, g.dirty)
+	}
+	st.last = fs.lastAllocGroup
+	return st
+}
+
+func (st allocState) load(fs *FileSystem) {
+	for i, g := range fs.groups {
+		copy(g.blockBmp, st.bmps[i])
+		g.freeBlocks, g.dirty = st.free[i], st.dirty[i]
+	}
+	fs.lastAllocGroup = st.last
+}
+
+func (st allocState) equal(o allocState) bool {
+	if st.last != o.last || !slices.Equal(st.free, o.free) || !slices.Equal(st.dirty, o.dirty) {
+		return false
+	}
+	for i := range st.bmps {
+		if !slices.Equal(st.bmps[i], o.bmps[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// fillBitmap sets g's block bitmap to one of several shapes (empty, full,
+// random at some density, full but for a few holes) and its free count to
+// match, apart from an occasional full group that still claims a free
+// block, which the allocator must step past.
+func fillBitmap(rng *rand.Rand, g *group) {
+	n := int(g.nblocks)
+	clear(g.blockBmp)
+	switch rng.Intn(5) {
+	case 0: // empty
+	case 1: // full
+		for b := 0; b < n; b++ {
+			bmpSet(g.blockBmp, b)
+		}
+	case 2: // full but for a few holes
+		for b := 0; b < n; b++ {
+			bmpSet(g.blockBmp, b)
+		}
+		for k := rng.Intn(4); k > 0; k-- {
+			bmpClear(g.blockBmp, rng.Intn(n))
+		}
+	default: // random density
+		p := rng.Float64()
+		for b := 0; b < n; b++ {
+			if rng.Float64() < p {
+				bmpSet(g.blockBmp, b)
+			}
+		}
+	}
+	g.freeBlocks = 0
+	for b := 0; b < n; b++ {
+		if !bmpGet(g.blockBmp, b) {
+			g.freeBlocks++
+		}
+	}
+	if g.freeBlocks == 0 && rng.Intn(4) == 0 {
+		g.freeBlocks = 1
+	}
+	g.dirty = rng.Intn(2) == 0
+}
+
+// allocGoal draws a goal: none, a group's edges (its first, second and
+// last block, the block past it), the tail past the last group, the last
+// block, past the end, or anywhere.
+func allocGoal(rng *rand.Rand, fs *FileSystem) uint32 {
+	sb := &fs.sb
+	g := fs.groups[rng.Intn(len(fs.groups))]
+	switch rng.Intn(8) {
+	case 0:
+		return 0
+	case 1:
+		return g.start
+	case 2:
+		return g.start + 1
+	case 3:
+		return g.start + g.nblocks - 1
+	case 4:
+		return g.start + g.nblocks
+	case 5:
+		return sb.NBlocks - 1 - uint32(rng.Intn(3))
+	case 6:
+		return sb.NBlocks + uint32(rng.Intn(3))
+	default:
+		return 1 + uint32(rng.Int63n(int64(sb.NBlocks)))
+	}
+}
+
+// TestAllocBlockNearMatchesBitScan sets random block bitmaps on file
+// systems of several group sizes (word-aligned or not, with short last
+// groups and a tail past the last group), draws goals at group edges, at
+// 0, past the end and anywhere, and runs chains of allocations with
+// allocBlockNear and with the bit-at-a-time reference from the same
+// state: every block, error, bitmap, free count, dirty flag and
+// lastAllocGroup must agree, through wrap-around and full groups to
+// ErrNoSpace. The seed defaults to a fixed value; UFS_ALLOC_PROP_SEED
+// moves it:
+//
+//	UFS_ALLOC_PROP_SEED=<seed> go test ./internal/ufs -run TestAllocBlockNearMatchesBitScan
+func TestAllocBlockNearMatchesBitScan(t *testing.T) {
+	seed := int64(20261018)
+	if env := os.Getenv("UFS_ALLOC_PROP_SEED"); env != "" {
+		v, err := strconv.ParseInt(env, 10, 64)
+		if err != nil {
+			t.Fatalf("bad UFS_ALLOC_PROP_SEED %q: %v", env, err)
+		}
+		seed = v
+	}
+	t.Logf("alloc property seed %d (override with UFS_ALLOC_PROP_SEED)", seed)
+	rng := rand.New(rand.NewSource(seed))
+	var noSpace, wrapped int
+	for _, bpg := range []int{64, 100, 129, 512, 777, 2048} {
+		opts := Options{BlocksPerGroup: bpg, InodeBlocksPerG: 1 + rng.Intn(2)}
+		withFS(t, opts, func(p *sim.Proc, fs *FileSystem) {
+			for gi := 0; gi < int(fs.sb.NGroups); gi++ {
+				fs.getGroup(p, gi)
+			}
+			for trial := 0; trial < 60; trial++ {
+				for _, g := range fs.groups {
+					fillBitmap(rng, g)
+				}
+				fs.lastAllocGroup = rng.Intn(len(fs.groups))
+				work := saveAllocState(fs)
+				ref := saveAllocState(fs)
+				for step := 0; step < 1+rng.Intn(40); step++ {
+					goal := allocGoal(rng, fs)
+					ref.load(fs)
+					wantBlk, wantErr := allocBlockNearBitScan(p, fs, goal)
+					ref = saveAllocState(fs)
+					work.load(fs)
+					gotBlk, gotErr := fs.allocBlockNear(p, goal)
+					work = saveAllocState(fs)
+					where := fmt.Sprintf("bpg %d trial %d step %d goal %d", bpg, trial, step, goal)
+					if gotBlk != wantBlk || gotErr != wantErr {
+						t.Fatalf("%s: got block %d (%v), reference %d (%v)", where, gotBlk, gotErr, wantBlk, wantErr)
+					}
+					if !work.equal(ref) {
+						t.Fatalf("%s: allocator state differs from the reference", where)
+					}
+					switch {
+					case wantErr != nil:
+						noSpace++
+					case goal != 0 && goal < fs.sb.NBlocks && wantBlk < goal:
+						wrapped++
+					}
+				}
+			}
+		})
+	}
+	if noSpace == 0 || wrapped == 0 {
+		t.Errorf("scripts missed a case: %d ErrNoSpace, %d wrapped allocations", noSpace, wrapped)
+	}
+}
+
+// TestBmpFindClear checks the bitmap search against a bit-at-a-time loop
+// over every range of a few bitmaps with holes at word, byte and bit
+// boundaries.
+func TestBmpFindClear(t *testing.T) {
+	const nbits = 200
+	for _, holes := range [][]int{nil, {0}, {7}, {8}, {63}, {64}, {65}, {127}, {128}, {199}, {3, 70, 150}} {
+		bmp := make([]byte, nbits/8)
+		for i := range bmp {
+			bmp[i] = 0xff
+		}
+		for _, h := range holes {
+			bmpClear(bmp, h)
+		}
+		for from := 0; from <= nbits; from++ {
+			for to := from; to <= nbits; to++ {
+				want := -1
+				for b := from; b < to; b++ {
+					if !bmpGet(bmp, b) {
+						want = b
+						break
+					}
+				}
+				if got := bmpFindClear(bmp, from, to); got != want {
+					t.Fatalf("holes %v: bmpFindClear(%d, %d) = %d, want %d", holes, from, to, got, want)
+				}
+			}
+		}
+	}
+}

@@ -38,10 +38,15 @@ type DirEntry struct {
 // readDir reads every entry record of a directory inode — one ReadAt over
 // the whole directory through a fresh handle — into the file system's
 // reused buffer, trimmed to whole records. The result is valid until the
-// next readDir.
+// next readDir. A directory lists each inode at most once and reuses free
+// records before it grows, so a size past one record per inode is
+// corrupt.
 func (fs *FileSystem) readDir(p *sim.Proc, dirIno uint32) ([]byte, error) {
 	f := *fs.openByIno(dirIno)
 	size := f.Size(p)
+	if size < 0 || uint64(size) > fs.maxIno()*dirEntSize {
+		return nil, &CorruptError{Ino: dirIno, What: "directory size", Value: uint64(size)}
+	}
 	if int64(cap(fs.dirBuf)) < size {
 		fs.dirBuf = make([]byte, size)
 	}
@@ -53,7 +58,7 @@ func (fs *FileSystem) readDir(p *sim.Proc, dirIno uint32) ([]byte, error) {
 }
 
 // dirLookup finds name in the directory, returning its entry index and
-// inode.
+// inode, which it checks names an inode of the file system.
 func (fs *FileSystem) dirLookup(p *sim.Proc, dirIno uint32, name string) (idx int, ino uint32, err error) {
 	raw, err := fs.readDir(p, dirIno)
 	if err != nil {
@@ -62,6 +67,9 @@ func (fs *FileSystem) dirLookup(p *sim.Proc, dirIno uint32, name string) (idx in
 	for off := 0; off < len(raw); off += dirEntSize {
 		rec := raw[off : off+dirEntSize]
 		if ino := entIno(rec); ino != 0 && string(entName(rec)) == name {
+			if uint64(ino) >= fs.maxIno() {
+				return 0, 0, &CorruptError{Ino: dirIno, What: "directory entry's inode", Value: uint64(ino)}
+			}
 			return off / dirEntSize, ino, nil
 		}
 	}

@@ -29,7 +29,12 @@
 // clock exactly as that walk does. mkfs (Format) writes each header and
 // inode block with one BlockDevice.PokeSectors call, which a disk stores
 // a slab at a time and a volume a stripe unit at a time. Mount refuses a
-// superblock whose geometry it cannot serve with a *GeometryError.
+// device or superblock whose geometry it cannot serve with a
+// *GeometryError. Metadata read after the mount is checked where it is
+// first followed: a block pointer outside the file system, a directory
+// entry naming an inode past the inode tables, or a size no file or
+// directory can have is a *CorruptError (fsck reports each as a problem),
+// never a read off the device.
 //
 // Differences from real FFS, chosen to keep the package small without
 // changing the behaviour the paper depends on: no fragments (a file's tail

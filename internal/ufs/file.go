@@ -263,7 +263,11 @@ func (f *File) readAheadFrom(p *sim.Proc, from int64) {
 // double indirect block, that block the one used just before it).
 func (f *File) BlockMap(p *sim.Proc, buf []uint32) ([]uint32, error) {
 	fs := f.fs
-	n := fs.getInode(p, f.ino).Blocks()
+	in := fs.getInode(p, f.ino)
+	if in.Size < 0 || in.Blocks() > MaxFileBlocks {
+		return nil, &CorruptError{Ino: f.ino, What: "size", Value: uint64(in.Size)}
+	}
+	n := in.Blocks()
 	out := slices.Grow(buf[:0], int(n))[:n]
 	var parent, leaf uint32 // where block fbn-1's pointer lives
 	for fbn := int64(0); fbn < n; {
@@ -278,6 +282,9 @@ func (f *File) BlockMap(p *sim.Proc, buf []uint32) ([]uint32, error) {
 				fs.cache.Hits += gets * (end - fbn)
 				for ; fbn < end; fbn, slot = fbn+1, slot+1 {
 					out[fbn] = leUint32(data[slot*4:])
+					if err := fs.checkPtr(f.ino, "indirect slot", out[fbn]); err != nil {
+						return nil, err
+					}
 				}
 				continue
 			}

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // Format constants. The 8 KB block matches the FFS configuration the paper
@@ -119,10 +120,11 @@ func (s *Super) decode(buf []byte) error {
 }
 
 // ErrBadGeometry is what every *GeometryError matches under errors.Is.
-var ErrBadGeometry = errors.New("ufs: superblock geometry the file system cannot serve")
+var ErrBadGeometry = errors.New("ufs: geometry the file system cannot serve")
 
-// GeometryError is Mount's refusal of a superblock whose geometry the file
-// system cannot serve: Field holds Value, which breaks the rule Why states.
+// GeometryError is Mount's refusal of a superblock or device whose
+// geometry the file system cannot serve: Field holds Value, which breaks
+// the rule Why states.
 type GeometryError struct {
 	Field string
 	Value uint64
@@ -130,7 +132,7 @@ type GeometryError struct {
 }
 
 func (e *GeometryError) Error() string {
-	return fmt.Sprintf("ufs: superblock %s = %d: %s", e.Field, e.Value, e.Why)
+	return fmt.Sprintf("ufs: geometry %s = %d: %s", e.Field, e.Value, e.Why)
 }
 
 // Unwrap returns ErrBadGeometry.
@@ -251,6 +253,33 @@ func (g *group) decode(buf []byte, sb *Super) {
 func bmpGet(bmp []byte, i int) bool { return bmp[i/8]&(1<<(i%8)) != 0 }
 func bmpSet(bmp []byte, i int)      { bmp[i/8] |= 1 << (i % 8) }
 func bmpClear(bmp []byte, i int)    { bmp[i/8] &^= 1 << (i % 8) }
+
+// bmpFindClear returns the first clear bit of bmp in [from, to), or -1.
+// Bit i is bit i%8 of byte i/8, so a little-endian word of 8 bytes holds
+// bits in index order: the scan tests whole words where it can, then
+// whole bytes, and single bits only at the range's ragged ends.
+func bmpFindClear(bmp []byte, from, to int) int {
+	for i := from; i < to; {
+		switch {
+		case i%64 == 0 && i+64 <= to:
+			if w := binary.LittleEndian.Uint64(bmp[i/8:]); w != ^uint64(0) {
+				return i + bits.TrailingZeros64(^w)
+			}
+			i += 64
+		case i%8 == 0 && i+8 <= to:
+			if b := bmp[i/8]; b != 0xff {
+				return i + bits.TrailingZeros8(^b)
+			}
+			i += 8
+		default:
+			if !bmpGet(bmp, i) {
+				return i
+			}
+			i++
+		}
+	}
+	return -1
+}
 
 // ErrTooSmall is returned by Format when the disk cannot hold even one
 // cylinder group.

@@ -20,6 +20,41 @@ var (
 	ErrNoInodes    = errors.New("ufs: out of inodes")
 )
 
+// ErrCorrupt is what every *CorruptError matches under errors.Is.
+var ErrCorrupt = errors.New("ufs: corrupt file-system metadata")
+
+// CorruptError is the file system's refusal to follow metadata read from
+// the device that points outside it: inode Ino's What holds Value, which
+// is out of range. The geometry checks at Mount cannot catch these; they
+// surface where a block pointer, a directory entry or a size is first
+// used.
+type CorruptError struct {
+	Ino   uint32
+	What  string
+	Value uint64
+}
+
+func (e *CorruptError) Error() string {
+	return fmt.Sprintf("ufs: inode %d: %s %d out of range", e.Ino, e.What, e.Value)
+}
+
+// Unwrap returns ErrCorrupt.
+func (e *CorruptError) Unwrap() error { return ErrCorrupt }
+
+// checkPtr accepts a block pointer read from the device when it is a hole
+// (0) or a block of the file system, so no read leaves the device.
+func (fs *FileSystem) checkPtr(ino uint32, what string, ptr uint32) error {
+	if ptr < fs.sb.NBlocks {
+		return nil
+	}
+	return &CorruptError{Ino: ino, What: what, Value: uint64(ptr)}
+}
+
+// maxIno bounds the inode numbers a directory entry may name.
+func (fs *FileSystem) maxIno() uint64 {
+	return uint64(fs.sb.NGroups) * uint64(fs.sb.InodesPerGroup)
+}
+
 // FileSystem is a mounted file system. Its methods must be called from a
 // single simulation process at a time (the Unix server enforces this).
 type FileSystem struct {
@@ -49,7 +84,12 @@ type FileSystem struct {
 // Mount reads the superblock (with disk timing, from the calling process)
 // and returns a file system handle. opts supplies runtime parameters
 // (cache size, read-ahead); on-disk parameters come from the superblock.
+// A device whose sectors are not 512 bytes, or a superblock geometry the
+// file system cannot serve, is refused with a *GeometryError.
 func Mount(p *sim.Proc, dsk BlockDevice, opts Options) (*FileSystem, error) {
+	if ss := dsk.Geometry().SectorSize; ss*SectorsPerBlock != BlockSize {
+		return nil, &GeometryError{Field: "SectorSize", Value: uint64(ss), Why: fmt.Sprintf("the device's sectors must be %d bytes", BlockSize/SectorsPerBlock)}
+	}
 	opts.fillDefaults()
 	fs := &FileSystem{
 		eng:         p.Engine(),
@@ -167,7 +207,9 @@ func (fs *FileSystem) Sync(p *sim.Proc) {
 
 // allocBlockNear allocates a free block, preferring goal exactly, then the
 // remainder of goal's group, then subsequent groups. goal 0 means "no
-// preference" (the scan starts at the last allocation group).
+// preference" (the scan starts at the last allocation group). Each group's
+// bitmap is searched a word or a byte at a time (bmpFindClear), skipping
+// full ones.
 func (fs *FileSystem) allocBlockNear(p *sim.Proc, goal uint32) (uint32, error) {
 	ngroups := int(fs.sb.NGroups)
 	startGroup := fs.lastAllocGroup
@@ -181,30 +223,21 @@ func (fs *FileSystem) allocBlockNear(p *sim.Proc, goal uint32) (uint32, error) {
 		if g.freeBlocks == 0 {
 			continue
 		}
-		from := 0
+		var b int
 		if gi == 0 && startOff >= 0 {
-			from = startOff
-		}
-		for b := from; b < int(g.nblocks); b++ {
-			if !bmpGet(g.blockBmp, b) {
-				bmpSet(g.blockBmp, b)
-				g.freeBlocks--
-				g.dirty = true
-				fs.lastAllocGroup = g.index
-				return g.start + uint32(b), nil
+			// Exact-goal group: from the goal on, then before it.
+			if b = bmpFindClear(g.blockBmp, startOff, int(g.nblocks)); b < 0 {
+				b = bmpFindClear(g.blockBmp, 0, startOff)
 			}
+		} else {
+			b = bmpFindClear(g.blockBmp, 0, int(g.nblocks))
 		}
-		// Exact-goal group: also try before the goal offset.
-		if gi == 0 && startOff > 0 {
-			for b := 0; b < startOff; b++ {
-				if !bmpGet(g.blockBmp, b) {
-					bmpSet(g.blockBmp, b)
-					g.freeBlocks--
-					g.dirty = true
-					fs.lastAllocGroup = g.index
-					return g.start + uint32(b), nil
-				}
-			}
+		if b >= 0 {
+			bmpSet(g.blockBmp, b)
+			g.freeBlocks--
+			g.dirty = true
+			fs.lastAllocGroup = g.index
+			return g.start + uint32(b), nil
 		}
 	}
 	return 0, ErrNoSpace
@@ -304,7 +337,7 @@ func (fs *FileSystem) bmapLeaf(p *sim.Proc, ino uint32, fbn int64, allocGoal uin
 			in.Direct[slot] = blk
 			fs.markInodeDirty(ino)
 		}
-		return in.Direct[slot], 0, 0, nil
+		return in.Direct[slot], 0, 0, fs.checkPtr(ino, "direct block", in.Direct[slot])
 
 	case l == 0: // single indirect
 		if in.Indirect == 0 {
@@ -318,8 +351,17 @@ func (fs *FileSystem) bmapLeaf(p *sim.Proc, ino uint32, fbn int64, allocGoal uin
 			in.Indirect = blk
 			fs.markInodeDirty(ino)
 		}
+		if err := fs.checkPtr(ino, "indirect block", in.Indirect); err != nil {
+			return 0, 0, 0, err
+		}
 		phys, err = fs.indirectSlot(p, in.Indirect, slot, allocGoal, false)
-		return phys, 0, in.Indirect, err
+		if err == nil {
+			err = fs.checkPtr(ino, "indirect slot", phys)
+		}
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		return phys, 0, in.Indirect, nil
 
 	default: // double indirect
 		if in.DIndirect == 0 {
@@ -333,12 +375,24 @@ func (fs *FileSystem) bmapLeaf(p *sim.Proc, ino uint32, fbn int64, allocGoal uin
 			in.DIndirect = blk
 			fs.markInodeDirty(ino)
 		}
+		if err := fs.checkPtr(ino, "double-indirect block", in.DIndirect); err != nil {
+			return 0, 0, 0, err
+		}
 		l1, err := fs.indirectSlot(p, in.DIndirect, l-1, allocGoal, true)
+		if err == nil {
+			err = fs.checkPtr(ino, "double-indirect slot", l1)
+		}
 		if err != nil || l1 == 0 {
-			return l1, 0, 0, err
+			return 0, 0, 0, err
 		}
 		phys, err = fs.indirectSlot(p, l1, slot, allocGoal, false)
-		return phys, in.DIndirect, l1, err
+		if err == nil {
+			err = fs.checkPtr(ino, "indirect slot", phys)
+		}
+		if err != nil {
+			return 0, 0, 0, err
+		}
+		return phys, in.DIndirect, l1, nil
 	}
 }
 

@@ -56,24 +56,25 @@ func (fs *FileSystem) Check(p *sim.Proc) *CheckReport {
 	}
 
 	// Walk every reachable inode from the root.
-	var walk func(ino uint32) error
-	walk = func(ino uint32) error {
+	var walk func(ino uint32)
+	walk = func(ino uint32) {
 		if liveInodes[ino] {
 			r.problemf("inode %d reachable twice (directory cycle or duplicate entry)", ino)
-			return nil
+			return
 		}
 		liveInodes[ino] = true
 		in := fs.getInode(p, ino)
 		if in.Mode == ModeFree {
 			r.problemf("directory references free inode %d", ino)
-			return nil
+			return
 		}
 		// Claim the block tree.
 		for _, blk := range in.Direct {
 			claim(ino, blk, "direct")
 		}
 		scanIndirect := func(blk uint32, what string) []uint32 {
-			if blk == 0 {
+			if blk == 0 || blk >= fs.sb.NBlocks {
+				claim(ino, blk, what) // reports a block out of range
 				return nil
 			}
 			claim(ino, blk, what)
@@ -93,7 +94,10 @@ func (fs *FileSystem) Check(p *sim.Proc) *CheckReport {
 			}
 		}
 		// Block-tree sanity: every in-range file block must resolve.
-		for fbn := int64(0); fbn < in.Blocks(); fbn++ {
+		if in.Size < 0 || in.Blocks() > MaxFileBlocks {
+			r.problemf("inode %d: size %d out of range", ino, in.Size)
+		}
+		for fbn := int64(0); fbn < min(in.Blocks(), MaxFileBlocks); fbn++ {
 			if _, err := fs.bmap(p, ino, fbn, 0); err != nil {
 				r.problemf("inode %d: bmap(%d): %v", ino, fbn, err)
 				break
@@ -103,28 +107,26 @@ func (fs *FileSystem) Check(p *sim.Proc) *CheckReport {
 			r.Dirs++
 			raw, err := fs.readDir(p, ino)
 			if err != nil {
-				return err
+				r.problemf("directory %d: %v", ino, err)
+				return
 			}
 			var kids []uint32 // collected first: the walk below reuses raw's buffer
 			for off := 0; off < len(raw); off += dirEntSize {
-				if kid := entIno(raw[off:]); kid != 0 {
+				switch kid := entIno(raw[off:]); {
+				case uint64(kid) >= fs.maxIno():
+					r.problemf("directory %d: entry names out-of-range inode %d", ino, kid)
+				case kid != 0:
 					kids = append(kids, kid)
 				}
 			}
 			for _, kid := range kids {
-				if err := walk(kid); err != nil {
-					return err
-				}
+				walk(kid)
 			}
 		} else {
 			r.Files++
 		}
-		return nil
 	}
-	if err := walk(RootIno); err != nil {
-		r.problemf("walk failed: %v", err)
-		return r
-	}
+	walk(RootIno)
 
 	// Cross-check the bitmaps group by group.
 	for gi := 0; gi < int(fs.sb.NGroups); gi++ {
