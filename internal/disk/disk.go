@@ -480,23 +480,42 @@ func allZero(b []byte) bool {
 // copySectors copies count sectors starting at lba into dst, zero-filling
 // unwritten sectors, without disk timing.
 func (d *Disk) copySectors(lba int64, count int, dst []byte) {
+	if d.fillSectors(lba, count, dst) {
+		clear(dst[:count*d.geo.SectorSize])
+	}
+}
+
+// fillSectors is FillSectors without the length check. It walks the store
+// once: dst is untouched until the first payload, and the unwritten sectors
+// before each payload are cleared as it is copied, so a range that holds
+// data costs what a zero-filling copy costs and a blank range costs no
+// byte moved.
+func (d *Disk) fillSectors(lba int64, count int, dst []byte) (blank bool) {
 	ss := d.geo.SectorSize
+	done := 0 // dst holds sectors [0, done): through the last payload found
 	for i := 0; i < count; {
 		key, off, n := slabSpan(lba+int64(i), count-i)
-		out := dst[i*ss : (i+n)*ss]
-		if s := d.sectors[key]; s == nil {
-			clear(out)
-		} else {
+		if s := d.sectors[key]; s != nil {
 			for j, sec := range s[off : off+n] {
-				if sec != nil {
-					copy(out[j*ss:], sec)
-				} else {
-					clear(out[j*ss : (j+1)*ss])
+				if sec == nil {
+					continue
 				}
+				if dst == nil {
+					return false
+				}
+				at := (i + j) * ss
+				clear(dst[done*ss : at])
+				copy(dst[at:at+ss], sec)
+				done = i + j + 1
 			}
 		}
 		i += n
 	}
+	if done == 0 {
+		return true
+	}
+	clear(dst[done*ss : count*ss])
+	return false
 }
 
 // xorSectors XORs count sectors starting at lba into dst, without disk
@@ -521,6 +540,19 @@ func (d *Disk) xorSectors(lba int64, count int, dst []byte) {
 // inspecting the image offline. Unwritten sectors read as zeros.
 func (d *Disk) PeekSectors(lba int64, dst []byte) {
 	d.copySectors(lba, d.sectorCount(dst), dst)
+}
+
+// FillSectors is PeekSectors for a caller that can keep a blank block
+// without its bytes: it copies count sectors from lba into dst and reports
+// false, or, when none of them holds a payload, leaves dst untouched and
+// reports true. Either way it walks the store once. A nil dst only probes:
+// the walk stops at the first payload. Otherwise dst must be count sectors
+// long.
+func (d *Disk) FillSectors(lba int64, count int, dst []byte) (blank bool) {
+	if dst != nil && d.sectorCount(dst) != count {
+		panic("disk: FillSectors buffer is not count sectors")
+	}
+	return d.fillSectors(lba, count, dst)
 }
 
 // sectorCount returns how many sectors buf holds, panicking unless it is a

@@ -25,7 +25,12 @@
 // Sector payloads are stored sparsely: written sectors keep their bytes,
 // unwritten sectors read as zeros. Media files can therefore be laid out
 // (allocating all metadata for real) without storing gigabytes of pixel
-// data.
+// data. FillSectors, on a Disk and a Volume, carries that sparseness to a
+// caller that can keep a block without bytes: in one walk of the store it
+// fills dst as PeekSectors does, or reports that no sector of the range
+// holds a payload and leaves dst untouched (a nil dst only probes). The
+// UFS buffer cache fills its blocks with it and keeps blank ones blank. A
+// dead parity member's unit never counts as blank; it is rebuilt.
 //
 // Request.Data is the payload in both directions; nil means timing only. A
 // write stores Data, and a nil Data is a sparse write. A read copies the

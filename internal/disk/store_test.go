@@ -48,7 +48,8 @@ func refImage(got []byte, ref map[int64][]byte) []byte {
 // writes — payloads, all-zero payloads, sparse (nil) writes, ranges that
 // start and end mid-slab, and PokeSector — against a reference map with one
 // entry per written sector. After every step copySectors, xorSectors,
-// PeekSectors, StoredSectors, the SaveImage bytes and a LoadImage round
+// PeekSectors, FillSectors (blank exactly when no sector of the range holds
+// a payload, and then the buffer untouched), StoredSectors, the SaveImage bytes and a LoadImage round
 // trip must agree with the reference. Fixed default seed; CI rotates it
 // per commit via SECTOR_STORE_PROP_SEED.
 func TestSectorStoreProperty(t *testing.T) {
@@ -124,6 +125,26 @@ func TestSectorStoreProperty(t *testing.T) {
 		d.PeekSectors(lba, got)
 		if !bytes.Equal(got, want(lba, count)) {
 			t.Fatalf("step %d: PeekSectors(%d, %d) differs from the reference", step, lba, count)
+		}
+		wantBlank := true
+		for i := 0; i < count; i++ {
+			if ref[lba+int64(i)] != nil {
+				wantBlank = false
+			}
+		}
+		if blank := d.FillSectors(lba, count, nil); blank != wantBlank {
+			t.Fatalf("step %d: FillSectors(%d, %d, nil) = %v, want %v", step, lba, count, blank, wantBlank)
+		}
+		rng.Read(got)
+		stale := bytes.Clone(got)
+		blank := d.FillSectors(lba, count, got)
+		switch {
+		case blank != wantBlank:
+			t.Fatalf("step %d: FillSectors(%d, %d) = %v, want %v", step, lba, count, blank, wantBlank)
+		case blank && !bytes.Equal(got, stale):
+			t.Fatalf("step %d: FillSectors(%d, %d) reported blank but wrote the buffer", step, lba, count)
+		case !blank && !bytes.Equal(got, want(lba, count)):
+			t.Fatalf("step %d: FillSectors(%d, %d) differs from the reference", step, lba, count)
 		}
 		base := make([]byte, count*ss)
 		rng.Read(base)
@@ -297,6 +318,9 @@ func TestMappingAllocs(t *testing.T) {
 		if n := testing.AllocsPerRun(100, func() { v.PeekSectors(37, buf) }); n != 0 {
 			t.Errorf("%s: PeekSectors allocates %v times per call", v.Name(), n)
 		}
+		if n := testing.AllocsPerRun(100, func() { v.FillSectors(37, 200, buf) }); n != 0 {
+			t.Errorf("%s: FillSectors allocates %v times per call", v.Name(), n)
+		}
 	}
 }
 
@@ -374,6 +398,80 @@ func TestPokeSectorsMatchesPerSector(t *testing.T) {
 				if row := bulkVol.VerifyParity(); row != -1 {
 					t.Fatalf("parity broken at row %d", row)
 				}
+			}
+		})
+	}
+}
+
+// TestVolumeFillSectorsReportsBlank fills random logical ranges of sparse
+// volumes: a bare disk's, RAID-0, parity, and parity with a dead member.
+// FillSectors must report blank exactly when no unit of the range is on a
+// dead member and no live unit's sector holds a payload; a blank fill
+// leaves the buffer as it was, and any other fill (a nil-buffer probe
+// aside) gives PeekSectors' bytes. So a degraded read of a dead unit is
+// rebuilt even where every survivor is blank.
+func TestVolumeFillSectorsReportsBlank(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		disks  int // 0: a one-disk volume
+		parity bool
+		dead   int
+	}{
+		{"disk", 0, false, -1},
+		{"raid0", 4, false, -1},
+		{"parity", 4, true, -1},
+		{"parity-degraded", 4, true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := sim.NewEngine(1)
+			var v *Volume
+			if tc.disks == 0 {
+				v = SingleVolume(New(e, "sd0", Geometry{Cylinders: 20, Heads: 2, SectorsPerTrack: 16, SectorSize: 512}, Params{}))
+			} else {
+				v = payloadVolume(t, e, tc.disks, tc.parity)
+			}
+			rng := rand.New(rand.NewSource(11))
+			total := v.Geometry().TotalSectors()
+			for i := 0; i < 40; i++ {
+				v.PokeSector(rng.Int63n(total), bytes.Repeat([]byte{byte(1 + rng.Intn(255))}, 512))
+			}
+			if tc.dead >= 0 {
+				v.SetDead(tc.dead, true)
+			}
+			sawBlank, sawData := false, false
+			for trial := 0; trial < 500; trial++ {
+				n := 1 + rng.Intn(24)
+				lba := rng.Int63n(total - int64(n) + 1)
+				wantBlank := true
+				for s := lba; s < lba+int64(n); s++ {
+					m, dlba := v.Locate(s)
+					key, off, _ := slabSpan(dlba, 1)
+					if v.Dead(m) || v.Disk(m).sectors[key] != nil && v.Disk(m).sectors[key][off] != nil {
+						wantBlank = false
+					}
+				}
+				if blank := v.FillSectors(lba, n, nil); blank != wantBlank {
+					t.Fatalf("FillSectors(%d, %d, nil) = %v, want %v", lba, n, blank, wantBlank)
+				}
+				got := make([]byte, n*512)
+				rng.Read(got)
+				stale := bytes.Clone(got)
+				want := make([]byte, n*512)
+				v.PeekSectors(lba, want)
+				blank := v.FillSectors(lba, n, got)
+				switch {
+				case blank != wantBlank:
+					t.Fatalf("FillSectors(%d, %d) = %v, want %v", lba, n, blank, wantBlank)
+				case blank && !bytes.Equal(got, stale):
+					t.Fatalf("FillSectors(%d, %d) reported blank but wrote the buffer", lba, n)
+				case !blank && !bytes.Equal(got, want):
+					t.Fatalf("FillSectors(%d, %d) differs from PeekSectors", lba, n)
+				}
+				sawBlank = sawBlank || blank
+				sawData = sawData || !blank
+			}
+			if !sawBlank && tc.dead < 0 || !sawData {
+				t.Errorf("saw blank %v, data %v: the ranges miss a case", sawBlank, sawData)
 			}
 		})
 	}

@@ -419,34 +419,78 @@ func (v *Volume) WriteSync(p *sim.Proc, lba int64, count int, data []byte, realT
 }
 
 // PeekSectors copies the logical sectors from lba into dst, whose length
-// must be a whole number of sectors, without disk timing. It walks the
-// stripe units once: a live member's units are copied from its store, and
-// a dead member's units are rebuilt as the XOR of the survivors' units of
-// their rows, so the bytes are the ones a timed read returns.
+// must be a whole number of sectors, without disk timing. A live member's
+// units are copied from its store, and a dead member's units are rebuilt
+// as the XOR of the survivors' units of their rows, so the bytes are the
+// ones a timed read returns.
 func (v *Volume) PeekSectors(lba int64, dst []byte) {
-	ss := int64(v.geo.SectorSize)
 	count := v.disks[0].sectorCount(dst)
+	if v.FillSectors(lba, count, dst) {
+		clear(dst)
+	}
+}
+
+// FillSectors is Disk.FillSectors over the logical sectors: it fills dst
+// as PeekSectors does and reports false, or reports true and leaves dst
+// untouched when no sector of the range holds a payload. It walks the
+// stripe units once; a blank unit is cleared only once a unit holding data
+// follows it or the walk ends. A dead member's unit never counts as blank,
+// so a degraded read always takes the rebuild. A nil dst only probes.
+func (v *Volume) FillSectors(lba int64, count int, dst []byte) (blank bool) {
 	if lba < 0 || lba+int64(count) > v.geo.TotalSectors() {
 		panic(fmt.Sprintf("disk: volume %s: peek out of range: lba=%d count=%d", v.name, lba, count))
 	}
-	for u := v.units(lba, count); u.next(); {
-		v.peekMember(u.disk, u.dlba, u.count, dst[u.off*ss:])
+	if dst != nil && v.disks[0].sectorCount(dst) != count {
+		panic("disk: FillSectors buffer is not count sectors")
 	}
+	ss := int64(v.geo.SectorSize)
+	var done int64 // dst holds sectors [0, done): through the last unit with data
+	for u := v.units(lba, count); u.next(); {
+		var out []byte
+		if dst != nil {
+			out = dst[u.off*ss : (u.off+int64(u.count))*ss]
+		}
+		if v.fillMember(u.disk, u.dlba, u.count, out) {
+			continue
+		}
+		if dst == nil {
+			return false
+		}
+		clear(dst[done*ss : u.off*ss])
+		done = u.off + int64(u.count)
+	}
+	if done == 0 {
+		return true
+	}
+	clear(dst[done*ss:])
+	return false
+}
+
+// fillMember is FillSectors for member m's n sectors from dlba into the
+// front of dst. A dead member's sectors are rebuilt from the other members
+// and are never blank.
+func (v *Volume) fillMember(m int, dlba int64, n int, dst []byte) (blank bool) {
+	if !v.Dead(m) {
+		return v.disks[m].fillSectors(dlba, n, dst)
+	}
+	if dst != nil {
+		dst = dst[:n*v.geo.SectorSize]
+		clear(dst)
+		for d, dk := range v.disks {
+			if d != m {
+				dk.xorSectors(dlba, n, dst)
+			}
+		}
+	}
+	return false
 }
 
 // peekMember fills the front of dst with member m's n sectors from dlba,
 // without disk timing, rebuilding them from the other members when m is
 // dead.
 func (v *Volume) peekMember(m int, dlba int64, n int, dst []byte) {
-	if !v.Dead(m) {
-		v.disks[m].copySectors(dlba, n, dst)
-		return
-	}
-	clear(dst[:n*v.geo.SectorSize])
-	for d, dk := range v.disks {
-		if d != m {
-			dk.xorSectors(dlba, n, dst)
-		}
+	if v.fillMember(m, dlba, n, dst) {
+		clear(dst[:n*v.geo.SectorSize])
 	}
 }
 

@@ -102,13 +102,16 @@ func TestFuzzCorporaFromEncoders(t *testing.T) {
 }
 
 // FuzzDecodeControl: any bytes decode to a chunk table or an error, never
-// a panic, and a table that decodes re-encodes to the bytes it was read
-// from.
+// a panic, and a table that decodes validates and re-encodes to the bytes
+// it was read from.
 func FuzzDecodeControl(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := DecodeControl("/f", data)
 		if err != nil {
 			return
+		}
+		if err := s.Validate(); err != nil {
+			t.Fatalf("decoded a table Validate refuses: %v", err)
 		}
 		if enc := EncodeControl(s); !bytes.Equal(enc, data[:len(enc)]) {
 			t.Fatalf("decoded %d chunks that re-encode to different bytes", len(s.Chunks))

@@ -14,6 +14,7 @@ package media
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -105,30 +106,52 @@ func (s *StreamInfo) ChunkAt(t sim.Time) int {
 
 // Validate checks the chunk-table invariants: contiguous offsets (from the
 // first chunk's offset — container tracks are rebased into a shared file),
-// monotonically increasing timestamps with no gaps, positive durations.
+// monotonically increasing timestamps with no gaps, positive durations,
+// non-negative sizes, and a file and a duration that fit in an int64. It
+// refuses a table with a *ChunkError naming the first chunk that breaks
+// one.
 func (s *StreamInfo) Validate() error {
 	var off int64
 	if len(s.Chunks) > 0 {
 		off = s.Chunks[0].Offset
 		if off < 0 {
-			return fmt.Errorf("media: negative base offset %d", off)
+			return &ChunkError{Chunk: 0, Field: "offset", Value: off, Want: ">= 0"}
 		}
 	}
 	var ts sim.Time
 	for i, c := range s.Chunks {
-		if c.Offset != off {
-			return fmt.Errorf("media: chunk %d offset %d, want %d", i, c.Offset, off)
-		}
-		if c.Timestamp != ts {
-			return fmt.Errorf("media: chunk %d timestamp %v, want %v", i, c.Timestamp, ts)
-		}
-		if c.Duration <= 0 || c.Size < 0 {
-			return fmt.Errorf("media: chunk %d has duration %v size %d", i, c.Duration, c.Size)
+		switch {
+		case c.Offset != off:
+			return &ChunkError{Chunk: i, Field: "offset", Value: c.Offset, Want: fmt.Sprintf("%d, the previous chunk's end", off)}
+		case c.Timestamp != ts:
+			return &ChunkError{Chunk: i, Field: "timestamp", Value: int64(c.Timestamp), Want: fmt.Sprintf("%d, the previous chunk's end", ts)}
+		case c.Duration <= 0:
+			return &ChunkError{Chunk: i, Field: "duration", Value: int64(c.Duration), Want: "> 0"}
+		case c.Size < 0:
+			return &ChunkError{Chunk: i, Field: "size", Value: c.Size, Want: ">= 0"}
+		case c.Size > math.MaxInt64-off:
+			return &ChunkError{Chunk: i, Field: "size", Value: c.Size, Want: fmt.Sprintf("<= %d, so the file's end fits in an int64", math.MaxInt64-off)}
+		case c.Duration > math.MaxInt64-ts:
+			return &ChunkError{Chunk: i, Field: "duration", Value: int64(c.Duration), Want: fmt.Sprintf("<= %d, so the stream's end fits in an int64", math.MaxInt64-ts)}
 		}
 		off += c.Size
 		ts += c.Duration
 	}
 	return nil
+}
+
+// ChunkError is a chunk table's refusal, by Validate and so by
+// DecodeControl: chunk Chunk's Field ("offset", "timestamp", "duration"
+// or "size") holds Value, where the table needs Want.
+type ChunkError struct {
+	Chunk int
+	Field string
+	Value int64
+	Want  string
+}
+
+func (e *ChunkError) Error() string {
+	return fmt.Sprintf("media: chunk %d %s %d, want %s", e.Chunk, e.Field, e.Value, e.Want)
 }
 
 // CBRProfile describes a constant-bit-rate stream.
@@ -241,7 +264,8 @@ func appendControl(dst []byte, s *StreamInfo) []byte {
 	return dst
 }
 
-// DecodeControl parses a control file.
+// DecodeControl parses a control file. A chunk table that Validate refuses
+// is refused with its *ChunkError, wrapped.
 func DecodeControl(name string, data []byte) (*StreamInfo, error) {
 	le := binary.LittleEndian
 	if len(data) < 8 || le.Uint32(data[0:]) != ctlMagic {
@@ -260,6 +284,9 @@ func DecodeControl(name string, data []byte) (*StreamInfo, error) {
 			Size:      int64(le.Uint64(data[base+16:])),
 			Offset:    int64(le.Uint64(data[base+24:])),
 		}
+	}
+	if err := s.Validate(); err != nil {
+		return nil, fmt.Errorf("media: control file %s: %w", name, err)
 	}
 	return s, nil
 }

@@ -1,6 +1,8 @@
 package media
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"testing/quick"
 	"time"
@@ -141,6 +143,42 @@ func TestDecodeControlErrors(t *testing.T) {
 	enc[0] = 0xFF
 	if _, err := DecodeControl("x", enc); err == nil {
 		t.Fatal("bad magic accepted")
+	}
+}
+
+// TestDecodeControlRefusesInvalidTables encodes one table per rule of
+// Validate, each broken at one chunk, and checks that DecodeControl refuses
+// it with a *ChunkError naming that chunk and field. Before, these decoded
+// and were caught only when the table reached a server's open.
+func TestDecodeControlRefusesInvalidTables(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		chunk int
+		field string
+		edit  func(c []Chunk)
+	}{
+		{"negative-base-offset", 0, "offset", func(c []Chunk) {
+			for i := range c {
+				c[i].Offset -= c[0].Size + 1
+			}
+		}},
+		{"offset-gap", 3, "offset", func(c []Chunk) { c[3].Offset += 7 }},
+		{"timestamp-gap", 5, "timestamp", func(c []Chunk) { c[5].Timestamp++ }},
+		{"zero-duration", 0, "duration", func(c []Chunk) { c[0].Duration = 0 }},
+		{"negative-duration", 2, "duration", func(c []Chunk) { c[2].Duration = -c[2].Duration }},
+		{"negative-size", 4, "size", func(c []Chunk) { c[4].Size = -1 }},
+		{"size-past-int64", 1, "size", func(c []Chunk) { c[1].Size = math.MaxInt64 }},
+		{"duration-past-int64", 1, "duration", func(c []Chunk) { c[1].Duration = math.MaxInt64 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := MPEG1().Generate("m", sec(1))
+			tc.edit(s.Chunks)
+			_, err := DecodeControl("m", EncodeControl(s))
+			var ce *ChunkError
+			if !errors.As(err, &ce) || ce.Chunk != tc.chunk || ce.Field != tc.field {
+				t.Errorf("DecodeControl = %v, want a *ChunkError at chunk %d %s", err, tc.chunk, tc.field)
+			}
+		})
 	}
 }
 

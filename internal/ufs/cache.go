@@ -15,7 +15,14 @@ type cacheEntry struct {
 	blk     int64
 	data    []byte
 	dirty   bool
-	pending bool        // a read is in flight filling this entry
+	pending bool // a read is in flight filling this entry
+
+	// blank marks a filled block none of whose sectors holds a payload on
+	// the device, so it reads as zeros; data then holds stale bytes. The
+	// buffer is cleared, and the flag dropped, only when a caller is
+	// handed it (bytes). A dirty entry is never blank.
+	blank bool
+
 	waiters *sim.Waiter // created by the first process to wait on the fill
 	lruSeq  uint64      // touch stamp; the LRU list is in lruSeq order
 
@@ -116,6 +123,16 @@ func (c *Cache) hot(under, blk int64) []byte {
 			return nil
 		}
 	}
+	return e.bytes()
+}
+
+// bytes returns e's buffer for a caller to read or write, clearing it
+// first if the block is blank.
+func (e *cacheEntry) bytes() []byte {
+	if e.blank {
+		clear(e.data)
+		e.blank = false
+	}
 	return e.data
 }
 
@@ -131,8 +148,9 @@ func (c *Cache) unlink(e *cacheEntry) {
 	e.prev, e.next = nil, nil
 }
 
-// take returns a blank entry for blk, recycled from the free list when one
-// is there. Its buffer holds stale bytes: the caller fills or clears it.
+// take returns a fresh entry for blk, recycled from the free list when one
+// is there, with no flag of its previous block. Its buffer holds stale
+// bytes: the caller fills or clears it.
 func (c *Cache) take(blk int64) *cacheEntry {
 	n := len(c.free)
 	if n == 0 {
@@ -226,17 +244,33 @@ func (e *cacheEntry) waitFill(p *sim.Proc) {
 // Callers that modify the block must call MarkDirty with the same block
 // number while the alias is live.
 func (c *Cache) Get(p *sim.Proc, blk int64) []byte {
+	return c.get(p, blk).bytes()
+}
+
+// ReadAt copies the block's bytes from off into dst, reading the block from
+// disk on a miss exactly as Get does, without handing out the buffer: a
+// blank block clears dst instead.
+func (c *Cache) ReadAt(p *sim.Proc, blk int64, dst []byte, off int) {
+	if e := c.get(p, blk); e.blank {
+		clear(dst)
+	} else {
+		copy(dst, e.data[off:])
+	}
+}
+
+// get is Get's lookup, fill and accounting: it returns blk's entry, filled.
+func (c *Cache) get(p *sim.Proc, blk int64) *cacheEntry {
 	if e := c.lookup(blk); e != nil {
 		e.waitFill(p)
 		c.Hits++
 		c.touch(e)
-		return e.data
+		return e
 	}
 	c.Misses++
 	c.evictFor(p, 1)
 	e := c.fetch(blk, 1)
 	e.waitFill(p)
-	return e.data
+	return e
 }
 
 // GetZero returns a cache entry for a block that is about to be fully
@@ -246,6 +280,7 @@ func (c *Cache) GetZero(p *sim.Proc, blk int64) []byte {
 		e.waitFill(p)
 		c.touch(e)
 		clear(e.data)
+		e.blank = false
 		return e.data
 	}
 	c.evictFor(p, 1)
@@ -314,8 +349,9 @@ func (c *Cache) prefetchRun(blk int64, count int) {
 // cacheRun is one disk read filling consecutive pending entries: a
 // read-ahead run, or the one block of a miss. The disk read is timing-only;
 // at its completion each entry's buffer is filled in place from the
-// device's store with PeekSectors, so a block's bytes move once and entry
-// buffers are never disk targets. Idle runs are pooled with their
+// device's store with FillSectors, so a block's bytes move once and entry
+// buffers are never disk targets, and a block that holds no payload is
+// marked blank instead of zero-filled. Idle runs are pooled with their
 // requests.
 type cacheRun struct {
 	c       *Cache
@@ -349,14 +385,18 @@ func (c *Cache) fetch(blk int64, count int) *cacheEntry {
 
 // complete fills the run's blocks from the device, at the read's
 // completion instant, wakes the processes waiting on them and returns the
-// run to the pool.
+// run to the pool. One probe finds a run with no payload, whose blocks are
+// all blank; otherwise each block is filled or found blank on its own.
 func (r *cacheRun) complete(req *disk.Request, _ []byte) {
 	if req.Err != nil {
 		panic("ufs: unhandled injected fault on a buffer-cache read")
 	}
 	c := r.c
+	blank := c.dsk.FillSectors(req.LBA, req.Count, nil)
 	for i, e := range r.entries {
-		c.dsk.PeekSectors(req.LBA+int64(i*SectorsPerBlock), e.data)
+		if blank || c.dsk.FillSectors(req.LBA+int64(i*SectorsPerBlock), SectorsPerBlock, e.data) {
+			e.blank = true
+		}
 		e.pending = false
 		if e.waiters != nil {
 			e.waiters.WakeAll()

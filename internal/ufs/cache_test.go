@@ -32,7 +32,9 @@ func refVictim(c *Cache, clean bool) *cacheEntry {
 
 // checkCache asserts the list-based victims equal the reference scans, that
 // the LRU list and the map hold the same entries in lruSeq order, that
-// every clean, filled entry matches the device, and that the free list is
+// every clean, filled entry matches the device (a blank one: the device
+// block holds no payload, and a blank entry is neither dirty nor pending),
+// and that the free list is
 // bounded (resident + free <= capacity) and shares no buffer with the
 // resident entries or with itself.
 func checkCache(c *Cache, dev BlockDevice) error {
@@ -66,10 +68,19 @@ func checkCache(c *Cache, dev BlockDevice) error {
 		}
 	}
 	for blk, e := range c.entries {
+		if e.blank && (e.dirty || e.pending) {
+			return fmt.Errorf("block %d is blank and dirty=%v pending=%v", blk, e.dirty, e.pending)
+		}
 		if e.pending || e.dirty {
 			continue
 		}
-		if !bytes.Equal(e.data, deviceBlock(dev, blk)) {
+		// A clean block's bytes are the device's; a blank one holds none
+		// yet, and the device block must hold no payload (read as zeros).
+		if e.blank {
+			if !dev.FillSectors(blk*SectorsPerBlock, SectorsPerBlock, nil) {
+				return fmt.Errorf("blank block %d holds a payload on the device", blk)
+			}
+		} else if !bytes.Equal(e.data, deviceBlock(dev, blk)) {
 			return fmt.Errorf("clean block %d differs from the device", blk)
 		}
 	}

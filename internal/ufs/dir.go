@@ -235,7 +235,9 @@ func (fs *FileSystem) MkdirAll(p *sim.Proc, path string) error {
 }
 
 // Unlink removes a file, releasing its blocks and inode. Directories must
-// be empty.
+// be empty. A file whose blocks cannot all be freed (a pointer past the
+// device, to a free block, or named twice) is refused with a
+// *CorruptError and left as it was.
 func (fs *FileSystem) Unlink(p *sim.Proc, path string) error {
 	parent, name, err := fs.nameiParent(p, path)
 	if err != nil {
@@ -255,6 +257,13 @@ func (fs *FileSystem) Unlink(p *sim.Proc, path string) error {
 			if entIno(raw[off:]) != 0 {
 				return ErrExists // directory not empty
 			}
+		}
+	}
+	if in.NLink == 1 {
+		// The last link goes: refuse a block tree the truncate below could
+		// not free before anything changes.
+		if err := fs.checkTree(p, ino); err != nil {
+			return err
 		}
 	}
 	if err := fs.dirRemove(p, parent, name); err != nil {

@@ -16,6 +16,14 @@
 //     is compared against in Figures 6 and 7 (and the source of its
 //     priority inversions).
 //
+// The buffer cache keeps a block whose sectors hold no payload on the
+// device (the simulated disk stores payloads sparsely) as a blank entry:
+// its fill marks it instead of zero-filling the buffer, the buffer is
+// cleared only when a caller is handed it, and File.ReadAt copies through
+// Cache.ReadAt, which clears the caller's bytes for a blank block instead
+// of copying zeros. Cache traffic and disk timing are as if the zeros had
+// been stored, and the alias rule of Cache.Get is unchanged.
+//
 // CRAS itself bypasses this read path: it asks the server for a file's
 // block map (a non-real-time operation, done at open time), coalesces it
 // into extents, and reads raw sectors on the disk's real-time queue.
@@ -34,7 +42,10 @@
 // first followed: a block pointer outside the file system, a directory
 // entry naming an inode past the inode tables, or a size no file or
 // directory can have is a *CorruptError (fsck reports each as a problem),
-// never a read off the device.
+// never a read off the device. Unlink checks every block the removal
+// would free before it removes the directory entry, and refuses a pointer
+// past the device, to a free block or named twice with a *CorruptError,
+// leaving the image as it was.
 //
 // Differences from real FFS, chosen to keep the package small without
 // changing the behaviour the paper depends on: no fragments (a file's tail

@@ -1,6 +1,8 @@
 package ufs
 
 import (
+	"errors"
+	"fmt"
 	"slices"
 
 	"repro/internal/sim"
@@ -178,12 +180,9 @@ func (f *File) ReadAt(p *sim.Proc, buf []byte, off int64) (int, error) {
 			return read, err
 		}
 		if phys == 0 {
-			for i := 0; i < c; i++ {
-				buf[read+i] = 0
-			}
+			clear(buf[read : read+c])
 		} else {
-			data := fs.cache.Get(p, int64(phys))
-			copy(buf[read:read+c], data[bOff:])
+			fs.cache.ReadAt(p, int64(phys), buf[read:read+c], bOff)
 		}
 		sequential := fbn == f.lastFBN+1 || fbn == f.lastFBN
 		f.lastFBN = fbn
@@ -299,41 +298,119 @@ func (f *File) BlockMap(p *sim.Proc, buf []uint32) ([]uint32, error) {
 	return out, nil
 }
 
-// truncateToZero releases every data and indirect block of an inode.
+// truncateToZero releases every data and indirect block of an inode. The
+// tree must have passed checkTree.
 func (fs *FileSystem) truncateToZero(p *sim.Proc, ino uint32) {
+	err := fs.blockTree(p, ino, func(_ string, blk uint32) error {
+		fs.freeBlock(p, blk)
+		return nil
+	})
+	if err != nil {
+		panic(fmt.Sprintf("ufs: truncate of an unchecked block tree: %v", err))
+	}
 	in := fs.getInode(p, ino)
-	for i, blk := range in.Direct {
-		fs.freeBlock(p, blk)
-		in.Direct[i] = 0
-	}
-	freeIndirect := func(blk uint32) {
-		if blk == 0 {
-			return
-		}
-		buf := fs.cache.Get(p, int64(blk))
-		ptrs := make([]uint32, PtrsPerBlock)
-		for i := range ptrs {
-			ptrs[i] = leUint32(buf[i*4:])
-		}
-		for _, ptr := range ptrs {
-			fs.freeBlock(p, ptr)
-		}
-		fs.freeBlock(p, blk)
-	}
-	if in.DIndirect != 0 {
-		buf := fs.cache.Get(p, int64(in.DIndirect))
-		l1s := make([]uint32, PtrsPerBlock)
-		for i := range l1s {
-			l1s[i] = leUint32(buf[i*4:])
-		}
-		for _, l1 := range l1s {
-			freeIndirect(l1)
-		}
-		fs.freeBlock(p, in.DIndirect)
-		in.DIndirect = 0
-	}
-	freeIndirect(in.Indirect)
-	in.Indirect = 0
-	in.Size = 0
+	in.Direct = [NDirect]uint32{}
+	in.Indirect, in.DIndirect, in.Size = 0, 0, 0
 	fs.markInodeDirty(ino)
+}
+
+// checkTree refuses, with a *CorruptError, a block tree truncateToZero
+// could not free: a pointer past the device, or to a block the bitmap
+// holds free or the tree has already named. It marks each block free as
+// it goes, so a second mention finds it free, and then marks them used
+// again: it leaves the file system as it found it.
+func (fs *FileSystem) checkTree(p *sim.Proc, ino uint32) error {
+	held := 0 // blocks marked free by the walk
+	err := fs.blockTree(p, ino, func(what string, blk uint32) error {
+		g, off := fs.blockBit(p, blk)
+		if !bmpGet(g.blockBmp, off) {
+			return &CorruptError{Ino: ino, What: what, Value: uint64(blk), Why: "free or named twice"}
+		}
+		bmpClear(g.blockBmp, off)
+		held++
+		return nil
+	})
+	// The same walk again, up to where the first one stopped.
+	again := fs.blockTree(p, ino, func(_ string, blk uint32) error {
+		if held == 0 {
+			return errStopWalk
+		}
+		g, off := fs.blockBit(p, blk)
+		bmpSet(g.blockBmp, off)
+		held--
+		return nil
+	})
+	if held != 0 || (err == nil) != (again == nil) {
+		panic(fmt.Sprintf("ufs: inode %d: block tree walked twice differently (%v, then %v)", ino, err, again))
+	}
+	return err
+}
+
+// errStopWalk ends a blockTree walk early.
+var errStopWalk = errors.New("ufs: walk stopped")
+
+// blockTree calls fn for every block of ino's tree, holes skipped, in the
+// order truncateToZero frees them: the direct blocks, then the double
+// indirect tree, then the single indirect tree, each indirect block after
+// its slots. An indirect block past the device is refused before it is
+// read, and the walk stops at fn's first error.
+func (fs *FileSystem) blockTree(p *sim.Proc, ino uint32, fn func(what string, blk uint32) error) error {
+	in := fs.getInode(p, ino)
+	for _, blk := range in.Direct {
+		if blk == 0 {
+			continue
+		}
+		if err := fs.checkPtr(ino, "direct block", blk); err != nil {
+			return err
+		}
+		if err := fn("direct block", blk); err != nil {
+			return err
+		}
+	}
+	if err := fs.indirectTree(p, ino, "double-indirect block", in.DIndirect, 2, fn); err != nil {
+		return err
+	}
+	return fs.indirectTree(p, ino, "indirect block", in.Indirect, 1, fn)
+}
+
+// indirectTree is blockTree under the indirect block blk, which the inode
+// or a slot names as what, depth levels above the data blocks. The slots
+// are decoded in place from the cached block: after the first, it is read
+// again only if fn moved it from the most recently used place (a group
+// load, or a tree that names it twice).
+func (fs *FileSystem) indirectTree(p *sim.Proc, ino uint32, what string, blk uint32, depth int, fn func(what string, blk uint32) error) error {
+	if blk == 0 {
+		return nil
+	}
+	if err := fs.checkPtr(ino, what, blk); err != nil {
+		return err
+	}
+	slot := "indirect slot"
+	if depth > 1 {
+		slot = "double-indirect slot"
+	}
+	for i := 0; i < PtrsPerBlock; i++ {
+		var buf []byte
+		if i > 0 {
+			buf = fs.cache.hot(0, int64(blk))
+		}
+		if buf == nil {
+			buf = fs.cache.Get(p, int64(blk))
+		}
+		ptr := leUint32(buf[i*4:])
+		var err error
+		switch {
+		case depth > 1:
+			err = fs.indirectTree(p, ino, slot, ptr, depth-1, fn)
+		case ptr == 0:
+		default:
+			if err = fs.checkPtr(ino, slot, ptr); err == nil {
+				err = fn(slot, ptr)
+			}
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return fn(what, blk)
 }

@@ -25,17 +25,23 @@ var ErrCorrupt = errors.New("ufs: corrupt file-system metadata")
 
 // CorruptError is the file system's refusal to follow metadata read from
 // the device that points outside it: inode Ino's What holds Value, which
-// is out of range. The geometry checks at Mount cannot catch these; they
-// surface where a block pointer, a directory entry or a size is first
-// used.
+// is out of range (or, when Why is set, wrong for that reason). The
+// geometry checks at Mount cannot catch these; they surface where a block
+// pointer, a directory entry or a size is first used, or, for the blocks a
+// file's removal would free, before Unlink changes anything.
 type CorruptError struct {
 	Ino   uint32
 	What  string
 	Value uint64
+	Why   string // "" for out of range
 }
 
 func (e *CorruptError) Error() string {
-	return fmt.Sprintf("ufs: inode %d: %s %d out of range", e.Ino, e.What, e.Value)
+	why := e.Why
+	if why == "" {
+		why = "out of range"
+	}
+	return fmt.Sprintf("ufs: inode %d: %s %d %s", e.Ino, e.What, e.Value, why)
 }
 
 // Unwrap returns ErrCorrupt.
@@ -243,13 +249,17 @@ func (fs *FileSystem) allocBlockNear(p *sim.Proc, goal uint32) (uint32, error) {
 	return 0, ErrNoSpace
 }
 
+// blockBit returns the group holding block blk (not 0) and blk's bit in
+// the group's block bitmap.
+func (fs *FileSystem) blockBit(p *sim.Proc, blk uint32) (*group, int) {
+	return fs.getGroup(p, int((blk-1)/fs.sb.BlocksPerGroup)), int((blk - 1) % fs.sb.BlocksPerGroup)
+}
+
 func (fs *FileSystem) freeBlock(p *sim.Proc, blk uint32) {
 	if blk == 0 {
 		return
 	}
-	gi := int((blk - 1) / fs.sb.BlocksPerGroup)
-	off := int((blk - 1) % fs.sb.BlocksPerGroup)
-	g := fs.getGroup(p, gi)
+	g, off := fs.blockBit(p, blk)
 	if !bmpGet(g.blockBmp, off) {
 		panic(fmt.Sprintf("ufs: double free of block %d", blk))
 	}

@@ -97,9 +97,10 @@ func imageSectors(img []byte) (lbas []int64, data []byte) {
 	return lbas, data
 }
 
-// mountAndCheck mounts d and, if it mounts, runs Check and maps every
-// file of the directories it can list. The image may be anything: errors are
-// fine, a panic is the bug the fuzz targets look for.
+// mountAndCheck mounts d and, if it mounts, runs Check, maps every file
+// of the directories it can list and then unlinks everything listed. The
+// image may be anything: errors are fine, a panic is the bug the fuzz
+// targets look for.
 func mountAndCheck(e *sim.Engine, d *disk.Disk) {
 	e.Spawn("check", func(p *sim.Proc) {
 		fs, err := Mount(p, d, Options{})
@@ -121,6 +122,17 @@ func mountAndCheck(e *sim.Engine, d *disk.Disk) {
 				}
 			}
 		}
+		// Then the write side: unlink every listed entry, the
+		// subdirectory's first so that it is empty when its own goes.
+		for _, dir := range []string{"/d", "/"} {
+			ents, err := fs.ReadDir(p, dir)
+			if err != nil {
+				continue
+			}
+			for _, ent := range ents {
+				_ = fs.Unlink(p, dir+"/"+ent.Name) // refused or done, never a panic
+			}
+		}
 	})
 	e.Run()
 }
@@ -139,8 +151,8 @@ func overlayDisk(e *sim.Engine, lbas []int64, base, data []byte) *disk.Disk {
 }
 
 // FuzzMount: a formatted image whose written sectors are overwritten, in
-// LBA order, by the input mounts or fails with an error; Check and the
-// directory walk on what mounts never panic.
+// LBA order, by the input mounts or fails with an error; Check, the
+// directory walk and the unlinks on what mounts never panic.
 func FuzzMount(f *testing.F) {
 	lbas, base := imageSectors(fuzzImage(f))
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -168,3 +168,85 @@ func TestMountRefusesNon512ByteSectors(t *testing.T) {
 	})
 	e.Run()
 }
+
+// TestUnlinkRefusesTreesItCannotFree: the write side of the hostile image.
+// Unlink of a file whose indirect pointer lies past the device panicked in
+// truncateToZero's freeBlock ("request out of range"), and so did one
+// whose tree names a free block, or a block twice ("double free"). Unlink
+// now refuses each with a *CorruptError before it removes the directory
+// entry, and the image is left byte for byte as it was.
+func TestUnlinkRefusesTreesItCannotFree(t *testing.T) {
+	for _, tc := range []struct {
+		name, what string
+		edit       func(t *testing.T, p *sim.Proc, fs *FileSystem, d *disk.Disk)
+	}{
+		{"indirect-past-the-device", "indirect block", func(t *testing.T, p *sim.Proc, fs *FileSystem, d *disk.Disk) {
+			editInode(t, p, fs, d, "/b", func(in *Inode) { in.Indirect = 1 << 30 })
+		}},
+		{"slot-past-the-device", "indirect slot", func(t *testing.T, p *sim.Proc, fs *FileSystem, d *disk.Disk) {
+			in := fs.getInode(p, mustIno(t, p, fs, "/b"))
+			buf := peekBlock(d, int64(in.Indirect))
+			putLeUint32(buf[2*4:], fs.sb.NBlocks)
+			pokeBlock(d, int64(in.Indirect), buf)
+		}},
+		{"direct-past-the-device", "direct block", func(t *testing.T, p *sim.Proc, fs *FileSystem, d *disk.Disk) {
+			editInode(t, p, fs, d, "/b", func(in *Inode) { in.Direct[NDirect-1] = 1<<32 - 1 })
+		}},
+		{"free-block", "direct block", func(t *testing.T, p *sim.Proc, fs *FileSystem, d *disk.Disk) {
+			free := fs.sb.NBlocks - 1
+			for g, off := fs.blockBit(p, free); bmpGet(g.blockBmp, off); g, off = fs.blockBit(p, free) {
+				free--
+			}
+			editInode(t, p, fs, d, "/b", func(in *Inode) { in.Direct[3] = free })
+		}},
+		{"named-twice", "indirect slot", func(t *testing.T, p *sim.Proc, fs *FileSystem, d *disk.Disk) {
+			in := fs.getInode(p, mustIno(t, p, fs, "/b"))
+			buf := peekBlock(d, int64(in.Indirect))
+			putLeUint32(buf[1*4:], in.Direct[5])
+			pokeBlock(d, int64(in.Indirect), buf)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, d := hostileImage(t, func(p *sim.Proc, fs *FileSystem, d *disk.Disk) { tc.edit(t, p, fs, d) })
+			before := saveImage(t, d)
+			remount(t, e, d, func(p *sim.Proc, fs *FileSystem) {
+				wantCorrupt(t, "Unlink", fs.Unlink(p, "/b"), tc.what)
+				if _, err := fs.Stat(p, "/b"); err != nil {
+					t.Errorf("Stat after the refused Unlink: %v", err)
+				}
+				fs.Sync(p)
+			})
+			if !bytes.Equal(saveImage(t, d), before) {
+				t.Error("the refused Unlink changed the image")
+			}
+			// The other files still unlink.
+			remount(t, e, d, func(p *sim.Proc, fs *FileSystem) {
+				for _, path := range []string{"/d/a", "/c"} {
+					if err := fs.Unlink(p, path); err != nil {
+						t.Errorf("Unlink(%s): %v", path, err)
+					}
+				}
+			})
+		})
+	}
+}
+
+// mustIno returns path's inode number.
+func mustIno(t *testing.T, p *sim.Proc, fs *FileSystem, path string) uint32 {
+	t.Helper()
+	st, err := fs.Stat(p, path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st.Ino
+}
+
+// saveImage returns d's saved image.
+func saveImage(t *testing.T, d *disk.Disk) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := d.SaveImage(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}

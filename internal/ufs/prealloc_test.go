@@ -317,9 +317,13 @@ func deviceBlocks(d *disk.Disk, n int64) []byte {
 }
 
 // peekBlockFS returns a block as the file system sees it, without touching
-// the cache: the cached copy when there is a filled one, else the device's.
+// the cache: the cached copy when there is a filled one (zeros for a blank
+// one), else the device's.
 func peekBlockFS(fs *FileSystem, d *disk.Disk, blk uint32) []byte {
 	if en := fs.cache.entries[int64(blk)]; en != nil && !en.pending {
+		if en.blank {
+			return make([]byte, BlockSize)
+		}
 		return en.data
 	}
 	return deviceBlock(d, int64(blk))
