@@ -1,11 +1,10 @@
 // Command crasvet runs the CRAS determinism and event-loop analyzers
 // (internal/analysis) alongside the standard go vet passes, and exits
-// non-zero on any unbaselined finding or stale baseline entry so CI can
-// gate on it.
+// non-zero on any finding so CI can gate on it.
 //
 // Usage:
 //
-//	crasvet [-novet] [-list] [-json] [-baseline file] [packages]
+//	crasvet [-novet] [-list] [-json] [packages]
 //
 // With no package patterns, it checks ./.... All matched packages are
 // analyzed as one suite: per-package facts (wrapped sentinels, confined
@@ -20,20 +19,10 @@
 //
 //	{"version":1,"findings":[{"analyzer":...,"file":...,"line":...,"col":...,"message":...}]}
 //
-// A finding can be sanctioned two ways. Permanently, with a directive
-// comment on the same line or the line above:
+// A finding is sanctioned only by a directive comment, with its reason,
+// on the same line or the line above:
 //
 //	//crasvet:allow <analyzer>[,<analyzer>...] -- reason
-//
-// Or temporarily, via the baseline: a JSON report (same format -json
-// emits) listing known findings to tolerate while they are burned down.
-// Baseline entries match on (analyzer, file, message) — line numbers are
-// ignored so unrelated edits don't invalidate the file. By default
-// crasvet.baseline.json is used when it exists; -baseline overrides the
-// path and -baseline none disables baselining (use that when regenerating
-// the file). Stale entries — baselined findings that no longer occur — are
-// reported on stderr and fail the run, so a change that fixes a finding
-// shrinks the baseline with it instead of letting it rot.
 package main
 
 import (
@@ -50,43 +39,27 @@ import (
 // reportVersion is bumped if the JSON schema changes incompatibly.
 const reportVersion = 1
 
-// defaultBaseline is picked up from the working directory when present and
-// no -baseline flag is given.
-const defaultBaseline = "crasvet.baseline.json"
-
-// finding is one diagnostic in the JSON report. The same shape serves as a
-// baseline entry: Line and Col are informational there and ignored when
-// matching.
+// finding is one diagnostic in the JSON report.
 type finding struct {
-	Analyzer  string `json:"analyzer"`
-	File      string `json:"file"`
-	Line      int    `json:"line"`
-	Col       int    `json:"col"`
-	Message   string `json:"message"`
-	Baselined bool   `json:"baselined,omitempty"`
+	Analyzer string `json:"analyzer"`
+	File     string `json:"file"`
+	Line     int    `json:"line"`
+	Col      int    `json:"col"`
+	Message  string `json:"message"`
 }
 
-// report is the top-level JSON document, for both -json output and the
-// baseline file — crasvet -json -baseline none > crasvet.baseline.json
-// round-trips.
+// report is the top-level JSON document -json prints.
 type report struct {
 	Version  int       `json:"version"`
 	Findings []finding `json:"findings"`
-}
-
-// baselineKey ignores position-within-file so the baseline survives
-// unrelated edits.
-func baselineKey(f finding) string {
-	return f.Analyzer + "\x00" + f.File + "\x00" + f.Message
 }
 
 func main() {
 	novet := flag.Bool("novet", false, "skip running the standard `go vet` passes")
 	list := flag.Bool("list", false, "list the analyzers and exit")
 	jsonOut := flag.Bool("json", false, "emit the findings as a JSON report on stdout")
-	baselinePath := flag.String("baseline", "", "baseline `file` of tolerated findings (default crasvet.baseline.json if present; \"none\" disables)")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: crasvet [-novet] [-list] [-json] [-baseline file] [packages]\n\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: crasvet [-novet] [-list] [-json] [packages]\n\n")
 		fmt.Fprintf(flag.CommandLine.Output(), "Checks CRAS determinism invariants; see internal/analysis.\n")
 		flag.PrintDefaults()
 	}
@@ -159,9 +132,6 @@ func main() {
 		})
 	}
 
-	baseline, baselineFile := loadBaseline(*baselinePath)
-	newCount, staleCount := applyBaseline(findings, baseline)
-
 	if *jsonOut {
 		out := report{Version: reportVersion, Findings: findings}
 		enc := json.NewEncoder(os.Stdout)
@@ -171,76 +141,16 @@ func main() {
 		}
 	} else {
 		for _, f := range findings {
-			if f.Baselined {
-				continue
-			}
 			fmt.Printf("%s:%d:%d: [%s] %s\n", f.File, f.Line, f.Col, f.Analyzer, f.Message)
 		}
 	}
 
-	baselined := len(findings) - newCount
-	if baselined > 0 {
-		fmt.Fprintf(os.Stderr, "crasvet: %d finding(s) tolerated by baseline %s\n", baselined, baselineFile)
+	if len(findings) > 0 {
+		fmt.Fprintf(os.Stderr, "crasvet: %d finding(s)\n", len(findings))
 	}
-	if staleCount > 0 {
-		fmt.Fprintf(os.Stderr, "crasvet: %d stale baseline entr(y/ies) in %s — findings fixed; shrink the baseline\n", staleCount, baselineFile)
-	}
-	if newCount > 0 {
-		fmt.Fprintf(os.Stderr, "crasvet: %d finding(s)\n", newCount)
-	}
-	if vetFailed || newCount > 0 || staleCount > 0 {
+	if vetFailed || len(findings) > 0 {
 		os.Exit(1)
 	}
-}
-
-// loadBaseline resolves the baseline flag: explicit path, "none"/"" to
-// disable (the empty default only disables when crasvet.baseline.json is
-// absent), or the conventional file when present. Returns counts of
-// tolerated (analyzer, file, message) keys.
-func loadBaseline(path string) (map[string]int, string) {
-	switch path {
-	case "none":
-		return nil, ""
-	case "":
-		if _, err := os.Stat(defaultBaseline); err != nil {
-			return nil, ""
-		}
-		path = defaultBaseline
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fatalf("crasvet: reading baseline: %v", err)
-	}
-	var r report
-	if err := json.Unmarshal(data, &r); err != nil {
-		fatalf("crasvet: parsing baseline %s: %v", path, err)
-	}
-	if r.Version != reportVersion {
-		fatalf("crasvet: baseline %s has version %d, want %d — regenerate it", path, r.Version, reportVersion)
-	}
-	keys := map[string]int{}
-	for _, f := range r.Findings {
-		keys[baselineKey(f)]++
-	}
-	return keys, path
-}
-
-// applyBaseline marks tolerated findings in place and reports how many new
-// findings remain and how many baseline entries went unused (fixed).
-func applyBaseline(findings []finding, baseline map[string]int) (newCount, staleCount int) {
-	for i := range findings {
-		k := baselineKey(findings[i])
-		if baseline[k] > 0 {
-			baseline[k]--
-			findings[i].Baselined = true
-		} else {
-			newCount++
-		}
-	}
-	for _, n := range baseline {
-		staleCount += n
-	}
-	return newCount, staleCount
 }
 
 func fatalf(format string, args ...any) {

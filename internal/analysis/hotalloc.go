@@ -21,10 +21,10 @@ import (
 //   - function literals that capture enclosing variables (closure headers)
 //   - append (may grow the backing array mid-cycle)
 //
-// Pre-existing findings are burned down through the crasvet -baseline
-// file rather than annotated away; //crasvet:allow hotalloc remains for
+// Every finding fails; //crasvet:allow hotalloc, with its reason, is for
 // sites that are allocation-free by construction (e.g. an append into a
-// slice reset under the same cycle with capacity retained).
+// slice reset under the same cycle with capacity retained) or that only
+// run off the steady cycle (a pool miss, a panic's formatting).
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: "forbid heap allocations (escaping composites, make, fmt, variadic " +

@@ -110,6 +110,7 @@ func TestPropertySessionOpsNeverWedge(t *testing.T) {
 		newBed(t, 7, ufs.Options{}, Config{BufferBudget: 32 << 20},
 			map[string]*media.StreamInfo{"/m1": movie},
 			func(b *bed, th *rtm.Thread) {
+				b.cras.reads.poison = true
 				h, err := b.cras.Open(th, movie, "/m1", OpenOptions{})
 				if err != nil {
 					ok = false

@@ -130,6 +130,7 @@ func TestFaultScenarios(t *testing.T) {
 			newBed(t, sc.seed, ufs.Options{}, Config{Recovery: sc.recovery},
 				map[string]*media.StreamInfo{"/m1": movie},
 				func(b *bed, th *rtm.Thread) {
+					b.cras.reads.poison = true
 					h, err := b.cras.Open(th, movie, "/m1", OpenOptions{})
 					if err != nil {
 						t.Errorf("Open: %v", err)
@@ -153,6 +154,7 @@ func TestWatchdogStallDoesNotWedgeScheduler(t *testing.T) {
 	newBed(t, 7, ufs.Options{}, Config{},
 		map[string]*media.StreamInfo{"/m1": movie},
 		func(b *bed, th *rtm.Thread) {
+			b.cras.reads.poison = true
 			h, err := b.cras.Open(th, movie, "/m1", OpenOptions{})
 			if err != nil {
 				t.Errorf("Open: %v", err)
@@ -207,6 +209,7 @@ func TestFaultIsolationVictimEvictedPeersClean(t *testing.T) {
 	newBed(t, 5, ufs.Options{}, Config{BufferBudget: 32 << 20},
 		map[string]*media.StreamInfo{"/bad": victim, "/oka": okA, "/okb": okB},
 		func(b *bed, th *rtm.Thread) {
+			b.cras.reads.poison = true
 			hv, err := b.cras.Open(th, victim, "/bad", OpenOptions{})
 			if err != nil {
 				t.Errorf("Open victim: %v", err)
@@ -304,6 +307,7 @@ func TestFaultDuringRecording(t *testing.T) {
 	newBed(t, 1, ufs.Options{}, Config{},
 		map[string]*media.StreamInfo{},
 		func(b *bed, th *rtm.Thread) {
+			b.cras.reads.poison = true
 			failures := 1
 			b.d.SetFaultInjector(func(r *disk.Request) error {
 				if r.RealTime && r.Write && failures > 0 {

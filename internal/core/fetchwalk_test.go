@@ -221,6 +221,7 @@ func runFetchWalk(t *testing.T, seed int64, run int, rng *rand.Rand) {
 	reverse := rng.Intn(2) == 0
 	dr := []float64{1, 1, 0.9, 0.75, 0.5, 0.25}[rng.Intn(6)]
 	st := &stream{
+		reads: &readPool{poison: true},
 		info:  info,
 		ext:   ext,
 		par:   StreamParams{Chunk: maxSize},

@@ -20,6 +20,11 @@ func (s *Server) CheckInvariants() error {
 	}
 	var charges [numShareModes]int64
 	for i, st := range s.streams {
+		for _, t := range st.pending {
+			if t.s != st || !st.closed && t.gen != st.gen {
+				return invariantf("stream %d has a pending read it does not own (gen %d, stream gen %d)", st.id, t.gen, st.gen)
+			}
+		}
 		switch {
 		case st.id != i:
 			return invariantf("table entry %d has id %d", i, st.id)

@@ -291,9 +291,7 @@ func (s *Server) reconstructFrag(fg *readFrag, budgets []sim.Time) bool {
 	s.stats.ParityReconstructions += r1 - r0 + 1
 	for _, f := range frags {
 		budgets[f.Disk] -= s.cfg.Params.OpCost(int64(f.Count) * 512)
-		//crasvet:allow hotalloc -- fault path: allocates only when a member read hard-fails, never in a clean cycle
-		nfg := &readFrag{tag: tag, disk: f.Disk, lba: f.LBA, sectors: f.Count, recon: true}
-		tag.frags = append(tag.frags, nfg) //crasvet:allow hotalloc -- same fault path; bounded by surviving members
+		nfg := s.reads.addFrag(tag, f, true)
 		tag.fragsLeft++
 		if tag.cyc != nil {
 			tag.cyc.remaining++

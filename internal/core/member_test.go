@@ -102,6 +102,7 @@ func runParityScenario(t *testing.T, mode int) parityResult {
 			InitialDelay: 2 * time.Second,
 		}
 		b.cras = NewServer(b.k, vol, UnixResolver(b.unix), cfg)
+		b.cras.reads.poison = true
 		b.cras.OnMemberHealth = func(ev MemberHealthEvent) {
 			res.events = append(res.events, ev)
 		}

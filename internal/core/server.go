@@ -334,6 +334,9 @@ type Server struct {
 	csFree       []*cycleStat  //crasvet:confined
 	fragDone     func(*disk.Request, []byte)
 
+	// reads recycles read tags and fragments (readPool).
+	reads readPool //crasvet:confined
+
 	// Consecutive-I/O-overrun tracking for server-wide shedding,
 	// maintained by the deadline manager thread.
 	overrunRun       int //crasvet:confined
@@ -722,6 +725,12 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 		if tag.fragsLeft > 0 {
 			continue // barrier: the tag completes with its slowest fragment
 		}
+		if !live && !tag.s.closed {
+			// A seek or fallback dropped the tag from pending: nothing
+			// reaches it any more.
+			s.reads.put(tag)
+			continue
+		}
 		if live {
 			tag.done = true
 			if tag.err != nil {
@@ -867,9 +876,8 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 				// row parity the surviving writes maintain.
 				continue
 			}
-			fg := &readFrag{tag: tag, disk: f.Disk, lba: f.LBA, sectors: f.Count} //crasvet:allow hotalloc -- one record per issued fragment, alive across the disk round-trip; pooling would alias the retry and watchdog paths that retain it
-			tag.frags = append(tag.frags, fg)                                     //crasvet:allow hotalloc -- bounded by one tag's member fan-out; the slice lives and dies with the tag
-			perDisk[f.Disk] = append(perDisk[f.Disk], fg)                         //crasvet:allow hotalloc -- append into per-cycle scratch; capacity retained across cycles
+			fg := s.reads.addFrag(tag, f, false)
+			perDisk[f.Disk] = append(perDisk[f.Disk], fg) //crasvet:allow hotalloc -- append into per-cycle scratch; capacity retained across cycles
 			dc := &cs.disks[f.Disk]
 			dc.ops++
 			dc.bytes += fg.bytes()
@@ -1331,6 +1339,7 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 
 	st := &stream{
 		id:       s.nextID,
+		reads:    &s.reads,
 		name:     r.path,
 		info:     r.info,
 		par:      par,

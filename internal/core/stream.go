@@ -72,6 +72,7 @@ type stream struct {
 	fetchedUpTo int64 // edge of the scheduled reads: high byte forward, low byte in reverse
 	extIdx      int   // extent cursor of readSpan
 	pending     []*readTag
+	reads       *readPool // the server's, where readSpan takes its tags
 
 	// failedRanges are file byte ranges whose reads failed after retry;
 	// chunks overlapping them are dropped rather than stamped.
@@ -196,6 +197,77 @@ type readFrag struct {
 
 func (f *readFrag) bytes() int64 { return int64(f.sectors) * 512 }
 
+// readPool recycles the server's read records, so a steady cycle issues
+// its reads without allocating. A tag goes back, with its fragments, once
+// nothing can reach it again, which is one of two moments: absorb pops it
+// from an open stream's pending list (it is done, so every fragment has
+// completed for the final time and left the watchdog's set), or its last
+// fragment completes for the final time after a seek, reverse or fallback
+// has dropped it from pending (generation bumped, stream still open). A
+// closed stream keeps its pending tags, and a tag dropped after it was
+// done is left to the collector.
+type readPool struct {
+	tags  []*readTag
+	frags []*readFrag
+
+	// poison, a test hook, scribbles over every record handed back and
+	// keeps it out of reuse, so a holder of a stale pointer meets a nil
+	// stream or tag instead of another read's live record.
+	poison bool
+}
+
+// tag returns a tag for the read t describes, from the pool when one is
+// there, keeping the pooled tag's fragment-list capacity.
+func (p *readPool) tag(t readTag) *readTag {
+	var r *readTag
+	if n := len(p.tags); n > 0 {
+		r = p.tags[n-1]
+		p.tags[n-1] = nil
+		p.tags = p.tags[:n-1]
+		t.frags = r.frags[:0]
+	} else {
+		r = new(readTag) //crasvet:allow hotalloc -- pool miss: one tag per read in flight at the high-water mark
+	}
+	*r = t
+	return r
+}
+
+// addFrag appends to tag a fragment for member share f, from the pool
+// when one is there.
+func (p *readPool) addFrag(tag *readTag, f disk.Frag, recon bool) *readFrag {
+	var fg *readFrag
+	if n := len(p.frags); n > 0 {
+		fg = p.frags[n-1]
+		p.frags[n-1] = nil
+		p.frags = p.frags[:n-1]
+	} else {
+		fg = new(readFrag) //crasvet:allow hotalloc -- pool miss: one fragment per member read in flight at the high-water mark
+	}
+	*fg = readFrag{tag: tag, disk: f.Disk, lba: f.LBA, sectors: f.Count, recon: recon}
+	tag.frags = append(tag.frags, fg) //crasvet:allow hotalloc -- grows the pooled tag's list to a member fan-out once; the capacity is retained
+	return fg
+}
+
+// put hands back t and its fragments; see readPool for when.
+func (p *readPool) put(t *readTag) {
+	if p.poison {
+		for _, fg := range t.frags {
+			// The request stays: the disk may still hold it when a record
+			// comes back too early, and its completion then lands in the
+			// scribbled fragment.
+			*fg = readFrag{disk: -1, lba: -1, sectors: -1, retries: -1, reqS: fg.reqS}
+		}
+		*t = readTag{gen: -1, lo: -1, hi: -1, lba: -1, sectors: -1, fragsLeft: -1}
+		return
+	}
+	for i, fg := range t.frags {
+		p.frags = append(p.frags, fg) //crasvet:allow hotalloc -- free-list push; capacity retained at the high-water mark
+		t.frags[i] = nil
+	}
+	*t = readTag{frags: t.frags[:0]}
+	p.tags = append(p.tags, t) //crasvet:allow hotalloc -- free-list push; capacity retained at the high-water mark
+}
+
 // seekTo drops the scheduled window and points both walk cursors at the
 // chunk covering the media time: every jump to a new play point (seek,
 // entering or leaving reverse, a reverse reposition) ends here. In-flight
@@ -270,13 +342,16 @@ func (s *stream) revStep(idx int) sim.Time {
 // into one run from the fetch point to the target, which is cut at extent
 // ends and at block granularity by the per-cycle cap, and widened to whole
 // extents in whole-extent mode; otherwise each retained chunk is read on
-// its own and the cap is checked before each chunk. The caller submits
-// the reads.
+// its own and the cap is checked before each chunk. The reads are
+// appended to pending, and the returned slice is that new tail of it:
+// the caller copies it into its batch before anything else touches
+// pending, and submits the reads.
 func (s *stream) fetch(horizon sim.Time) []*readTag {
 	chunks := s.info.Chunks
 	f, g, d := s.dr, s.skipGroup(), s.dir()
 	merge := d > 0 && f >= 1
-	var tags []*readTag
+	from := len(s.pending)
+	tags := s.pending // the new reads are appended in place
 	var cycleBytes int64
 	for ; 0 <= s.nextChunk && s.nextChunk < len(chunks); s.nextChunk += d {
 		c := &chunks[s.nextChunk]
@@ -333,23 +408,24 @@ func (s *stream) fetch(horizon sim.Time) []*readTag {
 		cycleBytes += hi - lo
 		s.fetchedUpTo = hi
 	}
-	s.pending = append(s.pending, tags...) //crasvet:allow hotalloc -- pending completion list; capacity retained across cycles
-	return tags
+	s.pending = tags
+	return tags[from:]
 }
 
 // readSpan appends the reads covering file bytes [lo, hi) to tags — one per
-// extent the span crosses — and counts them as scheduled.
+// extent the span crosses, each a pooled tag — and counts them as
+// scheduled.
 func (s *stream) readSpan(tags []*readTag, lo, hi int64) []*readTag {
 	s.seekExtent(lo)
 	for lo < hi {
 		e := s.ext.Extents[s.extIdx]
 		thi := min(hi, e.FileOff+e.Bytes())
-		tags = append(tags, &readTag{ //crasvet:allow hotalloc -- one tag per issued read, alive across the disk round-trip; list handed to the batch scratch
+		tags = append(tags, s.reads.tag(readTag{ //crasvet:allow hotalloc -- appends into the pending list, whose capacity absorb's in-place pops retain
 			s: s, gen: s.gen,
 			lo: lo, hi: thi,
 			lba:     e.LBA + (lo-e.FileOff)/512,
 			sectors: int((thi - lo) / 512),
-		})
+		}))
 		s.stats.BytesScheduled += thi - lo
 		s.stats.ReadsIssued++
 		lo = thi
@@ -432,14 +508,25 @@ func (s *stream) skipGroup() int {
 func (s *stream) absorb(now, floor sim.Time) {
 	// Failed reads still pop — their byte range is recorded so the affected
 	// chunks are dropped instead of blocking the stream forever.
-	for len(s.pending) > 0 && s.pending[0].done {
-		head := s.pending[0]
+	popped := 0
+	for _, head := range s.pending {
+		if !head.done {
+			break
+		}
 		if head.failed {
 			s.failedRanges = append(s.failedRanges, [2]int64{head.lo, head.hi}) //crasvet:allow hotalloc -- fault path; grows only on failed reads
 		} else {
 			s.stats.BytesCompleted += head.hi - head.lo
 		}
-		s.pending = s.pending[1:]
+		s.reads.put(head)
+		popped++
+	}
+	if popped > 0 {
+		// Shift the rest down in place: the list keeps its backing array
+		// and holds no popped tag.
+		n := copy(s.pending, s.pending[popped:])
+		clear(s.pending[n:])
+		s.pending = s.pending[:n]
 	}
 	d := s.dir()
 	frontier := s.fetchedUpTo

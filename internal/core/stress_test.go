@@ -29,6 +29,7 @@ func TestPropertyVBRSessionOpsNeverWedge(t *testing.T) {
 		newBed(t, 7, ufs.Options{}, Config{BufferBudget: 32 << 20},
 			map[string]*media.StreamInfo{"/v": movie},
 			func(b *bed, th *rtm.Thread) {
+				b.cras.reads.poison = true
 				h, err := b.cras.Open(th, movie, "/v", OpenOptions{})
 				if err != nil {
 					return // admission may refuse high worst-case rates; fine

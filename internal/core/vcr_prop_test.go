@@ -186,6 +186,7 @@ func runVCRSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 	newBed(t, seed^int64(seq*2654435761), ufs.Options{}, cfg,
 		map[string]*media.StreamInfo{"/hot": hot, "/cold": cold},
 		func(b *bed, th *rtm.Thread) {
+			b.cras.reads.poison = true
 			var viewers []*vcrViewer
 			var paused []pausedProbe
 

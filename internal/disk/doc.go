@@ -47,7 +47,12 @@
 // member's sector store and their offsets in the caller's Data. The only
 // payload a volume builds itself is a parity unit. A write's bytes are
 // taken when it completes, on a bare disk and on a volume alike, so the
-// caller leaves the buffer alone until Done.
+// caller leaves the buffer alone until Done. The member requests of a
+// logical request live in one record from the volume's pool, returned
+// after the last member's Done (a disk never touches a request after its
+// Done), so neither Submit nor ReadSync's and WriteSync's own requests
+// allocate; the queues shift in place, so the controller allocates
+// nothing per request either.
 //
 // The seek curve is deliberately non-linear (a square-root region for short
 // seeks, linear beyond), after Ruemmler & Wilkes, so that the linear

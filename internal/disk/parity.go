@@ -296,26 +296,14 @@ func (v *Volume) parityRowAfterWrite(row int64, r *Request) []byte {
 	return parity
 }
 
-// submitParityWrite scatters a logical write into exact per-member data
-// fragments (never touching parity holes) plus one full parity-unit write
-// per affected row. Data fragments are timing-only member writes whose
-// units fanIn stores from r.Data; each parity unit carries the payload
-// computed here. Fragments on a dead member are dropped — the parity
-// update alone carries their bytes until rebuild restores the member.
-func (v *Volume) submitParityWrite(r *Request) {
+// parityWrites adds to f, after the data fragments' member writes, one
+// full parity-unit write per row the logical write touches, carrying the
+// payload computed here; a row whose parity member is dead gets none.
+// Together they keep every row XORing to zero, and a dead member's data
+// units are carried by the parity update alone until rebuild restores it.
+func (v *Volume) parityWrites(f *fanIn) {
+	r := f.r
 	nd := int64(len(v.disks) - 1)
-	type child struct {
-		disk int
-		req  *Request
-	}
-	var children []child
-	v.frags = v.Fragments(v.frags[:0], r.LBA, r.Count)
-	for _, f := range v.frags {
-		if v.dead[f.Disk] {
-			continue
-		}
-		children = append(children, child{f.Disk, v.dataWrite(r, f, nil)})
-	}
 	firstRow := (r.LBA / v.stripe) / nd
 	lastRow := ((r.LBA + int64(r.Count) - 1) / v.stripe) / nd
 	for row := firstRow; row <= lastRow; row++ {
@@ -327,15 +315,9 @@ func (v *Volume) submitParityWrite(r *Request) {
 		if allZero(payload) {
 			payload = nil // sparse parity write: store stays sparse
 		}
-		children = append(children, child{p, &Request{
+		f.kids = append(f.kids, Request{ //crasvet:allow hotalloc -- appends into the record's member requests, whose capacity the pool retains
 			LBA: row * v.stripe, Count: int(v.stripe), Write: true,
-			Data:     payload,
-			RealTime: r.RealTime,
-		}})
-	}
-	done := v.fanIn(r, len(children))
-	for _, c := range children {
-		c.req.Done = done
-		v.disks[c.disk].Submit(c.req)
+			Data: payload, RealTime: r.RealTime, Tag: p, Done: f.done,
+		})
 	}
 }

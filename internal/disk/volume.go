@@ -38,6 +38,12 @@ type Volume struct {
 	// member's Submit never completes synchronously, so no completion can
 	// re-enter Submit while a fan-out still ranges over it.
 	frags []Frag
+
+	// fanFree pools idle scatter/gather records (fanIn). poison, a test
+	// hook, scribbles over every record handed back and keeps it out of
+	// reuse.
+	fanFree []*fanIn
+	poison  bool
 }
 
 // Frag is one member disk's share of a logical sector range: the unit the
@@ -251,6 +257,14 @@ func (v *Volume) Submit(r *Request) {
 		v.disks[0].Submit(r)
 		return
 	}
+	v.submit(v.takeFanIn(), r)
+}
+
+// submit checks the logical request r and scatters it through f: one
+// timing-only member read per member (over the survivors when a parity
+// member is dead, ReadFragments), or one member write per data fragment
+// plus, on a parity volume, one parity-unit write per row.
+func (v *Volume) submit(f *fanIn, r *Request) {
 	if r.LBA < 0 || r.Count <= 0 || r.LBA+int64(r.Count) > v.geo.TotalSectors() {
 		panic(fmt.Sprintf("disk: volume %s: request out of range: lba=%d count=%d", v.name, r.LBA, r.Count))
 	}
@@ -258,82 +272,160 @@ func (v *Volume) Submit(r *Request) {
 		panic(fmt.Sprintf("disk: volume %s: payload %d bytes for %d sectors", v.name, len(r.Data), r.Count))
 	}
 	r.Submitted = v.disks[0].eng.Now()
-	switch {
-	case !r.Write:
-		v.submitRead(r)
-	case v.parity:
-		v.submitParityWrite(r)
-	default:
+	f.r = r
+	if !r.Write {
+		v.frags, _ = v.ReadFragments(v.frags[:0], r.LBA, r.Count)
+		if r.Data != nil && v.NumDead() > 0 {
+			// Dead units accumulate the survivors' XOR in place.
+			clear(r.Data)
+		}
+		for _, fr := range v.frags {
+			f.kids = append(f.kids, Request{ //crasvet:allow hotalloc -- appends into the record's member requests, whose capacity the pool retains
+				LBA: fr.LBA, Count: fr.Count, RealTime: r.RealTime, Tag: fr.Disk, Done: f.done,
+			})
+		}
+	} else {
 		v.frags = v.Fragments(v.frags[:0], r.LBA, r.Count)
-		done := v.fanIn(r, len(v.frags))
-		for _, f := range v.frags {
-			v.disks[f.Disk].Submit(v.dataWrite(r, f, done))
+		for _, fr := range v.frags {
+			if v.Dead(fr.Disk) {
+				// The row parity written below carries the dead unit.
+				continue
+			}
+			f.kids = append(f.kids, Request{ //crasvet:allow hotalloc -- appends into the record's member requests, whose capacity the pool retains
+				LBA: fr.LBA, Count: fr.Count, Write: true, RealTime: r.RealTime,
+				Tag: fr.Disk, Done: f.done, fanInStores: true,
+			})
 		}
+		if v.parity {
+			v.parityWrites(f)
+		}
+	}
+	f.left = len(f.kids)
+	for i := range f.kids {
+		k := &f.kids[i]
+		v.disks[k.Tag.(int)].Submit(k)
 	}
 }
 
-// dataWrite returns the timing-only member write of one data fragment of
-// the logical write r. It carries its member index on Tag, and fanIn
-// stores its units from r.Data when it completes.
-func (v *Volume) dataWrite(r *Request, f Frag, done func(*Request, []byte)) *Request {
-	return &Request{
-		LBA: f.LBA, Count: f.Count, Write: true, RealTime: r.RealTime,
-		Tag: f.Disk, Done: done, fanInStores: true,
-	}
+// fanIn is the scatter/gather record of one logical request on a
+// multi-member volume: it holds the member requests the logical request r
+// was split into, each carrying its member index on Tag, and the one
+// completion they share. Records are pooled per volume with their member
+// requests' storage, so a logical request allocates nothing. A record
+// goes back to the pool when its last member request completes; that is
+// safe because a disk never touches a request again once it has called
+// its Done (complete and Cancel clear the active slot first).
+type fanIn struct {
+	v    *Volume
+	r    *Request
+	left int // member requests not yet completed
+	kids []Request
+	done func(*Request, []byte) // complete, bound once
+
+	// own is the logical request of a synchronous caller (await), which
+	// blocks process p until woken; that caller, not the last
+	// completion, returns the record to the pool.
+	own   Request
+	p     *sim.Proc
+	woken bool
+	wake  func(*Request, []byte) // wakeOwner, bound once
 }
 
-// submitRead scatters a logical read as timing-only member reads: one per
-// member, over the survivors when a parity member is dead (ReadFragments).
-// Each carries its member index on Tag for the gather.
-func (v *Volume) submitRead(r *Request) {
-	v.frags, _ = v.ReadFragments(v.frags[:0], r.LBA, r.Count)
-	if r.Data != nil && v.NumDead() > 0 {
-		// Dead units accumulate the survivors' XOR in place.
-		clear(r.Data)
+// takeFanIn returns an idle record, from the pool when one is there.
+func (v *Volume) takeFanIn() *fanIn {
+	if n := len(v.fanFree); n > 0 {
+		f := v.fanFree[n-1]
+		v.fanFree[n-1] = nil
+		v.fanFree = v.fanFree[:n-1]
+		return f
 	}
-	done := v.fanIn(r, len(v.frags))
-	for _, f := range v.frags {
-		v.disks[f.Disk].Submit(&Request{
-			LBA: f.LBA, Count: f.Count, RealTime: r.RealTime,
-			Tag: f.Disk, Done: done,
-		})
-	}
+	f := &fanIn{v: v} //crasvet:allow hotalloc -- pool miss: one record per logical request in flight at the high-water mark
+	f.done, f.wake = f.complete, f.wakeOwner
+	return f
 }
 
-// fanIn returns the completion handler shared by the n member requests r
-// was split into. Each member completion folds in the first failure, the
-// earliest start and the latest completion, and moves its share of the
-// payload: a member read into r.Data, a member data write from r.Data into
-// the member's store. After the last, r's own Done fires — with r.Data for
-// a successful read into a buffer, as on a bare disk.
-func (v *Volume) fanIn(r *Request, n int) func(*Request, []byte) {
-	return func(cr *Request, _ []byte) {
-		if cr.Err != nil && r.Err == nil {
-			r.Err = cr.Err
+// putFanIn returns a record whose member requests have all completed to
+// the pool, dropping its references to the caller's request and payloads.
+// Under the poison test hook the record is scribbled over and never used
+// again, so a member request still queued on a disk (a record returned
+// too early) completes into garbage instead of into another request's
+// record.
+func (v *Volume) putFanIn(f *fanIn) {
+	if v.poison {
+		for i := range f.kids {
+			f.kids[i] = Request{LBA: -1, Count: -1, Tag: -1}
 		}
-		if r.Started == 0 || cr.Started < r.Started {
-			r.Started = cr.Started
-		}
-		if cr.Completed > r.Completed {
-			r.Completed = cr.Completed
-		}
-		switch {
-		case cr.Err != nil:
-		case cr.fanInStores:
-			v.scatter(r, cr)
-		case !r.Write && r.Data != nil:
-			v.gather(r, cr.Tag.(int))
-		}
-		n--
-		if n > 0 || r.Done == nil {
-			return
-		}
-		var out []byte
-		if r.Err == nil && !r.Write {
-			out = r.Data
-		}
-		r.Done(r, out)
+		*f = fanIn{v: v, left: -1, kids: f.kids}
+		return
 	}
+	clear(f.kids)
+	f.kids = f.kids[:0]
+	f.r, f.p, f.own = nil, nil, Request{}
+	v.fanFree = append(v.fanFree, f) //crasvet:allow hotalloc -- free-list push; capacity retained at the high-water mark of records in flight
+}
+
+// complete is the completion of each member request. It folds in the
+// first failure, the earliest start and the latest completion, and moves
+// the member's share of the payload: a member read into r.Data, a member
+// data write from r.Data into the member's store. After the last, the
+// record goes back to the pool (unless a synchronous caller owns it) and
+// r's own Done fires — with r.Data for a successful read into a buffer,
+// as on a bare disk.
+func (f *fanIn) complete(cr *Request, _ []byte) {
+	v, r := f.v, f.r
+	if cr.Err != nil && r.Err == nil {
+		r.Err = cr.Err
+	}
+	if r.Started == 0 || cr.Started < r.Started {
+		r.Started = cr.Started
+	}
+	if cr.Completed > r.Completed {
+		r.Completed = cr.Completed
+	}
+	switch {
+	case cr.Err != nil:
+	case cr.fanInStores:
+		v.scatter(r, cr)
+	case !r.Write && r.Data != nil:
+		v.gather(r, cr.Tag.(int))
+	}
+	f.left--
+	if f.left > 0 {
+		return
+	}
+	if r != &f.own {
+		v.putFanIn(f)
+	}
+	if r.Done == nil {
+		return
+	}
+	var out []byte
+	if r.Err == nil && !r.Write {
+		out = r.Data
+	}
+	r.Done(r, out)
+}
+
+// wakeOwner is the Done of a synchronous caller's own request.
+func (f *fanIn) wakeOwner(*Request, []byte) {
+	f.woken = true
+	f.p.Unblock()
+}
+
+// await submits req through a pooled record and blocks p until it
+// completes, returning its error. The record carries the request, so a
+// synchronous read or write allocates nothing of its own.
+func (v *Volume) await(p *sim.Proc, req Request, reason string) error {
+	f := v.takeFanIn()
+	req.Done = f.wake
+	f.own, f.p, f.woken = req, p, false
+	v.submit(f, &f.own)
+	for !f.woken {
+		p.Block(reason)
+	}
+	err := f.own.Err
+	v.putFanIn(f)
+	return err
 }
 
 // scatter stores the units of the logical write r that the completed
@@ -381,19 +473,8 @@ func (v *Volume) ReadSync(p *sim.Proc, lba int64, count int, realTime bool) []by
 		return v.disks[0].ReadSync(p, lba, count, realTime)
 	}
 	out := make([]byte, count*v.geo.SectorSize)
-	done := false
-	v.Submit(&Request{
-		LBA: lba, Count: count, Data: out, RealTime: realTime,
-		Done: func(r *Request, _ []byte) {
-			if r.Err != nil {
-				panic("disk: unhandled injected fault on synchronous volume read")
-			}
-			done = true
-			p.Unblock()
-		},
-	})
-	for !done {
-		p.Block("disk:read")
+	if v.await(p, Request{LBA: lba, Count: count, Data: out, RealTime: realTime}, "disk:read") != nil {
+		panic("disk: unhandled injected fault on synchronous volume read")
 	}
 	return out
 }
@@ -405,17 +486,8 @@ func (v *Volume) WriteSync(p *sim.Proc, lba int64, count int, data []byte, realT
 		v.disks[0].WriteSync(p, lba, count, data, realTime)
 		return
 	}
-	done := false
-	v.Submit(&Request{
-		LBA: lba, Count: count, Write: true, Data: data, RealTime: realTime,
-		Done: func(r *Request, _ []byte) {
-			done = true
-			p.Unblock()
-		},
-	})
-	for !done {
-		p.Block("disk:write")
-	}
+	//crasvet:allow ioerrcheck -- like Disk.WriteSync, the synchronous write path has never reported injected faults; changing that is a behaviour change of its own
+	_ = v.await(p, Request{LBA: lba, Count: count, Write: true, Data: data, RealTime: realTime}, "disk:write")
 }
 
 // PeekSectors copies the logical sectors from lba into dst, whose length

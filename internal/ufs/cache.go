@@ -249,7 +249,8 @@ func (c *Cache) Get(p *sim.Proc, blk int64) []byte {
 
 // ReadAt copies the block's bytes from off into dst, reading the block from
 // disk on a miss exactly as Get does, without handing out the buffer: a
-// blank block clears dst instead.
+// blank block clears dst instead. A nil dst moves no byte: the block is
+// only read (File.Discard).
 func (c *Cache) ReadAt(p *sim.Proc, blk int64, dst []byte, off int) {
 	if e := c.get(p, blk); e.blank {
 		clear(dst)

@@ -48,7 +48,9 @@ func (fs *FileSystem) readDir(p *sim.Proc, dirIno uint32) ([]byte, error) {
 		return nil, &CorruptError{Ino: dirIno, What: "directory size", Value: uint64(size)}
 	}
 	if int64(cap(fs.dirBuf)) < size {
-		fs.dirBuf = make([]byte, size)
+		// Grown geometrically: a directory filled an entry at a time would
+		// otherwise re-allocate its whole size at every entry.
+		fs.dirBuf = make([]byte, size, max(size, 2*int64(cap(fs.dirBuf))))
 	}
 	raw := fs.dirBuf[:size]
 	if _, err := f.ReadAt(p, raw, 0); err != nil {

@@ -22,7 +22,14 @@
 // cleared only when a caller is handed it, and File.ReadAt copies through
 // Cache.ReadAt, which clears the caller's bytes for a blank block instead
 // of copying zeros. Cache traffic and disk timing are as if the zeros had
-// been stored, and the alias rule of Cache.Get is unchanged.
+// been stored, and the alias rule of Cache.Get is unchanged. A reader that
+// never looks at its bytes (the background cats, cat > /dev/null) reads
+// with File.Discard or Client.Discard: ReadAt's lookups, cache traffic,
+// disk reads, read-ahead and CPU charge, with no byte cleared or copied.
+// Read-ahead resolves its window on the hot leaf, as BlockMap does: while
+// the cache shows a descent of the block tree would only count hits, the
+// next block's pointer is read from the leaf's buffer in place and the
+// hits are counted.
 //
 // CRAS itself bypasses this read path: it asks the server for a file's
 // block map (a non-real-time operation, done at open time), coalesces it

@@ -158,12 +158,24 @@ func (f *File) Preallocate(p *sim.Proc, newSize int64) error {
 // returning the count (short at end of file). Sequential reads trigger
 // clustered read-ahead of the next window.
 func (f *File) ReadAt(p *sim.Proc, buf []byte, off int64) (int, error) {
+	return f.read(p, buf, off, len(buf))
+}
+
+// Discard is ReadAt of n bytes at the offset for a reader that never looks
+// at them, like cat > /dev/null: the same block lookups, cache traffic,
+// disk reads and read-ahead, and the same count, with no byte cleared or
+// copied.
+func (f *File) Discard(p *sim.Proc, off int64, n int) (int, error) {
+	return f.read(p, nil, off, n)
+}
+
+// read is ReadAt of n bytes into buf, or Discard when buf is nil.
+func (f *File) read(p *sim.Proc, buf []byte, off int64, n int) (int, error) {
 	fs := f.fs
 	in := fs.getInode(p, f.ino)
 	if off >= in.Size {
 		return 0, nil
 	}
-	n := len(buf)
 	if int64(n) > in.Size-off {
 		n = int(in.Size - off)
 	}
@@ -179,10 +191,14 @@ func (f *File) ReadAt(p *sim.Proc, buf []byte, off int64) (int, error) {
 		if err != nil {
 			return read, err
 		}
+		var dst []byte
+		if buf != nil {
+			dst = buf[read : read+c]
+		}
 		if phys == 0 {
-			clear(buf[read : read+c])
+			clear(dst)
 		} else {
-			fs.cache.ReadAt(p, int64(phys), buf[read:read+c], bOff)
+			fs.cache.ReadAt(p, int64(phys), dst, bOff)
 		}
 		sequential := fbn == f.lastFBN+1 || fbn == f.lastFBN
 		f.lastFBN = fbn
@@ -201,6 +217,14 @@ func (f *File) ReadAt(p *sim.Proc, buf []byte, off int64) (int, error) {
 // than once per block is what keeps sequential UFS reads in big transfers
 // instead of a stream of 8 KB requests, each paying command and rotation
 // costs.
+//
+// It resolves the window's blocks as a descent of the block tree per
+// block would, and leaves the cache as those descents would, but reads a
+// block's pointer from its leaf's buffer in place, counting the hits the
+// descent would have counted, whenever the block shares its leaf with the
+// block before and the cache shows that is all the descent would do (as
+// BlockMap does). A prefetch in the middle of the window moves the leaf
+// from the most recently used place, and the next block descends again.
 func (f *File) readAheadFrom(p *sim.Proc, from int64) {
 	fs := f.fs
 	cluster := int64(fs.readAhead)
@@ -225,9 +249,30 @@ func (f *File) readAheadFrom(p *sim.Proc, from int64) {
 			runStart, runLen = 0, 0
 		}
 	}
+	var parent, leaf uint32 // where block b-1's pointer lives
 	for b := from; b < end; b++ {
-		phys, err := fs.bmap(p, f.ino, b, 0)
-		if err != nil || phys == 0 {
+		var phys uint32
+		var data []byte
+		l, slot := leafOf(b)
+		if prev, _ := leafOf(b - 1); leaf != 0 && l == prev {
+			data = fs.cache.hot(int64(parent), int64(leaf))
+		}
+		if data != nil {
+			fs.cache.Hits++ // the leaf, and its parent if any
+			if parent != 0 {
+				fs.cache.Hits++
+			}
+			phys = leUint32(data[slot*4:])
+			if fs.checkPtr(f.ino, "indirect slot", phys) != nil {
+				break
+			}
+		} else {
+			var err error
+			if phys, parent, leaf, err = fs.bmapLeaf(p, f.ino, b, 0); err != nil {
+				break
+			}
+		}
+		if phys == 0 {
 			break
 		}
 		if fs.cache.Contains(int64(phys)) {

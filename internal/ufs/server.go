@@ -40,7 +40,8 @@ type (
 	readReq   struct {
 		fd  int
 		off int64
-		buf []byte // the caller's buffer, filled in place (read(2)'s copyout)
+		n   int
+		buf []byte // n bytes of the caller's, filled in place (read(2)'s copyout); nil discards them
 	}
 	writeReq struct {
 		fd   int
@@ -147,7 +148,7 @@ func (s *Server) handle(t *rtm.Thread, req any) any {
 		if err != nil {
 			return ioResp{err: err}
 		}
-		n, err := f.ReadAt(p, r.buf, r.off)
+		n, err := f.read(p, r.buf, r.off, r.n)
 		t.Compute(CostPerBlock * sim.Time(1+(n-1)/BlockSize))
 		return ioResp{n: n, err: err}
 	case writeReq:
@@ -220,7 +221,17 @@ func (c *Client) Mkdir(path string) error {
 // as read(2) copies out into the caller's buffer, so a caller that reuses
 // one buffer reads without allocating.
 func (c *Client) ReadAt(fd int, buf []byte, off int64) (int, error) {
-	r := c.srv.port.Call(c.th, readReq{fd: fd, off: off, buf: buf}).(ioResp)
+	r := c.srv.port.Call(c.th, readReq{fd: fd, off: off, n: len(buf), buf: buf}).(ioResp)
+	return r.n, r.err
+}
+
+// Discard reads up to n bytes at off from an open file and drops them,
+// returning the count ReadAt would: the server does every lookup, cache
+// and disk step of the read and charges the same CPU, but copies nothing
+// (File.Discard). It is the read of a caller that never looks at the
+// data, like cat > /dev/null.
+func (c *Client) Discard(fd int, off int64, n int) (int, error) {
+	r := c.srv.port.Call(c.th, readReq{fd: fd, off: off, n: n}).(ioResp)
 	return r.n, r.err
 }
 

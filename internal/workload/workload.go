@@ -179,7 +179,8 @@ func (ps *PlayerStats) record(now, delay sim.Time, size int64, tolerance sim.Tim
 // read-ahead cluster (64 KB) — the B_other bound the admission test
 // charges for. Because the Unix server is one thread, every cluster the
 // cat waits on blocks the server for everyone, which is the priority
-// inversion the paper attributes to the Unix file system.
+// inversion the paper attributes to the Unix file system. Like cat >
+// /dev/null it never looks at the bytes, so it reads with Client.Discard.
 func BackgroundReader(k *rtm.Kernel, srv *ufs.Server, path string, prio int, quantum sim.Time) *rtm.Thread {
 	return k.NewThread("cat:"+path, prio, quantum, func(th *rtm.Thread) {
 		c := ufs.NewClient(srv, th)
@@ -192,10 +193,9 @@ func BackgroundReader(k *rtm.Kernel, srv *ufs.Server, path string, prio int, qua
 			return
 		}
 		const req = 256 << 10
-		buf := make([]byte, req) // cat's one read buffer
 		var off int64
 		for {
-			n, err := c.ReadAt(fd, buf, off)
+			n, err := c.Discard(fd, off, req)
 			if err != nil {
 				return
 			}
