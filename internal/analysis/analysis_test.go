@@ -69,6 +69,14 @@ func TestGoroConfine(t *testing.T) {
 	analysistest.RunSuite(t, "testdata/src/goroconfine", analysis.GoroConfine)
 }
 
+// TestGoroConfineHandlerRoots proves the cost and message callbacks handed
+// to rtm.Kernel.NewHandler are thread roots: a handler thread runs them, so
+// they (and what they call) may touch confined state, as a NewThread body
+// may.
+func TestGoroConfineHandlerRoots(t *testing.T) {
+	analysistest.RunSuite(t, "testdata/src/handlerroot", analysis.GoroConfine)
+}
+
 // TestGoroConfineCrossPackageFacts proves a ConfinedFact exported while
 // gathering a helper package is honored when analyzing an importer that
 // never sees the annotation text.

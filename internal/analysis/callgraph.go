@@ -24,7 +24,9 @@ import (
 //     scheduler event loop) plus functions annotated //crasvet:hotpath.
 //     Everything reachable from them is the per-cycle path hotalloc guards.
 //   - thread roots: the hot roots plus every body handed to
-//     rtm.Kernel.NewThread and functions annotated //crasvet:thread — the
+//     rtm.Kernel.NewThread, every callback handed to rtm.Kernel.NewHandler
+//     (a handler thread's cost and message functions run as that thread),
+//     and functions annotated //crasvet:thread — the
 //     server-side execution contexts from which goroconfine permits
 //     touching confined state.
 type CallGraph struct {
@@ -192,7 +194,7 @@ func (g *CallGraph) walkBody(info *types.Info, cur string, body *ast.BlockStmt) 
 }
 
 // noteThreadSpawn registers the callback arguments of
-// rtm.Kernel.NewThread / NewPeriodicThread as graph roots.
+// rtm.Kernel.NewThread / NewHandler / NewPeriodicThread as graph roots.
 func (g *CallGraph) noteThreadSpawn(info *types.Info, call *ast.CallExpr) {
 	fn := calleeFunc(info, call)
 	if fn == nil || fn.Pkg() == nil || !isRTMPkg(fn.Pkg().Path()) {
@@ -202,7 +204,7 @@ func (g *CallGraph) noteThreadSpawn(info *types.Info, call *ast.CallExpr) {
 	switch fn.Name() {
 	case "NewPeriodicThread":
 		roots = g.hotRoots
-	case "NewThread":
+	case "NewThread", "NewHandler":
 		roots = g.threadRoots
 	default:
 		return

@@ -9,8 +9,9 @@ import (
 // field annotated //crasvet:confined (on its declaration line or doc
 // comment) belongs to the server's event-loop threads: it may only be read
 // or written from a function reachable from a thread entry point (a body
-// handed to rtm.Kernel.NewThread / NewPeriodicThread, or annotated
-// //crasvet:thread / //crasvet:hotpath), from a documented snapshot
+// handed to rtm.Kernel.NewThread / NewPeriodicThread, a callback handed to
+// rtm.Kernel.NewHandler, or a function annotated //crasvet:thread /
+// //crasvet:hotpath), from a documented snapshot
 // accessor (//crasvet:snapshot), or from pre-concurrency construction
 // (//crasvet:init). Any other access is the race `go test -race` only
 // catches when a test happens to interleave the two sides — here it is

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"time"
 
@@ -141,31 +142,40 @@ func (a AdmissionParams) TotalOverhead(n int) sim.Time {
 // RequiredInterval is formula (1) solved for the minimum interval time:
 // T >= (O_total*D + C_total) / (D - R_total). It returns an error when the
 // aggregate rate meets or exceeds the disk rate (no interval suffices).
+// Shared-path and paused streams read nothing from the disk: they
+// contribute no rate, no chunk slack and no per-operation overhead to the
+// batch.
 func (a AdmissionParams) RequiredInterval(streams []StreamParams) (sim.Time, error) {
-	// Shared-path and paused streams read nothing from the disk: they
-	// contribute no rate, no chunk slack and no per-operation overhead to
-	// the batch.
-	n := 0
-	var rTotal float64
-	var cTotal int64
+	f := admissionFold{shape: VolumeShape{Disks: 1}}
 	for _, s := range streams {
-		if s.diskFree() {
-			continue
-		}
-		n++
-		rTotal += s.Rate
-		cTotal += s.Chunk
+		f.add(s)
 	}
+	need, ok := a.requiredInterval(f.disk, f.rate, f.chunk)
+	if !ok {
+		return 0, errors.New(rateRefusal(f.rate, a.D))
+	}
+	return need, nil
+}
+
+// requiredInterval is formula (1) for n disk-fed operations moving rTotal
+// bytes/second plus cTotal bytes of slack; ok is false when rTotal meets or
+// exceeds the disk rate.
+func (a AdmissionParams) requiredInterval(n int, rTotal float64, cTotal int64) (need sim.Time, ok bool) {
 	if n == 0 {
-		return 0, nil
+		return 0, true
 	}
 	if rTotal >= a.D {
-		//crasvet:allow hotalloc -- rejection path; hot-reachable only via the once-per-member-death re-admission, never in a clean cycle
-		return 0, fmt.Errorf("core: aggregate rate %.0f B/s >= disk rate %.0f B/s", rTotal, a.D)
+		return 0, false
 	}
 	oTotal := a.TotalOverhead(n).Seconds()
 	t := (oTotal*a.D + float64(cTotal)) / (a.D - rTotal)
-	return sim.Time(t * float64(time.Second)), nil
+	return sim.Time(t * float64(time.Second)), true
+}
+
+// rateRefusal is formula (1)'s refusal of an aggregate rate rTotal that a
+// disk of rate d cannot sustain at any interval.
+func rateRefusal(rTotal, d float64) string {
+	return fmt.Sprintf("core: aggregate rate %.0f B/s >= disk rate %.0f B/s", rTotal, d)
 }
 
 // BufferPerStream is B_i, formula (7): 2*(T*R_i + C_i) — double-buffering
@@ -206,23 +216,7 @@ func (e *AdmissionError) Error() string {
 // Admit runs the paper's admission test for the full stream set (existing
 // plus candidate) against a configured interval time and buffer budget.
 func (a AdmissionParams) Admit(t sim.Time, budget int64, streams []StreamParams) error {
-	need, err := a.RequiredInterval(streams)
-	if err != nil {
-		//crasvet:allow hotalloc -- rejection path; hot-reachable only via the once-per-member-death re-admission
-		return &AdmissionError{Interval: t, NeedBuffer: TotalBuffer(t, streams), Budget: budget, Reason: err.Error()}
-	}
-	buf := TotalBuffer(t, streams)
-	if need > t {
-		//crasvet:allow hotalloc -- rejection path; hot-reachable only via the once-per-member-death re-admission
-		return &AdmissionError{NeedInterval: need, Interval: t, NeedBuffer: buf, Budget: budget,
-			Reason: "interval time too short for stream set"}
-	}
-	if buf > budget {
-		//crasvet:allow hotalloc -- rejection path; hot-reachable only via the once-per-member-death re-admission
-		return &AdmissionError{NeedInterval: need, Interval: t, NeedBuffer: buf, Budget: budget,
-			Reason: "buffer memory exhausted"}
-	}
-	return nil
+	return a.AdmitShape(t, budget, VolumeShape{Disks: 1}, streams)
 }
 
 // perDiskLoad bounds one member disk's share of an interval fetch of a
@@ -331,46 +325,143 @@ func (s StreamParams) diskLoad(t sim.Time) int64 {
 // over-committed streams down the health ladder). Dead members receive no
 // traffic and are skipped.
 func (a AdmissionParams) AdmitShape(t sim.Time, budget int64, shape VolumeShape, streams []StreamParams) error {
-	ndisks := shape.Disks
-	if ndisks <= 0 {
-		//crasvet:allow hotalloc -- rejection path; hot-reachable only via the once-per-member-death re-admission
-		return &AdmissionError{Interval: t, Budget: budget,
-			Reason: fmt.Sprintf("volume has %d disks", ndisks)} //crasvet:allow hotalloc -- same rejection path
-	}
-	if ndisks == 1 {
-		return a.Admit(t, budget, streams)
-	}
-	// Every stream loads every live member (dead members receive no
-	// traffic) with the same per-member share, so every member faces the
-	// same test and formula (1) is solved once, for member 0: one operation
-	// per disk-fed stream moving its per-member byte share — a fixed-bytes
-	// load, expressed as Chunk with zero rate.
-	var sub []StreamParams
+	f := admissionFold{t: t, shape: shape}
 	for _, s := range streams {
-		if s.diskFree() {
-			continue
+		f.add(s)
+	}
+	return a.judge(budget, f).err()
+}
+
+// admissionFold is the admission test's inputs over a stream set, summed
+// member by member in set order — the order the test has always summed
+// in, so the float rate total is bit-identical to a sum over the
+// materialized set. The server folds its open window into one without
+// building the set (Server.admissionBase) and adds a candidate last (with).
+type admissionFold struct {
+	t     sim.Time
+	shape VolumeShape
+
+	members int     // streams folded
+	disk    int     // disk-fed streams among them (one operation each)
+	rate    float64 // Σ Rate over the disk-fed streams
+	chunk   int64   // Σ Chunk over the disk-fed streams
+	load    int64   // Σ shapeLoad over the disk-fed streams, on a multi-member shape
+	buf     int64   // Σ buffer charge: Shared on a shared path, else B_i
+}
+
+// add folds one stream in.
+func (f *admissionFold) add(s StreamParams) {
+	f.members++
+	if s.Shared != 0 {
+		f.buf += s.Shared
+	} else {
+		f.buf += BufferPerStream(f.t, s)
+	}
+	if s.diskFree() {
+		return
+	}
+	f.disk++
+	f.rate += s.Rate
+	f.chunk += s.Chunk
+	if f.shape.Disks > 1 {
+		f.load += s.shapeLoad(f.t, f.shape)
+	}
+}
+
+// with returns the fold with the candidate s added last.
+func (f admissionFold) with(s StreamParams) admissionFold {
+	f.add(s)
+	return f
+}
+
+// judge runs formulas (1)-(2) over a folded set, the one decision behind
+// Admit, AdmitShape and every server admission. On a multi-member shape
+// every stream loads every live member with the same per-member share, so
+// every member faces the same test and formula (1) is solved once, for
+// member 0: one operation per disk-fed stream moving its per-member byte
+// share — a fixed-bytes load with zero rate.
+func (a AdmissionParams) judge(budget int64, f admissionFold) verdict {
+	v := verdict{disks: f.shape.Disks, interval: f.t, needBuf: f.buf, budget: budget}
+	if f.shape.Disks <= 0 {
+		v.refused, v.needBuf = refusedNoDisks, 0
+		return v
+	}
+	rate, bytes := f.rate, f.chunk
+	if v.perMember() {
+		rate, bytes = 0, f.load
+	}
+	need, ok := a.requiredInterval(f.disk, rate, bytes)
+	switch {
+	case !ok:
+		v.refused, v.rate, v.diskRate = refusedRate, rate, a.D
+	case need > f.t:
+		v.refused, v.need = refusedInterval, need
+	case f.buf > budget:
+		// The single-disk test reports the interval the set needs; the
+		// per-member test reports none on a memory refusal.
+		v.refused = refusedBuffer
+		if !v.perMember() {
+			v.need = need
 		}
-		//crasvet:allow hotalloc -- admission test scratch, bounded by open streams; hot-reachable only via the once-per-member-death re-admission
-		sub = append(sub, StreamParams{Chunk: s.shapeLoad(t, shape)})
 	}
-	need, err := a.RequiredInterval(sub)
-	if err != nil {
-		//crasvet:allow hotalloc -- rejection path; hot-reachable only via the once-per-member-death re-admission
-		return &AdmissionError{Interval: t, NeedBuffer: TotalBuffer(t, streams), Budget: budget,
-			Reason: fmt.Sprintf("disk 0: %v", err)} //crasvet:allow hotalloc -- same rejection path
+	return v
+}
+
+// verdict is the admission test's outcome: admitted, or the terms of the
+// refusal, from which err builds the *AdmissionError only when a caller
+// reports it — so a probe that needs only the yes or no (a ladder rung, a
+// promotion attempt, a retry) allocates nothing.
+type verdict struct {
+	refused  refusal
+	disks    int     // the shape's member count
+	rate     float64 // a rate refusal's aggregate rate and the disk's
+	diskRate float64
+	need     sim.Time
+	interval sim.Time
+	needBuf  int64 // the buffer the set needs, as the refusal reports it
+	budget   int64
+}
+
+// refusal is why a set was refused, or admitted.
+type refusal uint8
+
+const (
+	admitted refusal = iota
+	refusedNoDisks
+	refusedRate
+	refusedInterval
+	refusedBuffer
+)
+
+// ok reports whether the set was admitted.
+func (v verdict) ok() bool { return v.refused == admitted }
+
+// perMember reports whether the test ran per member disk, whose refusals
+// name disk 0.
+func (v verdict) perMember() bool { return v.disks > 1 }
+
+// err is the refusal as an *AdmissionError, or nil when admitted.
+func (v verdict) err() error {
+	var reason string
+	switch v.refused {
+	case admitted:
+		return nil
+	case refusedNoDisks:
+		reason = fmt.Sprintf("volume has %d disks", v.disks)
+	case refusedRate:
+		reason = rateRefusal(v.rate, v.diskRate)
+		if v.perMember() {
+			reason = "disk 0: " + reason
+		}
+	case refusedInterval:
+		reason = "interval time too short for stream set"
+		if v.perMember() {
+			reason += " (disk 0)"
+		}
+	case refusedBuffer:
+		reason = "buffer memory exhausted"
 	}
-	if need > t {
-		//crasvet:allow hotalloc -- rejection path; hot-reachable only via the once-per-member-death re-admission
-		return &AdmissionError{NeedInterval: need, Interval: t,
-			NeedBuffer: TotalBuffer(t, streams), Budget: budget,
-			Reason: "interval time too short for stream set (disk 0)"}
-	}
-	if buf := TotalBuffer(t, streams); buf > budget {
-		//crasvet:allow hotalloc -- rejection path; hot-reachable only via the once-per-member-death re-admission
-		return &AdmissionError{Interval: t, NeedBuffer: buf, Budget: budget,
-			Reason: "buffer memory exhausted"}
-	}
-	return nil
+	return &AdmissionError{NeedInterval: v.need, Interval: v.interval, NeedBuffer: v.needBuf, Budget: v.budget, Reason: reason}
 }
 
 // CalculatedIOTime is the admission model's estimate of the disk time one

@@ -223,18 +223,14 @@ func (s *Server) killMember(i int, now sim.Time, reason string) {
 func (s *Server) reevaluateAdmission(now sim.Time) {
 	shape := s.volShape()
 	for {
-		var set []StreamParams
+		f := admissionFold{t: s.cfg.Interval, shape: shape}
 		for _, st := range s.openStreams() {
 			if st.closed || st.health >= Suspended {
 				continue
 			}
-			//crasvet:allow hotalloc -- runs once per member death, bounded by open streams
-			set = append(set, st.par)
+			f.add(st.par)
 		}
-		if len(set) == 0 {
-			return
-		}
-		if s.cfg.Params.AdmitShape(s.cfg.Interval, s.ramBudget(), shape, set) == nil {
+		if f.members == 0 || s.admit(f).ok() {
 			return
 		}
 		// Newest non-cached stream pays first: oldest-first is the

@@ -444,21 +444,10 @@ func NewServer(k *rtm.Kernel, vol *disk.Volume, resolver Resolver, cfg Config) *
 	}, s.scheduleCycle)
 
 	// I/O-done manager thread: fields completion interrupts — stream
-	// fragments and rebuild-scavenger rows alike.
-	k.NewThread("cras.iodone", cfg.prio(rtm.PrioRT+1), cfg.Quantum, func(t *rtm.Thread) {
-		for !s.stopping {
-			switch m := s.iodonePort.Receive(t).(type) {
-			case *readFrag:
-				t.Compute(costIODone)
-				s.doneQ = append(s.doneQ, m)
-			case rebuildAck:
-				t.Compute(costIODone)
-				s.rebuildQ = append(s.rebuildQ, m)
-			default:
-				continue // shutdown wakeup
-			}
-		}
-	})
+	// fragments and rebuild-scavenger rows alike. It blocks on nothing but
+	// its port and the CPU, so it runs as a handler thread, without a
+	// coroutine.
+	k.NewHandler("cras.iodone", cfg.prio(rtm.PrioRT+1), cfg.Quantum, s.iodonePort, ioDoneCost, s.ioDone)
 
 	// Deadline manager thread: the paper's recovery action for overruns is
 	// a warning; on top of that it runs the recovery engine's server-wide
@@ -521,6 +510,28 @@ func NewServer(k *rtm.Kernel, vol *disk.Volume, resolver Resolver, cfg Config) *
 	})
 
 	return s
+}
+
+// ioDoneCost is the I/O-done manager's CPU charge for one message: a
+// completion costs costIODone, the shutdown wakeup nothing.
+func ioDoneCost(m any) sim.Time {
+	switch m.(type) {
+	case *readFrag, rebuildAck:
+		return costIODone
+	}
+	return 0
+}
+
+// ioDone queues one completion for the scheduler's next pass and reports
+// whether the I/O-done manager keeps running.
+func (s *Server) ioDone(m any) bool {
+	switch m := m.(type) {
+	case *readFrag:
+		s.doneQ = append(s.doneQ, m)
+	case rebuildAck:
+		s.rebuildQ = append(s.rebuildQ, m)
+	}
+	return !s.stopping
 }
 
 func (s *Server) notifyMiss(kind string, cycle int, lateBy sim.Time) {
@@ -1129,23 +1140,24 @@ func (s *Server) session(id int, now sim.Time) *stream {
 	return st
 }
 
-// admit runs the admission test for a candidate stream set against the
+// admit runs the admission test over a folded stream set against the
 // server's interval, memory budget and volume shape. On one disk it is
 // exactly the paper's test; on a striped volume every member must pass,
 // and on a degraded parity volume every stream is charged its full-row
 // reconstruction load.
-func (s *Server) admit(set []StreamParams) error {
-	return s.cfg.Params.AdmitShape(s.cfg.Interval, s.ramBudget(), s.volShape(), set)
+func (s *Server) admit(f admissionFold) verdict {
+	return s.cfg.Params.judge(s.ramBudget(), f)
 }
 
-// admissionSet is the live admission set, in stream order (RequiredInterval
-// sums in that order): every open stream at its current charge. Re-admitting
+// admissionBase folds the live admission set, in stream order (the order
+// the test sums in): every open stream at its current charge. Re-admitting
 // st at changed terms excludes st itself and prices the dependents of every
 // shared path st produces for at the plain charge the detach will leave them
 // at (plainCharge, matching shareDetach exactly), so the test can never pass
-// on charges the detach is about to change. A nil st excludes nobody.
-func (s *Server) admissionSet(st *stream) []StreamParams {
-	var set []StreamParams
+// on charges the detach is about to change. A nil st excludes nobody. The
+// caller adds its candidate last (admissionFold.with).
+func (s *Server) admissionBase(st *stream) admissionFold {
+	f := admissionFold{t: s.cfg.Interval, shape: s.volShape()}
 	for _, other := range s.openStreams() {
 		if other.closed || other == st {
 			continue
@@ -1154,9 +1166,9 @@ func (s *Server) admissionSet(st *stream) []StreamParams {
 		if st != nil && other.dep != nil && other.dep.producer == st {
 			par = plainCharge(par)
 		}
-		set = append(set, par) //crasvet:allow hotalloc -- admission set built once per open, VCR op or promotion attempt, not per steady cycle
+		f.add(par)
 	}
-	return set
+	return f
 }
 
 func (s *Server) handleRequest(t *rtm.Thread, req any) any {
@@ -1205,7 +1217,10 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 	if r.rate < 0 {
 		return openResp{err: fmt.Errorf("cras: open %s: negative rate %g (open forward, then SetRate to rewind)", r.path, r.rate)}
 	}
-	if err := r.info.Validate(); err != nil {
+	// One walk of the client's table validates it and measures the rate
+	// and slack admission charges.
+	baseRate, chunk, err := r.info.Scan(s.cfg.Interval)
+	if err != nil {
 		return openResp{err: err}
 	}
 	if r.at < 0 || r.record {
@@ -1223,7 +1238,6 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 		wantDr = s.ladderSnap(r.dr)
 	}
 	dr := wantDr
-	baseRate, chunk := r.info.WorstCaseRate(s.cfg.Interval), maxChunkSize(r.info)
 	diskPar := s.diskCharge(baseRate, r.rate, dr, chunk)
 	par := diskPar
 	// Multicast batching: a playback open on a path a batchable stream is
@@ -1262,8 +1276,8 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 	}
 	if !r.force {
 		for {
-			err := s.admit(append(s.admissionSet(nil), par))
-			if err == nil {
+			v := s.admit(s.admissionBase(nil).with(par))
+			if v.ok() {
 				break
 			}
 			if feed != nil {
@@ -1285,7 +1299,7 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 			}
 			// A non-cacheable stream refused for buffer memory reclaims
 			// pinned RAM: evict the largest-interval path cache and retry.
-			if ae, ok := err.(*AdmissionError); ok && ae.NeedBuffer > ae.Budget && s.cacheEvictLargest(now) {
+			if v.needBuf > v.budget && s.cacheEvictLargest(now) {
 				continue
 			}
 			// Reduced-rate warm-up (vcr.go): walk the frame-rate ladder
@@ -1301,7 +1315,7 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 				}
 			}
 			s.stats.AdmissionRejects++
-			return openResp{err: err}
+			return openResp{err: v.err()}
 		}
 	}
 
@@ -1311,7 +1325,6 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 	// the allocator.
 	var blocks []uint32
 	var size int64
-	var err error
 	if r.record {
 		blocks, size, err = s.resolver.ResolveRecord(t, r.path, r.info.TotalSize(), s.mapBuf)
 	} else {
@@ -1402,14 +1415,4 @@ func (s *Server) bufferCapacity(par StreamParams) int64 {
 // minimum 2T adds further prefill on top.
 func (s *Server) leadReal() sim.Time {
 	return s.cfg.Interval + max(0, s.cfg.InitialDelay-2*s.cfg.Interval)
-}
-
-func maxChunkSize(info *media.StreamInfo) int64 {
-	var max int64
-	for _, c := range info.Chunks {
-		if c.Size > max {
-			max = c.Size
-		}
-	}
-	return max
 }

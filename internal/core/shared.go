@@ -113,7 +113,7 @@ func (s *Server) openPlan(m shareMode, producer *stream, r openReq, now sim.Time
 // by its producer) is priced at: its rate and chunk as a disk stream,
 // paused or not. It skips the volume conversion diskCharge applies, so on
 // a striped volume the stream is charged its whole A_i on every member:
-// a known over-charge (ROADMAP "Incremental admission").
+// a known over-charge (ROADMAP "plainCharge over-charges striped volumes").
 func plainCharge(par StreamParams) StreamParams {
 	return StreamParams{Rate: par.Rate, Chunk: par.Chunk, Paused: par.Paused}
 }

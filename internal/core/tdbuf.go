@@ -191,37 +191,44 @@ func (b *TDBuffer) At(timestamp sim.Time) (BufferedChunk, bool) {
 	return BufferedChunk{}, false
 }
 
+// covering is the index of the resident chunk whose interval holds the
+// logical time, or -1. The resident set is ordered and non-overlapping
+// (check), so the only candidate is the last chunk stamped at or before
+// logical, found by binary search as in search.
+func (b *TDBuffer) covering(logical sim.Time) int {
+	lo, hi := 0, len(b.chunks)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if b.chunks[mid].Timestamp <= logical {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo > 0 && logical < b.chunks[lo-1].Timestamp+b.chunks[lo-1].Duration {
+		return lo - 1
+	}
+	return -1
+}
+
 // Get returns the chunk covering the given logical time, if resident —
 // the crs_get operation, which involves no communication with the server.
 func (b *TDBuffer) Get(logical sim.Time) (BufferedChunk, bool) {
-	for i := range b.chunks {
-		c := &b.chunks[i]
-		if c.Timestamp <= logical && logical < c.Timestamp+c.Duration {
-			b.GetHits++
-			c.read = true
-			return c.BufferedChunk, true
-		}
-		if c.Timestamp > logical {
-			break
-		}
+	i := b.covering(logical)
+	if i < 0 {
+		b.GetMisses++
+		return BufferedChunk{}, false
 	}
-	b.GetMisses++
-	return BufferedChunk{}, false
+	c := &b.chunks[i]
+	b.GetHits++
+	c.read = true
+	return c.BufferedChunk, true
 }
 
 // Peek reports whether a chunk covering the logical time is resident
 // without recording a hit or miss.
 func (b *TDBuffer) Peek(logical sim.Time) bool {
-	for i := range b.chunks {
-		c := &b.chunks[i]
-		if c.Timestamp <= logical && logical < c.Timestamp+c.Duration {
-			return true
-		}
-		if c.Timestamp > logical {
-			return false
-		}
-	}
-	return false
+	return b.covering(logical) >= 0
 }
 
 // Reset empties the buffer (used by crs_seek).

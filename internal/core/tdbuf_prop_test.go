@@ -112,8 +112,12 @@ func runTDBufferSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 			desc = fmt.Sprintf("SetCapacity(%d)", c)
 		case k < 9:
 			at := sim.Time(rng.Intn(120))*dur + sim.Time(rng.Intn(int(dur)))
+			want, wantOK := linearCovering(b, at)
 			c, ok := b.Get(at)
 			desc = fmt.Sprintf("Get(%v) = %v", at, ok)
+			if ok != wantOK || c != want {
+				fail(desc, "Get = %+v, %v; the linear scan finds %+v, %v", c, ok, want, wantOK)
+			}
 			if ok {
 				read[c.Index] = true
 			}
@@ -129,11 +133,17 @@ func runTDBufferSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 			}
 		case k < 10:
 			at := sim.Time(rng.Intn(140)) * dur
+			if rng.Intn(2) == 0 {
+				at += sim.Time(rng.Intn(int(dur))) // mid-chunk, where only covering finds it
+			}
 			got := b.Peek(at)
-			_, want := b.At(at)
+			_, want := linearCovering(b, at)
 			desc = fmt.Sprintf("Peek(%v) = %v", at, got)
 			if got != want {
-				fail(desc, "Peek disagrees with At = %v", want)
+				fail(desc, "Peek disagrees with the linear scan = %v", want)
+			}
+			if c, exact := b.At(at); exact && !got {
+				fail(desc, "Peek misses chunk %+v stamped exactly there", c)
 			}
 		default: // a seek: the horizon restarts, so popped indices come back
 			b.Reset()
@@ -146,6 +156,21 @@ func runTDBufferSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 		}
 		checkTDBufferInvariants(t, b, horizon, fail, desc)
 	}
+}
+
+// linearCovering is the reference Get and Peek were before their binary
+// search: the first resident chunk, scanning from the oldest, whose
+// interval holds the logical time.
+func linearCovering(b *TDBuffer, logical sim.Time) (BufferedChunk, bool) {
+	for _, c := range b.chunks {
+		if c.Timestamp <= logical && logical < c.Timestamp+c.Duration {
+			return c.BufferedChunk, true
+		}
+		if c.Timestamp > logical {
+			break
+		}
+	}
+	return BufferedChunk{}, false
 }
 
 // checkTDBufferInvariants asserts the properties every TDBuffer operation

@@ -118,21 +118,18 @@ func (s *Server) ladderSnap(want float64) float64 {
 // frames, so they only ever try want. Returns the admitted disk charge and
 // the delivered rate, or the first admission error.
 func (s *Server) admitLadder(st *stream, vel, want float64) (StreamParams, float64, error) {
-	set := s.admissionSet(st)
-	try := func(dr float64) (StreamParams, error) {
-		par := s.diskCharge(st.baseRate, vel, dr, st.par.Chunk)
-		return par, s.admit(append(set, par))
-	}
-	par, err := try(want)
-	if err == nil || st.record {
-		return par, want, err
+	base := s.admissionBase(st)
+	par := s.diskCharge(st.baseRate, vel, want, st.par.Chunk)
+	v := s.admit(base.with(par))
+	if v.ok() || st.record {
+		return par, want, v.err()
 	}
 	for dr, ok := s.ladderBelow(want); ok; dr, ok = s.ladderBelow(dr) {
-		if p, e := try(dr); e == nil {
+		if p := s.diskCharge(st.baseRate, vel, dr, st.par.Chunk); s.admit(base.with(p)).ok() {
 			return p, dr, nil
 		}
 	}
-	return par, 0, err
+	return par, 0, v.err()
 }
 
 // applyRateShape sizes the fetch machinery that depends on the stream's
@@ -214,7 +211,7 @@ func (s *Server) ladderPromoteStep(now sim.Time) {
 			continue
 		}
 		par := s.diskCharge(st.baseRate, st.clock.Rate(), next, st.par.Chunk)
-		if s.admit(append(s.admissionSet(st), par)) != nil { //crasvet:allow hotalloc -- one admission probe per cycle, only while a reduced stream awaits promotion
+		if !s.admit(s.admissionBase(st).with(par)).ok() {
 			return // no spare interval time this cycle; keep the rung
 		}
 		s.setDelivered(st, par, next)
@@ -306,7 +303,7 @@ func (s *Server) handleSeek(st *stream, logical, now sim.Time) opResp {
 	plain := plainCharge(st.par)
 	detaches := st.dep != nil || st.leadsDeps()
 	if detaches {
-		if err := s.admit(append(s.admissionSet(st), plain)); err != nil {
+		if err := s.admit(s.admissionBase(st).with(plain)).err(); err != nil {
 			s.stats.AdmissionRejects++
 			s.stats.SeeksRefused++
 			return opResp{err: s.vcrRefusal("seek", "re-admission at the new position failed", err)}
@@ -361,7 +358,7 @@ func (s *Server) cacheSeekRevalidate(st *stream, target sim.Time, now sim.Time) 
 	if !ok {
 		return opResp{}, false // widened interval does not fit the pin budget
 	}
-	if s.admit(append(s.admissionSet(st), par)) != nil {
+	if !s.admit(s.admissionBase(st).with(par)).ok() {
 		// The re-priced pinned interval does not fit the memory budget;
 		// the full path decides between plain-stream service and refusal.
 		return opResp{}, false

@@ -141,7 +141,7 @@ func checkVCRInvariants(t *testing.T, b *bed, paused *[]pausedProbe, seed int64,
 	*paused = kept
 	// Every open stream got in through admission, and every VCR transition
 	// re-admits — so the live set must be admissible at all times.
-	if err := s.admit(s.admissionSet(nil)); err != nil {
+	if err := s.admit(s.admissionBase(nil)).err(); err != nil {
 		fail("open session set no longer admissible: %v", err)
 	}
 }

@@ -70,20 +70,38 @@ func (s *StreamInfo) WorstCaseRate(interval sim.Time) float64 {
 	if len(s.Chunks) == 0 || interval <= 0 {
 		return 0
 	}
-	maxBytes := int64(0)
-	j := 0
-	var sum int64
+	w := rateWindow{interval: interval}
 	for i := range s.Chunks {
-		sum += s.Chunks[i].Size
-		for s.Chunks[i].Timestamp+s.Chunks[i].Duration-s.Chunks[j].Timestamp > interval {
-			sum -= s.Chunks[j].Size
-			j++
-		}
-		if sum > maxBytes {
-			maxBytes = sum
-		}
+		w.push(s.Chunks, i)
 	}
-	return float64(maxBytes) / interval.Seconds()
+	return w.rate()
+}
+
+// rateWindow is WorstCaseRate's sliding window over a chunk table, fed one
+// chunk at a time: the chunks from j through the last pushed that fit in
+// one interval, their byte sum, and the largest sum seen.
+type rateWindow struct {
+	interval sim.Time
+	j        int
+	sum, max int64
+}
+
+// push slides the window's end to chunk i.
+func (w *rateWindow) push(chunks []Chunk, i int) {
+	w.sum += chunks[i].Size
+	end := chunks[i].Timestamp + chunks[i].Duration
+	// A chunk longer than the interval empties the window (j passes i).
+	for w.j <= i && end-chunks[w.j].Timestamp > w.interval {
+		w.sum -= chunks[w.j].Size
+		w.j++
+	}
+	if w.sum > w.max {
+		w.max = w.sum
+	}
+}
+
+func (w *rateWindow) rate() float64 {
+	return float64(w.max) / w.interval.Seconds()
 }
 
 // ChunkAt returns the index of the chunk current at the given media time,
@@ -111,33 +129,50 @@ func (s *StreamInfo) ChunkAt(t sim.Time) int {
 // refuses a table with a *ChunkError naming the first chunk that breaks
 // one.
 func (s *StreamInfo) Validate() error {
+	_, _, err := s.Scan(0)
+	return err
+}
+
+// Scan is Validate and, in the same walk over the table, what admission
+// needs of it: the worst-case rate over any window of interval (as
+// WorstCaseRate; 0 when interval is not positive) and the largest chunk.
+// It refuses exactly the tables Validate refuses, with the same error.
+func (s *StreamInfo) Scan(interval sim.Time) (worst float64, maxChunk int64, err error) {
 	var off int64
 	if len(s.Chunks) > 0 {
 		off = s.Chunks[0].Offset
 		if off < 0 {
-			return &ChunkError{Chunk: 0, Field: "offset", Value: off, Want: ">= 0"}
+			return 0, 0, &ChunkError{Chunk: 0, Field: "offset", Value: off, Want: ">= 0"}
 		}
 	}
+	w := rateWindow{interval: interval}
 	var ts sim.Time
 	for i, c := range s.Chunks {
 		switch {
 		case c.Offset != off:
-			return &ChunkError{Chunk: i, Field: "offset", Value: c.Offset, Want: fmt.Sprintf("%d, the previous chunk's end", off)}
+			return 0, 0, &ChunkError{Chunk: i, Field: "offset", Value: c.Offset, Want: fmt.Sprintf("%d, the previous chunk's end", off)}
 		case c.Timestamp != ts:
-			return &ChunkError{Chunk: i, Field: "timestamp", Value: int64(c.Timestamp), Want: fmt.Sprintf("%d, the previous chunk's end", ts)}
+			return 0, 0, &ChunkError{Chunk: i, Field: "timestamp", Value: int64(c.Timestamp), Want: fmt.Sprintf("%d, the previous chunk's end", ts)}
 		case c.Duration <= 0:
-			return &ChunkError{Chunk: i, Field: "duration", Value: int64(c.Duration), Want: "> 0"}
+			return 0, 0, &ChunkError{Chunk: i, Field: "duration", Value: int64(c.Duration), Want: "> 0"}
 		case c.Size < 0:
-			return &ChunkError{Chunk: i, Field: "size", Value: c.Size, Want: ">= 0"}
+			return 0, 0, &ChunkError{Chunk: i, Field: "size", Value: c.Size, Want: ">= 0"}
 		case c.Size > math.MaxInt64-off:
-			return &ChunkError{Chunk: i, Field: "size", Value: c.Size, Want: fmt.Sprintf("<= %d, so the file's end fits in an int64", math.MaxInt64-off)}
+			return 0, 0, &ChunkError{Chunk: i, Field: "size", Value: c.Size, Want: fmt.Sprintf("<= %d, so the file's end fits in an int64", math.MaxInt64-off)}
 		case c.Duration > math.MaxInt64-ts:
-			return &ChunkError{Chunk: i, Field: "duration", Value: int64(c.Duration), Want: fmt.Sprintf("<= %d, so the stream's end fits in an int64", math.MaxInt64-ts)}
+			return 0, 0, &ChunkError{Chunk: i, Field: "duration", Value: int64(c.Duration), Want: fmt.Sprintf("<= %d, so the stream's end fits in an int64", math.MaxInt64-ts)}
 		}
 		off += c.Size
 		ts += c.Duration
+		if interval > 0 {
+			w.push(s.Chunks, i)
+		}
+		maxChunk = max(maxChunk, c.Size)
 	}
-	return nil
+	if interval > 0 {
+		worst = w.rate()
+	}
+	return worst, maxChunk, nil
 }
 
 // ChunkError is a chunk table's refusal, by Validate and so by

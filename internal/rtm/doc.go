@@ -24,4 +24,11 @@
 // Interrupt context. Device completion callbacks run as plain sim events
 // and may call Port.Send to wake a handler thread; this corresponds to the
 // paper's device-driver interrupt notifying CRAS's I/O-done manager thread.
+//
+// Two ways to run a thread. NewThread runs its body as a sim.Proc
+// coroutine, which may block anywhere. NewHandler runs the fixed loop
+// "receive from one port, Compute a per-message cost, call back" without a
+// coroutine, as events on the thread's own wake timer; it schedules exactly
+// as the coroutine running that loop would, and suits a thread that waits
+// on nothing but its port and the CPU.
 package rtm

@@ -75,10 +75,13 @@ func (s ThreadState) String() string {
 	return "invalid"
 }
 
-// Thread is a simulated kernel thread.
+// Thread is a simulated kernel thread. It runs as a sim.Proc coroutine
+// (NewThread), or, for a handler thread (NewHandler), as continuations on
+// its own wake timer: exactly one of proc and h is set.
 type Thread struct {
 	k       *Kernel
 	proc    *sim.Proc
+	h       *handler
 	name    string
 	reason  string // block reason while waiting for the CPU, built once
 	base    int    // assigned priority
@@ -122,7 +125,7 @@ func (t *Thread) Name() string { return t.name }
 // Kernel returns the thread's kernel.
 func (t *Thread) Kernel() *Kernel { return t.k }
 
-// Proc exposes the underlying sim process.
+// Proc exposes the underlying sim process; nil for a handler thread.
 func (t *Thread) Proc() *sim.Proc { return t.proc }
 
 // State returns the thread's lifecycle state.
@@ -172,12 +175,18 @@ func (t *Thread) Compute(d sim.Time) {
 	if d <= 0 {
 		return
 	}
+	t.demand(d)
+	t.proc.Block(t.reason)
+}
+
+// demand queues d of CPU for the thread and lets the scheduler re-evaluate;
+// the caller then parks the thread until the burst that serves it ends.
+func (t *Thread) demand(d sim.Time) {
 	t.computeCalls++
 	t.remaining = d
 	t.enqueuedAt = t.k.eng.Now()
 	t.k.pushBack(t)
 	t.k.dispatch()
-	t.proc.Block(t.reason)
 }
 
 // Sleep suspends the thread for d; it holds no CPU while sleeping.
@@ -201,8 +210,15 @@ func (t *Thread) block(reason string) {
 	t.state = StateRunnable
 }
 
-// wake makes a thread blocked via block runnable again.
-func (t *Thread) wake() { t.proc.Unblock() }
+// wake makes a thread blocked via block (or parked in Compute) runnable
+// again.
+func (t *Thread) wake() {
+	if t.h != nil {
+		t.h.unblock()
+		return
+	}
+	t.proc.Unblock()
+}
 
 // ---- scheduler core ----
 

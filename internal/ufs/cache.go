@@ -260,25 +260,43 @@ func (c *Cache) ReadAt(p *sim.Proc, blk int64, dst []byte, off int) {
 }
 
 // get is Get's lookup, fill and accounting: it returns blk's entry, filled.
+// A block can leave the cache while its caller waits on the fill (another
+// process's miss or read-ahead evicts it once it is filled); the caller
+// then looks it up again, as a fresh Get.
 func (c *Cache) get(p *sim.Proc, blk int64) *cacheEntry {
-	if e := c.lookup(blk); e != nil {
-		e.waitFill(p)
-		c.Hits++
-		c.touch(e)
-		return e
+	for {
+		if e := c.lookup(blk); e != nil {
+			if c.filled(p, e) {
+				c.Hits++
+				c.touch(e)
+				return e
+			}
+			continue
+		}
+		c.Misses++
+		c.evictFor(p, 1)
+		if e := c.fetch(blk, 1); c.filled(p, e) {
+			return e
+		}
 	}
-	c.Misses++
-	c.evictFor(p, 1)
-	e := c.fetch(blk, 1)
+}
+
+// filled waits out e's fill and reports whether e is still resident. An
+// entry evicted meanwhile goes back to the free list if nothing else holds
+// it.
+func (c *Cache) filled(p *sim.Proc, e *cacheEntry) bool {
 	e.waitFill(p)
-	return e
+	if e.prev != nil {
+		return true
+	}
+	c.release(e)
+	return false
 }
 
 // GetZero returns a cache entry for a block that is about to be fully
 // overwritten, without reading it from disk. The alias rule of Get applies.
 func (c *Cache) GetZero(p *sim.Proc, blk int64) []byte {
-	if e := c.lookup(blk); e != nil {
-		e.waitFill(p)
+	if e := c.lookup(blk); e != nil && c.filled(p, e) {
 		c.touch(e)
 		clear(e.data)
 		e.blank = false

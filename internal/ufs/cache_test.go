@@ -312,3 +312,50 @@ func runCacheScript(seed int64) (recycled, overlapped int, failure error) {
 	e.Run()
 	return recycled, overlapped, failure
 }
+
+// TestGetRechecksResidencyAfterFill is the regression test for a block
+// evicted while a process waited on its fill. Two processes miss on block
+// 3: the first issues the read, the second parks on the fill. Both wake at
+// its completion; the first runs first and starts a read-ahead that evicts
+// block 3 to make room. The second must not get the evicted entry back —
+// MarkDirty of it panicked ("MarkDirty of uncached block 3"), since the
+// block was no longer cached — but read block 3 into the cache again and
+// return that.
+func TestGetRechecksResidencyAfterFill(t *testing.T) {
+	e := sim.NewEngine(1)
+	g, p := disk.ST32550N()
+	g.Cylinders = 8
+	d := disk.New(e, "sd0", g, p)
+	for s := int64(0); s < SectorsPerBlock; s++ {
+		d.PokeSector(3*SectorsPerBlock+s, bytes.Repeat([]byte{3}, 512))
+	}
+	c := NewCache(d, 4)
+	var evictedAt sim.Time
+	e.Spawn("evictor", func(proc *sim.Proc) {
+		c.Get(proc, 3)
+		c.Prefetch(10, 4) // a full cache's worth: evicts block 3
+		if c.Contains(3) {
+			t.Errorf("the read-ahead left block 3 cached; the test evicts nothing")
+		}
+		evictedAt = e.Now()
+	})
+	e.Spawn("writer", func(proc *sim.Proc) {
+		buf := c.Get(proc, 3)
+		if e.Now() == evictedAt {
+			t.Errorf("Get(3) returned at the eviction instant %v, not after a fresh read", evictedAt)
+		}
+		if !bytes.Equal(buf, deviceBlock(d, 3)) {
+			t.Errorf("Get(3) returned other bytes than the device's")
+		}
+		if !c.Contains(3) {
+			t.Errorf("Get(3) returned a block that is not cached")
+			return
+		}
+		buf[0] = 0xEE
+		c.MarkDirty(3)
+	})
+	e.Run()
+	if err := checkCache(c, d); err != nil {
+		t.Error(err)
+	}
+}
