@@ -141,11 +141,11 @@ func (v *eventLoopVisitor) check(body *ast.BlockStmt, what string, isProc bool) 
 				"goroutine spawn inside %s: the engine interleaves work deterministically; use Engine.Spawn or schedule an event instead", what)
 		case *ast.SendStmt:
 			v.reportf(n.Pos(),
-				"channel send inside %s would block the engine's park/resume handshake; communicate through sim.Queue or scheduled events", what)
+				"channel send inside %s would block the engine's park/resume handshake; communicate through rtm ports, a sim.Waiter or scheduled events", what)
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW {
 				v.reportf(n.Pos(),
-					"channel receive inside %s would block the engine's park/resume handshake; communicate through sim.Queue or scheduled events", what)
+					"channel receive inside %s would block the engine's park/resume handshake; communicate through rtm ports, a sim.Waiter or scheduled events", what)
 			}
 		case *ast.SelectStmt:
 			v.reportf(n.Pos(),
@@ -165,7 +165,7 @@ func (v *eventLoopVisitor) check(body *ast.BlockStmt, what string, isProc bool) 
 		case *ast.ForStmt:
 			if n.Cond == nil && !loopHasExit(n) && !(isProc && loopYields(info, n)) {
 				v.reportf(n.Pos(),
-					"unbounded for loop inside %s never returns control to the engine; add an exit condition or a yield (Sleep/Block/Queue.Get)", what)
+					"unbounded for loop inside %s never returns control to the engine; add an exit condition or a yield (Sleep/Block/Waiter.Wait)", what)
 			}
 		}
 		return true
@@ -310,7 +310,7 @@ func loopHasExit(loop *ast.ForStmt) bool {
 
 // loopYields reports whether the loop body touches a scheduler handle — a
 // *sim.Proc or *rtm.Thread value — which is how process bodies reach their
-// yield points (Sleep, Block, Queue.Get, ReadSync, ...).
+// yield points (Sleep, Block, Waiter.Wait, ReadSync, ...).
 func loopYields(info *types.Info, loop *ast.ForStmt) bool {
 	yields := false
 	ast.Inspect(loop.Body, func(n ast.Node) bool {

@@ -4,35 +4,38 @@ import (
 	"go/types"
 )
 
-// PortBound flags call sites that discard a bounded port's rejection result.
-// rtm.BoundedPort.Send reports refusal through its bool and Call through its
-// error; code that drops either treats a turned-away message as delivered,
-// which is exactly the silent-loss failure the bounded request queue exists
-// to prevent — overload must surface to the caller, not vanish.
+// PortBound flags call sites that discard a call port's rejection result.
+// rtm.RPC.Call reports a call turned away by a full queue or a destroyed
+// port through its error; code that drops it treats a refused request as
+// served, which is exactly the silent-loss failure the bounded request
+// queue exists to prevent — overload must surface to the caller, not
+// vanish.
 var PortBound = NewPortBound("internal/rtm")
 
-// NewPortBound builds a portbound analyzer guarding methods of a type named
-// BoundedPort declared in a package whose import path equals or ends with
-// one of the given suffixes. The default instance guards internal/rtm; tests
-// build instances pointed at fixture packages.
+// NewPortBound builds a portbound analyzer guarding methods of the generic
+// type named RPC — every instantiation, aliases such as rtm.BoundedPort
+// included — declared in a package whose import path equals or ends with
+// one of the given suffixes. The default instance guards internal/rtm;
+// tests build instances pointed at fixture packages.
 func NewPortBound(pkgSuffixes ...string) *Analyzer {
 	match := suffixScope(pkgSuffixes...)
 	a := &Analyzer{
 		Name: "portbound",
-		Doc: "forbid discarding a bounded port's rejection result (Send's bool, Call's error); " +
-			"a dropped rejection turns overload into silent message loss",
+		Doc: "forbid discarding a call port's rejection result (Call's error); " +
+			"a dropped rejection turns overload into silent request loss",
 		Scope: nil, // callers live in many packages; the callee check scopes it
 	}
 	a.Run = func(pass *Pass) error {
-		return runDiscardCheck(pass, match, boundedPortResult,
-			"rejection", "a bounded port's refusal must be handled, not dropped")
+		return runDiscardCheck(pass, match, callPortResult,
+			"rejection", "a call port's refusal must be handled, not dropped")
 	}
 	return a
 }
 
-// boundedPortResult is the index of the rejection result of a method of a
-// type named BoundedPort, or -1 for any other function.
-func boundedPortResult(fn *types.Func) int {
+// callPortResult is the index of the error result of a method of the
+// generic type RPC (matched by its origin, whatever the instantiation or
+// alias), or -1 for any other function.
+func callPortResult(fn *types.Func) int {
 	sig, ok := fn.Type().(*types.Signature)
 	if !ok || sig.Recv() == nil {
 		return -1
@@ -42,24 +45,14 @@ func boundedPortResult(fn *types.Func) int {
 		recv = p.Elem()
 	}
 	named, ok := recv.(*types.Named)
-	if !ok || named.Obj().Name() != "BoundedPort" {
+	if !ok || named.Origin().Obj().Name() != "RPC" {
 		return -1
 	}
-	return rejectionResultIndex(sig)
-}
-
-// rejectionResultIndex is the error result if the method has one, otherwise
-// its last bool result (Send's accepted flag), otherwise -1.
-func rejectionResultIndex(sig *types.Signature) int {
 	res := sig.Results()
-	idx := -1
 	for i := 0; i < res.Len(); i++ {
 		if isErrorType(res.At(i).Type()) {
 			return i
 		}
-		if b, ok := res.At(i).Type().(*types.Basic); ok && b.Kind() == types.Bool {
-			idx = i
-		}
 	}
-	return idx
+	return -1
 }

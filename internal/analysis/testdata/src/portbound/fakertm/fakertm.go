@@ -3,17 +3,27 @@ package fakertm
 
 type Thread struct{}
 
-// BoundedPort mirrors the real API: Send reports refusal with a bool, Call
-// with an error, ReceiveCall with an ok flag.
-type BoundedPort struct{}
+// RPC mirrors the real call port: Call reports refusal with an error,
+// ReceiveCall destruction with an ok flag.
+type RPC[Req, Resp any] struct{}
 
-func (b *BoundedPort) Send(msg any) bool                            { return true }
-func (b *BoundedPort) Call(t *Thread, req any) (any, error)         { return nil, nil }
-func (b *BoundedPort) ReceiveCall(t *Thread) (any, func(any), bool) { return nil, nil, false }
-func (b *BoundedPort) Rejected() int64                              { return 0 }
+func (p *RPC[Req, Resp]) Call(t *Thread, req Req) (Resp, error) {
+	var r Resp
+	return r, nil
+}
 
-// Port is the unbounded kind: its sends cannot be refused, so discarding
-// nothing is at stake and the analyzer must leave it alone.
+func (p *RPC[Req, Resp]) ReceiveCall(t *Thread) (Req, func(Resp), bool) {
+	var r Req
+	return r, nil, false
+}
+
+func (p *RPC[Req, Resp]) Rejected() int64 { return 0 }
+
+// BoundedPort is the untyped call port, an alias whose type name is RPC.
+type BoundedPort = RPC[any, any]
+
+// Port is the one-way kind: its sends cannot be refused, so nothing is at
+// stake and the analyzer must leave it alone.
 type Port struct{}
 
 func (p *Port) Send(msg any) {}

@@ -2,36 +2,41 @@ package portbound
 
 import "portbound/fakertm"
 
-func drops(b *fakertm.BoundedPort, t *fakertm.Thread) {
-	b.Send(nil)                     // want "rejection result of fakertm.BoundedPort.Send discarded"
-	go b.Send(nil)                  // want "rejection result of fakertm.BoundedPort.Send discarded by go"
-	_ = b.Send(nil)                 // want "rejection result of fakertm.BoundedPort.Send assigned to _"
-	b.Call(t, nil)                  // want "rejection result of fakertm.BoundedPort.Call discarded"
-	defer b.Call(t, nil)            // want "rejection result of fakertm.BoundedPort.Call discarded by defer"
-	r, _ := b.Call(t, nil)          // want "rejection result of fakertm.BoundedPort.Call assigned to _"
-	_, _ = b.Send(nil), b.Send(nil) // want "rejection result of fakertm.BoundedPort.Send assigned to _" "rejection result of fakertm.BoundedPort.Send assigned to _"
+func drops(b *fakertm.RPC[int, string], t *fakertm.Thread) {
+	b.Call(t, 1)         // want "rejection result of fakertm.RPC.Call discarded"
+	go b.Call(t, 1)      // want "rejection result of fakertm.RPC.Call discarded by go"
+	defer b.Call(t, 1)   // want "rejection result of fakertm.RPC.Call discarded by defer"
+	r, _ := b.Call(t, 1) // want "rejection result of fakertm.RPC.Call assigned to _"
+	_, _ = b.Call(t, 2)  // want "rejection result of fakertm.RPC.Call assigned to _"
 	_ = r
 }
 
-func handled(b *fakertm.BoundedPort, t *fakertm.Thread) error {
-	if !b.Send(nil) {
-		return nil
-	}
-	ok := b.Send(nil)
-	_ = ok
-	if _, err := b.Call(t, nil); err != nil {
+// The alias names the same generic type, so calls through it are checked
+// the same way.
+func dropsThroughAlias(b *fakertm.BoundedPort, t *fakertm.Thread) {
+	b.Call(t, nil)            // want "rejection result of fakertm.RPC.Call discarded"
+	resp, _ := b.Call(t, nil) // want "rejection result of fakertm.RPC.Call assigned to _"
+	_ = resp
+}
+
+func handled(b *fakertm.RPC[int, string], a *fakertm.BoundedPort, t *fakertm.Thread) error {
+	if _, err := b.Call(t, 1); err != nil {
 		return err
 	}
-	req, reply, ok2 := b.ReceiveCall(t)
-	_, _, _ = req, reply, ok2
-	// Result-free reads and the unbounded port are no business of the
-	// analyzer's.
+	if _, err := a.Call(t, nil); err != nil {
+		return err
+	}
+	req, reply, ok := b.ReceiveCall(t)
+	_, _, _ = req, reply, ok
+	// Result-free reads, a discarded receive and the one-way port are no
+	// business of the analyzer's.
 	b.Rejected()
+	a.ReceiveCall(t)
 	var p fakertm.Port
 	p.Send(nil)
 	return nil
 }
 
-func sanctioned(b *fakertm.BoundedPort) {
-	b.Send(nil) //crasvet:allow portbound -- fixture: best-effort notification
+func sanctioned(b *fakertm.BoundedPort, t *fakertm.Thread) {
+	b.Call(t, nil) //crasvet:allow portbound -- fixture: best-effort notification
 }

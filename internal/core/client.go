@@ -45,11 +45,12 @@ type Handle struct {
 // into server-level errors: a destroyed request port means the signal
 // handler has run (ErrServerDown); a full one means the control plane is
 // saturated beyond even its queue, which is overload by another route.
-func (s *Server) call(th *rtm.Thread, req any) (any, error) {
+// The stream is an open's new session.
+func (s *Server) call(th *rtm.Thread, req request) (*stream, error) {
 	resp, err := s.reqPort.Call(th, req)
 	switch {
 	case err == nil:
-		return resp, nil
+		return resp.st, resp.err
 	case errors.Is(err, rtm.ErrPortDead):
 		return nil, ErrServerDown
 	case errors.Is(err, rtm.ErrPortFull):
@@ -58,25 +59,12 @@ func (s *Server) call(th *rtm.Thread, req any) (any, error) {
 	return nil, err
 }
 
-// op performs an RPC whose reply is a bare error.
-func (s *Server) op(th *rtm.Thread, req any) error {
-	resp, err := s.call(th, req)
-	if err != nil {
-		return err
-	}
-	return resp.(opResp).err
-}
-
-func (s *Server) open(th *rtm.Thread, r openReq) (*Handle, error) {
-	resp, err := s.call(th, r)
+func (s *Server) open(th *rtm.Thread, r request) (*Handle, error) {
+	st, err := s.call(th, r)
 	if err != nil {
 		return nil, err
 	}
-	or := resp.(openResp)
-	if or.err != nil {
-		return nil, or.err
-	}
-	return &Handle{srv: s, st: or.st}, nil
+	return &Handle{srv: s, st: st}, nil
 }
 
 // Open establishes a session for the media file at path using the supplied
@@ -84,7 +72,7 @@ func (s *Server) open(th *rtm.Thread, r openReq) (*Handle, error) {
 // Unix server), runs the admission test, and sets up the shared buffer.
 // This is crs_open.
 func (s *Server) Open(th *rtm.Thread, info *media.StreamInfo, path string, opts OpenOptions) (*Handle, error) {
-	return s.open(th, openReq{info: info, path: path, rate: opts.Rate, at: opts.At, force: opts.Force, dr: opts.DeliveredRate})
+	return s.open(th, request{op: opOpen, info: info, path: path, rate: opts.Rate, at: opts.At, force: opts.Force, dr: opts.DeliveredRate})
 }
 
 // OpenRecord establishes a constant-rate recording session: the media file
@@ -94,7 +82,7 @@ func (s *Server) Open(th *rtm.Thread, info *media.StreamInfo, path string, opts 
 // paper's Conclusions describe. Start/Stop/Seek/Close behave as for
 // playback; the logical clock models the capture source.
 func (s *Server) OpenRecord(th *rtm.Thread, info *media.StreamInfo, path string, opts OpenOptions) (*Handle, error) {
-	return s.open(th, openReq{info: info, path: path, rate: opts.Rate, force: opts.Force, record: true})
+	return s.open(th, request{op: opOpen, info: info, path: path, rate: opts.Rate, force: opts.Force, record: true})
 }
 
 // op performs a session RPC for this handle. The in-flight window is
@@ -102,10 +90,10 @@ func (s *Server) OpenRecord(th *rtm.Thread, info *media.StreamInfo, path string,
 // client is blocked in a queued call — a client waiting on the server is
 // alive however long the backlog — and the lease is renewed when the call
 // returns. The engine is single-threaded, so the counter is race-free.
-func (h *Handle) op(th *rtm.Thread, req sessionReq) error {
+func (h *Handle) op(th *rtm.Thread, req request) error {
 	req.id = h.st.id
 	h.st.rpcInFlight++
-	err := h.srv.op(th, req)
+	_, err := h.srv.call(th, req)
 	h.st.rpcInFlight--
 	h.st.touch(h.srv.k.Now())
 	return err
@@ -113,24 +101,24 @@ func (h *Handle) op(th *rtm.Thread, req sessionReq) error {
 
 // Close ends the session and releases its buffer memory (crs_close).
 func (h *Handle) Close(th *rtm.Thread) error {
-	return h.op(th, sessionReq{op: opClose})
+	return h.op(th, request{op: opClose})
 }
 
 // Start starts the stream's logical clock after the configured initial
 // delay and enables pre-fetching (crs_start).
 func (h *Handle) Start(th *rtm.Thread) error {
-	return h.op(th, sessionReq{op: opStart})
+	return h.op(th, request{op: opStart})
 }
 
 // Stop freezes the logical clock and suspends pre-fetching (crs_stop).
 func (h *Handle) Stop(th *rtm.Thread) error {
-	return h.op(th, sessionReq{op: opStop})
+	return h.op(th, request{op: opStop})
 }
 
 // Seek sets the logical clock to the given media time and repositions
 // pre-fetching (crs_seek). Buffered data is dropped.
 func (h *Handle) Seek(th *rtm.Thread, logical sim.Time) error {
-	return h.op(th, sessionReq{op: opSeek, logical: logical})
+	return h.op(th, request{op: opSeek, logical: logical})
 }
 
 // SetRate changes the retrieval rate, re-running admission (the extension
@@ -139,7 +127,7 @@ func (h *Handle) Seek(th *rtm.Thread, logical sim.Time) error {
 // reverse chunk order and delivered on a forward timeline, the classic
 // rewind scan. Rate 0 is refused: that is Pause's job.
 func (h *Handle) SetRate(th *rtm.Thread, rate float64) error {
-	return h.op(th, sessionReq{op: opSetRate, rate: rate})
+	return h.op(th, request{op: opSetRate, rate: rate})
 }
 
 // Pause freezes the session where it stands (crs_pause): the logical clock
@@ -152,7 +140,7 @@ func (h *Handle) SetRate(th *rtm.Thread, rate float64) error {
 // detaches it first; pausing a leader or feed hands its dependents off.
 // Idempotent; refused for recording sessions.
 func (h *Handle) Pause(th *rtm.Thread) error {
-	return h.op(th, sessionReq{op: opPause})
+	return h.op(th, request{op: opPause})
 }
 
 // Resume restarts a paused session on the exact timeline Pause froze,
@@ -162,7 +150,7 @@ func (h *Handle) Pause(th *rtm.Thread) error {
 // RetryAfter, and with a RateLadder configured the session may come back
 // at a reduced delivered rate instead. Idempotent on a playing session.
 func (h *Handle) Resume(th *rtm.Thread) error {
-	return h.op(th, sessionReq{op: opResume})
+	return h.op(th, request{op: opResume})
 }
 
 // Get returns the chunk covering the given logical time if it is resident

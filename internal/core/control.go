@@ -85,7 +85,7 @@ const (
 // first, then the real work. Shed requests cost costShed instead of
 // costManagerOp, which together with deferral is what bounds the manager's
 // occupancy per interval.
-func (s *Server) dispatchRequest(t *rtm.Thread, req any) any {
+func (s *Server) dispatchRequest(t *rtm.Thread, req request) opResp {
 	for {
 		resp, action := s.shedGate(req)
 		switch action {
@@ -110,44 +110,42 @@ func (s *Server) dispatchRequest(t *rtm.Thread, req any) any {
 // is the lease heartbeat, and deferring either would turn overload into
 // leaks or false reaps. Force opens sit outside the accounting entirely —
 // they are the measurement backdoor that already bypasses admission.
-func (s *Server) shedGate(req any) (resp any, action ctlAction) {
+func (s *Server) shedGate(r request) (resp opResp, action ctlAction) {
 	if s.cfg.MaxRequestsPerCycle < 0 {
-		return nil, ctlAdmit
+		return opResp{}, ctlAdmit
 	}
 	now := s.k.Now()
 	if win := now - now%s.cfg.Interval; win != s.ctlWindow {
 		s.ctlWindow = win
 		s.ctlOps, s.ctlShed = 0, 0
 	}
-	switch r := req.(type) {
-	case sessionReq:
-		if r.op == opClose || r.op == opRenew {
-			s.ctlOps++
-			return nil, ctlAdmit
-		}
-	case openReq:
+	switch r.op {
+	case opClose, opRenew:
+		s.ctlOps++
+		return opResp{}, ctlAdmit
+	case opOpen:
 		if r.force {
-			return nil, ctlAdmit
+			return opResp{}, ctlAdmit
 		}
 		budget := s.ctlBudget()
 		if s.ctlOps < budget {
 			s.ctlOps++
-			return nil, ctlAdmit
+			return opResp{}, ctlAdmit
 		}
 		s.ctlShed++
 		s.stats.RequestsShed++
 		wait := s.ctlWindow + s.cfg.Interval - now // remainder of this window
 		wait += sim.Time((s.ctlShed-1)/budget) * s.cfg.Interval
-		return openResp{err: &OverloadError{
+		return opResp{err: &OverloadError{
 			RetryAfter: wait,
 			Reason:     fmt.Sprintf("%d control requests this interval", s.ctlOps),
 		}}, ctlShed
 	}
 	if s.ctlOps < s.ctlBudget() {
 		s.ctlOps++
-		return nil, ctlAdmit
+		return opResp{}, ctlAdmit
 	}
-	return nil, ctlDefer
+	return opResp{}, ctlDefer
 }
 
 // Drain moves the server into graceful drain (usable from any engine

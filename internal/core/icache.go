@@ -106,7 +106,7 @@ func (s *Server) ramBudget() int64 {
 // cacheCandidate finds the stream a new open on path could follow: the
 // path's existing cache leader, or any open playback stream on the path.
 // Returns nil when the cache is disabled or no eligible leader exists.
-func (s *Server) cacheCandidate(r openReq) *stream {
+func (s *Server) cacheCandidate(r request) *stream {
 	if s.cfg.CacheBudget <= 0 || r.record {
 		return nil
 	}
@@ -139,7 +139,7 @@ func (s *Server) cacheCandidate(r openReq) *stream {
 // applied — or (nil, 0, par) unchanged when no eligible leader fits the
 // budget. handleOpen calls it directly and again when the multicast rung
 // of the admission ladder fails.
-func (s *Server) cachePlan(r openReq, now sim.Time, par StreamParams) (*stream, int64, StreamParams) {
+func (s *Server) cachePlan(r request, now sim.Time, par StreamParams) (*stream, int64, StreamParams) {
 	leader := s.cacheCandidate(r)
 	if leader == nil {
 		return nil, 0, par
@@ -157,7 +157,7 @@ func (s *Server) cachePlan(r openReq, now sim.Time, par StreamParams) (*stream, 
 // the request: healthy enough to keep producing, same playback rate, and a
 // structurally identical chunk table (timestamps must line up for pins to
 // be meaningful).
-func (s *Server) cacheEligible(leader *stream, r openReq) bool {
+func (s *Server) cacheEligible(leader *stream, r request) bool {
 	if leader == nil || leader.closed || leader.health >= Suspended {
 		return false
 	}

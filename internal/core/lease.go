@@ -77,7 +77,7 @@ func (s *Server) reapDeadName(dn rtm.DeadName) {
 // keep-alive for clients that legitimately go quiet (a paused viewer, a
 // recorder waiting for its capture source).
 func (h *Handle) Renew(th *rtm.Thread) error {
-	return h.op(th, sessionReq{op: opRenew})
+	return h.op(th, request{op: opRenew})
 }
 
 // Crash simulates the client dying without closing its session: the

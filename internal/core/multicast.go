@@ -193,7 +193,7 @@ func (s *Server) mcastHeadCovered(feed *stream, pp *prefixPin, from int) bool {
 // identical chunk table at the same rate, the open must fall inside the
 // batching window — or, past it, on a prefix-qualified title — and the
 // head the feed has already stamped must be fully covered.
-func (s *Server) mcastJoinable(feed *stream, r openReq, now sim.Time) bool {
+func (s *Server) mcastJoinable(feed *stream, r request, now sim.Time) bool {
 	if feed == nil || feed.closed || feed.dep != nil || !s.cacheEligible(feed, r) {
 		return false
 	}
@@ -218,7 +218,7 @@ func (s *Server) mcastJoinable(feed *stream, r openReq, now sim.Time) bool {
 // disk stream a new group can form around. Among several joinable
 // candidates (successive batch generations of a hot title) the youngest
 // wins — it has the smallest head to backfill.
-func (s *Server) mcastCandidate(r openReq, now sim.Time) *stream {
+func (s *Server) mcastCandidate(r request, now sim.Time) *stream {
 	if !s.mcastEnabled() || r.record {
 		return nil
 	}

@@ -238,7 +238,7 @@ func TestMulticastSeekFallback(t *testing.T) {
 			// One-way for members: a fallen-back stream may later feed a NEW
 			// group (it is a plain disk stream again, like a promoted cache
 			// follower), but it never re-enters one as a member.
-			if cand := b.cras.mcastCandidate(openReq{path: "/hot", info: movie}, b.k.Now()); cand != nil && cand.rides(shareFanout) {
+			if cand := b.cras.mcastCandidate(request{op: opOpen, path: "/hot", info: movie}, b.k.Now()); cand != nil && cand.rides(shareFanout) {
 				t.Errorf("candidate feed %d is still a fan-out member", cand.id)
 			}
 			m1.Close(th)

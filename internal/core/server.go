@@ -273,7 +273,7 @@ type Server struct {
 	resolver Resolver
 	mgr      *rtm.Thread
 
-	reqPort      *rtm.BoundedPort
+	reqPort      *rtm.RPC[request, opResp]
 	iodonePort   *rtm.Port
 	deadlinePort *rtm.Port
 	signalPort   *rtm.Port
@@ -398,7 +398,7 @@ func NewServer(k *rtm.Kernel, vol *disk.Volume, resolver Resolver, cfg Config) *
 	}
 	s := &Server{
 		k: k, vol: vol, cfg: cfg, resolver: resolver,
-		reqPort:      k.NewBoundedPort("cras.request", cfg.RequestQueueCap),
+		reqPort:      rtm.NewRPC[request, opResp]("cras.request", cfg.RequestQueueCap),
 		iodonePort:   k.NewPort("cras.iodone"),
 		deadlinePort: k.NewPort("cras.deadline"),
 		signalPort:   k.NewPort("cras.signal"),
@@ -1064,10 +1064,12 @@ func (s *Server) finishCycleStat(cs *cycleStat) {
 
 // ---- request manager operations ----
 
-type sessionOp int
+// reqOp names a request-manager RPC.
+type reqOp int
 
 const (
-	opClose sessionOp = iota
+	opOpen reqOp = iota
+	opClose
 	opRenew
 	opStart
 	opStop
@@ -1078,29 +1080,27 @@ const (
 )
 
 type (
-	openReq struct {
-		info   *media.StreamInfo
-		path   string
-		rate   float64
-		dr     float64  // requested delivered rate (0 = full)
-		at     sim.Time // initial logical position (attach-at-stamp reopen)
-		force  bool
-		record bool
+	// request is every request-manager RPC: op says which. An open carries
+	// the client's chunk table and terms; a session op carries its stream's
+	// id and, for a seek or a rate change, its argument.
+	request struct {
+		op      reqOp
+		id      int      // session ops
+		logical sim.Time // seek
+		rate    float64  // open, setrate
+		info    *media.StreamInfo
+		path    string
+		dr      float64  // requested delivered rate (0 = full)
+		at      sim.Time // initial logical position (attach-at-stamp reopen)
+		force   bool
+		record  bool
 	}
-	// sessionReq is every RPC on an open session: op says which, and
-	// logical (seek) or rate (setrate) carry its argument.
-	sessionReq struct {
-		op      sessionOp
-		id      int
-		logical sim.Time
-		rate    float64
-	}
-
-	openResp struct {
+	// opResp is every request-manager reply: the error, and an open's new
+	// stream.
+	opResp struct {
 		st  *stream
 		err error
 	}
-	opResp struct{ err error }
 )
 
 // findStream returns the open stream with the given id, or nil: the table
@@ -1171,63 +1171,60 @@ func (s *Server) admissionBase(st *stream) admissionFold {
 	return f
 }
 
-func (s *Server) handleRequest(t *rtm.Thread, req any) any {
-	switch r := req.(type) {
-	case openReq:
+func (s *Server) handleRequest(t *rtm.Thread, r request) opResp {
+	if r.op == opOpen {
 		return s.handleOpen(t, r)
-	case sessionReq:
-		now := s.k.Now()
-		st := s.session(r.id, now)
-		if st == nil {
-			return opResp{err: fmt.Errorf("cras: no such stream %d", r.id)}
-		}
-		switch r.op {
-		case opClose:
-			s.closeStream(st, now)
-			if st.clientPort != nil {
-				// An orderly close needs no dead-name notification.
-				st.clientPort.NotifyDeadName(nil)
-				st.clientPort.Destroy()
-			}
-		case opStart:
-			st.clock.Start(now, s.startAnchor(now))
-		case opStop:
-			st.clock.Stop(now)
-		case opSeek:
-			return s.handleSeek(st, r.logical, now)
-		case opSetRate:
-			return s.handleSetRate(st, r.rate, now)
-		case opPause:
-			return s.handlePause(st, now)
-		case opResume:
-			return s.handleResume(st, now)
-		}
-		return opResp{}
 	}
-	return opResp{err: fmt.Errorf("cras: unknown request %T", req)}
+	now := s.k.Now()
+	st := s.session(r.id, now)
+	if st == nil {
+		return opResp{err: fmt.Errorf("cras: no such stream %d", r.id)}
+	}
+	switch r.op {
+	case opClose:
+		s.closeStream(st, now)
+		if st.clientPort != nil {
+			// An orderly close needs no dead-name notification.
+			st.clientPort.NotifyDeadName(nil)
+			st.clientPort.Destroy()
+		}
+	case opStart:
+		st.clock.Start(now, s.startAnchor(now))
+	case opStop:
+		st.clock.Stop(now)
+	case opSeek:
+		return s.handleSeek(st, r.logical, now)
+	case opSetRate:
+		return s.handleSetRate(st, r.rate, now)
+	case opPause:
+		return s.handlePause(st, now)
+	case opResume:
+		return s.handleResume(st, now)
+	}
+	return opResp{}
 }
 
-func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
+func (s *Server) handleOpen(t *rtm.Thread, r request) opResp {
 	if s.draining {
-		return openResp{err: ErrDraining}
+		return opResp{err: ErrDraining}
 	}
 	if r.rate == 0 {
 		r.rate = 1
 	}
 	if r.rate < 0 {
-		return openResp{err: fmt.Errorf("cras: open %s: negative rate %g (open forward, then SetRate to rewind)", r.path, r.rate)}
+		return opResp{err: fmt.Errorf("cras: open %s: negative rate %g (open forward, then SetRate to rewind)", r.path, r.rate)}
 	}
 	// One walk of the client's table validates it and measures the rate
 	// and slack admission charges.
 	baseRate, chunk, err := r.info.Scan(s.cfg.Interval)
 	if err != nil {
-		return openResp{err: err}
+		return opResp{err: err}
 	}
 	if r.at < 0 || r.record {
 		r.at = 0
 	}
 	if r.at >= r.info.TotalDuration() {
-		return openResp{err: fmt.Errorf("cras: open %s at %v: past the end of the media", r.path, r.at)}
+		return opResp{err: fmt.Errorf("cras: open %s at %v: past the end of the media", r.path, r.at)}
 	}
 	now := s.k.Now()
 	// The requested delivered rate, quantized to the configured ladder
@@ -1315,7 +1312,7 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 				}
 			}
 			s.stats.AdmissionRejects++
-			return openResp{err: v.err()}
+			return opResp{err: v.err()}
 		}
 	}
 
@@ -1331,11 +1328,11 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 		blocks, size, err = s.resolver.ResolvePlayback(t, r.path, s.mapBuf)
 	}
 	if err != nil {
-		return openResp{err: fmt.Errorf("cras: open %s: %w", r.path, err)}
+		return opResp{err: fmt.Errorf("cras: open %s: %w", r.path, err)}
 	}
 	s.mapBuf = blocks
 	if size < r.info.TotalSize() {
-		return openResp{err: fmt.Errorf("cras: media file %s is %d bytes, chunk table needs %d", r.path, size, r.info.TotalSize())}
+		return opResp{err: fmt.Errorf("cras: media file %s is %d bytes, chunk table needs %d", r.path, size, r.info.TotalSize())}
 	}
 	// A playback session shares the path's interned map while the fresh
 	// block map still yields it; a rewritten title gets a new map, which
@@ -1343,7 +1340,7 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 	ext := s.extents[r.path]
 	if r.record || ext == nil || !ext.matches(blocks, size, s.cfg.MaxRead) {
 		if ext, err = BuildExtentMap(blocks, size, s.cfg.MaxRead); err != nil {
-			return openResp{err: err}
+			return opResp{err: err}
 		}
 		if !r.record {
 			s.extents[r.path] = ext
@@ -1392,7 +1389,7 @@ func (s *Server) handleOpen(t *rtm.Thread, r openReq) openResp {
 	st.clientPort.NotifyDeadName(s.deadlinePort)
 	s.nextID++
 	s.streams = append(s.streams, st)
-	return openResp{st: st}
+	return opResp{st: st}
 }
 
 // bufferCapacity sizes a stream's shared buffer. The admission test charges

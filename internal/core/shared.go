@@ -101,7 +101,7 @@ func (s *Server) sharePlan(m shareMode, gap sim.Time, held int64, par StreamPara
 // the opener trails the producer by its shareGap less the open's start
 // point, and a producer already past the end of the media has nothing
 // left to share. ok false leaves par unchanged.
-func (s *Server) openPlan(m shareMode, producer *stream, r openReq, now sim.Time, par StreamParams) (StreamParams, int64, bool) {
+func (s *Server) openPlan(m shareMode, producer *stream, r request, now sim.Time, par StreamParams) (StreamParams, int64, bool) {
 	lead := s.shareGap(producer, now)
 	if lead >= r.info.TotalDuration() {
 		return par, 0, false

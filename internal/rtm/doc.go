@@ -25,6 +25,11 @@
 // and may call Port.Send to wake a handler thread; this corresponds to the
 // paper's device-driver interrupt notifying CRAS's I/O-done manager thread.
 //
+// Two kinds of port. A Port carries one-way messages of any type: device
+// completions, deadline and health events, dead-name notifications. An
+// RPC[Req, Resp] carries typed calls, each blocking its caller until the
+// server replies: the Unix server's and CRAS's request manager's ports.
+//
 // Two ways to run a thread. NewThread runs its body as a sim.Proc
 // coroutine, which may block anywhere. NewHandler runs the fixed loop
 // "receive from one port, Compute a per-message cost, call back" without a

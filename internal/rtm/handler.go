@@ -140,12 +140,12 @@ func (h *handler) end() {
 	h.dead = true
 }
 
-// receive is Port.receive up to the first park: a queued message, a
+// receive is Port.Receive up to the first park: a queued message, a
 // destroyed port (ok false), or the handler registered as a waiter.
 func (h *handler) receive() (msg any, ok, parked bool) {
 	p := h.port
 	if len(p.msgs) > 0 {
-		return p.pop(), true, false
+		return shift(&p.msgs), true, false
 	}
 	if p.dead {
 		return nil, false, false
@@ -156,8 +156,8 @@ func (h *handler) receive() (msg any, ok, parked bool) {
 	return h.awaitGiven()
 }
 
-// awaitGiven is Port.receive's wait loop: park until a Send hands the
-// waiter a message, re-parking on a wake that brought none.
+// awaitGiven is receivers.wait's loop: park until a Send hands the waiter
+// a message, re-parking on a wake that brought none.
 func (h *handler) awaitGiven() (msg any, ok, parked bool) {
 	w := &h.t.recv
 	for !w.given {

@@ -230,3 +230,35 @@ func BenchmarkHandlerHandoff(b *testing.B) {
 	send()
 	e.Run()
 }
+
+// BenchmarkCall times one call through an RPC port between a client and a
+// server thread: the hand-off, two coroutine switches and the reply.
+func BenchmarkCall(b *testing.B) {
+	e := sim.NewEngine(1)
+	k := NewKernel(e)
+	port := NewRPC[int, int]("p", 64)
+	k.NewThread("server", PrioRT, 0, func(th *Thread) {
+		for {
+			req, reply, ok := port.ReceiveCall(th)
+			if !ok {
+				return
+			}
+			reply(req)
+		}
+	})
+	k.NewThread("client", PrioRTLow, 0, func(th *Thread) {
+		if _, err := port.Call(th, 0); err != nil { // the first call makes the call record
+			b.Error(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := port.Call(th, i); err != nil {
+				b.Error(err)
+			}
+		}
+		b.StopTimer()
+		port.Destroy()
+	})
+	e.Run()
+}

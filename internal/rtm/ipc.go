@@ -2,40 +2,92 @@ package rtm
 
 import (
 	"errors"
+	"math"
 
 	"repro/internal/sim"
 )
 
-// portWaiter is one blocked receiver. Send hands the message directly into
-// the waiter's slot before waking it, so delivery order is the order in
-// which receivers blocked: a receiver that shows up between the wakeup and
-// the woken thread actually running cannot barge in and steal the message.
-// Each Thread embeds its own, since a thread blocks on at most one port.
+// portWaiter is one blocked receiver. A sender hands the message directly
+// into the waiter's slot before waking it, so delivery order is the order
+// in which receivers blocked: a receiver that shows up between the wakeup
+// and the woken thread actually running cannot barge in and steal the
+// message. Each Thread embeds its own, since a thread blocks on at most one
+// port.
 type portWaiter struct {
 	t     *Thread
 	msg   any
 	given bool
 }
 
-// Port is a Mach-style message queue: sends never block, receives block the
-// calling thread until a message arrives. Sends are legal from interrupt
-// context (plain sim events), which is how device completion reaches the
-// I/O-done manager thread.
+// receivers is a port's FIFO of blocked receivers.
+type receivers []*portWaiter
+
+// hand gives msg to the longest-waiting receiver and wakes it; false means
+// nobody was waiting.
+func (r *receivers) hand(msg any) bool {
+	if len(*r) == 0 {
+		return false
+	}
+	w := shift(r)
+	w.msg, w.given = msg, true
+	w.t.wake()
+	return true
+}
+
+// wait registers t as the newest receiver and blocks it until a message is
+// handed over, or returns ok false once *dead turns true.
+func (r *receivers) wait(t *Thread, reason string, dead *bool) (msg any, ok bool) {
+	w := &t.recv
+	*w = portWaiter{t: t}
+	*r = append(*r, w) //crasvet:allow hotalloc -- waiter list backing array stabilizes at the number of threads that block here
+	for !w.given {
+		if *dead {
+			return nil, false
+		}
+		t.block(reason)
+	}
+	m := w.msg
+	w.msg = nil
+	return m, true
+}
+
+// wakeAll wakes every blocked receiver empty-handed: the port died.
+func (r *receivers) wakeAll() {
+	ws := *r
+	*r = nil
+	for _, w := range ws {
+		w.t.wake()
+	}
+}
+
+// shift removes and returns the first element of a non-empty queue,
+// sliding the rest down so the queue keeps its backing array.
+func shift[S ~[]E, E any](q *S) E {
+	s := *q
+	v := s[0]
+	n := copy(s, s[1:])
+	var zero E
+	s[n] = zero
+	*q = s[:n]
+	return v
+}
+
+// Port is a Mach-style one-way message queue: sends never block, receives
+// block the calling thread until a message arrives. Sends are legal from
+// interrupt context (plain sim events), which is how device completion
+// reaches the I/O-done manager thread. Request/reply traffic goes through
+// an RPC port instead.
 type Port struct {
 	name    string
 	msgs    []any
-	waiters []*portWaiter
+	waiters receivers
 	dead    bool
 	notify  *Port // receives DeadName when this port is destroyed
 
-	// reason is the block reason of a receiver waiting here, and reply the
-	// names the private reply ports of calls through here share. Both are
-	// built on first use, so later receives and calls concatenate nothing.
+	// reason is the block reason of a receiver waiting here, built on first
+	// use so later receives concatenate nothing.
 	reason string
-	reply  *replyNames
 }
-
-type replyNames struct{ name, reason string }
 
 // NewPort returns an empty port.
 func (k *Kernel) NewPort(name string) *Port { return &Port{name: name} }
@@ -50,94 +102,38 @@ func (p *Port) blockReason() string {
 	return p.reason
 }
 
-// replyPort returns a fresh private reply port for one call through p.
-func (p *Port) replyPort() *Port {
-	if p.reply == nil {
-		name := p.name + ".reply"
-		p.reply = &replyNames{name: name, reason: "port:" + name}
-	}
-	return &Port{name: p.reply.name, reason: p.reply.reason}
-}
-
 // Send enqueues a message, or hands it directly to the longest-waiting
 // receiver if one is blocked. Sends to a destroyed port vanish, like writes
 // to a Mach dead name.
 func (p *Port) Send(msg any) {
-	if p.dead {
-		return
-	}
-	if len(p.waiters) > 0 {
-		w := p.waiters[0]
-		n := copy(p.waiters, p.waiters[1:])
-		p.waiters[n] = nil
-		p.waiters = p.waiters[:n]
-		w.msg, w.given = msg, true
-		w.t.wake()
+	if p.dead || p.waiters.hand(msg) {
 		return
 	}
 	p.msgs = append(p.msgs, msg) //crasvet:allow hotalloc -- port queue backing array stabilizes at the high-water mark of queued messages
-}
-
-// pop removes and returns the oldest queued message, shifting the rest down
-// so the queue keeps its backing array; the queue must be non-empty.
-func (p *Port) pop() any {
-	m := p.msgs[0]
-	n := copy(p.msgs, p.msgs[1:])
-	p.msgs[n] = nil
-	p.msgs = p.msgs[:n]
-	return m
-}
-
-// receive dequeues the oldest message, blocking while the port is empty.
-// ok is false when the port is (or becomes) destroyed.
-func (p *Port) receive(t *Thread) (msg any, ok bool) {
-	if len(p.msgs) > 0 {
-		return p.pop(), true
-	}
-	if p.dead {
-		return nil, false
-	}
-	w := &t.recv
-	*w = portWaiter{t: t}
-	p.waiters = append(p.waiters, w)
-	for !w.given {
-		if p.dead {
-			return nil, false
-		}
-		t.block(p.blockReason())
-	}
-	m := w.msg
-	w.msg = nil
-	return m, true
 }
 
 // Receive dequeues the oldest message, blocking the calling thread while the
 // port is empty. On a destroyed port it returns a DeadName message instead
 // of blocking forever.
 func (p *Port) Receive(t *Thread) any {
-	m, ok := p.receive(t)
-	if !ok {
-		return DeadName{Port: p}
+	if len(p.msgs) > 0 {
+		return shift(&p.msgs)
 	}
-	return m
-}
-
-// TryReceive dequeues a message without blocking; ok reports availability.
-// Only queued messages are visible: a message already handed to a woken
-// receiver cannot be stolen from interrupt context.
-func (p *Port) TryReceive() (msg any, ok bool) {
-	if len(p.msgs) == 0 {
-		return nil, false
+	if !p.dead {
+		if m, ok := p.waiters.wait(t, p.blockReason(), &p.dead); ok {
+			return m
+		}
 	}
-	return p.pop(), true
+	return DeadName{Port: p}
 }
 
 // Len returns the number of queued messages.
 func (p *Port) Len() int { return len(p.msgs) }
 
 // DeadName announces that a port was destroyed: delivered to the port
-// registered with NotifyDeadName, and returned by Receive/Call on a
-// destroyed port so event loops can tell destruction from a real message.
+// registered with NotifyDeadName, and returned by Receive on a destroyed
+// port so event loops can tell destruction from a real message. Port is
+// the destroyed one-way port; it is nil when an RPC port died.
 type DeadName struct{ Port *Port }
 
 // NotifyDeadName registers a port to receive one DeadName message when this
@@ -148,183 +144,190 @@ func (p *Port) NotifyDeadName(n *Port) { p.notify = n }
 // Dead reports whether Destroy has been called.
 func (p *Port) Dead() bool { return p.dead }
 
-// Destroy marks the port dead: queued messages are discarded (the reply
-// ports of queued RPCs are destroyed in turn, so their blocked callers wake
-// with an error instead of hanging), blocked receivers wake empty-handed,
-// future sends vanish, and the NotifyDeadName port — if registered — gets a
-// DeadName message.
+// Destroy marks the port dead: queued messages are discarded, blocked
+// receivers wake empty-handed, future sends vanish, and the NotifyDeadName
+// port — if registered — gets a DeadName message.
 func (p *Port) Destroy() {
 	if p.dead {
 		return
 	}
 	p.dead = true
-	msgs := p.msgs
 	p.msgs = nil
-	for _, m := range msgs {
-		if env, ok := m.(rpcEnvelope); ok {
-			env.reply.Destroy()
-		}
-	}
-	waiters := p.waiters
-	p.waiters = nil
-	for _, w := range waiters {
-		w.t.wake()
-	}
+	p.waiters.wakeAll()
 	if n := p.notify; n != nil {
 		p.notify = nil
 		n.Send(DeadName{Port: p})
 	}
 }
 
-// rpcEnvelope carries a request and its reply port through a server port.
-type rpcEnvelope struct {
-	req   any
-	reply *Port
-}
-
-// Call performs a synchronous RPC: it sends req to the server port together
-// with a private reply port and blocks until the reply arrives. This is the
-// shape of every client interaction with the Unix server and with CRAS's
-// request manager. If the server port is destroyed — before the call or
-// while the request is queued — Call returns a DeadName message.
-func (p *Port) Call(t *Thread, req any) any {
-	if p.dead {
-		return DeadName{Port: p}
-	}
-	reply := p.replyPort()
-	p.Send(rpcEnvelope{req: req, reply: reply})
-	m, ok := reply.receive(t)
-	if !ok {
-		return DeadName{Port: p}
-	}
-	return m
-}
-
-// ReceiveCall dequeues a request sent with Call, returning the request and a
-// function that delivers the reply. Servers whose port can be destroyed
-// should use BoundedPort.ReceiveCall, which reports destruction explicitly;
-// here a destroyed port yields a DeadName request with a no-op reply.
-func (p *Port) ReceiveCall(t *Thread) (req any, reply func(resp any)) {
-	for {
-		m, ok := p.receive(t)
-		if !ok {
-			return DeadName{Port: p}, func(any) {}
-		}
-		if env, ok := m.(rpcEnvelope); ok {
-			return env.req, func(resp any) { env.reply.Send(resp) }
-		}
-		// Plain messages are not expected on an RPC port; drop them.
-	}
-}
-
-// Port-level errors reported by bounded ports.
+// Port-level errors reported by RPC ports.
 var (
-	// ErrPortFull reports a send or call rejected because the port's queue
-	// is at capacity.
+	// ErrPortFull reports a call rejected because the port's queue is at
+	// capacity.
 	ErrPortFull = errors.New("rtm: port queue full")
-	// ErrPortDead reports an operation against a destroyed port.
+	// ErrPortDead reports a call against a destroyed port.
 	ErrPortDead = errors.New("rtm: port destroyed")
 )
 
-// BoundedPort is a Port with a receive-queue capacity: Send and Call report
-// rejection instead of letting a slow or wedged receiver grow the queue
-// without limit — the analogue of a Mach port qlimit. It is a distinct type
-// (not an option on Port) so that call sites which ignore the rejection
-// result are statically detectable.
-type BoundedPort struct {
-	p        *Port
+// Unbounded is the capacity of an RPC port whose queue never turns a call
+// away.
+const Unbounded = math.MaxInt
+
+// RPC is a Mach-style call port: Call sends a request and blocks the
+// calling thread until the server answers it, the shape of every client
+// interaction with the Unix server and with CRAS's request manager.
+// Requests travel unboxed, and each reply lands in the caller's own call
+// record, so a call allocates nothing once the port has served as many
+// concurrent callers as it will see. The queue holds at most a capacity of
+// calls — the analogue of a Mach port qlimit — and Call reports rejection
+// as an error, so a slow or wedged server cannot grow it without limit.
+type RPC[Req, Resp any] struct {
 	cap      int
+	calls    []*rpcCall[Req, Resp] // queued, not yet received
+	waiters  receivers             // blocked servers
+	dead     bool
+	notify   *Port
 	rejected int64
+	free     []*rpcCall[Req, Resp] // call records between calls
+
+	// reason is a waiting server's block reason, replyReason a waiting
+	// caller's.
+	reason, replyReason string
 }
 
-// NewBoundedPort returns an empty port that holds at most capacity queued
-// messages (minimum 1).
+// rpcCall is one call in flight: the request, and the slot its reply lands
+// in. respond is the reply function ReceiveCall hands the server, bound
+// once when the record is made.
+type rpcCall[Req, Resp any] struct {
+	t        *Thread
+	req      Req
+	resp     Resp
+	answered bool
+	dropped  bool // the port died with the call still queued
+	respond  func(Resp)
+}
+
+// NewRPC returns an empty call port that queues at most capacity calls
+// (minimum 1; Unbounded for no limit).
+func NewRPC[Req, Resp any](name string, capacity int) *RPC[Req, Resp] {
+	return &RPC[Req, Resp]{
+		cap:    max(capacity, 1),
+		reason: "port:" + name, replyReason: "port:" + name + ".reply",
+	}
+}
+
+// BoundedPort is the untyped call port.
+type BoundedPort = RPC[any, any]
+
+// NewBoundedPort returns an untyped call port; see NewRPC.
 func (k *Kernel) NewBoundedPort(name string, capacity int) *BoundedPort {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &BoundedPort{p: &Port{name: name}, cap: capacity}
+	return NewRPC[any, any](name, capacity)
 }
 
-// Name returns the port name.
-func (b *BoundedPort) Name() string { return b.p.name }
+// Len returns the number of queued calls.
+func (p *RPC[Req, Resp]) Len() int { return len(p.calls) }
 
-// Cap returns the queue capacity.
-func (b *BoundedPort) Cap() int { return b.cap }
+// Rejected returns how many calls were turned away — at capacity, or
+// attempted against the destroyed port.
+func (p *RPC[Req, Resp]) Rejected() int64 { return p.rejected }
 
-// Len returns the number of queued messages.
-func (b *BoundedPort) Len() int { return b.p.Len() }
+// NotifyDeadName registers a port to receive one DeadName message (with a
+// nil Port) when this port is destroyed; see Port.NotifyDeadName.
+func (p *RPC[Req, Resp]) NotifyDeadName(n *Port) { p.notify = n }
 
-// Rejected returns how many sends and calls were turned away — at capacity,
-// or attempted against the destroyed port.
-func (b *BoundedPort) Rejected() int64 { return b.rejected }
-
-// Dead reports whether Destroy has been called.
-func (b *BoundedPort) Dead() bool { return b.p.dead }
-
-// Destroy destroys the underlying port; see Port.Destroy.
-func (b *BoundedPort) Destroy() { b.p.Destroy() }
-
-// NotifyDeadName registers a dead-name notification; see Port.NotifyDeadName.
-func (b *BoundedPort) NotifyDeadName(n *Port) { b.p.NotifyDeadName(n) }
-
-// full reports whether a new message would exceed capacity. A blocked
-// receiver consumes the message immediately, so the queue bound only
-// applies when nobody is waiting.
-func (b *BoundedPort) full() bool {
-	return len(b.p.waiters) == 0 && len(b.p.msgs) >= b.cap
+// Call sends req and blocks until the server replies. A blocked server is
+// handed the call directly, so the queue bound applies only when nobody is
+// waiting: past it Call returns ErrPortFull. It returns ErrPortDead when
+// the port is destroyed before the call or while the call waits in the
+// queue; a call the server has already taken is answered regardless.
+func (p *RPC[Req, Resp]) Call(t *Thread, req Req) (resp Resp, err error) {
+	if p.dead {
+		p.rejected++
+		return resp, ErrPortDead
+	}
+	if len(p.waiters) == 0 && len(p.calls) >= p.cap {
+		p.rejected++
+		return resp, ErrPortFull
+	}
+	c := p.record()
+	c.t, c.req = t, req
+	if !p.waiters.hand(c) {
+		p.calls = append(p.calls, c) //crasvet:allow hotalloc -- call queue backing array stabilizes at the high-water mark of queued calls
+	}
+	for !c.answered {
+		if c.dropped {
+			p.release(c)
+			return resp, ErrPortDead
+		}
+		t.block(p.replyReason)
+	}
+	resp = c.resp
+	p.release(c)
+	return resp, nil
 }
 
-// Send enqueues a message and reports whether it was accepted; false means
-// the queue was full or the port destroyed, and the message was dropped.
-func (b *BoundedPort) Send(msg any) bool {
-	if b.p.dead || b.full() {
-		b.rejected++
-		return false
+// record returns a cleared call record, reusing a released one if any.
+func (p *RPC[Req, Resp]) record() *rpcCall[Req, Resp] {
+	if n := len(p.free); n > 0 {
+		c := p.free[n-1]
+		p.free = p.free[:n-1]
+		return c
 	}
-	b.p.Send(msg)
-	return true
+	c := &rpcCall[Req, Resp]{}
+	c.respond = func(r Resp) {
+		c.resp, c.answered = r, true
+		c.t.wake()
+	}
+	return c
 }
 
-// Call performs the synchronous RPC of Port.Call, but reports rejection:
-// ErrPortFull when the request queue is at capacity, ErrPortDead when the
-// port is destroyed before or while the request waits.
-func (b *BoundedPort) Call(t *Thread, req any) (any, error) {
-	if b.p.dead {
-		b.rejected++
-		return nil, ErrPortDead
-	}
-	if b.full() {
-		b.rejected++
-		return nil, ErrPortFull
-	}
-	reply := b.p.replyPort()
-	b.p.Send(rpcEnvelope{req: req, reply: reply})
-	m, ok := reply.receive(t)
-	if !ok {
-		return nil, ErrPortDead
-	}
-	return m, nil
+// release clears a finished call's record and keeps it for the next call.
+func (p *RPC[Req, Resp]) release(c *rpcCall[Req, Resp]) {
+	respond := c.respond
+	*c = rpcCall[Req, Resp]{respond: respond}
+	p.free = append(p.free, c) //crasvet:allow hotalloc -- free list capacity stabilizes at the number of concurrent callers
 }
 
-// Receive dequeues the oldest message, blocking while the port is empty.
-// ok is false when the port is destroyed.
-func (b *BoundedPort) Receive(t *Thread) (msg any, ok bool) { return b.p.receive(t) }
-
-// TryReceive dequeues a message without blocking; ok reports availability.
-func (b *BoundedPort) TryReceive() (msg any, ok bool) { return b.p.TryReceive() }
-
-// ReceiveCall dequeues a request sent with Call; ok is false when the port
-// is destroyed, which is a server loop's signal to exit.
-func (b *BoundedPort) ReceiveCall(t *Thread) (req any, reply func(resp any), ok bool) {
-	for {
-		m, ok := b.p.receive(t)
+// ReceiveCall takes the oldest call, blocking the server thread while none
+// is queued, and returns its request and the function that answers it; the
+// server calls reply exactly once. ok is false when the port is (or
+// becomes) destroyed, which is a server loop's signal to exit.
+func (p *RPC[Req, Resp]) ReceiveCall(t *Thread) (req Req, reply func(Resp), ok bool) {
+	var c *rpcCall[Req, Resp]
+	switch {
+	case len(p.calls) > 0:
+		c = shift(&p.calls)
+	case p.dead:
+		return req, nil, false
+	default:
+		m, ok := p.waiters.wait(t, p.reason, &p.dead)
 		if !ok {
-			return nil, nil, false
+			return req, nil, false
 		}
-		if env, isEnv := m.(rpcEnvelope); isEnv {
-			return env.req, func(resp any) { env.reply.Send(resp) }, true
-		}
+		c = m.(*rpcCall[Req, Resp])
+	}
+	return c.req, c.respond, true
+}
+
+// Destroy marks the port dead: queued calls are dropped and their callers
+// woken, in queue order, to return ErrPortDead; then blocked servers wake
+// to see ok false; then the NotifyDeadName port, if registered, gets a
+// DeadName message.
+func (p *RPC[Req, Resp]) Destroy() {
+	if p.dead {
+		return
+	}
+	p.dead = true
+	calls := p.calls
+	p.calls = nil
+	for _, c := range calls {
+		c.dropped = true
+		c.t.wake()
+	}
+	p.waiters.wakeAll()
+	if n := p.notify; n != nil {
+		p.notify = nil
+		n.Send(DeadName{})
 	}
 }
 

@@ -41,41 +41,36 @@ func TestPortReceiveBlocksUntilSend(t *testing.T) {
 	}
 }
 
-func TestPortTryReceive(t *testing.T) {
-	e := sim.NewEngine(1)
-	k := NewKernel(e)
-	p := k.NewPort("p")
-	if _, ok := p.TryReceive(); ok {
-		t.Fatal("TryReceive on empty port reported ok")
-	}
-	p.Send(7)
-	if p.Len() != 1 {
-		t.Fatalf("Len = %d", p.Len())
-	}
-	if v, ok := p.TryReceive(); !ok || v.(int) != 7 {
-		t.Fatalf("TryReceive = %v,%v", v, ok)
-	}
-}
-
 func TestPortRPC(t *testing.T) {
 	e := sim.NewEngine(1)
 	k := NewKernel(e)
-	svc := k.NewPort("service")
+	svc := NewRPC[int, int]("service", Unbounded)
 	k.NewThread("server", PrioTS, 0, func(th *Thread) {
-		for i := 0; i < 2; i++ {
-			req, reply := svc.ReceiveCall(th)
+		for {
+			req, reply, ok := svc.ReceiveCall(th)
+			if !ok {
+				return
+			}
 			th.Compute(ms(5))
-			reply(req.(int) * 10)
+			reply(req * 10)
 		}
 	})
 	var answers []int
 	k.NewThread("client", PrioTS, 0, func(th *Thread) {
-		answers = append(answers, svc.Call(th, 1).(int))
-		answers = append(answers, svc.Call(th, 2).(int))
+		for req := 1; req <= 2; req++ {
+			resp, err := svc.Call(th, req)
+			if err != nil {
+				t.Errorf("call %d: %v", req, err)
+			}
+			answers = append(answers, resp)
+		}
 	})
 	e.Run()
 	if len(answers) != 2 || answers[0] != 10 || answers[1] != 20 {
 		t.Fatalf("answers = %v", answers)
+	}
+	if k.Now() != ms(10) {
+		t.Fatalf("two 5 ms calls done at %v, want 10ms", k.Now())
 	}
 }
 

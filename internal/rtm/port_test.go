@@ -40,51 +40,55 @@ func TestPortReceiverWakeupFIFO(t *testing.T) {
 	}
 }
 
-// A message handed to a woken receiver belongs to that receiver: a
-// TryReceive racing in between the wakeup and the receiver actually running
-// must not steal it.
+// A message handed to a woken receiver belongs to that receiver: a second
+// receiver arriving between the wakeup and the first receiver actually
+// running finds the queue empty and waits for the next message.
 func TestPortTryReceiveCannotStealHandoff(t *testing.T) {
 	e := sim.NewEngine(1)
 	k := NewKernel(e)
 	p := k.NewPort("handoff")
-	var got int
-	k.NewThread("rx", PrioTS, 0, func(th *Thread) {
-		got = p.Receive(th).(int)
+	got := map[string]int{}
+	k.NewThread("rx1", PrioTS, 0, func(th *Thread) {
+		got["rx1"] = p.Receive(th).(int)
 	})
 	e.At(ms(5), func() {
 		p.Send(42)
-		// The receiver has been woken but has not run yet; the message is
-		// in its hand, not in the queue.
-		if m, ok := p.TryReceive(); ok {
-			t.Errorf("TryReceive stole handed-off message %v", m)
+		// rx1 has been woken but has not run yet; the message is in its
+		// hand, not in the queue.
+		if p.Len() != 0 {
+			t.Errorf("handed-off message left in the queue (Len %d)", p.Len())
 		}
 	})
+	k.NewThread("rx2", PrioTS, 0, func(th *Thread) {
+		th.Sleep(ms(5)) // wakes after the send, before rx1 runs
+		got["rx2"] = p.Receive(th).(int)
+	})
+	e.At(ms(6), func() { p.Send(43) })
 	e.Run()
-	if got != 42 {
-		t.Fatalf("receiver got %d, want 42", got)
+	if got["rx1"] != 42 || got["rx2"] != 43 {
+		t.Fatalf("rx1 got %d, rx2 got %d; want 42, 43", got["rx1"], got["rx2"])
 	}
 }
 
-// Queued messages stay FIFO under interleaved Send and TryReceive from
-// interrupt context.
+// Queued messages stay FIFO when sends interleave with receives: some are
+// taken from the queue, some handed straight to the blocked receiver.
 func TestPortMessageFIFOInterleaved(t *testing.T) {
 	e := sim.NewEngine(1)
 	k := NewKernel(e)
 	p := k.NewPort("q")
 	var got []int
-	take := func() {
-		if m, ok := p.TryReceive(); ok {
-			got = append(got, m.(int))
-		}
-	}
 	p.Send(1)
 	p.Send(2)
-	take() // 1
-	p.Send(3)
-	take() // 2
-	take() // 3
-	p.Send(4)
-	take() // 4
+	k.NewThread("rx", PrioTS, 0, func(th *Thread) {
+		got = append(got, p.Receive(th).(int)) // 1, queued
+		th.Sleep(ms(2))                        // 3 queues behind 2
+		for len(got) < 4 {
+			got = append(got, p.Receive(th).(int)) // 2 and 3 queued, 4 handed over
+		}
+	})
+	e.At(ms(1), func() { p.Send(3) })
+	e.At(ms(5), func() { p.Send(4) })
+	e.Run()
 	want := []int{1, 2, 3, 4}
 	if len(got) != len(want) {
 		t.Fatalf("got %v", got)
@@ -96,57 +100,80 @@ func TestPortMessageFIFOInterleaved(t *testing.T) {
 	}
 }
 
+// With no server receiving, calls queue up to the capacity and the next
+// is turned away; a server draining one call re-opens the queue.
 func TestBoundedPortRejectsWhenFull(t *testing.T) {
 	e := sim.NewEngine(1)
 	k := NewKernel(e)
 	b := k.NewBoundedPort("bounded", 2)
-	if !b.Send(1) || !b.Send(2) {
-		t.Fatal("sends under capacity rejected")
+	errs := make([]error, 4)
+	returned := make([]bool, 4)
+	call := func(i int, at sim.Time) {
+		k.NewThread("client", PrioTS, 0, func(th *Thread) {
+			th.Sleep(at)
+			_, errs[i] = b.Call(th, i)
+			returned[i] = true
+		})
 	}
-	if b.Send(3) {
-		t.Fatal("send over capacity accepted")
+	call(0, ms(1))
+	call(1, ms(2))
+	call(2, ms(3)) // over capacity
+	k.NewThread("server", PrioTS, 0, func(th *Thread) {
+		th.Sleep(ms(10))
+		req, reply, ok := b.ReceiveCall(th) // takes call 0, freeing one slot
+		if ok {
+			reply(req)
+		}
+	})
+	call(3, ms(20))
+	e.Run()
+	if !errors.Is(errs[2], ErrPortFull) {
+		t.Fatalf("call over capacity = %v, want ErrPortFull", errs[2])
+	}
+	if !returned[0] || errs[0] != nil {
+		t.Fatalf("served call returned %v, %v; want true, nil", returned[0], errs[0])
+	}
+	if returned[1] || returned[3] {
+		t.Fatal("a queued call returned with no server to answer it")
 	}
 	if b.Rejected() != 1 || b.Len() != 2 {
 		t.Fatalf("Rejected = %d, Len = %d; want 1, 2", b.Rejected(), b.Len())
 	}
-	// Draining one slot re-opens the queue.
-	if m, ok := b.TryReceive(); !ok || m.(int) != 1 {
-		t.Fatalf("TryReceive = %v,%v", m, ok)
-	}
-	if !b.Send(3) {
-		t.Fatal("send after drain rejected")
-	}
-	_ = e
 }
 
-// A blocked receiver consumes a send immediately, so the capacity bound
-// only applies to the queue: with a waiter parked on the port, Send
-// succeeds even when Len had been at capacity moments before.
+// A blocked server takes a call immediately, so the capacity bound only
+// applies to the queue: with the server parked on the port, a call goes
+// through even when a queued one fills the capacity behind it.
 func TestBoundedPortWaiterBypassesQueueBound(t *testing.T) {
 	e := sim.NewEngine(1)
 	k := NewKernel(e)
 	b := k.NewBoundedPort("bounded", 1)
-	var got []int
-	k.NewThread("rx", PrioTS, 0, func(th *Thread) {
-		for i := 0; i < 2; i++ {
-			m, ok := b.Receive(th)
+	var served []any
+	k.NewThread("server", PrioTS, 0, func(th *Thread) {
+		for {
+			req, reply, ok := b.ReceiveCall(th)
 			if !ok {
 				return
 			}
-			got = append(got, m.(int))
+			served = append(served, req)
+			reply(req)
 		}
 	})
-	e.At(ms(5), func() {
-		if !b.Send(1) { // direct handoff to the blocked receiver
-			t.Error("send to blocked receiver rejected")
-		}
-		if !b.Send(2) { // queued: capacity 1, queue empty
-			t.Error("send into empty queue rejected")
-		}
-	})
+	errs := make([]error, 3)
+	for i := range errs {
+		k.NewThread("client", PrioTS, 0, func(th *Thread) {
+			th.Sleep(ms(5))
+			_, errs[i] = b.Call(th, i)
+		})
+	}
 	e.Run()
-	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
-		t.Fatalf("got %v", got)
+	// Call 0 is handed to the blocked server, call 1 queues (capacity 1,
+	// queue empty), call 2 finds the queue full before the server runs.
+	if errs[0] != nil || errs[1] != nil || !errors.Is(errs[2], ErrPortFull) {
+		t.Fatalf("errs = %v, want [nil nil ErrPortFull]", errs)
+	}
+	if len(served) != 2 || served[0] != 0 || served[1] != 1 {
+		t.Fatalf("served %v, want [0 1]", served)
 	}
 }
 
@@ -154,9 +181,12 @@ func TestBoundedPortCallFullAndDead(t *testing.T) {
 	e := sim.NewEngine(1)
 	k := NewKernel(e)
 	b := k.NewBoundedPort("svc", 1)
-	b.Send("occupant") // fill the queue; no server is receiving
-	var errFull, errDead error
+	var errOccupant, errFull, errDead error
+	k.NewThread("occupant", PrioTS, 0, func(th *Thread) {
+		_, errOccupant = b.Call(th, "occupant") // fills the queue; no server is receiving
+	})
 	k.NewThread("client", PrioTS, 0, func(th *Thread) {
+		th.Sleep(ms(1))
 		_, errFull = b.Call(th, "req")
 		b.Destroy()
 		_, errDead = b.Call(th, "req")
@@ -168,7 +198,10 @@ func TestBoundedPortCallFullAndDead(t *testing.T) {
 	if !errors.Is(errDead, ErrPortDead) {
 		t.Fatalf("call against destroyed port = %v, want ErrPortDead", errDead)
 	}
-	if b.Rejected() != 2 { // the plain Send that filled it was accepted
+	if !errors.Is(errOccupant, ErrPortDead) {
+		t.Fatalf("queued call at Destroy = %v, want ErrPortDead", errOccupant)
+	}
+	if b.Rejected() != 2 { // the queued call was accepted, then dropped
 		t.Fatalf("Rejected = %d, want 2", b.Rejected())
 	}
 }
@@ -201,7 +234,7 @@ func TestBoundedPortDestroyWakesCallers(t *testing.T) {
 }
 
 // ReceiveCall reports destruction via ok=false — the server loop's exit
-// signal — and a Receive on an already-destroyed plain port returns a
+// signal — and a Receive on an already-destroyed one-way port returns a
 // DeadName message instead of blocking.
 func TestReceiveOnDestroyedPort(t *testing.T) {
 	e := sim.NewEngine(1)
@@ -289,5 +322,55 @@ func TestPortPingPongAllocs(t *testing.T) {
 	e.RunFor(ms(10)) // past the first rounds: every queue at its high-water mark
 	if got := testing.AllocsPerRun(rounds, func() { e.RunFor(ms(2)) }); got != 0 {
 		t.Fatalf("allocs per round = %v, want 0", got)
+	}
+}
+
+// A call handed to a blocked server is the server's to answer even when
+// the port is destroyed before the server runs; a call still queued behind
+// it is dropped with ErrPortDead, and the server's next ReceiveCall reports
+// the destruction.
+func TestRPCAnswersCallTakenBeforeDestroy(t *testing.T) {
+	e := sim.NewEngine(1)
+	k := NewKernel(e)
+	b := k.NewBoundedPort("svc", 4)
+	var served []any
+	exited := false
+	k.NewThread("server", PrioTS, 0, func(th *Thread) {
+		for {
+			req, reply, ok := b.ReceiveCall(th)
+			if !ok {
+				exited = true
+				return
+			}
+			served = append(served, req)
+			reply(req.(int) * 10)
+		}
+	})
+	var resps [2]any
+	var errs [2]error
+	for i := range resps {
+		k.NewThread("client", PrioTS, 0, func(th *Thread) {
+			th.Sleep(ms(5))
+			resps[i], errs[i] = b.Call(th, i+1)
+		})
+	}
+	// At 5 ms call 1 is handed to the blocked server and call 2 queues;
+	// the destroyer wakes after both and before the server runs.
+	k.NewThread("destroyer", PrioTS, 0, func(th *Thread) {
+		th.Sleep(ms(5))
+		if b.Len() != 1 {
+			t.Errorf("queued calls at Destroy = %d, want 1", b.Len())
+		}
+		b.Destroy()
+	})
+	e.Run()
+	if errs[0] != nil || resps[0] != 10 {
+		t.Fatalf("call taken before Destroy = %v, %v; want 10, nil", resps[0], errs[0])
+	}
+	if !errors.Is(errs[1], ErrPortDead) {
+		t.Fatalf("queued call = %v, %v; want ErrPortDead", resps[1], errs[1])
+	}
+	if len(served) != 1 || served[0] != 1 || !exited {
+		t.Fatalf("server served %v, exited %v; want [1], true", served, exited)
 	}
 }

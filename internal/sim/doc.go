@@ -20,7 +20,7 @@
 //     one per event.
 //
 //   - Processes: Engine.Spawn starts a coroutine (iter.Pull) with sequential
-//     blocking semantics (Sleep, Block/Unblock, Queue.Get). Exactly one
+//     blocking semantics (Sleep, Block/Unblock, Waiter.Wait). Exactly one
 //     process or event callback executes at any moment; each switch is a
 //     direct coroutine handoff between the engine and the process, so
 //     processes interleave deterministically in (time, seq) order just like

@@ -21,7 +21,7 @@ const schedTurnEvery = 8
 // Proc is a simulated sequential process: a coroutine whose execution is
 // interleaved deterministically with the engine's events. At most one
 // process (or event callback) runs at a time; a process gives up control
-// only at explicit blocking points (Sleep, Block, Queue.Get, ...).
+// only at explicit blocking points (Sleep, Block, Waiter.Wait, ...).
 type Proc struct {
 	eng  *Engine
 	name string

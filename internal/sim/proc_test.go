@@ -206,103 +206,6 @@ func TestWaiterWakeOneOnEmpty(t *testing.T) {
 	}
 }
 
-func TestWaiterRemove(t *testing.T) {
-	e := NewEngine(1)
-	w := NewWaiter("q")
-	woken := false
-	p := e.Spawn("victim", func(p *Proc) {
-		w.Wait(p)
-		woken = true
-	})
-	e.At(ms(5), func() {
-		if !w.Remove(p) {
-			t.Error("Remove did not find the waiting process")
-		}
-		if w.Remove(p) {
-			t.Error("second Remove should report false")
-		}
-		w.WakeAll()
-	})
-	e.RunUntil(ms(50))
-	if woken {
-		t.Fatal("removed process was woken by WakeAll")
-	}
-}
-
-func TestQueuePutGet(t *testing.T) {
-	e := NewEngine(1)
-	q := NewQueue[int]("ints")
-	var got []int
-	e.Spawn("consumer", func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			got = append(got, q.Get(p))
-		}
-	})
-	e.At(ms(10), func() { q.Put(1) })
-	e.At(ms(20), func() { q.Put(2); q.Put(3) })
-	e.Run()
-	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("got %v", got)
-	}
-}
-
-func TestQueueGetBeforePut(t *testing.T) {
-	e := NewEngine(1)
-	q := NewQueue[string]("s")
-	var at Time
-	e.Spawn("c", func(p *Proc) {
-		if v := q.Get(p); v != "hello" {
-			t.Errorf("Get = %q", v)
-		}
-		at = e.Now()
-	})
-	e.At(ms(33), func() { q.Put("hello") })
-	e.Run()
-	if at != ms(33) {
-		t.Fatalf("consumer resumed at %v, want 33ms", at)
-	}
-}
-
-func TestQueueTryGetAndDrain(t *testing.T) {
-	q := NewQueue[int]("t")
-	if _, ok := q.TryGet(); ok {
-		t.Fatal("TryGet on empty queue reported ok")
-	}
-	q.Put(1)
-	q.Put(2)
-	if v, ok := q.TryGet(); !ok || v != 1 {
-		t.Fatalf("TryGet = %v,%v", v, ok)
-	}
-	q.Put(3)
-	got := q.Drain()
-	if len(got) != 2 || got[0] != 2 || got[1] != 3 {
-		t.Fatalf("Drain = %v", got)
-	}
-	if q.Len() != 0 {
-		t.Fatal("queue not empty after Drain")
-	}
-}
-
-func TestQueueMultipleConsumersFIFO(t *testing.T) {
-	e := NewEngine(1)
-	q := NewQueue[int]("fair")
-	var winners []string
-	consumer := func(name string) {
-		e.Spawn(name, func(p *Proc) {
-			q.Get(p)
-			winners = append(winners, name)
-		})
-	}
-	consumer("c1")
-	consumer("c2")
-	e.At(ms(10), func() { q.Put(100) })
-	e.At(ms(20), func() { q.Put(200) })
-	e.Run()
-	if len(winners) != 2 || winners[0] != "c1" || winners[1] != "c2" {
-		t.Fatalf("winners = %v, want [c1 c2]", winners)
-	}
-}
-
 func TestManyProcsNoGoroutineDeadlock(t *testing.T) {
 	e := NewEngine(1)
 	total := 0

@@ -1,7 +1,8 @@
 package sim
 
-// Waiter is a FIFO list of blocked processes. It is the building block for
-// higher-level synchronization (queues, ports, mutexes).
+// Waiter is a FIFO list of blocked processes, the building block for
+// higher-level synchronization (the buffer cache's fill waits, a network
+// link's senders).
 type Waiter struct {
 	reason string // "wait:" + name, built once
 	procs  []*Proc
@@ -42,71 +43,3 @@ func (w *Waiter) WakeAll() int {
 
 // Len returns the number of waiting processes.
 func (w *Waiter) Len() int { return len(w.procs) }
-
-// Remove drops a process from the wait list without waking it (used for
-// timeouts). It reports whether the process was on the list.
-func (w *Waiter) Remove(p *Proc) bool {
-	for i, q := range w.procs {
-		if q == p {
-			w.procs = append(w.procs[:i], w.procs[i+1:]...)
-			return true
-		}
-	}
-	return false
-}
-
-// Queue is an unbounded FIFO message queue with blocking receive. Put never
-// blocks; Get blocks the calling process until an item is available.
-type Queue[T any] struct {
-	name    string
-	items   []T
-	waiters *Waiter
-}
-
-// NewQueue returns an empty queue; name appears in block reasons.
-func NewQueue[T any](name string) *Queue[T] {
-	return &Queue[T]{name: name, waiters: NewWaiter(name)}
-}
-
-// Put appends an item and wakes one waiting receiver if present. It may be
-// called from any engine context (event callback or process).
-func (q *Queue[T]) Put(v T) {
-	q.items = append(q.items, v)
-	q.waiters.WakeOne()
-}
-
-// Get removes and returns the oldest item, blocking the calling process
-// while the queue is empty.
-func (q *Queue[T]) Get(p *Proc) T {
-	for len(q.items) == 0 {
-		q.waiters.Wait(p)
-	}
-	v := q.items[0]
-	var zero T
-	q.items[0] = zero
-	q.items = q.items[1:]
-	return v
-}
-
-// TryGet removes and returns the oldest item without blocking. The second
-// result reports whether an item was available.
-func (q *Queue[T]) TryGet() (T, bool) {
-	var zero T
-	if len(q.items) == 0 {
-		return zero, false
-	}
-	v := q.items[0]
-	q.items[0] = zero
-	q.items = q.items[1:]
-	return v, true
-}
-
-// Len returns the number of queued items.
-func (q *Queue[T]) Len() int { return len(q.items) }
-
-// Drain removes and returns all queued items.
-func (q *Queue[T]) Drain() []T {
-	out := q.items
-	q.items = nil
-	return out
-}

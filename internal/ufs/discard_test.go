@@ -417,10 +417,9 @@ func TestDiscardMatchesReadAt(t *testing.T) {
 }
 
 // TestClientDiscardAllocation checks that a timing-only read allocates
-// nothing: a warm 256 KB File.Discard allocates no object, and through
-// the Unix server a 256 KB Client.Discard allocates no more than one
-// that reads nothing at the end of the file. What both calls allocate is
-// the RPC's own (the envelope, reply port and boxed messages).
+// nothing: a warm 256 KB File.Discard allocates no object, and neither
+// does a 256 KB Client.Discard through the Unix server, whose call port
+// carries the request unboxed and answers into a reused call record.
 func TestClientDiscardAllocation(t *testing.T) {
 	const size = 256 << 10
 	e := sim.NewEngine(1)
@@ -474,11 +473,9 @@ func TestClientDiscardAllocation(t *testing.T) {
 		t.Errorf("warm 256 KB File.Discard: %v allocations per call, want 0", n)
 	}
 
-	// Through the server: calls of 256 KB from the start and of nothing
-	// at the end, on one client thread.
+	// Through the server, on one client thread.
 	k := srv.th.Kernel()
 	calls := 0
-	var off int64
 	k.NewThread("cat", rtm.PrioTS, 0, func(th *rtm.Thread) {
 		c := NewClient(srv, th)
 		fd, err := c.Open("/f")
@@ -487,8 +484,8 @@ func TestClientDiscardAllocation(t *testing.T) {
 			return
 		}
 		for {
-			if _, err := c.Discard(fd, off, size); err != nil {
-				t.Error(err)
+			if n, err := c.Discard(fd, 0, size); n != size || err != nil {
+				t.Errorf("Client.Discard: %d %v", n, err)
 			}
 			calls++
 		}
@@ -502,12 +499,7 @@ func TestClientDiscardAllocation(t *testing.T) {
 	for range 3 {
 		call()
 	}
-	full := testing.AllocsPerRun(50, call)
-	off = size
-	call()
-	empty := testing.AllocsPerRun(50, call)
-	if full != empty {
-		t.Errorf("warm 256 KB Client.Discard: %v allocations per call, a read of nothing %v", full, empty)
+	if n := testing.AllocsPerRun(50, call); n != 0 {
+		t.Errorf("warm 256 KB Client.Discard: %v allocations per call, want 0", n)
 	}
-	t.Logf("allocations per Client.Discard: %v (the RPC's own)", full)
 }

@@ -20,10 +20,12 @@ const (
 // server). All application file access funnels through its one request
 // port, which is what makes the Unix path vulnerable to priority inversion:
 // a high-priority client's request can sit behind a low-priority client's
-// request that is already occupying the server and the disk.
+// request that is already occupying the server and the disk. The port is
+// unbounded: a file call waits out any backlog rather than being turned
+// away.
 type Server struct {
 	fs   *FileSystem
-	port *rtm.Port
+	port *rtm.RPC[request, reply]
 	th   *rtm.Thread
 
 	fds    map[int]*File
@@ -33,69 +35,59 @@ type Server struct {
 	Calls int64
 }
 
-type (
-	openReq   struct{ path string }
-	createReq struct{ path string }
-	mkdirReq  struct{ path string }
-	readReq   struct {
-		fd  int
-		off int64
-		n   int
-		buf []byte // n bytes of the caller's, filled in place (read(2)'s copyout); nil discards them
-	}
-	writeReq struct {
-		fd   int
-		off  int64
-		data []byte
-	}
-	preallocReq struct {
-		fd   int
-		size int64
-	}
-	blockMapReq struct {
-		fd  int
-		buf []uint32 // the caller's buffer, filled in place when large enough
-	}
-	statReq    struct{ path string }
-	unlinkReq  struct{ path string }
-	readDirReq struct{ path string }
-	closeReq   struct{ fd int }
-	syncReq    struct{}
+// op names a Unix-server request.
+type op int
 
-	fdResp struct {
-		fd  int
-		err error
+const (
+	opOpen op = iota
+	opCreate
+	opMkdir
+	opRead
+	opWrite
+	opPrealloc
+	opBlockMap
+	opStat
+	opUnlink
+	opReadDir
+	opClose
+	opSync
+)
+
+type (
+	// request is every Unix-server call: op says which, and the fields it
+	// names carry the arguments.
+	request struct {
+		op   op
+		path string // open, create, mkdir, stat, unlink, readdir
+		fd   int    // read, write, prealloc, blockmap, close
+		off  int64  // read, write
+		n    int    // read: bytes wanted
+		size int64  // prealloc
+		// data is a write's payload, or the caller's buffer a read fills in
+		// place (read(2)'s copyout); a read with nil data discards its bytes.
+		data   []byte
+		blocks []uint32 // blockmap: the caller's buffer, filled in place when large enough
 	}
-	ioResp struct { // replies to reads and writes
-		n   int
-		err error
-	}
-	blockMapResp struct {
-		blocks []uint32
-		size   int64
+	// reply is every Unix-server answer; each op sets err and its own
+	// result fields.
+	reply struct {
+		fd     int      // open, create
+		n      int      // read, write
+		size   int64    // blockmap
+		blocks []uint32 // blockmap
+		st     Stat
+		ents   []DirEntry
 		err    error
 	}
-	statResp struct {
-		st  Stat
-		err error
-	}
-	readDirResp struct {
-		ents []DirEntry
-		err  error
-	}
-	errResp struct{ err error }
 )
 
 // NewServer starts the Unix server thread at the given priority (typically
 // rtm.PrioTS) and returns its handle.
 func NewServer(k *rtm.Kernel, fs *FileSystem, prio int, quantum sim.Time) *Server {
-	s := &Server{fs: fs, port: k.NewPort("unix-server"), fds: make(map[int]*File), nextFd: 3}
+	s := &Server{fs: fs, port: rtm.NewRPC[request, reply]("unix-server", rtm.Unbounded), fds: make(map[int]*File), nextFd: 3}
 	s.th = k.NewThread("unix-server", prio, quantum, s.loop)
 	return s
 }
-
-// Port returns the server's request port.
-func (s *Server) Port() *rtm.Port { return s.port }
 
 // Thread returns the server thread.
 func (s *Server) Thread() *rtm.Thread { return s.th }
@@ -105,10 +97,13 @@ func (s *Server) FS() *FileSystem { return s.fs }
 
 func (s *Server) loop(t *rtm.Thread) {
 	for {
-		req, reply := s.port.ReceiveCall(t)
+		req, respond, ok := s.port.ReceiveCall(t)
+		if !ok {
+			return
+		}
 		s.Calls++
 		t.Compute(CostSyscall)
-		reply(s.handle(t, req))
+		respond(s.handle(t, req))
 	}
 }
 
@@ -120,74 +115,60 @@ func (s *Server) file(fd int) (*File, error) {
 	return f, nil
 }
 
-func (s *Server) handle(t *rtm.Thread, req any) any {
+// newFd installs an opened file under the next descriptor.
+func (s *Server) newFd(f *File, err error) reply {
+	if err != nil {
+		return reply{err: err}
+	}
+	fd := s.nextFd
+	s.nextFd++
+	s.fds[fd] = f
+	return reply{fd: fd}
+}
+
+func (s *Server) handle(t *rtm.Thread, r request) reply {
 	p := t.Proc()
-	switch r := req.(type) {
-	case openReq:
-		f, err := s.fs.Open(p, r.path)
-		if err != nil {
-			return fdResp{err: err}
-		}
-		fd := s.nextFd
-		s.nextFd++
-		s.fds[fd] = f
-		return fdResp{fd: fd}
-	case createReq:
-		f, err := s.fs.Create(p, r.path)
-		if err != nil {
-			return fdResp{err: err}
-		}
-		fd := s.nextFd
-		s.nextFd++
-		s.fds[fd] = f
-		return fdResp{fd: fd}
-	case mkdirReq:
-		return errResp{err: s.fs.Mkdir(p, r.path)}
-	case readReq:
-		f, err := s.file(r.fd)
-		if err != nil {
-			return ioResp{err: err}
-		}
-		n, err := f.read(p, r.buf, r.off, r.n)
+	switch r.op {
+	case opOpen:
+		return s.newFd(s.fs.Open(p, r.path))
+	case opCreate:
+		return s.newFd(s.fs.Create(p, r.path))
+	case opMkdir:
+		return reply{err: s.fs.Mkdir(p, r.path)}
+	case opStat:
+		st, err := s.fs.Stat(p, r.path)
+		return reply{st: st, err: err}
+	case opUnlink:
+		return reply{err: s.fs.Unlink(p, r.path)}
+	case opReadDir:
+		ents, err := s.fs.ReadDir(p, r.path)
+		return reply{ents: ents, err: err}
+	case opClose:
+		delete(s.fds, r.fd)
+		return reply{}
+	case opSync:
+		s.fs.Sync(p)
+		return reply{}
+	}
+	f, err := s.file(r.fd)
+	if err != nil {
+		return reply{err: err}
+	}
+	switch r.op {
+	case opRead:
+		n, err := f.read(p, r.data, r.off, r.n)
 		t.Compute(CostPerBlock * sim.Time(1+(n-1)/BlockSize))
-		return ioResp{n: n, err: err}
-	case writeReq:
-		f, err := s.file(r.fd)
-		if err != nil {
-			return ioResp{err: err}
-		}
+		return reply{n: n, err: err}
+	case opWrite:
 		t.Compute(CostPerBlock * sim.Time(1+(len(r.data)-1)/BlockSize))
 		n, err := f.WriteAt(p, r.data, r.off)
-		return ioResp{n: n, err: err}
-	case preallocReq:
-		f, err := s.file(r.fd)
-		if err != nil {
-			return errResp{err: err}
-		}
-		return errResp{err: f.Preallocate(p, r.size)}
-	case blockMapReq:
-		f, err := s.file(r.fd)
-		if err != nil {
-			return blockMapResp{err: err}
-		}
-		blocks, err := f.BlockMap(p, r.buf)
-		return blockMapResp{blocks: blocks, size: f.Size(p), err: err}
-	case statReq:
-		st, err := s.fs.Stat(p, r.path)
-		return statResp{st: st, err: err}
-	case unlinkReq:
-		return errResp{err: s.fs.Unlink(p, r.path)}
-	case readDirReq:
-		ents, err := s.fs.ReadDir(p, r.path)
-		return readDirResp{ents: ents, err: err}
-	case closeReq:
-		delete(s.fds, r.fd)
-		return errResp{}
-	case syncReq:
-		s.fs.Sync(p)
-		return errResp{}
+		return reply{n: n, err: err}
+	case opPrealloc:
+		return reply{err: f.Preallocate(p, r.size)}
+	default: // opBlockMap
+		blocks, err := f.BlockMap(p, r.blocks)
+		return reply{blocks: blocks, size: f.Size(p), err: err}
 	}
-	return errResp{err: fmt.Errorf("ufs: unknown request %T", req)}
 }
 
 // Client is a thread-side stub for calling the Unix server.
@@ -199,21 +180,32 @@ type Client struct {
 // NewClient binds a calling thread to a server.
 func NewClient(srv *Server, th *rtm.Thread) *Client { return &Client{srv: srv, th: th} }
 
+// call performs one Unix-server RPC. The server's port is unbounded and
+// never destroyed, so Call cannot fail; were it to, the port's error would
+// be the reply's.
+func (c *Client) call(req request) reply {
+	r, err := c.srv.port.Call(c.th, req)
+	if err != nil {
+		r.err = err
+	}
+	return r
+}
+
 // Open opens an existing file and returns its descriptor.
 func (c *Client) Open(path string) (int, error) {
-	r := c.srv.port.Call(c.th, openReq{path: path}).(fdResp)
+	r := c.call(request{op: opOpen, path: path})
 	return r.fd, r.err
 }
 
 // Create makes a new file and returns its descriptor.
 func (c *Client) Create(path string) (int, error) {
-	r := c.srv.port.Call(c.th, createReq{path: path}).(fdResp)
+	r := c.call(request{op: opCreate, path: path})
 	return r.fd, r.err
 }
 
 // Mkdir creates a directory.
 func (c *Client) Mkdir(path string) error {
-	return c.srv.port.Call(c.th, mkdirReq{path: path}).(errResp).err
+	return c.call(request{op: opMkdir, path: path}).err
 }
 
 // ReadAt reads up to len(buf) bytes at off from an open file into buf and
@@ -221,7 +213,7 @@ func (c *Client) Mkdir(path string) error {
 // as read(2) copies out into the caller's buffer, so a caller that reuses
 // one buffer reads without allocating.
 func (c *Client) ReadAt(fd int, buf []byte, off int64) (int, error) {
-	r := c.srv.port.Call(c.th, readReq{fd: fd, off: off, n: len(buf), buf: buf}).(ioResp)
+	r := c.call(request{op: opRead, fd: fd, off: off, n: len(buf), data: buf})
 	return r.n, r.err
 }
 
@@ -231,7 +223,7 @@ func (c *Client) ReadAt(fd int, buf []byte, off int64) (int, error) {
 // (File.Discard). It is the read of a caller that never looks at the
 // data, like cat > /dev/null.
 func (c *Client) Discard(fd int, off int64, n int) (int, error) {
-	r := c.srv.port.Call(c.th, readReq{fd: fd, off: off, n: n}).(ioResp)
+	r := c.call(request{op: opRead, fd: fd, off: off, n: n})
 	return r.n, r.err
 }
 
@@ -244,13 +236,13 @@ func (c *Client) Read(fd int, off int64, n int) ([]byte, error) {
 
 // Write writes data at off.
 func (c *Client) Write(fd int, off int64, data []byte) (int, error) {
-	r := c.srv.port.Call(c.th, writeReq{fd: fd, off: off, data: data}).(ioResp)
+	r := c.call(request{op: opWrite, fd: fd, off: off, data: data})
 	return r.n, r.err
 }
 
 // Preallocate extends a file with placed but unwritten blocks.
 func (c *Client) Preallocate(fd int, size int64) error {
-	return c.srv.port.Call(c.th, preallocReq{fd: fd, size: size}).(errResp).err
+	return c.call(request{op: opPrealloc, fd: fd, size: size}).err
 }
 
 // BlockMapInto returns the file's physical block map and size. The server
@@ -258,7 +250,7 @@ func (c *Client) Preallocate(fd int, size int64) error {
 // fills its buffer, so a caller that reuses one buffer maps files without
 // allocating.
 func (c *Client) BlockMapInto(fd int, buf []uint32) ([]uint32, int64, error) {
-	r := c.srv.port.Call(c.th, blockMapReq{fd: fd, buf: buf}).(blockMapResp)
+	r := c.call(request{op: opBlockMap, fd: fd, blocks: buf})
 	return r.blocks, r.size, r.err
 }
 
@@ -267,27 +259,27 @@ func (c *Client) BlockMap(fd int) ([]uint32, int64, error) { return c.BlockMapIn
 
 // Stat returns file metadata.
 func (c *Client) Stat(path string) (Stat, error) {
-	r := c.srv.port.Call(c.th, statReq{path: path}).(statResp)
+	r := c.call(request{op: opStat, path: path})
 	return r.st, r.err
 }
 
 // Unlink removes a file.
 func (c *Client) Unlink(path string) error {
-	return c.srv.port.Call(c.th, unlinkReq{path: path}).(errResp).err
+	return c.call(request{op: opUnlink, path: path}).err
 }
 
 // ReadDir lists a directory.
 func (c *Client) ReadDir(path string) ([]DirEntry, error) {
-	r := c.srv.port.Call(c.th, readDirReq{path: path}).(readDirResp)
+	r := c.call(request{op: opReadDir, path: path})
 	return r.ents, r.err
 }
 
 // Close releases a descriptor.
 func (c *Client) Close(fd int) error {
-	return c.srv.port.Call(c.th, closeReq{fd: fd}).(errResp).err
+	return c.call(request{op: opClose, fd: fd}).err
 }
 
 // Sync flushes all dirty state to disk.
 func (c *Client) Sync() error {
-	return c.srv.port.Call(c.th, syncReq{}).(errResp).err
+	return c.call(request{op: opSync}).err
 }
