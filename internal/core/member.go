@@ -289,12 +289,7 @@ func (s *Server) reconstructFrag(fg *readFrag, budgets []sim.Time) bool {
 		budgets[f.Disk] -= s.cfg.Params.OpCost(int64(f.Count) * 512)
 		nfg := s.reads.addFrag(tag, f, true)
 		tag.fragsLeft++
-		if tag.cyc != nil {
-			tag.cyc.remaining++
-			dc := &tag.cyc.disks[f.Disk]
-			dc.ops++
-			dc.bytes += nfg.bytes()
-		}
+		tag.cyc.issue(nfg)
 		s.submitFrag(nfg)
 	}
 	return true

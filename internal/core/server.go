@@ -148,17 +148,65 @@ type diskCycle struct {
 	calculated sim.Time
 }
 
-// cycleStat tracks one scheduler interval's disk batch for the admission
-// accuracy experiments (Figures 8 and 9).
-type cycleStat struct {
+// cycleRecord is one scheduler interval's disk batch: what the admission
+// accuracy experiments (Figures 8 and 9), the I/O-overrun check and the
+// traced cycle summary read. Its methods do all of the batch's accounting;
+// readPool recycles it once the batch's last fragment has landed.
+type cycleRecord struct {
 	cycle     int
 	submitted sim.Time
 	streams   int
 	bytes     int64 // logical bytes
-	reads     int   // logical reads
-	remaining int   // fragments not yet finally absorbed
+	remaining int   // fragments issued and not yet finally landed
 	lastDone  sim.Time
 	disks     []diskCycle
+}
+
+// issue books fragment fg, about to be submitted, on its member disk.
+//
+//crasvet:hotpath
+func (r *cycleRecord) issue(fg *readFrag) {
+	dc := &r.disks[fg.disk]
+	dc.ops++
+	dc.bytes += fg.bytes()
+	r.remaining++
+}
+
+// land books fg's final completion (a retried fragment lands once, when
+// its last attempt completes) and reports whether the batch is done.
+//
+//crasvet:hotpath
+func (r *cycleRecord) land(fg *readFrag) bool {
+	r.disks[fg.disk].serviceSum += fg.completed - fg.started
+	if fg.completed > r.lastDone {
+		r.lastDone = fg.completed
+	}
+	r.remaining--
+	return r.remaining == 0
+}
+
+// accuracy is the finished batch's outcome for Figures 8 and 9. The
+// "actual disk I/O time" compared against the estimate is, per member
+// disk, the mechanism time the member's fragments consumed plus the delay
+// from a non-real-time request that was in service when the batch was
+// submitted — the quantities formulas (9)-(15) bound. The members work in
+// parallel and the batch barriers on the slowest, so both the actual and
+// the calculated batch time are the worst member's. Queueing behind a
+// previous overrunning batch is deliberately excluded: that is a symptom
+// of oversubscription, not estimation error.
+//
+//crasvet:hotpath
+func (r *cycleRecord) accuracy() AccuracyRecord {
+	a := AccuracyRecord{Cycle: r.cycle, Streams: r.streams, Bytes: r.bytes}
+	for i := range r.disks {
+		dc := &r.disks[i]
+		if dc.ops == 0 {
+			continue
+		}
+		a.Actual = max(a.Actual, dc.otherDelay+dc.serviceSum)
+		a.Calculated = max(a.Calculated, dc.calculated)
+	}
+	return a
 }
 
 // AccuracyRecord is the per-interval outcome used by Figures 8 and 9: the
@@ -324,17 +372,14 @@ type Server struct {
 
 	// Per-cycle allocation scratch: the logical batch list, one tag's
 	// stripe mapping and the per-member fragment lists are rebuilt every
-	// cycle into retained capacity, and completed cycleStats are recycled
-	// through a free list (safe at remaining==0: every fragment, retries
-	// included, has been finally absorbed). fragDone is the one completion
-	// closure every fragment shares — the fragment rides Request.Tag.
+	// cycle into retained capacity. fragDone is the one completion closure
+	// every fragment shares — the fragment rides Request.Tag.
 	batchScratch []*readTag    //crasvet:confined
 	fragScratch  []disk.Frag   //crasvet:confined
 	perDiskFrags [][]*readFrag //crasvet:confined
-	csFree       []*cycleStat  //crasvet:confined
 	fragDone     func(*disk.Request, []byte)
 
-	// reads recycles read tags and fragments (readPool).
+	// reads recycles read tags, fragments and cycle records (readPool).
 	reads readPool //crasvet:confined
 
 	// Consecutive-I/O-overrun tracking for server-wide shedding,
@@ -654,6 +699,8 @@ func (s *Server) Unwedge() { s.wedged = false }
 // scheduleCycle is one run of the request scheduler thread: stamp the data
 // retrieved during the previous interval into the shared buffers, discard
 // obsolete data, then issue the next interval's reads in cylinder order.
+// Simulated time moves only at the CPU charge, so every phase before the
+// submit runs at now.
 //
 //crasvet:hotpath
 func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
@@ -676,22 +723,43 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 		return false
 	}
 
-	// Phase 0: the I/O watchdog. A request whose completion interrupt is
-	// overdue is canceled; the abort completes through the normal I/O-done
-	// path, so the cycle accounting below unwedges without special cases.
+	// Phase 0: the I/O watchdog. Phase 1: the completion barrier, then
+	// stamp and discard.
 	s.watchdogScan(now, cycle)
+	s.absorbCompletions()
+	stamped := s.stampStreams(now)
 
-	// Phase 1: absorb completions delivered by the I/O-done manager. On a
-	// plain striped volume a failed fragment of a healthy stream is
-	// re-issued on its member disk while that disk's share of the
-	// interval's spare time allows (the deadline-budgeted retry policy);
-	// past that budget the fragment is surrendered, and when its tag's
-	// last fragment lands the stream drops the affected chunks and plays
-	// on. On a parity volume retrying first would cost a full cycle per
-	// attempt — enough to miss the play-out deadline — so a failed read
-	// fragment goes straight to XOR reconstruction from the survivors,
-	// and every raw failure feeds the member health ladder immediately.
-	stamped := int64(0)
+	// Advance the degradation ladder from the failures just absorbed, flag
+	// sessions whose client stopped touching them for the reaper, then the
+	// member ladder and rebuild scavenger (parity volumes).
+	s.updateStreamHealth(now)
+	s.scanLeases(now)
+	s.ladderPromoteStep(now)
+	s.memberStep(now)
+
+	// Phase 2: plan the next interval's reads, pay for the scheduling work
+	// itself, and hand the batch to the disks.
+	batch, active := s.planReads(now)
+	t.Compute(costCycleBase + costPerRequest*sim.Time(len(batch)) + costPerStamp*sim.Time(stamped))
+	if len(batch) > 0 {
+		s.submitBatch(cycle, active, batch, stamped)
+	}
+	return !s.stopping
+}
+
+// absorbCompletions is phase 1's barrier: it absorbs the completions the
+// I/O-done manager delivered. On a plain striped volume a failed fragment
+// of a healthy stream is re-issued on its member disk while that disk's
+// share of the interval's spare time allows (the deadline-budgeted retry
+// policy); past that budget the fragment is surrendered, and when its
+// tag's last fragment lands the stream drops the affected chunks and plays
+// on. On a parity volume retrying first would cost a full cycle per
+// attempt — enough to miss the play-out deadline — so a failed read
+// fragment goes straight to XOR reconstruction from the survivors, and
+// every raw failure feeds the member health ladder immediately.
+//
+//crasvet:hotpath
+func (s *Server) absorbCompletions() {
 	budgets := s.retrySpares()
 	s.dropCompleted()
 	for _, fg := range s.doneQ {
@@ -716,21 +784,13 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 			tag.s.stats.ReadRetries++
 			s.stats.ReadRetries++
 			s.submitFrag(fg)
-			continue // final accounting happens when the retry completes
+			continue // the retry lands in the batch when it completes
 		}
 		if fg.err != nil && tag.err == nil {
 			tag.err = fg.err
 		}
-		if tag.cyc != nil {
-			dc := &tag.cyc.disks[fg.disk]
-			tag.cyc.remaining--
-			dc.serviceSum += fg.completed - fg.started
-			if fg.completed > tag.cyc.lastDone {
-				tag.cyc.lastDone = fg.completed
-			}
-			if tag.cyc.remaining == 0 {
-				s.finishCycleStat(tag.cyc)
-			}
+		if tag.cyc.land(fg) {
+			s.finishCycle(tag.cyc)
 		}
 		tag.fragsLeft--
 		if tag.fragsLeft > 0 {
@@ -753,6 +813,15 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 		}
 	}
 	s.doneQ = s.doneQ[:0]
+}
+
+// stampStreams stamps what the last interval retrieved into each open
+// stream's buffer, fans feeds out to their members, pins cache and prefix
+// chunks, then discards what has played. It returns the chunks stamped.
+//
+//crasvet:hotpath
+func (s *Server) stampStreams(now sim.Time) int64 {
+	stamped := int64(0)
 	for _, st := range s.openStreams() {
 		if st.closed {
 			continue
@@ -783,22 +852,18 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 		}
 	}
 	s.stats.ChunksStamped += stamped
+	return stamped
+}
 
-	// Advance the degradation ladder from the failures just absorbed, then
-	// flag sessions whose client stopped touching them for the reaper.
-	s.updateStreamHealth(now)
-	s.scanLeases(now)
-	s.ladderPromoteStep(now)
-
-	// Member ladder and rebuild scavenger (parity volumes): operator ops,
-	// health transitions, and the next spare-paced batch of rebuild rows.
-	s.memberStep(now)
-
-	// Phase 2: collect the reads for the next interval. Suspended streams
-	// stopped their clock and fetch nothing; eviction released the rest.
+// planReads collects the reads for the next interval and the number of
+// streams that issued any. Suspended streams stopped their clock and fetch
+// nothing; eviction released the rest. The batch lives in per-cycle
+// scratch; the tags themselves are owned by their streams' pending lists.
+//
+//crasvet:hotpath
+func (s *Server) planReads(now sim.Time) (batch []*readTag, active int) {
 	horizonAt := now + 2*s.cfg.Interval
-	batch := s.batchScratch[:0]
-	active := 0
+	batch = s.batchScratch[:0]
 	for _, st := range s.openStreams() {
 		if st.closed || st.paused || st.health >= Suspended {
 			continue
@@ -841,31 +906,28 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 			active++
 		}
 	}
-	// The scratch keeps whatever capacity this cycle's batch grew to; the
-	// tags themselves are owned by their streams' pending lists.
 	s.batchScratch = batch
+	return batch, active
+}
 
-	// CPU cost of the scheduling work itself.
-	t.Compute(costCycleBase + costPerRequest*sim.Time(len(batch)) + costPerStamp*sim.Time(stamped))
-
-	if len(batch) == 0 {
-		return !s.stopping
-	}
-
-	// Fan the logical batch out into per-member-disk fragment lists. Each
-	// member's list is issued in cylinder order (the disk's RT queue also
-	// C-SCANs, but CRAS hands over a sorted batch as the paper describes);
-	// the members then service their queues in parallel, and the barrier in
-	// phase 1 completes each tag with its slowest fragment.
-	cs := s.newCycleStat(cycle, active)
+// submitBatch fans the logical batch out into per-member-disk fragment
+// lists, books each fragment in a fresh cycle record, and issues each
+// member's list in cylinder order (the disk's RT queue also C-SCANs, but
+// CRAS hands over a sorted batch as the paper describes); the members then
+// service their queues in parallel, and absorbCompletions' barrier
+// completes each tag with its slowest fragment.
+//
+//crasvet:hotpath
+func (s *Server) submitBatch(cycle, active int, batch []*readTag, stamped int64) {
+	r := s.reads.cycle(s.vol.NumDisks())
+	r.cycle, r.submitted, r.streams = cycle, s.k.Now(), active
 	perDisk := s.perDiskFrags
 	for d := range perDisk {
 		perDisk[d] = perDisk[d][:0]
 	}
 	for _, tag := range batch {
-		cs.bytes += tag.hi - tag.lo
-		cs.reads++
-		tag.cyc = cs
+		r.bytes += tag.hi - tag.lo
+		tag.cyc = r
 		s.stats.ReadsIssued++
 		s.stats.BytesRead += tag.hi - tag.lo
 		// Reads on a parity volume use the read-optimized fragment plan,
@@ -889,12 +951,9 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 			}
 			fg := s.reads.addFrag(tag, f, false)
 			perDisk[f.Disk] = append(perDisk[f.Disk], fg) //crasvet:allow hotalloc -- append into per-cycle scratch; capacity retained across cycles
-			dc := &cs.disks[f.Disk]
-			dc.ops++
-			dc.bytes += fg.bytes()
+			r.issue(fg)
 		}
 		tag.fragsLeft = len(tag.frags)
-		cs.remaining += len(tag.frags)
 		if tag.fragsLeft == 0 {
 			// Every fragment landed on the dead member: the write is wholly
 			// parity-carried and the tag is complete at zero disk cost.
@@ -906,9 +965,9 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 	// an interval's fetch for one stream can split across extents (and, on
 	// a volume, across members). The a-priori admission test keeps the
 	// paper's per-stream N, evaluated per member.
-	for d := range cs.disks {
-		if cs.disks[d].ops > 0 {
-			cs.disks[d].calculated = s.cfg.Params.CalculatedIOTime(cs.disks[d].ops, cs.disks[d].bytes)
+	for d := range r.disks {
+		if r.disks[d].ops > 0 {
+			r.disks[d].calculated = s.cfg.Params.CalculatedIOTime(r.disks[d].ops, r.disks[d].bytes)
 		}
 	}
 	for d, frags := range perDisk {
@@ -916,7 +975,7 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 			continue
 		}
 		sortFragsByLBA(frags)
-		cs.disks[d].otherDelay = s.vol.Disk(d).ActiveNonRTRemaining()
+		r.disks[d].otherDelay = s.vol.Disk(d).ActiveNonRTRemaining()
 		for _, fg := range frags {
 			s.submitFrag(fg)
 		}
@@ -924,31 +983,8 @@ func (s *Server) scheduleCycle(t *rtm.Thread, cycle int) bool {
 	if s.k.Engine().Tracing() {
 		//crasvet:allow hotalloc -- one trace summary per cycle, on traced runs only
 		s.k.Engine().Tracef("cras: cycle %d: %d streams, %d ops (%d fragments), %d bytes, %d chunks stamped",
-			cycle, active, len(batch), cs.remaining, cs.bytes, stamped)
+			r.cycle, r.streams, len(batch), r.remaining, r.bytes, stamped)
 	}
-	return !s.stopping
-}
-
-// newCycleStat takes a cycleStat off the free list (or allocates one on a
-// pool miss), with its per-member accounting zeroed.
-//
-//crasvet:hotpath
-func (s *Server) newCycleStat(cycle, active int) *cycleStat {
-	var cs *cycleStat
-	if n := len(s.csFree); n > 0 {
-		cs, s.csFree = s.csFree[n-1], s.csFree[:n-1]
-		disks := cs.disks
-		for i := range disks {
-			disks[i] = diskCycle{}
-		}
-		*cs = cycleStat{disks: disks}
-	} else {
-		cs = &cycleStat{disks: make([]diskCycle, s.vol.NumDisks())} //crasvet:allow hotalloc -- pool miss: allocates once per high-water mark of outstanding batches
-	}
-	cs.cycle = cycle
-	cs.submitted = s.k.Now()
-	cs.streams = active
-	return cs
 }
 
 // sortFragsByLBA orders one member's fragment list in ascending LBA — the
@@ -1020,46 +1056,21 @@ func (s *Server) dropCompleted() {
 	s.inflight = s.inflight[:n]
 }
 
-// finishCycleStat records a completed batch's accuracy and checks the
-// I/O deadline (end of the interval that issued it). The "actual disk I/O
-// time" compared against the estimate is, per member disk, the mechanism
-// time the member's fragments consumed plus the delay from a non-real-time
-// request that was in service when the batch was submitted — the
-// quantities formulas (9)-(15) bound. The members work in parallel and the
-// batch barriers on the slowest, so both the actual and the calculated
-// batch time are the worst member's. Queueing behind a previous
-// overrunning batch is deliberately excluded: that is a symptom of
-// oversubscription, not estimation error.
+// finishCycle reports a batch whose last fragment has landed: its
+// Figures 8/9 record to OnAccuracy, and an IOOverrun to the deadline
+// manager when it finished past the end of the interval that issued it.
+// Nothing can touch the record again, so it goes back to the pool.
 //
 //crasvet:hotpath
-func (s *Server) finishCycleStat(cs *cycleStat) {
+func (s *Server) finishCycle(r *cycleRecord) {
 	if s.OnAccuracy != nil {
-		var actual, calculated sim.Time
-		for i := range cs.disks {
-			dc := &cs.disks[i]
-			if dc.ops == 0 {
-				continue
-			}
-			if a := dc.otherDelay + dc.serviceSum; a > actual {
-				actual = a
-			}
-			if dc.calculated > calculated {
-				calculated = dc.calculated
-			}
-		}
-		s.OnAccuracy(AccuracyRecord{
-			Cycle: cs.cycle, Streams: cs.streams, Bytes: cs.bytes,
-			Actual: actual, Calculated: calculated,
-		})
+		s.OnAccuracy(r.accuracy())
 	}
-	deadline := cs.submitted + s.cfg.Interval
-	if cs.lastDone > deadline {
-		s.deadlinePort.Send(IOOverrun{Cycle: cs.cycle, LateBy: cs.lastDone - deadline})
+	deadline := r.submitted + s.cfg.Interval
+	if r.lastDone > deadline {
+		s.deadlinePort.Send(IOOverrun{Cycle: r.cycle, LateBy: r.lastDone - deadline})
 	}
-	// remaining==0 means every fragment of every tag in this batch — retries
-	// included, which keep remaining held until their final completion — has
-	// been absorbed; nothing can touch the stat again, so it is recyclable.
-	s.csFree = append(s.csFree, cs) //crasvet:allow hotalloc -- free-list push; capacity retained across cycles
+	s.reads.putCycle(r)
 }
 
 // ---- request manager operations ----

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -527,6 +528,48 @@ func TestAccuracyRecordsCollected(t *testing.T) {
 				}
 			}
 		})
+}
+
+// TestTracedCycleSummary pins the per-cycle summary a traced run prints
+// (crastrace's "cras: cycle" lines, its -grep cycle filter) on a short
+// two-stream run: the batch's streams, logical reads, fragments, bytes and
+// chunks stamped, stamped with the simulated time of the submit.
+func TestTracedCycleSummary(t *testing.T) {
+	movies := map[string]*media.StreamInfo{
+		"/m1": media.MPEG1().Generate("/m1", 6*time.Second),
+		"/m2": media.MPEG1().Generate("/m2", 6*time.Second),
+	}
+	var got []string
+	newBed(t, 1, ufs.Options{}, Config{}, movies, func(b *bed, th *rtm.Thread) {
+		b.e.SetTracer(func(at sim.Time, format string, args ...any) {
+			if line := fmt.Sprintf(format, args...); strings.HasPrefix(line, "cras: cycle ") {
+				got = append(got, fmt.Sprintf("%v %s", at, line))
+			}
+		})
+		for _, path := range []string{"/m1", "/m2"} {
+			h, err := b.cras.Open(th, movies[path], path, OpenOptions{})
+			if err != nil {
+				t.Errorf("Open %s: %v", path, err)
+				return
+			}
+			h.Start(th)
+		}
+		th.Sleep(3 * time.Second)
+		b.e.SetTracer(nil)
+	})
+	want := []string{
+		"500.46ms cras: cycle 1: 2 streams, 4 ops (4 fragments), 212992 bytes, 0 chunks stamped",
+		"1.00086s cras: cycle 2: 2 streams, 2 ops (2 fragments), 180224 bytes, 32 chunks stamped",
+		"1.50083s cras: cycle 3: 2 streams, 2 ops (2 fragments), 196608 bytes, 30 chunks stamped",
+		"2.00091s cras: cycle 4: 2 streams, 4 ops (4 fragments), 180224 bytes, 30 chunks stamped",
+		"2.50083s cras: cycle 5: 2 streams, 2 ops (2 fragments), 180224 bytes, 30 chunks stamped",
+	}
+	if len(got) > len(want) {
+		got = got[:len(want)]
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("traced cycle summaries:\n%s\nwant:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
 }
 
 func TestShutdownStopsServer(t *testing.T) {

@@ -164,7 +164,7 @@ func (s *stream) touch(now sim.Time) {
 type readTag struct {
 	s         *stream
 	gen       int
-	cyc       *cycleStat
+	cyc       *cycleRecord
 	lo, hi    int64 // file byte range
 	lba       int64 // logical volume LBA
 	sectors   int
@@ -205,14 +205,17 @@ func (f *readFrag) bytes() int64 { return int64(f.sectors) * 512 }
 // fragment completes for the final time after a seek, reverse or fallback
 // has dropped it from pending (generation bumped, stream still open). A
 // closed stream keeps its pending tags, and a tag dropped after it was
-// done is left to the collector.
+// done is left to the collector. A cycle record goes back when the last
+// fragment of its batch, retries and reconstructions included, has landed
+// (finishCycle).
 type readPool struct {
-	tags  []*readTag
-	frags []*readFrag
+	tags   []*readTag
+	frags  []*readFrag
+	cycles []*cycleRecord
 
 	// poison, a test hook, scribbles over every record handed back and
 	// keeps it out of reuse, so a holder of a stale pointer meets a nil
-	// stream or tag instead of another read's live record.
+	// stream, tag or member list instead of another read's live record.
 	poison bool
 }
 
@@ -266,6 +269,29 @@ func (p *readPool) put(t *readTag) {
 	}
 	*t = readTag{frags: t.frags[:0]}
 	p.tags = append(p.tags, t) //crasvet:allow hotalloc -- free-list push; capacity retained at the high-water mark
+}
+
+// cycle returns a zeroed record for a batch over disks members, from the
+// pool when one is there, keeping the pooled record's member list.
+func (p *readPool) cycle(disks int) *cycleRecord {
+	if n := len(p.cycles); n > 0 {
+		r := p.cycles[n-1]
+		p.cycles = p.cycles[:n-1]
+		clear(r.disks)
+		*r = cycleRecord{disks: r.disks}
+		return r
+	}
+	return &cycleRecord{disks: make([]diskCycle, disks)} //crasvet:allow hotalloc -- pool miss: one record per batch in flight at the high-water mark
+}
+
+// putCycle hands back a finished batch's record. Poisoned, the record
+// loses its member list, so a late issue or land panics.
+func (p *readPool) putCycle(r *cycleRecord) {
+	if p.poison {
+		*r = cycleRecord{cycle: -1, streams: -1, bytes: -1, remaining: -1}
+		return
+	}
+	p.cycles = append(p.cycles, r) //crasvet:allow hotalloc -- free-list push; capacity retained at the high-water mark
 }
 
 // seekTo drops the scheduled window and points both walk cursors at the

@@ -135,9 +135,6 @@ func (d *Disk) Params() Params { return d.par }
 // Stats returns a copy of the accumulated statistics.
 func (d *Disk) Stats() Stats { return d.stats }
 
-// ResetStats zeroes the accumulated statistics.
-func (d *Disk) ResetStats() { d.stats = Stats{} }
-
 // Arm returns the cylinder the arm is currently positioned over.
 func (d *Disk) Arm() int { return d.arm }
 

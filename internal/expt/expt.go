@@ -93,15 +93,6 @@ type PlaybackResult struct {
 	admissionRejected int
 }
 
-// TotalThroughput sums delivered bytes/second across players.
-func (r *PlaybackResult) TotalThroughput() float64 {
-	var sum float64
-	for _, p := range r.Players {
-		sum += p.Throughput()
-	}
-	return sum
-}
-
 // OnTimeThroughput sums on-time bytes/second across players.
 func (r *PlaybackResult) OnTimeThroughput() float64 {
 	var sum float64

@@ -113,9 +113,6 @@ func (n *Network) Config() Config { return n.cfg }
 // Stats returns a copy of the link statistics.
 func (n *Network) Stats() Stats { return n.stats }
 
-// Reserved returns the sum of active reservations in bytes/second.
-func (n *Network) Reserved() float64 { return n.reserved }
-
 // Channel is one flow across the link.
 type Channel struct {
 	net  *Network

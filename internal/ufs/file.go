@@ -96,11 +96,6 @@ func (f *File) WriteAt(p *sim.Proc, data []byte, off int64) (int, error) {
 	return written, nil
 }
 
-// Append writes data at the end of the file.
-func (f *File) Append(p *sim.Proc, data []byte) (int, error) {
-	return f.WriteAt(p, data, f.Size(p))
-}
-
 // Preallocate extends the file to newSize bytes by allocating blocks
 // without writing their payloads. This is the extension the paper's
 // conclusion calls for so that continuous media can later be *written* at a
