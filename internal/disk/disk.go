@@ -75,6 +75,7 @@ type Disk struct {
 	name string
 
 	sectors map[int64]*slab // keyed by lba/slabSectors
+	chunk   []byte          // where the store's next sector buffers come from (newSector)
 
 	// faultInjector, when set, is consulted at completion time; a non-nil
 	// return fails the request with that error. A testing and
@@ -403,6 +404,25 @@ const slabSectors = 16
 // single metadata sector stays a single sector's worth of memory.
 type slab [slabSectors][]byte
 
+// sectorChunk is how many sector buffers the store carves from one
+// allocation: a set-up writes thousands of sectors, and one allocation per
+// sector was most of its cost.
+const sectorChunk = 32
+
+// newSector returns a sector buffer for the store's first payload of a
+// sector, carved from the disk's current chunk. A buffer whose sector is
+// later written with zeros leaves the store, and its chunk is freed once
+// none of the chunk's sectors is stored any more.
+func (d *Disk) newSector() []byte {
+	ss := d.geo.SectorSize
+	if len(d.chunk) < ss {
+		d.chunk = make([]byte, sectorChunk*ss) //crasvet:allow hotalloc -- one allocation per 32 first payloads: new file data the store owns from now on
+	}
+	sec := d.chunk[:ss:ss]
+	d.chunk = d.chunk[ss:]
+	return sec
+}
+
 func (s *slab) empty() bool {
 	for _, sec := range s {
 		if sec != nil {
@@ -458,7 +478,7 @@ func (d *Disk) writeSlab(key int64, off, n int, src []byte) {
 			d.sectors[key] = s
 		}
 		if s[off+j] == nil {
-			s[off+j] = make([]byte, ss) //crasvet:allow hotalloc -- first payload of a sector; a rewrite reuses the buffer
+			s[off+j] = d.newSector() // a rewrite reuses the buffer
 		}
 		copy(s[off+j], sec)
 	}

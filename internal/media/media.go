@@ -287,14 +287,17 @@ func EncodeControl(s *StreamInfo) []byte { return appendControl(nil, s) }
 // extended slice; with a dst of enough capacity it allocates nothing.
 func appendControl(dst []byte, s *StreamInfo) []byte {
 	le := binary.LittleEndian
-	dst = slices.Grow(dst, 8+32*len(s.Chunks))
-	dst = le.AppendUint32(dst, ctlMagic)
-	dst = le.AppendUint32(dst, uint32(len(s.Chunks)))
-	for _, c := range s.Chunks {
-		dst = le.AppendUint64(dst, uint64(c.Timestamp))
-		dst = le.AppendUint64(dst, uint64(c.Duration))
-		dst = le.AppendUint64(dst, uint64(c.Size))
-		dst = le.AppendUint64(dst, uint64(c.Offset))
+	at := len(dst)
+	dst = slices.Grow(dst, 8+32*len(s.Chunks))[:at+8+32*len(s.Chunks)]
+	out := dst[at:]
+	le.PutUint32(out[0:], ctlMagic)
+	le.PutUint32(out[4:], uint32(len(s.Chunks)))
+	for i, c := range s.Chunks {
+		rec := out[8+32*i : 8+32*(i+1)]
+		le.PutUint64(rec[0:], uint64(c.Timestamp))
+		le.PutUint64(rec[8:], uint64(c.Duration))
+		le.PutUint64(rec[16:], uint64(c.Size))
+		le.PutUint64(rec[24:], uint64(c.Offset))
 	}
 	return dst
 }

@@ -256,3 +256,34 @@ func TestBmpFindClear(t *testing.T) {
 		}
 	}
 }
+
+// TestBmpClearRun checks the run measure and the run setter against
+// bit-at-a-time loops over every range of a few bitmaps with set bits at
+// word, byte and bit boundaries.
+func TestBmpClearRun(t *testing.T) {
+	const nbits = 200
+	for _, set := range [][]int{nil, {0}, {7}, {8}, {63}, {64}, {65}, {127}, {128}, {199}, {3, 70, 150}} {
+		bmp := make([]byte, nbits/8)
+		for _, s := range set {
+			bmpSet(bmp, s)
+		}
+		for from := 0; from <= nbits; from++ {
+			for to := from; to <= nbits; to++ {
+				want := 0
+				for b := from; b < to && !bmpGet(bmp, b); b++ {
+					want++
+				}
+				if got := bmpClearRun(bmp, from, to); got != want {
+					t.Fatalf("set %v: bmpClearRun(%d, %d) = %d, want %d", set, from, to, got, want)
+				}
+				got := slices.Clone(bmp)
+				bmpSetRun(got, from, to)
+				for b := 0; b < nbits; b++ {
+					if w := bmpGet(bmp, b) || from <= b && b < to; bmpGet(got, b) != w {
+						t.Fatalf("set %v: bmpSetRun(%d, %d): bit %d is %v, want %v", set, from, to, b, !w, w)
+					}
+				}
+			}
+		}
+	}
+}

@@ -109,6 +109,9 @@ func (f *File) WriteAt(p *sim.Proc, data []byte, off int64) (int, error) {
 // the per-block walk's lookups of it (and of the double-indirect block
 // above it) are skipped while the cache shows they would only count hits,
 // and replayed as soon as an allocation has moved them (a group load).
+// There the allocations come in runs (claimRun): every block the walk
+// would place right after the one before, in a group already loaded, is
+// claimed with its neighbours in one step.
 func (f *File) Preallocate(p *sim.Proc, newSize int64) error {
 	fs := f.fs
 	in := fs.getInode(p, f.ino)
@@ -130,6 +133,13 @@ func (f *File) Preallocate(p *sim.Proc, newSize int64) error {
 			// do more than count hits here, so it is done.
 			goal = f.allocGoalFor(p, fbn)
 		case buf != nil && l == prevLeaf:
+			end := min(PtrsPerBlock, slot+last-fbn)
+			if n := int64(fs.claimRun(buf[slot*4:end*4], goal, fbn)); n > 0 {
+				fs.cache.MarkDirty(int64(leaf))
+				fbn += n - 1
+				goal = fs.goalAfter(goal+uint32(n-1), fbn+1)
+				continue
+			}
 			prev, err := fs.fillSlot(p, buf, leaf, slot, goal, false)
 			if err != nil {
 				return err

@@ -281,6 +281,45 @@ func bmpFindClear(bmp []byte, from, to int) int {
 	return -1
 }
 
+// bmpClearRun returns how many bits of bmp from from on are clear, up to
+// to: the length of the run of clear bits that starts at from. Like
+// bmpFindClear it tests whole words where it can, then whole bytes.
+func bmpClearRun(bmp []byte, from, to int) int {
+	for i := from; i < to; {
+		switch {
+		case i%64 == 0 && i+64 <= to:
+			if w := binary.LittleEndian.Uint64(bmp[i/8:]); w != 0 {
+				return i + bits.TrailingZeros64(w) - from
+			}
+			i += 64
+		case i%8 == 0 && i+8 <= to:
+			if b := bmp[i/8]; b != 0 {
+				return i + bits.TrailingZeros8(b) - from
+			}
+			i += 8
+		default:
+			if bmpGet(bmp, i) {
+				return i - from
+			}
+			i++
+		}
+	}
+	return max(to-from, 0)
+}
+
+// bmpSetRun sets the bits of bmp in [from, to), whole bytes where it can.
+func bmpSetRun(bmp []byte, from, to int) {
+	for i := from; i < to; {
+		if i%8 == 0 && i+8 <= to {
+			bmp[i/8] = 0xff
+			i += 8
+			continue
+		}
+		bmpSet(bmp, i)
+		i++
+	}
+}
+
 // ErrTooSmall is returned by Format when the disk cannot hold even one
 // cylinder group.
 var ErrTooSmall = errors.New("ufs: disk too small")
@@ -338,9 +377,14 @@ func Format(d BlockDevice, opts Options) (*Super, error) {
 		clear(hdr)
 		g.encode(hdr, sb)
 		pokeBlock(d, int64(g.start), hdr)
-		// Zero the inode blocks.
-		for b := uint32(0); b < sb.InodeBlocksPerG; b++ {
-			pokeBlock(d, int64(g.start+1+b), zero)
+		// Zero the inode blocks, unless no sector of them holds a payload:
+		// zeros over blank sectors store nothing, so a fresh device skips
+		// the writes and a used one still loses its stale inodes.
+		tbl := int64(g.start+1) * SectorsPerBlock
+		if !d.FillSectors(tbl, int(sb.InodeBlocksPerG)*SectorsPerBlock, nil) {
+			for b := uint32(0); b < sb.InodeBlocksPerG; b++ {
+				pokeBlock(d, int64(g.start+1+b), zero)
+			}
 		}
 	}
 

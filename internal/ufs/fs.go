@@ -83,6 +83,10 @@ type FileSystem struct {
 
 	lastAllocGroup int
 
+	// allocSteps counts the allocator's steps: each allocBlockNear call
+	// and each run claimRun places (AllocSteps).
+	allocSteps int64
+
 	// dirBuf is readDir's reused buffer.
 	dirBuf []byte
 }
@@ -123,6 +127,11 @@ func (fs *FileSystem) Cache() *Cache { return fs.cache }
 
 // Disk returns the underlying disk.
 func (fs *FileSystem) Disk() BlockDevice { return fs.dsk }
+
+// AllocSteps returns how many steps the block allocator has taken since
+// the mount: one per allocBlockNear call and one per run of blocks
+// Preallocate claims at once. A layout's CPU cost follows it.
+func (fs *FileSystem) AllocSteps() int64 { return fs.allocSteps }
 
 // ---- group and inode state ----
 
@@ -217,6 +226,7 @@ func (fs *FileSystem) Sync(p *sim.Proc) {
 // bitmap is searched a word or a byte at a time (bmpFindClear), skipping
 // full ones.
 func (fs *FileSystem) allocBlockNear(p *sim.Proc, goal uint32) (uint32, error) {
+	fs.allocSteps++
 	ngroups := int(fs.sb.NGroups)
 	startGroup := fs.lastAllocGroup
 	startOff := -1
@@ -247,6 +257,56 @@ func (fs *FileSystem) allocBlockNear(p *sim.Proc, goal uint32) (uint32, error) {
 		}
 	}
 	return 0, ErrNoSpace
+}
+
+// claimRun is a run of allocBlockNear calls taken in one step: the calls
+// a per-block walk makes for file blocks fbn, fbn+1, ... when each goal is
+// the block placed just before it, starting from goal. slots holds those
+// blocks' pointer slots, consecutive in one leaf (and no more than the
+// file has blocks left). While goal's group is loaded and the next goal's
+// bit is clear, each call takes exactly that bit, so the run claims the
+// clear bits from goal on, a word at a time, and fills the slots in one
+// loop. It stops where the next call would do anything else: at the
+// group's end (the next goal loads another group), at a RotDelay boundary
+// (the goal jumps), at a slot that already holds a block (the walk keeps
+// it), and after the group's freeBlocks (the allocator skips a group whose
+// count is spent, whatever its bitmap says). It returns how many slots it
+// filled, 0 when the first call is not one it can take. The caller marks
+// the leaf dirty.
+func (fs *FileSystem) claimRun(slots []byte, goal uint32, fbn int64) int {
+	if goal == 0 || goal >= fs.sb.NBlocks {
+		return 0
+	}
+	gi := int((goal - 1) / fs.sb.BlocksPerGroup)
+	if gi >= int(fs.sb.NGroups) || gi >= len(fs.groups) || fs.groups[gi] == nil {
+		return 0
+	}
+	g := fs.groups[gi]
+	off := int((goal - 1) % fs.sb.BlocksPerGroup)
+	n := min(len(slots)/4, int(g.nblocks)-off, int(g.freeBlocks))
+	if mc := int64(fs.sb.MaxContig); fs.sb.RotDelay > 0 {
+		n = min(n, int(mc-fbn%mc)) // block fbn+k's goal jumps when (fbn+k)%mc == 0
+	}
+	if n <= 0 {
+		return 0
+	}
+	n = bmpClearRun(g.blockBmp, off, off+n)
+	for k := range n {
+		if leUint32(slots[k*4:]) != 0 {
+			n = k
+			break
+		}
+		putLeUint32(slots[k*4:], goal+uint32(k))
+	}
+	if n == 0 {
+		return 0
+	}
+	fs.allocSteps++
+	bmpSetRun(g.blockBmp, off, off+n)
+	g.freeBlocks -= uint32(n)
+	g.dirty = true
+	fs.lastAllocGroup = g.index
+	return n
 }
 
 // blockBit returns the group holding block blk (not 0) and blk's bit in

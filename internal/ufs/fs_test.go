@@ -402,6 +402,85 @@ func TestReformatOverDirtyVolume(t *testing.T) {
 	e.Run()
 }
 
+// TestFormatClearsStaleInodeTables formats over devices whose inode tables
+// hold stale payload (in every sector of some groups, in one sector of
+// others, in none of the rest), on a bare disk and on a parity volume.
+// Format skips the tables it finds blank, so this is what keeps it zeroing
+// the others: afterwards every inode block must read as zeros but for the
+// root's inode, and every member's sectors, parity included, must be those
+// of a fresh format.
+func TestFormatClearsStaleInodeTables(t *testing.T) {
+	opts := Options{BlocksPerGroup: 256, InodeBlocksPerG: 2}
+	g, dp := disk.ST32550N()
+	g.Cylinders, g.Heads = 40, 4
+	devices := map[string]func(e *sim.Engine) (BlockDevice, []*disk.Disk){
+		"disk": func(e *sim.Engine) (BlockDevice, []*disk.Disk) {
+			d := disk.New(e, "sd0", g, dp)
+			return d, []*disk.Disk{d}
+		},
+		"parity": func(e *sim.Engine) (BlockDevice, []*disk.Disk) {
+			members := make([]*disk.Disk, 3)
+			for i := range members {
+				members[i] = disk.New(e, fmt.Sprintf("sd%d", i), g, dp)
+			}
+			v, err := disk.NewParityVolume("par", members, 2*SectorsPerBlock)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return v, members
+		},
+	}
+	for name, newDevice := range devices {
+		fresh, freshMembers := newDevice(sim.NewEngine(1))
+		sb, err := Format(fresh, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		used, usedMembers := newDevice(sim.NewEngine(1))
+		if _, err := Format(used, opts); err != nil {
+			t.Fatal(err)
+		}
+		stale := bytes.Repeat([]byte{0xA5}, BlockSize)
+		for gi := uint32(0); gi < sb.NGroups; gi++ {
+			tbl := int64(1+gi*sb.BlocksPerGroup+1) * SectorsPerBlock
+			switch gi % 3 {
+			case 0:
+				for b := range int64(sb.InodeBlocksPerG) {
+					used.PokeSectors(tbl+b*SectorsPerBlock, stale)
+				}
+			case 1:
+				last := tbl + int64(sb.InodeBlocksPerG)*SectorsPerBlock - 1
+				used.PokeSectors(last, stale[:512])
+			}
+		}
+		if _, err := Format(used, opts); err != nil {
+			t.Fatal(err)
+		}
+		blk := make([]byte, BlockSize)
+		for gi := uint32(0); gi < sb.NGroups; gi++ {
+			for b := range sb.InodeBlocksPerG {
+				lba := int64(1+gi*sb.BlocksPerGroup+1+b) * SectorsPerBlock
+				used.PeekSectors(lba, blk)
+				if gi == 0 && b == 0 {
+					clear(blk[RootIno*InodeSize : (RootIno+1)*InodeSize])
+				}
+				if !allZeroBytes(blk) {
+					t.Errorf("%s: group %d inode block %d holds stale bytes after Format", name, gi, b)
+				}
+			}
+		}
+		for i, m := range usedMembers {
+			want := make([]byte, g.TotalSectors()*512)
+			got := make([]byte, len(want))
+			freshMembers[i].PeekSectors(0, want)
+			m.PeekSectors(0, got)
+			if !bytes.Equal(got, want) || m.StoredSectors() != freshMembers[i].StoredSectors() {
+				t.Errorf("%s: member %d differs from a fresh format's (%d sectors stored, fresh %d)", name, i, m.StoredSectors(), freshMembers[i].StoredSectors())
+			}
+		}
+	}
+}
+
 func TestDirectoryOperations(t *testing.T) {
 	withFS(t, Options{}, func(p *sim.Proc, fs *FileSystem) {
 		if err := fs.Mkdir(p, "/a"); err != nil {

@@ -97,10 +97,10 @@ func imageSectors(img []byte) (lbas []int64, data []byte) {
 	return lbas, data
 }
 
-// mountAndCheck mounts d and, if it mounts, runs Check, maps every file
-// of the directories it can list and then unlinks everything listed. The
-// image may be anything: errors are fine, a panic is the bug the fuzz
-// targets look for.
+// mountAndCheck mounts d and, if it mounts, runs Check, maps and grows
+// by preallocation every file of the directories it can list and then
+// unlinks everything listed. The image may be anything: errors are fine,
+// a panic is the bug the fuzz targets look for.
 func mountAndCheck(e *sim.Engine, d *disk.Disk) {
 	e.Spawn("check", func(p *sim.Proc) {
 		fs, err := Mount(p, d, Options{})
@@ -119,11 +119,14 @@ func mountAndCheck(e *sim.Engine, d *disk.Disk) {
 				}
 				if f, err := fs.Open(p, dir+"/"+ent.Name); err == nil {
 					_, _ = f.BlockMap(p, nil) // any outcome but a panic is fine
+					// The write side: three more blocks, placed through
+					// bitmaps and free counts nobody checked.
+					_ = f.Preallocate(p, f.Size(p)+3*BlockSize)
 				}
 			}
 		}
-		// Then the write side: unlink every listed entry, the
-		// subdirectory's first so that it is empty when its own goes.
+		// Then unlink every listed entry, the subdirectory's first so that
+		// it is empty when its own goes.
 		for _, dir := range []string{"/d", "/"} {
 			ents, err := fs.ReadDir(p, dir)
 			if err != nil {
@@ -152,7 +155,8 @@ func overlayDisk(e *sim.Engine, lbas []int64, base, data []byte) *disk.Disk {
 
 // FuzzMount: a formatted image whose written sectors are overwritten, in
 // LBA order, by the input mounts or fails with an error; Check, the
-// directory walk and the unlinks on what mounts never panic.
+// directory walk, the preallocations and the unlinks on what mounts never
+// panic.
 func FuzzMount(f *testing.F) {
 	lbas, base := imageSectors(fuzzImage(f))
 	f.Fuzz(func(t *testing.T, data []byte) {

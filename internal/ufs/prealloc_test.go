@@ -443,6 +443,137 @@ func TestPreallocateMatchesBlockWalk(t *testing.T) {
 	if st.noSpace == 0 || st.dindirect == 0 || st.pending == 0 || st.appends == 0 || st.multiGroups == 0 {
 		t.Errorf("scripts missed a case they exist for: %+v", st)
 	}
+	for _, c := range preallocStops() {
+		if got, want := runPreallocStop(c, false), runPreallocStop(c, true); got != want {
+			t.Errorf("%s: differs from the per-block walk:\n%s", c.name, lineDiff(got, want))
+		}
+	}
+}
+
+// preallocStop is a scripted layout of one file, /f, whose runs of
+// claimed blocks end at one of claimRun's stop conditions. Random scripts
+// reach every condition only now and then; these reach each on purpose.
+type preallocStop struct {
+	name string
+	opts Options
+	// script lays /f out through prealloc, Preallocate or the per-block
+	// walk to size bytes, and may edit the file system's state between
+	// calls.
+	script func(p *sim.Proc, fs *FileSystem, f *File, prealloc func(size int64) error) error
+}
+
+// preallocStops returns the scripted layouts: a run ends at a leaf's end,
+// at a group's end (next group loaded), at the file's end, at RotDelay
+// boundaries, at a slot past the end of the file that already holds a
+// block while the next bit is clear, and after a group's free count when
+// the count is lower than its clear bits, or spent.
+func preallocStops() []preallocStop {
+	blocks := func(n int64) int64 { return n * BlockSize }
+	stops := []preallocStop{
+		{"leaf end", Options{BlocksPerGroup: 4096, InodeBlocksPerG: 1}, func(p *sim.Proc, fs *FileSystem, f *File, prealloc func(int64) error) error {
+			return prealloc(blocks(NDirect + 2*PtrsPerBlock + 100))
+		}},
+		{"group end, next group loaded", Options{BlocksPerGroup: 128, InodeBlocksPerG: 1}, func(p *sim.Proc, fs *FileSystem, f *File, prealloc func(int64) error) error {
+			// Load every group, and let each count more free blocks than
+			// its bitmap shows, so that only the group's end stops a run.
+			fs.FreeBlocks(p)
+			for _, g := range fs.groups {
+				g.freeBlocks = fs.sb.BlocksPerGroup
+			}
+			return prealloc(blocks(700))
+		}},
+		{"file end", Options{BlocksPerGroup: 512, InodeBlocksPerG: 1}, func(p *sim.Proc, fs *FileSystem, f *File, prealloc func(int64) error) error {
+			for _, size := range []int64{blocks(20), blocks(20) + 1, blocks(300) - 100, blocks(301), blocks(900), blocks(NDirect + PtrsPerBlock + 3)} {
+				if err := prealloc(size); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+		{"slot set past the end", Options{BlocksPerGroup: 2048, InodeBlocksPerG: 1}, func(p *sim.Proc, fs *FileSystem, f *File, prealloc func(int64) error) error {
+			if err := prealloc(blocks(600)); err != nil {
+				return err
+			}
+			// Free the blocks of file blocks 150-169 and 300-304 and clear
+			// their slots, but point 160's slot at 400's block: the run from
+			// 150 meets a set slot while 160's old block is clear.
+			in := fs.getInode(p, f.ino)
+			slot := func(fbn int64) int64 { return (fbn - NDirect) * 4 }
+			buf := fs.cache.Get(p, int64(in.Indirect))
+			var freed []uint32
+			for _, r := range [][2]int64{{150, 170}, {300, 305}} {
+				for fbn := r[0]; fbn < r[1]; fbn++ {
+					freed = append(freed, leUint32(buf[slot(fbn):]))
+					putLeUint32(buf[slot(fbn):], 0)
+				}
+			}
+			putLeUint32(buf[slot(160):], leUint32(buf[slot(400):]))
+			fs.cache.MarkDirty(int64(in.Indirect))
+			for _, b := range freed {
+				fs.freeBlock(p, b)
+			}
+			in.Size = blocks(100)
+			return prealloc(blocks(600))
+		}},
+		{"free count below the clear bits", Options{BlocksPerGroup: 512, InodeBlocksPerG: 1}, func(p *sim.Proc, fs *FileSystem, f *File, prealloc func(int64) error) error {
+			fs.getGroup(p, 0).freeBlocks = 40
+			fs.getGroup(p, 1).freeBlocks = 100
+			return prealloc(blocks(900))
+		}},
+		{"free count spent", Options{BlocksPerGroup: 512, InodeBlocksPerG: 1}, func(p *sim.Proc, fs *FileSystem, f *File, prealloc func(int64) error) error {
+			// The direct blocks, the indirect block and file block 12 spend
+			// group 0's count, so the run from block 13 starts on clear bits
+			// of a group the allocator skips; group 1 is skipped too.
+			fs.getGroup(p, 0).freeBlocks = NDirect + 2
+			fs.getGroup(p, 1).freeBlocks = 0
+			return prealloc(blocks(900))
+		}},
+	}
+	for _, mc := range []int{1, 3, 32} {
+		stops = append(stops, preallocStop{fmt.Sprintf("RotDelay, MaxContig %d", mc), Options{BlocksPerGroup: 512, InodeBlocksPerG: 1, MaxContig: mc, RotDelay: 2}, func(p *sim.Proc, fs *FileSystem, f *File, prealloc func(int64) error) error {
+			if err := prealloc(blocks(100)); err != nil {
+				return err
+			}
+			return prealloc(blocks(700))
+		}})
+	}
+	return stops
+}
+
+// runPreallocStop runs a scripted layout on a fresh file system, through
+// Preallocate or, with walk set, the per-block reference, and returns the
+// script's result, the snapshot fsSnapshot takes, and a hash of the device
+// after a Sync.
+func runPreallocStop(c preallocStop, walk bool) string {
+	e := sim.NewEngine(1)
+	d := smallDisk(e)
+	if _, err := Format(d, c.opts); err != nil {
+		panic(err)
+	}
+	var out string
+	e.Spawn("stop", func(p *sim.Proc) {
+		fs, err := Mount(p, d, c.opts)
+		if err != nil {
+			panic(err)
+		}
+		f, err := fs.Create(p, "/f")
+		if err != nil {
+			panic(err)
+		}
+		err = c.script(p, fs, f, func(size int64) error {
+			if walk {
+				return preallocateBlockWalk(p, f, size)
+			}
+			return f.Preallocate(p, size)
+		})
+		snap := fsSnapshot(e, d, fs)
+		fs.Sync(p)
+		h := fnv.New64a()
+		h.Write(deviceBlocks(d, int64(fs.sb.NBlocks)))
+		out = fmt.Sprintf("%v\n%s\ndevice %x", err, snap, h.Sum64())
+	})
+	e.Run()
+	return out
 }
 
 // lineDiff shows the first line where got and want differ.
@@ -565,9 +696,9 @@ func BenchmarkPreallocate(b *testing.B) {
 }
 
 // BenchmarkFormat formats a full-size ST32550N (125 groups); only Format
-// is timed. It reports ns per block written (the superblock, each group's
-// header and inode blocks, and the root's two) beside the allocations per
-// Format.
+// is timed. It reports ns per block laid out (the superblock, each group's
+// header and inode blocks, and the root's two; on this blank device the
+// inode blocks are probed, not written) beside the allocations per Format.
 func BenchmarkFormat(b *testing.B) {
 	g, par := disk.ST32550N()
 	var written int64
