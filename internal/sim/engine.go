@@ -43,9 +43,10 @@ func (t *Timer) Pending() bool {
 func (t *Timer) When() Time { return t.at }
 
 // entry is one calendar slot. It carries its ordering key inline, so the
-// heap compares without touching the timers, and it is live while its seq
-// is still its timer's: cancelling, firing or re-arming the timer changes
-// the timer's seq, which leaves the old entry stale for the engine to skip.
+// calendar compares without touching the timers, and it is live while its
+// seq is still its timer's: cancelling, firing or re-arming the timer
+// changes the timer's seq, which leaves the old entry stale for the engine
+// to skip.
 type entry struct {
 	at  Time
 	seq uint64
@@ -54,11 +55,8 @@ type entry struct {
 
 func (en *entry) live() bool { return en.seq == en.t.seq }
 
-// eventHeap is the calendar: a binary min-heap of entries ordered by
-// (at, seq). The order is total, so the pop sequence is fully determined.
-type eventHeap []entry
-
-// before reports whether a fires before b.
+// before reports whether a fires before b. The order is total, so the
+// firing sequence is fully determined.
 func before(a, b *entry) bool {
 	if a.at != b.at {
 		return a.at < b.at
@@ -66,8 +64,12 @@ func before(a, b *entry) bool {
 	return a.seq < b.seq
 }
 
+// eventHeap is a binary min-heap of entries ordered by (at, seq): the
+// calendar's overflow, for entries past its ring.
+type eventHeap []entry
+
 func (h *eventHeap) push(en entry) {
-	*h = append(*h, en) //crasvet:allow hotalloc -- calendar backing array stabilizes at the high-water mark of pending events
+	*h = append(*h, en) //crasvet:allow hotalloc -- overflow backing array stabilizes at the high-water mark of far events
 	q := *h
 	i := len(q) - 1
 	for i > 0 {
@@ -117,7 +119,6 @@ func (h *eventHeap) pop() entry {
 // into it, so exactly one of them executes at a time.
 type Engine struct {
 	now     Time
-	events  eventHeap
 	seq     uint64
 	seed    int64
 	stopped bool
@@ -126,6 +127,8 @@ type Engine struct {
 	// gives the Go scheduler a turn (see Proc.run).
 	dispatches uint64
 	tracer     func(t Time, format string, args ...any)
+
+	cal calendar
 }
 
 // NewEngine returns an engine positioned at virtual time zero. The seed
@@ -180,7 +183,7 @@ func (e *Engine) Schedule(t *Timer, at Time, fn func()) {
 	}
 	e.seq++
 	t.at, t.seq, t.fn = at, e.seq, fn
-	e.events.push(entry{at: at, seq: e.seq, t: t})
+	e.cal.push(entry{at: at, seq: e.seq, t: t})
 }
 
 // deadline is the virtual time d from now; a negative d panics.
@@ -197,17 +200,23 @@ func (e *Engine) Stop() { e.stopped = true }
 // Step fires the next pending event, advancing virtual time to it. It
 // reports whether an event fired.
 func (e *Engine) Step() bool {
-	for len(e.events) > 0 {
-		en := e.events.pop()
-		if !en.live() {
-			continue
+	for {
+		_, p, s := e.cal.head()
+		if p == empty {
+			return false
 		}
-		e.now = en.at
-		en.t.seq = 0
-		en.t.fn()
-		return true
+		if en := e.cal.pop(p, s); en.live() {
+			e.fire(en)
+			return true
+		}
 	}
-	return false
+}
+
+// fire runs a live entry's event at its time.
+func (e *Engine) fire(en entry) {
+	e.now = en.at
+	en.t.seq = 0
+	en.t.fn()
 }
 
 // Run fires events until the calendar is empty or Stop is called.
@@ -221,18 +230,14 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(t Time) {
 	e.stopped = false
 	for !e.stopped {
-		if len(e.events) == 0 {
+		h, p, s := e.cal.head()
+		if p == empty || h.live() && h.at > t {
 			break
 		}
-		// Skip over stale heads without advancing time.
-		if !e.events[0].live() {
-			e.events.pop()
-			continue
+		// A stale head is dropped without advancing time.
+		if en := e.cal.pop(p, s); en.live() {
+			e.fire(en)
 		}
-		if e.events[0].at > t {
-			break
-		}
-		e.Step()
 	}
 	if e.now < t {
 		e.now = t
@@ -241,15 +246,3 @@ func (e *Engine) RunUntil(t Time) {
 
 // RunFor advances the simulation by d.
 func (e *Engine) RunFor(d Time) { e.RunUntil(e.now + d) }
-
-// PendingEvents returns the number of scheduled events that will still
-// fire: stale calendar entries left by a cancel or a re-arm do not count.
-func (e *Engine) PendingEvents() int {
-	n := 0
-	for i := range e.events {
-		if e.events[i].live() {
-			n++
-		}
-	}
-	return n
-}

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 	"time"
@@ -499,4 +500,54 @@ func BenchmarkEventSchedule(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
+}
+
+// calendarLoad returns an engine holding n owner timers, each re-armed
+// 33 ms ahead when it fires (frame pacing), jittered by up to 100 µs, where
+// every fifth firing also arms its owner's second timer at the current
+// instant (a wake-up handed on). At 1,024 timers the jitter makes a ring
+// insert walk 0.5 list nodes on average (a third of them walk, 1.5 nodes
+// each), near crasperf's workloads at seed 31 (0.2–0.4 nodes per ring
+// insert). Nothing in it allocates once the calendar has grown to its
+// high-water mark.
+func calendarLoad(n int) *Engine {
+	type owner struct {
+		tick, echo Timer
+		fire       func()
+	}
+	e := NewEngine(1)
+	rng := e.RNG("calendar-load")
+	owners := make([]owner, n)
+	fires := 0
+	noop := func() {}
+	for i := range owners {
+		o := &owners[i]
+		o.fire = func() {
+			e.Schedule(&o.tick, e.Now()+33*time.Millisecond+Time(rng.Int63n(int64(100*time.Microsecond))), o.fire)
+			if fires++; fires%5 == 0 && !o.echo.Pending() {
+				e.Schedule(&o.echo, e.Now(), noop)
+			}
+		}
+		e.Schedule(&o.tick, Time(rng.Int63n(int64(33*time.Millisecond))), o.fire)
+	}
+	return e
+}
+
+// BenchmarkEventCalendar times one fired event (one Step) with 64 or 1,024
+// owner timers pending. BenchmarkEventSchedule keeps a single event
+// pending, so it never sees the calendar's cost grow with its size.
+func BenchmarkEventCalendar(b *testing.B) {
+	for _, n := range []int{64, 1024} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			e := calendarLoad(n)
+			for i := 0; i < 20*n; i++ {
+				e.Step()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				e.Step()
+			}
+		})
+	}
 }

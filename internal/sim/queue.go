@@ -17,19 +17,6 @@ func (w *Waiter) Wait(p *Proc) {
 	p.Block(w.reason)
 }
 
-// WakeOne unblocks the longest-waiting process, if any, and reports whether
-// one was woken.
-func (w *Waiter) WakeOne() bool {
-	if len(w.procs) == 0 {
-		return false
-	}
-	p := w.procs[0]
-	copy(w.procs, w.procs[1:])
-	w.procs = w.procs[:len(w.procs)-1]
-	p.Unblock()
-	return true
-}
-
 // WakeAll unblocks every waiting process in FIFO order and returns how many
 // were woken.
 func (w *Waiter) WakeAll() int {
