@@ -69,7 +69,7 @@ func main() {
 			fmt.Printf("     faults=%+v retries=%d denied=%d cancels=%d ladder=%d %s\n",
 				res.Faults, res.Server.ReadRetries, res.Server.RetriesDenied,
 				res.Server.WatchdogCancels, len(res.Ladder), playerSummary(res))
-			fmt.Printf("     replay: %sgo run ./cmd/craschaos -seed %d -only '%s'\n", sc.ReplayEnv(), *seed, sc.Name)
+			fmt.Printf("     replay: go run ./cmd/craschaos -seed %d -only '%s'\n", *seed, sc.Name)
 			continue
 		}
 		if *verbose {

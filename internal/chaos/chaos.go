@@ -12,7 +12,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"time"
 
 	"repro/internal/cluster"
@@ -202,25 +201,6 @@ type Scenario struct {
 // which exempts it (and only it) from the delivery assertions.
 func (sc Scenario) misbehaves() bool {
 	return sc.CrashAt > 0 || sc.GoSilentAt > 0 || sc.SeekStorm > 0
-}
-
-// ReplayEnv returns the environment assignments (trailing space included)
-// a replay command needs in front of `go run`: scenarios that exercise the
-// multicast or cluster layers pin the matching property-test seeds, so the
-// failure's whole seeded neighborhood — the scenario and the property
-// sweeps around it — replays bit-for-bit from one printed line.
-func (sc Scenario) ReplayEnv() string {
-	var parts []string
-	if sc.Multicast {
-		parts = append(parts, fmt.Sprintf("MCAST_PROP_SEED=%d", sc.Seed))
-	}
-	if sc.Cluster > 0 {
-		parts = append(parts, fmt.Sprintf("CLUSTER_PROP_SEED=%d", sc.Seed))
-	}
-	if len(parts) == 0 {
-		return ""
-	}
-	return strings.Join(parts, " ") + " "
 }
 
 // PlayerOutcome is one stream's delivery record: the viewer's frame

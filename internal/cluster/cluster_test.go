@@ -4,14 +4,13 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/lab"
 	"repro/internal/media"
+	"repro/internal/propseed"
 	"repro/internal/rtm"
 	"repro/internal/sim"
 )
@@ -703,17 +702,9 @@ func TestDegradedRateReadmission(t *testing.T) {
 // every viewer terminates; frame accounting conserves (obtained + lost
 // covers the whole title, refused viewers included); quiet and drained
 // clusters lose zero frames; the session registry drains to zero once
-// every viewer closes. Seed overridable with CLUSTER_PROP_SEED.
+// every viewer closes. Seed overridable with PROP_SEED.
 func TestClusterProperties(t *testing.T) {
-	seed := int64(20260807)
-	if env := os.Getenv("CLUSTER_PROP_SEED"); env != "" {
-		v, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("CLUSTER_PROP_SEED %q: %v", env, err)
-		}
-		seed = v
-	}
-	t.Logf("property seed %d (override with CLUSTER_PROP_SEED)", seed)
+	seed := propseed.Seed(t, 20260807)
 	rng := rand.New(rand.NewSource(seed))
 	for trial := 0; trial < 5; trial++ {
 		trial := trial

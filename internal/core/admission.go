@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -28,7 +27,7 @@ type AdmissionParams struct {
 // A stream riding a shared path (shared.go) — an interval-cache follower
 // or a multicast fan-out member — is charged differently: it performs no
 // disk operations — it contributes nothing to R_total, C_total or the
-// per-operation overheads of RequiredInterval — and its buffer charge is
+// per-operation overheads of formula (1) — and its buffer charge is
 // Shared, the interval it trails its producer by plus a double-buffer
 // window at its rate (shareCharge), instead of the double-buffer B_i.
 // Shared is never smaller than B_i, so a dependent falling back to a plain
@@ -139,27 +138,10 @@ func (a AdmissionParams) TotalOverhead(n int) sim.Time {
 	return a.OtherOverhead() + a.SeekOverhead(n) + sim.Time(n)*a.Trot + sim.Time(n)*a.Tcmd
 }
 
-// RequiredInterval is formula (1) solved for the minimum interval time:
-// T >= (O_total*D + C_total) / (D - R_total). It returns an error when the
-// aggregate rate meets or exceeds the disk rate (no interval suffices).
-// Shared-path and paused streams read nothing from the disk: they
-// contribute no rate, no chunk slack and no per-operation overhead to the
-// batch.
-func (a AdmissionParams) RequiredInterval(streams []StreamParams) (sim.Time, error) {
-	f := admissionFold{shape: VolumeShape{Disks: 1}}
-	for _, s := range streams {
-		f.add(s)
-	}
-	need, ok := a.requiredInterval(f.disk, f.rate, f.chunk)
-	if !ok {
-		return 0, errors.New(rateRefusal(f.rate, a.D))
-	}
-	return need, nil
-}
-
-// requiredInterval is formula (1) for n disk-fed operations moving rTotal
-// bytes/second plus cTotal bytes of slack; ok is false when rTotal meets or
-// exceeds the disk rate.
+// requiredInterval is formula (1) solved for the minimum interval time,
+// T >= (O_total*D + C_total) / (D - R_total), for n disk-fed operations
+// moving rTotal bytes/second plus cTotal bytes of slack; ok is false when
+// rTotal meets or exceeds the disk rate (no interval suffices).
 func (a AdmissionParams) requiredInterval(n int, rTotal float64, cTotal int64) (need sim.Time, ok bool) {
 	if n == 0 {
 		return 0, true

@@ -121,25 +121,25 @@ func TestAdmissionEdgeCases(t *testing.T) {
 func TestRequiredIntervalEdges(t *testing.T) {
 	p := edgeParams()
 
-	if got, err := p.RequiredInterval(nil); err != nil || got != 0 {
-		t.Errorf("RequiredInterval(nil) = %v, %v; want 0, nil", got, err)
+	if got, ok := requiredIntervalOf(p, nil); !ok || got != 0 {
+		t.Errorf("required interval of no streams = %v, %v; want 0, true", got, ok)
 	}
 
 	// At the bound the formula divides by zero; the implementation must
 	// reject instead.
-	if _, err := p.RequiredInterval([]StreamParams{{Rate: p.D, Chunk: 1}}); err == nil {
-		t.Error("RequiredInterval at R_total == D should fail")
+	if _, ok := requiredIntervalOf(p, []StreamParams{{Rate: p.D, Chunk: 1}}); ok {
+		t.Error("required interval at R_total == D should fail")
 	}
 
 	// The returned minimum interval is itself admissible, and shaving it
 	// is not: T_min is tight.
 	streams := []StreamParams{{Rate: 1e6, Chunk: 64 << 10}, {Rate: 5e5, Chunk: 32 << 10}}
-	tmin, err := p.RequiredInterval(streams)
-	if err != nil {
-		t.Fatalf("RequiredInterval: %v", err)
+	tmin, ok := requiredIntervalOf(p, streams)
+	if !ok {
+		t.Fatal("required interval refused two streams")
 	}
 	if tmin <= 0 {
-		t.Fatalf("RequiredInterval = %v, want > 0", tmin)
+		t.Fatalf("required interval = %v, want > 0", tmin)
 	}
 	if err := p.Admit(tmin, 1<<40, streams); err != nil {
 		t.Errorf("Admit at T_min: %v, want admit", err)

@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/disk"
 	"repro/internal/ufs"
 )
 
@@ -102,37 +101,4 @@ func (m *ExtentMap) AverageRunBytes() int64 {
 		total += e.Bytes()
 	}
 	return total / int64(len(m.Extents))
-}
-
-// DiskFootprint maps the extent map onto a striped volume's members: entry
-// d is the total sectors of the file resident on member d. The scheduler
-// does the same projection per read via Volume.Fragments; this whole-file
-// form backs diagnostics and the stripe tests (a fully striped file spreads
-// within one stripe row of even; a file smaller than a stripe unit sits on
-// one member).
-func (m *ExtentMap) DiskFootprint(v *disk.Volume) []int64 {
-	out := make([]int64, v.NumDisks())
-	for _, e := range m.Extents {
-		for _, f := range v.Fragments(nil, e.LBA, e.Sectors) {
-			out[f.Disk] += int64(f.Count)
-		}
-	}
-	return out
-}
-
-// ExtentsFor returns the extents overlapping the byte range [lo, hi),
-// clipped to whole extents (CRAS reads at block granularity; a range is
-// covered by reading every extent it touches).
-func (m *ExtentMap) ExtentsFor(lo, hi int64) []Extent {
-	var out []Extent
-	for _, e := range m.Extents {
-		if e.FileOff+e.Bytes() <= lo {
-			continue
-		}
-		if e.FileOff >= hi {
-			break
-		}
-		out = append(out, e)
-	}
-	return out
 }

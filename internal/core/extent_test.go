@@ -2,14 +2,13 @@ package core
 
 import (
 	"math/rand"
-	"os"
 	"reflect"
 	"slices"
-	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/media"
+	"repro/internal/propseed"
 	"repro/internal/rtm"
 	"repro/internal/ufs"
 )
@@ -70,33 +69,6 @@ func TestBuildExtentMapMinimumCap(t *testing.T) {
 	}
 	if len(m.Extents) != 2 {
 		t.Fatalf("cap below block size should clamp to one block per extent, got %d extents", len(m.Extents))
-	}
-}
-
-func TestExtentsFor(t *testing.T) {
-	blocks := make([]uint32, 64)
-	for i := range blocks {
-		blocks[i] = 500 + uint32(i)
-	}
-	m, _ := BuildExtentMap(blocks, 64*ufs.BlockSize, 256<<10) // 2 extents of 32 blocks
-	all := m.ExtentsFor(0, 64*ufs.BlockSize)
-	if len(all) != 2 {
-		t.Fatalf("full range = %d extents", len(all))
-	}
-	first := m.ExtentsFor(0, 10)
-	if len(first) != 1 || first[0].FileOff != 0 {
-		t.Fatalf("tiny range = %v", first)
-	}
-	second := m.ExtentsFor(33*ufs.BlockSize, 34*ufs.BlockSize)
-	if len(second) != 1 || second[0].FileOff != 32*ufs.BlockSize {
-		t.Fatalf("second-half range = %v", second)
-	}
-	if got := m.ExtentsFor(64*ufs.BlockSize, 65*ufs.BlockSize); len(got) != 0 {
-		t.Fatalf("out-of-range = %v", got)
-	}
-	// Boundary: a range ending exactly at an extent start excludes it.
-	if got := m.ExtentsFor(0, 32*ufs.BlockSize); len(got) != 1 {
-		t.Fatalf("boundary range = %d extents, want 1", len(got))
 	}
 }
 
@@ -221,20 +193,12 @@ func randomInternCase(rng *rand.Rand) internCase {
 // allocates nothing.
 //
 // The seed defaults to a fixed value; CI overrides it with
-// EXTENT_INTERN_PROP_SEED and every failure names the seed, so a failing
+// PROP_SEED and every failure names the seed, so a failing
 // run replays with
 //
-//	EXTENT_INTERN_PROP_SEED=<seed> go test ./internal/core -run TestExtentInternMatchesBuild
+//	PROP_SEED=<seed> go test ./internal/core -run TestExtentInternMatchesBuild
 func TestExtentInternMatchesBuild(t *testing.T) {
-	seed := int64(20261017)
-	if env := os.Getenv("EXTENT_INTERN_PROP_SEED"); env != "" {
-		v, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("EXTENT_INTERN_PROP_SEED=%q: %v", env, err)
-		}
-		seed = v
-	}
-	t.Logf("property seed %d (override with EXTENT_INTERN_PROP_SEED)", seed)
+	seed := propseed.Seed(t, 20261017)
 	rng := rand.New(rand.NewSource(seed))
 	outcomes := map[string][2]int{} // kind -> [mismatches, matches]
 	for run := 0; run < 5000; run++ {

@@ -2,13 +2,13 @@ package core
 
 import (
 	"math/rand"
-	"os"
 	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/disk"
 	"repro/internal/media"
+	"repro/internal/propseed"
 	"repro/internal/rtm"
 	"repro/internal/sim"
 	"repro/internal/ufs"
@@ -160,20 +160,12 @@ func appendRange(rs [][2]int64, lo, hi int64) [][2]int64 {
 //     counters say.
 //
 // The seed defaults to a fixed value; CI overrides it with
-// FETCHWALK_PROP_SEED and every failure names the seed, so a failing run
+// PROP_SEED and every failure names the seed, so a failing run
 // replays with
 //
-//	FETCHWALK_PROP_SEED=<seed> go test ./internal/core -run TestFetchWalkProperties
+//	PROP_SEED=<seed> go test ./internal/core -run TestFetchWalkProperties
 func TestFetchWalkProperties(t *testing.T) {
-	seed := int64(20261017)
-	if env := os.Getenv("FETCHWALK_PROP_SEED"); env != "" {
-		v, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("FETCHWALK_PROP_SEED=%q: %v", env, err)
-		}
-		seed = v
-	}
-	t.Logf("property seed %d (override with FETCHWALK_PROP_SEED)", seed)
+	seed := propseed.Seed(t, 20261017)
 	root := rand.New(rand.NewSource(seed))
 	for run := 0; run < 300; run++ {
 		runFetchWalk(t, seed, run, rand.New(rand.NewSource(root.Int63())))

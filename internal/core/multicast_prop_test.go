@@ -3,12 +3,11 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/media"
+	"repro/internal/propseed"
 	"repro/internal/rtm"
 	"repro/internal/ufs"
 )
@@ -19,20 +18,12 @@ import (
 // structure swept (CheckInvariants) after every operation and the
 // delivered frame sequence of every undisturbed viewer verified at the
 // end. The seed defaults to a fixed value so the suite is deterministic;
-// CI (and anyone chasing a failure) overrides it with MCAST_PROP_SEED, and
+// CI (and anyone chasing a failure) overrides it with PROP_SEED, and
 // every failure message carries the seed so the exact sequence replays with
 //
-//	MCAST_PROP_SEED=<seed> go test ./internal/core -run TestMulticastProperties
+//	PROP_SEED=<seed> go test ./internal/core -run TestMulticastProperties
 func TestMulticastProperties(t *testing.T) {
-	seed := int64(20260805)
-	if env := os.Getenv("MCAST_PROP_SEED"); env != "" {
-		v, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("MCAST_PROP_SEED=%q: %v", env, err)
-		}
-		seed = v
-	}
-	t.Logf("property seed %d (override with MCAST_PROP_SEED)", seed)
+	seed := propseed.Seed(t, 20260805)
 	root := rand.New(rand.NewSource(seed))
 	for seq := 0; seq < 8; seq++ {
 		runMcastSequence(t, seed, seq, rand.New(rand.NewSource(root.Int63())))
@@ -108,9 +99,6 @@ func runMcastSequence(t *testing.T, seed int64, seq int, rng *rand.Rand) {
 	cfg := Config{
 		BatchWindow:  time.Duration(500+rng.Intn(1500)) * time.Millisecond,
 		PrefixBudget: int64(2+rng.Intn(7)) << 20,
-	}
-	if os.Getenv("MCAST_PROP_NOBATCH") != "" {
-		cfg.BatchWindow = 0 // control: same ops, multicast off
 	}
 	newBed(t, seed^int64(seq*2654435761), ufs.Options{}, cfg,
 		map[string]*media.StreamInfo{"/hot": movie},

@@ -3,12 +3,11 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/media"
+	"repro/internal/propseed"
 	"repro/internal/rtm"
 	"repro/internal/sim"
 	"repro/internal/ufs"
@@ -54,20 +53,12 @@ func checkStreamWindow(t *testing.T, s *Server, where string) {
 // opens, orderly closes, lease reaps, dead-name reaps, load sheds, seeks,
 // quiet spells long enough for the lease scan to reap everything, and
 // shutdown, with checkStreamWindow after every operation. The seed
-// defaults to a fixed value; CI overrides it with STREAMWIN_PROP_SEED and
+// defaults to a fixed value; CI overrides it with PROP_SEED and
 // every failure names the seed, so a failing script replays with
 //
-//	STREAMWIN_PROP_SEED=<seed> go test ./internal/core -run TestStreamWindowProperties
+//	PROP_SEED=<seed> go test ./internal/core -run TestStreamWindowProperties
 func TestStreamWindowProperties(t *testing.T) {
-	seed := int64(20261017)
-	if env := os.Getenv("STREAMWIN_PROP_SEED"); env != "" {
-		v, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("STREAMWIN_PROP_SEED=%q: %v", env, err)
-		}
-		seed = v
-	}
-	t.Logf("property seed %d (override with STREAMWIN_PROP_SEED)", seed)
+	seed := propseed.Seed(t, 20261017)
 	root := rand.New(rand.NewSource(seed))
 	for seq := 0; seq < 6; seq++ {
 		runStreamWindowSequence(t, seed, seq, rand.New(rand.NewSource(root.Int63())))

@@ -3,31 +3,22 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
+	"repro/internal/propseed"
 	"repro/internal/sim"
 )
 
 // Property-based exercise of the time-driven buffer: seeded random op
 // sequences with full-state invariant checks after every operation. The
 // seed defaults to a fixed value so the suite is deterministic; CI (and
-// anyone chasing a failure) overrides it with TDBUF_PROP_SEED, and every
+// anyone chasing a failure) overrides it with PROP_SEED, and every
 // failure message carries the seed so the exact sequence replays with
 //
-//	TDBUF_PROP_SEED=<seed> go test ./internal/core -run TestTDBufferProperties
+//	PROP_SEED=<seed> go test ./internal/core -run TestTDBufferProperties
 func TestTDBufferProperties(t *testing.T) {
-	seed := int64(20260805)
-	if env := os.Getenv("TDBUF_PROP_SEED"); env != "" {
-		v, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("TDBUF_PROP_SEED=%q: %v", env, err)
-		}
-		seed = v
-	}
-	t.Logf("property seed %d (override with TDBUF_PROP_SEED)", seed)
+	seed := propseed.Seed(t, 20260805)
 	root := rand.New(rand.NewSource(seed))
 	for seq := 0; seq < 40; seq++ {
 		runTDBufferSequence(t, seed, seq, rand.New(rand.NewSource(root.Int63())))

@@ -4,12 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/media"
+	"repro/internal/propseed"
 	"repro/internal/rtm"
 	"repro/internal/sim"
 	"repro/internal/ufs"
@@ -32,20 +31,12 @@ import (
 //     multicast budgets are never overcommitted.
 //
 // The seed defaults to a fixed value so the suite is deterministic; CI
-// (and anyone chasing a failure) overrides it with VCR_PROP_SEED, and
+// (and anyone chasing a failure) overrides it with PROP_SEED, and
 // every failure message carries the seed so the exact script replays with
 //
-//	VCR_PROP_SEED=<seed> go test ./internal/core -run TestVCRProperties
+//	PROP_SEED=<seed> go test ./internal/core -run TestVCRProperties
 func TestVCRProperties(t *testing.T) {
-	seed := int64(20260807)
-	if env := os.Getenv("VCR_PROP_SEED"); env != "" {
-		v, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("VCR_PROP_SEED=%q: %v", env, err)
-		}
-		seed = v
-	}
-	t.Logf("property seed %d (override with VCR_PROP_SEED)", seed)
+	seed := propseed.Seed(t, 20260807)
 	root := rand.New(rand.NewSource(seed))
 	for seq := 0; seq < 8; seq++ {
 		runVCRSequence(t, seed, seq, rand.New(rand.NewSource(root.Int63())))

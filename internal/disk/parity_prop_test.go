@@ -4,26 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
+	"repro/internal/propseed"
 	"repro/internal/sim"
 )
-
-func parityPropSeed(t *testing.T) int64 {
-	seed := int64(20260807)
-	if env := os.Getenv("PARITY_PROP_SEED"); env != "" {
-		v, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("bad PARITY_PROP_SEED %q: %v", env, err)
-		}
-		seed = v
-	}
-	t.Logf("parity property seed %d (override with PARITY_PROP_SEED)", seed)
-	return seed
-}
 
 // propParityVolume builds a seeded random rotating-parity configuration:
 // 3–8 members on a small identical geometry.
@@ -55,7 +41,7 @@ func propParityVolume(t *testing.T, e *sim.Engine, rng *rand.Rand) *Volume {
 
 // TestParityProperties is the seeded property suite for the rotating-parity
 // mapping. Fixed default seed; CI rotates it per commit via
-// PARITY_PROP_SEED. Invariants:
+// PROP_SEED. Invariants:
 //
 //  1. Rotation bijection: Locate is injective into member bounds, each
 //     stripe row places exactly one unit (data or parity) on every member,
@@ -73,7 +59,7 @@ func propParityVolume(t *testing.T, e *sim.Engine, rng *rand.Rand) *Volume {
 //  6. Corrupting one unit behind the volume's back is caught by VerifyParity
 //     naming that row.
 func TestParityProperties(t *testing.T) {
-	root := rand.New(rand.NewSource(parityPropSeed(t)))
+	root := rand.New(rand.NewSource(propseed.Seed(t, 20260807)))
 
 	for cfg := 0; cfg < 12; cfg++ {
 		rng := rand.New(rand.NewSource(root.Int63()))
@@ -260,7 +246,7 @@ func TestParityProperties(t *testing.T) {
 // update alone), and a rebuild that makes the degraded writes durable on
 // the replaced member.
 func TestParityTimedIO(t *testing.T) {
-	root := rand.New(rand.NewSource(parityPropSeed(t)))
+	root := rand.New(rand.NewSource(propseed.Seed(t, 20260807)))
 	for cfg := 0; cfg < 6; cfg++ {
 		rng := rand.New(rand.NewSource(root.Int63()))
 		e := sim.NewEngine(rng.Int63())

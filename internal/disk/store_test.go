@@ -4,27 +4,14 @@ import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
-	"os"
 	"slices"
 	"strconv"
 	"testing"
 	"time"
 
+	"repro/internal/propseed"
 	"repro/internal/sim"
 )
-
-func sectorStorePropSeed(t *testing.T) int64 {
-	seed := int64(20261017)
-	if env := os.Getenv("SECTOR_STORE_PROP_SEED"); env != "" {
-		v, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("bad SECTOR_STORE_PROP_SEED %q: %v", env, err)
-		}
-		seed = v
-	}
-	t.Logf("sector store property seed %d (override with SECTOR_STORE_PROP_SEED)", seed)
-	return seed
-}
 
 // refImage serializes a reference per-sector store the way SaveImage lays
 // out an image: the header (geometry and timing, copied from got, with the
@@ -51,9 +38,9 @@ func refImage(got []byte, ref map[int64][]byte) []byte {
 // PeekSectors, FillSectors (blank exactly when no sector of the range holds
 // a payload, and then the buffer untouched), StoredSectors, the SaveImage bytes and a LoadImage round
 // trip must agree with the reference. Fixed default seed; CI rotates it
-// per commit via SECTOR_STORE_PROP_SEED.
+// per commit via PROP_SEED.
 func TestSectorStoreProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(sectorStorePropSeed(t)))
+	rng := rand.New(rand.NewSource(propseed.Seed(t, 20261017)))
 	_, p := ST32550N()
 	g := Geometry{Cylinders: 3, Heads: 2, SectorsPerTrack: 27, SectorSize: 512}
 	d := New(sim.NewEngine(1), "sd0", g, p)

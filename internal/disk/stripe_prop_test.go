@@ -3,11 +3,10 @@ package disk
 import (
 	"fmt"
 	"math/rand"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
+	"repro/internal/propseed"
 	"repro/internal/sim"
 )
 
@@ -42,7 +41,7 @@ func propVolume(t *testing.T, e *sim.Engine, rng *rand.Rand) *Volume {
 
 // TestStripeProperties is the seeded property suite for the stripe mapping.
 // The default seed is fixed (reproducible forever); CI also rotates it per
-// commit via STRIPE_PROP_SEED so the corpus grows with history. Invariants:
+// commit via PROP_SEED so the corpus grows with history. Invariants:
 //
 //  1. Locate is a bijection into per-member bounds: every logical sector
 //     maps to exactly one (disk, LBA) inside its member, and no two logical
@@ -57,16 +56,7 @@ func propVolume(t *testing.T, e *sim.Engine, rng *rand.Rand) *Volume {
 //     timed WriteSync) read back identical through the volume, and every
 //     byte is physically resident on exactly the member Locate names.
 func TestStripeProperties(t *testing.T) {
-	seed := int64(20260805)
-	if env := os.Getenv("STRIPE_PROP_SEED"); env != "" {
-		v, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("bad STRIPE_PROP_SEED %q: %v", env, err)
-		}
-		seed = v
-	}
-	t.Logf("stripe property seed %d (override with STRIPE_PROP_SEED)", seed)
-	root := rand.New(rand.NewSource(seed))
+	root := rand.New(rand.NewSource(propseed.Seed(t, 20260805)))
 
 	for cfg := 0; cfg < 30; cfg++ {
 		rng := rand.New(rand.NewSource(root.Int63()))
@@ -164,15 +154,7 @@ func TestStripeProperties(t *testing.T) {
 // (Submit scatter/gather under the event loop), including ranges chosen to
 // span several stripe units and wrap the member rotation.
 func TestStripeTimedIO(t *testing.T) {
-	seed := int64(20260805)
-	if env := os.Getenv("STRIPE_PROP_SEED"); env != "" {
-		v, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("bad STRIPE_PROP_SEED %q: %v", env, err)
-		}
-		seed = v
-	}
-	root := rand.New(rand.NewSource(seed))
+	root := rand.New(rand.NewSource(propseed.Seed(t, 20260805)))
 	for cfg := 0; cfg < 8; cfg++ {
 		rng := rand.New(rand.NewSource(root.Int63()))
 		e := sim.NewEngine(rng.Int63())

@@ -4,11 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
 	"runtime"
-	"strconv"
 	"testing"
 
+	"repro/internal/propseed"
 	"repro/internal/sim"
 )
 
@@ -138,20 +137,11 @@ type writeOutcome struct {
 // sectors; writes are unaligned, some sparse (nil Data), some all-zero,
 // some rewriting earlier data, several in flight at once. Some volumes
 // fail member writes, and some parity volumes run with a dead member.
-// The seed defaults to a fixed value; VOLUME_WRITE_PROP_SEED moves it:
+// The seed defaults to a fixed value; PROP_SEED moves it:
 //
-//	VOLUME_WRITE_PROP_SEED=<seed> go test ./internal/disk -run TestVolumeWriteMatchesScatterCopy
+//	PROP_SEED=<seed> go test ./internal/disk -run TestVolumeWriteMatchesScatterCopy
 func TestVolumeWriteMatchesScatterCopy(t *testing.T) {
-	seed := int64(20261018)
-	if env := os.Getenv("VOLUME_WRITE_PROP_SEED"); env != "" {
-		v, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("bad VOLUME_WRITE_PROP_SEED %q: %v", env, err)
-		}
-		seed = v
-	}
-	t.Logf("volume write property seed %d (override with VOLUME_WRITE_PROP_SEED)", seed)
-	root := rand.New(rand.NewSource(seed))
+	root := rand.New(rand.NewSource(propseed.Seed(t, 20261018)))
 	for cfg := 0; cfg < 24; cfg++ {
 		rng := rand.New(rand.NewSource(root.Int63()))
 		parity := cfg%2 == 1

@@ -39,14 +39,12 @@ func nodeSetup() Setup {
 }
 
 // build runs one set-up through mkfs, the titles' layout, a sync and the
-// boot of the Unix server and CRAS, and stops at the boot.
+// boot of the Unix server and CRAS, and steps no further than the boot.
 func build(tb testing.TB, s Setup) *Machine {
 	booted := false
-	m := Build(s, func(m *Machine) {
-		booted = true
-		m.Eng.Stop()
-	})
-	m.Eng.Run()
+	m := Build(s, func(*Machine) { booted = true })
+	for !booted && m.Eng.Step() {
+	}
 	if err := m.Err(); err != nil || !booted {
 		tb.Fatalf("set-up did not boot: %v", err)
 	}

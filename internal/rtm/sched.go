@@ -153,15 +153,6 @@ func (t *Thread) MaxDispatchWait() sim.Time { return t.maxWait }
 // TotalDispatchWait returns the cumulative time spent waiting for the CPU.
 func (t *Thread) TotalDispatchWait() sim.Time { return t.totalWait }
 
-// SetPriority changes the base priority and re-evaluates scheduling.
-func (t *Thread) SetPriority(prio int) {
-	if prio < PrioIdle || prio > PrioInterrupt {
-		panic(fmt.Sprintf("rtm: priority %d out of range", prio))
-	}
-	t.base = prio
-	t.k.dispatch()
-}
-
 // setBoost installs an inherited priority (0 clears it).
 func (t *Thread) setBoost(boost int) {
 	t.boost = boost

@@ -175,26 +175,6 @@ func TestCPUAccounting(t *testing.T) {
 	}
 }
 
-func TestSetPriorityTriggersPreemption(t *testing.T) {
-	e := sim.NewEngine(1)
-	k := NewKernel(e)
-	var order []string
-	low := k.NewThread("low", PrioTS, 0, func(th *Thread) {
-		th.Compute(ms(100))
-		order = append(order, "low")
-	})
-	k.NewThread("mid", PrioTS+1, 0, func(th *Thread) {
-		th.Sleep(ms(10))
-		th.Compute(ms(10))
-		order = append(order, "mid")
-	})
-	e.At(ms(5), func() { low.SetPriority(PrioRT) })
-	e.Run()
-	if order[0] != "low" {
-		t.Fatalf("order = %v; raised-priority thread should finish first", order)
-	}
-}
-
 func TestRunningAndReadyCount(t *testing.T) {
 	e := sim.NewEngine(1)
 	k := NewKernel(e)

@@ -118,10 +118,9 @@ func (h *eventHeap) pop() entry {
 // RunUntil, and a process body runs only while that goroutine has switched
 // into it, so exactly one of them executes at a time.
 type Engine struct {
-	now     Time
-	seq     uint64
-	seed    int64
-	stopped bool
+	now  Time
+	seq  uint64
+	seed int64
 
 	// dispatches counts process resumptions; every schedTurnEvery-th one
 	// gives the Go scheduler a turn (see Proc.run).
@@ -194,9 +193,6 @@ func (e *Engine) deadline(d Time) Time {
 	return e.now + d
 }
 
-// Stop makes the current Run call return after the current event completes.
-func (e *Engine) Stop() { e.stopped = true }
-
 // Step fires the next pending event, advancing virtual time to it. It
 // reports whether an event fired.
 func (e *Engine) Step() bool {
@@ -219,17 +215,15 @@ func (e *Engine) fire(en entry) {
 	en.t.fn()
 }
 
-// Run fires events until the calendar is empty or Stop is called.
+// Run fires events until the calendar is empty.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 }
 
 // RunUntil fires events with timestamps <= t, then sets the clock to t.
 func (e *Engine) RunUntil(t Time) {
-	e.stopped = false
-	for !e.stopped {
+	for {
 		h, p, s := e.cal.head()
 		if p == empty || h.live() && h.at > t {
 			break

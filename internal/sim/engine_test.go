@@ -140,23 +140,6 @@ func TestRunUntilBoundaryInclusive(t *testing.T) {
 	}
 }
 
-func TestStop(t *testing.T) {
-	e := NewEngine(1)
-	var count int
-	for i := 1; i <= 5; i++ {
-		e.At(ms(i*10), func() {
-			count++
-			if count == 2 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 2 {
-		t.Fatalf("ran %d events after Stop, want 2", count)
-	}
-}
-
 func TestRunForIsRelative(t *testing.T) {
 	e := NewEngine(1)
 	e.RunFor(ms(10))

@@ -3,11 +3,10 @@ package ufs
 import (
 	"fmt"
 	"math/rand"
-	"os"
 	"slices"
-	"strconv"
 	"testing"
 
+	"repro/internal/propseed"
 	"repro/internal/sim"
 )
 
@@ -168,21 +167,12 @@ func allocGoal(rng *rand.Rand, fs *FileSystem) uint32 {
 // allocBlockNear and with the bit-at-a-time reference from the same
 // state: every block, error, bitmap, free count, dirty flag and
 // lastAllocGroup must agree, through wrap-around and full groups to
-// ErrNoSpace. The seed defaults to a fixed value; UFS_ALLOC_PROP_SEED
+// ErrNoSpace. The seed defaults to a fixed value; PROP_SEED
 // moves it:
 //
-//	UFS_ALLOC_PROP_SEED=<seed> go test ./internal/ufs -run TestAllocBlockNearMatchesBitScan
+//	PROP_SEED=<seed> go test ./internal/ufs -run TestAllocBlockNearMatchesBitScan
 func TestAllocBlockNearMatchesBitScan(t *testing.T) {
-	seed := int64(20261018)
-	if env := os.Getenv("UFS_ALLOC_PROP_SEED"); env != "" {
-		v, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("bad UFS_ALLOC_PROP_SEED %q: %v", env, err)
-		}
-		seed = v
-	}
-	t.Logf("alloc property seed %d (override with UFS_ALLOC_PROP_SEED)", seed)
-	rng := rand.New(rand.NewSource(seed))
+	rng := rand.New(rand.NewSource(propseed.Seed(t, 20261018)))
 	var noSpace, wrapped int
 	for _, bpg := range []int{64, 100, 129, 512, 777, 2048} {
 		opts := Options{BlocksPerGroup: bpg, InodeBlocksPerG: 1 + rng.Intn(2)}

@@ -4,12 +4,11 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/disk"
+	"repro/internal/propseed"
 	"repro/internal/sim"
 )
 
@@ -256,21 +255,13 @@ func countBlockMap(fs *FileSystem, d *disk.Disk, ino uint32, bm []uint32, st *bl
 // on a miss, and a 4-16 block cache, small enough that a walk's misses
 // evict blocks in the middle of it.
 //
-// The seeds default to 1-12; UFS_BLOCKMAP_PROP_SEED moves the first seed
+// The seeds default to 1-12; PROP_SEED moves the first seed
 // (CI rotates it), and a failure names its seed, which replays first with
 //
-//	UFS_BLOCKMAP_PROP_SEED=<seed> go test ./internal/ufs -run TestBlockMapMatchesBlockWalk
+//	PROP_SEED=<seed> go test ./internal/ufs -run TestBlockMapMatchesBlockWalk
 func TestBlockMapMatchesBlockWalk(t *testing.T) {
-	first := int64(1)
-	if env := os.Getenv("UFS_BLOCKMAP_PROP_SEED"); env != "" {
-		v, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("UFS_BLOCKMAP_PROP_SEED=%q: %v", env, err)
-		}
-		first = v
-	}
+	first := propseed.Seed(t, 1)
 	const seeds = 12
-	t.Logf("property seeds %d-%d (override with UFS_BLOCKMAP_PROP_SEED)", first, first+seeds-1)
 	var st blockMapStats
 	for seed := first; seed < first+seeds; seed++ {
 		want := runBlockMapScript(seed, true, &blockMapStats{})

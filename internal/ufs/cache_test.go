@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"os"
-	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/disk"
+	"repro/internal/propseed"
 	"repro/internal/sim"
 )
 
@@ -165,20 +164,12 @@ func TestCacheLookasideCollisions(t *testing.T) {
 // content written through the cache. Recycled buffers are poisoned, so a
 // buffer recycled while a caller may still read it shows up as garbage.
 //
-// The seeds default to 1-20; UFS_CACHE_PROP_SEED moves the first seed (CI
+// The seeds default to 1-20; PROP_SEED moves the first seed (CI
 // rotates it), and a failure names its seed, which replays first with
 //
-//	UFS_CACHE_PROP_SEED=<seed> go test ./internal/ufs -run TestCacheLRUMatchesReferenceScan
+//	PROP_SEED=<seed> go test ./internal/ufs -run TestCacheLRUMatchesReferenceScan
 func TestCacheLRUMatchesReferenceScan(t *testing.T) {
-	first := int64(1)
-	if env := os.Getenv("UFS_CACHE_PROP_SEED"); env != "" {
-		v, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("UFS_CACHE_PROP_SEED=%q: %v", env, err)
-		}
-		first = v
-	}
-	t.Logf("property seeds %d-%d (override with UFS_CACHE_PROP_SEED)", first, first+19)
+	first := propseed.Seed(t, 1)
 	var recycled, overlapped int
 	for seed := first; seed < first+20; seed++ {
 		r, o, err := runCacheScript(seed)

@@ -4,13 +4,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"os"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/disk"
+	"repro/internal/propseed"
 	"repro/internal/rtm"
 	"repro/internal/sim"
 )
@@ -338,21 +337,6 @@ func mustWrite(p *sim.Proc, f *File, data []byte, off int64) {
 	}
 }
 
-// propSeeds returns the first of n property seeds, 1 unless the
-// environment variable env moves it.
-func propSeeds(t *testing.T, env string, n int64) int64 {
-	t.Helper()
-	first := int64(1)
-	if v := os.Getenv(env); v != "" {
-		var err error
-		if first, err = strconv.ParseInt(v, 10, 64); err != nil {
-			t.Fatalf("%s=%q: %v", env, v, err)
-		}
-	}
-	t.Logf("property seeds %d-%d (override with %s)", first, first+n-1, env)
-	return first
-}
-
 // compareSteps fails at the first step where got and want differ.
 func compareSteps(t *testing.T, seed int64, what string, got, want []string) {
 	t.Helper()
@@ -373,13 +357,13 @@ func compareSteps(t *testing.T, seed int64, what string, got, want []string) {
 // have), misses, prefetches, write-backs, the LRU order with dirty and
 // pending flags, simulated time and every member's disk statistics.
 //
-// The seeds default to 1-8; UFS_BLOCKMAP_PROP_SEED moves the first seed
+// The seeds default to 1-8; PROP_SEED moves the first seed
 // (CI rotates it), and a failure names its seed, which replays first with
 //
-//	UFS_BLOCKMAP_PROP_SEED=<seed> go test ./internal/ufs -run TestReadAheadMatchesBlockWalk
+//	PROP_SEED=<seed> go test ./internal/ufs -run TestReadAheadMatchesBlockWalk
 func TestReadAheadMatchesBlockWalk(t *testing.T) {
 	const seeds = 8
-	first := propSeeds(t, "UFS_BLOCKMAP_PROP_SEED", seeds)
+	first := propseed.Seed(t, 1)
 	var st readScriptStats
 	for seed := first; seed < first+seeds; seed++ {
 		want, wantData := runReadScript(seed, readWalk, nil)
@@ -402,13 +386,13 @@ func TestReadAheadMatchesBlockWalk(t *testing.T) {
 // cats read concurrently, wrap and jump, under eviction pressure and
 // write-backs.
 //
-// The seeds default to 1-8; UFS_CACHE_PROP_SEED moves the first seed (CI
+// The seeds default to 1-8; PROP_SEED moves the first seed (CI
 // rotates it), and a failure names its seed, which replays first with
 //
-//	UFS_CACHE_PROP_SEED=<seed> go test ./internal/ufs -run TestDiscardMatchesReadAt
+//	PROP_SEED=<seed> go test ./internal/ufs -run TestDiscardMatchesReadAt
 func TestDiscardMatchesReadAt(t *testing.T) {
 	const seeds = 8
-	first := propSeeds(t, "UFS_CACHE_PROP_SEED", seeds)
+	first := propseed.Seed(t, 1)
 	for seed := first; seed < first+seeds; seed++ {
 		want, _ := runReadScript(seed, readCopy, nil)
 		got, _ := runReadScript(seed, readDiscard, nil)

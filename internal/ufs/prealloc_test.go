@@ -5,13 +5,12 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"os"
 	"slices"
-	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/disk"
+	"repro/internal/propseed"
 	"repro/internal/sim"
 )
 
@@ -411,21 +410,13 @@ func fsSnapshot(e *sim.Engine, d *disk.Disk, fs *FileSystem) string {
 // direct, indirect and double-indirect boundaries, leave read-ahead in
 // flight, and run out of space part-way.
 //
-// The seeds default to 1-12; UFS_PREALLOC_PROP_SEED moves the first seed
+// The seeds default to 1-12; PROP_SEED moves the first seed
 // (CI rotates it), and a failure names its seed, which replays first with
 //
-//	UFS_PREALLOC_PROP_SEED=<seed> go test ./internal/ufs -run TestPreallocateMatchesBlockWalk
+//	PROP_SEED=<seed> go test ./internal/ufs -run TestPreallocateMatchesBlockWalk
 func TestPreallocateMatchesBlockWalk(t *testing.T) {
-	first := int64(1)
-	if env := os.Getenv("UFS_PREALLOC_PROP_SEED"); env != "" {
-		v, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("UFS_PREALLOC_PROP_SEED=%q: %v", env, err)
-		}
-		first = v
-	}
+	first := propseed.Seed(t, 1)
 	const seeds = 12
-	t.Logf("property seeds %d-%d (override with UFS_PREALLOC_PROP_SEED)", first, first+seeds-1)
 	var st preallocStats
 	for seed := first; seed < first+seeds; seed++ {
 		want := runPreallocScript(seed, true, &preallocStats{})

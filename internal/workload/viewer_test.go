@@ -3,13 +3,13 @@ package workload
 import (
 	"errors"
 	"math/rand"
-	"os"
 	"strconv"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/media"
+	"repro/internal/propseed"
 	"repro/internal/rtm"
 	"repro/internal/sim"
 )
@@ -393,27 +393,19 @@ func TestViewerRules(t *testing.T) {
 // after every frame; the end state must match how the session ended.
 //
 // The seed defaults to a fixed value; CI overrides it with
-// VIEWER_PROP_SEED and every failure names the seed, so a failing run
+// PROP_SEED and every failure names the seed, so a failing run
 // replays with
 //
-//	VIEWER_PROP_SEED=<seed> go test ./internal/workload -run TestViewerScriptProperties
+//	PROP_SEED=<seed> go test ./internal/workload -run TestViewerScriptProperties
 func TestViewerScriptProperties(t *testing.T) {
-	seed := int64(20261017)
-	if env := os.Getenv("VIEWER_PROP_SEED"); env != "" {
-		v, err := strconv.ParseInt(env, 10, 64)
-		if err != nil {
-			t.Fatalf("VIEWER_PROP_SEED=%q: %v", env, err)
-		}
-		seed = v
-	}
-	t.Logf("property seed %d (override with VIEWER_PROP_SEED)", seed)
+	seed := propseed.Seed(t, 20261017)
 	root := rand.New(rand.NewSource(seed))
 	for run := 0; run < 300; run++ {
 		rng := rand.New(rand.NewSource(root.Int63()))
 		t.Run(strconv.Itoa(run), func(t *testing.T) {
 			runViewerScript(t, rng)
 			if t.Failed() {
-				t.Logf("replay: VIEWER_PROP_SEED=%d, run %d", seed, run)
+				t.Logf("replay: PROP_SEED=%d, run %d", seed, run)
 			}
 		})
 		if t.Failed() {
